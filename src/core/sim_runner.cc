@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "util/logging.h"
+#include "util/string_util.h"
 
 namespace jigsaw {
 
@@ -17,10 +18,8 @@ SimulationRunner::SimulationRunner(const RunConfig& config,
                    config.quantum,
                    /*thread_safe=*/config.num_threads > 1),
       published_store_(published_store) {
-  JIGSAW_CHECK_MSG(config_.fingerprint_size <= config_.num_samples,
-                   "fingerprint size m must be <= sample count n");
-  JIGSAW_CHECK_MSG(config_.fingerprint_size >= 2,
-                   "fingerprint size m must be >= 2 to fit a mapping");
+  const Status valid = ValidateConfig(config_);
+  JIGSAW_CHECK_MSG(valid.ok(), valid.message());
   if (config_.batch_size == 0) config_.batch_size = 1;
   if (config_.num_threads > 1) {
     if (config_.shared_pool != nullptr) {
@@ -30,6 +29,20 @@ SimulationRunner::SimulationRunner(const RunConfig& config,
       pool_ = owned_pool_.get();
     }
   }
+}
+
+Status SimulationRunner::ValidateConfig(const RunConfig& config) {
+  if (config.fingerprint_size > config.num_samples) {
+    return Status::InvalidArgument(StrFormat(
+        "fingerprint size m = %zu must be <= sample count n = %zu",
+        config.fingerprint_size, config.num_samples));
+  }
+  if (config.fingerprint_size < 2) {
+    return Status::InvalidArgument(StrFormat(
+        "fingerprint size m = %zu must be >= 2 to fit a mapping",
+        config.fingerprint_size));
+  }
+  return Status::OK();
 }
 
 std::optional<SimulationRunner::StoreMatch>

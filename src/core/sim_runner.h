@@ -31,6 +31,7 @@
 #include "core/run_config.h"
 #include "core/sim_function.h"
 #include "random/seed_vector.h"
+#include "util/status.h"
 
 namespace jigsaw {
 
@@ -62,9 +63,16 @@ class SimulationRunner {
   /// concurrent runners share it — and a probe whose draws come from a
   /// different seed namespace simply never matches (fingerprints are
   /// namespace-specific draws).
+  ///
+  /// `config` must pass ValidateConfig; the constructor aborts otherwise.
   explicit SimulationRunner(const RunConfig& config,
                             MappingFinderPtr finder = nullptr,
                             BasisStore* published_store = nullptr);
+
+  /// The constructor's preconditions as a status, for callers whose
+  /// config comes from a user: InvalidArgument unless
+  /// 2 <= fingerprint_size <= num_samples.
+  static Status ValidateConfig(const RunConfig& config);
 
   /// Evaluates one parameter point of `fn` (Algorithm 3 + estimator).
   PointResult RunPoint(const SimFunction& fn,

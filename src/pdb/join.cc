@@ -475,8 +475,6 @@ Result<std::map<std::string, OutputMetrics>> FoldJoinedVGColumns(
   const std::size_t batch = std::max<std::size_t>(1, config.batch_size);
   const std::size_t num_chunks =
       num_worlds == 0 ? 0 : (num_worlds + batch - 1) / batch;
-  std::vector<Estimator> estimators(
-      slots.size(), Estimator(config.keep_samples, config.histogram_bins));
 
   if (config.columnar_storage) {
     // Shard-ownership rule: cell `chunk` is the only writer of its
@@ -545,23 +543,22 @@ Result<std::map<std::string, OutputMetrics>> FoldJoinedVGColumns(
     for (std::size_t chunk = 0; chunk < num_chunks; ++chunk) {
       if (!cells[chunk].status.ok()) return std::move(cells[chunk].status);
     }
-    for (std::size_t chunk = 0; chunk < num_chunks; ++chunk) {
-      Cell& cell = cells[chunk];
+    std::vector<internal::WorldSlice> worlds;
+    worlds.reserve(num_worlds);
+    for (const Cell& cell : cells) {
       for (std::size_t k = 0; k < cell.joined.row_offsets.size(); ++k) {
         const auto [first, last] = cell.joined.WorldRows(k);
-        for (std::size_t s = 0; s < slots.size(); ++s) {
-          JIGSAW_RETURN_IF_ERROR(internal::FoldChunkColumn(
-              cell.joined.data.column(slots[s]), first, last,
-              column_names[s], &estimators[s]));
-        }
+        worlds.push_back({&cell.joined.data, first, last});
       }
-      // Release the shard as soon as it folds (peak-memory discipline).
-      cell = Cell{};
     }
+    return internal::FoldColumnsByWorld(worlds, slots, column_names, config,
+                                        pool);
   } else {
     // Boxed reference twin: the nested-loop oracle runs as a Volcano
     // plan per world (the same MakeJoinedVGScan leaf the SQL layer
     // lowers to), columns staged through the copying NumericColumn.
+    std::vector<Estimator> estimators(
+        slots.size(), Estimator(config.keep_samples, config.histogram_bins));
     struct BoxCell {
       std::vector<std::vector<double>> buffers;
       Status status = Status::OK();
@@ -612,13 +609,12 @@ Result<std::map<std::string, OutputMetrics>> FoldJoinedVGColumns(
       }
       cells[chunk] = BoxCell{};
     }
+    std::map<std::string, OutputMetrics> out;
+    for (std::size_t s = 0; s < slots.size(); ++s) {
+      out.emplace(column_names[s], estimators[s].Finalize());
+    }
+    return out;
   }
-
-  std::map<std::string, OutputMetrics> out;
-  for (std::size_t s = 0; s < slots.size(); ++s) {
-    out.emplace(column_names[s], estimators[s].Finalize());
-  }
-  return out;
 }
 
 }  // namespace jigsaw::pdb

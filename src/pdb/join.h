@@ -31,8 +31,9 @@
 /// sides must agree on ("Fast and Simple Relational Processing of
 /// Uncertain Data"). FoldJoinedVGColumns fans world-chunk cells out on
 /// the shared ThreadPool under the same shard-ownership rule as
-/// FoldVGColumns, and folds joined numeric kDouble columns into
-/// Estimator::AddSpan zero-copy.
+/// FoldVGColumns, then fans the joined output columns out (one fold +
+/// finalize task per column) and folds joined numeric kDouble columns
+/// into Estimator::AddSpan zero-copy.
 
 #include <cstddef>
 #include <map>
@@ -126,9 +127,13 @@ PlanNodePtr MakeJoinedVGScan(VGTableFunctionPtr left,
 /// Under config.columnar_storage each batch_size world chunk is one pool
 /// task (the shard-ownership rule): the task realizes both sides into
 /// its own WorldExtents (interleaving left/right per world, so
-/// generator errors surface in the serial order), joins them with
-/// config.join_algorithm, and the merge reads joined kDouble chunks
-/// zero-copy through Estimator::AddSpan in world order. With the gate
+/// generator errors surface in the serial order) and joins them with
+/// config.join_algorithm. Each requested column then folds and finalizes
+/// as its own pool task (internal::FoldColumnsByWorld), reading joined
+/// kDouble chunks zero-copy through Estimator::AddSpan in world order;
+/// the joined shards stay alive until every column has folded. A NULL in
+/// a folded column surfaces the world-major loop's error: lowest failing
+/// world first, then lowest requested column. With the gate
 /// off, the boxed twin executes the MakeJoinedVGScan nested-loop oracle
 /// per world and extracts columns through the copying
 /// Table::NumericColumn — same draws, bit-identical metrics, identical

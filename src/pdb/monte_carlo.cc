@@ -49,6 +49,55 @@ Status FoldChunkColumn(const ColumnChunk& col, std::size_t first,
   }
   return Status::OK();
 }
+
+Result<std::map<std::string, OutputMetrics>> FoldColumnsByWorld(
+    std::span<const WorldSlice> worlds, std::span<const std::size_t> slots,
+    std::span<const std::string> names, const RunConfig& config,
+    ThreadPool* pool) {
+  // Column s is the only writer of columns[s]; a failed column records
+  // the world its fold stopped at, so the scan below can pick the
+  // world-major loop's first failure whatever the schedule.
+  struct ColumnFold {
+    OutputMetrics metrics;
+    Status status = Status::OK();
+    std::size_t failed_world = 0;
+  };
+  std::vector<ColumnFold> columns(slots.size());
+  auto fold_column = [&](std::size_t s) {
+    Estimator est(config.keep_samples, config.histogram_bins);
+    for (std::size_t w = 0; w < worlds.size(); ++w) {
+      const WorldSlice& world = worlds[w];
+      Status st = FoldChunkColumn(world.table->column(slots[s]), world.first,
+                                  world.last, names[s], &est);
+      if (!st.ok()) {
+        columns[s].status = std::move(st);
+        columns[s].failed_world = w;
+        return;
+      }
+    }
+    columns[s].metrics = est.Finalize();
+  };
+  if (pool != nullptr && slots.size() >= 2) {
+    pool->ParallelFor(slots.size(), fold_column);
+  } else {
+    for (std::size_t s = 0; s < slots.size(); ++s) fold_column(s);
+  }
+
+  // Strict < keeps the lowest column among failures in the same world.
+  ColumnFold* first_failure = nullptr;
+  for (ColumnFold& c : columns) {
+    if (!c.status.ok() && (first_failure == nullptr ||
+                           c.failed_world < first_failure->failed_world)) {
+      first_failure = &c;
+    }
+  }
+  if (first_failure != nullptr) return std::move(first_failure->status);
+  std::map<std::string, OutputMetrics> out;
+  for (std::size_t s = 0; s < slots.size(); ++s) {
+    out.emplace(names[s], std::move(columns[s].metrics));
+  }
+  return out;
+}
 }  // namespace internal
 
 namespace {
@@ -415,16 +464,6 @@ Result<std::map<std::string, OutputMetrics>> FoldVGColumns(
   const std::size_t batch = std::max<std::size_t>(1, config.batch_size);
   const std::size_t num_chunks =
       num_worlds == 0 ? 0 : (num_worlds + batch - 1) / batch;
-  std::vector<Estimator> estimators(
-      slots.size(), Estimator(config.keep_samples, config.histogram_bins));
-
-  // The shared tuple-level fold kernel (internal::FoldChunkColumn), bound
-  // to this fold's estimator slots.
-  auto fold_column = [&](const ColumnChunk& col, std::size_t first,
-                         std::size_t last, std::size_t s,
-                         const std::string& name) -> Status {
-    return internal::FoldChunkColumn(col, first, last, name, &estimators[s]);
-  };
 
   if (config.columnar_storage) {
     // Shard-ownership rule: cell `chunk` is the only writer of its
@@ -472,34 +511,26 @@ Result<std::map<std::string, OutputMetrics>> FoldVGColumns(
     for (std::size_t chunk = 0; chunk < num_chunks; ++chunk) {
       if (!cells[chunk].status.ok()) return std::move(cells[chunk].status);
     }
-    for (std::size_t chunk = 0; chunk < num_chunks; ++chunk) {
-      Cell& cell = cells[chunk];
-      const std::size_t begin = chunk * batch;
-      const std::size_t end = std::min(begin + batch, num_worlds);
-      for (std::size_t k = 0; k < end - begin; ++k) {
-        for (std::size_t s = 0; s < slots.size(); ++s) {
-          if (cache != nullptr) {
-            const ColumnarTable& t = *cell.cached[k];
-            JIGSAW_RETURN_IF_ERROR(fold_column(t.column(slots[s]), 0,
-                                               t.num_rows(), s,
-                                               column_names[s]));
-          } else {
-            const auto [first, last] = cell.extent.WorldRows(k);
-            JIGSAW_RETURN_IF_ERROR(fold_column(cell.extent.data.column(
-                                                   slots[s]),
-                                               first, last, s,
-                                               column_names[s]));
-          }
-        }
+    // A cell holds its worlds either as cached tables or in its extent.
+    std::vector<internal::WorldSlice> worlds;
+    worlds.reserve(num_worlds);
+    for (const Cell& cell : cells) {
+      for (const ColumnarTable* t : cell.cached) {
+        worlds.push_back({t, 0, t->num_rows()});
       }
-      // Release the shard as soon as it folds; the estimators own their
-      // accumulation, so keeping extents alive would double the peak.
-      cell = Cell{};
+      for (std::size_t k = 0; k < cell.extent.row_offsets.size(); ++k) {
+        const auto [first, last] = cell.extent.WorldRows(k);
+        worlds.push_back({&cell.extent.data, first, last});
+      }
     }
+    return internal::FoldColumnsByWorld(worlds, slots, column_names, config,
+                                        pool);
   } else {
     // Boxed reference twin: whole Tables, copying NumericColumn
     // extraction, staged per cell and merged in chunk order (AddSpan of
     // a concatenation is bit-identical to per-world AddSpan).
+    std::vector<Estimator> estimators(
+        slots.size(), Estimator(config.keep_samples, config.histogram_bins));
     struct BoxCell {
       std::vector<std::vector<double>> buffers;
       Status status = Status::OK();
@@ -558,13 +589,12 @@ Result<std::map<std::string, OutputMetrics>> FoldVGColumns(
       }
       cells[chunk] = BoxCell{};
     }
+    std::map<std::string, OutputMetrics> out;
+    for (std::size_t s = 0; s < slots.size(); ++s) {
+      out.emplace(column_names[s], estimators[s].Finalize());
+    }
+    return out;
   }
-
-  std::map<std::string, OutputMetrics> out;
-  for (std::size_t s = 0; s < slots.size(); ++s) {
-    out.emplace(column_names[s], estimators[s].Finalize());
-  }
-  return out;
 }
 
 Result<MonteCarloResult> MonteCarloExecutor::Run(

@@ -132,12 +132,14 @@ FoldPointWorldSpans(std::span<const std::string> column_names,
 /// under config.columnar_storage each batch_size world chunk is realized
 /// into a WorldExtent owned by exactly one pool task (the shard-ownership
 /// rule — zero cross-task writes), generators bulk-fill column spans, and
-/// the merge reads the chunk buffers zero-copy through Estimator::AddSpan
-/// in world order. With the gate off, the boxed twin generates `Table`s
-/// and extracts columns through the copying Table::NumericColumn — same
-/// draws, bit-identical metrics, identical error text and ordering (the
-/// serial run stops at the first failing chunk; a parallel run surfaces
-/// the same lowest failing chunk's error).
+/// internal::FoldColumnsByWorld then folds and finalizes each requested
+/// column as its own pool task, reading the chunk buffers zero-copy
+/// through Estimator::AddSpan in world order. The shards stay alive until
+/// every column has folded. With the gate off, the boxed twin generates
+/// `Table`s and extracts columns through the copying Table::NumericColumn
+/// — same draws, bit-identical metrics, identical error text and ordering
+/// (the serial run stops at the first failing chunk; a parallel run
+/// surfaces the same lowest failing chunk's error).
 ///
 /// With a non-null `cache`, realizations go through the WorldCache (in
 /// whichever representation the gate selects) instead of per-fold
@@ -157,6 +159,30 @@ namespace internal {
 Status FoldChunkColumn(const ColumnChunk& col, std::size_t first,
                        std::size_t last, const std::string& name,
                        Estimator* est);
+
+/// Rows [first, last) of `table`: one realized world, either a world of a
+/// shard's WorldExtent or a whole cached one-world table.
+struct WorldSlice {
+  const ColumnarTable* table = nullptr;
+  std::size_t first = 0;
+  std::size_t last = 0;
+};
+
+/// The merge and finalize of the columnar tuple-level folds
+/// (FoldVGColumns, FoldJoinedVGColumns): output column s — schema slot
+/// `slots[s]`, result name `names[s]` — folds every world of `worlds` in
+/// world order through FoldChunkColumn, then Estimator::Finalize runs on
+/// it. With a non-null `pool` each column is one ThreadPool::ParallelFor
+/// task; without one the same per-column loop runs on the caller. Each
+/// estimator sees the values a world-major fold feeds it, in the same
+/// order, so the metrics are bit-identical to one. On failure the error
+/// is the one a world-major fold hits first: the lowest failing world,
+/// ties going to the lowest column. The tables behind `worlds` must stay
+/// alive until the call returns.
+Result<std::map<std::string, OutputMetrics>> FoldColumnsByWorld(
+    std::span<const WorldSlice> worlds, std::span<const std::size_t> slots,
+    std::span<const std::string> names, const RunConfig& config,
+    ThreadPool* pool);
 
 /// Test hook: when nonzero, overrides the staged-doubles budget that
 /// bounds how many sweep points the chunk-grid fold keeps in flight,

@@ -58,6 +58,7 @@ Result<std::shared_ptr<const ScriptSnapshot>> SessionServer::Publish(
     // thread-safe store. Warming happens before the snapshot is
     // published, so no session can observe a half-warm store.
     RunConfig warm_cfg = base_;
+    JIGSAW_RETURN_IF_ERROR(SimulationRunner::ValidateConfig(warm_cfg));
     SimulationRunner warm(warm_cfg);
     for (const auto& column : compiled.scenario.columns) {
       warm.RunSweep(*column.fn, compiled.scenario.params);

@@ -1,6 +1,7 @@
 #include "sql/script_runner.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "pdb/join.h"
 #include "pdb/layered_engine.h"
@@ -155,7 +156,14 @@ Result<ScriptOutcome> ScriptRunner::RunBound(
     const std::vector<std::pair<std::string, double>>& overrides,
     const SnapshotResources& shared) {
   ScriptOutcome outcome;
-  SimulationRunner runner(config_, /*finder=*/nullptr, shared.basis_store);
+  // Only OPTIMIZE and GRAPH sample through the fingerprint runner, so only
+  // they need fingerprint_size <= num_samples; a MONTECARLO statement
+  // builds no runner (nor its private pool) and runs at any world count.
+  std::optional<SimulationRunner> runner;
+  if (bound.optimize || bound.graph) {
+    JIGSAW_RETURN_IF_ERROR(SimulationRunner::ValidateConfig(config_));
+    runner.emplace(config_, /*finder=*/nullptr, shared.basis_store);
+  }
 
   if (bound.optimize) {
     if (bound.chain) {
@@ -163,7 +171,7 @@ Result<ScriptOutcome> ScriptRunner::RunBound(
           "OPTIMIZE over CHAIN scenarios is not supported; use "
           "RunChainScenario");
     }
-    Optimizer optimizer(&runner);
+    Optimizer optimizer(&*runner);
     JIGSAW_ASSIGN_OR_RETURN(OptimizeResult result,
                             optimizer.Run(bound.scenario, *bound.optimize));
     outcome.optimize = std::move(result);
@@ -199,7 +207,7 @@ Result<ScriptOutcome> ScriptRunner::RunBound(
       GraphPoint point;
       point.x = x;
       for (std::size_t s = 0; s < cols.size(); ++s) {
-        const PointResult r = runner.RunPoint(*cols[s]->fn, valuation);
+        const PointResult r = runner->RunPoint(*cols[s]->fn, valuation);
         point.y.push_back(
             ExtractMetric(r.metrics, bound.graph->series[s].metric));
       }
@@ -347,8 +355,10 @@ Result<ScriptOutcome> ScriptRunner::RunBound(
     outcome.montecarlo = std::move(mc);
   }
 
-  outcome.runner_stats = runner.stats();
-  outcome.basis_count = runner.basis_store().size();
+  if (runner) {
+    outcome.runner_stats = runner->stats();
+    outcome.basis_count = runner->basis_store().size();
+  }
   outcome.bound = std::move(bound);
   return outcome;
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "util/logging.h"
 
@@ -12,6 +13,27 @@ Histogram::Histogram(double lo, double hi, int num_bins)
   JIGSAW_CHECK_MSG(num_bins > 0, "histogram needs at least one bin");
   if (hi_ <= lo_) hi_ = lo_ + 1.0;  // degenerate range; widen to unit width
   width_ = (hi_ - lo_) / num_bins;
+  if (!std::isfinite(width_)) {
+    // The range is wider than DBL_MAX, so hi_ - lo_ overflows; a bin's
+    // share of it does not, except with one bin, which then spans at most
+    // DBL_MAX (every observation lands in it either way).
+    width_ = std::min(hi_ / num_bins - lo_ / num_bins,
+                      std::numeric_limits<double>::max());
+  }
+}
+
+int Histogram::BinOf(double x) const {
+  double q = (x - lo_) / width_;
+  if (!std::isfinite(q)) {
+    // x - lo_ overflowed, x lies far outside the range, or the range is
+    // degenerate: place x by its share of the range, computed from
+    // halves so that every intermediate value stays finite.
+    q = (x / 2 - lo_ / 2) / (hi_ / 2 - lo_ / 2) * num_bins();
+  }
+  // Clamp in double before the cast: out-of-range observations land in
+  // the edge bins, and a NaN quotient (q > 0 is false) in bin 0.
+  return q > 0 ? static_cast<int>(std::min(std::floor(q), num_bins() - 1.0))
+               : 0;
 }
 
 Histogram Histogram::FromSamples(const std::vector<double>& samples,
@@ -38,9 +60,7 @@ void Histogram::Add(double x) {
     ++dropped_;
     return;
   }
-  int bin = static_cast<int>(std::floor((x - lo_) / width_));
-  bin = std::max(0, std::min(bin, num_bins() - 1));
-  ++counts_[static_cast<std::size_t>(bin)];
+  ++counts_[static_cast<std::size_t>(BinOf(x))];
   ++total_;
 }
 
@@ -59,9 +79,7 @@ Histogram Histogram::AffineTransformed(double alpha, double beta) const {
     out.total_ = total_;
     out.dropped_ = dropped_;
     if (total_ > 0) {
-      int bin = static_cast<int>(std::floor((beta - out.lo_) / out.width_));
-      bin = std::max(0, std::min(bin, num_bins() - 1));
-      out.counts_[static_cast<std::size_t>(bin)] = total_;
+      out.counts_[static_cast<std::size_t>(out.BinOf(beta))] = total_;
     }
     return out;
   }
@@ -78,8 +96,15 @@ Histogram Histogram::AffineTransformed(double alpha, double beta) const {
   return out;
 }
 
-double Histogram::bin_lo(int i) const { return lo_ + width_ * i; }
-double Histogram::bin_hi(int i) const { return lo_ + width_ * (i + 1); }
+double Histogram::bin_lo(int i) const { return Edge(i); }
+double Histogram::bin_hi(int i) const { return Edge(i + 1); }
+
+double Histogram::Edge(int i) const {
+  const double edge = lo_ + width_ * i;
+  // Past DBL_MAX above lo_ (a range wider than DBL_MAX), step back from
+  // hi_ instead.
+  return std::isfinite(edge) ? edge : hi_ - width_ * (num_bins() - i);
+}
 
 double Histogram::CdfAt(double x) const {
   if (total_ == 0) return 0.0;

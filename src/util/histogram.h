@@ -59,6 +59,11 @@ class Histogram {
   }
 
  private:
+  /// Bin of a finite observation; outside the range, the nearest edge bin.
+  int BinOf(double x) const;
+  /// Lower boundary of bin i (i == num_bins(): the upper end).
+  double Edge(int i) const;
+
   double lo_;
   double hi_;
   double width_;

@@ -12,9 +12,11 @@
 #include <map>
 #include <span>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "grid_test_util.h"
+#include "keyed_vg_table.h"
 #include "models/cloud_models.h"
 #include "pdb/columnar.h"
 #include "pdb/layered_engine.h"
@@ -428,6 +430,47 @@ TEST(FoldVGColumnsTest, ErrorsIdenticalOnBothStoragePaths) {
       EXPECT_EQ(columnar.status(), boxed.status()) << name;
     }
   });
+}
+
+TEST(FoldVGColumnsTest, NullInFoldedColumnSurfacesInWorldOrder) {
+  // Columns fold as separate tasks, but the error is the world-major
+  // serial loop's: the lowest failing world, then the lower requested
+  // column. In (9, 4), `b` fails at world 4 before `a` at world 9, both
+  // in one chunk at batch 64; in (6, 6) they fail in the same world.
+  constexpr std::size_t kWorlds = 12;
+  SeedVector seeds(0x5EED0008ULL, kWorlds);
+  const std::vector<std::string> names = {"a", "b"};
+  for (auto [a_from, b_from, expected] :
+       {std::tuple{9u, 4u, "column 'b' is not numeric"},
+        std::tuple{6u, 6u, "column 'a' is not numeric"}}) {
+    auto table = test::MakeNullingTable(a_from, b_from);
+    RunConfig ref_cfg;
+    ref_cfg.columnar_storage = false;
+    ref_cfg.batch_size = 1;
+    auto reference =
+        FoldVGColumns(*table, names, kWorlds, seeds, ref_cfg, nullptr);
+    ASSERT_FALSE(reference.ok());
+    EXPECT_EQ(reference.status().message(), expected);
+    test::ForEachGridPoint([&](std::size_t threads, std::size_t batch) {
+      for (bool columnar : {true, false}) {
+        for (bool cached : {false, true}) {
+          SCOPED_TRACE(::testing::Message()
+                       << (columnar ? "columnar" : "boxed")
+                       << (cached ? " cached" : ""));
+          RunConfig cfg;
+          cfg.columnar_storage = columnar;
+          cfg.batch_size = batch;
+          ThreadPool pool(threads);
+          WorldCache cache;
+          auto got = FoldVGColumns(*table, names, kWorlds, seeds, cfg,
+                                   threads > 1 ? &pool : nullptr,
+                                   cached ? &cache : nullptr);
+          ASSERT_FALSE(got.ok());
+          EXPECT_EQ(got.status(), reference.status());
+        }
+      }
+    });
+  }
 }
 
 // ---------------------------------------------------------------------------

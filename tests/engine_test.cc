@@ -293,6 +293,15 @@ TEST(SimRunnerTest, NaiveModeNeverReuses) {
   EXPECT_EQ(runner.stats().blackbox_invocations, 300u);
 }
 
+TEST(SimRunnerTest, ValidateConfigBoundsFingerprintSize) {
+  EXPECT_TRUE(SimulationRunner::ValidateConfig(SmallConfig(10, 10)).ok());
+  EXPECT_TRUE(SimulationRunner::ValidateConfig(SmallConfig(10, 2)).ok());
+  for (const RunConfig& cfg : {SmallConfig(8, 10), SmallConfig(8, 1)}) {
+    const Status s = SimulationRunner::ValidateConfig(cfg);
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
+  }
+}
+
 TEST(SimRunnerTest, SynthBasisProducesExactBasisCount) {
   CloudModelConfig mcfg;
   mcfg.synth_num_basis = 7;

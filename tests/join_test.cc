@@ -10,7 +10,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <map>
 #include <memory>
@@ -28,6 +27,7 @@
 #include "util/thread_pool.h"
 
 #include "grid_test_util.h"
+#include "keyed_vg_table.h"
 
 namespace jigsaw::pdb {
 namespace {
@@ -38,34 +38,12 @@ Value B(bool v) { return Value(v); }
 Value S(std::string v) { return Value(std::move(v)); }
 
 // ---------------------------------------------------------------------------
-// Deterministic keyed VG tables. The join consumes no randomness, so the
-// differential tables derive rows arithmetically from the world id —
-// duplicate keys, NULL keys and varying row counts included — and stay
-// deterministic across every execution path by construction.
+// Deterministic keyed VG tables (keyed_vg_table.h). The join consumes no
+// randomness, so the differential tables derive rows arithmetically from
+// the world id.
 // ---------------------------------------------------------------------------
 
-class KeyedVGTable final : public VGTableFunction {
- public:
-  using FillFn = std::function<Status(std::size_t world, Table* out)>;
-  KeyedVGTable(std::string name, Schema schema, FillFn fill)
-      : name_(std::move(name)),
-        schema_(std::move(schema)),
-        fill_(std::move(fill)) {}
-
-  const std::string& name() const override { return name_; }
-  const Schema& schema() const override { return schema_; }
-  Result<Table> Generate(std::size_t sample_id,
-                         const SeedVector& /*seeds*/) const override {
-    Table t(schema_);
-    JIGSAW_RETURN_IF_ERROR(fill_(sample_id, &t));
-    return t;
-  }
-
- private:
-  std::string name_;
-  Schema schema_;
-  FillFn fill_;
-};
+using test::KeyedVGTable;
 
 // Left side: 6..8 rows per world, int keys in [0, 5) with duplicates,
 // every fourth key NULL.
@@ -826,6 +804,19 @@ TEST_F(JoinErrorTest, EarlierLeftFailureWinsOverLaterRightFailure) {
   ExpectSameErrorEverywhere(MakeFailingTable("flaky_left", 2), flaky_right,
                             {"k", "k2"}, {"v", "v2"},
                             "VG generator 'flaky_left' failed in world 2");
+}
+
+TEST_F(JoinErrorTest, NullInFoldedColumnSurfacesInWorldOrder) {
+  // `b` turns NULL at world 4, `a` (earlier in the schema) at world 9;
+  // both fall in one chunk at batch 64. The world-major serial loop meets
+  // b's NULL first, whatever order the columns fold in.
+  ExpectSameErrorEverywhere(test::MakeNullingTable(9, 4),
+                            MakePlainRight("plain_right"), {"k", "k2"},
+                            {"a", "b"}, "column 'b' is not numeric");
+  // Both NULL in the same world: the lower requested column reports.
+  ExpectSameErrorEverywhere(test::MakeNullingTable(6, 6),
+                            MakePlainRight("plain_right"), {"k", "k2"},
+                            {"a", "b"}, "column 'a' is not numeric");
 }
 
 TEST_F(JoinErrorTest, NonNumericAndUnknownFoldColumnsFailUpFront) {

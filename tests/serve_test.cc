@@ -564,6 +564,20 @@ TEST_F(ServeBasisStoreTest, PrivateNamespacesMissTheWarmStoreDeterministically) 
   ExpectSameOutcome(with_store.value(), without_store.value());
 }
 
+TEST_F(ServeBasisStoreTest, WarmPublishWithFewerWorldsThanFingerprintFails) {
+  // Warming samples fingerprints, so 8 worlds under m = 10 is a typed
+  // error at publish, and nothing is published.
+  RunConfig base = BaseConfig(2);
+  base.num_samples = 8;
+  SessionServer server(&registry_, base);
+  PublishOptions warm;
+  warm.warm_basis_store = true;
+  auto snapshot = server.Publish("g", kOptimizeScript, warm);
+  ASSERT_FALSE(snapshot.ok());
+  EXPECT_EQ(snapshot.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(server.catalog()->empty());
+}
+
 // ---------------------------------------------------------------------------
 // Interactive priming off concurrent sweeps.
 // ---------------------------------------------------------------------------

@@ -1425,6 +1425,27 @@ TEST_F(JoinSqlTest, SweepPointsBitIdenticalToStandalone) {
   }
 }
 
+TEST_F(JoinSqlTest, FewerWorldsThanFingerprintSize) {
+  // A MONTECARLO statement never samples fingerprints, so 8 worlds under
+  // the default m = 10 run; OPTIMIZE does, and returns a typed error.
+  auto join = RunJoin(Script(""), /*columnar=*/true,
+                      JoinAlgorithm::kSortMerge, 2, 64, /*samples=*/8);
+  ASSERT_TRUE(join.ok()) << join.status().ToString();
+  EXPECT_EQ(join.value().montecarlo->worlds, 8u);
+  EXPECT_GT(join.value().montecarlo->columns.at("requirement").count, 0);
+
+  RunConfig cfg;
+  cfg.num_samples = 8;
+  ASSERT_EQ(cfg.fingerprint_size, 10u);
+  ScriptRunner runner(&registry_, cfg);
+  auto optimize = runner.Run(kFigure1);
+  ASSERT_FALSE(optimize.ok());
+  EXPECT_EQ(optimize.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(optimize.status().message().find("fingerprint size"),
+            std::string::npos)
+      << optimize.status().message();
+}
+
 TEST_F(JoinSqlTest, BindErrorShapes) {
   // Unknown VG table in the catalog.
   ExpectBindError(

@@ -299,6 +299,32 @@ TEST(HistogramTest, FromSamplesIgnoresNonFiniteForRange) {
   EXPECT_DOUBLE_EQ(empty.hi(), 1.0);
 }
 
+TEST(HistogramTest, RangeWiderThanDblMaxBinsEverySample) {
+  // Regression: max - min overflowed to inf, so every bound was NaN or
+  // inf, the max's quotient was inf / inf and its cast to int was UB.
+  Histogram h = Histogram::FromSamples({-1e308, 0.0, 1e308}, 4);
+  EXPECT_EQ(h.total_count(), 3);
+  EXPECT_EQ(h.dropped_count(), 0);
+  EXPECT_EQ(h.bin_count(0), 1);
+  EXPECT_EQ(h.bin_count(2), 1);
+  EXPECT_EQ(h.bin_count(3), 1);
+  EXPECT_EQ(h.bin_lo(0), -1e308);
+  EXPECT_EQ(h.bin_hi(3), 1e308);
+  for (int i = 0; i < h.num_bins(); ++i) {
+    EXPECT_TRUE(std::isfinite(h.bin_lo(i))) << "bin " << i;
+    EXPECT_TRUE(std::isfinite(h.bin_hi(i))) << "bin " << i;
+    EXPECT_LT(h.bin_lo(i), h.bin_hi(i)) << "bin " << i;
+  }
+
+  // One bin cannot span the range in a finite width; it still holds
+  // every sample between finite bounds.
+  Histogram one = Histogram::FromSamples({-1e308, 1e308}, 1);
+  EXPECT_EQ(one.bin_count(0), 2);
+  EXPECT_EQ(one.dropped_count(), 0);
+  EXPECT_TRUE(std::isfinite(one.bin_lo(0)));
+  EXPECT_TRUE(std::isfinite(one.bin_hi(0)));
+}
+
 TEST(HistogramTest, AffineTransformZeroAlphaCollapsesToPointMass) {
   // Regression: alpha == 0 used to keep the old bin layout over a
   // silently unit-widened [beta, beta] range. The mapped distribution is
