@@ -1,25 +1,24 @@
 // Columnar possible-worlds storage at scale: materialize N-row uncertain
-// tables across W worlds and fold every numeric column, on both storage
-// representations.
+// tables across W worlds and fold every numeric column.
 //
-// For each row count the fold runs three ways:
+// For each row count the fold runs two ways:
 //
-//   boxed    — columnar_storage=false, serial: each world realized as a
-//              Table of variant Values, columns staged through
-//              NumericColumn copies (the pre-columnar semantics);
-//   columnar — columnar_storage=true, serial: worlds realized straight
-//              into typed ColumnChunk buffers, kDouble columns folded
-//              zero-copy via Estimator::AddSpan;
-//   parallel — columnar with --num_threads workers, one world-chunk
-//              extent per pool task (the shard-ownership rule).
+//   columnar — serial: worlds realized straight into typed ColumnChunk
+//              buffers, kDouble columns folded zero-copy via
+//              Estimator::AddSpan;
+//   parallel — --num_threads workers, one world-chunk extent per pool
+//              task (the shard-ownership rule).
 //
-// Every run's metrics fold into a bitwise checksum; the binary exits
-// non-zero if any representation diverges — CI smoke-runs it as the
-// machine check that the columnar path is a bit-identical twin. The
-// interesting series are tuples/sec (columnar/boxed is the paper-scale
-// speedup claim) and peak RSS, which proves the 1e6 x 8 sweep fits in
-// memory. ru_maxrss is a process-wide high-water mark, so row counts run
-// ascending and each row reports the watermark *after* its run.
+// The join phase runs the sort-merge and hash kernels, serial and
+// threaded. Every run's metrics fold into a bitwise checksum; the binary
+// exits non-zero if the serial and threaded folds, or any two join runs,
+// diverge — CI smoke-runs it as a machine check that sharding and the
+// join kernel never change a result. (The boxed reference both paths
+// must match lives in the tests: tests/boxed_reference.h.) The
+// interesting series are tuples/sec and peak RSS, which proves the
+// 1e6 x 8 sweep fits in memory. ru_maxrss is a process-wide high-water
+// mark, so row counts run ascending and each row reports the watermark
+// *after* its run.
 //
 // Every row is a JSON-lines record on stdout; a human summary goes to
 // stderr. Flags: --num_samples=W (worlds) --num_threads=N
@@ -91,8 +90,7 @@ struct RunResult {
 };
 
 RunResult DriveFold(const pdb::VGTableFunction& fn, std::size_t rows,
-                    const BenchFlags& flags, bool columnar,
-                    std::size_t threads) {
+                    const BenchFlags& flags, std::size_t threads) {
   RunConfig cfg;
   cfg.num_samples = flags.num_samples;
   // Threaded runs shard worlds into at least one extent per worker
@@ -105,7 +103,6 @@ RunResult DriveFold(const pdb::VGTableFunction& fn, std::size_t rows,
           : flags.batch_size;
   cfg.num_threads = threads;
   cfg.seed_schema = bench::SchemaFromFlags(flags);
-  cfg.columnar_storage = columnar;
   const SeedVector seeds(cfg.master_seed, flags.num_samples,
                          cfg.seed_schema);
   const std::vector<std::string> columns = {"demand", "cost"};
@@ -132,13 +129,11 @@ RunResult DriveFold(const pdb::VGTableFunction& fn, std::size_t rows,
 }
 
 /// Join phase: a fixed 256-user population equi-joined against the
-/// scaling items table on user_id = item_id, per world. The boxed
-/// nested-loop oracle probes rows x 256 pairs per world — the quadratic
-/// baseline the span kernels must beat while staying bit-identical.
+/// scaling items table on user_id = item_id, per world.
 RunResult DriveJoin(const pdb::VGTableFunctionPtr& users,
                     const pdb::VGTableFunctionPtr& items, std::size_t rows,
-                    const BenchFlags& flags, bool columnar,
-                    JoinAlgorithm algorithm, std::size_t threads) {
+                    const BenchFlags& flags, JoinAlgorithm algorithm,
+                    std::size_t threads) {
   RunConfig cfg;
   cfg.num_samples = flags.num_samples;
   cfg.batch_size =
@@ -148,7 +143,6 @@ RunResult DriveJoin(const pdb::VGTableFunctionPtr& users,
           : flags.batch_size;
   cfg.num_threads = threads;
   cfg.seed_schema = bench::SchemaFromFlags(flags);
-  cfg.columnar_storage = columnar;
   cfg.join_algorithm = algorithm;
   const SeedVector seeds(cfg.master_seed, flags.num_samples,
                          cfg.seed_schema);
@@ -214,35 +208,27 @@ int main(int argc, char** argv) {
   bool checksums_ok = true;
   for (std::size_t rows : row_counts) {
     const auto fn = pdb::MakeScalingItemsVGTable(rows);
-    const RunResult boxed = DriveFold(*fn, rows, flags, false, 1);
-    EmitRow("boxed", rows, 1, flags, boxed);
-    const RunResult columnar = DriveFold(*fn, rows, flags, true, 1);
+    const RunResult columnar = DriveFold(*fn, rows, flags, 1);
     EmitRow("columnar", rows, 1, flags, columnar);
-    const RunResult parallel =
-        DriveFold(*fn, rows, flags, true, flags.num_threads);
+    const RunResult parallel = DriveFold(*fn, rows, flags, flags.num_threads);
     EmitRow("parallel", rows, flags.num_threads, flags, parallel);
 
-    const bool same = boxed.ok && columnar.ok && parallel.ok &&
-                      boxed.checksum == columnar.checksum &&
+    const bool same = columnar.ok && parallel.ok &&
                       columnar.checksum == parallel.checksum;
-    const double speedup = columnar.elapsed_s > 0.0
-                               ? boxed.elapsed_s / columnar.elapsed_s
-                               : 0.0;
     const double scaling = parallel.elapsed_s > 0.0
                                ? columnar.elapsed_s / parallel.elapsed_s
                                : 0.0;
     std::fprintf(stderr,
-                 "rows=%-8zu worlds=%zu  columnar/boxed %5.2fx  "
-                 "parallel(%zu) %5.2fx  rss %.0f MiB  checksums %s\n",
-                 rows, flags.num_samples, speedup, flags.num_threads,
-                 scaling, PeakRssBytes() / (1024.0 * 1024.0),
+                 "rows=%-8zu worlds=%zu  parallel(%zu) %5.2fx  rss %.0f MiB  "
+                 "checksums %s\n",
+                 rows, flags.num_samples, flags.num_threads, scaling,
+                 PeakRssBytes() / (1024.0 * 1024.0),
                  same ? "match" : "MISMATCH");
     checksums_ok = checksums_ok && same;
   }
 
-  // Join phase: sort-merge vs hash vs the boxed nested-loop oracle,
-  // serial and threaded, on a fixed 256-user left side so the oracle's
-  // quadratic probe stays feasible while the right side scales.
+  // Join phase: sort-merge vs hash, serial and threaded, on a fixed
+  // 256-user left side while the right side scales.
   const auto users = pdb::MakeUsersVGTable(256, 0.8, 5.0, 2.0);
   const std::vector<std::size_t> join_rows =
       bench::FullScale()
@@ -250,44 +236,39 @@ int main(int argc, char** argv) {
           : std::vector<std::size_t>{10'000, 100'000};
   for (std::size_t rows : join_rows) {
     const auto items = pdb::MakeScalingItemsVGTable(rows);
-    const RunResult oracle = DriveJoin(users, items, rows, flags, false,
-                                       JoinAlgorithm::kSortMerge, 1);
-    EmitRow("join_oracle", rows, 1, flags, oracle);
-    const RunResult sort = DriveJoin(users, items, rows, flags, true,
-                                     JoinAlgorithm::kSortMerge, 1);
+    const RunResult sort =
+        DriveJoin(users, items, rows, flags, JoinAlgorithm::kSortMerge, 1);
     EmitRow("join_sort", rows, 1, flags, sort);
     const RunResult hash =
-        DriveJoin(users, items, rows, flags, true, JoinAlgorithm::kHash, 1);
+        DriveJoin(users, items, rows, flags, JoinAlgorithm::kHash, 1);
     EmitRow("join_hash", rows, 1, flags, hash);
-    const RunResult sort_par =
-        DriveJoin(users, items, rows, flags, true, JoinAlgorithm::kSortMerge,
-                  flags.num_threads);
+    const RunResult sort_par = DriveJoin(
+        users, items, rows, flags, JoinAlgorithm::kSortMerge,
+        flags.num_threads);
     EmitRow("join_sort_par", rows, flags.num_threads, flags, sort_par);
-    const RunResult hash_par = DriveJoin(users, items, rows, flags, true,
+    const RunResult hash_par = DriveJoin(users, items, rows, flags,
                                          JoinAlgorithm::kHash,
                                          flags.num_threads);
     EmitRow("join_hash_par", rows, flags.num_threads, flags, hash_par);
 
-    const bool same = oracle.ok && sort.ok && hash.ok && sort_par.ok &&
-                      hash_par.ok && oracle.checksum == sort.checksum &&
+    const bool same = sort.ok && hash.ok && sort_par.ok && hash_par.ok &&
                       sort.checksum == hash.checksum &&
                       hash.checksum == sort_par.checksum &&
                       sort_par.checksum == hash_par.checksum;
-    const double sort_speedup =
-        sort.elapsed_s > 0.0 ? oracle.elapsed_s / sort.elapsed_s : 0.0;
-    const double hash_speedup =
-        hash.elapsed_s > 0.0 ? oracle.elapsed_s / hash.elapsed_s : 0.0;
+    const double hash_vs_sort =
+        hash.elapsed_s > 0.0 ? sort.elapsed_s / hash.elapsed_s : 0.0;
     std::fprintf(stderr,
-                 "join rows=%-8zu worlds=%zu  sort/oracle %6.2fx  "
-                 "hash/oracle %6.2fx  checksums %s\n",
-                 rows, flags.num_samples, sort_speedup, hash_speedup,
+                 "join rows=%-8zu worlds=%zu  hash/sort %6.2fx  "
+                 "checksums %s\n",
+                 rows, flags.num_samples, hash_vs_sort,
                  same ? "match" : "MISMATCH");
     checksums_ok = checksums_ok && same;
   }
 
   if (!checksums_ok) {
     std::fprintf(stderr,
-                 "FAIL: columnar fold diverged from boxed reference\n");
+                 "FAIL: threaded or hash-kernel fold diverged from serial "
+                 "sort-merge\n");
     return 1;
   }
   return 0;

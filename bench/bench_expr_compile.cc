@@ -19,10 +19,12 @@
 //                 --num_threads > 1;
 //   chain       — RunChainScenario to a fixed target step.
 //
-// Every row is a JSON-lines record on stdout; a human summary goes to
-// stderr. All interpreted/compiled pairs are checksummed bitwise and the
-// binary exits non-zero on any divergence — CI runs it as a smoke test
-// of the compiled path's bit-identity contract.
+// The interpreted side of every pair is the bound plan passed through
+// UseInterpretedExpressions before it runs. Every row is a JSON-lines
+// record on stdout; a human summary goes to stderr. All
+// interpreted/compiled pairs are checksummed bitwise and the binary
+// exits non-zero on any divergence — CI runs it as a smoke test of the
+// compiled path's bit-identity contract.
 //
 // Flags: --num_samples=N --batch_size=N --num_threads=N (bench_common.h).
 
@@ -153,11 +155,15 @@ RunResult DriveMonteCarlo(const ModelRegistry& registry,
   cfg.num_samples = flags.num_samples;
   cfg.num_threads = flags.num_threads;
   cfg.batch_size = flags.batch_size;
-  cfg.compile_expressions = compiled;
   sql::ScriptRunner runner(&registry, cfg);
   RunResult r;
   WallTimer timer;
-  auto outcome = runner.Run(script);
+  auto outcome = [&]() -> Result<sql::ScriptOutcome> {
+    JIGSAW_ASSIGN_OR_RETURN(sql::BoundScript bound,
+                            sql::ParseAndBind(script, registry));
+    if (!compiled) sql::UseInterpretedExpressions(bound);
+    return runner.RunBound(std::move(bound), {});
+  }();
   r.elapsed_s = timer.ElapsedSeconds();
   if (!outcome.ok() || !outcome.value().montecarlo.has_value()) {
     std::fprintf(stderr, "montecarlo run failed: %s\n",
@@ -180,10 +186,11 @@ RunResult DriveChain(const sql::BoundScript& bound, const BenchFlags& flags,
   RunConfig cfg;
   cfg.num_samples = flags.num_samples;
   cfg.batch_size = flags.batch_size;
-  cfg.compile_expressions = compiled;
+  sql::BoundScript plan = bound;
+  if (!compiled) sql::UseInterpretedExpressions(plan);
   RunResult r;
   WallTimer timer;
-  auto metrics = sql::RunChainScenario(bound, "demand", target, cfg,
+  auto metrics = sql::RunChainScenario(plan, "demand", target, cfg,
                                        /*use_jump=*/false);
   r.elapsed_s = timer.ElapsedSeconds();
   if (!metrics.ok()) {

@@ -9,9 +9,11 @@
 //   parallel   — MONTECARLO OVER with --num_threads workers (every
 //                (point, world-chunk) cell is one pool task).
 //
-// Every run's per-point metrics are folded into a bitwise checksum; the
-// binary exits non-zero if any of the three diverge — CI smoke-runs it
-// threaded as the machine check of the sweep determinism contract.
+// The interpreted runs execute the bound plan passed through
+// UseInterpretedExpressions. Every run's per-point metrics are folded
+// into a bitwise checksum; the binary exits non-zero if any of the three
+// diverge — CI smoke-runs it threaded as the machine check of the sweep
+// determinism contract.
 //
 // Every row is a JSON-lines record on stdout; a human summary goes to
 // stderr. Flags: --num_samples=N --batch_size=N --num_threads=N
@@ -23,10 +25,12 @@
 #include <iostream>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/metrics.h"
 #include "models/cloud_models.h"
+#include "sql/binder.h"
 #include "sql/script_runner.h"
 #include "util/timer.h"
 
@@ -87,27 +91,38 @@ struct RunResult {
   bool ok = true;
 };
 
-RunConfig MakeConfig(const BenchFlags& flags, std::size_t threads,
-                     bool compiled) {
+RunConfig MakeConfig(const BenchFlags& flags, std::size_t threads) {
   RunConfig cfg;
   cfg.num_samples = flags.num_samples;
   cfg.num_threads = threads;
   cfg.batch_size = flags.batch_size;
-  cfg.compile_expressions = compiled;
   return cfg;
+}
+
+/// Parses, binds and runs `text` on the compiled plan or on its
+/// interpreted twin.
+Result<sql::ScriptOutcome> RunScript(
+    const ModelRegistry& registry, sql::ScriptRunner& runner,
+    const std::string& text, bool compiled,
+    const std::vector<std::pair<std::string, double>>& overrides = {}) {
+  JIGSAW_ASSIGN_OR_RETURN(sql::BoundScript bound,
+                          sql::ParseAndBind(text, registry));
+  if (!compiled) sql::UseInterpretedExpressions(bound);
+  return runner.RunBound(std::move(bound), overrides);
 }
 
 /// N standalone MONTECARLO statements, serial — the reference semantics.
 RunResult DriveStandalone(const ModelRegistry& registry,
                           const BenchFlags& flags, bool compiled,
                           std::size_t points) {
-  sql::ScriptRunner runner(&registry, MakeConfig(flags, 1, compiled));
+  sql::ScriptRunner runner(&registry, MakeConfig(flags, 1));
   const std::string script = std::string(kScenario) + "MONTECARLO;";
   RunResult r;
   Checksum sum;
   WallTimer timer;
   for (std::size_t p = 0; p < points; ++p) {
-    auto outcome = runner.Run(script, {{"w", static_cast<double>(p)}});
+    auto outcome = RunScript(registry, runner, script, compiled,
+                             {{"w", static_cast<double>(p)}});
     if (!outcome.ok() || !outcome.value().montecarlo.has_value()) {
       std::fprintf(stderr, "standalone run failed: %s\n",
                    outcome.status().ToString().c_str());
@@ -126,11 +141,11 @@ RunResult DriveStandalone(const ModelRegistry& registry,
 RunResult DriveSweep(const ModelRegistry& registry, const BenchFlags& flags,
                      bool compiled, std::size_t points,
                      std::size_t threads) {
-  sql::ScriptRunner runner(&registry,
-                           MakeConfig(flags, threads, compiled));
+  sql::ScriptRunner runner(&registry, MakeConfig(flags, threads));
   RunResult r;
   WallTimer timer;
-  auto outcome = runner.Run(SweepStatement(points));
+  auto outcome =
+      RunScript(registry, runner, SweepStatement(points), compiled);
   r.elapsed_s = timer.ElapsedSeconds();
   if (!outcome.ok()) {
     std::fprintf(stderr, "sweep run failed: %s\n",

@@ -76,8 +76,9 @@ run_bench bench_batched_sampling --num_samples=200 --batch_size=64 --num_threads
 run_bench bench_batched_sampling --num_samples=200 --batch_size=64 --num_threads=1 --seed_schema=2
 run_bench bench_expr_compile $PIN
 run_bench bench_montecarlo_sweep $PIN
-# Columnar storage scale check: rows x worlds on both representations.
-# --num_samples is the world count here; the row sweep is built in.
+# Columnar storage scale check: rows x worlds, serial and threaded, plus
+# the join kernels. --num_samples is the world count here; the row sweep
+# is built in.
 run_bench bench_columnar_worlds --num_samples=8 --batch_size=64 --num_threads=2 --seed_schema=1
 run_bench bench_columnar_worlds --num_samples=8 --batch_size=64 --num_threads=2 --seed_schema=2
 run_bench bench_session_server --num_samples=200 --num_threads=2 --num_sessions=4

@@ -18,9 +18,8 @@ class ThreadPool;
 
 /// Physical algorithm for the world-partitioned columnar equi-join
 /// (pdb/join.h). Both are bit-identical — values, output row order,
-/// errors — to the serial boxed nested-loop oracle, so the knob only
-/// trades sort locality against hash build cost; it can never change a
-/// result.
+/// errors — to the serial nested-loop join, so the knob only trades sort
+/// locality against hash build cost; it can never change a result.
 enum class JoinAlgorithm : std::uint8_t {
   kSortMerge,  ///< per-world stable sort of row indices by key
   kHash,       ///< per-world insertion-ordered hash build of the right side
@@ -84,24 +83,9 @@ struct RunConfig {
   /// either way.
   ThreadPool* shared_pool = nullptr;
 
-  /// Store possible-world realizations as contiguous typed column chunks
-  /// (ColumnarTable) instead of boxed Value rows: VG generators bulk-fill
-  /// column spans, estimator folds read them zero-copy, and boxed rows
-  /// materialize only at the Report/CSV interop edges. The boxed path is
-  /// the bit-identity reference twin (same draws, same metrics, same
-  /// errors in the same order); false forces it everywhere.
-  bool columnar_storage = true;
-
   /// Algorithm for the columnar world-partitioned equi-join. Interchangeable
-  /// by contract: every algorithm (and the boxed oracle behind
-  /// columnar_storage=false) produces bit-identical joined relations.
+  /// by contract: every algorithm produces bit-identical joined relations.
   JoinAlgorithm join_algorithm = JoinAlgorithm::kSortMerge;
-
-  /// Run SQL-bound expressions through the compiled BatchProgram path
-  /// when the binder produced one. The compiled path is bit-identical to
-  /// the interpreted Expr::Eval walk; false forces the interpreter
-  /// everywhere (the reference twin tests and benches diff against).
-  bool compile_expressions = true;
 };
 
 }  // namespace jigsaw

@@ -12,10 +12,10 @@
 /// The boxed `Table` survives only as a conversion boundary: the CSV /
 /// Report interop edges and the Volcano row operators box rows on demand
 /// (`BoxRow`, `ToTable`), while VG realization, estimator folds and the
-/// batch-program staging path stay on raw spans. `RunConfig::
-/// columnar_storage` gates the representation end to end; the boxed twin
-/// is bit-identical (same draws, same metrics, same errors in the same
-/// order) at every grid point.
+/// batch-program staging path stay on raw spans. The boxed realization
+/// and fold live on only as the tests' reference
+/// (tests/boxed_reference.h), bit-identical (same draws, same metrics,
+/// same errors in the same order) at every grid point.
 ///
 /// Shard-ownership rule: a multi-world realization is sharded into
 /// world-chunk extents (see WorldExtent in vg_table.h) — each

@@ -39,11 +39,6 @@ struct EvalContext {
   /// executor sets this per chain step so each step draws fresh (but
   /// deterministic) randomness. 0 for ordinary scenarios.
   std::uint64_t stream_salt = 0;
-  /// Mirror of RunConfig::columnar_storage: scan nodes realize VG tables
-  /// as column chunks (boxing rows on demand at Next) when set, through
-  /// the boxed WorldCache path when clear. Representation only — draws,
-  /// values and errors are bit-identical either way.
-  bool columnar_storage = true;
 };
 
 class Expr;

@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "pdb/monte_carlo.h"
-#include "util/logging.h"
 #include "util/string_util.h"
 
 namespace jigsaw::pdb {
@@ -19,27 +18,6 @@ namespace {
 /// absolute chunk row indices. The canonical output order is this list
 /// sorted by (left, right) — the serial nested-loop visitation order.
 using RowPair = std::pair<std::size_t, std::size_t>;
-
-/// Boxed key equality — the oracle's match test. NULL keys never match
-/// anything (not even another NULL); double NaN keys compare unequal to
-/// everything via IEEE ==, so they never match either. The key type is
-/// common to both sides by ResolveJoin, so no coercion happens here.
-bool KeysMatch(const Value& a, const Value& b, ValueType key_type) {
-  if (a.is_null() || b.is_null()) return false;
-  switch (key_type) {
-    case ValueType::kInt:
-      return a.AsInt() == b.AsInt();
-    case ValueType::kDouble:
-      return a.AsDouble() == b.AsDouble();
-    case ValueType::kBool:
-      return a.AsBool() == b.AsBool();
-    case ValueType::kString:
-      return a.AsString() == b.AsString();
-    case ValueType::kNull:
-      return false;
-  }
-  return false;
-}
 
 /// Sort-merge pair kernel over one world partition. `lkey`/`rkey` read
 /// the key of an absolute row index; `usable` filters rows whose key can
@@ -245,84 +223,6 @@ void GatherColumn(const ColumnChunk& src, std::span<const RowPair> pairs,
   }
 }
 
-/// Streams the nested-loop oracle's joined relation of one world as a
-/// Volcano leaf: both sides realized boxed at Open (through the cache
-/// when present), rows emitted in canonical (left, right) order.
-class JoinedVGScanNode final : public PlanNode {
- public:
-  JoinedVGScanNode(VGTableFunctionPtr left, VGTableFunctionPtr right,
-                   ResolvedJoin join, WorldCache* cache)
-      : left_(std::move(left)),
-        right_(std::move(right)),
-        join_(std::move(join)),
-        cache_(cache) {}
-
-  const Schema& schema() const override { return join_.output; }
-
-  Status Open(EvalContext& ctx) override {
-    if (ctx.seeds == nullptr) {
-      return Status::ExecutionError(
-          "joined VG scan requires a seed vector");
-    }
-    if (cache_ != nullptr) {
-      JIGSAW_ASSIGN_OR_RETURN(
-          left_table_, cache_->GetOrGenerate(*left_, ctx.sample_id,
-                                             *ctx.seeds));
-      JIGSAW_ASSIGN_OR_RETURN(
-          right_table_, cache_->GetOrGenerate(*right_, ctx.sample_id,
-                                              *ctx.seeds));
-    } else {
-      JIGSAW_ASSIGN_OR_RETURN(owned_left_,
-                              left_->Generate(ctx.sample_id, *ctx.seeds));
-      JIGSAW_ASSIGN_OR_RETURN(owned_right_,
-                              right_->Generate(ctx.sample_id, *ctx.seeds));
-      left_table_ = &owned_left_;
-      right_table_ = &owned_right_;
-    }
-    l_ = 0;
-    r_ = 0;
-    return Status::OK();
-  }
-
-  Result<bool> Next(Row* out) override {
-    while (l_ < left_table_->num_rows()) {
-      const Row& lrow = left_table_->row(l_);
-      while (r_ < right_table_->num_rows()) {
-        const Row& rrow = right_table_->row(r_++);
-        if (!KeysMatch(lrow[join_.left_slot], rrow[join_.right_slot],
-                       join_.key_type)) {
-          continue;
-        }
-        out->clear();
-        out->reserve(lrow.size() + rrow.size());
-        out->insert(out->end(), lrow.begin(), lrow.end());
-        out->insert(out->end(), rrow.begin(), rrow.end());
-        return true;
-      }
-      r_ = 0;
-      ++l_;
-    }
-    return false;
-  }
-
-  void Close() override {
-    owned_left_ = Table();
-    owned_right_ = Table();
-    left_table_ = nullptr;
-    right_table_ = nullptr;
-  }
-
- private:
-  VGTableFunctionPtr left_;
-  VGTableFunctionPtr right_;
-  ResolvedJoin join_;
-  WorldCache* cache_;
-  Table owned_left_, owned_right_;
-  const Table* left_table_ = nullptr;
-  const Table* right_table_ = nullptr;
-  std::size_t l_ = 0, r_ = 0;
-};
-
 /// Joins one world's partitions and appends the result to `*out` as the
 /// next world: rows into out->data, one world-id stamp per output row,
 /// and the world's starting row offset. Shared by JoinWorlds (extents)
@@ -358,8 +258,7 @@ Result<ResolvedJoin> ResolveJoin(const Schema& left, const Schema& right,
   const ValueType rt = right.column(join.right_slot).type;
   if (lt != rt || lt == ValueType::kNull) {
     // The columnar store is strictly typed, so a cross-type key match
-    // would need a coercion rule; refuse it instead (the boxed oracle
-    // enforces the same contract for identity).
+    // would need a coercion rule; refuse it instead.
     return Status::ExecutionError(StrFormat(
         "join keys '%s' (%s) and '%s' (%s) have mismatched types",
         spec.left_key.c_str(), ValueTypeName(lt), spec.right_key.c_str(),
@@ -378,27 +277,6 @@ Result<ResolvedJoin> ResolveJoin(const Schema& left, const Schema& right,
     }
   }
   return join;
-}
-
-Result<Table> NestedLoopJoinOracle(const Table& left, const Table& right,
-                                   const ResolvedJoin& join) {
-  Table out(join.output);
-  for (std::size_t i = 0; i < left.num_rows(); ++i) {
-    const Row& lrow = left.row(i);
-    for (std::size_t j = 0; j < right.num_rows(); ++j) {
-      const Row& rrow = right.row(j);
-      if (!KeysMatch(lrow[join.left_slot], rrow[join.right_slot],
-                     join.key_type)) {
-        continue;
-      }
-      Row joined;
-      joined.reserve(lrow.size() + rrow.size());
-      joined.insert(joined.end(), lrow.begin(), lrow.end());
-      joined.insert(joined.end(), rrow.begin(), rrow.end());
-      out.AppendRowUnchecked(std::move(joined));
-    }
-  }
-  return out;
 }
 
 Status JoinPartition(const ColumnarTable& left, std::size_t left_first,
@@ -441,180 +319,45 @@ Status JoinWorlds(const WorldExtent& left, const WorldExtent& right,
   return Status::OK();
 }
 
-PlanNodePtr MakeJoinedVGScan(VGTableFunctionPtr left,
-                             VGTableFunctionPtr right, ResolvedJoin join,
-                             WorldCache* cache) {
-  return std::make_unique<JoinedVGScanNode>(std::move(left),
-                                            std::move(right),
-                                            std::move(join), cache);
-}
-
 Result<std::map<std::string, OutputMetrics>> FoldJoinedVGColumns(
     const VGTableFunctionPtr& left, const VGTableFunctionPtr& right,
     const JoinSpec& spec, std::span<const std::string> column_names,
     std::size_t num_worlds, const SeedVector& seeds, const RunConfig& config,
     ThreadPool* pool, WorldCache* cache) {
   // Both schemas (and therefore the joined schema) are world-invariant,
-  // so the join and the requested columns resolve up front — a bad key,
-  // a bad name or a non-numeric column fails before any realization, on
-  // every storage x algorithm path, with identical text.
+  // so the join resolves up front — a bad key fails before any
+  // realization, with identical text on every algorithm.
   JIGSAW_ASSIGN_OR_RETURN(
       ResolvedJoin join, ResolveJoin(left->schema(), right->schema(), spec));
-  std::vector<std::size_t> slots;
-  slots.reserve(column_names.size());
-  for (const auto& name : column_names) {
-    JIGSAW_ASSIGN_OR_RETURN(std::size_t idx, join.output.IndexOf(name));
-    const ValueType t = join.output.column(idx).type;
-    if (t != ValueType::kDouble && t != ValueType::kInt &&
-        t != ValueType::kBool) {
-      return Status::ExecutionError("column '" + name + "' is not numeric");
-    }
-    slots.push_back(idx);
-  }
-
-  const std::size_t batch = std::max<std::size_t>(1, config.batch_size);
-  const std::size_t num_chunks =
-      num_worlds == 0 ? 0 : (num_worlds + batch - 1) / batch;
-
-  if (config.columnar_storage) {
-    // Shard-ownership rule: cell `chunk` is the only writer of its
-    // joined extent. Realization interleaves left/right per world so a
-    // generator failure surfaces in the order the serial boxed loop
-    // would hit it (world-major, left side first).
-    struct Cell {
-      WorldExtent joined;
-      Status status = Status::OK();
-    };
-    std::vector<Cell> cells(num_chunks);
-    auto run_cell = [&](std::size_t chunk) {
-      Cell& cell = cells[chunk];
-      const std::size_t begin = chunk * batch;
-      const std::size_t end = std::min(begin + batch, num_worlds);
-      if (cache != nullptr) {
-        for (std::size_t w = begin; w < end; ++w) {
-          auto lt = cache->GetOrGenerateColumnar(*left, w, seeds);
-          if (!lt.ok()) {
-            cell.status = lt.status();
-            return;
-          }
-          auto rt = cache->GetOrGenerateColumnar(*right, w, seeds);
-          if (!rt.ok()) {
-            cell.status = rt.status();
-            return;
-          }
-          cell.joined.world_begin = begin;
-          if (Status s = AppendJoinedWorld(
-                  *lt.value(), 0, lt.value()->num_rows(), *rt.value(), 0,
-                  rt.value()->num_rows(), join, config.join_algorithm, w,
-                  &cell.joined);
-              !s.ok()) {
-            cell.status = std::move(s);
-            return;
-          }
-        }
-      } else {
-        WorldExtent lext, rext;
-        lext.world_begin = begin;
-        rext.world_begin = begin;
-        for (std::size_t w = begin; w < end; ++w) {
-          if (Status s = lext.AppendWorld(*left, w, seeds); !s.ok()) {
-            cell.status = std::move(s);
-            return;
-          }
-          if (Status s = rext.AppendWorld(*right, w, seeds); !s.ok()) {
-            cell.status = std::move(s);
-            return;
-          }
-        }
-        cell.status = JoinWorlds(lext, rext, join, config.join_algorithm,
-                                 &cell.joined);
-      }
-    };
-    if (pool != nullptr && num_chunks >= 2) {
-      pool->ParallelFor(num_chunks, run_cell);
-    } else {
-      for (std::size_t chunk = 0; chunk < num_chunks; ++chunk) {
-        run_cell(chunk);
-        if (!cells[chunk].status.ok()) break;
-      }
-    }
-    // Chunk-order scan surfaces the lowest failing world's error, same
-    // as the serial loop, regardless of pool schedule.
-    for (std::size_t chunk = 0; chunk < num_chunks; ++chunk) {
-      if (!cells[chunk].status.ok()) return std::move(cells[chunk].status);
-    }
-    std::vector<internal::WorldSlice> worlds;
-    worlds.reserve(num_worlds);
-    for (const Cell& cell : cells) {
-      for (std::size_t k = 0; k < cell.joined.row_offsets.size(); ++k) {
-        const auto [first, last] = cell.joined.WorldRows(k);
-        worlds.push_back({&cell.joined.data, first, last});
-      }
-    }
-    return internal::FoldColumnsByWorld(worlds, slots, column_names, config,
-                                        pool);
-  } else {
-    // Boxed reference twin: the nested-loop oracle runs as a Volcano
-    // plan per world (the same MakeJoinedVGScan leaf the SQL layer
-    // lowers to), columns staged through the copying NumericColumn.
-    std::vector<Estimator> estimators(
-        slots.size(), Estimator(config.keep_samples, config.histogram_bins));
-    struct BoxCell {
-      std::vector<std::vector<double>> buffers;
-      Status status = Status::OK();
-    };
-    std::vector<BoxCell> cells(num_chunks);
-    auto run_cell = [&](std::size_t chunk) {
-      BoxCell& cell = cells[chunk];
-      cell.buffers.resize(slots.size());
-      const std::size_t begin = chunk * batch;
-      const std::size_t end = std::min(begin + batch, num_worlds);
+  // Realization interleaves left/right per world so a generator failure
+  // surfaces in the serial order (world-major, left side first).
+  auto realize = [&](std::size_t begin, std::size_t end,
+                     internal::RealizedChunk* chunk) -> Status {
+    if (cache != nullptr) {
       for (std::size_t w = begin; w < end; ++w) {
-        PlanNodePtr plan = MakeJoinedVGScan(left, right, join, cache);
-        EvalContext ctx;
-        ctx.sample_id = w;
-        ctx.seeds = &seeds;
-        ctx.columnar_storage = false;
-        auto joined = ExecuteToTable(*plan, ctx);
-        if (!joined.ok()) {
-          cell.status = joined.status();
-          return;
-        }
-        for (std::size_t s = 0; s < slots.size(); ++s) {
-          auto col = joined.value().NumericColumn(column_names[s]);
-          if (!col.ok()) {
-            cell.status = col.status();
-            return;
-          }
-          const std::vector<double>& values = col.value();
-          cell.buffers[s].insert(cell.buffers[s].end(), values.begin(),
-                                 values.end());
-        }
+        JIGSAW_ASSIGN_OR_RETURN(const ColumnarTable* lt,
+                                cache->GetOrGenerateColumnar(*left, w, seeds));
+        JIGSAW_ASSIGN_OR_RETURN(
+            const ColumnarTable* rt,
+            cache->GetOrGenerateColumnar(*right, w, seeds));
+        JIGSAW_RETURN_IF_ERROR(AppendJoinedWorld(
+            *lt, 0, lt->num_rows(), *rt, 0, rt->num_rows(), join,
+            config.join_algorithm, w, &chunk->extent));
       }
-    };
-    if (pool != nullptr && num_chunks >= 2) {
-      pool->ParallelFor(num_chunks, run_cell);
-    } else {
-      for (std::size_t chunk = 0; chunk < num_chunks; ++chunk) {
-        run_cell(chunk);
-        if (!cells[chunk].status.ok()) break;
-      }
+      return Status::OK();
     }
-    for (std::size_t chunk = 0; chunk < num_chunks; ++chunk) {
-      if (!cells[chunk].status.ok()) return std::move(cells[chunk].status);
+    WorldExtent lext, rext;
+    lext.world_begin = begin;
+    rext.world_begin = begin;
+    for (std::size_t w = begin; w < end; ++w) {
+      JIGSAW_RETURN_IF_ERROR(lext.AppendWorld(*left, w, seeds));
+      JIGSAW_RETURN_IF_ERROR(rext.AppendWorld(*right, w, seeds));
     }
-    for (std::size_t chunk = 0; chunk < num_chunks; ++chunk) {
-      for (std::size_t s = 0; s < slots.size(); ++s) {
-        estimators[s].AddSpan(cells[chunk].buffers[s]);
-      }
-      cells[chunk] = BoxCell{};
-    }
-    std::map<std::string, OutputMetrics> out;
-    for (std::size_t s = 0; s < slots.size(); ++s) {
-      out.emplace(column_names[s], estimators[s].Finalize());
-    }
-    return out;
-  }
+    return JoinWorlds(lext, rext, join, config.join_algorithm,
+                      &chunk->extent);
+  };
+  return internal::FoldRealizedWorlds(join.output, column_names, num_worlds,
+                                      seeds, config, pool, realize);
 }
 
 }  // namespace jigsaw::pdb

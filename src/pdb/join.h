@@ -18,12 +18,12 @@
 ///
 /// The canonical output order is the serial boxed nested-loop order:
 /// for each left row ascending, its matches with right rows ascending.
-/// That nested-loop join is shipped here too (NestedLoopJoinOracle, and
-/// as the MakeJoinedVGScan Volcano leaf) as the reference oracle: every
-/// algorithm x storage x threads x batch combination must be
-/// bit-identical to it — values, output row order, error text and error
-/// ordering. NULL join keys never match anything (not even another
-/// NULL), matching SQL semantics; NaN double keys likewise never match.
+/// That nested-loop join is the tests' reference oracle
+/// (tests/boxed_reference.h): every algorithm x threads x batch
+/// combination must be bit-identical to it — values, output row order,
+/// error text and error ordering. NULL join keys never match anything
+/// (not even another NULL), matching SQL semantics; NaN double keys
+/// likewise never match.
 ///
 /// Worlds never mix: the join runs within each world partition of a
 /// WorldExtent, so a W-world join is W independent per-world joins — the
@@ -45,7 +45,6 @@
 #include "core/metrics.h"
 #include "core/run_config.h"
 #include "pdb/columnar.h"
-#include "pdb/operators.h"
 #include "pdb/table.h"
 #include "pdb/vg_table.h"
 #include "random/seed_vector.h"
@@ -79,18 +78,11 @@ struct ResolvedJoin {
 Result<ResolvedJoin> ResolveJoin(const Schema& left, const Schema& right,
                                  const JoinSpec& spec);
 
-/// The serial boxed nested-loop reference join — the oracle every span
-/// kernel is differenced against. For each left row in order, emits its
-/// concatenation with each matching right row in order. NULL keys never
-/// match.
-Result<Table> NestedLoopJoinOracle(const Table& left, const Table& right,
-                                   const ResolvedJoin& join);
-
 /// Span-kernel join of one world partition: joins rows [left_first,
 /// left_last) of `left` with rows [right_first, right_last) of `right`,
 /// appending the concatenated matches to `*out` (which must have schema
 /// `join.output`) in canonical nested-loop order. Both algorithms are
-/// bit-identical to NestedLoopJoinOracle over the same partition.
+/// bit-identical to the nested-loop join over the same partition.
 Status JoinPartition(const ColumnarTable& left, std::size_t left_first,
                      std::size_t left_last, const ColumnarTable& right,
                      std::size_t right_first, std::size_t right_last,
@@ -108,37 +100,24 @@ Status JoinWorlds(const WorldExtent& left, const WorldExtent& right,
                   const ResolvedJoin& join, JoinAlgorithm algorithm,
                   WorldExtent* out);
 
-/// Volcano leaf over the joined relation of world `ctx.sample_id`: both
-/// sides are realized boxed (through `cache` when non-null) and joined
-/// by the serial nested-loop oracle, rows streaming out in canonical
-/// order. This is the plan node the SQL binder lowers MONTECARLO
-/// FROM ... JOIN into, and the boxed reference twin FoldJoinedVGColumns
-/// runs under columnar_storage=false.
-PlanNodePtr MakeJoinedVGScan(VGTableFunctionPtr left,
-                             VGTableFunctionPtr right, ResolvedJoin join,
-                             WorldCache* cache = nullptr);
-
 /// Tuple-level possible-worlds join + fold, mirroring FoldVGColumns:
 /// realizes both tables in every world of [0, num_worlds), joins each
 /// world's partitions, and folds each requested numeric column of the
 /// joined relation — every joined tuple of every world, concatenated in
 /// (world, row) order — into an OutputMetrics summary.
 ///
-/// Under config.columnar_storage each batch_size world chunk is one pool
-/// task (the shard-ownership rule): the task realizes both sides into
-/// its own WorldExtents (interleaving left/right per world, so
-/// generator errors surface in the serial order) and joins them with
-/// config.join_algorithm. Each requested column then folds and finalizes
-/// as its own pool task (internal::FoldColumnsByWorld), reading joined
-/// kDouble chunks zero-copy through Estimator::AddSpan in world order;
-/// the joined shards stay alive until every column has folded. A NULL in
-/// a folded column surfaces the world-major loop's error: lowest failing
-/// world first, then lowest requested column. With the gate
-/// off, the boxed twin executes the MakeJoinedVGScan nested-loop oracle
-/// per world and extracts columns through the copying
-/// Table::NumericColumn — same draws, bit-identical metrics, identical
-/// error text and ordering. With a non-null `cache`, realizations go
-/// through the WorldCache in whichever representation the gate selects.
+/// It runs FoldVGColumns's body (internal::FoldRealizedWorlds): each
+/// batch_size world chunk is one pool task (the shard-ownership rule)
+/// that realizes both sides into its own WorldExtents (interleaving
+/// left/right per world, so generator errors surface in the serial
+/// order) and joins them with config.join_algorithm. Each requested
+/// column then folds and finalizes as its own pool task, reading joined
+/// kDouble chunks zero-copy through Estimator::AddSpan in world order. A
+/// NULL in a folded column surfaces the world-major loop's error: lowest
+/// failing world first, then lowest requested column. Metrics, error
+/// text and error ordering are bit-identical to a serial boxed fold over
+/// the nested-loop join. With a non-null `cache`, realizations go through
+/// the WorldCache.
 Result<std::map<std::string, OutputMetrics>> FoldJoinedVGColumns(
     const VGTableFunctionPtr& left, const VGTableFunctionPtr& right,
     const JoinSpec& spec, std::span<const std::string> column_names,

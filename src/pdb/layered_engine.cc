@@ -18,31 +18,18 @@ class CachedVGScanNode final : public PlanNode {
 
   Status Open(EvalContext& ctx) override {
     JIGSAW_CHECK(ctx.seeds != nullptr);
-    if (ctx.columnar_storage) {
-      // Columnar store of record: the realization lives as typed chunks
-      // and each Next boxes one row on demand (the Volcano interface is
-      // the conversion boundary).
-      JIGSAW_ASSIGN_OR_RETURN(
-          columnar_,
-          cache_->GetOrGenerateColumnar(*fn_, ctx.sample_id, *ctx.seeds));
-      table_ = nullptr;
-    } else {
-      JIGSAW_ASSIGN_OR_RETURN(
-          table_, cache_->GetOrGenerate(*fn_, ctx.sample_id, *ctx.seeds));
-      columnar_ = nullptr;
-    }
+    // The realization lives as typed chunks and each Next boxes one row
+    // on demand (the Volcano interface is the conversion boundary).
+    JIGSAW_ASSIGN_OR_RETURN(
+        columnar_,
+        cache_->GetOrGenerateColumnar(*fn_, ctx.sample_id, *ctx.seeds));
     pos_ = 0;
     return Status::OK();
   }
 
   Result<bool> Next(Row* out) override {
-    if (columnar_ != nullptr) {
-      if (pos_ >= columnar_->num_rows()) return false;
-      columnar_->BoxRow(pos_++, out);
-      return true;
-    }
-    if (pos_ >= table_->num_rows()) return false;
-    *out = table_->row(pos_++);
+    if (pos_ >= columnar_->num_rows()) return false;
+    columnar_->BoxRow(pos_++, out);
     return true;
   }
 
@@ -51,7 +38,6 @@ class CachedVGScanNode final : public PlanNode {
  private:
   VGTableFunctionPtr fn_;
   WorldCache* cache_;
-  const Table* table_ = nullptr;
   const ColumnarTable* columnar_ = nullptr;
   std::size_t pos_ = 0;
 };
@@ -82,7 +68,6 @@ Result<LayeredPointResult> LayeredEngine::RunPoint(
     ctx.params = params;
     ctx.sample_id = world;
     ctx.seeds = &seeds_;
-    ctx.columnar_storage = config_.columnar_storage;
     JIGSAW_ASSIGN_OR_RETURN(Table t, ExecuteToTable(*plan, ctx));
 
     // Interop boundary: the result set leaves the "DBMS" as text and is

@@ -98,6 +98,78 @@ Result<std::map<std::string, OutputMetrics>> FoldColumnsByWorld(
   }
   return out;
 }
+
+Result<std::map<std::string, OutputMetrics>> FoldRealizedWorlds(
+    const Schema& schema, std::span<const std::string> column_names,
+    std::size_t num_worlds, const SeedVector& seeds, const RunConfig& config,
+    ThreadPool* pool, const RealizeChunkFn& realize) {
+  // A VG table's schema (and a join's) is world-invariant, so requested
+  // columns resolve up front — a bad name or a non-numeric column fails
+  // before any realization, with the boxed Table::NumericColumn text.
+  std::vector<std::size_t> slots;
+  slots.reserve(column_names.size());
+  for (const auto& name : column_names) {
+    JIGSAW_ASSIGN_OR_RETURN(std::size_t idx, schema.IndexOf(name));
+    const ValueType t = schema.column(idx).type;
+    if (t != ValueType::kDouble && t != ValueType::kInt &&
+        t != ValueType::kBool) {
+      return Status::ExecutionError("column '" + name + "' is not numeric");
+    }
+    slots.push_back(idx);
+  }
+  // World w draws from seed w: a short vector would read past its end
+  // (v1) or silently run on a vector sized for fewer worlds (v2).
+  if (num_worlds > seeds.size()) {
+    return Status::InvalidArgument(StrFormat(
+        "fold over %zu worlds needs one seed per world; the seed vector "
+        "holds %zu",
+        num_worlds, seeds.size()));
+  }
+
+  const std::size_t batch = std::max<std::size_t>(1, config.batch_size);
+  const std::size_t num_chunks =
+      num_worlds == 0 ? 0 : (num_worlds + batch - 1) / batch;
+  // Shard-ownership rule: cell `chunk` is the only writer of its chunk,
+  // so parallel realization needs no synchronization.
+  struct Cell {
+    RealizedChunk chunk;
+    Status status = Status::OK();
+  };
+  std::vector<Cell> cells(num_chunks);
+  auto run_cell = [&](std::size_t chunk) {
+    Cell& cell = cells[chunk];
+    const std::size_t begin = chunk * batch;
+    cell.chunk.extent.world_begin = begin;
+    cell.status =
+        realize(begin, std::min(begin + batch, num_worlds), &cell.chunk);
+  };
+  if (pool != nullptr && num_chunks >= 2) {
+    pool->ParallelFor(num_chunks, run_cell);
+  } else {
+    for (std::size_t chunk = 0; chunk < num_chunks; ++chunk) {
+      run_cell(chunk);
+      if (!cells[chunk].status.ok()) break;
+    }
+  }
+  // Chunk-order scan surfaces the lowest failing world's error, same as
+  // the serial loop, regardless of pool schedule.
+  for (Cell& cell : cells) {
+    if (!cell.status.ok()) return std::move(cell.status);
+  }
+  std::vector<WorldSlice> worlds;
+  worlds.reserve(num_worlds);
+  for (const Cell& cell : cells) {
+    for (const ColumnarTable* t : cell.chunk.cached) {
+      worlds.push_back({t, 0, t->num_rows()});
+    }
+    const WorldExtent& extent = cell.chunk.extent;
+    for (std::size_t k = 0; k < extent.row_offsets.size(); ++k) {
+      const auto [first, last] = extent.WorldRows(k);
+      worlds.push_back({&extent.data, first, last});
+    }
+  }
+  return FoldColumnsByWorld(worlds, slots, column_names, config, pool);
+}
 }  // namespace internal
 
 namespace {
@@ -445,156 +517,21 @@ Result<std::map<std::string, OutputMetrics>> FoldVGColumns(
     const VGTableFunction& fn, std::span<const std::string> column_names,
     std::size_t num_worlds, const SeedVector& seeds, const RunConfig& config,
     ThreadPool* pool, WorldCache* cache) {
-  // A VG table's schema is world-invariant, so requested columns resolve
-  // up front — a bad name or a non-numeric column fails before any
-  // realization, on both storage paths, with the boxed error text.
-  const Schema& schema = fn.schema();
-  std::vector<std::size_t> slots;
-  slots.reserve(column_names.size());
-  for (const auto& name : column_names) {
-    JIGSAW_ASSIGN_OR_RETURN(std::size_t idx, schema.IndexOf(name));
-    const ValueType t = schema.column(idx).type;
-    if (t != ValueType::kDouble && t != ValueType::kInt &&
-        t != ValueType::kBool) {
-      return Status::ExecutionError("column '" + name + "' is not numeric");
-    }
-    slots.push_back(idx);
-  }
-
-  const std::size_t batch = std::max<std::size_t>(1, config.batch_size);
-  const std::size_t num_chunks =
-      num_worlds == 0 ? 0 : (num_worlds + batch - 1) / batch;
-
-  if (config.columnar_storage) {
-    // Shard-ownership rule: cell `chunk` is the only writer of its
-    // extent, so parallel realization needs no synchronization.
-    struct Cell {
-      WorldExtent extent;
-      std::vector<const ColumnarTable*> cached;
-      Status status = Status::OK();
-    };
-    std::vector<Cell> cells(num_chunks);
-    auto run_cell = [&](std::size_t chunk) {
-      Cell& cell = cells[chunk];
-      const std::size_t begin = chunk * batch;
-      const std::size_t end = std::min(begin + batch, num_worlds);
+  auto realize = [&](std::size_t begin, std::size_t end,
+                     internal::RealizedChunk* chunk) -> Status {
+    for (std::size_t w = begin; w < end; ++w) {
       if (cache != nullptr) {
-        cell.cached.reserve(end - begin);
-        for (std::size_t w = begin; w < end; ++w) {
-          auto r = cache->GetOrGenerateColumnar(fn, w, seeds);
-          if (!r.ok()) {
-            cell.status = r.status();
-            return;
-          }
-          cell.cached.push_back(r.value());
-        }
+        JIGSAW_ASSIGN_OR_RETURN(const ColumnarTable* t,
+                                cache->GetOrGenerateColumnar(fn, w, seeds));
+        chunk->cached.push_back(t);
       } else {
-        cell.extent.world_begin = begin;
-        for (std::size_t w = begin; w < end; ++w) {
-          if (Status s = cell.extent.AppendWorld(fn, w, seeds); !s.ok()) {
-            cell.status = std::move(s);
-            return;
-          }
-        }
-      }
-    };
-    if (pool != nullptr && num_chunks >= 2) {
-      pool->ParallelFor(num_chunks, run_cell);
-    } else {
-      for (std::size_t chunk = 0; chunk < num_chunks; ++chunk) {
-        run_cell(chunk);
-        if (!cells[chunk].status.ok()) break;
+        JIGSAW_RETURN_IF_ERROR(chunk->extent.AppendWorld(fn, w, seeds));
       }
     }
-    // Chunk-order scan surfaces the lowest failing world's error, same
-    // as the serial loop, regardless of pool schedule.
-    for (std::size_t chunk = 0; chunk < num_chunks; ++chunk) {
-      if (!cells[chunk].status.ok()) return std::move(cells[chunk].status);
-    }
-    // A cell holds its worlds either as cached tables or in its extent.
-    std::vector<internal::WorldSlice> worlds;
-    worlds.reserve(num_worlds);
-    for (const Cell& cell : cells) {
-      for (const ColumnarTable* t : cell.cached) {
-        worlds.push_back({t, 0, t->num_rows()});
-      }
-      for (std::size_t k = 0; k < cell.extent.row_offsets.size(); ++k) {
-        const auto [first, last] = cell.extent.WorldRows(k);
-        worlds.push_back({&cell.extent.data, first, last});
-      }
-    }
-    return internal::FoldColumnsByWorld(worlds, slots, column_names, config,
-                                        pool);
-  } else {
-    // Boxed reference twin: whole Tables, copying NumericColumn
-    // extraction, staged per cell and merged in chunk order (AddSpan of
-    // a concatenation is bit-identical to per-world AddSpan).
-    std::vector<Estimator> estimators(
-        slots.size(), Estimator(config.keep_samples, config.histogram_bins));
-    struct BoxCell {
-      std::vector<std::vector<double>> buffers;
-      Status status = Status::OK();
-    };
-    std::vector<BoxCell> cells(num_chunks);
-    auto run_cell = [&](std::size_t chunk) {
-      BoxCell& cell = cells[chunk];
-      cell.buffers.resize(slots.size());
-      const std::size_t begin = chunk * batch;
-      const std::size_t end = std::min(begin + batch, num_worlds);
-      for (std::size_t w = begin; w < end; ++w) {
-        const Table* table = nullptr;
-        Table local;
-        if (cache != nullptr) {
-          auto r = cache->GetOrGenerate(fn, w, seeds);
-          if (!r.ok()) {
-            cell.status = r.status();
-            return;
-          }
-          table = r.value();
-        } else {
-          auto r = fn.Generate(w, seeds);
-          if (!r.ok()) {
-            cell.status = r.status();
-            return;
-          }
-          local = std::move(r).value();
-          table = &local;
-        }
-        for (std::size_t s = 0; s < slots.size(); ++s) {
-          auto col = table->NumericColumn(column_names[s]);
-          if (!col.ok()) {
-            cell.status = col.status();
-            return;
-          }
-          const std::vector<double>& values = col.value();
-          cell.buffers[s].insert(cell.buffers[s].end(), values.begin(),
-                                 values.end());
-        }
-      }
-    };
-    if (pool != nullptr && num_chunks >= 2) {
-      pool->ParallelFor(num_chunks, run_cell);
-    } else {
-      for (std::size_t chunk = 0; chunk < num_chunks; ++chunk) {
-        run_cell(chunk);
-        if (!cells[chunk].status.ok()) break;
-      }
-    }
-    for (std::size_t chunk = 0; chunk < num_chunks; ++chunk) {
-      if (!cells[chunk].status.ok()) return std::move(cells[chunk].status);
-    }
-    for (std::size_t chunk = 0; chunk < num_chunks; ++chunk) {
-      for (std::size_t s = 0; s < slots.size(); ++s) {
-        estimators[s].AddSpan(cells[chunk].buffers[s]);
-      }
-      cells[chunk] = BoxCell{};
-    }
-    std::map<std::string, OutputMetrics> out;
-    for (std::size_t s = 0; s < slots.size(); ++s) {
-      out.emplace(column_names[s], estimators[s].Finalize());
-    }
-    return out;
-  }
+    return Status::OK();
+  };
+  return internal::FoldRealizedWorlds(fn.schema(), column_names, num_worlds,
+                                      seeds, config, pool, realize);
 }
 
 Result<MonteCarloResult> MonteCarloExecutor::Run(
@@ -605,7 +542,6 @@ Result<MonteCarloResult> MonteCarloExecutor::Run(
     ctx.params = params;
     ctx.sample_id = world;
     ctx.seeds = &seeds_;
-    ctx.columnar_storage = config_.columnar_storage;
     return ExecuteToTable(*plan, ctx);
   };
   MonteCarloResult result;
@@ -636,7 +572,6 @@ Result<std::vector<MonteCarloResult>> MonteCarloExecutor::RunSweep(
     ctx.params = valuations[point];
     ctx.sample_id = world;
     ctx.seeds = &seeds_;
-    ctx.columnar_storage = config_.columnar_storage;
     return ExecuteToTable(*plan, ctx);
   };
   JIGSAW_ASSIGN_OR_RETURN(

@@ -128,22 +128,22 @@ FoldPointWorldSpans(std::span<const std::string> column_names,
 /// Tuple-level possible-worlds fold: realizes `fn` in every world of
 /// [0, num_worlds) and folds each requested numeric column's values —
 /// every tuple of every world, concatenated in (world, row) order — into
-/// an OutputMetrics distribution summary. This is the columnar hot loop:
-/// under config.columnar_storage each batch_size world chunk is realized
-/// into a WorldExtent owned by exactly one pool task (the shard-ownership
-/// rule — zero cross-task writes), generators bulk-fill column spans, and
-/// internal::FoldColumnsByWorld then folds and finalizes each requested
-/// column as its own pool task, reading the chunk buffers zero-copy
-/// through Estimator::AddSpan in world order. The shards stay alive until
-/// every column has folded. With the gate off, the boxed twin generates
-/// `Table`s and extracts columns through the copying Table::NumericColumn
-/// — same draws, bit-identical metrics, identical error text and ordering
-/// (the serial run stops at the first failing chunk; a parallel run
-/// surfaces the same lowest failing chunk's error).
+/// an OutputMetrics distribution summary. This is the columnar hot loop
+/// (internal::FoldRealizedWorlds): each batch_size world chunk is
+/// realized into a WorldExtent owned by exactly one pool task (the
+/// shard-ownership rule — zero cross-task writes), generators bulk-fill
+/// column spans, and internal::FoldColumnsByWorld then folds and
+/// finalizes each requested column as its own pool task, reading the
+/// chunk buffers zero-copy through Estimator::AddSpan in world order.
+/// Metrics, error text and error ordering are bit-identical to a serial
+/// boxed fold over `Generate` and Table::NumericColumn (the serial run
+/// stops at the first failing chunk; a parallel run surfaces the same
+/// lowest failing chunk's error). `seeds` must hold a seed for every
+/// world; a shorter vector is an InvalidArgument before any realization.
 ///
-/// With a non-null `cache`, realizations go through the WorldCache (in
-/// whichever representation the gate selects) instead of per-fold
-/// extents, sharing worlds with other consumers of the same seeds.
+/// With a non-null `cache`, realizations go through the WorldCache
+/// instead of per-fold extents, sharing worlds with other consumers of
+/// the same seeds.
 Result<std::map<std::string, OutputMetrics>> FoldVGColumns(
     const VGTableFunction& fn, std::span<const std::string> column_names,
     std::size_t num_worlds, const SeedVector& seeds, const RunConfig& config,
@@ -168,8 +168,8 @@ struct WorldSlice {
   std::size_t last = 0;
 };
 
-/// The merge and finalize of the columnar tuple-level folds
-/// (FoldVGColumns, FoldJoinedVGColumns): output column s — schema slot
+/// The merge and finalize of the tuple-level folds
+/// (FoldRealizedWorlds): output column s — schema slot
 /// `slots[s]`, result name `names[s]` — folds every world of `worlds` in
 /// world order through FoldChunkColumn, then Estimator::Finalize runs on
 /// it. With a non-null `pool` each column is one ThreadPool::ParallelFor
@@ -183,6 +183,32 @@ Result<std::map<std::string, OutputMetrics>> FoldColumnsByWorld(
     std::span<const WorldSlice> worlds, std::span<const std::size_t> slots,
     std::span<const std::string> names, const RunConfig& config,
     ThreadPool* pool);
+
+/// The worlds one pool task of a tuple-level fold realized, in world
+/// order: appended to its own extent, or borrowed whole from a
+/// WorldCache. A chunk fills one or the other, never both.
+struct RealizedChunk {
+  WorldExtent extent;
+  std::vector<const ColumnarTable*> cached;
+};
+
+/// Realizes worlds [begin, end) into `*out`, whose extent starts at
+/// `begin`. Called concurrently for distinct chunks.
+using RealizeChunkFn = std::function<Status(
+    std::size_t begin, std::size_t end, RealizedChunk* out)>;
+
+/// The body FoldVGColumns and FoldJoinedVGColumns share. Resolves
+/// `column_names` against `schema` (an unknown or non-numeric column
+/// fails first), rejects a `seeds` shorter than `num_worlds`, then runs
+/// `realize` once per batch_size world chunk — one pool task per chunk
+/// when `pool` is non-null and there are two or more, otherwise serially
+/// up to the first failure — and returns the lowest failing chunk's
+/// error. On success the realized worlds fold through
+/// FoldColumnsByWorld while every chunk is still alive.
+Result<std::map<std::string, OutputMetrics>> FoldRealizedWorlds(
+    const Schema& schema, std::span<const std::string> column_names,
+    std::size_t num_worlds, const SeedVector& seeds, const RunConfig& config,
+    ThreadPool* pool, const RealizeChunkFn& realize);
 
 /// Test hook: when nonzero, overrides the staged-doubles budget that
 /// bounds how many sweep points the chunk-grid fold keeps in flight,

@@ -2,29 +2,11 @@
 
 #include <algorithm>
 #include <limits>
-
-#include "util/hash.h"
-#include "util/logging.h"
+#include <optional>
 
 namespace jigsaw::pdb {
 
 namespace {
-
-std::uint64_t HashRowKey(const Row& row, const std::vector<std::size_t>& keys) {
-  std::uint64_t h = 0x12345678abcdef01ULL;
-  for (std::size_t k : keys) {
-    h = HashCombine(h, Fnv1a64(row[k].ToString()));
-  }
-  return h;
-}
-
-bool RowKeysEqual(const Row& a, const std::vector<std::size_t>& ka,
-                  const Row& b, const std::vector<std::size_t>& kb) {
-  for (std::size_t i = 0; i < ka.size(); ++i) {
-    if (!(a[ka[i]] == b[kb[i]])) return false;
-  }
-  return true;
-}
 
 class TableScanNode final : public PlanNode {
  public:
@@ -187,147 +169,6 @@ class ProjectNode final : public PlanNode {
   EvalContext* ctx_ = nullptr;
 };
 
-class NestedLoopJoinNode final : public PlanNode {
- public:
-  NestedLoopJoinNode(PlanNodePtr left, PlanNodePtr right, ExprPtr predicate)
-      : left_(std::move(left)),
-        right_(std::move(right)),
-        predicate_(std::move(predicate)),
-        schema_(Schema::Concat(left_->schema(), right_->schema())) {}
-
-  const Schema& schema() const override { return schema_; }
-
-  Status Open(EvalContext& ctx) override {
-    ctx_ = &ctx;
-    JIGSAW_RETURN_IF_ERROR(right_->Open(ctx));
-    // Materialize the inner side once.
-    right_rows_.clear();
-    Row r;
-    for (;;) {
-      auto has = right_->Next(&r);
-      if (!has.ok()) return has.status();
-      if (!has.value()) break;
-      right_rows_.push_back(r);
-    }
-    right_->Close();
-    JIGSAW_RETURN_IF_ERROR(left_->Open(ctx));
-    have_left_ = false;
-    right_pos_ = 0;
-    return Status::OK();
-  }
-
-  Result<bool> Next(Row* out) override {
-    for (;;) {
-      if (!have_left_) {
-        JIGSAW_ASSIGN_OR_RETURN(bool has, left_->Next(&left_row_));
-        if (!has) return false;
-        have_left_ = true;
-        right_pos_ = 0;
-      }
-      while (right_pos_ < right_rows_.size()) {
-        Row combined = left_row_;
-        const Row& rr = right_rows_[right_pos_++];
-        combined.insert(combined.end(), rr.begin(), rr.end());
-        EvalContext local = *ctx_;
-        local.row = &combined;
-        JIGSAW_ASSIGN_OR_RETURN(Value v, predicate_->Eval(local));
-        if (!v.is_null() && v.AsBool()) {
-          *out = std::move(combined);
-          return true;
-        }
-      }
-      have_left_ = false;
-    }
-  }
-
-  void Close() override { left_->Close(); }
-
- private:
-  PlanNodePtr left_;
-  PlanNodePtr right_;
-  ExprPtr predicate_;
-  Schema schema_;
-  EvalContext* ctx_ = nullptr;
-  std::vector<Row> right_rows_;
-  Row left_row_;
-  bool have_left_ = false;
-  std::size_t right_pos_ = 0;
-};
-
-class HashJoinNode final : public PlanNode {
- public:
-  HashJoinNode(PlanNodePtr left, PlanNodePtr right,
-               std::vector<std::size_t> left_keys,
-               std::vector<std::size_t> right_keys)
-      : left_(std::move(left)),
-        right_(std::move(right)),
-        left_keys_(std::move(left_keys)),
-        right_keys_(std::move(right_keys)),
-        schema_(Schema::Concat(left_->schema(), right_->schema())) {
-    JIGSAW_CHECK(left_keys_.size() == right_keys_.size());
-  }
-
-  const Schema& schema() const override { return schema_; }
-
-  Status Open(EvalContext& ctx) override {
-    // Build side: right input.
-    JIGSAW_RETURN_IF_ERROR(right_->Open(ctx));
-    build_.clear();
-    Row r;
-    for (;;) {
-      auto has = right_->Next(&r);
-      if (!has.ok()) return has.status();
-      if (!has.value()) break;
-      build_[HashRowKey(r, right_keys_)].push_back(r);
-    }
-    right_->Close();
-    JIGSAW_RETURN_IF_ERROR(left_->Open(ctx));
-    have_left_ = false;
-    bucket_ = nullptr;
-    bucket_pos_ = 0;
-    return Status::OK();
-  }
-
-  Result<bool> Next(Row* out) override {
-    for (;;) {
-      if (!have_left_) {
-        JIGSAW_ASSIGN_OR_RETURN(bool has, left_->Next(&left_row_));
-        if (!has) return false;
-        have_left_ = true;
-        auto it = build_.find(HashRowKey(left_row_, left_keys_));
-        bucket_ = it == build_.end() ? nullptr : &it->second;
-        bucket_pos_ = 0;
-      }
-      if (bucket_ != nullptr) {
-        while (bucket_pos_ < bucket_->size()) {
-          const Row& rr = (*bucket_)[bucket_pos_++];
-          if (!RowKeysEqual(left_row_, left_keys_, rr, right_keys_)) {
-            continue;  // hash collision
-          }
-          *out = left_row_;
-          out->insert(out->end(), rr.begin(), rr.end());
-          return true;
-        }
-      }
-      have_left_ = false;
-    }
-  }
-
-  void Close() override { left_->Close(); }
-
- private:
-  PlanNodePtr left_;
-  PlanNodePtr right_;
-  std::vector<std::size_t> left_keys_;
-  std::vector<std::size_t> right_keys_;
-  Schema schema_;
-  std::unordered_map<std::uint64_t, std::vector<Row>> build_;
-  Row left_row_;
-  bool have_left_ = false;
-  const std::vector<Row>* bucket_ = nullptr;
-  std::size_t bucket_pos_ = 0;
-};
-
 struct AggState {
   double sum = 0.0;
   std::int64_t count = 0;
@@ -450,80 +291,6 @@ class HashAggregateNode final : public PlanNode {
   std::size_t pos_ = 0;
 };
 
-class SortNode final : public PlanNode {
- public:
-  SortNode(PlanNodePtr input, std::vector<SortKey> keys)
-      : input_(std::move(input)), keys_(std::move(keys)) {}
-
-  const Schema& schema() const override { return input_->schema(); }
-
-  Status Open(EvalContext& ctx) override {
-    JIGSAW_RETURN_IF_ERROR(input_->Open(ctx));
-    rows_.clear();
-    Row r;
-    for (;;) {
-      auto has = input_->Next(&r);
-      if (!has.ok()) return has.status();
-      if (!has.value()) break;
-      rows_.push_back(std::move(r));
-      r = Row{};
-    }
-    input_->Close();
-    std::stable_sort(rows_.begin(), rows_.end(),
-                     [this](const Row& a, const Row& b) {
-                       for (const auto& k : keys_) {
-                         const int c = Value::Compare(a[k.column], b[k.column]);
-                         if (c != 0) return k.ascending ? c < 0 : c > 0;
-                       }
-                       return false;
-                     });
-    pos_ = 0;
-    return Status::OK();
-  }
-
-  Result<bool> Next(Row* out) override {
-    if (pos_ >= rows_.size()) return false;
-    *out = rows_[pos_++];
-    return true;
-  }
-
-  void Close() override {}
-
- private:
-  PlanNodePtr input_;
-  std::vector<SortKey> keys_;
-  std::vector<Row> rows_;
-  std::size_t pos_ = 0;
-};
-
-class LimitNode final : public PlanNode {
- public:
-  LimitNode(PlanNodePtr input, std::size_t limit)
-      : input_(std::move(input)), limit_(limit) {}
-
-  const Schema& schema() const override { return input_->schema(); }
-
-  Status Open(EvalContext& ctx) override {
-    produced_ = 0;
-    return input_->Open(ctx);
-  }
-
-  Result<bool> Next(Row* out) override {
-    if (produced_ >= limit_) return false;
-    JIGSAW_ASSIGN_OR_RETURN(bool has, input_->Next(out));
-    if (!has) return false;
-    ++produced_;
-    return true;
-  }
-
-  void Close() override { input_->Close(); }
-
- private:
-  PlanNodePtr input_;
-  std::size_t limit_;
-  std::size_t produced_ = 0;
-};
-
 }  // namespace
 
 PlanNodePtr MakeTableScan(const Table* table) {
@@ -571,18 +338,6 @@ PlanNodePtr MakeProject(PlanNodePtr input, std::vector<ExprPtr> exprs,
   return std::make_unique<ProjectNode>(std::move(input), std::move(exprs),
                                        std::move(names));
 }
-PlanNodePtr MakeNestedLoopJoin(PlanNodePtr left, PlanNodePtr right,
-                               ExprPtr predicate) {
-  return std::make_unique<NestedLoopJoinNode>(
-      std::move(left), std::move(right), std::move(predicate));
-}
-PlanNodePtr MakeHashJoin(PlanNodePtr left, PlanNodePtr right,
-                         std::vector<std::size_t> left_keys,
-                         std::vector<std::size_t> right_keys) {
-  return std::make_unique<HashJoinNode>(std::move(left), std::move(right),
-                                        std::move(left_keys),
-                                        std::move(right_keys));
-}
 PlanNodePtr MakeHashAggregate(PlanNodePtr input,
                               std::vector<ExprPtr> group_exprs,
                               std::vector<std::string> group_names,
@@ -590,12 +345,6 @@ PlanNodePtr MakeHashAggregate(PlanNodePtr input,
   return std::make_unique<HashAggregateNode>(
       std::move(input), std::move(group_exprs), std::move(group_names),
       std::move(aggs));
-}
-PlanNodePtr MakeSort(PlanNodePtr input, std::vector<SortKey> keys) {
-  return std::make_unique<SortNode>(std::move(input), std::move(keys));
-}
-PlanNodePtr MakeLimit(PlanNodePtr input, std::size_t limit) {
-  return std::make_unique<LimitNode>(std::move(input), limit);
 }
 
 Result<Table> ExecuteToTable(PlanNode& plan, EvalContext& ctx) {

@@ -74,16 +74,6 @@ PlanNodePtr MakeFilter(PlanNodePtr input, ExprPtr predicate);
 PlanNodePtr MakeProject(PlanNodePtr input, std::vector<ExprPtr> exprs,
                         std::vector<std::string> names);
 
-/// Nested-loop inner join with an arbitrary predicate over the
-/// concatenated row.
-PlanNodePtr MakeNestedLoopJoin(PlanNodePtr left, PlanNodePtr right,
-                               ExprPtr predicate);
-
-/// Hash equi-join: left_keys[i] == right_keys[i] (column indexes).
-PlanNodePtr MakeHashJoin(PlanNodePtr left, PlanNodePtr right,
-                         std::vector<std::size_t> left_keys,
-                         std::vector<std::size_t> right_keys);
-
 enum class AggKind { kCount, kSum, kAvg, kMin, kMax };
 
 struct AggSpec {
@@ -98,16 +88,6 @@ PlanNodePtr MakeHashAggregate(PlanNodePtr input,
                               std::vector<ExprPtr> group_exprs,
                               std::vector<std::string> group_names,
                               std::vector<AggSpec> aggs);
-
-/// ORDER BY key columns (ascending per flag).
-struct SortKey {
-  std::size_t column = 0;
-  bool ascending = true;
-};
-PlanNodePtr MakeSort(PlanNodePtr input, std::vector<SortKey> keys);
-
-/// LIMIT n.
-PlanNodePtr MakeLimit(PlanNodePtr input, std::size_t limit);
 
 /// Drains a plan into a materialized table.
 Result<Table> ExecuteToTable(PlanNode& plan, EvalContext& ctx);

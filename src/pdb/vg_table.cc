@@ -50,78 +50,26 @@ WorldCache::Key WorldCache::MakeKey(const VGTableFunction& fn,
                          static_cast<std::uint8_t>(seeds.schema()), sample_id);
 }
 
-Result<const Table*> WorldCache::GetOrGenerate(const VGTableFunction& fn,
-                                               std::size_t sample_id,
-                                               const SeedVector& seeds) {
-  const Key key = MakeKey(fn, sample_id, seeds);
-  const ColumnarTable* columnar = nullptr;
-  {
-    MutexLock lock(&mu_);
-    auto it = cache_.find(key);
-    if (it != cache_.end()) {
-      if (it->second.boxed) return it->second.boxed.get();
-      // The realization exists in columnar form; un-box it outside the
-      // lock (the pointee is immutable and never replaced once set).
-      columnar = it->second.columnar.get();
-    }
-  }
-  std::unique_ptr<const Table> boxed;
-  bool generated = false;
-  if (columnar != nullptr) {
-    JIGSAW_ASSIGN_OR_RETURN(Table t, columnar->ToTable());
-    boxed = std::make_unique<const Table>(std::move(t));
-  } else {
-    // Generate outside the lock so distinct worlds realize concurrently.
-    // Realizations are pure functions of (seeds, sample_id), so if two
-    // tasks race on the same key both produce the identical table and the
-    // losing copy is discarded without counting a generation.
-    JIGSAW_ASSIGN_OR_RETURN(Table t, fn.Generate(sample_id, seeds));
-    boxed = std::make_unique<const Table>(std::move(t));
-    generated = true;
-  }
-  MutexLock lock(&mu_);
-  WorldEntry& entry = cache_[key];
-  if (!entry.boxed) {
-    // A generation is counted only when a generator ran AND this install
-    // is the entry's first representation — conversions and race losers
-    // never move the count, so it stays one per distinct world.
-    if (generated && !entry.columnar) ++generations_;
-    entry.boxed = std::move(boxed);
-  }
-  return entry.boxed.get();
-}
-
 Result<const ColumnarTable*> WorldCache::GetOrGenerateColumnar(
     const VGTableFunction& fn, std::size_t sample_id,
     const SeedVector& seeds) {
   const Key key = MakeKey(fn, sample_id, seeds);
-  const Table* boxed = nullptr;
   {
     MutexLock lock(&mu_);
     auto it = cache_.find(key);
-    if (it != cache_.end()) {
-      if (it->second.columnar) return it->second.columnar.get();
-      boxed = it->second.boxed.get();
-    }
+    if (it != cache_.end()) return it->second.get();
   }
-  std::unique_ptr<const ColumnarTable> columnar;
-  bool generated = false;
-  if (boxed != nullptr) {
-    JIGSAW_ASSIGN_OR_RETURN(ColumnarTable t, ColumnarTable::FromTable(*boxed));
-    columnar = std::make_unique<const ColumnarTable>(std::move(t));
-  } else {
-    JIGSAW_ASSIGN_OR_RETURN(ColumnarTable t,
-                            fn.GenerateColumnar(sample_id, seeds));
-    columnar = std::make_unique<const ColumnarTable>(std::move(t));
-    generated = true;
-  }
+  // Generate outside the lock so distinct worlds realize concurrently.
+  // Realizations are pure functions of (seeds, sample_id), so if two
+  // tasks race on the same key both produce the identical table and the
+  // losing copy is discarded without counting a generation.
+  JIGSAW_ASSIGN_OR_RETURN(ColumnarTable t,
+                          fn.GenerateColumnar(sample_id, seeds));
+  auto columnar = std::make_unique<const ColumnarTable>(std::move(t));
   MutexLock lock(&mu_);
-  WorldEntry& entry = cache_[key];
-  if (!entry.columnar) {
-    if (generated && !entry.boxed) ++generations_;
-    entry.columnar = std::move(columnar);
-  }
-  return entry.columnar.get();
+  auto [it, inserted] = cache_.try_emplace(key, std::move(columnar));
+  if (inserted) ++generations_;
+  return it->second.get();
 }
 
 namespace {

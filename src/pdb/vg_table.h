@@ -11,13 +11,12 @@
 /// generator once per world — the data-management advantage the paper's
 /// SQL Server prototype shows on UserSelection (Figure 7).
 ///
-/// Realizations come in two representations: the boxed `Table` (the
-/// layered / Volcano interop shape) and the contiguous `ColumnarTable`
-/// (the hot-loop shape — see columnar.h). Generators that override
-/// `GenerateColumnarInto` write model draws straight into column spans;
-/// the default adapter boxes through `Generate`. Both must realize
-/// bit-identical values from identical (seeds, sample_id): the columnar
-/// path is a storage change, never a draw-sequence change.
+/// Realizations are stored as contiguous `ColumnarTable`s (see
+/// columnar.h). Generators that override `GenerateColumnarInto` write
+/// model draws straight into column spans; the default adapter boxes
+/// through `Generate`. Both must realize bit-identical values from
+/// identical (seeds, sample_id): `Generate` is the boxed view of the same
+/// draws, kept for the interop edges and as the tests' reference.
 
 #include <cstdint>
 #include <map>
@@ -101,28 +100,12 @@ struct WorldExtent {
 /// seed AND its seed schema, so sessions running under different seed
 /// namespaces — or different draw derivations — realize disjoint entries
 /// instead of silently reading each other's draws, while same-namespace
-/// same-schema sessions share realizations.
-///
-/// Each entry holds up to two representations of the same realization —
-/// columnar chunks (the storage of record under the columnar gate) and a
-/// boxed view for the Volcano/interop consumers. Converting between the
-/// two never counts as a generation: generation_count only moves when a
-/// generator actually runs AND its output is the first representation
-/// installed for that key, so the count is one per distinct world
-/// regardless of which representation was asked for first or how racing
-/// tasks interleave. Returned pointers stay valid for the cache's
-/// lifetime (entries own their tables behind stable unique_ptrs).
+/// same-schema sessions share realizations. Returned pointers stay valid
+/// for the cache's lifetime (entries own their tables behind stable
+/// unique_ptrs).
 class WorldCache {
  public:
-  /// Returns the cached boxed realization, generating (or un-boxing the
-  /// cached columnar realization) on first use.
-  Result<const Table*> GetOrGenerate(const VGTableFunction& fn,
-                                     std::size_t sample_id,
-                                     const SeedVector& seeds)
-      JIGSAW_EXCLUDES(mu_);
-
-  /// Returns the cached columnar realization, generating (or converting
-  /// the cached boxed realization) on first use.
+  /// Returns the cached columnar realization, generating it on first use.
   Result<const ColumnarTable*> GetOrGenerateColumnar(
       const VGTableFunction& fn, std::size_t sample_id,
       const SeedVector& seeds) JIGSAW_EXCLUDES(mu_);
@@ -141,10 +124,6 @@ class WorldCache {
   }
 
  private:
-  struct WorldEntry {
-    std::unique_ptr<const Table> boxed;
-    std::unique_ptr<const ColumnarTable> columnar;
-  };
   using Key =
       std::tuple<std::string, std::uint64_t, std::uint8_t, std::size_t>;
 
@@ -152,11 +131,11 @@ class WorldCache {
                      const SeedVector& seeds);
 
   mutable Mutex mu_;
-  /// Map nodes are stable and each representation lives behind a
-  /// unique_ptr that is set once and never replaced, so pointers handed
-  /// out under one lock scope stay valid after it — only the map
-  /// structure and the null-ness of the slots need the guard.
-  std::map<Key, WorldEntry> cache_ JIGSAW_GUARDED_BY(mu_);
+  /// Each realization lives behind a unique_ptr that is set once and
+  /// never replaced, so pointers handed out under one lock scope stay
+  /// valid after it — only the map structure needs the guard.
+  std::map<Key, std::unique_ptr<const ColumnarTable>> cache_
+      JIGSAW_GUARDED_BY(mu_);
   std::uint64_t generations_ JIGSAW_GUARDED_BY(mu_) = 0;
 };
 

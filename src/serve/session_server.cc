@@ -40,10 +40,8 @@ Result<std::shared_ptr<const ScriptSnapshot>> SessionServer::Publish(
     const PublishOptions& options) {
   // Bind once, outside the lock — publishing must not stall Connect or
   // sibling publishes behind a parse.
-  JIGSAW_ASSIGN_OR_RETURN(sql::BoundScript compiled,
+  JIGSAW_ASSIGN_OR_RETURN(sql::BoundScript bound,
                           sql::ParseAndBind(text, *registry_));
-  sql::BoundScript interpreted = compiled;
-  sql::UseInterpretedExpressions(interpreted);
 
   auto snapshot = std::make_shared<ScriptSnapshot>();
   snapshot->name = name;
@@ -60,8 +58,8 @@ Result<std::shared_ptr<const ScriptSnapshot>> SessionServer::Publish(
     RunConfig warm_cfg = base_;
     JIGSAW_RETURN_IF_ERROR(SimulationRunner::ValidateConfig(warm_cfg));
     SimulationRunner warm(warm_cfg);
-    for (const auto& column : compiled.scenario.columns) {
-      warm.RunSweep(*column.fn, compiled.scenario.params);
+    for (const auto& column : bound.scenario.columns) {
+      warm.RunSweep(*column.fn, bound.scenario.params);
     }
     auto finder = LinearMappingFinder::Make();
     auto store = std::make_shared<BasisStore>(
@@ -75,10 +73,8 @@ Result<std::shared_ptr<const ScriptSnapshot>> SessionServer::Publish(
     snapshot->basis_store = std::move(store);
   }
 
-  snapshot->compiled =
-      std::make_shared<const sql::BoundScript>(std::move(compiled));
-  snapshot->interpreted =
-      std::make_shared<const sql::BoundScript>(std::move(interpreted));
+  snapshot->bound =
+      std::make_shared<const sql::BoundScript>(std::move(bound));
 
   // Copy-on-write swap: runs holding the previous catalog pointer keep
   // an unchanged view; new runs pick up the new snapshot.
@@ -106,9 +102,6 @@ Result<Session*> SessionServer::TryConnect(const SessionOptions& options) {
   RunConfig config = base_;
   if (!options.shared_namespace) {
     config.master_seed = SessionSeed(base_.master_seed, id);
-  }
-  if (options.compile_expressions) {
-    config.compile_expressions = *options.compile_expressions;
   }
   sessions_.push_back(std::unique_ptr<Session>(
       new Session(this, id, std::move(config))));
@@ -151,14 +144,12 @@ Result<sql::ScriptOutcome> Session::Run(
         "' was published under a different seed schema than this "
         "session runs");
   }
-  const std::shared_ptr<const sql::BoundScript>& twin =
-      config_.compile_expressions ? snapshot->compiled
-                                  : snapshot->interpreted;
   sql::SnapshotResources shared;
   shared.world_cache = snapshot->world_cache.get();
   shared.basis_store = snapshot->basis_store.get();
   sql::ScriptRunner runner(server_->registry(), config_);
-  return runner.RunBound(sql::BoundScript(*twin), overrides, shared);
+  return runner.RunBound(sql::BoundScript(*snapshot->bound), overrides,
+                         shared);
 }
 
 Result<sql::ScriptOutcome> Session::RunText(

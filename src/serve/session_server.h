@@ -15,12 +15,11 @@
 /// The contract, in determinism terms:
 ///
 ///  * Publish() parses and binds a script ONCE, building an immutable
-///    ScriptSnapshot: a compiled plan twin, an interpreted plan twin
-///    (UseInterpretedExpressions mutates, so both are pre-built and
-///    frozen), a shared WorldCache, and optionally a warmed, frozen
-///    BasisStore. Snapshots hang off a copy-on-write catalog: publishing
-///    swaps the catalog pointer, so a Run() that already grabbed the old
-///    catalog keeps executing against unchanged state.
+///    ScriptSnapshot: the bound plan (compiled where the binder could),
+///    a shared WorldCache, and optionally a warmed, frozen BasisStore.
+///    Snapshots hang off a copy-on-write catalog: publishing swaps the
+///    catalog pointer, so a Run() that already grabbed the old catalog
+///    keeps executing against unchanged state.
 ///  * Connect() admits a client session. Each session owns a seed
 ///    namespace — SessionSeed(master, id) — so its draws are disjoint
 ///    from every sibling's by construction; a session that opts into the
@@ -77,19 +76,12 @@ std::uint64_t SessionSeed(std::uint64_t master_seed,
 struct ScriptSnapshot {
   std::string name;
   std::string text;  ///< original source, for standalone-twin replays
-  /// Plan twins. Both are fully bound; `interpreted` has its compiled
-  /// batch programs stripped and its column closures rebuilt over the
-  /// Expr trees. A session picks the twin matching its
-  /// compile_expressions flag — never mutating a shared plan.
-  std::shared_ptr<const sql::BoundScript> compiled;
-  std::shared_ptr<const sql::BoundScript> interpreted;
-  /// Shared VG realizations, keyed by (table, seed namespace, world):
-  /// same-namespace sessions amortize generation, private-namespace
-  /// sessions occupy disjoint keys. Entries are dual-representation —
-  /// typed column chunks (ColumnarTable) and/or boxed rows, whichever
-  /// the consumers' RunConfig::columnar_storage gates asked for first;
-  /// both views of a world are bit-identical, so mixed-gate sessions
-  /// sharing one cache still replay byte-identically.
+  /// The bound plan every run copies (never mutates): compiled batch
+  /// programs where the binder produced them, the interpreter elsewhere.
+  std::shared_ptr<const sql::BoundScript> bound;
+  /// Shared VG realizations (typed column chunks), keyed by (table, seed
+  /// namespace, world): same-namespace sessions amortize generation,
+  /// private-namespace sessions occupy disjoint keys.
   std::shared_ptr<pdb::WorldCache> world_cache;
   /// Frozen basis catalog warmed at publish time under the server
   /// namespace (null unless PublishOptions::warm_basis_store). Consulted
@@ -114,9 +106,6 @@ struct PublishOptions {
 };
 
 struct SessionOptions {
-  /// Overrides the server's compile_expressions flag for this session
-  /// (both plan twins are published, so either choice is zero-cost).
-  std::optional<bool> compile_expressions;
   /// Run under the server's own seed namespace instead of a private
   /// one: draws coincide with the publisher's (and with every other
   /// shared-namespace session's), enabling WorldCache and warmed-basis

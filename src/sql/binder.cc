@@ -435,17 +435,11 @@ Status RowProgram::EvalAllColumnsSpan(std::span<const double> params,
   return Status::OK();
 }
 
-std::shared_ptr<const RowProgram> WithoutBatchProgram(
-    const RowProgram& program) {
-  auto stripped = std::make_shared<RowProgram>(program);
-  stripped->batch = nullptr;
-  stripped->batch_fallback_reason = "compiled expressions disabled";
-  return stripped;
-}
-
 void UseInterpretedExpressions(BoundScript& bound) {
   if (bound.program == nullptr) return;
-  auto stripped = WithoutBatchProgram(*bound.program);
+  auto stripped = std::make_shared<RowProgram>(*bound.program);
+  stripped->batch = nullptr;
+  stripped->batch_fallback_reason = "compiled expressions disabled";
   bound.program = stripped;
   for (std::size_t j = 0; j < bound.scenario.columns.size(); ++j) {
     auto& col = bound.scenario.columns[j];

@@ -85,11 +85,6 @@ struct RowProgram {
                             std::span<double* const> out) const;
 };
 
-/// Copy of `program` with the compiled form stripped (interpreter-only);
-/// the reference twin benches and parity tests diff against.
-std::shared_ptr<const RowProgram> WithoutBatchProgram(
-    const RowProgram& program);
-
 /// Bound OVER clause of a MONTECARLO statement: the swept parameter
 /// (resolved to its index) plus the materialized point values — an
 /// explicit IN list, an expanded IN range, or the parameter's declared
@@ -137,8 +132,9 @@ struct BoundScript {
 
 /// Rewrites `bound` to execute interpreted-only: strips the compiled
 /// program and rebuilds the scenario's column SimFunctions on the
-/// stripped copy. Applied by ScriptRunner when
-/// RunConfig::compile_expressions is false.
+/// stripped copy. Tests and benches apply it before
+/// ScriptRunner::RunBound or RunChainScenario to get the interpreted
+/// reference twin of a compiled plan.
 void UseInterpretedExpressions(BoundScript& bound);
 
 class Binder {

@@ -136,11 +136,7 @@ Result<OutputMetrics> RunChainScenario(const BoundScript& bound,
   const auto base = bound.scenario.params.NumPoints() > 0
                         ? bound.scenario.params.ValuationAt(0)
                         : std::vector<double>{};
-  auto program = bound.program;
-  if (!config.compile_expressions && program->compiled()) {
-    program = WithoutBatchProgram(*program);
-  }
-  ScenarioChainProcess process(program, *bound.chain, base, out_idx);
+  ScenarioChainProcess process(bound.program, *bound.chain, base, out_idx);
 
   ChainResult result;
   if (use_jump) {

@@ -147,7 +147,6 @@ Result<ScriptOutcome> ScriptRunner::Run(
     const std::string& text,
     const std::vector<std::pair<std::string, double>>& overrides) {
   JIGSAW_ASSIGN_OR_RETURN(BoundScript bound, ParseAndBind(text, *registry_));
-  if (!config_.compile_expressions) UseInterpretedExpressions(bound);
   return RunBound(std::move(bound), overrides);
 }
 
@@ -336,7 +335,8 @@ Result<ScriptOutcome> ScriptRunner::RunBound(
                                  run_span));
       for (auto& r : results) per_point.push_back(std::move(r.columns));
     } else {
-      // Interpreter twin: same cell grid, one boxed plan per world.
+      // Interpreter fallback (an expression with no batch form): same
+      // cell grid, one boxed plan per world.
       pdb::MonteCarloExecutor executor(config_);
       JIGSAW_ASSIGN_OR_RETURN(auto results,
                               executor.RunSweep(factory, valuations));

@@ -107,12 +107,12 @@ class ScriptRunner {
   /// Executes an already-bound script — the session-server path, where
   /// parse+bind happened once at publish time and every client run
   /// replays the frozen plan. `bound` is taken by value (snapshot callers
-  /// pass a copy of the published twin; the copy is cheap — columns and
-  /// programs are shared_ptrs) and must already match this runner's
-  /// expression mode: Run() strips compiled programs itself when
-  /// config.compile_expressions is false, RunBound never mutates the
-  /// plan. Results are bit-identical to Run() on the same script text
-  /// with the same config, with or without `shared` resources.
+  /// pass a copy of the published plan; the copy is cheap — columns and
+  /// programs are shared_ptrs) and runs as bound: a plan passed through
+  /// UseInterpretedExpressions runs on the interpreter, the reference
+  /// twin tests and benches diff the compiled plan against. Results are
+  /// bit-identical to Run() on the same script text with the same
+  /// config, with or without `shared` resources.
   Result<ScriptOutcome> RunBound(
       BoundScript bound,
       const std::vector<std::pair<std::string, double>>& overrides,

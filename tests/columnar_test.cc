@@ -1,28 +1,33 @@
 // Tests for the columnar possible-worlds storage: ColumnChunk /
 // ColumnarTable primitives, VG generation straight into column spans,
-// the dual-representation WorldCache, the tuple-level FoldVGColumns
-// fold, and the end-to-end columnar_storage gate — every surface
-// bit-identical to its boxed twin over the shared acceptance grid,
-// under both seed schemas.
+// the WorldCache, the tuple-level FoldVGColumns fold, the layered
+// engine's cached VG scan and SQL scripts end to end — every surface
+// bit-identical to its boxed or interpreted reference
+// (boxed_reference.h, UseInterpretedExpressions) over the shared
+// acceptance grid, under both seed schemas.
 
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <span>
 #include <string>
 #include <tuple>
 #include <vector>
 
+#include "boxed_reference.h"
 #include "grid_test_util.h"
 #include "keyed_vg_table.h"
+#include "models/black_box.h"
 #include "models/cloud_models.h"
 #include "pdb/columnar.h"
 #include "pdb/layered_engine.h"
 #include "pdb/monte_carlo.h"
 #include "pdb/table.h"
 #include "pdb/vg_table.h"
+#include "sql/binder.h"
 #include "sql/script_runner.h"
 #include "util/thread_pool.h"
 
@@ -262,67 +267,58 @@ TEST(VGColumnarTest, WorldExtentShardsWorldsContiguously) {
   for (std::size_t r = 0; r < 10; ++r) EXPECT_EQ(world3[r], solo[r]);
 }
 
+
 // ---------------------------------------------------------------------------
-// Dual-representation WorldCache
+// WorldCache: one columnar realization per (table, namespace, world)
 // ---------------------------------------------------------------------------
 
-TEST(WorldCacheDualTest, ConversionsNeverCountAsGenerations) {
+TEST(WorldCacheColumnarTest, CachedRealizationMatchesBoxedGenerate) {
   WorldCache cache;
   SeedVector seeds(0x5EED0003ULL, 4);
   auto users = MakeUsersVGTable(20, 3.0, 25.0, 0.4, 4);
-
-  auto boxed = cache.GetOrGenerate(*users, 0, seeds);
-  ASSERT_TRUE(boxed.ok());
-  EXPECT_EQ(cache.generation_count(), 1u);
-
-  // The columnar view of the same world converts the cached boxed
-  // realization — no second generation, identical content.
-  auto columnar = cache.GetOrGenerateColumnar(*users, 0, seeds);
-  ASSERT_TRUE(columnar.ok());
-  EXPECT_EQ(cache.generation_count(), 1u);
-  auto reference = ColumnarTable::FromTable(*boxed.value());
-  ASSERT_TRUE(reference.ok());
-  EXPECT_TRUE(columnar.value()->SameContent(reference.value()));
-
-  // And the reverse order on a fresh world: columnar first, boxed view
-  // second, still one generation for the world.
-  auto columnar1 = cache.GetOrGenerateColumnar(*users, 1, seeds);
-  ASSERT_TRUE(columnar1.ok());
-  EXPECT_EQ(cache.generation_count(), 2u);
-  auto boxed1 = cache.GetOrGenerate(*users, 1, seeds);
-  ASSERT_TRUE(boxed1.ok());
-  EXPECT_EQ(cache.generation_count(), 2u);
-  auto round = columnar1.value()->ToTable();
-  ASSERT_TRUE(round.ok());
-  for (std::size_t r = 0; r < round.value().num_rows(); ++r) {
-    EXPECT_EQ(round.value().row(r), boxed1.value()->row(r));
+  for (std::size_t w = 0; w < 2; ++w) {
+    SCOPED_TRACE(::testing::Message() << "world " << w);
+    auto columnar = cache.GetOrGenerateColumnar(*users, w, seeds);
+    ASSERT_TRUE(columnar.ok()) << columnar.status().ToString();
+    EXPECT_EQ(cache.generation_count(), w + 1);
+    // A repeat probe hits the entry: same pointer, no generation.
+    auto again = cache.GetOrGenerateColumnar(*users, w, seeds);
+    ASSERT_TRUE(again.ok());
+    EXPECT_EQ(again.value(), columnar.value());
+    EXPECT_EQ(cache.generation_count(), w + 1);
+    // Boxing the cached chunks reproduces the boxed generator row by row.
+    auto boxed = users->Generate(w, seeds);
+    ASSERT_TRUE(boxed.ok());
+    auto round = columnar.value()->ToTable();
+    ASSERT_TRUE(round.ok());
+    ASSERT_EQ(round.value().num_rows(), boxed.value().num_rows());
+    for (std::size_t r = 0; r < round.value().num_rows(); ++r) {
+      EXPECT_EQ(round.value().row(r), boxed.value().row(r)) << "row " << r;
+    }
   }
   EXPECT_EQ(cache.size(), 2u);
 }
 
-TEST(WorldCacheDualTest, ParallelMixedConsumersGenerateEachWorldOnce) {
+TEST(WorldCacheColumnarTest, ParallelConsumersGenerateEachWorldOnce) {
   WorldCache cache;
   SeedVector seeds(0x5EED0004ULL, 30);
   auto users = MakeUsersVGTable(10, 3.0, 25.0, 0.4, 2);
   ThreadPool pool(8);
-  // 30 worlds x {columnar, boxed} consumers racing: every world realizes
-  // exactly once no matter which representation wins the race.
+  // 30 worlds x 2 consumers racing: every world realizes exactly once,
+  // and both consumers read the install that won.
+  std::vector<const ColumnarTable*> seen(60, nullptr);
   pool.ParallelFor(60, [&](std::size_t i) {
-    const std::size_t world = i % 30;
-    if (i < 30) {
-      auto r = cache.GetOrGenerateColumnar(*users, world, seeds);
-      ASSERT_TRUE(r.ok());
-    } else {
-      auto r = cache.GetOrGenerate(*users, world, seeds);
-      ASSERT_TRUE(r.ok());
-    }
+    auto r = cache.GetOrGenerateColumnar(*users, i % 30, seeds);
+    ASSERT_TRUE(r.ok());
+    seen[i] = r.value();
   });
   EXPECT_EQ(cache.size(), 30u);
   EXPECT_EQ(cache.generation_count(), 30u);
+  for (std::size_t w = 0; w < 30; ++w) EXPECT_EQ(seen[w], seen[w + 30]);
 }
 
 // ---------------------------------------------------------------------------
-// FoldVGColumns: columnar vs boxed bit-identity over the acceptance grid
+// FoldVGColumns against the serial boxed reference over the grid
 // ---------------------------------------------------------------------------
 
 void ExpectMetricsBitIdentical(const std::map<std::string, OutputMetrics>& a,
@@ -356,80 +352,69 @@ TEST(FoldVGColumnsTest, ColumnarBitIdenticalToBoxedAcrossGrid) {
   for (SeedSchema schema : {SeedSchema::kV1, SeedSchema::kV2}) {
     SCOPED_TRACE(static_cast<int>(schema));
     SeedVector seeds(0x5EED0005ULL, kWorlds, schema);
-
-    // Serial boxed run = the reference twin.
-    RunConfig ref_cfg;
-    ref_cfg.columnar_storage = false;
-    ref_cfg.batch_size = 64;
-    auto reference = FoldVGColumns(*items, names, kWorlds, seeds, ref_cfg,
-                                   nullptr);
+    auto reference =
+        test::BoxedFoldVGColumns(*items, names, kWorlds, seeds, RunConfig{});
     ASSERT_TRUE(reference.ok()) << reference.status().ToString();
     EXPECT_EQ(reference.value().at("demand").count,
               static_cast<std::int64_t>(37 * kWorlds));
 
     test::ForEachGridPoint([&](std::size_t threads, std::size_t batch) {
-      for (bool columnar : {true, false}) {
-        SCOPED_TRACE(columnar ? "columnar" : "boxed");
-        RunConfig cfg;
-        cfg.columnar_storage = columnar;
-        cfg.batch_size = batch;
-        ThreadPool pool(threads);
-        auto got = FoldVGColumns(*items, names, kWorlds, seeds, cfg,
-                                 threads > 1 ? &pool : nullptr);
-        ASSERT_TRUE(got.ok()) << got.status().ToString();
-        ExpectMetricsBitIdentical(got.value(), reference.value());
-      }
+      RunConfig cfg;
+      cfg.batch_size = batch;
+      ThreadPool pool(threads);
+      auto got = FoldVGColumns(*items, names, kWorlds, seeds, cfg,
+                               threads > 1 ? &pool : nullptr);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      ExpectMetricsBitIdentical(got.value(), reference.value());
     });
   }
 }
 
-TEST(FoldVGColumnsTest, CachedFoldMatchesUncachedAndCountsGenerations) {
+TEST(FoldVGColumnsTest, CachedFoldMatchesBoxedAndCountsGenerations) {
   const std::vector<std::string> names = {"requirement"};
   auto users = MakeUsersVGTable(25, 3.0, 25.0, 0.4, 4);
   constexpr std::size_t kWorlds = 12;
   SeedVector seeds(0x5EED0006ULL, kWorlds);
   RunConfig cfg;
-  auto uncached = FoldVGColumns(*users, names, kWorlds, seeds, cfg, nullptr);
-  ASSERT_TRUE(uncached.ok());
-  for (bool columnar : {true, false}) {
-    SCOPED_TRACE(columnar ? "columnar" : "boxed");
-    cfg.columnar_storage = columnar;
-    WorldCache cache;
-    ThreadPool pool(4);
-    auto cached = FoldVGColumns(*users, names, kWorlds, seeds, cfg, &pool,
-                                &cache);
-    ASSERT_TRUE(cached.ok()) << cached.status().ToString();
-    ExpectMetricsBitIdentical(cached.value(), uncached.value());
-    EXPECT_EQ(cache.generation_count(), kWorlds);
-    // A second fold over the same cache re-reads every world.
-    auto again = FoldVGColumns(*users, names, kWorlds, seeds, cfg, &pool,
-                               &cache);
-    ASSERT_TRUE(again.ok());
-    ExpectMetricsBitIdentical(again.value(), uncached.value());
-    EXPECT_EQ(cache.generation_count(), kWorlds);
-  }
-}
-
-TEST(FoldVGColumnsTest, ErrorsIdenticalOnBothStoragePaths) {
-  auto items = MakeScalingItemsVGTable(5);
-  SeedVector seeds(0x5EED0007ULL, 4);
+  auto reference =
+      test::BoxedFoldVGColumns(*users, names, kWorlds, seeds, cfg);
+  ASSERT_TRUE(reference.ok());
   test::ForEachGridPoint([&](std::size_t threads, std::size_t batch) {
-    RunConfig cfg;
     cfg.batch_size = batch;
+    WorldCache cache;
     ThreadPool pool(threads);
     ThreadPool* p = threads > 1 ? &pool : nullptr;
-    for (const char* name : {"region", "ghost"}) {
-      const std::vector<std::string> names = {name};
-      cfg.columnar_storage = true;
-      auto columnar = FoldVGColumns(*items, names, 4, seeds, cfg, p);
-      cfg.columnar_storage = false;
-      auto boxed = FoldVGColumns(*items, names, 4, seeds, cfg, p);
-      ASSERT_FALSE(columnar.ok());
-      ASSERT_FALSE(boxed.ok());
-      // Identical error text AND code, at every grid point.
-      EXPECT_EQ(columnar.status(), boxed.status()) << name;
-    }
+    auto cached = FoldVGColumns(*users, names, kWorlds, seeds, cfg, p, &cache);
+    ASSERT_TRUE(cached.ok()) << cached.status().ToString();
+    ExpectMetricsBitIdentical(cached.value(), reference.value());
+    EXPECT_EQ(cache.generation_count(), kWorlds);
+    // A second fold over the same cache re-reads every world.
+    auto again = FoldVGColumns(*users, names, kWorlds, seeds, cfg, p, &cache);
+    ASSERT_TRUE(again.ok());
+    ExpectMetricsBitIdentical(again.value(), reference.value());
+    EXPECT_EQ(cache.generation_count(), kWorlds);
   });
+}
+
+TEST(FoldVGColumnsTest, ErrorsMatchBoxedReference) {
+  auto items = MakeScalingItemsVGTable(5);
+  SeedVector seeds(0x5EED0007ULL, 4);
+  for (const char* name : {"region", "ghost"}) {
+    const std::vector<std::string> names = {name};
+    auto reference =
+        test::BoxedFoldVGColumns(*items, names, 4, seeds, RunConfig{});
+    ASSERT_FALSE(reference.ok());
+    test::ForEachGridPoint([&](std::size_t threads, std::size_t batch) {
+      RunConfig cfg;
+      cfg.batch_size = batch;
+      ThreadPool pool(threads);
+      auto got = FoldVGColumns(*items, names, 4, seeds, cfg,
+                               threads > 1 ? &pool : nullptr);
+      ASSERT_FALSE(got.ok());
+      // Identical error text AND code, at every grid point.
+      EXPECT_EQ(got.status(), reference.status()) << name;
+    });
+  }
 }
 
 TEST(FoldVGColumnsTest, NullInFoldedColumnSurfacesInWorldOrder) {
@@ -444,48 +429,96 @@ TEST(FoldVGColumnsTest, NullInFoldedColumnSurfacesInWorldOrder) {
        {std::tuple{9u, 4u, "column 'b' is not numeric"},
         std::tuple{6u, 6u, "column 'a' is not numeric"}}) {
     auto table = test::MakeNullingTable(a_from, b_from);
-    RunConfig ref_cfg;
-    ref_cfg.columnar_storage = false;
-    ref_cfg.batch_size = 1;
     auto reference =
-        FoldVGColumns(*table, names, kWorlds, seeds, ref_cfg, nullptr);
+        test::BoxedFoldVGColumns(*table, names, kWorlds, seeds, RunConfig{});
     ASSERT_FALSE(reference.ok());
     EXPECT_EQ(reference.status().message(), expected);
     test::ForEachGridPoint([&](std::size_t threads, std::size_t batch) {
-      for (bool columnar : {true, false}) {
-        for (bool cached : {false, true}) {
-          SCOPED_TRACE(::testing::Message()
-                       << (columnar ? "columnar" : "boxed")
-                       << (cached ? " cached" : ""));
-          RunConfig cfg;
-          cfg.columnar_storage = columnar;
-          cfg.batch_size = batch;
-          ThreadPool pool(threads);
-          WorldCache cache;
-          auto got = FoldVGColumns(*table, names, kWorlds, seeds, cfg,
-                                   threads > 1 ? &pool : nullptr,
-                                   cached ? &cache : nullptr);
-          ASSERT_FALSE(got.ok());
-          EXPECT_EQ(got.status(), reference.status());
-        }
+      for (bool cached : {false, true}) {
+        SCOPED_TRACE(cached ? "cached" : "uncached");
+        RunConfig cfg;
+        cfg.batch_size = batch;
+        ThreadPool pool(threads);
+        WorldCache cache;
+        auto got = FoldVGColumns(*table, names, kWorlds, seeds, cfg,
+                                 threads > 1 ? &pool : nullptr,
+                                 cached ? &cache : nullptr);
+        ASSERT_FALSE(got.ok());
+        EXPECT_EQ(got.status(), reference.status());
       }
     });
   }
 }
 
+TEST(FoldVGColumnsTest, SeedVectorShorterThanWorldsIsInvalidArgument) {
+  // World w draws from seed w, so 64 worlds over a 4-seed vector would
+  // read past the v1 seed table, or under v2 draw worlds 4..63 from a
+  // vector sized for 4. The fold rejects it before realizing any world.
+  auto items = MakeScalingItemsVGTable(5);
+  const std::vector<std::string> names = {"demand"};
+  for (SeedSchema schema : {SeedSchema::kV1, SeedSchema::kV2}) {
+    SCOPED_TRACE(static_cast<int>(schema));
+    const SeedVector seeds(7, 4, schema);
+    test::ForEachGridPoint([&](std::size_t threads, std::size_t batch) {
+      for (bool cached : {false, true}) {
+        SCOPED_TRACE(cached ? "cached" : "uncached");
+        RunConfig cfg;
+        cfg.batch_size = batch;
+        ThreadPool pool(threads);
+        WorldCache cache;
+        auto got = FoldVGColumns(*items, names, 64, seeds, cfg,
+                                 threads > 1 ? &pool : nullptr,
+                                 cached ? &cache : nullptr);
+        ASSERT_FALSE(got.ok());
+        EXPECT_EQ(got.status().code(), StatusCode::kInvalidArgument);
+        EXPECT_EQ(got.status().message(),
+                  "fold over 64 worlds needs one seed per world; the seed "
+                  "vector holds 4");
+        EXPECT_EQ(cache.generation_count(), 0u);
+      }
+    });
+    // A vector that covers every world still folds.
+    RunConfig cfg;
+    EXPECT_TRUE(FoldVGColumns(*items, names, 4, seeds, cfg, nullptr).ok());
+  }
+}
+
 // ---------------------------------------------------------------------------
-// End-to-end gate: SQL scripts byte-identical with the gate on and off
+// SQL scripts end to end against their interpreted twin
 // ---------------------------------------------------------------------------
 
 class ColumnarSqlTest : public ::testing::Test {
  protected:
   void SetUp() override {
     ASSERT_TRUE(RegisterCloudModels(&registry_).ok());
+    // Bernoulli helper: 0/1 draws, so a division fails on some worlds.
+    registry_.RegisterOrReplace(std::make_shared<CallableBlackBox>(
+        "CoinFlip", std::vector<std::string>{"p"},
+        [](std::span<const double> params, RandomStream& rng) {
+          return rng.NextDouble() < params[0] ? 1.0 : 0.0;
+        }));
   }
+
+  /// The interpreted reference twin: the binder's plan with its compiled
+  /// programs stripped, run on `cfg`.
+  Result<sql::ScriptOutcome> RunInterpreted(const std::string& script,
+                                            const RunConfig& cfg) {
+    JIGSAW_ASSIGN_OR_RETURN(sql::BoundScript bound,
+                            sql::ParseAndBind(script, registry_));
+    sql::UseInterpretedExpressions(bound);
+    return sql::ScriptRunner(&registry_, cfg).RunBound(std::move(bound), {});
+  }
+
+  /// The metric lines of a report: everything after the expression-path
+  /// line and the engine banner, which name the path and thread count.
+  static std::string MetricLines(const std::string& report) {
+    return report.substr(report.find("\n  "));
+  }
+
   ModelRegistry registry_;
 };
 
-TEST_F(ColumnarSqlTest, ScriptsByteIdenticalAcrossGateAndGrid) {
+TEST_F(ColumnarSqlTest, ScriptsMatchInterpretedTwinAcrossGrid) {
   const std::string scenario =
       "DECLARE PARAMETER @w AS RANGE 10 TO 30 STEP BY 10;"
       "SELECT DemandModel(@w, 52) AS demand,"
@@ -501,66 +534,63 @@ TEST_F(ColumnarSqlTest, ScriptsByteIdenticalAcrossGateAndGrid) {
       SCOPED_TRACE(statement + " schema=" +
                    std::to_string(static_cast<int>(schema)));
       const std::string script = scenario + statement;
-      // At every grid point the gate-off run is the reference twin: the
-      // gate-on report must match it byte for byte. (The report embeds
-      // the thread count, so cross-thread bit-identity is asserted on the
-      // boxed reports — which existing suites already pin to serial.)
-      std::string serial_boxed;
+      RunConfig ref_cfg;
+      ref_cfg.num_samples = 60;
+      ref_cfg.seed_schema = schema;
+      auto reference = RunInterpreted(script, ref_cfg);
+      ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+      const std::string expected = MetricLines(reference.value().Report());
       test::ForEachGridPoint([&](std::size_t threads, std::size_t batch) {
-        auto run = [&](bool columnar) {
-          RunConfig cfg;
-          cfg.num_samples = 60;
-          cfg.seed_schema = schema;
-          cfg.columnar_storage = columnar;
-          cfg.num_threads = threads;
-          cfg.batch_size = batch;
-          sql::ScriptRunner runner(&registry_, cfg);
-          auto outcome = runner.Run(script);
-          EXPECT_TRUE(outcome.ok()) << outcome.status().ToString();
-          return outcome.ok() ? outcome.value().Report() : std::string();
-        };
-        const std::string boxed = run(false);
-        EXPECT_EQ(run(true), boxed);
-        // The metric lines (everything but the engine banner) also match
-        // the serial boxed run across the whole grid.
-        const std::string tail = boxed.substr(boxed.find("\n  "));
-        if (serial_boxed.empty()) serial_boxed = tail;
-        EXPECT_EQ(tail, serial_boxed);
+        RunConfig cfg = ref_cfg;
+        cfg.num_threads = threads;
+        cfg.batch_size = batch;
+        auto outcome = sql::ScriptRunner(&registry_, cfg).Run(script);
+        ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+        EXPECT_TRUE(outcome.value().bound.program->compiled());
+        EXPECT_EQ(MetricLines(outcome.value().Report()), expected);
       });
     }
   }
 }
 
-TEST_F(ColumnarSqlTest, ErrorTextIdenticalAcrossGate) {
-  // An error-shaped script must surface the same message (and the same
-  // failing coordinate) regardless of the storage gate.
+TEST_F(ColumnarSqlTest, ErrorTextMatchesInterpretedTwinAcrossGrid) {
+  // Both sweep points fail at the same lowest world; the surfaced error
+  // names point 0 and is the interpreter's text on every grid point.
   const std::string script =
       "DECLARE PARAMETER @p AS RANGE 0 TO 1 STEP BY 1;"
-      "SELECT 1 / CoinFlip(0.0) AS q INTO r;"
+      "SELECT 1 / CoinFlip(0.97) AS q INTO r;"
       "MONTECARLO OVER @p IN (0, 1);";
-  std::vector<std::string> messages;
-  for (bool columnar : {true, false}) {
-    RunConfig cfg;
-    cfg.num_samples = 8;
-    cfg.columnar_storage = columnar;
-    sql::ScriptRunner runner(&registry_, cfg);
-    auto outcome = runner.Run(script);
+  RunConfig ref_cfg;
+  ref_cfg.num_samples = 400;
+  auto reference = RunInterpreted(script, ref_cfg);
+  ASSERT_FALSE(reference.ok());
+  EXPECT_NE(reference.status().message().find("sweep point 0: "),
+            std::string::npos)
+      << reference.status().message();
+  EXPECT_NE(reference.status().message().find("division by zero"),
+            std::string::npos)
+      << reference.status().message();
+  test::ForEachGridPoint([&](std::size_t threads, std::size_t batch) {
+    RunConfig cfg = ref_cfg;
+    cfg.num_threads = threads;
+    cfg.batch_size = batch;
+    auto outcome = sql::ScriptRunner(&registry_, cfg).Run(script);
     ASSERT_FALSE(outcome.ok());
-    messages.push_back(outcome.status().ToString());
-  }
-  EXPECT_EQ(messages[0], messages[1]);
+    EXPECT_EQ(outcome.status(), reference.status());
+  });
 }
 
 // ---------------------------------------------------------------------------
-// LayeredEngine under the gate
+// LayeredEngine: the cached columnar VG scan against a boxed scan leaf
 // ---------------------------------------------------------------------------
 
-TEST(ColumnarLayeredTest, CachedVGScanBitIdenticalAcrossGate) {
+TEST(ColumnarLayeredTest, CachedVGScanBitIdenticalToBoxedScanAcrossGrid) {
   auto users = MakeUsersVGTable(60, 0.05, 0.05, 0.3);
-  auto run = [&](bool columnar, std::size_t threads, std::size_t batch) {
+  // SUM(requirement) per world, over the cached columnar scan or the
+  // uncached boxed reference leaf.
+  auto run = [&](bool cached, std::size_t threads, std::size_t batch) {
     RunConfig cfg;
     cfg.num_samples = 24;
-    cfg.columnar_storage = columnar;
     cfg.num_threads = threads;
     cfg.batch_size = batch;
     LayeredEngine engine(cfg);
@@ -569,27 +599,20 @@ TEST(ColumnarLayeredTest, CachedVGScanBitIdenticalAcrossGate) {
           std::vector<AggSpec> aggs;
           aggs.push_back(AggSpec{AggKind::kSum,
                                  MakeColumnRef(2, "requirement"), "total"});
-          return MakeHashAggregate(
-              MakeCachedVGScan(users, &engine.world_cache()), {}, {},
-              std::move(aggs));
+          PlanNodePtr scan =
+              cached ? MakeCachedVGScan(users, &engine.world_cache())
+                     : test::MakeBoxedVGScan(users);
+          return MakeHashAggregate(std::move(scan), {}, {}, std::move(aggs));
         },
         std::vector<double>{});
     EXPECT_TRUE(result.ok()) << result.status().ToString();
     return std::move(result).value();
   };
-  const auto reference = run(false, 1, 64);
+  const auto reference = run(/*cached=*/false, 1, 64);
+  ASSERT_EQ(reference.columns.size(), 1u);
   test::ForEachGridPoint([&](std::size_t threads, std::size_t batch) {
-    for (bool columnar : {true, false}) {
-      SCOPED_TRACE(columnar ? "columnar" : "boxed");
-      const auto got = run(columnar, threads, batch);
-      ASSERT_EQ(got.columns.size(), reference.columns.size());
-      for (const auto& [name, metrics] : reference.columns) {
-        ASSERT_TRUE(got.columns.count(name));
-        EXPECT_EQ(std::bit_cast<std::uint64_t>(got.columns.at(name).mean),
-                  std::bit_cast<std::uint64_t>(metrics.mean))
-            << name;
-      }
-    }
+    ExpectMetricsBitIdentical(run(/*cached=*/true, threads, batch).columns,
+                              reference.columns);
   });
 }
 

@@ -1,8 +1,9 @@
 // Differential and property tests for the world-partitioned columnar
 // equi-join (pdb/join.h). The contract under test: sort-merge and hash
-// kernels, over both storage representations, any thread count and any
-// batch size, are bit-identical to the serial boxed nested-loop oracle —
-// values, output row order, metrics, error text AND error ordering.
+// kernels, cached or not, at any thread count and any batch size, are
+// bit-identical to the serial boxed nested-loop oracle
+// (boxed_reference.h) — values, output row order, metrics, error text
+// AND error ordering.
 
 #include "pdb/join.h"
 
@@ -19,13 +20,13 @@
 
 #include "core/metrics.h"
 #include "core/run_config.h"
-#include "pdb/operators.h"
 #include "pdb/table.h"
 #include "pdb/vg_table.h"
 #include "random/seed_vector.h"
 #include "util/string_util.h"
 #include "util/thread_pool.h"
 
+#include "boxed_reference.h"
 #include "grid_test_util.h"
 #include "keyed_vg_table.h"
 
@@ -44,6 +45,7 @@ Value S(std::string v) { return Value(std::move(v)); }
 // ---------------------------------------------------------------------------
 
 using test::KeyedVGTable;
+using test::NestedLoopJoinOracle;
 
 // Left side: 6..8 rows per world, int keys in [0, 5) with duplicates,
 // every fourth key NULL.
@@ -493,59 +495,9 @@ TEST(JoinWorldsTest, PartitionsWorldsAndStampsWorldIds) {
 }
 
 // ---------------------------------------------------------------------------
-// MakeJoinedVGScan: the Volcano leaf streams exactly the oracle's rows
-// and insists on a seed vector.
-// ---------------------------------------------------------------------------
-
-TEST(JoinScanNodeTest, RequiresSeedVector) {
-  auto left = MakeIntLeft();
-  auto right = MakeIntRight();
-  auto join = ResolveJoin(left->schema(), right->schema(), {"k", "k2"});
-  ASSERT_TRUE(join.ok());
-  auto plan = MakeJoinedVGScan(left, right, join.value());
-  EvalContext ctx;
-  ctx.seeds = nullptr;
-  Status s = plan->Open(ctx);
-  ASSERT_FALSE(s.ok());
-  EXPECT_EQ(s.message(), "joined VG scan requires a seed vector");
-}
-
-TEST(JoinScanNodeTest, StreamsOracleRowsPerWorld) {
-  const SeedVector seeds(0x99, 4);
-  auto left = MakeIntLeft();
-  auto right = MakeIntRight();
-  auto join = ResolveJoin(left->schema(), right->schema(), {"k", "k2"});
-  ASSERT_TRUE(join.ok());
-  for (std::size_t w = 0; w < 3; ++w) {
-    auto plan = MakeJoinedVGScan(left, right, join.value());
-    EvalContext ctx;
-    ctx.sample_id = w;
-    ctx.seeds = &seeds;
-    auto streamed = ExecuteToTable(*plan, ctx);
-    ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
-
-    auto lt = left->Generate(w, seeds);
-    auto rt = right->Generate(w, seeds);
-    ASSERT_TRUE(lt.ok());
-    ASSERT_TRUE(rt.ok());
-    auto oracle = NestedLoopJoinOracle(lt.value(), rt.value(), join.value());
-    ASSERT_TRUE(oracle.ok());
-    ASSERT_EQ(streamed.value().num_rows(), oracle.value().num_rows());
-    for (std::size_t r = 0; r < oracle.value().num_rows(); ++r) {
-      const Row& got = streamed.value().row(r);
-      const Row& expect = oracle.value().row(r);
-      ASSERT_EQ(got.size(), expect.size());
-      for (std::size_t c = 0; c < expect.size(); ++c) {
-        EXPECT_TRUE(got[c] == expect[c]) << "row " << r << " col " << c;
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// FoldJoinedVGColumns: the full differential grid. Reference = serial
-// boxed (threads=1, columnar off); every (storage, algorithm, threads,
-// batch) combination must reproduce its metrics bit-for-bit.
+// FoldJoinedVGColumns: the full differential grid. Reference = the serial
+// boxed nested-loop fold; every (algorithm, cache, threads, batch)
+// combination must reproduce its metrics bit-for-bit.
 // ---------------------------------------------------------------------------
 
 class JoinFoldTest : public ::testing::Test {
@@ -574,15 +526,40 @@ class JoinFoldTest : public ::testing::Test {
     return config;
   }
 
-  // Serial boxed reference at batch 1 — the most granular serial walk.
+  // Serial boxed nested-loop fold (boxed_reference.h).
   Result<std::map<std::string, OutputMetrics>> Reference(
       const VGTableFunctionPtr& left, const VGTableFunctionPtr& right,
-      const JoinSpec& keys, const std::vector<std::string>& columns) {
+      const JoinSpec& keys, const std::vector<std::string>& columns,
+      SeedSchema schema = SeedSchema::kV1) {
     RunConfig config = BaseConfig();
-    config.columnar_storage = false;
-    config.num_threads = 1;
-    config.batch_size = 1;
-    return Fold(left, right, keys, columns, config);
+    config.seed_schema = schema;
+    const SeedVector seeds(config.master_seed, kWorlds, schema);
+    return test::BoxedFoldJoinedVGColumns(*left, *right, keys, columns,
+                                          kWorlds, seeds, config);
+  }
+
+  /// Calls fn(config, cache) at every grid point x algorithm x {uncached,
+  /// cached}, a fresh cache per call.
+  template <typename Fn>
+  void ForEachJoinPath(const RunConfig& base, Fn&& fn) {
+    test::ForEachGridPoint([&](std::size_t threads, std::size_t batch) {
+      for (JoinAlgorithm algorithm :
+           {JoinAlgorithm::kSortMerge, JoinAlgorithm::kHash}) {
+        for (bool cached : {false, true}) {
+          SCOPED_TRACE(::testing::Message()
+                       << (algorithm == JoinAlgorithm::kSortMerge
+                               ? "sort-merge"
+                               : "hash")
+                       << (cached ? " cached" : ""));
+          RunConfig config = base;
+          config.join_algorithm = algorithm;
+          config.num_threads = threads;
+          config.batch_size = batch;
+          WorldCache cache;
+          fn(config, cached ? &cache : nullptr);
+        }
+      }
+    });
   }
 
   void ExpectGridBitIdentical(const VGTableFunctionPtr& left,
@@ -591,26 +568,13 @@ class JoinFoldTest : public ::testing::Test {
                               const std::vector<std::string>& columns) {
     auto reference = Reference(left, right, keys, columns);
     ASSERT_TRUE(reference.ok()) << reference.status().ToString();
-    test::ForEachGridPoint([&](std::size_t threads, std::size_t batch) {
-      for (bool columnar : {false, true}) {
-        for (JoinAlgorithm algorithm :
-             {JoinAlgorithm::kSortMerge, JoinAlgorithm::kHash}) {
-          SCOPED_TRACE(::testing::Message()
-                       << (columnar ? "columnar" : "boxed") << " "
-                       << (algorithm == JoinAlgorithm::kSortMerge
-                               ? "sort-merge"
-                               : "hash"));
-          RunConfig config = BaseConfig();
-          config.columnar_storage = columnar;
-          config.join_algorithm = algorithm;
-          config.num_threads = threads;
-          config.batch_size = batch;
-          auto got = Fold(left, right, keys, columns, config);
-          ASSERT_TRUE(got.ok()) << got.status().ToString();
-          ExpectSameMetrics(reference.value(), got.value());
-        }
-      }
-    });
+    ForEachJoinPath(BaseConfig(),
+                    [&](const RunConfig& config, WorldCache* cache) {
+                      auto got = Fold(left, right, keys, columns, config,
+                                      cache);
+                      ASSERT_TRUE(got.ok()) << got.status().ToString();
+                      ExpectSameMetrics(reference.value(), got.value());
+                    });
   }
 };
 
@@ -637,32 +601,18 @@ TEST_F(JoinFoldTest, UsersJoinItemsBothSeedSchemas) {
   for (SeedSchema schema : {SeedSchema::kV1, SeedSchema::kV2}) {
     SCOPED_TRACE(schema == SeedSchema::kV1 ? "seed schema v1"
                                            : "seed schema v2");
-    RunConfig ref_config = BaseConfig();
-    ref_config.seed_schema = schema;
-    ref_config.columnar_storage = false;
-    ref_config.num_threads = 1;
-    ref_config.batch_size = 1;
-    auto reference = Fold(users, items, keys, columns, ref_config);
+    auto reference = Reference(users, items, keys, columns, schema);
     ASSERT_TRUE(reference.ok()) << reference.status().ToString();
     // The join keys overlap by construction (user ids live inside the
     // item id range), so the differential is not vacuous.
     ASSERT_GT(reference.value().at("requirement").count, 0);
 
-    test::ForEachGridPoint([&](std::size_t threads, std::size_t batch) {
-      for (bool columnar : {false, true}) {
-        for (JoinAlgorithm algorithm :
-             {JoinAlgorithm::kSortMerge, JoinAlgorithm::kHash}) {
-          RunConfig config = BaseConfig();
-          config.seed_schema = schema;
-          config.columnar_storage = columnar;
-          config.join_algorithm = algorithm;
-          config.num_threads = threads;
-          config.batch_size = batch;
-          auto got = Fold(users, items, keys, columns, config);
-          ASSERT_TRUE(got.ok()) << got.status().ToString();
-          ExpectSameMetrics(reference.value(), got.value());
-        }
-      }
+    RunConfig base = BaseConfig();
+    base.seed_schema = schema;
+    ForEachJoinPath(base, [&](const RunConfig& config, WorldCache* cache) {
+      auto got = Fold(users, items, keys, columns, config, cache);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      ExpectSameMetrics(reference.value(), got.value());
     });
   }
 }
@@ -696,7 +646,6 @@ TEST_F(JoinFoldTest, WorldCacheSharesRealizationsAcrossRuns) {
 
   WorldCache cache;
   RunConfig config = BaseConfig();
-  config.columnar_storage = true;
   config.num_threads = 2;
   config.batch_size = 7;
   auto cached = Fold(left, right, keys, columns, config, &cache);
@@ -705,18 +654,40 @@ TEST_F(JoinFoldTest, WorldCacheSharesRealizationsAcrossRuns) {
   // One generation per (table, world), none for cache hits afterwards.
   EXPECT_EQ(cache.generation_count(), 2 * kWorlds);
 
+  // A rerun on the other kernel re-reads the same cache entries.
+  config.join_algorithm = JoinAlgorithm::kHash;
   auto rerun = Fold(left, right, keys, columns, config, &cache);
   ASSERT_TRUE(rerun.ok());
   ExpectSameMetrics(reference.value(), rerun.value());
   EXPECT_EQ(cache.generation_count(), 2 * kWorlds);
+}
 
-  // The boxed twin re-reads the same cache entries (conversion between
-  // representations never counts as a generation).
-  config.columnar_storage = false;
-  auto boxed = Fold(left, right, keys, columns, config, &cache);
-  ASSERT_TRUE(boxed.ok());
-  ExpectSameMetrics(reference.value(), boxed.value());
-  EXPECT_EQ(cache.generation_count(), 2 * kWorlds);
+TEST_F(JoinFoldTest, SeedVectorShorterThanWorldsIsInvalidArgument) {
+  // 64 worlds over a 4-seed vector: rejected before either side is
+  // realized, under both seed schemas.
+  auto users = MakeUsersVGTable(8, 0.8, 5.0, 2.0);
+  auto items = MakeScalingItemsVGTable(10);
+  const std::vector<std::string> columns = {"requirement", "demand"};
+  for (SeedSchema schema : {SeedSchema::kV1, SeedSchema::kV2}) {
+    SCOPED_TRACE(static_cast<int>(schema));
+    const SeedVector seeds(7, 4, schema);
+    RunConfig base = BaseConfig();
+    base.seed_schema = schema;
+    ForEachJoinPath(base, [&](const RunConfig& config, WorldCache* cache) {
+      ThreadPool pool(config.num_threads);
+      auto got = FoldJoinedVGColumns(
+          users, items, {"user_id", "item_id"}, columns, 64, seeds, config,
+          config.num_threads > 1 ? &pool : nullptr, cache);
+      ASSERT_FALSE(got.ok());
+      EXPECT_EQ(got.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_EQ(got.status().message(),
+                "fold over 64 worlds needs one seed per world; the seed "
+                "vector holds 4");
+      if (cache != nullptr) {
+        EXPECT_EQ(cache->generation_count(), 0u);
+      }
+    });
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -734,24 +705,15 @@ class JoinErrorTest : public JoinFoldTest {
     auto reference = Reference(left, right, keys, columns);
     ASSERT_FALSE(reference.ok());
     EXPECT_EQ(reference.status().message(), expected_message);
-    test::ForEachGridPoint([&](std::size_t threads, std::size_t batch) {
-      for (bool columnar : {false, true}) {
-        for (JoinAlgorithm algorithm :
-             {JoinAlgorithm::kSortMerge, JoinAlgorithm::kHash}) {
-          SCOPED_TRACE(::testing::Message()
-                       << (columnar ? "columnar" : "boxed"));
-          RunConfig config = BaseConfig();
-          config.columnar_storage = columnar;
-          config.join_algorithm = algorithm;
-          config.num_threads = threads;
-          config.batch_size = batch;
-          auto got = Fold(left, right, keys, columns, config);
-          ASSERT_FALSE(got.ok());
-          EXPECT_EQ(got.status().code(), reference.status().code());
-          EXPECT_EQ(got.status().message(), expected_message);
-        }
-      }
-    });
+    ForEachJoinPath(BaseConfig(),
+                    [&](const RunConfig& config, WorldCache* cache) {
+                      auto got = Fold(left, right, keys, columns, config,
+                                      cache);
+                      ASSERT_FALSE(got.ok());
+                      EXPECT_EQ(got.status().code(),
+                                reference.status().code());
+                      EXPECT_EQ(got.status().message(), expected_message);
+                    });
   }
 };
 

@@ -199,6 +199,24 @@ TEST(ExprTest, ArithmeticAndComparison) {
   EXPECT_TRUE(cmp->Eval(ctx).value().AsBool());
 }
 
+TEST(ExprTest, ToStringRendersEveryOperator) {
+  const std::pair<BinaryOp, const char*> ops[] = {
+      {BinaryOp::kAdd, "+"},  {BinaryOp::kSub, "-"},  {BinaryOp::kMul, "*"},
+      {BinaryOp::kDiv, "/"},  {BinaryOp::kLt, "<"},   {BinaryOp::kLe, "<="},
+      {BinaryOp::kGt, ">"},   {BinaryOp::kGe, ">="},  {BinaryOp::kEq, "="},
+      {BinaryOp::kNe, "<>"},  {BinaryOp::kAnd, "AND"}, {BinaryOp::kOr, "OR"}};
+  for (const auto& [op, name] : ops) {
+    EXPECT_EQ(MakeBinary(op, MakeColumnRef(0, "a"), MakeParamRef(0, "p"))
+                  ->ToString(),
+              std::string("(a ") + name + " @p)");
+  }
+  EXPECT_EQ(MakeNot(MakeLiteral(Value(true)))->ToString(), "NOT true");
+  std::vector<std::pair<ExprPtr, ExprPtr>> branches;
+  branches.emplace_back(MakeAliasRef(0, "x"), MakeLiteral(Value(1.0)));
+  EXPECT_EQ(MakeCase(std::move(branches), MakeLiteral(Value(2.5)))->ToString(),
+            "CASE WHEN x THEN 1 ELSE 2.5 END");
+}
+
 TEST(ExprTest, LogicShortCircuits) {
   EvalContext ctx;
   // false AND <error> must not evaluate the error side.
@@ -691,15 +709,6 @@ TEST(OperatorTest, ProjectAliasesVisibleToLaterItems) {
   EXPECT_DOUBLE_EQ(result.value().row(0)[1].AsDouble(), 6.0);
 }
 
-Table MakeDeptTable() {
-  Schema schema(std::vector<Column>{{"dept_id", ValueType::kInt},
-                                    {"dept", ValueType::kString}});
-  Table t(schema);
-  MustAddRow(t, {Value(std::int64_t{0}), Value(std::string("eng"))});
-  MustAddRow(t, {Value(std::int64_t{1}), Value(std::string("ops"))});
-  return t;
-}
-
 Table MakeEmpTable() {
   Schema schema(std::vector<Column>{{"name", ValueType::kString},
                                     {"dept_id", ValueType::kInt}});
@@ -710,32 +719,6 @@ Table MakeEmpTable() {
   MustAddRow(t,
              {Value(std::string("dee")), Value(std::int64_t{9})});  // dangling
   return t;
-}
-
-TEST(OperatorTest, HashJoinMatchesNestedLoopJoin) {
-  const Table emp = MakeEmpTable();
-  const Table dept = MakeDeptTable();
-  EvalContext ctx;
-
-  auto nlj = MakeNestedLoopJoin(
-      MakeTableScan(&emp), MakeTableScan(&dept),
-      MakeBinary(BinaryOp::kEq, MakeColumnRef(1, "emp.dept_id"),
-                 MakeColumnRef(2, "dept.dept_id")));
-  auto hash = MakeHashJoin(MakeTableScan(&emp), MakeTableScan(&dept), {1},
-                           {0});
-  auto a = ExecuteToTable(*nlj, ctx);
-  auto b = ExecuteToTable(*hash, ctx);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_EQ(a.value().num_rows(), 3u);
-  ASSERT_EQ(b.value().num_rows(), 3u);
-  // Same multiset of joined names (order may differ).
-  std::vector<std::string> na, nb;
-  for (const auto& r : a.value().rows()) na.push_back(r[0].AsString());
-  for (const auto& r : b.value().rows()) nb.push_back(r[0].AsString());
-  std::sort(na.begin(), na.end());
-  std::sort(nb.begin(), nb.end());
-  EXPECT_EQ(na, nb);
 }
 
 TEST(OperatorTest, HashAggregateGroupsAndFolds) {
@@ -786,30 +769,6 @@ TEST(OperatorTest, AggregateKinds) {
   EXPECT_DOUBLE_EQ(r[3].AsDouble(), 6.0);
 }
 
-TEST(OperatorTest, SortAscendingAndDescending) {
-  const Table t = MakeToyTable();
-  EvalContext ctx;
-  auto asc = ExecuteToTable(
-      *MakeSort(MakeTableScan(&t), {SortKey{1, true}}), ctx);
-  ASSERT_TRUE(asc.ok());
-  EXPECT_DOUBLE_EQ(asc.value().row(0)[1].AsDouble(), 0.0);
-  auto desc = ExecuteToTable(
-      *MakeSort(MakeTableScan(&t), {SortKey{1, false}}), ctx);
-  ASSERT_TRUE(desc.ok());
-  EXPECT_DOUBLE_EQ(desc.value().row(0)[1].AsDouble(), 6.0);
-}
-
-TEST(OperatorTest, LimitTruncates) {
-  const Table t = MakeToyTable();
-  EvalContext ctx;
-  auto result = ExecuteToTable(*MakeLimit(MakeTableScan(&t), 2), ctx);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result.value().num_rows(), 2u);
-  auto zero = ExecuteToTable(*MakeLimit(MakeTableScan(&t), 0), ctx);
-  ASSERT_TRUE(zero.ok());
-  EXPECT_EQ(zero.value().num_rows(), 0u);
-}
-
 // ---------------------------------------------------------------------------
 // VG tables & world cache
 // ---------------------------------------------------------------------------
@@ -841,9 +800,9 @@ TEST(WorldCacheTest, GeneratesOncePerWorld) {
   auto users = MakeUsersVGTable(50, 0.05, 0.05, 0.3);
   SeedVector seeds(78, 10);
   WorldCache cache;
-  auto a = cache.GetOrGenerate(*users, 3, seeds);
-  auto b = cache.GetOrGenerate(*users, 3, seeds);
-  auto c = cache.GetOrGenerate(*users, 4, seeds);
+  auto a = cache.GetOrGenerateColumnar(*users, 3, seeds);
+  auto b = cache.GetOrGenerateColumnar(*users, 3, seeds);
+  auto c = cache.GetOrGenerateColumnar(*users, 4, seeds);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   ASSERT_TRUE(c.ok());

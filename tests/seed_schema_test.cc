@@ -218,12 +218,17 @@ TEST_F(SeedSchemaScriptTest, SweepBitIdenticalOnGrid) {
       "       demand - capacity AS gap INTO r;"
       "MONTECARLO OVER @w;";
 
+  auto bound = sql::ParseAndBind(script, registry_);
+  ASSERT_TRUE(bound.ok()) << bound.status().message();
+  ASSERT_TRUE(bound.value().program->compiled());
+  sql::BoundScript interpreted = bound.value();
+  sql::UseInterpretedExpressions(interpreted);
+
   RunConfig ref_cfg = V2Config(96, 8);
   ref_cfg.batch_size = 1;
   ref_cfg.keep_samples = true;
-  ref_cfg.compile_expressions = false;
   sql::ScriptRunner reference(&registry_, ref_cfg);
-  const auto expected = reference.Run(script);
+  const auto expected = reference.RunBound(interpreted, {});
   ASSERT_TRUE(expected.ok()) << expected.status().message();
 
   test::ForEachGridPoint([&](std::size_t threads, std::size_t batch) {
@@ -232,9 +237,9 @@ TEST_F(SeedSchemaScriptTest, SweepBitIdenticalOnGrid) {
       RunConfig cfg = ref_cfg;
       cfg.batch_size = batch;
       cfg.num_threads = threads;
-      cfg.compile_expressions = compiled;
       sql::ScriptRunner runner(&registry_, cfg);
-      const auto got = runner.Run(script);
+      const auto got =
+          runner.RunBound(compiled ? bound.value() : interpreted, {});
       ASSERT_TRUE(got.ok()) << got.status().message();
       ASSERT_TRUE(got.value().montecarlo.has_value());
       const auto& gm = *got.value().montecarlo;
@@ -335,15 +340,15 @@ TEST(SeedSchemaWorldCacheTest, SchemasRealizeDisjointEntries) {
   const auto users = pdb::MakeUsersVGTable(10, 0.05, 0.05, 0.3, 2);
   const SeedVector v1(kSeed, 8, SeedSchema::kV1);
   const SeedVector v2(kSeed, 8, SeedSchema::kV2);
-  ASSERT_TRUE(cache.GetOrGenerate(*users, 0, v1).ok());
+  ASSERT_TRUE(cache.GetOrGenerateColumnar(*users, 0, v1).ok());
   EXPECT_EQ(cache.generation_count(), 1u);
   // Same (table, master, world) under the other schema is a MISS — its
   // draws differ, so sharing the entry would silently mix derivations.
-  ASSERT_TRUE(cache.GetOrGenerate(*users, 0, v2).ok());
+  ASSERT_TRUE(cache.GetOrGenerateColumnar(*users, 0, v2).ok());
   EXPECT_EQ(cache.generation_count(), 2u);
   // Repeat probes under each schema hit their own entries.
-  ASSERT_TRUE(cache.GetOrGenerate(*users, 0, v1).ok());
-  ASSERT_TRUE(cache.GetOrGenerate(*users, 0, v2).ok());
+  ASSERT_TRUE(cache.GetOrGenerateColumnar(*users, 0, v1).ok());
+  ASSERT_TRUE(cache.GetOrGenerateColumnar(*users, 0, v2).ok());
   EXPECT_EQ(cache.generation_count(), 2u);
 }
 

@@ -214,15 +214,14 @@ TEST_F(ServeGridTest, MixedWorkloadUnderSaturationMatchesTwins) {
   }
 }
 
-TEST_F(ServeGridTest, InterpretedTwinSessionsMatchTheirOwnOracle) {
-  // A session that opts out of compiled expressions runs the published
-  // interpreted plan twin — and must match a standalone interpreted run,
-  // while a compiled sibling (running concurrently) matches its own.
+TEST_F(ServeGridTest, ConcurrentSessionsMatchInterpretedTwins) {
+  // Sessions run the published compiled plan; each must match the
+  // standalone interpreted twin of the same text under its own seed
+  // (UseInterpretedExpressions before RunBound), while a sibling runs
+  // concurrently.
   SessionServer server(&registry_, BaseConfig(8));
   ASSERT_TRUE(server.Publish("sweep", kSweepScript).ok());
-  SessionOptions interp;
-  interp.compile_expressions = false;
-  Session& a = server.Connect(interp);
+  Session& a = server.Connect();
   Session& b = server.Connect();
   Result<ScriptOutcome> ra = Status::Internal("not run");
   Result<ScriptOutcome> rb = Status::Internal("not run");
@@ -230,16 +229,44 @@ TEST_F(ServeGridTest, InterpretedTwinSessionsMatchTheirOwnOracle) {
   std::thread tb([&] { rb = b.Run("sweep"); });
   ta.join();
   tb.join();
-  ASSERT_TRUE(ra.ok()) << ra.status().ToString();
-  ASSERT_TRUE(rb.ok()) << rb.status().ToString();
-  EXPECT_FALSE(ra.value().bound.program->compiled());
-  EXPECT_TRUE(rb.value().bound.program->compiled());
-  auto twin_a = RunStandalone(a, kSweepScript);
-  auto twin_b = RunStandalone(b, kSweepScript);
-  ASSERT_TRUE(twin_a.ok());
-  ASSERT_TRUE(twin_b.ok());
-  ExpectSameOutcome(ra.value(), twin_a.value());
-  ExpectSameOutcome(rb.value(), twin_b.value());
+  auto bound = sql::ParseAndBind(kSweepScript, registry_);
+  ASSERT_TRUE(bound.ok()) << bound.status().ToString();
+  sql::UseInterpretedExpressions(bound.value());
+  for (auto [session, outcome] : {std::pair{&a, &ra}, std::pair{&b, &rb}}) {
+    SCOPED_TRACE(::testing::Message() << "session " << session->id());
+    ASSERT_TRUE(outcome->ok()) << outcome->status().ToString();
+    EXPECT_TRUE(outcome->value().bound.program->compiled());
+    ScriptRunner runner(&registry_, StandaloneTwinConfig(*session));
+    auto twin = runner.RunBound(bound.value(), {});
+    ASSERT_TRUE(twin.ok()) << twin.status().ToString();
+    EXPECT_FALSE(twin.value().bound.program->compiled());
+    ExpectSameOutcome(outcome->value(), twin.value());
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Ad-hoc text runs
+// ---------------------------------------------------------------------------
+
+using ServeAdHocTest = ServeTest;
+
+TEST_F(ServeAdHocTest, RunTextMatchesStandaloneTwinAndCountsSessions) {
+  // RunText parses and binds per call, publishes nothing, and still runs
+  // under the session's seed on the shared pool.
+  SessionServer server(&registry_, BaseConfig(2));
+  EXPECT_EQ(server.session_count(), 0u);
+  Session& a = server.Connect();
+  Session& b = server.Connect();
+  EXPECT_EQ(server.session_count(), 2u);
+  for (Session* session : {&a, &b}) {
+    SCOPED_TRACE(::testing::Message() << "session " << session->id());
+    auto outcome = session->RunText(kMonteCarloScript);
+    ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+    auto twin = RunStandalone(*session, kMonteCarloScript);
+    ASSERT_TRUE(twin.ok()) << twin.status().ToString();
+    ExpectSameOutcome(outcome.value(), twin.value());
+  }
+  EXPECT_TRUE(server.catalog()->empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -304,9 +331,9 @@ TEST_F(ServeWorldCacheTest, GenerationCountStableUnderCrossSessionRaces) {
   // Serial oracle: one namespace realizing every world once.
   pdb::WorldCache serial_cache;
   SeedVector serial_seeds(7, kWorlds);
-  std::vector<const pdb::Table*> serial_tables(kWorlds);
+  std::vector<const pdb::ColumnarTable*> serial_tables(kWorlds);
   for (std::size_t w = 0; w < kWorlds; ++w) {
-    auto t = serial_cache.GetOrGenerate(*users, w, serial_seeds);
+    auto t = serial_cache.GetOrGenerateColumnar(*users, w, serial_seeds);
     ASSERT_TRUE(t.ok());
     serial_tables[w] = t.value();
   }
@@ -325,7 +352,7 @@ TEST_F(ServeWorldCacheTest, GenerationCountStableUnderCrossSessionRaces) {
       workers.emplace_back([&, s] {
         SeedVector seeds(7, kWorlds);
         for (std::size_t w = 0; w < kWorlds; ++w) {
-          auto t = cache.GetOrGenerate(*users, w, seeds);
+          auto t = cache.GetOrGenerateColumnar(*users, w, seeds);
           if (!t.ok()) return;
           // Spot-check shape against the serial oracle (values are
           // pointer-identical: first insert wins, later hits read it).
@@ -350,7 +377,7 @@ TEST_F(ServeWorldCacheTest, GenerationCountStableUnderCrossSessionRaces) {
       workers.emplace_back([&, s] {
         SeedVector seeds(SessionSeed(7, s), kWorlds);
         for (std::size_t w = 0; w < kWorlds; ++w) {
-          if (!cache.GetOrGenerate(*users, w, seeds).ok()) return;
+          if (!cache.GetOrGenerateColumnar(*users, w, seeds).ok()) return;
         }
         ok[s] = true;
       });
@@ -543,7 +570,7 @@ TEST_F(ServeBasisStoreTest, WarmStoreServesSharedNamespaceDeterministically) {
   sql::SnapshotResources res;
   res.basis_store = snapshot.value()->basis_store.get();
   auto twin = serial.RunBound(
-      sql::BoundScript(*snapshot.value()->compiled), {}, res);
+      sql::BoundScript(*snapshot.value()->bound), {}, res);
   ASSERT_TRUE(twin.ok()) << twin.status().ToString();
   ExpectSameOutcome(ra.value(), twin.value());
 }

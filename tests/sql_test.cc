@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "boxed_reference.h"
 #include "grid_test_util.h"
 #include "models/cloud_models.h"
 #include "sql/binder.h"
@@ -586,9 +587,19 @@ class CompiledExprTest : public BinderTest {
     cfg.num_samples = samples;
     cfg.num_threads = threads;
     cfg.batch_size = batch;
-    cfg.compile_expressions = compiled;
     ScriptRunner runner(&registry_, cfg);
-    return runner.Run(text);
+    return RunPath(runner, text, compiled);
+  }
+
+  /// Runs `text` on the binder's plan (compiled where it could be) or on
+  /// its interpreted twin: the same plan with UseInterpretedExpressions
+  /// applied before RunBound.
+  Result<ScriptOutcome> RunPath(
+      ScriptRunner& runner, const std::string& text, bool compiled,
+      const std::vector<std::pair<std::string, double>>& overrides = {}) {
+    JIGSAW_ASSIGN_OR_RETURN(BoundScript bound, ParseAndBind(text, registry_));
+    if (!compiled) UseInterpretedExpressions(bound);
+    return runner.RunBound(std::move(bound), overrides);
   }
 
   static void ExpectSameMetrics(
@@ -664,13 +675,15 @@ INTO results;
   ASSERT_TRUE(bound.value().program->compiled())
       << bound.value().program->batch_fallback_reason;
 
+  BoundScript interpreted = bound.value();
+  UseInterpretedExpressions(interpreted);
+
   for (bool use_jump : {false, true}) {
     RunConfig ref_cfg;
     ref_cfg.num_samples = 150;
     ref_cfg.fingerprint_size = 10;
-    ref_cfg.compile_expressions = false;
     ChainRunStats ref_stats;
-    auto reference = RunChainScenario(bound.value(), "demand", 30, ref_cfg,
+    auto reference = RunChainScenario(interpreted, "demand", 30, ref_cfg,
                                       use_jump, &ref_stats);
     ASSERT_TRUE(reference.ok()) << reference.status().ToString();
 
@@ -679,7 +692,6 @@ INTO results;
                    << "jump=" << use_jump << " batch=" << batch);
       RunConfig cfg = ref_cfg;
       cfg.batch_size = batch;
-      cfg.compile_expressions = true;
       ChainRunStats stats;
       auto compiled =
           RunChainScenario(bound.value(), "demand", 30, cfg, use_jump,
@@ -849,12 +861,11 @@ class MonteCarloSweepTest : public CompiledExprTest {
     cfg.num_samples = samples;
     cfg.num_threads = threads;
     cfg.batch_size = batch;
-    cfg.compile_expressions = compiled;
     // Retain raw samples so the grid checks draw-level identity, not just
     // summary statistics.
     cfg.keep_samples = true;
     ScriptRunner runner(&registry_, cfg);
-    return runner.Run(text, overrides);
+    return RunPath(runner, text, compiled, overrides);
   }
 
   /// Metric equality plus bitwise draw equality (keep_samples runs).
@@ -1311,7 +1322,7 @@ MONTECARLO FROM users(20, 0.8, 5.0, 2.0) AS u JOIN items(30) AS i
     return jigsaw::StrFormat(kJoinScript, suffix.c_str());
   }
 
-  Result<ScriptOutcome> RunJoin(const std::string& text, bool columnar,
+  Result<ScriptOutcome> RunJoin(const std::string& text,
                                 JoinAlgorithm algorithm, std::size_t threads,
                                 std::size_t batch,
                                 std::size_t samples = 12) {
@@ -1319,10 +1330,26 @@ MONTECARLO FROM users(20, 0.8, 5.0, 2.0) AS u JOIN items(30) AS i
     cfg.num_samples = samples;
     cfg.num_threads = threads;
     cfg.batch_size = batch;
-    cfg.columnar_storage = columnar;
     cfg.join_algorithm = algorithm;
     ScriptRunner runner(&registry_, cfg);
     return runner.Run(text);
+  }
+
+  /// The serial boxed nested-loop fold (boxed_reference.h) of the bound
+  /// join, over every numeric joined column — what a 12-world statement
+  /// under the default seed must report.
+  Result<std::map<std::string, OutputMetrics>> BoxedReference(
+      const std::string& text) {
+    JIGSAW_ASSIGN_OR_RETURN(BoundScript bound, ParseAndBind(text, registry_));
+    const MonteCarloJoinSpec& join = *bound.montecarlo->join;
+    std::vector<std::string> columns;
+    for (const auto& col : join.resolved.output.columns()) {
+      if (col.type != pdb::ValueType::kString) columns.push_back(col.name);
+    }
+    const RunConfig cfg;
+    const SeedVector seeds(cfg.master_seed, 12, cfg.seed_schema);
+    return test::BoxedFoldJoinedVGColumns(*join.left, *join.right, join.keys,
+                                          columns, 12, seeds, cfg);
   }
 
   static void ExpectSameMetrics(
@@ -1355,8 +1382,7 @@ MONTECARLO FROM users(20, 0.8, 5.0, 2.0) AS u JOIN items(30) AS i
 };
 
 TEST_F(JoinSqlTest, SummarizesEveryNumericJoinedColumn) {
-  auto outcome = RunJoin(Script(""), /*columnar=*/true,
-                         JoinAlgorithm::kSortMerge, 1, 64);
+  auto outcome = RunJoin(Script(""), JoinAlgorithm::kSortMerge, 1, 64);
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
   const auto& mc = *outcome.value().montecarlo;
   EXPECT_EQ(mc.join, "users AS u JOIN items AS i ON u.user_id = i.item_id");
@@ -1374,27 +1400,24 @@ TEST_F(JoinSqlTest, SummarizesEveryNumericJoinedColumn) {
             std::string::npos);
 }
 
-TEST_F(JoinSqlTest, EnginesStorageAndAlgorithmsBitIdenticalAcrossGrid) {
-  // Reference: DIRECT, boxed, serial nested-loop oracle.
-  auto reference = RunJoin(Script(""), /*columnar=*/false,
-                           JoinAlgorithm::kSortMerge, 1, 1);
+TEST_F(JoinSqlTest, EnginesAndAlgorithmsBitIdenticalToBoxedAcrossGrid) {
+  // Reference: the serial boxed nested-loop fold of the bound join.
+  auto reference = BoxedReference(Script(""));
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  ASSERT_EQ(reference.value().size(), 7u);
   test::ForEachGridPoint([&](std::size_t threads, std::size_t batch) {
     for (const char* engine : {"", " USING DIRECT", " USING LAYERED"}) {
-      for (bool columnar : {false, true}) {
-        for (JoinAlgorithm algorithm :
-             {JoinAlgorithm::kSortMerge, JoinAlgorithm::kHash}) {
-          SCOPED_TRACE(::testing::Message()
-                       << "engine=" << (engine[0] ? engine : " default")
-                       << (columnar ? " columnar" : " boxed"));
-          auto got =
-              RunJoin(Script(engine), columnar, algorithm, threads, batch);
-          ASSERT_TRUE(got.ok()) << got.status().ToString();
-          EXPECT_EQ(got.value().montecarlo->layered,
-                    std::string(engine) == " USING LAYERED");
-          ExpectSameMetrics(reference.value().montecarlo->columns,
-                            got.value().montecarlo->columns);
-        }
+      for (JoinAlgorithm algorithm :
+           {JoinAlgorithm::kSortMerge, JoinAlgorithm::kHash}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "engine=" << (engine[0] ? engine : " default")
+                     << (algorithm == JoinAlgorithm::kHash ? " hash"
+                                                           : " sort-merge"));
+        auto got = RunJoin(Script(engine), algorithm, threads, batch);
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        EXPECT_EQ(got.value().montecarlo->layered,
+                  std::string(engine) == " USING LAYERED");
+        ExpectSameMetrics(reference.value(), got.value().montecarlo->columns);
       }
     }
   });
@@ -1408,28 +1431,24 @@ TEST_F(JoinSqlTest, SweepPointsBitIdenticalToStandalone) {
       Script(" OVER @w IN (1, 3, 5)");
   const std::string standalone_script =
       "DECLARE PARAMETER @w AS RANGE 0 TO 5 STEP BY 1;" + Script("");
-  for (bool columnar : {false, true}) {
-    auto standalone = RunJoin(standalone_script, columnar,
-                              JoinAlgorithm::kHash, 2, 7);
-    auto sweep = RunJoin(sweep_script, columnar, JoinAlgorithm::kHash, 2, 7);
-    ASSERT_TRUE(standalone.ok()) << standalone.status().ToString();
-    ASSERT_TRUE(sweep.ok()) << sweep.status().ToString();
-    const auto& mc = *sweep.value().montecarlo;
-    EXPECT_EQ(mc.sweep_param, "w");
-    ASSERT_EQ(mc.points.size(), 3u);
-    EXPECT_DOUBLE_EQ(mc.points[1].value, 3.0);
-    for (const auto& point : mc.points) {
-      ExpectSameMetrics(standalone.value().montecarlo->columns,
-                        point.columns);
-    }
+  auto standalone = RunJoin(standalone_script, JoinAlgorithm::kHash, 2, 7);
+  auto sweep = RunJoin(sweep_script, JoinAlgorithm::kHash, 2, 7);
+  ASSERT_TRUE(standalone.ok()) << standalone.status().ToString();
+  ASSERT_TRUE(sweep.ok()) << sweep.status().ToString();
+  const auto& mc = *sweep.value().montecarlo;
+  EXPECT_EQ(mc.sweep_param, "w");
+  ASSERT_EQ(mc.points.size(), 3u);
+  EXPECT_DOUBLE_EQ(mc.points[1].value, 3.0);
+  for (const auto& point : mc.points) {
+    ExpectSameMetrics(standalone.value().montecarlo->columns, point.columns);
   }
 }
 
 TEST_F(JoinSqlTest, FewerWorldsThanFingerprintSize) {
   // A MONTECARLO statement never samples fingerprints, so 8 worlds under
   // the default m = 10 run; OPTIMIZE does, and returns a typed error.
-  auto join = RunJoin(Script(""), /*columnar=*/true,
-                      JoinAlgorithm::kSortMerge, 2, 64, /*samples=*/8);
+  auto join = RunJoin(Script(""), JoinAlgorithm::kSortMerge, 2, 64,
+                      /*samples=*/8);
   ASSERT_TRUE(join.ok()) << join.status().ToString();
   EXPECT_EQ(join.value().montecarlo->worlds, 8u);
   EXPECT_GT(join.value().montecarlo->columns.at("requirement").count, 0);

@@ -47,6 +47,16 @@ TEST(StatusTest, AllFactoryCodesRoundTrip) {
   EXPECT_EQ(Status::BindError("x").code(), StatusCode::kBindError);
   EXPECT_EQ(Status::ExecutionError("x").code(),
             StatusCode::kExecutionError);
+  // ToString names every code with its stable StatusCodeName.
+  EXPECT_STREQ(StatusCodeName(StatusCode::kOk), "OK");
+  EXPECT_EQ(Status::NotFound("x").ToString(), "NotFound: x");
+  EXPECT_EQ(Status::AlreadyExists("x").ToString(), "AlreadyExists: x");
+  EXPECT_EQ(Status::OutOfRange("x").ToString(), "OutOfRange: x");
+  EXPECT_EQ(Status::Unimplemented("x").ToString(), "Unimplemented: x");
+  EXPECT_EQ(Status::Internal("x").ToString(), "Internal: x");
+  EXPECT_EQ(Status::ParseError("x").ToString(), "ParseError: x");
+  EXPECT_EQ(Status::BindError("x").ToString(), "BindError: x");
+  EXPECT_EQ(Status::ExecutionError("x").ToString(), "ExecutionError: x");
 }
 
 TEST(ResultTest, HoldsValue) {
