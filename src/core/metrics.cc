@@ -61,7 +61,11 @@ std::string OutputMetrics::ToString() const {
       p95);
 }
 
-OutputMetrics Estimator::Finalize() const {
+OutputMetrics Estimator::Finalize() const& {
+  return Estimator(*this).Finalize();
+}
+
+OutputMetrics Estimator::Finalize() && {
   OutputMetrics out;
   out.count = acc_.count();
   out.mean = acc_.mean();
@@ -70,23 +74,21 @@ OutputMetrics Estimator::Finalize() const {
   out.min = acc_.count() ? acc_.min() : 0.0;
   out.max = acc_.count() ? acc_.max() : 0.0;
   if (!all_.empty()) {
-    // Quantiles are taken over the finite mass: NaNs break selection's
-    // strict weak ordering, and the histogram drops them anyway.
-    // QuantileSelect returns the same bits a full sort would; at millions
-    // of folded tuples the O(n log n) sort, not the fold, used to
-    // dominate finalization.
-    std::vector<double> finite;
-    finite.reserve(all_.size());
-    for (double x : all_) {
-      if (std::isfinite(x)) finite.push_back(x);
-    }
-    if (!finite.empty()) {
-      out.p50 = QuantileSelect(finite, 0.50);
-      out.p95 = QuantileSelect(finite, 0.95);
-    }
+    // The histogram (which drops non-finite values itself) and the kept
+    // samples read the values in fold order before selection permutes
+    // them. Quantiles are taken over the finite mass: NaNs break
+    // selection's strict weak ordering. erase_if keeps the survivors in
+    // order, and QuantileSelect returns the same bits a full sort would;
+    // at millions of folded tuples the O(n log n) sort, not the fold,
+    // used to dominate finalization.
     out.histogram = Histogram::FromSamples(all_, histogram_bins_);
+    if (keep_samples_) out.samples = all_;
+    std::erase_if(all_, [](double x) { return !std::isfinite(x); });
+    if (!all_.empty()) {
+      out.p50 = QuantileSelect(all_, 0.50);
+      out.p95 = QuantileSelect(all_, 0.95);
+    }
   }
-  if (keep_samples_) out.samples = all_;
   return out;
 }
 

@@ -7,6 +7,7 @@
 /// distribution; MappedBy() is the M_est of Section 3 — it re-derives the
 /// metrics of a mapped parameter point without re-simulation.
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -74,8 +75,17 @@ class Estimator {
 
   std::int64_t count() const { return acc_.count(); }
 
-  /// Finalizes metrics over everything added so far.
-  OutputMetrics Finalize() const;
+  /// Sizes the retained-value buffer for `n` values in all, so a fold
+  /// that knows its tuple count up front allocates it once instead of
+  /// growing it by doubling.
+  void Reserve(std::size_t n) { all_.reserve(n); }
+
+  /// Finalizes metrics over everything added so far. The consuming
+  /// overload selects the quantiles in place in the retained buffer; the
+  /// const one runs it on a copy of the estimator. Both give the same
+  /// bits.
+  OutputMetrics Finalize() const&;
+  OutputMetrics Finalize() &&;
 
  private:
   WelfordAccumulator acc_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <numeric>
 #include <string_view>
 #include <unordered_map>
 #include <utility>
@@ -24,7 +25,10 @@ using RowPair = std::pair<std::size_t, std::size_t>;
 /// never match (double NaN). Stable sort with a key-only comparator
 /// breaks ties by row index for free (indices are pushed ascending), and
 /// the final (left, right) sort restores the canonical nested-loop order
-/// from the key-grouped merge output.
+/// from the key-grouped merge output. Sorting a range that is already in
+/// order changes nothing, so each of the three sorts runs only when a
+/// one-pass check finds its range out of order: key-ordered sides (such
+/// as generated id columns joined 1:1) skip all three.
 template <typename LKey, typename RKey, typename Usable>
 void SortMergePairs(const ColumnChunk& lcol, std::size_t lf, std::size_t ll,
                     const ColumnChunk& rcol, std::size_t rf, std::size_t rl,
@@ -39,12 +43,18 @@ void SortMergePairs(const ColumnChunk& lcol, std::size_t lf, std::size_t ll,
   for (std::size_t j = rf; j < rl; ++j) {
     if (!rcol.IsNull(j) && usable(rkey(j))) ri.push_back(j);
   }
-  std::stable_sort(li.begin(), li.end(), [&](std::size_t a, std::size_t b) {
+  const auto lless = [&](std::size_t a, std::size_t b) {
     return lkey(a) < lkey(b);
-  });
-  std::stable_sort(ri.begin(), ri.end(), [&](std::size_t a, std::size_t b) {
+  };
+  const auto rless = [&](std::size_t a, std::size_t b) {
     return rkey(a) < rkey(b);
-  });
+  };
+  if (!std::is_sorted(li.begin(), li.end(), lless)) {
+    std::stable_sort(li.begin(), li.end(), lless);
+  }
+  if (!std::is_sorted(ri.begin(), ri.end(), rless)) {
+    std::stable_sort(ri.begin(), ri.end(), rless);
+  }
   std::size_t a = 0, b = 0;
   while (a < li.size() && b < ri.size()) {
     const auto ka = lkey(li[a]);
@@ -67,7 +77,9 @@ void SortMergePairs(const ColumnChunk& lcol, std::size_t lf, std::size_t ll,
       b = b2;
     }
   }
-  std::sort(out->begin(), out->end());
+  if (!std::is_sorted(out->begin(), out->end())) {
+    std::sort(out->begin(), out->end());
+  }
 }
 
 /// Hash/index pair kernel: insertion-ordered build of the right side
@@ -223,30 +235,6 @@ void GatherColumn(const ColumnChunk& src, std::span<const RowPair> pairs,
   }
 }
 
-/// Joins one world's partitions and appends the result to `*out` as the
-/// next world: rows into out->data, one world-id stamp per output row,
-/// and the world's starting row offset. Shared by JoinWorlds (extents)
-/// and the cached-realization path (whole tables are one-world
-/// partitions).
-Status AppendJoinedWorld(const ColumnarTable& left, std::size_t lf,
-                         std::size_t ll, const ColumnarTable& right,
-                         std::size_t rf, std::size_t rl,
-                         const ResolvedJoin& join, JoinAlgorithm algorithm,
-                         std::size_t world_id, WorldExtent* out) {
-  if (out->data.num_columns() == 0) {
-    out->data = ColumnarTable(join.output);
-  }
-  out->row_offsets.push_back(out->data.num_rows());
-  JIGSAW_RETURN_IF_ERROR(JoinPartition(left, lf, ll, right, rf, rl, join,
-                                       algorithm, &out->data));
-  const std::size_t appended =
-      out->data.num_rows() - out->row_offsets.back();
-  for (std::size_t k = 0; k < appended; ++k) {
-    out->world_ids.AppendInt(static_cast<std::int64_t>(world_id));
-  }
-  return Status::OK();
-}
-
 }  // namespace
 
 Result<ResolvedJoin> ResolveJoin(const Schema& left, const Schema& right,
@@ -283,19 +271,18 @@ Status JoinPartition(const ColumnarTable& left, std::size_t left_first,
                      std::size_t left_last, const ColumnarTable& right,
                      std::size_t right_first, std::size_t right_last,
                      const ResolvedJoin& join, JoinAlgorithm algorithm,
+                     std::span<const std::size_t> output_columns,
                      ColumnarTable* out) {
   std::vector<RowPair> pairs;
   MatchPairs(left.column(join.left_slot), left_first, left_last,
              right.column(join.right_slot), right_first, right_last,
              join.key_type, algorithm, &pairs);
-  for (std::size_t c = 0; c < left.num_columns(); ++c) {
-    GatherColumn(left.column(c), pairs, /*from_left=*/true,
-                 &out->column(c));
-  }
-  const std::size_t base = left.num_columns();
-  for (std::size_t c = 0; c < right.num_columns(); ++c) {
-    GatherColumn(right.column(c), pairs, /*from_left=*/false,
-                 &out->column(base + c));
+  const std::size_t num_left = left.num_columns();
+  for (std::size_t c = 0; c < output_columns.size(); ++c) {
+    const std::size_t slot = output_columns[c];
+    const bool from_left = slot < num_left;
+    GatherColumn(from_left ? left.column(slot) : right.column(slot - num_left),
+                 pairs, from_left, &out->column(c));
   }
   return out->CommitAppendedRows();
 }
@@ -309,12 +296,16 @@ Status JoinWorlds(const WorldExtent& left, const WorldExtent& right,
         "joined extents cover different world ranges");
   }
   out->world_begin = left.world_begin;
+  if (out->data.num_columns() == 0) out->data = ColumnarTable(join.output);
+  std::vector<std::size_t> every_column(join.output.num_columns());
+  std::iota(every_column.begin(), every_column.end(), std::size_t{0});
   for (std::size_t k = 0; k < left.row_offsets.size(); ++k) {
     const auto [lf, ll] = left.WorldRows(k);
     const auto [rf, rl] = right.WorldRows(k);
-    JIGSAW_RETURN_IF_ERROR(AppendJoinedWorld(
-        left.data, lf, ll, right.data, rf, rl, join, algorithm,
-        left.world_begin + k, out));
+    out->row_offsets.push_back(out->data.num_rows());
+    JIGSAW_RETURN_IF_ERROR(JoinPartition(left.data, lf, ll, right.data, rf,
+                                         rl, join, algorithm, every_column,
+                                         &out->data));
   }
   return Status::OK();
 }
@@ -325,38 +316,64 @@ Result<std::map<std::string, OutputMetrics>> FoldJoinedVGColumns(
     std::size_t num_worlds, const SeedVector& seeds, const RunConfig& config,
     ThreadPool* pool, WorldCache* cache) {
   // Both schemas (and therefore the joined schema) are world-invariant,
-  // so the join resolves up front — a bad key fails before any
+  // so the join and the requested columns resolve up front against the
+  // full joined schema — a bad key or column fails before any
   // realization, with identical text on every algorithm.
   JIGSAW_ASSIGN_OR_RETURN(
       ResolvedJoin join, ResolveJoin(left->schema(), right->schema(), spec));
-  // Realization interleaves left/right per world so a generator failure
-  // surfaces in the serial order (world-major, left side first).
+  JIGSAW_ASSIGN_OR_RETURN(
+      const std::vector<std::size_t> slots,
+      internal::ResolveFoldColumns(join.output, column_names));
+  // Only the requested columns are ever gathered: `projection` lists each
+  // distinct requested join.output slot once, in first-request order, and
+  // output column s folds projected column fold_slots[s].
+  std::vector<std::size_t> projection, fold_slots;
+  std::vector<Column> projected;
+  for (std::size_t slot : slots) {
+    const auto it = std::find(projection.begin(), projection.end(), slot);
+    fold_slots.push_back(static_cast<std::size_t>(it - projection.begin()));
+    if (it == projection.end()) {
+      projection.push_back(slot);
+      projected.push_back(join.output.column(slot));
+    }
+  }
+  const Schema projected_schema(std::move(projected));
+
+  // One world at a time: both sides realize into world-local tables (or
+  // are borrowed from the WorldCache), match, and only the matched
+  // tuples' requested columns reach the chunk's extent, so neither
+  // whole-chunk inputs nor the full joined relation ever exist. Left
+  // realizes before right in each world, so a generator failure
+  // surfaces in the serial order.
   auto realize = [&](std::size_t begin, std::size_t end,
                      internal::RealizedChunk* chunk) -> Status {
-    if (cache != nullptr) {
-      for (std::size_t w = begin; w < end; ++w) {
-        JIGSAW_ASSIGN_OR_RETURN(const ColumnarTable* lt,
+    WorldExtent& extent = chunk->extent;
+    extent.data = ColumnarTable(projected_schema);
+    for (std::size_t w = begin; w < end; ++w) {
+      ColumnarTable left_world, right_world;
+      const ColumnarTable* lt = &left_world;
+      const ColumnarTable* rt = &right_world;
+      if (cache != nullptr) {
+        JIGSAW_ASSIGN_OR_RETURN(lt,
                                 cache->GetOrGenerateColumnar(*left, w, seeds));
         JIGSAW_ASSIGN_OR_RETURN(
-            const ColumnarTable* rt,
-            cache->GetOrGenerateColumnar(*right, w, seeds));
-        JIGSAW_RETURN_IF_ERROR(AppendJoinedWorld(
-            *lt, 0, lt->num_rows(), *rt, 0, rt->num_rows(), join,
-            config.join_algorithm, w, &chunk->extent));
+            rt, cache->GetOrGenerateColumnar(*right, w, seeds));
+      } else {
+        JIGSAW_ASSIGN_OR_RETURN(left_world, left->GenerateColumnar(w, seeds));
+        JIGSAW_ASSIGN_OR_RETURN(right_world,
+                                right->GenerateColumnar(w, seeds));
       }
-      return Status::OK();
+      extent.row_offsets.push_back(extent.data.num_rows());
+      JIGSAW_RETURN_IF_ERROR(JoinPartition(
+          *lt, 0, lt->num_rows(), *rt, 0, rt->num_rows(), join,
+          config.join_algorithm, projection, &extent.data));
+      // The first world's match count sizes the rest of the chunk, so
+      // the extent's columns grow once instead of by doubling.
+      if (w == begin) extent.data.Reserve(extent.data.num_rows() * (end - w));
     }
-    WorldExtent lext, rext;
-    lext.world_begin = begin;
-    rext.world_begin = begin;
-    for (std::size_t w = begin; w < end; ++w) {
-      JIGSAW_RETURN_IF_ERROR(lext.AppendWorld(*left, w, seeds));
-      JIGSAW_RETURN_IF_ERROR(rext.AppendWorld(*right, w, seeds));
-    }
-    return JoinWorlds(lext, rext, join, config.join_algorithm,
-                      &chunk->extent);
+    return Status::OK();
   };
-  return internal::FoldRealizedWorlds(join.output, column_names, num_worlds,
+  return internal::FoldRealizedWorlds(fold_slots, column_names, num_worlds,
                                       seeds, config, pool, realize);
 }
 

@@ -25,15 +25,16 @@
 /// (not even another NULL), matching SQL semantics; NaN double keys
 /// likewise never match.
 ///
-/// Worlds never mix: the join runs within each world partition of a
-/// WorldExtent, so a W-world join is W independent per-world joins — the
-/// U-relations view of world membership as a condition column that both
-/// sides must agree on ("Fast and Simple Relational Processing of
-/// Uncertain Data"). FoldJoinedVGColumns fans world-chunk cells out on
-/// the shared ThreadPool under the same shard-ownership rule as
-/// FoldVGColumns, then fans the joined output columns out (one fold +
-/// finalize task per column) and folds joined numeric kDouble columns
-/// into Estimator::AddSpan zero-copy.
+/// Worlds never mix: the join runs within each world partition, so a
+/// W-world join is W independent per-world joins — the U-relations view
+/// of world membership as a condition column that both sides must agree
+/// on ("Fast and Simple Relational Processing of Uncertain Data").
+/// FoldJoinedVGColumns fans world-chunk cells out on the shared
+/// ThreadPool under the same shard-ownership rule as FoldVGColumns, runs
+/// each cell's worlds through a one-world-at-a-time pipeline (realize
+/// both sides, match, gather only the folded columns), then fans the
+/// folded columns out (one fold + finalize task per column) and folds
+/// kDouble columns into Estimator::AddSpan zero-copy.
 
 #include <cstddef>
 #include <map>
@@ -78,24 +79,29 @@ struct ResolvedJoin {
 Result<ResolvedJoin> ResolveJoin(const Schema& left, const Schema& right,
                                  const JoinSpec& spec);
 
-/// Span-kernel join of one world partition: joins rows [left_first,
-/// left_last) of `left` with rows [right_first, right_last) of `right`,
-/// appending the concatenated matches to `*out` (which must have schema
-/// `join.output`) in canonical nested-loop order. Both algorithms are
-/// bit-identical to the nested-loop join over the same partition.
+/// Span-kernel join of one world partition, the match-and-gather kernel
+/// every join path runs: matches rows [left_first, left_last) of `left`
+/// with rows [right_first, right_last) of `right` and appends, for each
+/// matched pair in canonical nested-loop order, the join.output columns
+/// listed in `output_columns` (join.output slots, in order; a slot may
+/// repeat) to `*out`, whose column i must have the type of
+/// join.output column output_columns[i]. Both algorithms are
+/// bit-identical to the nested-loop join over the same partition,
+/// projected to the same columns.
 Status JoinPartition(const ColumnarTable& left, std::size_t left_first,
                      std::size_t left_last, const ColumnarTable& right,
                      std::size_t right_first, std::size_t right_last,
                      const ResolvedJoin& join, JoinAlgorithm algorithm,
+                     std::span<const std::size_t> output_columns,
                      ColumnarTable* out);
 
 /// World-partitioned join of two realized multi-world extents: world k
 /// of `left` joins world k of `right` (both extents must cover the same
-/// contiguous world range), appending each world's joined partition to
-/// `*out` and stamping its world-id column — the joined relation keeps
-/// the U-relations world annotation next to the data, so it can feed
-/// further world-partitioned operators. `out->data` is initialized to
-/// `join.output` on first use.
+/// contiguous world range) through JoinPartition over every join.output
+/// column, appending each world's joined partition to `*out` and its
+/// first row to `out->row_offsets` — the joined relation keeps its world
+/// partitioning, so it can feed further world-partitioned operators.
+/// `out->data` is initialized to `join.output` if it has no columns yet.
 Status JoinWorlds(const WorldExtent& left, const WorldExtent& right,
                   const ResolvedJoin& join, JoinAlgorithm algorithm,
                   WorldExtent* out);
@@ -104,20 +110,25 @@ Status JoinWorlds(const WorldExtent& left, const WorldExtent& right,
 /// realizes both tables in every world of [0, num_worlds), joins each
 /// world's partitions, and folds each requested numeric column of the
 /// joined relation — every joined tuple of every world, concatenated in
-/// (world, row) order — into an OutputMetrics summary.
+/// (world, row) order — into an OutputMetrics summary. The join and the
+/// requested names resolve against the full joined schema before any
+/// world is realized.
 ///
 /// It runs FoldVGColumns's body (internal::FoldRealizedWorlds): each
 /// batch_size world chunk is one pool task (the shard-ownership rule)
-/// that realizes both sides into its own WorldExtents (interleaving
-/// left/right per world, so generator errors surface in the serial
-/// order) and joins them with config.join_algorithm. Each requested
-/// column then folds and finalizes as its own pool task, reading joined
-/// kDouble chunks zero-copy through Estimator::AddSpan in world order. A
-/// NULL in a folded column surfaces the world-major loop's error: lowest
-/// failing world first, then lowest requested column. Metrics, error
-/// text and error ordering are bit-identical to a serial boxed fold over
-/// the nested-loop join. With a non-null `cache`, realizations go through
-/// the WorldCache.
+/// that pipelines its worlds one at a time — realize left, realize right
+/// (so generator errors surface in the serial order), match with
+/// config.join_algorithm, and append only the requested columns of the
+/// matched tuples to the chunk's extent — so each task holds one world
+/// of input at a time and the unrequested joined columns are never
+/// built. Each requested column then folds and finalizes as its own
+/// pool task, reading the extents' kDouble chunks zero-copy through
+/// Estimator::AddSpan in world order. A NULL in a folded column of a
+/// matched tuple surfaces the world-major loop's error: lowest failing
+/// world first, then lowest requested column. Metrics, error text and
+/// error ordering are bit-identical to a serial boxed fold over the
+/// nested-loop join. With a non-null `cache`, each world's inputs are
+/// borrowed from the WorldCache instead of realized locally.
 Result<std::map<std::string, OutputMetrics>> FoldJoinedVGColumns(
     const VGTableFunctionPtr& left, const VGTableFunctionPtr& right,
     const JoinSpec& spec, std::span<const std::string> column_names,

@@ -63,8 +63,13 @@ Result<std::map<std::string, OutputMetrics>> FoldColumnsByWorld(
     std::size_t failed_world = 0;
   };
   std::vector<ColumnFold> columns(slots.size());
+  std::size_t num_tuples = 0;
+  for (const WorldSlice& world : worlds) {
+    num_tuples += world.last - world.first;
+  }
   auto fold_column = [&](std::size_t s) {
     Estimator est(config.keep_samples, config.histogram_bins);
+    est.Reserve(num_tuples);
     for (std::size_t w = 0; w < worlds.size(); ++w) {
       const WorldSlice& world = worlds[w];
       Status st = FoldChunkColumn(world.table->column(slots[s]), world.first,
@@ -75,7 +80,7 @@ Result<std::map<std::string, OutputMetrics>> FoldColumnsByWorld(
         return;
       }
     }
-    columns[s].metrics = est.Finalize();
+    columns[s].metrics = std::move(est).Finalize();
   };
   if (pool != nullptr && slots.size() >= 2) {
     pool->ParallelFor(slots.size(), fold_column);
@@ -99,13 +104,8 @@ Result<std::map<std::string, OutputMetrics>> FoldColumnsByWorld(
   return out;
 }
 
-Result<std::map<std::string, OutputMetrics>> FoldRealizedWorlds(
-    const Schema& schema, std::span<const std::string> column_names,
-    std::size_t num_worlds, const SeedVector& seeds, const RunConfig& config,
-    ThreadPool* pool, const RealizeChunkFn& realize) {
-  // A VG table's schema (and a join's) is world-invariant, so requested
-  // columns resolve up front — a bad name or a non-numeric column fails
-  // before any realization, with the boxed Table::NumericColumn text.
+Result<std::vector<std::size_t>> ResolveFoldColumns(
+    const Schema& schema, std::span<const std::string> column_names) {
   std::vector<std::size_t> slots;
   slots.reserve(column_names.size());
   for (const auto& name : column_names) {
@@ -117,6 +117,14 @@ Result<std::map<std::string, OutputMetrics>> FoldRealizedWorlds(
     }
     slots.push_back(idx);
   }
+  return slots;
+}
+
+Result<std::map<std::string, OutputMetrics>> FoldRealizedWorlds(
+    std::span<const std::size_t> slots,
+    std::span<const std::string> column_names, std::size_t num_worlds,
+    const SeedVector& seeds, const RunConfig& config, ThreadPool* pool,
+    const RealizeChunkFn& realize) {
   // World w draws from seed w: a short vector would read past its end
   // (v1) or silently run on a vector sized for fewer worlds (v2).
   if (num_worlds > seeds.size()) {
@@ -517,6 +525,9 @@ Result<std::map<std::string, OutputMetrics>> FoldVGColumns(
     const VGTableFunction& fn, std::span<const std::string> column_names,
     std::size_t num_worlds, const SeedVector& seeds, const RunConfig& config,
     ThreadPool* pool, WorldCache* cache) {
+  JIGSAW_ASSIGN_OR_RETURN(std::vector<std::size_t> slots,
+                          internal::ResolveFoldColumns(fn.schema(),
+                                                       column_names));
   auto realize = [&](std::size_t begin, std::size_t end,
                      internal::RealizedChunk* chunk) -> Status {
     for (std::size_t w = begin; w < end; ++w) {
@@ -530,8 +541,8 @@ Result<std::map<std::string, OutputMetrics>> FoldVGColumns(
     }
     return Status::OK();
   };
-  return internal::FoldRealizedWorlds(fn.schema(), column_names, num_worlds,
-                                      seeds, config, pool, realize);
+  return internal::FoldRealizedWorlds(slots, column_names, num_worlds, seeds,
+                                      config, pool, realize);
 }
 
 Result<MonteCarloResult> MonteCarloExecutor::Run(

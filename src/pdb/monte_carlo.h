@@ -169,24 +169,26 @@ struct WorldSlice {
 };
 
 /// The merge and finalize of the tuple-level folds
-/// (FoldRealizedWorlds): output column s — schema slot
-/// `slots[s]`, result name `names[s]` — folds every world of `worlds` in
-/// world order through FoldChunkColumn, then Estimator::Finalize runs on
-/// it. With a non-null `pool` each column is one ThreadPool::ParallelFor
-/// task; without one the same per-column loop runs on the caller. Each
-/// estimator sees the values a world-major fold feeds it, in the same
-/// order, so the metrics are bit-identical to one. On failure the error
-/// is the one a world-major fold hits first: the lowest failing world,
-/// ties going to the lowest column. The tables behind `worlds` must stay
-/// alive until the call returns.
+/// (FoldRealizedWorlds): output column s — column `slots[s]` of the
+/// realized tables, result name `names[s]` — folds every world of
+/// `worlds` in world order through FoldChunkColumn into an Estimator
+/// reserved for exactly the worlds' tuple count, then the consuming
+/// Estimator::Finalize runs on it. With a non-null `pool` each column is
+/// one ThreadPool::ParallelFor task; without one the same per-column loop
+/// runs on the caller. Each estimator sees the values a world-major fold
+/// feeds it, in the same order, so the metrics are bit-identical to one.
+/// On failure the error is the one a world-major fold hits first: the
+/// lowest failing world, ties going to the lowest column. The tables
+/// behind `worlds` must stay alive until the call returns.
 Result<std::map<std::string, OutputMetrics>> FoldColumnsByWorld(
     std::span<const WorldSlice> worlds, std::span<const std::size_t> slots,
     std::span<const std::string> names, const RunConfig& config,
     ThreadPool* pool);
 
 /// The worlds one pool task of a tuple-level fold realized, in world
-/// order: appended to its own extent, or borrowed whole from a
-/// WorldCache. A chunk fills one or the other, never both.
+/// order: appended to its own extent (a join appends only the requested
+/// columns of its matched tuples), or borrowed whole from a WorldCache.
+/// A chunk fills one or the other, never both.
 struct RealizedChunk {
   WorldExtent extent;
   std::vector<const ColumnarTable*> cached;
@@ -197,18 +199,27 @@ struct RealizedChunk {
 using RealizeChunkFn = std::function<Status(
     std::size_t begin, std::size_t end, RealizedChunk* out)>;
 
-/// The body FoldVGColumns and FoldJoinedVGColumns share. Resolves
-/// `column_names` against `schema` (an unknown or non-numeric column
-/// fails first), rejects a `seeds` shorter than `num_worlds`, then runs
-/// `realize` once per batch_size world chunk — one pool task per chunk
-/// when `pool` is non-null and there are two or more, otherwise serially
-/// up to the first failure — and returns the lowest failing chunk's
-/// error. On success the realized worlds fold through
-/// FoldColumnsByWorld while every chunk is still alive.
+/// Resolves the columns a tuple-level fold requests against `schema`:
+/// the slot of each name, in request order. A VG table's schema (and a
+/// join's) is world-invariant, so the folds call this before realizing
+/// anything; the first unknown name or non-numeric column fails, with
+/// the boxed Table::NumericColumn text.
+Result<std::vector<std::size_t>> ResolveFoldColumns(
+    const Schema& schema, std::span<const std::string> column_names);
+
+/// The body FoldVGColumns and FoldJoinedVGColumns share. Rejects a
+/// `seeds` shorter than `num_worlds`, then runs `realize` once per
+/// batch_size world chunk — one pool task per chunk when `pool` is
+/// non-null and there are two or more, otherwise serially up to the
+/// first failure — and returns the lowest failing chunk's error. On
+/// success the realized worlds fold through FoldColumnsByWorld while
+/// every chunk is still alive: output column s, named `column_names[s]`,
+/// reads column `slots[s]` of the tables `realize` produced.
 Result<std::map<std::string, OutputMetrics>> FoldRealizedWorlds(
-    const Schema& schema, std::span<const std::string> column_names,
-    std::size_t num_worlds, const SeedVector& seeds, const RunConfig& config,
-    ThreadPool* pool, const RealizeChunkFn& realize);
+    std::span<const std::size_t> slots,
+    std::span<const std::string> column_names, std::size_t num_worlds,
+    const SeedVector& seeds, const RunConfig& config, ThreadPool* pool,
+    const RealizeChunkFn& realize);
 
 /// Test hook: when nonzero, overrides the staged-doubles budget that
 /// bounds how many sweep points the chunk-grid fold keeps in flight,

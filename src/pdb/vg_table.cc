@@ -34,13 +34,8 @@ Status WorldExtent::AppendWorld(const VGTableFunction& fn,
                                 std::size_t sample_id,
                                 const SeedVector& seeds) {
   if (data.num_columns() == 0) data = ColumnarTable(fn.schema());
-  const std::size_t first_row = data.num_rows();
-  row_offsets.push_back(first_row);
-  JIGSAW_RETURN_IF_ERROR(fn.GenerateColumnarInto(sample_id, seeds, &data));
-  for (std::int64_t& w : world_ids.AppendIntSpan(data.num_rows() - first_row)) {
-    w = static_cast<std::int64_t>(sample_id);
-  }
-  return Status::OK();
+  row_offsets.push_back(data.num_rows());
+  return fn.GenerateColumnarInto(sample_id, seeds, &data);
 }
 
 WorldCache::Key WorldCache::MakeKey(const VGTableFunction& fn,

@@ -67,18 +67,17 @@ using VGTableFunctionPtr = std::shared_ptr<const VGTableFunction>;
 /// materialization. The shard-ownership rule: FoldVGColumns hands each
 /// pool task one WorldExtent covering a contiguous run of worlds; only
 /// that task appends to it, so parallel realization needs no
-/// synchronization and no cross-task writes. `world_ids` is the parallel
-/// world/sample-id column (U-relations keep the world annotation next to
-/// the data); `row_offsets[k]` is the first row of the k-th appended
-/// world, with `data.num_rows()` closing the last.
+/// synchronization and no cross-task writes. The worlds are contiguous,
+/// so their offsets are the whole world annotation: `row_offsets[k]` is
+/// the first row of world `world_begin + k`, with `data.num_rows()`
+/// closing the last.
 struct WorldExtent {
   std::size_t world_begin = 0;
   ColumnarTable data;
-  ColumnChunk world_ids{ValueType::kInt};
   std::vector<std::size_t> row_offsets;
 
   /// Realizes world `sample_id` at the end of `data` (initializing the
-  /// schema from `fn` on first use) and stamps its world-id column.
+  /// schema from `fn` on first use) and records its first row.
   Status AppendWorld(const VGTableFunction& fn, std::size_t sample_id,
                      const SeedVector& seeds);
 

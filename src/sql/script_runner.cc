@@ -264,9 +264,11 @@ Result<ScriptOutcome> ScriptRunner::RunBound(
     if (bound.montecarlo->join) {
       // FROM ... JOIN: fold the world-partitioned equi-join of the two
       // bound VG tables instead of the row program. The join consumes no
-      // script parameters, so every sweep point is the standalone fold
-      // re-run under that point's name — trivially bit-identical to a
-      // one-point statement, which is exactly the sweep contract.
+      // script parameters, so every sweep point would re-run the
+      // identical standalone fold: it runs once, and each point gets a
+      // copy of its metrics — bit-identical to a one-point statement,
+      // which is exactly the sweep contract. A failure is the one point
+      // 0 would report first.
       const MonteCarloJoinSpec& join = *bound.montecarlo->join;
       mc.join = join.description;
       // Summarize every numeric column of the joined schema, in schema
@@ -295,18 +297,19 @@ Result<ScriptOutcome> ScriptRunner::RunBound(
         cache =
             shared.world_cache != nullptr ? shared.world_cache : &local_cache;
       }
-      for (std::size_t k = 0; k < valuations.size(); ++k) {
-        auto folded = pdb::FoldJoinedVGColumns(
-            join.left, join.right, join.keys, columns, config_.num_samples,
-            seeds, config_, pool, cache);
-        if (!folded.ok()) {
-          if (valuations.size() > 1) {
-            return pdb::NameSweepPoint(k, folded.status());
-          }
-          return folded.status();
+      auto folded = pdb::FoldJoinedVGColumns(
+          join.left, join.right, join.keys, columns, config_.num_samples,
+          seeds, config_, pool, cache);
+      if (!folded.ok()) {
+        if (valuations.size() > 1) {
+          return pdb::NameSweepPoint(0, folded.status());
         }
-        per_point.push_back(std::move(folded).value());
+        return folded.status();
       }
+      // Copies for all points but the last, which takes the fold itself:
+      // with keep_samples a copy carries every joined tuple's samples.
+      per_point.assign(valuations.size() - 1, folded.value());
+      per_point.push_back(std::move(folded).value());
     } else if (bound.montecarlo->layered) {
       // Layered path: the prototype's per-point executors, worlds fanned
       // out within each point, WorldCache shared across points (and, when

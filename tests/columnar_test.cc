@@ -250,9 +250,9 @@ TEST(VGColumnarTest, WorldExtentShardsWorldsContiguously) {
   ASSERT_TRUE(extent.AppendWorld(*items, 2, seeds).ok());
   ASSERT_TRUE(extent.AppendWorld(*items, 3, seeds).ok());
   EXPECT_EQ(extent.data.num_rows(), 20u);
-  EXPECT_EQ(extent.world_ids.size(), 20u);
-  EXPECT_EQ(extent.world_ids.Ints()[0], 2);
-  EXPECT_EQ(extent.world_ids.Ints()[19], 3);
+  // Worlds 2 and 3 start at their row offsets; the last one ends at the
+  // extent's row count.
+  EXPECT_EQ(extent.row_offsets, (std::vector<std::size_t>{0, 10}));
   const auto [first0, last0] = extent.WorldRows(0);
   const auto [first1, last1] = extent.WorldRows(1);
   EXPECT_EQ(first0, 0u);

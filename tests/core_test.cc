@@ -9,9 +9,12 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <span>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/basis_store.h"
@@ -23,6 +26,7 @@
 #include "core/sim_function.h"
 #include "models/cloud_models.h"
 #include "random/splitmix64.h"
+#include "util/math_util.h"
 
 namespace jigsaw {
 namespace {
@@ -491,6 +495,120 @@ TEST(MetricsTest, WelfordMergeMatchesSequentialStatistics) {
               1e-10 * seq.variance() + 1e-15);
   EXPECT_DOUBLE_EQ(left.min(), seq.min());
   EXPECT_DOUBLE_EQ(left.max(), seq.max());
+}
+
+// ---------------------------------------------------------------------------
+// Estimator::Finalize — the consuming overload the columnar folds run
+// selects quantiles in place, and the const one consumes a copy. Both must
+// match, to the last bit, the copying finalize they replaced.
+// ---------------------------------------------------------------------------
+
+std::uint64_t DoubleBits(double x) {
+  std::uint64_t u;
+  std::memcpy(&u, &x, sizeof u);
+  return u;
+}
+
+void ExpectBitIdenticalMetrics(const OutputMetrics& expected,
+                               const OutputMetrics& actual) {
+  EXPECT_EQ(expected.count, actual.count);
+  EXPECT_EQ(DoubleBits(expected.mean), DoubleBits(actual.mean));
+  EXPECT_EQ(DoubleBits(expected.stddev), DoubleBits(actual.stddev));
+  EXPECT_EQ(DoubleBits(expected.std_error), DoubleBits(actual.std_error));
+  EXPECT_EQ(DoubleBits(expected.min), DoubleBits(actual.min));
+  EXPECT_EQ(DoubleBits(expected.max), DoubleBits(actual.max));
+  EXPECT_EQ(DoubleBits(expected.p50), DoubleBits(actual.p50));
+  EXPECT_EQ(DoubleBits(expected.p95), DoubleBits(actual.p95));
+  ASSERT_EQ(expected.histogram.has_value(), actual.histogram.has_value());
+  if (expected.histogram) {
+    EXPECT_TRUE(*expected.histogram == *actual.histogram);
+    EXPECT_EQ(DoubleBits(expected.histogram->lo()),
+              DoubleBits(actual.histogram->lo()));
+    EXPECT_EQ(DoubleBits(expected.histogram->hi()),
+              DoubleBits(actual.histogram->hi()));
+  }
+  ASSERT_EQ(expected.samples.size(), actual.samples.size());
+  for (std::size_t k = 0; k < expected.samples.size(); ++k) {
+    ASSERT_EQ(DoubleBits(expected.samples[k]), DoubleBits(actual.samples[k]))
+        << "sample " << k;
+  }
+}
+
+// The copying finalize: quantiles selected in a copy of the finite
+// values, histogram and samples over every value in fold order.
+OutputMetrics ReferenceFinalize(const std::vector<double>& xs,
+                                bool keep_samples, int histogram_bins) {
+  WelfordAccumulator acc;
+  acc.AddSpan(xs);
+  OutputMetrics out;
+  out.count = acc.count();
+  out.mean = acc.mean();
+  out.stddev = acc.stddev();
+  out.std_error = acc.standard_error();
+  out.min = acc.count() ? acc.min() : 0.0;
+  out.max = acc.count() ? acc.max() : 0.0;
+  if (!xs.empty()) {
+    std::vector<double> finite;
+    for (double x : xs) {
+      if (std::isfinite(x)) finite.push_back(x);
+    }
+    if (!finite.empty()) {
+      out.p50 = QuantileSelect(finite, 0.50);
+      out.p95 = QuantileSelect(finite, 0.95);
+    }
+    out.histogram = Histogram::FromSamples(xs, histogram_bins);
+  }
+  if (keep_samples) out.samples = xs;
+  return out;
+}
+
+TEST(EstimatorFinalizeTest, BothFinalizesMatchTheCopyingFinalizeBitForBit) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  // Quarter steps over [-5, 5): many duplicates, and zeros of both signs
+  // that compare equal but differ in bits, so a selection that picked a
+  // different zero would show.
+  SplitMix64 rng(2718);
+  std::vector<double> finite(3001);
+  for (double& x : finite) {
+    x = static_cast<double>(rng.Next() % 40) * 0.25 - 5.0;
+    if (x == 0.0 && rng.Next() % 2 == 0) x = -0.0;
+  }
+  auto with = [&finite](std::initializer_list<std::pair<std::size_t, double>>
+                            edits) {
+    std::vector<double> xs = finite;
+    for (const auto& [i, v] : edits) xs[i] = v;
+    return xs;
+  };
+  const std::vector<std::pair<std::string, std::vector<double>>> inputs = {
+      {"empty", {}},
+      {"single value", {4.25}},
+      {"single negative zero", {-0.0}},
+      {"duplicates and signed zeros", finite},
+      {"NaN", with({{7, nan}, {1500, nan}})},
+      {"+inf", with({{0, inf}})},
+      {"-inf", with({{3000, -inf}})},
+      {"NaN and both infinities", with({{1, nan}, {2, inf}, {3, -inf}})},
+      {"no finite value", {nan, inf, -inf, nan}},
+  };
+  for (bool keep_samples : {false, true}) {
+    for (const auto& [label, xs] : inputs) {
+      SCOPED_TRACE(::testing::Message()
+                   << label << (keep_samples ? ", samples kept" : ""));
+      Estimator copied(keep_samples, /*histogram_bins=*/10);
+      Estimator consumed(keep_samples, /*histogram_bins=*/10);
+      copied.AddSpan(xs);
+      // Reserving up front changes the buffer's capacity, never a value.
+      consumed.Reserve(xs.size());
+      consumed.AddSpan(xs);
+      const OutputMetrics expected =
+          ReferenceFinalize(xs, keep_samples, /*histogram_bins=*/10);
+      ExpectBitIdenticalMetrics(expected, copied.Finalize());
+      // The const finalize leaves the estimator as it was.
+      ExpectBitIdenticalMetrics(expected, copied.Finalize());
+      ExpectBitIdenticalMetrics(expected, std::move(consumed).Finalize());
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

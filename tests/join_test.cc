@@ -14,6 +14,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <utility>
 #include <vector>
@@ -308,6 +309,13 @@ TEST(JoinOracleTest, NullKeysNeverMatchNotEvenEachOther) {
 // where a +0.0 belongs would fail).
 // ---------------------------------------------------------------------------
 
+// Every join.output slot in order: the projection of the whole join.
+std::vector<std::size_t> EveryColumn(const ResolvedJoin& join) {
+  std::vector<std::size_t> slots(join.output.num_columns());
+  std::iota(slots.begin(), slots.end(), std::size_t{0});
+  return slots;
+}
+
 void ExpectPartitionMatchesOracle(const Table& left, const Table& right,
                                   const std::string& lkey,
                                   const std::string& rkey) {
@@ -329,7 +337,8 @@ void ExpectPartitionMatchesOracle(const Table& left, const Table& right,
     ColumnarTable out(join.value().output);
     ASSERT_TRUE(JoinPartition(lcol.value(), 0, lcol.value().num_rows(),
                               rcol.value(), 0, rcol.value().num_rows(),
-                              join.value(), algorithm, &out)
+                              join.value(), algorithm,
+                              EveryColumn(join.value()), &out)
                     .ok());
     EXPECT_TRUE(out.SameContent(oracle_columnar.value()));
   }
@@ -418,9 +427,146 @@ TEST(JoinPartitionTest, EmptySidesYieldEmptyOutput) {
   ExpectPartitionMatchesOracle(right, left, "k2", "k");   // empty right
 }
 
+// SortMergePairs skips each sort whose input is already in order; these
+// pin the oracle's order whether a side arrives ascending (sort skipped),
+// descending, or with duplicate keys interleaved (sort needed), and
+// whether the merged pairs need the final (left, right) sort.
+Table IntKeyedRows(const std::string& key, const std::string& val,
+                   const std::vector<std::int64_t>& keys, double base) {
+  Table t(IntKeyed(key, val));
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_TRUE(
+        t.AddRow({I(keys[i]), D(base + static_cast<double>(i))}).ok());
+  }
+  return t;
+}
+
+TEST(JoinPartitionTest, AscendingKeysOnBothSides) {
+  // 1:1 on shared ids with gaps, then ascending runs of duplicates: both
+  // sides and the merged pairs are already in order.
+  ExpectPartitionMatchesOracle(
+      IntKeyedRows("k", "lv", {0, 1, 2, 4, 5, 7, 9}, 0.0),
+      IntKeyedRows("k2", "rv", {0, 2, 3, 4, 7, 8, 9, 11}, 100.0), "k", "k2");
+  ExpectPartitionMatchesOracle(
+      IntKeyedRows("k", "lv", {1, 1, 2, 2, 2, 5}, 0.0),
+      IntKeyedRows("k2", "rv", {0, 1, 2, 2, 5, 5}, 100.0), "k", "k2");
+}
+
+TEST(JoinPartitionTest, DescendingKeysOnBothSides) {
+  ExpectPartitionMatchesOracle(
+      IntKeyedRows("k", "lv", {9, 7, 5, 4, 2, 1, 0}, 0.0),
+      IntKeyedRows("k2", "rv", {11, 9, 8, 7, 4, 3, 2, 0}, 100.0), "k", "k2");
+  ExpectPartitionMatchesOracle(
+      IntKeyedRows("k", "lv", {5, 2, 2, 2, 1, 1}, 0.0),
+      IntKeyedRows("k2", "rv", {5, 5, 2, 2, 1, 0}, 100.0), "k", "k2");
+}
+
+TEST(JoinPartitionTest, InterleavedDuplicateKeys) {
+  // Both sides out of order, then one side in order and the other not
+  // (either way round), so every combination of skipped and run sorts
+  // meets the oracle.
+  const std::vector<std::int64_t> interleaved = {2, 1, 2, 1, 3, 1, 2};
+  const std::vector<std::int64_t> ascending = {1, 1, 2, 3, 3};
+  ExpectPartitionMatchesOracle(
+      IntKeyedRows("k", "lv", interleaved, 0.0),
+      IntKeyedRows("k2", "rv", {1, 2, 1, 2, 2, 3}, 100.0), "k", "k2");
+  ExpectPartitionMatchesOracle(IntKeyedRows("k", "lv", ascending, 0.0),
+                               IntKeyedRows("k2", "rv", interleaved, 100.0),
+                               "k", "k2");
+  ExpectPartitionMatchesOracle(IntKeyedRows("k", "lv", interleaved, 0.0),
+                               IntKeyedRows("k2", "rv", ascending, 100.0),
+                               "k", "k2");
+}
+
+TEST(JoinPartitionTest, OrderedDoubleAndStringKeys) {
+  // -0.0 and +0.0 are one key, so this double side is in order even
+  // though its bit patterns alternate; the string side is in byte order.
+  Schema ls({{"dk", ValueType::kDouble}, {"lv", ValueType::kDouble}});
+  Schema rs({{"dk2", ValueType::kDouble}, {"rv", ValueType::kDouble}});
+  Table dleft(ls);
+  Table dright(rs);
+  const std::vector<double> lkeys = {-1.0, -0.0, 0.0, -0.0, 0.5, 0.5};
+  const std::vector<double> rkeys = {0.0, -0.0, 0.5, 2.0};
+  for (std::size_t i = 0; i < lkeys.size(); ++i) {
+    ASSERT_TRUE(dleft.AddRow({D(lkeys[i]), D(static_cast<double>(i))}).ok());
+  }
+  for (std::size_t j = 0; j < rkeys.size(); ++j) {
+    ASSERT_TRUE(
+        dright.AddRow({D(rkeys[j]), D(50.0 + static_cast<double>(j))}).ok());
+  }
+  ExpectPartitionMatchesOracle(dleft, dright, "dk", "dk2");
+
+  Schema sls({{"s", ValueType::kString}, {"lv", ValueType::kDouble}});
+  Schema srs({{"s2", ValueType::kString}, {"rv", ValueType::kDouble}});
+  Table sleft(sls);
+  Table sright(srs);
+  for (const char* key : {"ant", "ant", "bee", "cat"}) {
+    ASSERT_TRUE(sleft.AddRow({S(key), D(1.0)}).ok());
+  }
+  for (const char* key : {"ant", "bee", "bee", "dog"}) {
+    ASSERT_TRUE(sright.AddRow({S(key), D(2.0)}).ok());
+  }
+  ExpectPartitionMatchesOracle(sleft, sright, "s", "s2");
+}
+
+TEST(JoinPartitionTest, ProjectsRequestedColumnsInRequestOrder) {
+  // The projected kernel gathers exactly the listed join.output columns,
+  // in list order and repeats included, each identical to its column of
+  // the join over every column.
+  Table left(IntKeyed("k", "lv"));
+  Table right(Schema({{"k2", ValueType::kInt},
+                      {"name", ValueType::kString},
+                      {"rv", ValueType::kDouble}}));
+  for (std::int64_t i = 0; i < 6; ++i) {
+    Value key = i == 4 ? Value::Null() : I(i % 3);
+    ASSERT_TRUE(
+        left.AddRow({std::move(key), D(static_cast<double>(i))}).ok());
+  }
+  for (std::int64_t j = 0; j < 5; ++j) {
+    Value name = j == 2 ? Value::Null() : S(j % 2 == 0 ? "even" : "odd");
+    ASSERT_TRUE(right
+                    .AddRow({I((j + 1) % 3), std::move(name),
+                             D(10.0 * static_cast<double>(j))})
+                    .ok());
+  }
+  auto join = ResolveJoin(left.schema(), right.schema(), {"k", "k2"});
+  ASSERT_TRUE(join.ok()) << join.status().ToString();
+  auto lcol = ColumnarTable::FromTable(left);
+  auto rcol = ColumnarTable::FromTable(right);
+  ASSERT_TRUE(lcol.ok());
+  ASSERT_TRUE(rcol.ok());
+  const std::vector<std::size_t> projection = {4, 1, 3, 4};
+  std::vector<Column> projected;
+  for (std::size_t slot : projection) {
+    projected.push_back(join.value().output.column(slot));
+  }
+  for (JoinAlgorithm algorithm :
+       {JoinAlgorithm::kSortMerge, JoinAlgorithm::kHash}) {
+    SCOPED_TRACE(algorithm == JoinAlgorithm::kSortMerge ? "sort-merge"
+                                                        : "hash");
+    ColumnarTable full(join.value().output);
+    ASSERT_TRUE(JoinPartition(lcol.value(), 0, lcol.value().num_rows(),
+                              rcol.value(), 0, rcol.value().num_rows(),
+                              join.value(), algorithm,
+                              EveryColumn(join.value()), &full)
+                    .ok());
+    ColumnarTable out{Schema(projected)};
+    ASSERT_TRUE(JoinPartition(lcol.value(), 0, lcol.value().num_rows(),
+                              rcol.value(), 0, rcol.value().num_rows(),
+                              join.value(), algorithm, projection, &out)
+                    .ok());
+    ASSERT_GT(full.num_rows(), 0u);
+    ASSERT_EQ(out.num_rows(), full.num_rows());
+    for (std::size_t c = 0; c < projection.size(); ++c) {
+      EXPECT_TRUE(out.column(c).SameContent(full.column(projection[c])))
+          << "projected column " << c;
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
-// JoinWorlds: world partitions never mix, world ids are stamped, and
-// mismatched extents are rejected.
+// JoinWorlds: world partitions never mix, each world's rows start at its
+// row offset, and mismatched extents are rejected.
 // ---------------------------------------------------------------------------
 
 TEST(JoinWorldsTest, RejectsMismatchedWorldRanges) {
@@ -443,18 +589,19 @@ TEST(JoinWorldsTest, RejectsMismatchedWorldRanges) {
   EXPECT_EQ(s.message(), "joined extents cover different world ranges");
 }
 
-TEST(JoinWorldsTest, PartitionsWorldsAndStampsWorldIds) {
+TEST(JoinWorldsTest, PartitionsWorldsAtRowOffsets) {
   const SeedVector seeds(0x77, 8);
   auto left = MakeIntLeft();
   auto right = MakeIntRight();
   auto join = ResolveJoin(left->schema(), right->schema(), {"k", "k2"});
   ASSERT_TRUE(join.ok());
 
+  constexpr std::size_t kFirstWorld = 2;
   constexpr std::size_t kWorlds = 4;
   WorldExtent lext, rext;
-  lext.world_begin = 0;
-  rext.world_begin = 0;
-  for (std::size_t w = 0; w < kWorlds; ++w) {
+  lext.world_begin = kFirstWorld;
+  rext.world_begin = kFirstWorld;
+  for (std::size_t w = kFirstWorld; w < kFirstWorld + kWorlds; ++w) {
     ASSERT_TRUE(lext.AppendWorld(*left, w, seeds).ok());
     ASSERT_TRUE(rext.AppendWorld(*right, w, seeds).ok());
   }
@@ -462,24 +609,27 @@ TEST(JoinWorldsTest, PartitionsWorldsAndStampsWorldIds) {
        {JoinAlgorithm::kSortMerge, JoinAlgorithm::kHash}) {
     WorldExtent out;
     ASSERT_TRUE(JoinWorlds(lext, rext, join.value(), algorithm, &out).ok());
+    EXPECT_EQ(out.world_begin, kFirstWorld);
     ASSERT_EQ(out.row_offsets.size(), kWorlds);
-    ASSERT_EQ(out.world_ids.size(), out.data.num_rows());
 
-    // Each world's partition is bit-identical to the per-world oracle,
-    // and every row of it carries that world's id.
+    // World k of the extent is world kFirstWorld + k: its rows start at
+    // its row offset, end where the next world's start, and are
+    // bit-identical to that world's oracle join.
     std::size_t total = 0;
-    for (std::size_t w = 0; w < kWorlds; ++w) {
+    for (std::size_t k = 0; k < kWorlds; ++k) {
+      const std::size_t w = kFirstWorld + k;
       auto lt = left->Generate(w, seeds);
       auto rt = right->Generate(w, seeds);
       ASSERT_TRUE(lt.ok());
       ASSERT_TRUE(rt.ok());
       auto oracle = NestedLoopJoinOracle(lt.value(), rt.value(), join.value());
       ASSERT_TRUE(oracle.ok());
-      const auto [first, last] = out.WorldRows(w);
+      const auto [first, last] = out.WorldRows(k);
+      EXPECT_EQ(first, out.row_offsets[k]);
+      EXPECT_EQ(first, total) << "world " << w;
       ASSERT_EQ(last - first, oracle.value().num_rows()) << "world " << w;
       Row boxed;
       for (std::size_t r = first; r < last; ++r) {
-        EXPECT_EQ(out.world_ids.Ints()[r], static_cast<std::int64_t>(w));
         out.data.BoxRow(r, &boxed);
         const Row& expect = oracle.value().row(r - first);
         ASSERT_EQ(boxed.size(), expect.size());
@@ -662,6 +812,134 @@ TEST_F(JoinFoldTest, WorldCacheSharesRealizationsAcrossRuns) {
   EXPECT_EQ(cache.generation_count(), 2 * kWorlds);
 }
 
+// The per-world pipeline gathers only the requested columns of matched
+// tuples; the cases below pin it to the boxed fold over the full joined
+// relation where that projection could diverge.
+
+TEST_F(JoinFoldTest, ManyToManyDuplicateKeys) {
+  // Two key values on the left, three on the right, shifting with the
+  // world: every matched key pairs several left rows with several right
+  // rows.
+  Schema lschema({{"k", ValueType::kInt}, {"lval", ValueType::kDouble}});
+  auto left = std::make_shared<KeyedVGTable>(
+      "dup_left", lschema, [](std::size_t w, Table* out) -> Status {
+        for (std::size_t i = 0; i < 10 + w % 3; ++i) {
+          JIGSAW_RETURN_IF_ERROR(
+              out->AddRow({I(static_cast<std::int64_t>((i + w) % 2)),
+                           D(static_cast<double>(w) + 0.5 * i)}));
+        }
+        return Status::OK();
+      });
+  Schema rschema({{"k2", ValueType::kInt}, {"rval", ValueType::kDouble}});
+  auto right = std::make_shared<KeyedVGTable>(
+      "dup_right", rschema, [](std::size_t w, Table* out) -> Status {
+        for (std::size_t i = 0; i < 9; ++i) {
+          JIGSAW_RETURN_IF_ERROR(
+              out->AddRow({I(static_cast<std::int64_t>((i * 2 + w) % 3)),
+                           D(-static_cast<double>(i * w))}));
+        }
+        return Status::OK();
+      });
+  auto reference = Reference(left, right, {"k", "k2"}, {"lval", "rval"});
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  EXPECT_GT(reference.value().at("lval").count,
+            static_cast<std::int64_t>(10 * kWorlds));
+  ExpectGridBitIdentical(left, right, {"k", "k2"}, {"lval", "k", "rval"});
+}
+
+TEST_F(JoinFoldTest, WorldsWhereNothingMatches) {
+  // Worlds 0, 3, 6, 9 shift the right keys out of the left key range, so
+  // they join to nothing — world 0 included, which opens a chunk at every
+  // batch size and so sizes that chunk's extent from an empty world.
+  Schema rschema({{"k2", ValueType::kInt}, {"rval", ValueType::kDouble}});
+  auto right = std::make_shared<KeyedVGTable>(
+      "sometimes_right", rschema, [](std::size_t w, Table* out) -> Status {
+        const std::int64_t shift = w % 3 == 0 ? 100 : 0;
+        for (std::size_t i = 0; i < 6; ++i) {
+          JIGSAW_RETURN_IF_ERROR(out->AddRow(
+              {I(shift + static_cast<std::int64_t>(i % 5)),
+               D(static_cast<double>(w) * 3.0 - static_cast<double>(i))}));
+        }
+        return Status::OK();
+      });
+  auto reference =
+      Reference(MakeIntLeft(), right, {"k", "k2"}, {"lval", "rval"});
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  EXPECT_GT(reference.value().at("rval").count, 0);
+  ExpectGridBitIdentical(MakeIntLeft(), right, {"k", "k2"},
+                         {"lval", "rval"});
+  // No world matches at all: every column folds zero tuples.
+  Schema lschema({{"k", ValueType::kInt}, {"lval", ValueType::kDouble}});
+  auto far_left = std::make_shared<KeyedVGTable>(
+      "far_left", lschema, [](std::size_t w, Table* out) -> Status {
+        return out->AddRow({I(-1), D(static_cast<double>(w))});
+      });
+  ExpectGridBitIdentical(far_left, MakeIntRight(), {"k", "k2"},
+                         {"lval", "rval"});
+}
+
+TEST_F(JoinFoldTest, ColumnRequestedTwice) {
+  // A repeated name (or the same column under another case) folds the
+  // one gathered column again; the result map keeps each distinct name.
+  ExpectGridBitIdentical(MakeIntLeft(), MakeIntRight(), {"k", "k2"},
+                         {"rval", "lval", "rval"});
+  ExpectGridBitIdentical(MakeIntLeft(), MakeIntRight(), {"k", "k2"},
+                         {"lval", "LVAL", "k2"});
+}
+
+TEST_F(JoinFoldTest, RightSideFiftyTimesTheLeft) {
+  // A selective join: 8 users against 400 items, so most of every
+  // world's right side never matches. Bool and int columns fold widened.
+  auto users = MakeUsersVGTable(8, 0.8, 5.0, 2.0);
+  auto items = MakeScalingItemsVGTable(400);
+  const JoinSpec keys{"user_id", "item_id"};
+  const std::vector<std::string> columns = {"requirement", "in_stock",
+                                            "demand", "item_id"};
+  auto reference = Reference(users, items, keys, columns);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  EXPECT_EQ(reference.value().at("demand").count,
+            static_cast<std::int64_t>(8 * kWorlds));
+  ExpectGridBitIdentical(users, items, keys, columns);
+}
+
+TEST_F(JoinFoldTest, NullsOutsideTheFoldedMatchesDoNotFail) {
+  // A NULL in an unfolded column of a matched tuple: `a` and `b` turn
+  // NULL on matched rows from world 0, but only `k` and `v2` fold.
+  auto nulling = test::MakeNullingTable(0, 0);
+  auto reference = Reference(nulling, MakePlainRight("plain_right"),
+                             {"k", "k2"}, {"k", "v2"});
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  EXPECT_GT(reference.value().at("v2").count, 0);
+  ExpectGridBitIdentical(nulling, MakePlainRight("plain_right"), {"k", "k2"},
+                         {"k", "v2"});
+
+  // A NULL in a folded column of an unmatched row: the rows whose `lval`
+  // is NULL carry a NULL key or a key the right side never holds.
+  Schema lschema({{"k", ValueType::kInt}, {"lval", ValueType::kDouble}});
+  auto left = std::make_shared<KeyedVGTable>(
+      "unmatched_nulls", lschema, [](std::size_t w, Table* out) -> Status {
+        for (std::size_t i = 0; i < 6; ++i) {
+          Value key = I(static_cast<std::int64_t>(i % 3));
+          Value val = D(static_cast<double>(w * 10 + i));
+          if (i == 2) {
+            key = Value::Null();
+            val = Value::Null();
+          } else if (i == 4) {
+            key = I(99);
+            val = Value::Null();
+          }
+          JIGSAW_RETURN_IF_ERROR(out->AddRow({std::move(key), std::move(val)}));
+        }
+        return Status::OK();
+      });
+  reference = Reference(left, MakePlainRight("plain_right"), {"k", "k2"},
+                        {"lval", "v2"});
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  EXPECT_GT(reference.value().at("lval").count, 0);
+  ExpectGridBitIdentical(left, MakePlainRight("plain_right"), {"k", "k2"},
+                         {"lval", "v2"});
+}
+
 TEST_F(JoinFoldTest, SeedVectorShorterThanWorldsIsInvalidArgument) {
   // 64 worlds over a 4-seed vector: rejected before either side is
   // realized, under both seed schemas.
@@ -788,6 +1066,12 @@ TEST_F(JoinErrorTest, NonNumericAndUnknownFoldColumnsFailUpFront) {
   ExpectSameErrorEverywhere(users, items, keys, {"region"},
                             "column 'region' is not numeric");
   ExpectSameErrorEverywhere(users, items, keys, {"no_such_column"},
+                            "no column named 'no_such_column'");
+  // Names resolve in request order against the full joined schema: the
+  // first bad name reports, whichever way it is bad.
+  ExpectSameErrorEverywhere(users, items, keys, {"region", "no_such_column"},
+                            "column 'region' is not numeric");
+  ExpectSameErrorEverywhere(users, items, keys, {"no_such_column", "region"},
                             "no column named 'no_such_column'");
 }
 
