@@ -25,9 +25,9 @@
 // (bench_common.h). Schema 2 derives draws counter-based (draw planes).
 // With --num_threads > 1 each workload additionally runs a "threaded"
 // mode that fans SampleBatch chunks out on a ThreadPool (the SampleRange
-// fan-out), and a "worlds" phase drives MonteCarloExecutor's possible-
-// worlds chunk fan-out serial-vs-parallel — so one bench covers both
-// chunked parallel paths, each checked bitwise against its serial twin.
+// fan-out), and a "worlds" phase drives pdb::FoldWorlds' possible-worlds
+// chunk fan-out serial-vs-parallel — so one bench covers both chunked
+// parallel paths, each checked bitwise against its serial twin.
 // Point-sweep thread scaling remains bench_parallel_sweep's job.
 
 #include "bench_common.h"
@@ -159,9 +159,10 @@ RunResult DriveThreaded(const SimFunction& fn, const Workload& w,
 
 /// Order-sensitive bitwise fold over a Monte Carlo result's per-column
 /// summaries (columns iterate in name order; map is sorted).
-std::uint64_t MetricsChecksum(const pdb::MonteCarloResult& result) {
+std::uint64_t MetricsChecksum(
+    const std::map<std::string, OutputMetrics>& columns) {
   Checksum sum;
-  for (const auto& [name, m] : result.columns) {
+  for (const auto& [name, m] : columns) {
     const double fields[] = {static_cast<double>(m.count), m.mean, m.stddev,
                              m.std_error, m.min,           m.max,  m.p50,
                              m.p95};
@@ -170,30 +171,35 @@ std::uint64_t MetricsChecksum(const pdb::MonteCarloResult& result) {
   return sum.value();
 }
 
-/// Drives MonteCarloExecutor's possible-worlds fan-out: a one-column
-/// stochastic plan evaluated over `worlds` sampled worlds.
+/// Drives pdb::FoldWorlds' possible-worlds fan-out: a one-column
+/// stochastic plan, built fresh per world, over `worlds` sampled worlds.
 RunResult DriveWorlds(std::size_t worlds, std::size_t threads,
                       std::size_t batch, SeedSchema schema) {
   RunConfig cfg;
   cfg.num_samples = worlds;
-  cfg.num_threads = threads;
   cfg.batch_size = batch;
-  cfg.seed_schema = schema;
-  pdb::MonteCarloExecutor executor(cfg);
+  const SeedVector seeds(cfg.master_seed, worlds, schema);
+  std::unique_ptr<ThreadPool> pool;
+  if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
   const auto model = MakeDemandModel({});
-  auto factory = [&]() -> jigsaw::Result<pdb::PlanNodePtr> {
-    return pdb::MakeProject(
+  const std::vector<double> params = {25.0};
+  auto run_world = [&](std::size_t world) -> jigsaw::Result<pdb::Table> {
+    pdb::PlanNodePtr plan = pdb::MakeProject(
         pdb::MakeDualScan(),
         {pdb::MakeModelCall(model,
                             {pdb::MakeParamRef(0, "week"),
                              pdb::MakeLiteral(pdb::Value(52.0))},
                             1)},
         {"demand"});
+    pdb::EvalContext ctx;
+    ctx.params = params;
+    ctx.sample_id = world;
+    ctx.seeds = &seeds;
+    return pdb::ExecuteToTable(*plan, ctx);
   };
-  const std::vector<double> params = {25.0};
   RunResult r;
   WallTimer timer;
-  auto result = executor.Run(factory, params);
+  auto result = pdb::FoldWorlds(worlds, cfg, pool.get(), run_world);
   r.elapsed_s = timer.ElapsedSeconds();
   if (!result.ok()) {
     std::fprintf(stderr, "worlds run failed: %s\n",
@@ -327,8 +333,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Possible-worlds fan-out: MonteCarloExecutor serial vs parallel over
-  // the same worlds must agree bitwise on every column summary.
+  // Possible-worlds fan-out: pdb::FoldWorlds serial vs parallel over the
+  // same worlds must agree bitwise on every column summary.
   {
     const std::size_t worlds = flags.num_samples;
     const RunResult serial = DriveWorlds(worlds, /*threads=*/1,
@@ -347,7 +353,7 @@ int main(int argc, char** argv) {
         serial.checksum == parallel.checksum && serial.samples == worlds;
     checksums_ok = checksums_ok && same;
     std::fprintf(stderr, "%-22s %-12s speedup %5.2fx  checksums %s\n",
-                 "MonteCarloExecutor", "worlds",
+                 "FoldWorlds", "worlds",
                  parallel.elapsed_s > 0.0
                      ? serial.elapsed_s / parallel.elapsed_s
                      : 0.0,

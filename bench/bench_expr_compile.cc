@@ -13,9 +13,10 @@
 //   column_eval — SampleBatch over every scenario column across a small
 //                 parameter sweep (the core engine's fingerprint / full
 //                 simulation hot loop);
-//   montecarlo  — the SQL MONTECARLO statement end to end (FoldWorlds
-//                 with per-world plans vs FoldWorldSpans with one
-//                 BatchProgram per chunk task), threaded when
+//   montecarlo  — the SQL MONTECARLO statement end to end: both sides
+//                 run pdb::FoldPointWorldSpans, one chunk task per cell,
+//                 where each cell walks the interpreter world at a time
+//                 or runs one BatchProgram over the chunk; threaded when
 //                 --num_threads > 1;
 //   chain       — RunChainScenario to a fixed target step.
 //

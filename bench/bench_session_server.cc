@@ -180,7 +180,7 @@ SessionResult DriveConcurrentClient(serve::Session& session,
                                     std::size_t worlds) {
   return DriveWorkload(
       rounds, worlds,
-      [&](const std::string& text, std::size_t round, bool sweep) {
+      [&](const std::string& /*text*/, std::size_t round, bool sweep) {
         return session.Run(sweep ? "sweep" : "mc",
                            RoundOverrides(round, sweep));
       },

@@ -7,32 +7,43 @@
 
 namespace jigsaw {
 
-std::vector<double> ParameterDef::Values() const {
+std::size_t ParameterDef::cardinality() const {
   if (const auto* range = std::get_if<RangeDomain>(&domain)) {
-    std::vector<double> out;
     JIGSAW_CHECK_MSG(range->step > 0.0, "non-positive RANGE step");
-    // Tolerate floating point drift at the upper bound. Values are
-    // index-stepped (lo + i*step) rather than accumulated (v += step):
-    // accumulation never terminates when lo + step rounds back to lo
-    // (e.g. lo=1e16, step=1) and drifts over long fractional-step grids.
+    // Tolerate floating point drift at the upper bound.
     const double eps = range->step * 1e-9;
     const double span = (range->hi + eps - range->lo) / range->step;
-    if (!std::isfinite(span) || span < 0.0) return out;  // empty/degenerate
+    if (!std::isfinite(span) || span < 0.0) return 0;  // empty/degenerate
     // ParameterSpace::Add and the MONTECARLO OVER binder bound the span
     // with clean errors; a directly-constructed def violating it is a
     // programming bug (the cast below is UB past SIZE_MAX).
     JIGSAW_CHECK_MSG(span < 1e15, "RANGE spans too many values");
-    const auto count = static_cast<std::size_t>(span) + 1;
-    out.reserve(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      out.push_back(range->lo + static_cast<double>(i) * range->step);
-    }
-    return out;
+    return static_cast<std::size_t>(span) + 1;
   }
   if (const auto* set = std::get_if<SetDomain>(&domain)) {
-    return set->values;
+    return set->values.size();
   }
-  return {};  // CHAIN: not enumerated
+  return 0;  // CHAIN: not enumerated
+}
+
+double ParameterDef::ValueAt(std::size_t i) const {
+  // Index-stepped (lo + i*step) rather than accumulated (v += step):
+  // accumulation never terminates when lo + step rounds back to lo (e.g.
+  // lo=1e16, step=1) and drifts over long fractional-step grids.
+  if (const auto* range = std::get_if<RangeDomain>(&domain)) {
+    return range->lo + static_cast<double>(i) * range->step;
+  }
+  const auto* set = std::get_if<SetDomain>(&domain);
+  JIGSAW_CHECK_MSG(set != nullptr, "CHAIN parameters are not enumerated");
+  return set->values[i];
+}
+
+std::vector<double> ParameterDef::Values() const {
+  const std::size_t n = cardinality();
+  std::vector<double> out;
+  out.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) out.push_back(ValueAt(i));
+  return out;
 }
 
 Status ParameterSpace::Add(ParameterDef def) {
@@ -49,10 +60,10 @@ Status ParameterSpace::Add(ParameterDef def) {
       return Status::InvalidArgument("parameter '@" + def.name +
                                      "' has empty RANGE");
     }
-    // Bound the materialized grid: Values() enumerates the whole range
-    // into a vector, so a non-finite bound or an absurd span must fail
-    // here with a clean error rather than abort (or overflow a size_t)
-    // at enumeration time.
+    // Bound the grid: Values() enumerates the whole range into a vector,
+    // so a non-finite bound or an absurd span must fail here with a clean
+    // error rather than abort (or overflow a size_t) when it is counted
+    // or enumerated.
     if (!std::isfinite(range->lo) || !std::isfinite(range->hi) ||
         !std::isfinite(range->step)) {
       return Status::InvalidArgument("parameter '@" + def.name +
@@ -101,9 +112,8 @@ std::vector<double> ParameterSpace::ValuationAt(std::size_t idx) const {
       out[i] = std::get<ChainDomain>(d.domain).initial;
       continue;
     }
-    const auto values = d.Values();
-    const std::size_t card = values.size();
-    out[i] = values[remaining % card];
+    const std::size_t card = d.cardinality();
+    out[i] = d.ValueAt(remaining % card);
     remaining /= card;
   }
   JIGSAW_CHECK_MSG(remaining == 0, "valuation index out of range");

@@ -53,7 +53,12 @@ struct ParameterDef {
   /// Materializes the discrete domain (empty for CHAIN parameters).
   std::vector<double> Values() const;
 
-  std::size_t cardinality() const { return Values().size(); }
+  /// The size of Values(), computed without building it.
+  std::size_t cardinality() const;
+
+  /// Values()[i] without building the domain: lo + i*step for a RANGE,
+  /// the i'th listed value for a SET. `i` must be below cardinality().
+  double ValueAt(std::size_t i) const;
 };
 
 /// An ordered collection of parameters plus cartesian-product enumeration.

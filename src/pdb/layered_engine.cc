@@ -109,7 +109,7 @@ Result<std::vector<LayeredPointResult>> LayeredEngine::RunSweep(
   for (std::size_t i = 0; i < valuations.size(); ++i) {
     auto r = RunPoint(make_plan, valuations[i]);
     if (!r.ok()) {
-      // Match the direct executor's contract: multi-point failures name
+      // Match the direct fold's contract: multi-point failures name
       // the point, a one-point sweep keeps RunPoint's raw error.
       if (valuations.size() > 1) return NameSweepPoint(i, r.status());
       return r.status();

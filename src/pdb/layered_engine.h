@@ -17,13 +17,14 @@
 /// set-at-a-time, which is why this engine *wins* on the data-bound
 /// UserSelection workload exactly as SQL Server beat the Ruby engine.
 ///
-/// Compiled expressions (pdb/batch_program.h) slot in at the leaf level:
-/// a plan factory may hand the engine BatchProgramScan nodes, mirroring
-/// how the original DBMS baseline still ran compiled scans inside its
-/// interpreted executor. The per-world re-planning and the row
-/// serialization boundary — the overheads this engine exists to model —
-/// apply to compiled plans unchanged, and results stay bit-identical to
-/// fully interpreted plans.
+/// A SQL row program slots in at the leaf level as a one-row
+/// MakeSingleRowScan node that evaluates the program for the plan's
+/// world, compiled or interpreted, mirroring how the original DBMS
+/// baseline still ran compiled scans inside its interpreted executor.
+/// The per-world re-planning and the row serialization boundary — the
+/// overheads this engine exists to model — apply to either leaf
+/// unchanged, and results stay bit-identical between them. The worlds
+/// fold through pdb::FoldWorlds.
 
 #include <functional>
 #include <map>
@@ -99,7 +100,7 @@ class LayeredEngine {
   /// realizations across points. Entry k is bit-identical to a standalone
   /// RunPoint at valuations[k]; a failing point's error is prefixed with
   /// "sweep point k" when the sweep has more than one point, matching the
-  /// direct executor's sweep contract.
+  /// direct fold's sweep contract (FoldPointWorldSpans).
   Result<std::vector<LayeredPointResult>> RunSweep(
       const PlanFactory& make_plan,
       std::span<const std::vector<double>> valuations);

@@ -1,31 +1,32 @@
 #pragma once
 
 /// \file monte_carlo.h
-/// The possible-worlds executor of the mini-MCDB layer (Section 2.1):
+/// The possible-worlds folds of the mini-MCDB layer (Section 2.1):
 /// "instantiates a finite set of databases by sampling randomly from the
 /// set of possible worlds. Queries are run on each sampled world ... and
 /// the results are aggregated into a metric or binned into a histogram."
 ///
-/// The executor runs a caller-supplied per-world query plan n times (one
-/// per sampled world), expects a single result row per world, and folds
-/// each numeric output column into an OutputMetrics distribution summary.
+/// A row program yields one row per world; FoldPointWorldSpans folds it
+/// over the points x worlds cell grid of a MONTECARLO [OVER @p]
+/// statement, compiled or interpreted, and FoldWorlds folds a boxed
+/// per-world plan for the layered Figure 7 baseline on top of it. VG
+/// tables and their joins yield many tuples per world; FoldVGColumns and
+/// FoldJoinedVGColumns (pdb/join.h) fold every one of them.
 ///
 /// Worlds are embarrassingly parallel: each world's randomness is a pure
-/// function of its seed, so with RunConfig::num_threads > 1 the executor
-/// fans batch_size-sized world chunks out on a ThreadPool and merges the
-/// per-chunk staging buffers in world-index order — bit-identical to the
-/// serial run at every (num_threads, batch_size) combination.
+/// function of its seed, so with a ThreadPool the folds fan
+/// batch_size-sized world chunks out as pool tasks and merge them in
+/// world order — bit-identical to the serial fold at every (threads,
+/// batch_size) combination.
 
 #include <functional>
 #include <map>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "core/metrics.h"
 #include "core/run_config.h"
-#include "pdb/operators.h"
 #include "pdb/vg_table.h"
 #include "random/seed_vector.h"
 #include "util/status.h"
@@ -33,97 +34,64 @@
 
 namespace jigsaw::pdb {
 
-/// Evaluates one possible world into its single-row result table. Invoked
-/// concurrently from pool tasks when a ThreadPool is supplied, so the
-/// callable must be thread-safe (each invocation builds its own plan and
-/// evaluation state; shared caches such as WorldCache synchronize
-/// internally).
-using WorldFn = std::function<Result<Table>(std::size_t world)>;
-
-/// Shared possible-worlds fold used by MonteCarloExecutor and
-/// LayeredEngine. Runs `run_world` for every world in [0, num_worlds) and
-/// folds each numeric output column into an OutputMetrics summary.
-///
-/// World 0 locks the output layout: non-numeric columns are excluded from
-/// the result (they have no distribution to summarize), and a column
-/// whose numeric-ness flips in a later world is an ExecutionError rather
-/// than a silently skewed statistic. With a non-null `pool`, worlds are
-/// partitioned into config.batch_size-sized chunks evaluated across the
-/// pool into per-chunk per-column staging buffers, then merged in chunk
-/// index order through Estimator::AddSpan — bit-identical to the serial
-/// fold, which stages through the same buffers.
-Result<std::map<std::string, OutputMetrics>> FoldWorlds(
-    std::size_t num_worlds, const RunConfig& config, ThreadPool* pool,
-    const WorldFn& run_world);
-
-/// Batched world evaluator: fills `columns[slot][i]` with the value of
-/// output column `slot` in world `world_begin + i`, for i in [0, count).
-/// Used by compiled row programs, which evaluate a whole world chunk in
-/// one BatchProgram run instead of one boxed plan per world. On error the
-/// returned status must be the one the lowest failing world in the span
-/// would have produced serially (BatchProgram::RunAll guarantees this).
-using WorldSpanFn = std::function<Status(
-    std::size_t world_begin, std::size_t count, std::span<double* const>
-    columns)>;
-
-/// Span twin of FoldWorlds for statically-known all-numeric layouts:
-/// partitions [0, num_worlds) into the same batch_size chunks, evaluates
-/// each chunk with one run_span call (fanned out on `pool` when present),
-/// and merges the per-chunk buffers in chunk index order through
-/// Estimator::AddSpan — bit-identical to FoldWorlds over the same values.
-Result<std::map<std::string, OutputMetrics>> FoldWorldSpans(
-    std::span<const std::string> column_names, std::size_t num_worlds,
-    const RunConfig& config, ThreadPool* pool, const WorldSpanFn& run_span);
-
-/// Per-point world evaluator for two-axis sweeps: evaluates world `world`
-/// of sweep point `point` into its single-row result table. Cells are
-/// evaluated concurrently from pool tasks, so the callable must be
-/// thread-safe.
-using PointWorldFn =
-    std::function<Result<Table>(std::size_t point, std::size_t world)>;
-
-/// Span twin for compiled programs: fills `columns[slot][i]` with output
+/// Per-point world evaluator: fills `columns[slot][i]` with output
 /// column `slot` of world `world_begin + i` evaluated at sweep point
-/// `point`.
+/// `point`, for i in [0, count). Cells are evaluated concurrently from
+/// pool tasks, so the callable must be thread-safe. On error the returned
+/// status must be the one the lowest failing world in the span would have
+/// produced serially (BatchProgram::RunAll and the interpreter's
+/// world-at-a-time loop both guarantee this).
 using PointWorldSpanFn = std::function<Status(
     std::size_t point, std::size_t world_begin, std::size_t count,
     std::span<double* const> columns)>;
 
 /// Prefixes a sweep-point failure with its point coordinate ("sweep
 /// point k: ..."), preserving the status code. The single format every
-/// sweep path uses — FoldPointWorlds/FoldPointWorldSpans and
-/// LayeredEngine::RunSweep — so errors name the failing point
-/// identically on both engines.
+/// sweep path uses — FoldPointWorldSpans, LayeredEngine::RunSweep and the
+/// joined MONTECARLO OVER — so errors name the failing point identically
+/// on both engines.
 Status NameSweepPoint(std::size_t point, Status status);
 
-/// Two-axis possible-worlds fold (MONTECARLO OVER @p): evaluates the
-/// num_points x num_worlds cell grid by fanning every (point,
-/// world-chunk) task out on `pool` at once, then merging chunks in world
-/// order within each point and points in index order. Point k's summaries
-/// are bit-identical to a standalone FoldWorlds over `run_world(k, .)` —
-/// the per-point seed schema is unchanged, so point k's draws match a
-/// standalone run at that valuation.
+/// The row-program possible-worlds fold (MONTECARLO [OVER @p]): evaluates
+/// the num_points x num_worlds cell grid, one (point, batch_size world
+/// chunk) cell per `run_span` call, fanning every cell out on `pool` at
+/// once when present, and merges each point's chunks in world order
+/// through Estimator::AddSpan into one OutputMetrics per name of
+/// `column_names`. Point k's summaries are bit-identical to a one-point
+/// fold over `run_span(k, ...)`, and to a world-at-a-time fold of the
+/// same values, at every chunk partition. Points stream through windows
+/// of about 128 MB of staged doubles, never less than one point.
 ///
-/// World 0 of every point runs up front (fanned out on `pool` when
-/// present — prepasses touch independent per-point state) to lock that
-/// point's column layout, mirroring FoldWorlds. On failure the
-/// surfaced error is the one the serial point-by-point loop would report
-/// — the lowest failing point's lowest failing world — prefixed (when the
-/// sweep has more than one point) with "sweep point k" so two-axis
-/// errors name both coordinates; a one-point sweep keeps the standalone
-/// statement's raw error byte for byte.
-Result<std::vector<std::map<std::string, OutputMetrics>>> FoldPointWorlds(
-    std::size_t num_points, std::size_t num_worlds, const RunConfig& config,
-    ThreadPool* pool, const PointWorldFn& run_world);
-
-/// Span twin of FoldPointWorlds for statically-known all-numeric layouts:
-/// per point, bit-identical to FoldWorldSpans over `run_span(k, ...)`,
-/// with the same (point, world-chunk) task fan-out and error contract.
+/// On failure the surfaced error is the one the serial point-by-point,
+/// world-at-a-time loop would report — the lowest failing point's lowest
+/// failing world — prefixed (when there is more than one point) with
+/// "sweep point k"; a one-point fold keeps the standalone statement's
+/// raw error byte for byte. Zero worlds yield one empty map per point.
 Result<std::vector<std::map<std::string, OutputMetrics>>>
 FoldPointWorldSpans(std::span<const std::string> column_names,
                     std::size_t num_points, std::size_t num_worlds,
                     const RunConfig& config, ThreadPool* pool,
                     const PointWorldSpanFn& run_span);
+
+/// Evaluates one possible world into its single-row result table. Called
+/// concurrently from pool tasks when a ThreadPool is supplied, so the
+/// callable must be thread-safe (each invocation builds its own plan and
+/// evaluation state; shared caches such as WorldCache synchronize
+/// internally).
+using WorldFn = std::function<Result<Table>(std::size_t world)>;
+
+/// Boxed per-world plan fold of the layered engine (the Figure 7
+/// baseline): folds each numeric output column of `run_world`'s one-row
+/// tables over [0, num_worlds). World 0 runs first, on the caller, and
+/// locks the output layout: non-numeric columns are excluded from the
+/// result (they have no distribution to summarize), and a later world
+/// whose row count, width or per-column numeric-ness differs is an
+/// ExecutionError rather than a silently skewed statistic. The remaining
+/// worlds run as the one-point FoldPointWorldSpans, which reuses world
+/// 0's row, so every world runs exactly once.
+Result<std::map<std::string, OutputMetrics>> FoldWorlds(
+    std::size_t num_worlds, const RunConfig& config, ThreadPool* pool,
+    const WorldFn& run_world);
 
 /// Tuple-level possible-worlds fold: realizes `fn` in every world of
 /// [0, num_worlds) and folds each requested numeric column's values —
@@ -222,77 +190,10 @@ Result<std::map<std::string, OutputMetrics>> FoldRealizedWorlds(
     const RealizeChunkFn& realize);
 
 /// Test hook: when nonzero, overrides the staged-doubles budget that
-/// bounds how many sweep points the chunk-grid fold keeps in flight,
+/// bounds how many sweep points FoldPointWorldSpans keeps in flight,
 /// forcing multi-window execution at unit-test sizes. Not synchronized —
 /// set it before any fold runs and restore it after.
 extern std::size_t g_fold_staged_budget_override;
 }  // namespace internal
-
-struct MonteCarloResult {
-  /// Per-output-column distribution summaries, keyed by column name.
-  /// Only columns that are numeric in world 0 appear.
-  std::map<std::string, OutputMetrics> columns;
-  std::size_t worlds = 0;
-};
-
-class MonteCarloExecutor {
- public:
-  explicit MonteCarloExecutor(const RunConfig& config)
-      : config_(config),
-        seeds_(config.master_seed, config.num_samples, config.seed_schema) {
-    if (config_.batch_size == 0) config_.batch_size = 1;
-    if (config_.num_threads > 1) {
-      // A shared pool (session server) takes precedence over a private
-      // one; either way chunk scheduling cannot perturb a draw.
-      if (config_.shared_pool != nullptr) {
-        pool_ = config_.shared_pool;
-      } else {
-        owned_pool_ = std::make_unique<ThreadPool>(config_.num_threads);
-        pool_ = owned_pool_.get();
-      }
-    }
-  }
-
-  /// `make_plan` builds the per-world query plan (the plan may embed
-  /// stochastic expressions and VG scans; the world is selected through
-  /// EvalContext::sample_id). The plan must produce exactly one row.
-  /// With num_threads > 1 the factory is invoked concurrently from pool
-  /// tasks — it must be thread-safe and every call must return an
-  /// independent plan (plans carry mutable evaluation state).
-  using PlanFactory = std::function<Result<PlanNodePtr>()>;
-
-  Result<MonteCarloResult> Run(const PlanFactory& make_plan,
-                               std::span<const double> params);
-
-  /// Compiled-path twin of Run: worlds evaluate as whole spans (one
-  /// BatchProgram execution per chunk task) instead of one plan per
-  /// world. `column_names` fixes the output layout up front — span
-  /// programs are all-numeric by construction.
-  Result<MonteCarloResult> RunSpans(std::span<const std::string> column_names,
-                                    const WorldSpanFn& run_span);
-
-  /// Sweep twin of Run (MONTECARLO OVER @p): evaluates the plan at every
-  /// valuation, fanning (point, world-chunk) tasks out across the shared
-  /// pool via FoldPointWorlds. Entry k is bit-identical to a standalone
-  /// Run at valuations[k] — same seed vector for every point.
-  Result<std::vector<MonteCarloResult>> RunSweep(
-      const PlanFactory& make_plan,
-      std::span<const std::vector<double>> valuations);
-
-  /// Sweep twin of RunSpans: entry k is bit-identical to a standalone
-  /// RunSpans over `run_span(k, ...)`.
-  Result<std::vector<MonteCarloResult>> RunSweepSpans(
-      std::span<const std::string> column_names, std::size_t num_points,
-      const PointWorldSpanFn& run_span);
-
-  const SeedVector& seeds() const { return seeds_; }
-  const RunConfig& config() const { return config_; }
-
- private:
-  RunConfig config_;
-  SeedVector seeds_;
-  std::unique_ptr<ThreadPool> owned_pool_;
-  ThreadPool* pool_ = nullptr;  ///< owned_pool_ or config_.shared_pool
-};
 
 }  // namespace jigsaw::pdb

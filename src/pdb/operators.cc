@@ -306,30 +306,6 @@ PlanNodePtr MakeSingleRowScan(Schema schema, SingleRowFn fill) {
                                              std::move(fill));
 }
 
-PlanNodePtr MakeBatchProgramScan(BatchProgramPtr program) {
-  std::vector<Column> cols;
-  cols.reserve(program->num_columns());
-  for (std::size_t j = 0; j < program->num_columns(); ++j) {
-    cols.push_back({program->column_name(j), ValueType::kDouble});
-  }
-  auto fill = [program = std::move(program)](
-                  EvalContext& ctx, std::vector<double>* out) -> Status {
-    BatchProgram::Context bctx;
-    bctx.params = ctx.params;
-    bctx.sample_begin = ctx.sample_id;
-    bctx.seeds = ctx.seeds;
-    bctx.stream_salt = ctx.stream_salt;
-    out->resize(program->num_columns());
-    std::vector<double*> columns(program->num_columns());
-    for (std::size_t j = 0; j < columns.size(); ++j) {
-      columns[j] = &(*out)[j];
-    }
-    thread_local BatchScratch scratch;
-    return program->RunAll(bctx, 1, columns, scratch);
-  };
-  return std::make_unique<SingleRowScanNode>(Schema(std::move(cols)),
-                                             std::move(fill));
-}
 PlanNodePtr MakeFilter(PlanNodePtr input, ExprPtr predicate) {
   return std::make_unique<FilterNode>(std::move(input), std::move(predicate));
 }

@@ -15,7 +15,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "pdb/batch_program.h"
 #include "pdb/expr.h"
 #include "pdb/table.h"
 #include "util/status.h"
@@ -55,16 +54,9 @@ using SingleRowFn = std::function<Status(EvalContext&, std::vector<double>*)>;
 
 /// One-row all-double leaf over a row program: `fill` evaluates the row
 /// at Open; a context without a seed vector is an ExecutionError (row
-/// programs are stochastic). Shared by the interpreted and compiled scan
-/// variants so their contract cannot drift.
+/// programs are stochastic). This is how a row program rides inside the
+/// layered engine's per-world Volcano plans.
 PlanNodePtr MakeSingleRowScan(Schema schema, SingleRowFn fill);
-
-/// One-row leaf producing the output columns of a compiled BatchProgram
-/// for the context's (params, sample_id, stream_salt) — batch width 1.
-/// This is how compiled row programs ride inside Volcano plans (the
-/// possible-worlds executors hand one plan per world); bit-identical to
-/// projecting the interpreted expressions.
-PlanNodePtr MakeBatchProgramScan(BatchProgramPtr program);
 
 /// sigma(predicate).
 PlanNodePtr MakeFilter(PlanNodePtr input, ExprPtr predicate);

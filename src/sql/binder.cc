@@ -275,15 +275,11 @@ class ColumnSimFunction final : public SimFunction {
 
   /// The core engine's fingerprint/tail/sweep phases drive this: one
   /// compiled BatchProgram run per span instead of out.size() virtual
-  /// tree walks (falls back to the inherited scalar loop when the
-  /// program did not compile).
+  /// tree walks (the interpreter's per-sample walk when the program did
+  /// not compile).
   void SampleBatch(std::span<const double> params, std::size_t sample_begin,
                    const SeedVector& seeds,
                    std::span<double> out) const override {
-    if (!program_->compiled()) {
-      SimFunction::SampleBatch(params, sample_begin, seeds, out);
-      return;
-    }
     Status s = program_->EvalColumnSpan(column_, params, sample_begin,
                                         seeds, /*stream_salt=*/0, {}, out);
     JIGSAW_CHECK_MSG(s.ok(),

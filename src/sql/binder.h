@@ -57,8 +57,8 @@ struct RowProgram {
                             std::size_t sample_id, const SeedVector& seeds,
                             std::uint64_t stream_salt = 0) const;
 
-  /// Evaluates every outer column at once (used by the chain executor
-  /// and the layered engine).
+  /// Evaluates every outer column at once on the interpreter (the bind
+  /// probe, and EvalAllColumnsSpan when the program did not compile).
   Result<std::vector<double>> EvalAllColumns(
       std::span<const double> params, std::size_t sample_id,
       const SeedVector& seeds, std::uint64_t stream_salt = 0) const;
@@ -77,7 +77,11 @@ struct RowProgram {
       std::span<double> out) const;
 
   /// Span twin of EvalAllColumns: fills out[c][i] with column c of sample
-  /// sample_begin + i, for i in [0, count).
+  /// sample_begin + i, for i in [0, count) — one compiled BatchProgram run
+  /// when available, else an EvalAllColumns loop. Every MONTECARLO row
+  /// fold evaluates through it: the direct cell grid one chunk at a time,
+  /// the layered engine's per-world plans one sample at a time. The error
+  /// (if any) is the one the lowest failing sample would report.
   Status EvalAllColumnsSpan(std::span<const double> params,
                             std::size_t sample_begin, std::size_t count,
                             const SeedVector& seeds,
@@ -109,7 +113,7 @@ struct MonteCarloJoinSpec {
 };
 
 /// MONTECARLO statement: run the scenario's row program through the
-/// possible-worlds executor — the direct MonteCarloExecutor or (USING
+/// possible-worlds fold — the direct pdb::FoldPointWorldSpans or (USING
 /// LAYERED) the layered prototype engine — at a single valuation, or
 /// with `over` at every point of the swept parameter. With `join`, the
 /// statement instead folds the world-partitioned equi-join of two

@@ -77,23 +77,14 @@ void ScenarioChainProcess::StepBatch(std::span<const double> prev_states,
                                      std::int64_t step, std::size_t k_begin,
                                      const SeedVector& seeds,
                                      std::span<double> out) const {
-  if (!program_->compiled()) {
-    MarkovProcess::StepBatch(prev_states, step, k_begin, seeds, out);
-    return;
-  }
   EvalColumnBatch(chain_.source_column_index, prev_states, step, k_begin,
                   seeds, MarkovStepSalt(step), out);
 }
 
 void ScenarioChainProcess::EstimateBatch(
-    std::span<const double> anchor_states, std::int64_t anchor_step,
+    std::span<const double> anchor_states, std::int64_t /*anchor_step*/,
     std::int64_t step, std::size_t k_begin, const SeedVector& seeds,
     std::span<double> out) const {
-  if (!program_->compiled()) {
-    MarkovProcess::EstimateBatch(anchor_states, anchor_step, step, k_begin,
-                                 seeds, out);
-    return;
-  }
   // Same per-step stream as honest stepping (Section 4.2), like the
   // scalar EstimateForInstance.
   EvalColumnBatch(chain_.source_column_index, anchor_states, step, k_begin,
@@ -104,10 +95,6 @@ void ScenarioChainProcess::OutputBatch(std::span<const double> states,
                                        std::int64_t step, std::size_t k_begin,
                                        const SeedVector& seeds,
                                        std::span<double> out) const {
-  if (!program_->compiled()) {
-    MarkovProcess::OutputBatch(states, step, k_begin, seeds, out);
-    return;
-  }
   EvalColumnBatch(output_column_, states, step, k_begin, seeds,
                   MarkovOutputSalt(step), out);
 }

@@ -45,10 +45,11 @@ class ScenarioChainProcess final : public MarkovProcess {
   double OutputForInstance(double state, std::int64_t step, std::size_t k,
                            const SeedVector& seeds) const override;
 
-  // Batch hooks: one compiled BatchProgram run per instance span, with
-  // the chain parameter fed per lane — bit-identical to the scalar
-  // *ForInstance hooks (which stay on the interpreter). When the row
-  // program did not compile these fall back to the default scalar loops.
+  // Batch hooks: one RowProgram::EvalColumnSpan call per instance span,
+  // with the chain parameter fed per lane — a compiled BatchProgram run,
+  // or the interpreter's per-lane walk when the row program did not
+  // compile — bit-identical to the scalar *ForInstance hooks (which stay
+  // on the interpreter).
 
   void StepBatch(std::span<const double> prev_states, std::int64_t step,
                  std::size_t k_begin, const SeedVector& seeds,
@@ -68,7 +69,7 @@ class ScenarioChainProcess final : public MarkovProcess {
                     std::int64_t step, std::size_t k,
                     const SeedVector& seeds, std::uint64_t salt) const;
 
-  /// Compiled span evaluation of `column` with per-lane chain states.
+  /// Span evaluation of `column` with per-lane chain states.
   void EvalColumnBatch(std::size_t column,
                        std::span<const double> chain_states,
                        std::int64_t step, std::size_t k_begin,

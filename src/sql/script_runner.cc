@@ -14,13 +14,12 @@ namespace jigsaw::sql {
 
 namespace {
 
-/// One-row plan over the scenario's interpreted projection: evaluates
-/// every outer column of the RowProgram for the context's (params,
-/// world) pair. This is the SQL-bound Monte Carlo fallback when the row
-/// program has no compiled form — the factory hands a fresh node per
-/// world, and the node carries no shared mutable state, so it is safe
-/// under the executor's world fan-out.
-pdb::PlanNodePtr MakeInterpretedRowScan(
+/// The layered engine's per-world plan over the scenario's row program:
+/// a one-row scan that evaluates every outer column for the context's
+/// (params, world) pair, compiled or interpreted. The node carries no
+/// shared mutable state, so a fresh one per world is safe under the
+/// engine's world fan-out.
+pdb::PlanNodePtr MakeRowProgramScan(
     std::shared_ptr<const RowProgram> program) {
   std::vector<pdb::Column> cols;
   cols.reserve(program->outer_names.size());
@@ -28,11 +27,12 @@ pdb::PlanNodePtr MakeInterpretedRowScan(
     cols.push_back({name, pdb::ValueType::kDouble});
   }
   auto fill = [program = std::move(program)](
-                  pdb::EvalContext& ctx, std::vector<double>* out) -> Status {
-    JIGSAW_ASSIGN_OR_RETURN(
-        *out, program->EvalAllColumns(ctx.params, ctx.sample_id, *ctx.seeds,
-                                      ctx.stream_salt));
-    return Status::OK();
+                  pdb::EvalContext& ctx, std::vector<double>* out) {
+    out->resize(program->outer_names.size());
+    std::vector<double*> columns;
+    for (double& v : *out) columns.push_back(&v);
+    return program->EvalAllColumnsSpan(ctx.params, ctx.sample_id, 1,
+                                       *ctx.seeds, ctx.stream_salt, columns);
   };
   return pdb::MakeSingleRowScan(pdb::Schema(std::move(cols)),
                                 std::move(fill));
@@ -45,8 +45,8 @@ Result<std::vector<double>> BaseValuation(
     const std::vector<std::pair<std::string, double>>& overrides) {
   std::vector<double> valuation(params.num_params(), 0.0);
   for (std::size_t i = 0; i < params.num_params(); ++i) {
-    const auto values = params.def(i).Values();
-    valuation[i] = values.empty() ? 0.0 : values[0];
+    const ParameterDef& def = params.def(i);
+    valuation[i] = def.cardinality() == 0 ? 0.0 : def.ValueAt(0);
   }
   for (const auto& [name, value] : overrides) {
     auto idx = params.IndexOf(name);
@@ -219,18 +219,7 @@ Result<ScriptOutcome> ScriptRunner::RunBound(
     JIGSAW_ASSIGN_OR_RETURN(
         std::vector<double> valuation,
         BaseValuation(bound.scenario.params, overrides));
-    // Each world gets its own scan node; the shared RowProgram (and its
-    // compiled BatchProgram) is immutable, so the factory is thread-safe
-    // under the executor's world fan-out (RunConfig::num_threads). A
-    // compiled program rides inside the plan as a BatchProgramScan leaf;
-    // otherwise the interpreted scan node walks the Expr trees.
     std::shared_ptr<const RowProgram> program = bound.program;
-    auto factory = [program]() -> Result<pdb::PlanNodePtr> {
-      if (program->compiled()) {
-        return pdb::MakeBatchProgramScan(program->batch);
-      }
-      return MakeInterpretedRowScan(program);
-    };
 
     MonteCarloOutcome mc;
     mc.layered = bound.montecarlo->layered;
@@ -261,24 +250,25 @@ Result<ScriptOutcome> ScriptRunner::RunBound(
     }
 
     std::vector<std::map<std::string, OutputMetrics>> per_point;
-    if (bound.montecarlo->join) {
-      // FROM ... JOIN: fold the world-partitioned equi-join of the two
-      // bound VG tables instead of the row program. The join consumes no
-      // script parameters, so every sweep point would re-run the
-      // identical standalone fold: it runs once, and each point gets a
-      // copy of its metrics — bit-identical to a one-point statement,
-      // which is exactly the sweep contract. A failure is the one point
-      // 0 would report first.
-      const MonteCarloJoinSpec& join = *bound.montecarlo->join;
-      mc.join = join.description;
-      // Summarize every numeric column of the joined schema, in schema
-      // order; strings have no distribution summary.
-      std::vector<std::string> columns;
-      for (const auto& col : join.resolved.output.columns()) {
-        if (col.type != pdb::ValueType::kString) columns.push_back(col.name);
-      }
+    if (bound.montecarlo->layered && !bound.montecarlo->join) {
+      // Layered path: the prototype's per-point engine with its own seeds
+      // and pool, one plan per world fanned out within each point, and
+      // the WorldCache shared across points (and, when the snapshot
+      // publishes one, across sessions).
+      pdb::LayeredEngine engine(config_, shared.world_cache);
+      JIGSAW_ASSIGN_OR_RETURN(
+          auto results,
+          engine.RunSweep(
+              [program]() -> Result<pdb::PlanNodePtr> {
+                return MakeRowProgramScan(program);
+              },
+              valuations));
+      for (auto& r : results) per_point.push_back(std::move(r.columns));
+    } else {
       const SeedVector seeds(config_.master_seed, config_.num_samples,
                              config_.seed_schema);
+      // A shared pool (session server) takes precedence over a private
+      // one; either way chunk scheduling cannot perturb a draw.
       std::unique_ptr<ThreadPool> owned_pool;
       ThreadPool* pool = nullptr;
       if (config_.num_threads > 1) {
@@ -288,62 +278,66 @@ Result<ScriptOutcome> ScriptRunner::RunBound(
           pool = owned_pool.get();
         }
       }
-      // USING LAYERED realizes through the WorldCache (the snapshot's
-      // shared cache when published, else a statement-local one); DIRECT
-      // realizes per-fold extents, matching the row-program engines.
-      pdb::WorldCache local_cache;
-      pdb::WorldCache* cache = nullptr;
-      if (bound.montecarlo->layered) {
-        cache =
-            shared.world_cache != nullptr ? shared.world_cache : &local_cache;
-      }
-      auto folded = pdb::FoldJoinedVGColumns(
-          join.left, join.right, join.keys, columns, config_.num_samples,
-          seeds, config_, pool, cache);
-      if (!folded.ok()) {
-        if (valuations.size() > 1) {
-          return pdb::NameSweepPoint(0, folded.status());
+      if (bound.montecarlo->join) {
+        // FROM ... JOIN: fold the world-partitioned equi-join of the two
+        // bound VG tables instead of the row program. The join consumes
+        // no script parameters, so every sweep point would re-run the
+        // identical standalone fold: it runs once, and each point gets a
+        // copy of its metrics — bit-identical to a one-point statement,
+        // which is exactly the sweep contract. A failure is the one
+        // point 0 would report first.
+        const MonteCarloJoinSpec& join = *bound.montecarlo->join;
+        mc.join = join.description;
+        // Summarize every numeric column of the joined schema, in schema
+        // order; strings have no distribution summary.
+        std::vector<std::string> columns;
+        for (const auto& col : join.resolved.output.columns()) {
+          if (col.type != pdb::ValueType::kString) {
+            columns.push_back(col.name);
+          }
         }
-        return folded.status();
+        // USING LAYERED realizes through the WorldCache (the snapshot's
+        // shared cache when published, else a statement-local one);
+        // DIRECT realizes per-fold extents.
+        pdb::WorldCache local_cache;
+        pdb::WorldCache* cache = nullptr;
+        if (bound.montecarlo->layered) {
+          cache = shared.world_cache != nullptr ? shared.world_cache
+                                                : &local_cache;
+        }
+        auto folded = pdb::FoldJoinedVGColumns(
+            join.left, join.right, join.keys, columns, config_.num_samples,
+            seeds, config_, pool, cache);
+        if (!folded.ok()) {
+          if (valuations.size() > 1) {
+            return pdb::NameSweepPoint(0, folded.status());
+          }
+          return folded.status();
+        }
+        // Copies for all points but the last, which takes the fold
+        // itself: with keep_samples a copy carries every joined tuple's
+        // samples.
+        per_point.assign(valuations.size() - 1, folded.value());
+        per_point.push_back(std::move(folded).value());
+      } else {
+        // The row program over the two-axis cell grid: every (point,
+        // world-chunk) cell is one EvalAllColumnsSpan call — a single
+        // BatchProgram run when the program compiled, the interpreter's
+        // world-at-a-time loop otherwise — and all cells spread across
+        // the pool at once. Only the valuation varies by point.
+        auto run_span = [&](std::size_t point, std::size_t begin,
+                            std::size_t count,
+                            std::span<double* const> columns) {
+          return program->EvalAllColumnsSpan(valuations[point], begin,
+                                             count, seeds,
+                                             /*stream_salt=*/0, columns);
+        };
+        JIGSAW_ASSIGN_OR_RETURN(
+            per_point,
+            pdb::FoldPointWorldSpans(program->outer_names, valuations.size(),
+                                     config_.num_samples, config_, pool,
+                                     run_span));
       }
-      // Copies for all points but the last, which takes the fold itself:
-      // with keep_samples a copy carries every joined tuple's samples.
-      per_point.assign(valuations.size() - 1, folded.value());
-      per_point.push_back(std::move(folded).value());
-    } else if (bound.montecarlo->layered) {
-      // Layered path: the prototype's per-point executors, worlds fanned
-      // out within each point, WorldCache shared across points (and, when
-      // the snapshot publishes one, across sessions).
-      pdb::LayeredEngine engine(config_, shared.world_cache);
-      JIGSAW_ASSIGN_OR_RETURN(auto results,
-                              engine.RunSweep(factory, valuations));
-      for (auto& r : results) per_point.push_back(std::move(r.columns));
-    } else if (program->compiled()) {
-      // Compiled fast path: the two-axis fan-out — every (point,
-      // world-chunk) cell is one BatchProgram execution, all cells
-      // spread across the shared pool at once. The single compiled
-      // program is reused by every point; only ctx.params varies.
-      pdb::MonteCarloExecutor executor(config_);
-      const SeedVector& seeds = executor.seeds();
-      auto run_span = [&](std::size_t point, std::size_t begin,
-                          std::size_t count,
-                          std::span<double* const> columns) {
-        return program->EvalAllColumnsSpan(valuations[point], begin, count,
-                                           seeds, /*stream_salt=*/0,
-                                           columns);
-      };
-      JIGSAW_ASSIGN_OR_RETURN(
-          auto results,
-          executor.RunSweepSpans(program->outer_names, valuations.size(),
-                                 run_span));
-      for (auto& r : results) per_point.push_back(std::move(r.columns));
-    } else {
-      // Interpreter fallback (an expression with no batch form): same
-      // cell grid, one boxed plan per world.
-      pdb::MonteCarloExecutor executor(config_);
-      JIGSAW_ASSIGN_OR_RETURN(auto results,
-                              executor.RunSweep(factory, valuations));
-      for (auto& r : results) per_point.push_back(std::move(r.columns));
     }
 
     if (bound.montecarlo->over) {

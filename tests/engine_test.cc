@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -86,6 +87,52 @@ TEST(ParameterSpaceTest, DegenerateHighMagnitudeRangeTerminates) {
   // expansion must still produce exactly the points the span implies.
   ParameterDef def{"w", RangeDomain{1e16, 1e16, 1}};
   EXPECT_EQ(def.Values(), (std::vector<double>{1e16}));
+}
+
+TEST(ParameterSpaceTest, ValueAtAndCardinalityMatchValues) {
+  // cardinality() counts and ValueAt(i) indexes a domain without building
+  // it; both must agree with the materialized Values() bit for bit.
+  const std::vector<ParameterDef> defs = {
+      {"tenth", RangeDomain{0.0, 1.0, 0.1}},
+      // hi sits 1e-10 below the grid point 2.0, inside the 1e-9 * step
+      // tolerance, so 2.0 is still the last value.
+      {"tolerant", RangeDomain{0.0, 2.0 - 1e-10, 0.5}},
+      // lo + step rounds back to lo at this magnitude.
+      {"huge", RangeDomain{1e16, 1e16 + 4, 1}},
+      {"set", SetDomain{{12, 36, 44}}},
+      {"chain", ChainDomain{"c", "w", 52.0}},
+  };
+  for (const ParameterDef& def : defs) {
+    SCOPED_TRACE(def.name);
+    const std::vector<double> values = def.Values();
+    EXPECT_EQ(def.cardinality(), values.size());
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(def.ValueAt(i)),
+                std::bit_cast<std::uint64_t>(values[i]))
+          << "i=" << i;
+    }
+  }
+  EXPECT_EQ(defs[0].cardinality(), 11u);
+  EXPECT_EQ(defs[1].cardinality(), 5u);
+  EXPECT_EQ(defs[1].ValueAt(4), 2.0);
+  EXPECT_EQ(defs[2].cardinality(), 5u);
+  EXPECT_EQ(defs[3].ValueAt(2), 44.0);
+  EXPECT_EQ(defs[4].cardinality(), 0u);  // CHAIN: not enumerated
+}
+
+TEST(ParameterSpaceTest, LargeRangeCountsAndIndexesWithoutMaterializing) {
+  // Just under ParameterSpace::Add's 1e8-value cap: counting and indexing
+  // must not build the 99,999,991-value domain for each call.
+  ParameterSpace space;
+  ASSERT_TRUE(space.Add({"w", RangeDomain{0, 99999990, 1}}).ok());
+  ASSERT_TRUE(space.Add({"f", SetDomain{{36, 52}}}).ok());
+  EXPECT_EQ(space.def(0).cardinality(), 99999991u);
+  EXPECT_EQ(space.NumPoints(), 2u * 99999991u);
+  EXPECT_EQ(space.ValuationAt(0), (std::vector<double>{0, 36}));
+  EXPECT_EQ(space.ValuationAt(2 * 12345 + 1),
+            (std::vector<double>{12345, 52}));
+  EXPECT_EQ(space.ValuationAt(2u * 99999991u - 1),
+            (std::vector<double>{99999990, 52}));
 }
 
 TEST(ParameterSpaceTest, IndexOfIsCaseInsensitive) {

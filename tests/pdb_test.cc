@@ -1,6 +1,6 @@
 // Tests for the mini-MCDB substrate: typed values, tables, expression
 // evaluation (including stochastic model calls), Volcano operators, VG
-// tables with the world cache, the Monte Carlo executor and the layered
+// tables with the world cache, the possible-worlds folds and the layered
 // engine.
 
 #include <gtest/gtest.h>
@@ -13,6 +13,7 @@
 
 #include <span>
 
+#include "boxed_reference.h"
 #include "grid_test_util.h"
 #include "models/cloud_models.h"
 #include "pdb/batch_program.h"
@@ -812,15 +813,44 @@ TEST(WorldCacheTest, GeneratesOncePerWorld) {
 }
 
 // ---------------------------------------------------------------------------
-// Monte Carlo executor
+// Monte Carlo over per-world plans (FoldWorlds)
 // ---------------------------------------------------------------------------
+
+using PlanFactory = std::function<Result<PlanNodePtr>()>;
+
+/// Executes a fresh plan from `make_plan` in world `world`.
+Result<Table> RunPlanInWorld(const PlanFactory& make_plan,
+                             std::span<const double> params,
+                             const SeedVector& seeds, std::size_t world) {
+  JIGSAW_ASSIGN_OR_RETURN(PlanNodePtr plan, make_plan());
+  EvalContext ctx;
+  ctx.params = params;
+  ctx.sample_id = world;
+  ctx.seeds = &seeds;
+  return ExecuteToTable(*plan, ctx);
+}
+
+/// Runs `make_plan` once per world under `params` and folds the worlds
+/// through FoldWorlds, with the seed vector and (num_threads > 1) the
+/// private pool a direct statement builds from `cfg`.
+Result<std::map<std::string, OutputMetrics>> RunPlanWorlds(
+    const RunConfig& cfg, const PlanFactory& make_plan,
+    std::span<const double> params) {
+  const SeedVector seeds(cfg.master_seed, cfg.num_samples, cfg.seed_schema);
+  std::unique_ptr<ThreadPool> pool;
+  if (cfg.num_threads > 1) {
+    pool = std::make_unique<ThreadPool>(cfg.num_threads);
+  }
+  return FoldWorlds(cfg.num_samples, cfg, pool.get(), [&](std::size_t world) {
+    return RunPlanInWorld(make_plan, params, seeds, world);
+  });
+}
 
 TEST(MonteCarloTest, EstimatesStochasticScalarQuery) {
   CloudModelConfig mcfg;
   auto model = MakeDemandModel(mcfg);
   RunConfig cfg;
   cfg.num_samples = 2000;
-  MonteCarloExecutor executor(cfg);
 
   auto factory = [&]() -> Result<PlanNodePtr> {
     return MakeProject(
@@ -831,10 +861,10 @@ TEST(MonteCarloTest, EstimatesStochasticScalarQuery) {
         {"demand"});
   };
   const std::vector<double> params = {25.0};
-  auto result = executor.Run(factory, params);
+  auto result = RunPlanWorlds(cfg, factory, params);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  ASSERT_EQ(result.value().worlds, 2000u);
-  const auto& demand = result.value().columns.at("demand");
+  const auto& demand = result.value().at("demand");
+  EXPECT_EQ(demand.count, 2000);
   EXPECT_NEAR(demand.mean, 25.0, 0.3);
   EXPECT_NEAR(demand.stddev, std::sqrt(0.1 * 25.0), 0.2);
 }
@@ -843,9 +873,8 @@ TEST(MonteCarloTest, MultiRowResultIsError) {
   const Table t = MakeToyTable();
   RunConfig cfg;
   cfg.num_samples = 2;
-  MonteCarloExecutor executor(cfg);
   auto factory = [&]() -> Result<PlanNodePtr> { return MakeTableScan(&t); };
-  EXPECT_EQ(executor.Run(factory, {}).status().code(),
+  EXPECT_EQ(RunPlanWorlds(cfg, factory, {}).status().code(),
             StatusCode::kExecutionError);
 }
 
@@ -864,22 +893,23 @@ void ExpectMetricsBitIdentical(const OutputMetrics& a,
   EXPECT_EQ(a.p50, b.p50);
   EXPECT_EQ(a.p95, b.p95);
   ASSERT_EQ(a.histogram.has_value(), b.histogram.has_value());
-  if (a.histogram) EXPECT_TRUE(*a.histogram == *b.histogram);
+  if (a.histogram) {
+    EXPECT_TRUE(*a.histogram == *b.histogram);
+  }
   EXPECT_EQ(a.samples, b.samples);
 }
 
-void ExpectResultsBitIdentical(const MonteCarloResult& a,
-                               const MonteCarloResult& b) {
-  EXPECT_EQ(a.worlds, b.worlds);
-  ASSERT_EQ(a.columns.size(), b.columns.size());
-  for (const auto& [name, metrics] : a.columns) {
-    ASSERT_TRUE(b.columns.count(name)) << name;
-    ExpectMetricsBitIdentical(metrics, b.columns.at(name));
+void ExpectResultsBitIdentical(const std::map<std::string, OutputMetrics>& a,
+                               const std::map<std::string, OutputMetrics>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (const auto& [name, metrics] : a) {
+    ASSERT_TRUE(b.count(name)) << name;
+    ExpectMetricsBitIdentical(metrics, b.at(name));
   }
 }
 
-MonteCarloExecutor::PlanFactory TwoColumnFactory(
-    const BlackBoxPtr& demand, const BlackBoxPtr& capacity) {
+PlanFactory TwoColumnFactory(const BlackBoxPtr& demand,
+                             const BlackBoxPtr& capacity) {
   return [=]() -> Result<PlanNodePtr> {
     return MakeProject(
         MakeDualScan(),
@@ -899,21 +929,28 @@ TEST(MonteCarloParallelTest, BitIdenticalAcrossThreadsAndBatches) {
   auto demand = MakeDemandModel(mcfg);
   auto capacity = MakeCapacityModel(mcfg);
   const std::vector<double> params = {25.0};
+  const PlanFactory factory = TwoColumnFactory(demand, capacity);
 
+  // The oracle: the boxed serial fold, one plan per world.
   RunConfig base;
   base.num_samples = 200;
   base.keep_samples = true;
-  MonteCarloExecutor serial(base);
-  auto reference = serial.Run(TwoColumnFactory(demand, capacity), params);
+  const SeedVector seeds(base.master_seed, base.num_samples,
+                         base.seed_schema);
+  const PlanNodePtr probe = factory().value();
+  const std::vector<std::string> names = {"demand", "capacity"};
+  auto reference = test::BoxedFoldWorlds(
+      probe->schema(), names, base.num_samples, seeds, base,
+      [&](std::size_t world) {
+        return RunPlanInWorld(factory, params, seeds, world);
+      });
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
-  ASSERT_EQ(reference.value().columns.size(), 2u);
 
   test::ForEachGridPoint([&](std::size_t threads, std::size_t batch) {
     RunConfig cfg = base;
     cfg.num_threads = threads;
     cfg.batch_size = batch;
-    MonteCarloExecutor executor(cfg);
-    auto result = executor.Run(TwoColumnFactory(demand, capacity), params);
+    auto result = RunPlanWorlds(cfg, factory, params);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     ExpectResultsBitIdentical(reference.value(), result.value());
   });
@@ -928,7 +965,6 @@ TEST(MonteCarloParallelTest, SharedWorldCacheIsDeterministic) {
     cfg.num_samples = 60;
     cfg.num_threads = threads;
     cfg.batch_size = batch;
-    MonteCarloExecutor executor(cfg);
     // Every world's task hits the shared cache concurrently; the cache
     // must hand back identical realizations and count one generation per
     // world regardless of schedule.
@@ -944,13 +980,13 @@ TEST(MonteCarloParallelTest, SharedWorldCacheIsDeterministic) {
                                 MakeParamRef(0, "week"))),
           {}, {}, std::move(aggs));
     };
-    auto result = executor.Run(factory, params);
+    auto result = RunPlanWorlds(cfg, factory, params);
     EXPECT_TRUE(result.ok()) << result.status().ToString();
     EXPECT_EQ(cache->generation_count(), 60u);
     return std::move(result).value();
   };
 
-  const MonteCarloResult reference = run(1, 64);
+  const auto reference = run(1, 64);
   test::ForEachParallelGridPoint([&](std::size_t threads,
                                      std::size_t batch) {
     ExpectResultsBitIdentical(reference, run(threads, batch));
@@ -992,22 +1028,19 @@ class WorldValueNode final : public PlanNode {
 TEST(MonteCarloParallelTest, ColumnTypeFlipIsErrorNotSilentSkew) {
   // Numeric in world 0, string from world 5 on: before the locking fix
   // the later worlds were silently dropped from the column's statistics.
-  auto make_factory = []() -> MonteCarloExecutor::PlanFactory {
-    return []() -> Result<PlanNodePtr> {
-      return PlanNodePtr(std::make_unique<WorldValueNode>(
-          [](std::size_t world) {
-            return world < 5 ? Value(1.0 + static_cast<double>(world))
-                             : Value(std::string("oops"));
-          }));
-    };
+  auto factory = []() -> Result<PlanNodePtr> {
+    return PlanNodePtr(std::make_unique<WorldValueNode>(
+        [](std::size_t world) {
+          return world < 5 ? Value(1.0 + static_cast<double>(world))
+                           : Value(std::string("oops"));
+        }));
   };
   for (std::size_t threads : {1u, 4u}) {
     RunConfig cfg;
     cfg.num_samples = 40;
     cfg.num_threads = threads;
     cfg.batch_size = 7;
-    MonteCarloExecutor executor(cfg);
-    auto result = executor.Run(make_factory(), {});
+    auto result = RunPlanWorlds(cfg, factory, {});
     ASSERT_FALSE(result.ok()) << "threads=" << threads;
     EXPECT_EQ(result.status().code(), StatusCode::kExecutionError);
     // The reported world is the serial run's: the first flipped one.
@@ -1032,13 +1065,12 @@ TEST(MonteCarloParallelTest, NonNumericColumnIsExcludedNotEmpty) {
   };
   RunConfig cfg;
   cfg.num_samples = 20;
-  MonteCarloExecutor executor(cfg);
   const std::vector<double> params = {10.0};
-  auto result = executor.Run(factory, params);
+  auto result = RunPlanWorlds(cfg, factory, params);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(result.value().columns.count("tag"), 0u);
-  ASSERT_EQ(result.value().columns.count("demand"), 1u);
-  EXPECT_EQ(result.value().columns.at("demand").count, 20);
+  EXPECT_EQ(result.value().count("tag"), 0u);
+  ASSERT_EQ(result.value().count("demand"), 1u);
+  EXPECT_EQ(result.value().at("demand").count, 20);
 }
 
 TEST(MonteCarloParallelTest, NaNSamplesAreCountedNotUndefinedBehavior) {
@@ -1057,10 +1089,9 @@ TEST(MonteCarloParallelTest, NaNSamplesAreCountedNotUndefinedBehavior) {
   cfg.num_samples = 40;
   cfg.num_threads = 2;
   cfg.batch_size = 7;
-  MonteCarloExecutor executor(cfg);
-  auto result = executor.Run(factory, {});
+  auto result = RunPlanWorlds(cfg, factory, {});
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  const auto& x = result.value().columns.at("x");
+  const auto& x = result.value().at("x");
   EXPECT_EQ(x.count, 40);
   EXPECT_DOUBLE_EQ(x.p50, 1.0);  // quantiles are over the finite mass
   ASSERT_TRUE(x.histogram.has_value());
@@ -1069,9 +1100,9 @@ TEST(MonteCarloParallelTest, NaNSamplesAreCountedNotUndefinedBehavior) {
 }
 
 // ---------------------------------------------------------------------------
-// Two-axis sweeps (MONTECARLO OVER): FoldPointWorlds / FoldPointWorldSpans
-// must reproduce N standalone single-point folds bit-for-bit at every
-// points x batch x threads grid cell, and name both coordinates on error.
+// Two-axis sweeps (MONTECARLO OVER): FoldPointWorldSpans must reproduce
+// N one-point folds bit-for-bit at every points x batch x threads grid
+// cell, and name both coordinates on error.
 // ---------------------------------------------------------------------------
 
 TEST(MonteCarloSweepTest, SpanSweepBitIdenticalToPerPointFolds) {
@@ -1093,20 +1124,20 @@ TEST(MonteCarloSweepTest, SpanSweepBitIdenticalToPerPointFolds) {
 
   const std::size_t kWorlds = 83;  // not a multiple of any grid batch
   for (std::size_t npoints : {1u, 3u, 9u}) {
-    // Reference: one standalone FoldWorldSpans per point, serial.
+    // Reference: one serial one-point fold per point.
     RunConfig ref_cfg;
     ref_cfg.batch_size = 64;
     ref_cfg.keep_samples = true;
     std::vector<std::map<std::string, OutputMetrics>> expected;
     for (std::size_t point = 0; point < npoints; ++point) {
-      auto standalone = FoldWorldSpans(
-          names, kWorlds, ref_cfg, nullptr,
-          [&](std::size_t begin, std::size_t count,
+      auto standalone = FoldPointWorldSpans(
+          names, 1, kWorlds, ref_cfg, nullptr,
+          [&](std::size_t, std::size_t begin, std::size_t count,
               std::span<double* const> columns) {
             return run_span(point, begin, count, columns);
           });
       ASSERT_TRUE(standalone.ok()) << standalone.status().ToString();
-      expected.push_back(std::move(standalone).value());
+      expected.push_back(std::move(standalone).value()[0]);
     }
 
     test::ForEachGridPoint([&](std::size_t threads, std::size_t batch) {
@@ -1185,132 +1216,79 @@ TEST(MonteCarloSweepTest, WindowedStagingIsBitIdenticalAndOrdersErrors) {
             std::string::npos);
 }
 
-TEST(MonteCarloSweepTest, ExecutorSweepBitIdenticalToStandaloneRuns) {
-  CloudModelConfig mcfg;
-  auto demand = MakeDemandModel(mcfg);
-  auto capacity = MakeCapacityModel(mcfg);
-  const std::vector<std::vector<double>> valuations = {{10.0},
-                                                       {20.0},
-                                                       {30.0}};
-
-  RunConfig base;
-  base.num_samples = 100;
-  base.keep_samples = true;
-  std::vector<MonteCarloResult> expected;
-  for (const auto& v : valuations) {
-    MonteCarloExecutor standalone(base);
-    auto r = standalone.Run(TwoColumnFactory(demand, capacity), v);
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-    expected.push_back(std::move(r).value());
-  }
-
-  test::ForEachGridPoint([&](std::size_t threads, std::size_t batch) {
-    RunConfig cfg = base;
-    cfg.num_threads = threads;
-    cfg.batch_size = batch;
-    MonteCarloExecutor executor(cfg);
-    auto sweep =
-        executor.RunSweep(TwoColumnFactory(demand, capacity), valuations);
-    ASSERT_TRUE(sweep.ok()) << sweep.status().ToString();
-    ASSERT_EQ(sweep.value().size(), valuations.size());
-    for (std::size_t point = 0; point < valuations.size(); ++point) {
-      SCOPED_TRACE(testing::Message() << "point " << point);
-      ExpectResultsBitIdentical(expected[point], sweep.value()[point]);
-    }
-  });
-}
-
 TEST(MonteCarloSweepTest, EmptySweepAxes) {
   RunConfig cfg;
-  cfg.num_samples = 0;
-  MonteCarloExecutor executor(cfg);
-  auto no_worlds = executor.RunSweep(
-      []() -> Result<PlanNodePtr> {
-        return Status::Internal("plan factory must not run");
-      },
-      std::vector<std::vector<double>>(3));
-  ASSERT_TRUE(no_worlds.ok()) << no_worlds.status().ToString();
-  ASSERT_EQ(no_worlds.value().size(), 3u);
-  for (const auto& point : no_worlds.value()) {
-    EXPECT_TRUE(point.columns.empty());
-  }
+  cfg.batch_size = 7;
+  ThreadPool pool(2);
+  const std::vector<std::string> names = {"x"};
+  auto no_cell = [](std::size_t, std::size_t, std::size_t,
+                    std::span<double* const>) {
+    return Status::Internal("no cell may run");
+  };
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    auto no_worlds = FoldPointWorldSpans(names, 3, 0, cfg, p, no_cell);
+    ASSERT_TRUE(no_worlds.ok()) << no_worlds.status().ToString();
+    ASSERT_EQ(no_worlds.value().size(), 3u);
+    for (const auto& point : no_worlds.value()) {
+      EXPECT_TRUE(point.empty());
+    }
 
-  auto no_points = executor.RunSweep(
-      []() -> Result<PlanNodePtr> {
-        return Status::Internal("plan factory must not run");
-      },
-      {});
-  ASSERT_TRUE(no_points.ok());
-  EXPECT_TRUE(no_points.value().empty());
+    auto no_points = FoldPointWorldSpans(names, 0, 40, cfg, p, no_cell);
+    ASSERT_TRUE(no_points.ok()) << no_points.status().ToString();
+    EXPECT_TRUE(no_points.value().empty());
+
+    // The plan fold runs no world at all, not even the layout lock.
+    auto plan_fold =
+        FoldWorlds(0, cfg, p, [](std::size_t) -> Result<Table> {
+          return Status::Internal("no world may run");
+        });
+    ASSERT_TRUE(plan_fold.ok()) << plan_fold.status().ToString();
+    EXPECT_TRUE(plan_fold.value().empty());
+  }
 }
 
 TEST(MonteCarloSweepTest, TypeFlipErrorNamesPointAndWorld) {
-  // Point 2's column is numeric in world 0 but a string from world 5 on;
-  // the surfaced error must name both coordinates and be identical at
-  // every schedule. Point 0/1 stay clean, so the serial point-by-point
-  // loop reaches point 2 and reports its first flipped world.
-  auto run_world = [](std::size_t point,
-                      std::size_t world) -> Result<Table> {
-    // The flipped worlds declare a string schema (AddRow validates
-    // declared types now); the fold's layout check keys on the *value's*
-    // numeric-ness, so the surfaced error is unchanged.
-    if (point == 2 && world >= 5) {
-      Table t(Schema({{"x", ValueType::kString}}));
-      JIGSAW_RETURN_IF_ERROR(t.AddRow({Value(std::string("oops"))}));
-      return t;
+  // Point 1's column is not numeric in its very first world, the error
+  // a row program reports for a type flip, while every other cell
+  // succeeds. The failing point is named, and the surfaced error is
+  // identical at every grid cell: the serial run's.
+  auto flip0 = [](std::size_t point, std::size_t begin, std::size_t count,
+                  std::span<double* const> columns) {
+    for (std::size_t i = 0; i < count; ++i) {
+      if (point == 1 && begin + i == 0) {
+        return Status::ExecutionError("column 'x' is not numeric");
+      }
+      columns[0][i] = static_cast<double>(point * 100 + begin + i);
     }
-    Table t(Schema({{"x", ValueType::kDouble}}));
-    JIGSAW_RETURN_IF_ERROR(
-        t.AddRow({Value(static_cast<double>(point * 100 + world))}));
-    return t;
+    return Status::OK();
   };
-
+  const std::vector<std::string> names = {"x"};
   Status serial;
   test::ForEachGridPoint([&](std::size_t threads, std::size_t batch) {
     RunConfig cfg;
     cfg.batch_size = batch;
     ThreadPool pool(threads);
-    auto result = FoldPointWorlds(4, 40, cfg,
-                                  threads > 1 ? &pool : nullptr, run_world);
+    auto result = FoldPointWorldSpans(names, 3, 20, cfg,
+                                      threads > 1 ? &pool : nullptr, flip0);
     ASSERT_FALSE(result.ok());
     EXPECT_EQ(result.status().code(), StatusCode::kExecutionError);
-    EXPECT_NE(result.status().message().find("sweep point 2"),
+    EXPECT_NE(result.status().message().find("sweep point 1"),
               std::string::npos)
         << result.status().ToString();
-    EXPECT_NE(result.status().message().find("world 5"), std::string::npos)
+    EXPECT_NE(result.status().message().find("'x' is not numeric"),
+              std::string::npos)
         << result.status().ToString();
     if (serial.ok()) serial = result.status();  // first grid cell is serial
     EXPECT_EQ(serial, result.status());
   });
-
-  // A world-0 flip surfaces as that point's layout-lock failure: the
-  // one-row check and layout live on world 0, so a point whose very first
-  // world misbehaves is named too.
-  auto flip0 = [](std::size_t point, std::size_t world) -> Result<Table> {
-    if (point == 1 && world == 0) {
-      return Status::ExecutionError("world 0 exploded");
-    }
-    Table t(Schema({{"x", ValueType::kDouble}}));
-    JIGSAW_RETURN_IF_ERROR(t.AddRow({Value(1.0)}));
-    return t;
-  };
-  RunConfig cfg;
-  cfg.batch_size = 7;
-  auto result = FoldPointWorlds(3, 20, cfg, nullptr, flip0);
-  ASSERT_FALSE(result.ok());
-  EXPECT_NE(result.status().message().find("sweep point 1"),
-            std::string::npos);
-  EXPECT_NE(result.status().message().find("world 0 exploded"),
-            std::string::npos);
 }
 
-TEST(LayeredEngineTest, AgreesWithMonteCarloExecutor) {
+TEST(LayeredEngineTest, AgreesWithDirectPlanFold) {
   CloudModelConfig mcfg;
   auto model = MakeDemandModel(mcfg);
   RunConfig cfg;
   cfg.num_samples = 500;
   LayeredEngine layered(cfg);
-  MonteCarloExecutor direct(cfg);
 
   auto factory = [&]() -> Result<PlanNodePtr> {
     return MakeProject(
@@ -1322,12 +1300,12 @@ TEST(LayeredEngineTest, AgreesWithMonteCarloExecutor) {
   };
   const std::vector<double> params = {16.0};
   auto a = layered.RunPoint(factory, params);
-  auto b = direct.Run(factory, params);
+  auto b = RunPlanWorlds(cfg, factory, params);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   // Identical seeds and plans: close up to CSV text round-trip precision.
   EXPECT_NEAR(a.value().columns.at("demand").mean,
-              b.value().columns.at("demand").mean, 1e-9);
+              b.value().at("demand").mean, 1e-9);
   EXPECT_EQ(layered.stats().plans_built, 500u);
   EXPECT_EQ(layered.stats().rows_serialized, 500u);
 }

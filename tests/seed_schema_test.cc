@@ -26,6 +26,7 @@
 #include "pdb/vg_table.h"
 #include "random/seed_vector.h"
 #include "serve/session_server.h"
+#include "sql/chain_process.h"
 #include "sql/script_runner.h"
 
 namespace jigsaw {
@@ -309,6 +310,37 @@ TEST(SeedSchemaChainTest, MarkovBranchKernelsMatchScalar) {
   MarkovBranchConfig cfg;
   cfg.branching = 0.3;  // branch often enough to exercise both arms
   ExpectV2MarkovKernelsMatchScalar(MarkovBranchProcess(cfg));
+}
+
+TEST(SeedSchemaChainTest, ScenarioChainKernelsMatchScalar) {
+  // The Figure 5 CHAIN scenario on both expression paths: its batch hooks
+  // run one EvalColumnSpan per instance span, a compiled BatchProgram or
+  // the interpreter's per-lane walk.
+  ModelRegistry registry;
+  ASSERT_TRUE(RegisterCloudModels(&registry).ok());
+  auto bound = sql::ParseAndBind(R"(
+DECLARE PARAMETER @current_week AS RANGE 0 TO 52 STEP BY 1;
+DECLARE PARAMETER @release_week AS CHAIN release_week
+  FROM @current_week : @current_week - 1 INITIAL VALUE 52;
+SELECT CASE WHEN demand > 26 AND @current_week + 4 < @release_week
+            THEN @current_week + 4 ELSE @release_week END AS release_week,
+       demand
+FROM (SELECT DemandModel(@current_week, @release_week) AS demand)
+INTO results;
+)",
+                                 registry);
+  ASSERT_TRUE(bound.ok()) << bound.status().message();
+  ASSERT_TRUE(bound.value().program->compiled());
+  sql::BoundScript interpreted = bound.value();
+  sql::UseInterpretedExpressions(interpreted);
+  for (const sql::BoundScript* path : {&bound.value(), &interpreted}) {
+    SCOPED_TRACE(::testing::Message()
+                 << "compiled=" << path->program->compiled());
+    const sql::ScenarioChainProcess process(
+        path->program, *path->chain, path->scenario.params.ValuationAt(0),
+        /*output_column=*/1);
+    ExpectV2MarkovKernelsMatchScalar(process);
+  }
 }
 
 TEST(SeedSchemaChainTest, ChainRunsBitIdenticalAcrossBatchSizes) {

@@ -94,7 +94,9 @@ void ExpectSameOutcome(const ScriptOutcome& a, const ScriptOutcome& b) {
     }
   }
   ASSERT_EQ(a.optimize.has_value(), b.optimize.has_value());
-  if (a.optimize) EXPECT_EQ(a.optimize->ToString(), b.optimize->ToString());
+  if (a.optimize) {
+    EXPECT_EQ(a.optimize->ToString(), b.optimize->ToString());
+  }
   EXPECT_EQ(a.runner_stats.points_evaluated, b.runner_stats.points_evaluated);
   EXPECT_EQ(a.runner_stats.points_reused, b.runner_stats.points_reused);
   EXPECT_EQ(a.runner_stats.blackbox_invocations,

@@ -602,6 +602,33 @@ class CompiledExprTest : public BinderTest {
     return runner.RunBound(std::move(bound), overrides);
   }
 
+  /// The independent oracle of a row-program MONTECARLO at `valuation`:
+  /// each world realized as the one-row table of the interpreter's
+  /// RowProgram::EvalAllColumns, folded serially by test::BoxedFoldWorlds
+  /// over `cfg`'s seed vector.
+  static Result<std::map<std::string, OutputMetrics>> BoxedRowProgramFold(
+      const RowProgram& program, std::span<const double> valuation,
+      const RunConfig& cfg) {
+    std::vector<pdb::Column> cols;
+    for (const auto& name : program.outer_names) {
+      cols.push_back({name, pdb::ValueType::kDouble});
+    }
+    const pdb::Schema schema(std::move(cols));
+    const SeedVector seeds(cfg.master_seed, cfg.num_samples,
+                           cfg.seed_schema);
+    return test::BoxedFoldWorlds(
+        schema, program.outer_names, cfg.num_samples, seeds, cfg,
+        [&](std::size_t world) -> Result<pdb::Table> {
+          JIGSAW_ASSIGN_OR_RETURN(
+              std::vector<double> values,
+              program.EvalAllColumns(valuation, world, seeds));
+          pdb::Row row(values.begin(), values.end());
+          pdb::Table table(schema);
+          table.AppendRowUnchecked(std::move(row));
+          return table;
+        });
+  }
+
   static void ExpectSameMetrics(
       const std::map<std::string, OutputMetrics>& expected,
       const std::map<std::string, OutputMetrics>& actual) {
@@ -635,6 +662,15 @@ TEST_F(CompiledExprTest, MonteCarloBitIdenticalToInterpreterAcrossGrid) {
                              /*threads=*/1, /*batch=*/64);
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
   ASSERT_FALSE(reference.value().bound.program->compiled());
+  // Both paths share one fold, so the interpreted run is itself checked
+  // against the boxed oracle.
+  RunConfig oracle_cfg;
+  oracle_cfg.num_samples = 200;
+  auto oracle = BoxedRowProgramFold(
+      *reference.value().bound.program,
+      reference.value().montecarlo->base_valuation, oracle_cfg);
+  ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+  ExpectSameMetrics(oracle.value(), reference.value().montecarlo->columns);
   test::ForEachGridPoint([&](std::size_t threads, std::size_t batch) {
     auto compiled = RunScript(kCompiledMonteCarloScript, /*compiled=*/true,
                               threads, batch);
@@ -718,20 +754,29 @@ TEST_F(CompiledExprTest, CompiledSampleBatchMatchesScalarSample) {
   auto bound = ParseAndBind(kFigure1, registry_);
   ASSERT_TRUE(bound.ok()) << bound.status().ToString();
   ASSERT_TRUE(bound.value().program->compiled());
+  // The interpreted copy walks the interpreter per sample inside the same
+  // SampleBatch call.
+  BoundScript interpreted = bound.value();
+  UseInterpretedExpressions(interpreted);
+  ASSERT_FALSE(interpreted.program->compiled());
   const std::size_t kSamples = 40;
   SeedVector seeds(0x5EED, kSamples);
   const auto valuation = bound.value().scenario.params.ValuationAt(3);
-  for (const auto& col : bound.value().scenario.columns) {
-    for (std::size_t batch : test::GridBatchSizes()) {
-      std::vector<double> got(kSamples);
-      for (std::size_t begin = 0; begin < kSamples; begin += batch) {
-        const std::size_t n = std::min(batch, kSamples - begin);
-        col.fn->SampleBatch(valuation, begin, seeds,
-                            std::span<double>(got.data() + begin, n));
-      }
-      for (std::size_t k = 0; k < kSamples; ++k) {
-        EXPECT_EQ(got[k], col.fn->Sample(valuation, k, seeds))
-            << col.name << " batch " << batch << " sample " << k;
+  for (const BoundScript* path : {&bound.value(), &interpreted}) {
+    SCOPED_TRACE(testing::Message()
+                 << "compiled=" << path->program->compiled());
+    for (const auto& col : path->scenario.columns) {
+      for (std::size_t batch : test::GridBatchSizes()) {
+        std::vector<double> got(kSamples);
+        for (std::size_t begin = 0; begin < kSamples; begin += batch) {
+          const std::size_t n = std::min(batch, kSamples - begin);
+          col.fn->SampleBatch(valuation, begin, seeds,
+                              std::span<double>(got.data() + begin, n));
+        }
+        for (std::size_t k = 0; k < kSamples; ++k) {
+          EXPECT_EQ(got[k], col.fn->Sample(valuation, k, seeds))
+              << col.name << " batch " << batch << " sample " << k;
+        }
       }
     }
   }
@@ -923,6 +968,19 @@ TEST_F(MonteCarloSweepTest, BitIdenticalToStandaloneAcrossGrid) {
         auto ref = RunSweepScript(standalone_script + Engine(layered),
                                   compiled, 1, 64, kWorlds, {{"w", v}});
         ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+        if (!layered) {
+          // Compiled and interpreted share one direct fold, so the
+          // reference itself must match the boxed oracle.
+          RunConfig oracle_cfg;
+          oracle_cfg.num_samples = kWorlds;
+          oracle_cfg.keep_samples = true;
+          auto oracle = BoxedRowProgramFold(
+              *ref.value().bound.program,
+              ref.value().montecarlo->base_valuation, oracle_cfg);
+          ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+          ExpectSameMetricsAndDraws(oracle.value(),
+                                    ref.value().montecarlo->columns);
+        }
         standalone.push_back(std::move(ref.value().montecarlo->columns));
       }
 
