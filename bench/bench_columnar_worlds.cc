@@ -1,24 +1,17 @@
-// Columnar possible-worlds storage at scale: materialize N-row uncertain
-// tables across W worlds and fold every numeric column.
+// Uncertain joins over columnar possible worlds at scale: a fixed
+// 256-user population equi-joined against an N-row uncertain items table
+// in every one of W worlds, each numeric joined column folded.
 //
-// For each row count the fold runs two ways:
-//
-//   columnar — serial: worlds realized straight into typed ColumnChunk
-//              buffers, kDouble columns folded zero-copy via
-//              Estimator::AddSpan;
-//   parallel — --num_threads workers, one world-chunk extent per pool
-//              task (the shard-ownership rule).
-//
-// The join phase runs the sort-merge and hash kernels, serial and
-// threaded. Every run's metrics fold into a bitwise checksum; the binary
-// exits non-zero if the serial and threaded folds, or any two join runs,
-// diverge — CI smoke-runs it as a machine check that sharding and the
-// join kernel never change a result. (The boxed reference both paths
-// must match lives in the tests: tests/boxed_reference.h.) The
-// interesting series are tuples/sec and peak RSS, which proves the
-// 1e6 x 8 sweep fits in memory. ru_maxrss is a process-wide high-water
-// mark, so row counts run ascending and each row reports the watermark
-// *after* its run.
+// For each row count the join fold runs four ways: the sort-merge and
+// hash kernels, each serial and threaded (--num_threads workers, one
+// world-chunk cell per pool task — the shard-ownership rule). Every
+// run's metrics fold into a bitwise checksum; the binary exits non-zero
+// if any two of the four diverge — CI smoke-runs it as a machine check
+// that sharding and the join kernel never change a result. (The boxed
+// nested-loop reference every path must match lives in the tests:
+// tests/boxed_reference.h.) The interesting series are tuples/sec and
+// peak RSS. ru_maxrss is a process-wide high-water mark, so row counts
+// run ascending and each row reports the watermark *after* its run.
 //
 // Every row is a JSON-lines record on stdout; a human summary goes to
 // stderr. Flags: --num_samples=W (worlds) --num_threads=N
@@ -36,7 +29,6 @@
 
 #include "core/metrics.h"
 #include "pdb/join.h"
-#include "pdb/monte_carlo.h"
 #include "pdb/vg_table.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
@@ -84,52 +76,13 @@ double PeakRssBytes() {
 
 struct RunResult {
   double elapsed_s = 0.0;
-  std::uint64_t tuples = 0;  ///< rows x worlds materialized and folded
+  std::uint64_t tuples = 0;  ///< right-side rows x worlds scanned
   std::uint64_t checksum = 0;
   bool ok = true;
 };
 
-RunResult DriveFold(const pdb::VGTableFunction& fn, std::size_t rows,
-                    const BenchFlags& flags, std::size_t threads) {
-  RunConfig cfg;
-  cfg.num_samples = flags.num_samples;
-  // Threaded runs shard worlds into at least one extent per worker
-  // (chunking only moves AddSpan boundaries, which the estimator
-  // contract keeps bit-identical).
-  cfg.batch_size =
-      threads > 1
-          ? std::min(flags.batch_size,
-                     std::max<std::size_t>(1, flags.num_samples / threads))
-          : flags.batch_size;
-  cfg.num_threads = threads;
-  cfg.seed_schema = bench::SchemaFromFlags(flags);
-  const SeedVector seeds(cfg.master_seed, flags.num_samples,
-                         cfg.seed_schema);
-  const std::vector<std::string> columns = {"demand", "cost"};
-
-  std::unique_ptr<ThreadPool> pool;
-  if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
-
-  RunResult r;
-  WallTimer timer;
-  auto metrics = pdb::FoldVGColumns(fn, columns, flags.num_samples, seeds,
-                                    cfg, pool.get());
-  r.elapsed_s = timer.ElapsedSeconds();
-  if (!metrics.ok()) {
-    std::fprintf(stderr, "fold failed: %s\n",
-                 metrics.status().ToString().c_str());
-    r.ok = false;
-    return r;
-  }
-  Checksum sum;
-  sum.FoldColumns(metrics.value());
-  r.checksum = sum.value();
-  r.tuples = static_cast<std::uint64_t>(rows) * flags.num_samples;
-  return r;
-}
-
-/// Join phase: a fixed 256-user population equi-joined against the
-/// scaling items table on user_id = item_id, per world.
+/// A fixed 256-user population equi-joined against the scaling items
+/// table on user_id = item_id, per world.
 RunResult DriveJoin(const pdb::VGTableFunctionPtr& users,
                     const pdb::VGTableFunctionPtr& items, std::size_t rows,
                     const BenchFlags& flags, JoinAlgorithm algorithm,
@@ -198,37 +151,11 @@ int main(int argc, char** argv) {
   if (flags.num_samples == 1000) flags.num_samples = 8;  // worlds default
   if (flags.batch_size == 0) flags.batch_size = 1;
   if (flags.num_threads == 0) flags.num_threads = 1;
-  // Ascending so each size's peak-RSS watermark is its own: the 1e6 row
-  // is the memory acceptance check.
-  const std::vector<std::size_t> row_counts =
-      bench::FullScale()
-          ? std::vector<std::size_t>{10'000, 100'000, 1'000'000, 4'000'000}
-          : std::vector<std::size_t>{10'000, 100'000, 1'000'000};
 
   bool checksums_ok = true;
-  for (std::size_t rows : row_counts) {
-    const auto fn = pdb::MakeScalingItemsVGTable(rows);
-    const RunResult columnar = DriveFold(*fn, rows, flags, 1);
-    EmitRow("columnar", rows, 1, flags, columnar);
-    const RunResult parallel = DriveFold(*fn, rows, flags, flags.num_threads);
-    EmitRow("parallel", rows, flags.num_threads, flags, parallel);
-
-    const bool same = columnar.ok && parallel.ok &&
-                      columnar.checksum == parallel.checksum;
-    const double scaling = parallel.elapsed_s > 0.0
-                               ? columnar.elapsed_s / parallel.elapsed_s
-                               : 0.0;
-    std::fprintf(stderr,
-                 "rows=%-8zu worlds=%zu  parallel(%zu) %5.2fx  rss %.0f MiB  "
-                 "checksums %s\n",
-                 rows, flags.num_samples, flags.num_threads, scaling,
-                 PeakRssBytes() / (1024.0 * 1024.0),
-                 same ? "match" : "MISMATCH");
-    checksums_ok = checksums_ok && same;
-  }
-
-  // Join phase: sort-merge vs hash, serial and threaded, on a fixed
-  // 256-user left side while the right side scales.
+  // Sort-merge vs hash, serial and threaded, on a fixed 256-user left
+  // side while the right side scales, ascending so each size's peak-RSS
+  // watermark is its own.
   const auto users = pdb::MakeUsersVGTable(256, 0.8, 5.0, 2.0);
   const std::vector<std::size_t> join_rows =
       bench::FullScale()
@@ -267,8 +194,8 @@ int main(int argc, char** argv) {
 
   if (!checksums_ok) {
     std::fprintf(stderr,
-                 "FAIL: threaded or hash-kernel fold diverged from serial "
-                 "sort-merge\n");
+                 "FAIL: threaded or hash-kernel join fold diverged from "
+                 "serial sort-merge\n");
     return 1;
   }
   return 0;

@@ -19,9 +19,9 @@
 ///
 /// Shard-ownership rule: a multi-world realization is sharded into
 /// world-chunk extents (see WorldExtent in vg_table.h) — each
-/// internal::FoldRealizedWorlds pool task (monte_carlo.h) appends only to
-/// the extent it owns, so parallel materialization needs no
-/// synchronization and no cross-task writes.
+/// FoldWorldCells cell (monte_carlo.h) appends only to the extent it
+/// owns, so parallel materialization needs no synchronization and no
+/// cross-task writes.
 
 #include <cstddef>
 #include <cstdint>

@@ -318,37 +318,41 @@ Result<std::map<std::string, OutputMetrics>> FoldJoinedVGColumns(
   // Both schemas (and therefore the joined schema) are world-invariant,
   // so the join and the requested columns resolve up front against the
   // full joined schema — a bad key or column fails before any
-  // realization, with identical text on every algorithm.
+  // realization, with identical text on every algorithm, and the first
+  // unknown name or non-numeric column in request order reports.
   JIGSAW_ASSIGN_OR_RETURN(
       ResolvedJoin join, ResolveJoin(left->schema(), right->schema(), spec));
-  JIGSAW_ASSIGN_OR_RETURN(
-      const std::vector<std::size_t> slots,
-      internal::ResolveFoldColumns(join.output, column_names));
-  // Only the requested columns are ever gathered: `projection` lists each
-  // distinct requested join.output slot once, in first-request order, and
-  // output column s folds projected column fold_slots[s].
-  std::vector<std::size_t> projection, fold_slots;
-  std::vector<Column> projected;
-  for (std::size_t slot : slots) {
-    const auto it = std::find(projection.begin(), projection.end(), slot);
-    fold_slots.push_back(static_cast<std::size_t>(it - projection.begin()));
-    if (it == projection.end()) {
-      projection.push_back(slot);
-      projected.push_back(join.output.column(slot));
+  // Only the requested columns are ever gathered: cell column s is
+  // join.output column slots[s], under its requested name.
+  std::vector<std::size_t> slots;
+  std::vector<Column> gathered;
+  for (const std::string& name : column_names) {
+    JIGSAW_ASSIGN_OR_RETURN(const std::size_t slot, join.output.IndexOf(name));
+    const ValueType type = join.output.column(slot).type;
+    if (type != ValueType::kDouble && type != ValueType::kInt &&
+        type != ValueType::kBool) {
+      return Status::ExecutionError("column '" + name + "' is not numeric");
     }
+    slots.push_back(slot);
+    gathered.push_back({name, type});
   }
-  const Schema projected_schema(std::move(projected));
+  // World w draws from seed w: a short vector would read past its end
+  // (v1) or silently run on a vector sized for fewer worlds (v2).
+  if (num_worlds > seeds.size()) {
+    return Status::InvalidArgument(StrFormat(
+        "fold over %zu worlds needs one seed per world; the seed vector "
+        "holds %zu",
+        num_worlds, seeds.size()));
+  }
 
   // One world at a time: both sides realize into world-local tables (or
   // are borrowed from the WorldCache), match, and only the matched
-  // tuples' requested columns reach the chunk's extent, so neither
-  // whole-chunk inputs nor the full joined relation ever exist. Left
-  // realizes before right in each world, so a generator failure
-  // surfaces in the serial order.
-  auto realize = [&](std::size_t begin, std::size_t end,
-                     internal::RealizedChunk* chunk) -> Status {
-    WorldExtent& extent = chunk->extent;
-    extent.data = ColumnarTable(projected_schema);
+  // tuples' requested columns reach the cell, so neither whole-chunk
+  // inputs nor the full joined relation ever exist. Left realizes before
+  // right in each world, so a generator failure surfaces in the serial
+  // order.
+  auto fill = [&](std::size_t, std::size_t begin, std::size_t end,
+                  WorldExtent* cell) -> Status {
     for (std::size_t w = begin; w < end; ++w) {
       ColumnarTable left_world, right_world;
       const ColumnarTable* lt = &left_world;
@@ -363,18 +367,21 @@ Result<std::map<std::string, OutputMetrics>> FoldJoinedVGColumns(
         JIGSAW_ASSIGN_OR_RETURN(right_world,
                                 right->GenerateColumnar(w, seeds));
       }
-      extent.row_offsets.push_back(extent.data.num_rows());
-      JIGSAW_RETURN_IF_ERROR(JoinPartition(
-          *lt, 0, lt->num_rows(), *rt, 0, rt->num_rows(), join,
-          config.join_algorithm, projection, &extent.data));
+      cell->row_offsets.push_back(cell->data.num_rows());
+      JIGSAW_RETURN_IF_ERROR(JoinPartition(*lt, 0, lt->num_rows(), *rt, 0,
+                                           rt->num_rows(), join,
+                                           config.join_algorithm, slots,
+                                           &cell->data));
       // The first world's match count sizes the rest of the chunk, so
-      // the extent's columns grow once instead of by doubling.
-      if (w == begin) extent.data.Reserve(extent.data.num_rows() * (end - w));
+      // the cell's columns grow once instead of by doubling.
+      if (w == begin) cell->data.Reserve(cell->data.num_rows() * (end - w));
     }
     return Status::OK();
   };
-  return internal::FoldRealizedWorlds(fold_slots, column_names, num_worlds,
-                                      seeds, config, pool, realize);
+  JIGSAW_ASSIGN_OR_RETURN(
+      auto points, FoldWorldCells(Schema(std::move(gathered)), 1, num_worlds,
+                                  config, pool, fill));
+  return std::move(points[0]);
 }
 
 }  // namespace jigsaw::pdb

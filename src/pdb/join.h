@@ -29,12 +29,12 @@
 /// W-world join is W independent per-world joins — the U-relations view
 /// of world membership as a condition column that both sides must agree
 /// on ("Fast and Simple Relational Processing of Uncertain Data").
-/// FoldJoinedVGColumns fans world-chunk cells out on the shared
-/// ThreadPool under the same shard-ownership rule as FoldVGColumns, runs
-/// each cell's worlds through a one-world-at-a-time pipeline (realize
-/// both sides, match, gather only the folded columns), then fans the
-/// folded columns out (one fold + finalize task per column) and folds
-/// kDouble columns into Estimator::AddSpan zero-copy.
+/// FoldJoinedVGColumns is a one-point FoldWorldCells (pdb/monte_carlo.h),
+/// the cell-grid fold the row-program folds run too: each world-chunk
+/// cell runs its worlds through a one-world-at-a-time pipeline (realize
+/// both sides, match, gather only the folded columns), then each folded
+/// column folds and finalizes as its own pool task, kDouble columns
+/// through Estimator::AddSpan zero-copy.
 
 #include <cstddef>
 #include <map>
@@ -106,29 +106,30 @@ Status JoinWorlds(const WorldExtent& left, const WorldExtent& right,
                   const ResolvedJoin& join, JoinAlgorithm algorithm,
                   WorldExtent* out);
 
-/// Tuple-level possible-worlds join + fold, mirroring FoldVGColumns:
-/// realizes both tables in every world of [0, num_worlds), joins each
-/// world's partitions, and folds each requested numeric column of the
-/// joined relation — every joined tuple of every world, concatenated in
-/// (world, row) order — into an OutputMetrics summary. The join and the
-/// requested names resolve against the full joined schema before any
-/// world is realized.
+/// Tuple-level possible-worlds join + fold: realizes both tables in
+/// every world of [0, num_worlds), joins each world's partitions, and
+/// folds each requested numeric column of the joined relation — every
+/// joined tuple of every world, concatenated in (world, row) order —
+/// into an OutputMetrics summary. The join and the requested names
+/// resolve against the full joined schema before any world is realized
+/// (the first unknown or non-numeric name in request order fails), then
+/// a `seeds` shorter than `num_worlds` is an InvalidArgument.
 ///
-/// It runs FoldVGColumns's body (internal::FoldRealizedWorlds): each
-/// batch_size world chunk is one pool task (the shard-ownership rule)
-/// that pipelines its worlds one at a time — realize left, realize right
-/// (so generator errors surface in the serial order), match with
-/// config.join_algorithm, and append only the requested columns of the
-/// matched tuples to the chunk's extent — so each task holds one world
-/// of input at a time and the unrequested joined columns are never
-/// built. Each requested column then folds and finalizes as its own
-/// pool task, reading the extents' kDouble chunks zero-copy through
-/// Estimator::AddSpan in world order. A NULL in a folded column of a
+/// It is a one-point FoldWorldCells: each batch_size world chunk is one
+/// cell (one pool task) that pipelines its worlds one at a time — realize
+/// left, realize right (so generator errors surface in the serial
+/// order), match with config.join_algorithm, and append only the
+/// requested columns of the matched tuples to the cell — so each task
+/// holds one world of input at a time and the unrequested joined columns
+/// are never built. Each requested column then folds and finalizes as
+/// its own pool task, in world order. A NULL in a folded column of a
 /// matched tuple surfaces the world-major loop's error: lowest failing
-/// world first, then lowest requested column. Metrics, error text and
-/// error ordering are bit-identical to a serial boxed fold over the
-/// nested-loop join. With a non-null `cache`, each world's inputs are
-/// borrowed from the WorldCache instead of realized locally.
+/// world first (a generator failure in a later world never masks it),
+/// then lowest requested column. Metrics, error text and error ordering
+/// are bit-identical to a serial boxed fold over the nested-loop join;
+/// zero worlds yield a zero-count summary per column.
+/// With a non-null `cache`, each world's inputs are borrowed from the
+/// WorldCache instead of realized locally.
 Result<std::map<std::string, OutputMetrics>> FoldJoinedVGColumns(
     const VGTableFunctionPtr& left, const VGTableFunctionPtr& right,
     const JoinSpec& spec, std::span<const std::string> column_names,

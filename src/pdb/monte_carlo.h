@@ -6,18 +6,22 @@
 /// set of possible worlds. Queries are run on each sampled world ... and
 /// the results are aggregated into a metric or binned into a histogram."
 ///
-/// A row program yields one row per world; FoldPointWorldSpans folds it
-/// over the points x worlds cell grid of a MONTECARLO [OVER @p]
-/// statement, compiled or interpreted, and FoldWorlds folds a boxed
-/// per-world plan for the layered Figure 7 baseline on top of it. VG
-/// tables and their joins yield many tuples per world; FoldVGColumns and
-/// FoldJoinedVGColumns (pdb/join.h) fold every one of them.
+/// Every fold here runs one cell-grid fold, FoldWorldCells: each
+/// (sweep point, batch_size world chunk) cell fills a WorldExtent — one
+/// double row per world for a row program, the gathered tuples of every
+/// world for a join — and each point's columns then fold over its cells
+/// in world order. In U-relations terms both are world-partitioned
+/// relations ("Fast and Simple Relational Processing of Uncertain
+/// Data"), so one fold serves both. FoldPointWorldSpans adapts it to row
+/// programs (MONTECARLO [OVER @p], compiled or interpreted), FoldWorlds
+/// to the boxed per-world plans of the layered Figure 7 baseline, and
+/// FoldJoinedVGColumns (pdb/join.h) to uncertain joins.
 ///
 /// Worlds are embarrassingly parallel: each world's randomness is a pure
-/// function of its seed, so with a ThreadPool the folds fan
-/// batch_size-sized world chunks out as pool tasks and merge them in
-/// world order — bit-identical to the serial fold at every (threads,
-/// batch_size) combination.
+/// function of its seed, so with a ThreadPool the cells run as pool
+/// tasks, each point's columns fold as pool tasks, and the merge reads
+/// both in world order — bit-identical to the serial fold at every
+/// (threads, batch_size) combination.
 
 #include <functional>
 #include <map>
@@ -34,6 +38,54 @@
 
 namespace jigsaw::pdb {
 
+/// Prefixes a sweep-point failure with its point coordinate ("sweep
+/// point k: ..."), preserving the status code. The single format every
+/// sweep path uses — FoldWorldCells, LayeredEngine::RunSweep and the
+/// joined MONTECARLO OVER — so errors name the failing point identically
+/// on both engines.
+Status NameSweepPoint(std::size_t point, Status status);
+
+/// Fills one cell of FoldWorldCells's grid: appends worlds [begin, end)
+/// of sweep point `point` to `*cell`, in world order, recording each
+/// world's first row in `cell->row_offsets`. `cell->data` arrives empty
+/// with the fold's column schema and `cell->world_begin` is `begin`.
+/// Cells are filled concurrently from pool tasks, each into its own
+/// extent, so the callable must be thread-safe. On error the returned
+/// status must be the one the lowest failing world of the cell would
+/// have produced serially, and the extent must hold no row of that
+/// world or a later one (the earlier worlds it holds still fold, so a
+/// NULL among them wins).
+using WorldCellFn = std::function<Status(
+    std::size_t point, std::size_t begin, std::size_t end,
+    WorldExtent* cell)>;
+
+/// The possible-worlds cell-grid fold every other fold runs. Evaluates the
+/// num_points x num_worlds grid, one (point, batch_size world chunk)
+/// cell per `fill` call, each into a WorldExtent it alone writes (the
+/// shard-ownership rule). Output column s, named `columns.column(s).name`,
+/// folds column s of every cell of a point in world order into one
+/// Estimator reserved for exactly the point's rows, finalized in place.
+/// With a non-null `pool` the cells run as one ThreadPool::ParallelFor,
+/// then the (point, column) folds as another; without one the same loops
+/// run on the caller, the cells stopping at the first failure. Point k's
+/// summaries are bit-identical to a one-point fold of its cells, and to
+/// a world-at-a-time fold of the same rows, at every chunk partition.
+/// Points stream through windows of about 128 MB of staged cells, never
+/// less than one point.
+///
+/// The surfaced error is the serial point-by-point, world-major loop's,
+/// whatever the schedule: in the lowest failing point, the lowest world
+/// that fails, either in `fill` or by holding a NULL in a folded column
+/// (a world's `fill` error comes before its NULLs; NULLs in one world go
+/// to the lowest column, never the earliest row). It is prefixed with
+/// "sweep point k" only when there is more than one point, so a
+/// one-point fold keeps the standalone statement's raw error byte for
+/// byte. `columns` must be numeric (double, int or bool); zero worlds
+/// yield a zero-count summary per column.
+Result<std::vector<std::map<std::string, OutputMetrics>>> FoldWorldCells(
+    const Schema& columns, std::size_t num_points, std::size_t num_worlds,
+    const RunConfig& config, ThreadPool* pool, const WorldCellFn& fill);
+
 /// Per-point world evaluator: fills `columns[slot][i]` with output
 /// column `slot` of world `world_begin + i` evaluated at sweep point
 /// `point`, for i in [0, count). Cells are evaluated concurrently from
@@ -45,28 +97,11 @@ using PointWorldSpanFn = std::function<Status(
     std::size_t point, std::size_t world_begin, std::size_t count,
     std::span<double* const> columns)>;
 
-/// Prefixes a sweep-point failure with its point coordinate ("sweep
-/// point k: ..."), preserving the status code. The single format every
-/// sweep path uses — FoldPointWorldSpans, LayeredEngine::RunSweep and the
-/// joined MONTECARLO OVER — so errors name the failing point identically
-/// on both engines.
-Status NameSweepPoint(std::size_t point, Status status);
-
-/// The row-program possible-worlds fold (MONTECARLO [OVER @p]): evaluates
-/// the num_points x num_worlds cell grid, one (point, batch_size world
-/// chunk) cell per `run_span` call, fanning every cell out on `pool` at
-/// once when present, and merges each point's chunks in world order
-/// through Estimator::AddSpan into one OutputMetrics per name of
-/// `column_names`. Point k's summaries are bit-identical to a one-point
-/// fold over `run_span(k, ...)`, and to a world-at-a-time fold of the
-/// same values, at every chunk partition. Points stream through windows
-/// of about 128 MB of staged doubles, never less than one point.
-///
-/// On failure the surfaced error is the one the serial point-by-point,
-/// world-at-a-time loop would report — the lowest failing point's lowest
-/// failing world — prefixed (when there is more than one point) with
-/// "sweep point k"; a one-point fold keeps the standalone statement's
-/// raw error byte for byte. Zero worlds yield one empty map per point.
+/// The row-program possible-worlds fold (MONTECARLO [OVER @p]):
+/// FoldWorldCells over one DOUBLE column per name of `column_names`,
+/// each cell holding one row per world that `run_span` writes straight
+/// into the cell's column spans. Errors and windows are FoldWorldCells's;
+/// zero worlds yield one empty map per point.
 Result<std::vector<std::map<std::string, OutputMetrics>>>
 FoldPointWorldSpans(std::span<const std::string> column_names,
                     std::size_t num_points, std::size_t num_worlds,
@@ -93,106 +128,21 @@ Result<std::map<std::string, OutputMetrics>> FoldWorlds(
     std::size_t num_worlds, const RunConfig& config, ThreadPool* pool,
     const WorldFn& run_world);
 
-/// Tuple-level possible-worlds fold: realizes `fn` in every world of
-/// [0, num_worlds) and folds each requested numeric column's values —
-/// every tuple of every world, concatenated in (world, row) order — into
-/// an OutputMetrics distribution summary. This is the columnar hot loop
-/// (internal::FoldRealizedWorlds): each batch_size world chunk is
-/// realized into a WorldExtent owned by exactly one pool task (the
-/// shard-ownership rule — zero cross-task writes), generators bulk-fill
-/// column spans, and internal::FoldColumnsByWorld then folds and
-/// finalizes each requested column as its own pool task, reading the
-/// chunk buffers zero-copy through Estimator::AddSpan in world order.
-/// Metrics, error text and error ordering are bit-identical to a serial
-/// boxed fold over `Generate` and Table::NumericColumn (the serial run
-/// stops at the first failing chunk; a parallel run surfaces the same
-/// lowest failing chunk's error). `seeds` must hold a seed for every
-/// world; a shorter vector is an InvalidArgument before any realization.
-///
-/// With a non-null `cache`, realizations go through the WorldCache
-/// instead of per-fold extents, sharing worlds with other consumers of
-/// the same seeds.
-Result<std::map<std::string, OutputMetrics>> FoldVGColumns(
-    const VGTableFunction& fn, std::span<const std::string> column_names,
-    std::size_t num_worlds, const SeedVector& seeds, const RunConfig& config,
-    ThreadPool* pool, WorldCache* cache = nullptr);
-
 namespace internal {
-/// Folds rows [first, last) of one realized chunk column into *est —
-/// the tuple-level fold kernel shared by FoldVGColumns and the join fold
-/// (pdb/join.h), so both report byte-identical "column 'X' is not
-/// numeric" errors. kDouble with no nulls is the zero-copy AddSpan fast
-/// path; int/bool widen through a copy; a null anywhere is non-numeric,
-/// as in the boxed Table::NumericColumn walk.
+/// Folds rows [first, last) of one realized column into *est — the
+/// tuple-level fold kernel FoldWorldCells runs on every cell column, so
+/// every fold reports byte-identical "column 'X' is not numeric" errors.
+/// kDouble is the zero-copy AddSpan fast path; int/bool widen through a
+/// bounded block of doubles, never a range-sized copy; a null anywhere is
+/// non-numeric, as in the boxed Table::NumericColumn walk.
 Status FoldChunkColumn(const ColumnChunk& col, std::size_t first,
                        std::size_t last, const std::string& name,
                        Estimator* est);
 
-/// Rows [first, last) of `table`: one realized world, either a world of a
-/// shard's WorldExtent or a whole cached one-world table.
-struct WorldSlice {
-  const ColumnarTable* table = nullptr;
-  std::size_t first = 0;
-  std::size_t last = 0;
-};
-
-/// The merge and finalize of the tuple-level folds
-/// (FoldRealizedWorlds): output column s — column `slots[s]` of the
-/// realized tables, result name `names[s]` — folds every world of
-/// `worlds` in world order through FoldChunkColumn into an Estimator
-/// reserved for exactly the worlds' tuple count, then the consuming
-/// Estimator::Finalize runs on it. With a non-null `pool` each column is
-/// one ThreadPool::ParallelFor task; without one the same per-column loop
-/// runs on the caller. Each estimator sees the values a world-major fold
-/// feeds it, in the same order, so the metrics are bit-identical to one.
-/// On failure the error is the one a world-major fold hits first: the
-/// lowest failing world, ties going to the lowest column. The tables
-/// behind `worlds` must stay alive until the call returns.
-Result<std::map<std::string, OutputMetrics>> FoldColumnsByWorld(
-    std::span<const WorldSlice> worlds, std::span<const std::size_t> slots,
-    std::span<const std::string> names, const RunConfig& config,
-    ThreadPool* pool);
-
-/// The worlds one pool task of a tuple-level fold realized, in world
-/// order: appended to its own extent (a join appends only the requested
-/// columns of its matched tuples), or borrowed whole from a WorldCache.
-/// A chunk fills one or the other, never both.
-struct RealizedChunk {
-  WorldExtent extent;
-  std::vector<const ColumnarTable*> cached;
-};
-
-/// Realizes worlds [begin, end) into `*out`, whose extent starts at
-/// `begin`. Called concurrently for distinct chunks.
-using RealizeChunkFn = std::function<Status(
-    std::size_t begin, std::size_t end, RealizedChunk* out)>;
-
-/// Resolves the columns a tuple-level fold requests against `schema`:
-/// the slot of each name, in request order. A VG table's schema (and a
-/// join's) is world-invariant, so the folds call this before realizing
-/// anything; the first unknown name or non-numeric column fails, with
-/// the boxed Table::NumericColumn text.
-Result<std::vector<std::size_t>> ResolveFoldColumns(
-    const Schema& schema, std::span<const std::string> column_names);
-
-/// The body FoldVGColumns and FoldJoinedVGColumns share. Rejects a
-/// `seeds` shorter than `num_worlds`, then runs `realize` once per
-/// batch_size world chunk — one pool task per chunk when `pool` is
-/// non-null and there are two or more, otherwise serially up to the
-/// first failure — and returns the lowest failing chunk's error. On
-/// success the realized worlds fold through FoldColumnsByWorld while
-/// every chunk is still alive: output column s, named `column_names[s]`,
-/// reads column `slots[s]` of the tables `realize` produced.
-Result<std::map<std::string, OutputMetrics>> FoldRealizedWorlds(
-    std::span<const std::size_t> slots,
-    std::span<const std::string> column_names, std::size_t num_worlds,
-    const SeedVector& seeds, const RunConfig& config, ThreadPool* pool,
-    const RealizeChunkFn& realize);
-
-/// Test hook: when nonzero, overrides the staged-doubles budget that
-/// bounds how many sweep points FoldPointWorldSpans keeps in flight,
-/// forcing multi-window execution at unit-test sizes. Not synchronized —
-/// set it before any fold runs and restore it after.
+/// Test hook: when nonzero, overrides the staged-bytes budget that
+/// bounds how many sweep points FoldWorldCells keeps in flight, forcing
+/// multi-window execution at unit-test sizes. Not synchronized — set it
+/// before any fold runs and restore it after.
 extern std::size_t g_fold_staged_budget_override;
 }  // namespace internal
 

@@ -64,9 +64,11 @@ class VGTableFunction {
 using VGTableFunctionPtr = std::shared_ptr<const VGTableFunction>;
 
 /// One pool task's disjoint shard of a multi-world columnar
-/// materialization. The shard-ownership rule: FoldVGColumns hands each
-/// pool task one WorldExtent covering a contiguous run of worlds; only
-/// that task appends to it, so parallel realization needs no
+/// materialization. The shard-ownership rule: FoldWorldCells
+/// (monte_carlo.h) hands each (point, world chunk) cell one WorldExtent
+/// covering a contiguous run of worlds — one row per world for a row
+/// program, the gathered tuples of each world for a join — and only that
+/// cell's task appends to it, so parallel realization needs no
 /// synchronization and no cross-task writes. The worlds are contiguous,
 /// so their offsets are the whole world annotation: `row_offsets[k]` is
 /// the first row of world `world_begin + k`, with `data.num_rows()`

@@ -1,5 +1,6 @@
 #include "sql/binder.h"
 
+#include <climits>
 #include <cmath>
 
 #include "sql/parser.h"
@@ -50,11 +51,24 @@ Result<SweepAgg> SweepAggFromText(const std::string& agg) {
   return Status::BindError("unknown sweep aggregate '" + agg + "'");
 }
 
+/// Reads a VG table's count argument (a row count or a depth) as an int.
+/// Every count must be a finite integer in [1, INT_MAX]: the generators
+/// take ints, and a non-finite or out-of-range double has no int value.
+Result<int> CountArgument(const char* table, const char* argument,
+                          double value) {
+  if (!(value >= 1.0 && value <= INT_MAX) || value != std::floor(value)) {
+    return Status::BindError(
+        StrFormat("VG table '%s' needs %s to be an integer in [1, %d], got %g",
+                  table, argument, INT_MAX, value));
+  }
+  return static_cast<int>(value);
+}
+
 /// VG-table catalog for MONTECARLO FROM ... JOIN: table name (case-
 /// insensitive) -> generator factory over positional numeric literal
 /// arguments. The catalog is the bind-time boundary between SQL names
-/// and pdb VG table functions; an unknown name or a bad arity is a
-/// BindError before any world is realized.
+/// and pdb VG table functions; an unknown name, a bad arity or a count
+/// argument out of range is a BindError before any world is realized.
 Result<pdb::VGTableFunctionPtr> MakeCatalogVGTable(
     const std::string& name, const std::vector<double>& args) {
   if (EqualsIgnoreCase(name, "users")) {
@@ -63,12 +77,15 @@ Result<pdb::VGTableFunctionPtr> MakeCatalogVGTable(
           "VG table 'users' takes (num_users, arrival_rate, base_demand, "
           "spread[, sim_depth])");
     }
-    if (args[0] < 1.0) {
-      return Status::BindError("VG table 'users' needs num_users >= 1");
+    JIGSAW_ASSIGN_OR_RETURN(const int num_users,
+                            CountArgument("users", "num_users", args[0]));
+    int sim_depth = 16;
+    if (args.size() == 5) {
+      JIGSAW_ASSIGN_OR_RETURN(sim_depth,
+                              CountArgument("users", "sim_depth", args[4]));
     }
-    return pdb::MakeUsersVGTable(
-        static_cast<int>(args[0]), args[1], args[2], args[3],
-        args.size() == 5 ? static_cast<int>(args[4]) : 16);
+    return pdb::MakeUsersVGTable(num_users, args[1], args[2], args[3],
+                                 sim_depth);
   }
   if (EqualsIgnoreCase(name, "items")) {
     if (args.empty() || args.size() > 4) {
@@ -76,13 +93,11 @@ Result<pdb::VGTableFunctionPtr> MakeCatalogVGTable(
           "VG table 'items' takes (num_rows[, demand_mu, demand_sigma, "
           "cost_base])");
     }
-    if (args[0] < 1.0) {
-      return Status::BindError("VG table 'items' needs num_rows >= 1");
-    }
+    JIGSAW_ASSIGN_OR_RETURN(const int num_rows,
+                            CountArgument("items", "num_rows", args[0]));
     return pdb::MakeScalingItemsVGTable(
-        static_cast<std::size_t>(args[0]),
-        args.size() > 1 ? args[1] : 1.0, args.size() > 2 ? args[2] : 0.5,
-        args.size() > 3 ? args[3] : 10.0);
+        static_cast<std::size_t>(num_rows), args.size() > 1 ? args[1] : 1.0,
+        args.size() > 2 ? args[2] : 0.5, args.size() > 3 ? args[3] : 10.0);
   }
   return Status::BindError("unknown VG table '" + name + "'");
 }

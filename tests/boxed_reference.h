@@ -2,15 +2,16 @@
 
 /// \file boxed_reference.h
 /// Test-only boxed references for the columnar possible-worlds paths.
-/// The production folds (pdb::FoldVGColumns, pdb::FoldJoinedVGColumns)
-/// and the layered engine's cached VG scan realize worlds as typed column
-/// chunks. The references here realize the same worlds as boxed `Table`s
-/// through VGTableFunction::Generate, join them with a serial nested-loop
-/// join, and extract columns through the copying Table::NumericColumn —
-/// one world at a time, in world order, on the caller's thread. They
-/// share no code with the columnar path beyond ResolveJoin and the
-/// Estimator, so a grid that matches them bit for bit checks the column
-/// chunks, the span join kernels and the pooled per-column fold at once.
+/// The production join fold (pdb::FoldJoinedVGColumns, a one-point
+/// pdb::FoldWorldCells) and the layered engine's cached VG scan realize
+/// worlds as typed column chunks. The references here realize the same
+/// worlds as boxed `Table`s through VGTableFunction::Generate, join them
+/// with a serial nested-loop join, and extract columns through the
+/// copying Table::NumericColumn — one world at a time, in world order,
+/// on the caller's thread. They share no code with the columnar path
+/// beyond ResolveJoin and the Estimator, so a grid that matches them bit
+/// for bit checks the column chunks, the span join kernels and the
+/// pooled per-column fold at once.
 
 #include <cstddef>
 #include <functional>
@@ -114,16 +115,6 @@ inline Result<std::map<std::string, OutputMetrics>> BoxedFoldWorlds(
     out.emplace(column_names[s], estimators[s].Finalize());
   }
   return out;
-}
-
-/// Boxed reference for pdb::FoldVGColumns.
-inline Result<std::map<std::string, OutputMetrics>> BoxedFoldVGColumns(
-    const pdb::VGTableFunction& fn, std::span<const std::string> column_names,
-    std::size_t num_worlds, const SeedVector& seeds,
-    const RunConfig& config) {
-  return BoxedFoldWorlds(
-      fn.schema(), column_names, num_worlds, seeds, config,
-      [&](std::size_t w) { return fn.Generate(w, seeds); });
 }
 
 /// Boxed reference for pdb::FoldJoinedVGColumns: both sides generated

@@ -1,10 +1,11 @@
 // Tests for the columnar possible-worlds storage: ColumnChunk /
 // ColumnarTable primitives, VG generation straight into column spans,
-// the WorldCache, the tuple-level FoldVGColumns fold, the layered
-// engine's cached VG scan and SQL scripts end to end — every surface
-// bit-identical to its boxed or interpreted reference
-// (boxed_reference.h, UseInterpretedExpressions) over the shared
-// acceptance grid, under both seed schemas.
+// the WorldCache, the layered engine's cached VG scan and SQL scripts
+// end to end — every surface bit-identical to its boxed or interpreted
+// reference (boxed_reference.h, UseInterpretedExpressions) over the
+// shared acceptance grid, under both seed schemas. The tuple-level
+// folds are pinned by join_test (FoldJoinedVGColumns) and pdb_test
+// (the row-program folds).
 
 #include <gtest/gtest.h>
 
@@ -14,12 +15,10 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "boxed_reference.h"
 #include "grid_test_util.h"
-#include "keyed_vg_table.h"
 #include "models/black_box.h"
 #include "models/cloud_models.h"
 #include "pdb/columnar.h"
@@ -317,10 +316,6 @@ TEST(WorldCacheColumnarTest, ParallelConsumersGenerateEachWorldOnce) {
   for (std::size_t w = 0; w < 30; ++w) EXPECT_EQ(seen[w], seen[w + 30]);
 }
 
-// ---------------------------------------------------------------------------
-// FoldVGColumns against the serial boxed reference over the grid
-// ---------------------------------------------------------------------------
-
 void ExpectMetricsBitIdentical(const std::map<std::string, OutputMetrics>& a,
                                const std::map<std::string, OutputMetrics>& b) {
   ASSERT_EQ(a.size(), b.size());
@@ -342,144 +337,6 @@ void ExpectMetricsBitIdentical(const std::map<std::string, OutputMetrics>& a,
               std::bit_cast<std::uint64_t>(ib->second.p50));
     EXPECT_EQ(std::bit_cast<std::uint64_t>(ia->second.p95),
               std::bit_cast<std::uint64_t>(ib->second.p95));
-  }
-}
-
-TEST(FoldVGColumnsTest, ColumnarBitIdenticalToBoxedAcrossGrid) {
-  const std::vector<std::string> names = {"demand", "cost", "in_stock"};
-  auto items = MakeScalingItemsVGTable(37);  // odd size straddles chunks
-  constexpr std::size_t kWorlds = 20;
-  for (SeedSchema schema : {SeedSchema::kV1, SeedSchema::kV2}) {
-    SCOPED_TRACE(static_cast<int>(schema));
-    SeedVector seeds(0x5EED0005ULL, kWorlds, schema);
-    auto reference =
-        test::BoxedFoldVGColumns(*items, names, kWorlds, seeds, RunConfig{});
-    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
-    EXPECT_EQ(reference.value().at("demand").count,
-              static_cast<std::int64_t>(37 * kWorlds));
-
-    test::ForEachGridPoint([&](std::size_t threads, std::size_t batch) {
-      RunConfig cfg;
-      cfg.batch_size = batch;
-      ThreadPool pool(threads);
-      auto got = FoldVGColumns(*items, names, kWorlds, seeds, cfg,
-                               threads > 1 ? &pool : nullptr);
-      ASSERT_TRUE(got.ok()) << got.status().ToString();
-      ExpectMetricsBitIdentical(got.value(), reference.value());
-    });
-  }
-}
-
-TEST(FoldVGColumnsTest, CachedFoldMatchesBoxedAndCountsGenerations) {
-  const std::vector<std::string> names = {"requirement"};
-  auto users = MakeUsersVGTable(25, 3.0, 25.0, 0.4, 4);
-  constexpr std::size_t kWorlds = 12;
-  SeedVector seeds(0x5EED0006ULL, kWorlds);
-  RunConfig cfg;
-  auto reference =
-      test::BoxedFoldVGColumns(*users, names, kWorlds, seeds, cfg);
-  ASSERT_TRUE(reference.ok());
-  test::ForEachGridPoint([&](std::size_t threads, std::size_t batch) {
-    cfg.batch_size = batch;
-    WorldCache cache;
-    ThreadPool pool(threads);
-    ThreadPool* p = threads > 1 ? &pool : nullptr;
-    auto cached = FoldVGColumns(*users, names, kWorlds, seeds, cfg, p, &cache);
-    ASSERT_TRUE(cached.ok()) << cached.status().ToString();
-    ExpectMetricsBitIdentical(cached.value(), reference.value());
-    EXPECT_EQ(cache.generation_count(), kWorlds);
-    // A second fold over the same cache re-reads every world.
-    auto again = FoldVGColumns(*users, names, kWorlds, seeds, cfg, p, &cache);
-    ASSERT_TRUE(again.ok());
-    ExpectMetricsBitIdentical(again.value(), reference.value());
-    EXPECT_EQ(cache.generation_count(), kWorlds);
-  });
-}
-
-TEST(FoldVGColumnsTest, ErrorsMatchBoxedReference) {
-  auto items = MakeScalingItemsVGTable(5);
-  SeedVector seeds(0x5EED0007ULL, 4);
-  for (const char* name : {"region", "ghost"}) {
-    const std::vector<std::string> names = {name};
-    auto reference =
-        test::BoxedFoldVGColumns(*items, names, 4, seeds, RunConfig{});
-    ASSERT_FALSE(reference.ok());
-    test::ForEachGridPoint([&](std::size_t threads, std::size_t batch) {
-      RunConfig cfg;
-      cfg.batch_size = batch;
-      ThreadPool pool(threads);
-      auto got = FoldVGColumns(*items, names, 4, seeds, cfg,
-                               threads > 1 ? &pool : nullptr);
-      ASSERT_FALSE(got.ok());
-      // Identical error text AND code, at every grid point.
-      EXPECT_EQ(got.status(), reference.status()) << name;
-    });
-  }
-}
-
-TEST(FoldVGColumnsTest, NullInFoldedColumnSurfacesInWorldOrder) {
-  // Columns fold as separate tasks, but the error is the world-major
-  // serial loop's: the lowest failing world, then the lower requested
-  // column. In (9, 4), `b` fails at world 4 before `a` at world 9, both
-  // in one chunk at batch 64; in (6, 6) they fail in the same world.
-  constexpr std::size_t kWorlds = 12;
-  SeedVector seeds(0x5EED0008ULL, kWorlds);
-  const std::vector<std::string> names = {"a", "b"};
-  for (auto [a_from, b_from, expected] :
-       {std::tuple{9u, 4u, "column 'b' is not numeric"},
-        std::tuple{6u, 6u, "column 'a' is not numeric"}}) {
-    auto table = test::MakeNullingTable(a_from, b_from);
-    auto reference =
-        test::BoxedFoldVGColumns(*table, names, kWorlds, seeds, RunConfig{});
-    ASSERT_FALSE(reference.ok());
-    EXPECT_EQ(reference.status().message(), expected);
-    test::ForEachGridPoint([&](std::size_t threads, std::size_t batch) {
-      for (bool cached : {false, true}) {
-        SCOPED_TRACE(cached ? "cached" : "uncached");
-        RunConfig cfg;
-        cfg.batch_size = batch;
-        ThreadPool pool(threads);
-        WorldCache cache;
-        auto got = FoldVGColumns(*table, names, kWorlds, seeds, cfg,
-                                 threads > 1 ? &pool : nullptr,
-                                 cached ? &cache : nullptr);
-        ASSERT_FALSE(got.ok());
-        EXPECT_EQ(got.status(), reference.status());
-      }
-    });
-  }
-}
-
-TEST(FoldVGColumnsTest, SeedVectorShorterThanWorldsIsInvalidArgument) {
-  // World w draws from seed w, so 64 worlds over a 4-seed vector would
-  // read past the v1 seed table, or under v2 draw worlds 4..63 from a
-  // vector sized for 4. The fold rejects it before realizing any world.
-  auto items = MakeScalingItemsVGTable(5);
-  const std::vector<std::string> names = {"demand"};
-  for (SeedSchema schema : {SeedSchema::kV1, SeedSchema::kV2}) {
-    SCOPED_TRACE(static_cast<int>(schema));
-    const SeedVector seeds(7, 4, schema);
-    test::ForEachGridPoint([&](std::size_t threads, std::size_t batch) {
-      for (bool cached : {false, true}) {
-        SCOPED_TRACE(cached ? "cached" : "uncached");
-        RunConfig cfg;
-        cfg.batch_size = batch;
-        ThreadPool pool(threads);
-        WorldCache cache;
-        auto got = FoldVGColumns(*items, names, 64, seeds, cfg,
-                                 threads > 1 ? &pool : nullptr,
-                                 cached ? &cache : nullptr);
-        ASSERT_FALSE(got.ok());
-        EXPECT_EQ(got.status().code(), StatusCode::kInvalidArgument);
-        EXPECT_EQ(got.status().message(),
-                  "fold over 64 worlds needs one seed per world; the seed "
-                  "vector holds 4");
-        EXPECT_EQ(cache.generation_count(), 0u);
-      }
-    });
-    // A vector that covers every world still folds.
-    RunConfig cfg;
-    EXPECT_TRUE(FoldVGColumns(*items, names, 4, seeds, cfg, nullptr).ok());
   }
 }
 

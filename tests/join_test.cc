@@ -1057,6 +1057,46 @@ TEST_F(JoinErrorTest, NullInFoldedColumnSurfacesInWorldOrder) {
   ExpectSameErrorEverywhere(test::MakeNullingTable(6, 6),
                             MakePlainRight("plain_right"), {"k", "k2"},
                             {"a", "b"}, "column 'a' is not numeric");
+  // Same world with the NULL rows swapped, so `b`'s NULL comes first in
+  // row order: the rule is world, then column, never row order.
+  ExpectSameErrorEverywhere(test::MakeNullingTable(6, 6, /*a_null_row=*/2,
+                                                   /*b_null_row=*/1),
+                            MakePlainRight("plain_right"), {"k", "k2"},
+                            {"a", "b"}, "column 'a' is not numeric");
+}
+
+TEST_F(JoinErrorTest, NullsAndGeneratorFailuresSurfaceInWorldOrder) {
+  // The right side fails from world `fails_from`; `a` turns NULL on a
+  // matched row from world `null_from`. The serial loop realizes, joins
+  // and folds one world at a time, so whichever comes first in world
+  // order reports, and in one world the failed realization comes first.
+  const auto right_failing_from = [](std::size_t fails_from) {
+    Schema rschema({{"k2", ValueType::kInt}, {"v2", ValueType::kDouble}});
+    return std::make_shared<KeyedVGTable>(
+        "flaky_right", rschema,
+        [fails_from](std::size_t w, Table* out) -> Status {
+          if (w >= fails_from) {
+            return Status::ExecutionError(StrFormat(
+                "VG generator 'flaky_right' failed in world %zu", w));
+          }
+          for (std::size_t i = 0; i < 5; ++i) {
+            JIGSAW_RETURN_IF_ERROR(
+                out->AddRow({I(static_cast<std::int64_t>((i + w) % 3)),
+                             D(static_cast<double>(i))}));
+          }
+          return Status::OK();
+        });
+  };
+  const std::size_t never = kWorlds + 1;
+  ExpectSameErrorEverywhere(test::MakeNullingTable(2, never),
+                            right_failing_from(5), {"k", "k2"}, {"a", "b"},
+                            "column 'a' is not numeric");
+  ExpectSameErrorEverywhere(test::MakeNullingTable(5, never),
+                            right_failing_from(2), {"k", "k2"}, {"a", "b"},
+                            "VG generator 'flaky_right' failed in world 2");
+  ExpectSameErrorEverywhere(test::MakeNullingTable(3, never),
+                            right_failing_from(3), {"k", "k2"}, {"a", "b"},
+                            "VG generator 'flaky_right' failed in world 3");
 }
 
 TEST_F(JoinErrorTest, NonNumericAndUnknownFoldColumnsFailUpFront) {

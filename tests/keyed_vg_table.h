@@ -45,26 +45,28 @@ class KeyedVGTable final : public pdb::VGTableFunction {
 };
 
 /// Key `k` (INT, 0..2) and two non-key DOUBLE columns `a` and `b`, four
-/// rows per world. Row 1's `a` is NULL from world `a_null_from` on and
-/// row 2's `b` from world `b_null_from` on, so a fold of either column
-/// fails from that world: the tables that pin which NULL a fold reports
-/// first.
+/// rows per world. Row `a_null_row`'s `a` is NULL from world `a_null_from`
+/// on and row `b_null_row`'s `b` from world `b_null_from` on, so a fold
+/// of either column fails from that world: the tables that pin which NULL
+/// a fold reports first.
 inline pdb::VGTableFunctionPtr MakeNullingTable(std::size_t a_null_from,
-                                                std::size_t b_null_from) {
+                                                std::size_t b_null_from,
+                                                std::size_t a_null_row = 1,
+                                                std::size_t b_null_row = 2) {
   pdb::Schema schema({{"k", pdb::ValueType::kInt},
                       {"a", pdb::ValueType::kDouble},
                       {"b", pdb::ValueType::kDouble}});
   return std::make_shared<KeyedVGTable>(
       "nulling", schema,
-      [a_null_from, b_null_from](std::size_t w, pdb::Table* out) -> Status {
+      [=](std::size_t w, pdb::Table* out) -> Status {
         for (std::size_t i = 0; i < 4; ++i) {
           const double v = static_cast<double>(10 * w + i);
           JIGSAW_RETURN_IF_ERROR(out->AddRow(
               {pdb::Value(static_cast<std::int64_t>(i % 3)),
-               i == 1 && w >= a_null_from ? pdb::Value::Null()
-                                          : pdb::Value(v),
-               i == 2 && w >= b_null_from ? pdb::Value::Null()
-                                          : pdb::Value(-v)}));
+               i == a_null_row && w >= a_null_from ? pdb::Value::Null()
+                                                   : pdb::Value(v),
+               i == b_null_row && w >= b_null_from ? pdb::Value::Null()
+                                                   : pdb::Value(-v)}));
         }
         return Status::OK();
       });

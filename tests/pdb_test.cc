@@ -1164,7 +1164,7 @@ TEST(MonteCarloSweepTest, SpanSweepBitIdenticalToPerPointFolds) {
 }
 
 TEST(MonteCarloSweepTest, WindowedStagingIsBitIdenticalAndOrdersErrors) {
-  // Shrink the staged-doubles budget until every window holds exactly one
+  // Shrink the staging budget until every window holds exactly one
   // point: the streamed fold must reproduce the whole-grid results and
   // still surface the serial loop's error, including across windows.
   internal::g_fold_staged_budget_override = 1;  // floor: 1 point/window

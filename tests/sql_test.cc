@@ -1579,5 +1579,40 @@ TEST_F(JoinSqlTest, BindErrorShapes) {
       "share the alias 't'");
 }
 
+TEST_F(JoinSqlTest, CountArgumentsMustBeIntegersInIntRange) {
+  // num_users, sim_depth and num_rows are ints: anything that is not a
+  // finite integer in [1, INT_MAX] is a BindError naming the table and
+  // the argument, never a cast out of range or a silent truncation.
+  const auto script = [](const std::string& users, const std::string& items) {
+    return "SELECT 1 AS one INTO r; MONTECARLO FROM users(" + users +
+           ") AS u JOIN items(" + items + ") AS i ON u.user_id = i.item_id;";
+  };
+  ExpectBindError(script("3e9, 0.8, 5.0, 2.0", "4"),
+                  "VG table 'users' needs num_users to be an integer in "
+                  "[1, 2147483647], got 3e+09");
+  ExpectBindError(script("1e400, 0.8, 5.0, 2.0", "4"),
+                  "VG table 'users' needs num_users to be an integer in "
+                  "[1, 2147483647], got inf");
+  ExpectBindError(script("2.5, 0.8, 5.0, 2.0", "4"),
+                  "VG table 'users' needs num_users to be an integer in "
+                  "[1, 2147483647], got 2.5");
+  ExpectBindError(script("20, 0.8, 5.0, 2.0, -3", "4"),
+                  "VG table 'users' needs sim_depth to be an integer in "
+                  "[1, 2147483647], got -3");
+  ExpectBindError(script("20, 0.8, 5.0, 2.0", "1e400"),
+                  "VG table 'items' needs num_rows to be an integer in "
+                  "[1, 2147483647], got inf");
+  ExpectBindError(script("20, 0.8, 5.0, 2.0", "4.7"),
+                  "VG table 'items' needs num_rows to be an integer in "
+                  "[1, 2147483647], got 4.7");
+  ExpectBindError(script("20, 0.8, 5.0, 2.0", "0"),
+                  "VG table 'items' needs num_rows to be an integer in "
+                  "[1, 2147483647], got 0");
+  // The bounds themselves bind.
+  EXPECT_TRUE(ParseAndBind(script("1, 0.8, 5.0, 2.0, 1", "1"), registry_).ok());
+  EXPECT_TRUE(
+      ParseAndBind(script("20, 0.8, 5.0, 2.0", "2147483647"), registry_).ok());
+}
+
 }  // namespace
 }  // namespace jigsaw::sql
