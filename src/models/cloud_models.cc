@@ -260,9 +260,9 @@ class OverloadModel : public BlackBox {
 /// requirements of each of a set of users". The user population itself is
 /// data, not randomness: per-user attributes (signup week, base demand)
 /// derive deterministically from the user id, so every sample sees the
-/// same population. Each sample then draws one lognormal requirement
-/// multiplier per active user; cost is O(num_users), making this the
-/// data-bound workload of Figure 7.
+/// same population. Each sample then draws one requirement multiplier per
+/// active user, the peak of user_sim_depth lognormal draws; cost is
+/// O(num_users), making this the data-bound workload of Figure 7.
 class UserSelectionModel : public BlackBox {
  public:
   explicit UserSelectionModel(const CloudModelConfig& cfg)
@@ -283,9 +283,8 @@ class UserSelectionModel : public BlackBox {
                         &signup, &base);
       if (signup > week) continue;
       double peak = 0.0;
-      for (int d = 0; d < cfg_.user_sim_depth; ++d) {
-        peak = std::max(peak, rng.LogNormal(0.0, cfg_.user_demand_spread));
-      }
+      rng.MaxLogNormal(cfg_.user_demand_spread, cfg_.user_sim_depth,
+                       {&peak, 1});
       total += base * peak;
     }
     return total;
@@ -342,15 +341,15 @@ class UserSelectionModel : public BlackBox {
       }
       return;
     }
+    // v1: one stream per sample, whose draws run user by user in roster
+    // order; the kernel takes the whole roster's peaks in one call.
+    std::vector<double> peaks(active_bases.size());
     for (std::size_t i = 0; i < out.size(); ++i) {
       RandomStream rng = StreamForSigma(seeds.sigma(i), call_site);
+      rng.MaxLogNormal(spread, depth, peaks);
       double total = 0.0;
-      for (double base : active_bases) {
-        double peak = 0.0;
-        for (int d = 0; d < depth; ++d) {
-          peak = std::max(peak, rng.LogNormal(0.0, spread));
-        }
-        total += base * peak;
+      for (std::size_t a = 0; a < active_bases.size(); ++a) {
+        total += active_bases[a] * peaks[a];
       }
       out[i] = total;
     }

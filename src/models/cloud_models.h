@@ -75,7 +75,12 @@ BlackBoxPtr MakeOverloadModel(const CloudModelConfig& cfg = {});
 
 /// UserSelection(current_week) — sums simulated per-user requirements over
 /// the whole synthetic population; cost is O(num_users) per sample, which
-/// is what makes it the data-bound workload of Figure 7.
+/// is what makes it the data-bound workload of Figure 7. Each active
+/// user's requirement is its base demand times the peak of
+/// `user_sim_depth` LogNormal(0, user_demand_spread) draws. `Eval` and
+/// the v1 `EvalBatch` take the peaks through RandomStream::MaxLogNormal,
+/// as the `users` VG table does, so both engines of Figure 7 pay the same
+/// per-draw cost; the v2 `EvalBatch` fills Gaussian draw planes.
 BlackBoxPtr MakeUserSelectionModel(const CloudModelConfig& cfg = {});
 
 /// SynthBasis(point) — partitions its parameter domain into exactly

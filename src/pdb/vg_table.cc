@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <mutex>
 #include <utility>
 
 #include "models/cloud_models.h"
@@ -109,22 +110,46 @@ class UsersVGTable final : public VGTableFunction {
 
   Status GenerateColumnarInto(std::size_t sample_id, const SeedVector& seeds,
                               ColumnarTable* out) const override {
-    // The hot path: draws land straight in the column buffers. Shares
-    // RealizeUser with Generate so both representations consume the
-    // stream identically and realize bit-identical values.
+    // The hot path: the peaks land straight in the requirement column
+    // through the bounded max-of-LogNormals kernel, which consumes the
+    // stream exactly as RealizeUser's loop does and realizes the same
+    // bits; the world-invariant profile is read, not derived again.
+    const std::vector<UserProfile>& profiles = Profiles();
     const std::size_t n = static_cast<std::size_t>(num_users_);
     std::span<std::int64_t> user_ids = out->column(0).AppendIntSpan(n);
     std::span<double> signups = out->column(1).AppendDoubleSpan(n);
     std::span<double> requirements = out->column(2).AppendDoubleSpan(n);
     RandomStream rng = seeds.StreamFor(sample_id, kUsersTableSalt);
-    for (int u = 0; u < num_users_; ++u) {
-      user_ids[u] = u;
-      RealizeUser(u, &rng, &signups[u], &requirements[u]);
+    rng.MaxLogNormal(spread_, sim_depth_, requirements);
+    for (std::size_t u = 0; u < n; ++u) {
+      user_ids[u] = static_cast<std::int64_t>(u);
+      signups[u] = profiles[u].signup;
+      requirements[u] = profiles[u].base * requirements[u];
     }
     return out->CommitAppendedRows();
   }
 
  private:
+  /// World-invariant population data: 16 B per user.
+  struct UserProfile {
+    double signup;
+    double base;
+  };
+
+  /// Derived once per table, on its first columnar realization (binding
+  /// a table never pays for it), and shared by every world after.
+  const std::vector<UserProfile>& Profiles() const {
+    std::call_once(profiles_once_, [this] {
+      profiles_.resize(static_cast<std::size_t>(num_users_));
+      for (int u = 0; u < num_users_; ++u) {
+        jigsaw::DeriveUserProfile(u, arrival_rate_, base_demand_,
+                                  &profiles_[u].signup, &profiles_[u].base);
+      }
+    });
+    return profiles_;
+  }
+
+  /// The boxed reference: one user's profile and peak, one draw at a time.
   void RealizeUser(int u, RandomStream* rng, double* signup,
                    double* requirement) const {
     double base = 0.0;
@@ -145,6 +170,8 @@ class UsersVGTable final : public VGTableFunction {
   int sim_depth_;
   std::string name_;
   Schema schema_;
+  mutable std::once_flag profiles_once_;
+  mutable std::vector<UserProfile> profiles_;
 };
 
 /// Deterministic (non-random) per-item attributes for the scaling table.

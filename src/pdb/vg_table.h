@@ -144,8 +144,13 @@ class WorldCache {
 /// workload: one row per user with columns
 ///   (user_id INT, signup_week DOUBLE, requirement DOUBLE)
 /// where `requirement` is the stochastic per-user demand draw for this
-/// world (the peak of `sim_depth` intra-week usage draws) and the other
-/// attributes are deterministic population data.
+/// world (the peak of `sim_depth` intra-week LogNormal(0, spread) usage
+/// draws, times the user's base demand) and the other attributes are
+/// deterministic population data. The columnar realization takes the
+/// peaks through RandomStream::MaxLogNormal, which calls cos and exp only
+/// for the draws that can win, bit-identical to `Generate`'s draw loop;
+/// the world-invariant population (16 B per user) is derived once per
+/// table, on its first realization, never at construction.
 VGTableFunctionPtr MakeUsersVGTable(int num_users, double arrival_rate,
                                     double base_demand, double spread,
                                     int sim_depth = 16);

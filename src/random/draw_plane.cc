@@ -3,15 +3,12 @@
 #include <algorithm>
 #include <cmath>
 
+#include "random/random_stream.h"
 #include "util/hash.h"
 
 namespace jigsaw {
 
 namespace {
-
-// Same literal as random_stream.cc — the plane transforms must be
-// expression-identical to the scalar distributions for bit-identity.
-constexpr double kTwoPi = 6.283185307179586476925286766559;
 
 inline Philox4x32::Counter MakeCounter(std::uint64_t block,
                                        std::uint64_t draw) {
@@ -85,11 +82,10 @@ void GaussianPlane(std::span<double> dst, std::size_t k_begin,
         const Philox4x32::Counter w2 =
             Philox4x32::Block(MakeCounter(block, draw_idx + 1), k);
         for (std::size_t j = 0; j < take; ++j) {
-          double u1 = static_cast<double>(w1[sub + j]) * 0x1.0p-32;
+          const double u1 = static_cast<double>(w1[sub + j]) * 0x1.0p-32;
           const double u2 = static_cast<double>(w2[sub + j]) * 0x1.0p-32;
-          if (u1 <= 0.0) u1 = 0x1.0p-53;
-          const double r = std::sqrt(-2.0 * std::log(u1));
-          dst[i + j] = r * std::cos(kTwoPi * u2);
+          dst[i + j] = RandomStream::BoxMullerRadius(u1) *
+                       RandomStream::BoxMullerCos(u2);
         }
       });
 }

@@ -64,11 +64,35 @@ Result<int> CountArgument(const char* table, const char* argument,
   return static_cast<int>(value);
 }
 
+/// What a VG table's distribution argument must be besides finite.
+enum class ArgumentRange { kFinite, kNonNegative, kPositive };
+
+/// Checks a VG table's distribution argument: every one must be finite,
+/// a rate positive and a spread non-negative, else a BindError naming the
+/// table and the argument (a non-finite or negative sigma draws NaN or
+/// infinite worlds instead of failing).
+Status CheckDistributionArgument(const char* table, const char* argument,
+                                 double value, ArgumentRange range) {
+  const bool ok = std::isfinite(value) &&
+                  (range == ArgumentRange::kFinite ||
+                   (range == ArgumentRange::kPositive ? value > 0.0
+                                                      : value >= 0.0));
+  if (ok) return Status::OK();
+  const char* rule = range == ArgumentRange::kPositive      ? " and > 0"
+                     : range == ArgumentRange::kNonNegative ? " and >= 0"
+                                                            : "";
+  return Status::BindError(
+      StrFormat("VG table '%s' needs %s to be finite%s, got %g", table,
+                argument, rule, value));
+}
+
 /// VG-table catalog for MONTECARLO FROM ... JOIN: table name (case-
 /// insensitive) -> generator factory over positional numeric literal
 /// arguments. The catalog is the bind-time boundary between SQL names
-/// and pdb VG table functions; an unknown name, a bad arity or a count
-/// argument out of range is a BindError before any world is realized.
+/// and pdb VG table functions; an unknown name, a bad arity, a count
+/// argument out of range or a distribution argument that is not finite
+/// (or is a non-positive rate or a negative spread) is a BindError
+/// before any world is realized.
 Result<pdb::VGTableFunctionPtr> MakeCatalogVGTable(
     const std::string& name, const std::vector<double>& args) {
   if (EqualsIgnoreCase(name, "users")) {
@@ -79,6 +103,12 @@ Result<pdb::VGTableFunctionPtr> MakeCatalogVGTable(
     }
     JIGSAW_ASSIGN_OR_RETURN(const int num_users,
                             CountArgument("users", "num_users", args[0]));
+    JIGSAW_RETURN_IF_ERROR(CheckDistributionArgument(
+        "users", "arrival_rate", args[1], ArgumentRange::kPositive));
+    JIGSAW_RETURN_IF_ERROR(CheckDistributionArgument(
+        "users", "base_demand", args[2], ArgumentRange::kFinite));
+    JIGSAW_RETURN_IF_ERROR(CheckDistributionArgument(
+        "users", "spread", args[3], ArgumentRange::kNonNegative));
     int sim_depth = 16;
     if (args.size() == 5) {
       JIGSAW_ASSIGN_OR_RETURN(sim_depth,
@@ -95,6 +125,18 @@ Result<pdb::VGTableFunctionPtr> MakeCatalogVGTable(
     }
     JIGSAW_ASSIGN_OR_RETURN(const int num_rows,
                             CountArgument("items", "num_rows", args[0]));
+    if (args.size() > 1) {
+      JIGSAW_RETURN_IF_ERROR(CheckDistributionArgument(
+          "items", "demand_mu", args[1], ArgumentRange::kFinite));
+    }
+    if (args.size() > 2) {
+      JIGSAW_RETURN_IF_ERROR(CheckDistributionArgument(
+          "items", "demand_sigma", args[2], ArgumentRange::kNonNegative));
+    }
+    if (args.size() > 3) {
+      JIGSAW_RETURN_IF_ERROR(CheckDistributionArgument(
+          "items", "cost_base", args[3], ArgumentRange::kFinite));
+    }
     return pdb::MakeScalingItemsVGTable(
         static_cast<std::size_t>(num_rows), args.size() > 1 ? args[1] : 1.0,
         args.size() > 2 ? args[2] : 0.5, args.size() > 3 ? args[3] : 10.0);

@@ -26,6 +26,7 @@
 #include "pdb/monte_carlo.h"
 #include "pdb/table.h"
 #include "pdb/vg_table.h"
+#include "random/random_stream.h"
 #include "sql/binder.h"
 #include "sql/script_runner.h"
 #include "util/thread_pool.h"
@@ -236,6 +237,16 @@ TEST(VGColumnarTest, GeneratorsRealizeBitIdenticalInBothRepresentations) {
     SeedVector seeds(0x5EED0001ULL, 16, schema);
     auto users = MakeUsersVGTable(40, 3.0, 25.0, 0.4, 4);
     ExpectColumnarMatchesBoxed(*users, seeds, 6);
+    // The columnar users path runs the bounded max-of-LogNormals kernel
+    // in blocks of RandomStream::kMaxLogNormalBlock draws: depth 1, a
+    // depth no block holds, and a user count that leaves a partial block.
+    constexpr int kBlock = static_cast<int>(RandomStream::kMaxLogNormalBlock);
+    ExpectColumnarMatchesBoxed(*MakeUsersVGTable(40, 3.0, 25.0, 2.0, 1),
+                               seeds, 3);
+    ExpectColumnarMatchesBoxed(
+        *MakeUsersVGTable(3, 3.0, 25.0, 2.0, kBlock + 5), seeds, 3);
+    ExpectColumnarMatchesBoxed(
+        *MakeUsersVGTable(kBlock / 16 + 44, 3.0, 25.0, 2.0, 16), seeds, 3);
     auto items = MakeScalingItemsVGTable(100);
     ExpectColumnarMatchesBoxed(*items, seeds, 6);
   }

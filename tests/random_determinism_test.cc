@@ -6,8 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <set>
 #include <thread>
 #include <vector>
@@ -373,6 +376,103 @@ TEST(GoldenDrawTest, SchemasDivergeByConstruction) {
     for (int i = 0; i < 8; ++i) equal += (a.NextUint64() == b.NextUint64());
   }
   EXPECT_EQ(equal, 0);
+}
+
+// ---------------------------------------------------------------------------
+// The bounded max-of-LogNormals kernel against the loop it replaces. Its
+// pruning must never change a bit: every slot and the stream's position
+// after the call must match the plain loop, for any sigma.
+// ---------------------------------------------------------------------------
+
+/// The loop RandomStream::MaxLogNormal must reproduce, slot by slot.
+std::vector<double> PlainMaxLogNormal(RandomStream& rng, double sigma,
+                                      int depth, std::size_t slots) {
+  std::vector<double> peaks(slots);
+  for (double& peak : peaks) {
+    peak = 0.0;
+    for (int d = 0; d < depth; ++d) {
+      peak = std::max(peak, rng.LogNormal(0.0, sigma));
+    }
+  }
+  return peaks;
+}
+
+TEST(MaxLogNormalTest, MatchesThePlainLoopBitForBit) {
+  constexpr std::size_t kBlock = RandomStream::kMaxLogNormalBlock;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double kSigmas[] = {0.0,  -0.0,  5e-324, 1e-300, 0.3,  2.0,  -2.0,
+                            30.0, 400.0, 1e300,  -1e300, kInf, -kInf,
+                            std::numeric_limits<double>::quiet_NaN()};
+  // Depth 0 draws nothing; the last depth spans three blocks.
+  const int kDepths[] = {0, 1, 2, 3, 7, 16, 64,
+                         2 * static_cast<int>(kBlock) + 3};
+  std::size_t checked = 0, mismatched = 0;
+  for (std::uint64_t seed : {0ULL, 1ULL, 7ULL, 29ULL, 12345ULL}) {
+    for (SeedSchema schema : {SeedSchema::kV1, SeedSchema::kV2}) {
+      const SeedVector seeds(seed, 1, schema);
+      for (double sigma : kSigmas) {
+        for (int depth : kDepths) {
+          // One slot, the slots one block holds, and one more, which
+          // straddles the block's edge.
+          const std::size_t per_block = std::max<std::size_t>(
+              1, kBlock / static_cast<std::size_t>(std::max(depth, 1)));
+          std::vector<std::size_t> slot_counts = {1, per_block + 1};
+          if (per_block > 1) slot_counts.push_back(per_block);
+          for (std::size_t slots : slot_counts) {
+            RandomStream kernel = seeds.StreamFor(0, 3);
+            RandomStream plain = seeds.StreamFor(0, 3);
+            std::vector<double> got(slots);
+            kernel.MaxLogNormal(sigma, depth, got);
+            const std::vector<double> want =
+                PlainMaxLogNormal(plain, sigma, depth, slots);
+            for (std::size_t i = 0; i < slots; ++i) {
+              ++checked;
+              if (std::bit_cast<std::uint64_t>(got[i]) !=
+                  std::bit_cast<std::uint64_t>(want[i])) {
+                if (++mismatched <= 5) {
+                  ADD_FAILURE() << "seed=" << seed << " schema="
+                                << static_cast<int>(schema)
+                                << " sigma=" << sigma << " depth=" << depth
+                                << " slots=" << slots << " slot " << i
+                                << ": got " << got[i] << " want " << want[i];
+                }
+              }
+            }
+            ASSERT_EQ(kernel.NextUint64(), plain.NextUint64())
+                << "stream position: seed=" << seed << " sigma=" << sigma
+                << " depth=" << depth << " slots=" << slots;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(mismatched, 0u) << "of " << checked << " peaks";
+}
+
+TEST(MaxLogNormalBoundTest, BoundsBracketTheExactExponent) {
+  // The exponent LogNormal(0, sigma) hands to exp lies within the bounds
+  // the kernel prunes with, at the extremes of both uniforms: the
+  // smallest and largest radius, and u2 at cos's peak, trough and zeros.
+  const double kU1[] = {0x1.0p-53, 0.5, 1.0 - 0x1.0p-53};
+  const double kU2[] = {0.0, 0.25, 0.5, 0.75, 1.0 - 0x1.0p-53};
+  for (double sigma :
+       {0.3, -0.3, 2.0, -2.0, 30.0, -30.0, 400.0, -400.0, 1e300, -1e300}) {
+    for (double u1 : kU1) {
+      for (double u2 : kU2) {
+        const double radius = RandomStream::BoxMullerRadius(u1);
+        const double exponent =
+            0.0 + sigma * (radius * RandomStream::BoxMullerCos(u2));
+        const RandomStream::ExponentBounds b =
+            RandomStream::LogNormalExponentBounds(sigma, radius, u2);
+        EXPECT_LE(b.lower, exponent)
+            << "sigma=" << sigma << " u1=" << u1 << " u2=" << u2;
+        EXPECT_LE(exponent, b.upper)
+            << "sigma=" << sigma << " u1=" << u1 << " u2=" << u2;
+        EXPECT_LE(-exponent, b.upper)
+            << "sigma=" << sigma << " u1=" << u1 << " u2=" << u2;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -1608,10 +1608,63 @@ TEST_F(JoinSqlTest, CountArgumentsMustBeIntegersInIntRange) {
   ExpectBindError(script("20, 0.8, 5.0, 2.0", "0"),
                   "VG table 'items' needs num_rows to be an integer in "
                   "[1, 2147483647], got 0");
-  // The bounds themselves bind.
+  // The bounds themselves bind. Binding stays O(1) in the user count:
+  // the users table derives its population on its first realization.
   EXPECT_TRUE(ParseAndBind(script("1, 0.8, 5.0, 2.0, 1", "1"), registry_).ok());
   EXPECT_TRUE(
       ParseAndBind(script("20, 0.8, 5.0, 2.0", "2147483647"), registry_).ok());
+  EXPECT_TRUE(ParseAndBind(script("2147483647, 0.8, 5.0, 2.0, 2147483647",
+                                  "1"),
+                           registry_)
+                  .ok());
+}
+
+TEST_F(JoinSqlTest, DistributionArgumentsMustBeFiniteAndInRange) {
+  // Every distribution argument must be finite, arrival_rate > 0 and the
+  // lognormal sigmas (spread, demand_sigma) >= 0; anything else is a
+  // BindError naming the table and the argument, not a fold of NaN and
+  // infinite draws.
+  const auto script = [](const std::string& users, const std::string& items) {
+    return "SELECT 1 AS one INTO r; MONTECARLO FROM users(" + users +
+           ") AS u JOIN items(" + items + ") AS i ON u.user_id = i.item_id;";
+  };
+  ExpectBindError(script("8, 0.8, 5.0, 2.0", "8, 1e400, -0.5, -3"),
+                  "VG table 'items' needs demand_mu to be finite, got inf");
+  ExpectBindError(script("8, 1e400, 5.0, 2.0", "8"),
+                  "VG table 'users' needs arrival_rate to be finite and > 0, "
+                  "got inf");
+  ExpectBindError(script("8, 0, 5.0, 2.0", "8"),
+                  "VG table 'users' needs arrival_rate to be finite and > 0, "
+                  "got 0");
+  ExpectBindError(script("8, -0.8, 5.0, 2.0", "8"),
+                  "VG table 'users' needs arrival_rate to be finite and > 0, "
+                  "got -0.8");
+  ExpectBindError(script("8, 0.8, -1e400, 2.0", "8"),
+                  "VG table 'users' needs base_demand to be finite, got -inf");
+  ExpectBindError(script("8, 0.8, 5.0, 1e400", "8"),
+                  "VG table 'users' needs spread to be finite and >= 0, "
+                  "got inf");
+  ExpectBindError(script("8, 0.8, 5.0, -1e-300", "8"),
+                  "VG table 'users' needs spread to be finite and >= 0, "
+                  "got -1e-300");
+  ExpectBindError(script("8, 0.8, 5.0, 2.0", "8, 1.0, -0.5"),
+                  "VG table 'items' needs demand_sigma to be finite and >= 0, "
+                  "got -0.5");
+  ExpectBindError(script("8, 0.8, 5.0, 2.0", "8, 1.0, 1e400"),
+                  "VG table 'items' needs demand_sigma to be finite and >= 0, "
+                  "got inf");
+  ExpectBindError(script("8, 0.8, 5.0, 2.0", "8, 1.0, 0.5, -1e400"),
+                  "VG table 'items' needs cost_base to be finite, got -inf");
+  // The other side of each limit binds: the smallest positive rate, zero
+  // sigmas, and finite extremes for the unbounded arguments.
+  EXPECT_TRUE(ParseAndBind(script("8, 5e-324, -1.7976931348623157e308, 0",
+                                  "8, 1.7976931348623157e308, 0, -1e300"),
+                           registry_)
+                  .ok());
+  EXPECT_TRUE(ParseAndBind(script("8, 1.7976931348623157e308, 5.0, -0",
+                                  "8, -1e300, -0, 3"),
+                           registry_)
+                  .ok());
 }
 
 }  // namespace
