@@ -21,8 +21,7 @@
 // non-zero if any checksum pair disagrees — it doubles as a bit-identity
 // smoke test in CI.
 //
-// Flags: --num_samples=N --batch_size=N --num_threads=N --seed_schema={1,2}
-// (bench_common.h). Schema 2 derives draws counter-based (draw planes).
+// Flags: --num_samples=N --batch_size=N --num_threads=N (bench_common.h).
 // With --num_threads > 1 each workload additionally runs a "threaded"
 // mode that fans SampleBatch chunks out on a ThreadPool (the SampleRange
 // fan-out), and a "worlds" phase drives pdb::FoldWorlds' possible-worlds
@@ -174,11 +173,11 @@ std::uint64_t MetricsChecksum(
 /// Drives pdb::FoldWorlds' possible-worlds fan-out: a one-column
 /// stochastic plan, built fresh per world, over `worlds` sampled worlds.
 RunResult DriveWorlds(std::size_t worlds, std::size_t threads,
-                      std::size_t batch, SeedSchema schema) {
+                      std::size_t batch) {
   RunConfig cfg;
   cfg.num_samples = worlds;
   cfg.batch_size = batch;
-  const SeedVector seeds(cfg.master_seed, worlds, schema);
+  const SeedVector seeds(cfg.master_seed, worlds);
   std::unique_ptr<ThreadPool> pool;
   if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
   const auto model = MakeDemandModel({});
@@ -223,7 +222,6 @@ void EmitRow(const std::string& bench, const std::string& model,
       .Num("samples_per_point", static_cast<double>(samples_per_point))
       .Num("batch_size", static_cast<double>(flags.batch_size))
       .Num("num_threads", static_cast<double>(flags.num_threads))
-      .Num("seed_schema", static_cast<double>(flags.seed_schema))
       .Num("elapsed_s", r.elapsed_s)
       .Num("samples_per_sec",
            r.elapsed_s > 0.0 ? static_cast<double>(r.samples) / r.elapsed_s
@@ -254,8 +252,7 @@ int main(int argc, char** argv) {
   const std::size_t fp_points = bench::FullScale() ? 5000 : 500;
   const std::size_t sim_points = bench::FullScale() ? 50 : 8;
 
-  const SeedSchema schema = bench::SchemaFromFlags(flags);
-  const SeedVector seeds(RunConfig{}.master_seed, flags.num_samples, schema);
+  const SeedVector seeds(RunConfig{}.master_seed, flags.num_samples);
 
   CloudModelConfig user_cfg;
   user_cfg.num_users = 200;   // keep the data-bound model tractable
@@ -338,10 +335,10 @@ int main(int argc, char** argv) {
   {
     const std::size_t worlds = flags.num_samples;
     const RunResult serial = DriveWorlds(worlds, /*threads=*/1,
-                                         /*batch=*/1, schema);
+                                         /*batch=*/1);
     const RunResult parallel =
         DriveWorlds(worlds, std::max<std::size_t>(1, flags.num_threads),
-                    flags.batch_size, schema);
+                    flags.batch_size);
     // The baseline row must carry the config it actually ran with.
     BenchFlags serial_flags = flags;
     serial_flags.num_threads = 1;

@@ -2,12 +2,11 @@
 // 256-user population equi-joined against an N-row uncertain items table
 // in every one of W worlds, each numeric joined column folded.
 //
-// For each row count the join fold runs four ways: the sort-merge and
-// hash kernels, each serial and threaded (--num_threads workers, one
-// world-chunk cell per pool task — the shard-ownership rule). Every
-// run's metrics fold into a bitwise checksum; the binary exits non-zero
-// if any two of the four diverge — CI smoke-runs it as a machine check
-// that sharding and the join kernel never change a result. (The boxed
+// For each row count the sort-merge join fold runs twice: serial and
+// threaded (--num_threads workers, one world-chunk cell per pool task —
+// the shard-ownership rule). Every run's metrics fold into a bitwise
+// checksum; the binary exits non-zero if the two diverge — CI smoke-runs
+// it as a machine check that sharding never changes a result. (The boxed
 // nested-loop reference every path must match lives in the tests:
 // tests/boxed_reference.h.) The interesting series are tuples/sec and
 // peak RSS. ru_maxrss is a process-wide high-water mark, so row counts
@@ -15,7 +14,7 @@
 //
 // Every row is a JSON-lines record on stdout; a human summary goes to
 // stderr. Flags: --num_samples=W (worlds) --num_threads=N
-// --batch_size=N --seed_schema={1,2} (bench_common.h).
+// --batch_size=N (bench_common.h).
 
 #include "bench_common.h"
 
@@ -85,8 +84,7 @@ struct RunResult {
 /// table on user_id = item_id, per world.
 RunResult DriveJoin(const pdb::VGTableFunctionPtr& users,
                     const pdb::VGTableFunctionPtr& items, std::size_t rows,
-                    const BenchFlags& flags, JoinAlgorithm algorithm,
-                    std::size_t threads) {
+                    const BenchFlags& flags, std::size_t threads) {
   RunConfig cfg;
   cfg.num_samples = flags.num_samples;
   cfg.batch_size =
@@ -95,10 +93,7 @@ RunResult DriveJoin(const pdb::VGTableFunctionPtr& users,
                      std::max<std::size_t>(1, flags.num_samples / threads))
           : flags.batch_size;
   cfg.num_threads = threads;
-  cfg.seed_schema = bench::SchemaFromFlags(flags);
-  cfg.join_algorithm = algorithm;
-  const SeedVector seeds(cfg.master_seed, flags.num_samples,
-                         cfg.seed_schema);
+  const SeedVector seeds(cfg.master_seed, flags.num_samples);
   const std::vector<std::string> columns = {"requirement", "demand", "cost"};
 
   std::unique_ptr<ThreadPool> pool;
@@ -134,7 +129,6 @@ void EmitRow(const std::string& mode, std::size_t rows, std::size_t threads,
       .Num("worlds", static_cast<double>(flags.num_samples))
       .Num("batch_size", static_cast<double>(flags.batch_size))
       .Num("num_threads", static_cast<double>(threads))
-      .Num("seed_schema", static_cast<double>(flags.seed_schema))
       .Num("elapsed_s", r.elapsed_s)
       .Num("tuples_per_sec",
            r.elapsed_s > 0.0 ? static_cast<double>(r.tuples) / r.elapsed_s
@@ -153,9 +147,8 @@ int main(int argc, char** argv) {
   if (flags.num_threads == 0) flags.num_threads = 1;
 
   bool checksums_ok = true;
-  // Sort-merge vs hash, serial and threaded, on a fixed 256-user left
-  // side while the right side scales, ascending so each size's peak-RSS
-  // watermark is its own.
+  // Serial and threaded, on a fixed 256-user left side while the right
+  // side scales, ascending so each size's peak-RSS watermark is its own.
   const auto users = pdb::MakeUsersVGTable(256, 0.8, 5.0, 2.0);
   const std::vector<std::size_t> join_rows =
       bench::FullScale()
@@ -163,39 +156,27 @@ int main(int argc, char** argv) {
           : std::vector<std::size_t>{10'000, 100'000};
   for (std::size_t rows : join_rows) {
     const auto items = pdb::MakeScalingItemsVGTable(rows);
-    const RunResult sort =
-        DriveJoin(users, items, rows, flags, JoinAlgorithm::kSortMerge, 1);
+    const RunResult sort = DriveJoin(users, items, rows, flags, 1);
     EmitRow("join_sort", rows, 1, flags, sort);
-    const RunResult hash =
-        DriveJoin(users, items, rows, flags, JoinAlgorithm::kHash, 1);
-    EmitRow("join_hash", rows, 1, flags, hash);
-    const RunResult sort_par = DriveJoin(
-        users, items, rows, flags, JoinAlgorithm::kSortMerge,
-        flags.num_threads);
+    const RunResult sort_par =
+        DriveJoin(users, items, rows, flags, flags.num_threads);
     EmitRow("join_sort_par", rows, flags.num_threads, flags, sort_par);
-    const RunResult hash_par = DriveJoin(users, items, rows, flags,
-                                         JoinAlgorithm::kHash,
-                                         flags.num_threads);
-    EmitRow("join_hash_par", rows, flags.num_threads, flags, hash_par);
 
-    const bool same = sort.ok && hash.ok && sort_par.ok && hash_par.ok &&
-                      sort.checksum == hash.checksum &&
-                      hash.checksum == sort_par.checksum &&
-                      sort_par.checksum == hash_par.checksum;
-    const double hash_vs_sort =
-        hash.elapsed_s > 0.0 ? sort.elapsed_s / hash.elapsed_s : 0.0;
+    const bool same =
+        sort.ok && sort_par.ok && sort.checksum == sort_par.checksum;
+    const double speedup =
+        sort_par.elapsed_s > 0.0 ? sort.elapsed_s / sort_par.elapsed_s : 0.0;
     std::fprintf(stderr,
-                 "join rows=%-8zu worlds=%zu  hash/sort %6.2fx  "
+                 "join rows=%-8zu worlds=%zu  threaded speedup %6.2fx  "
                  "checksums %s\n",
-                 rows, flags.num_samples, hash_vs_sort,
+                 rows, flags.num_samples, speedup,
                  same ? "match" : "MISMATCH");
     checksums_ok = checksums_ok && same;
   }
 
   if (!checksums_ok) {
     std::fprintf(stderr,
-                 "FAIL: threaded or hash-kernel join fold diverged from "
-                 "serial sort-merge\n");
+                 "FAIL: threaded join fold diverged from the serial one\n");
     return 1;
   }
   return 0;

@@ -45,18 +45,12 @@ struct BenchFlags {
   std::size_t num_threads = 1;
   std::size_t batch_size = 64;
   std::size_t num_sessions = 8;  ///< concurrent clients (serving benches)
-  std::size_t seed_schema = 1;   ///< 1 = seed table, 2 = counter planes
 };
 
-/// The SeedSchema a bench run was asked for (--seed_schema={1,2}).
-inline SeedSchema SchemaFromFlags(const BenchFlags& flags) {
-  return flags.seed_schema == 2 ? SeedSchema::kV2 : SeedSchema::kV1;
-}
-
 /// Parses and strips `--num_samples=N`, `--num_threads=N`,
-/// `--batch_size=N`, `--num_sessions=N` and `--seed_schema=N` (also the
-/// two-token `--flag N` form) from argv,
-/// compacting the remaining arguments in place. Unrecognized flags are
+/// `--batch_size=N` and `--num_sessions=N` (also the two-token
+/// `--flag N` form) from argv, compacting the remaining arguments in
+/// place. Unrecognized flags are
 /// left for the caller (e.g. google-benchmark's own Initialize).
 inline BenchFlags ParseBenchFlags(int* argc, char** argv) {
   BenchFlags flags;
@@ -86,8 +80,6 @@ inline BenchFlags ParseBenchFlags(int* argc, char** argv) {
       target = &flags.batch_size;
     } else if (match(argv[i], "--num_sessions", &value)) {
       target = &flags.num_sessions;
-    } else if (match(argv[i], "--seed_schema", &value)) {
-      target = &flags.seed_schema;
     }
     if (target == nullptr) {
       argv[out++] = argv[i];

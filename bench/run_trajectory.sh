@@ -8,9 +8,7 @@
 #    "rows":[<the bench's JSON-lines rows>]}
 #
 # Sample counts are pinned (200 samples, batch 64, 2 threads) so rows are
-# comparable across commits; bench_batched_sampling runs at BOTH
-# --seed_schema values so the trajectory records the v1-vs-v2 speedup.
-# Checksummed benches exit non-zero on a serial/parallel divergence, and
+# comparable across commits. Checksummed benches exit non-zero on a serial/parallel divergence, and
 # that failure is recorded (ok:0) rather than swallowed.
 #
 # Usage: bench/run_trajectory.sh [build-dir]   (default: build)
@@ -70,15 +68,11 @@ PIN="--num_samples=200 --batch_size=64 --num_threads=2"
 run_tool lint_determinism python3 tools/lint_determinism.py --root .
 run_tool clang_tidy bash tools/run_clang_tidy.sh "$BUILD"
 
-run_bench bench_batched_sampling $PIN --seed_schema=1
-run_bench bench_batched_sampling $PIN --seed_schema=2
-run_bench bench_batched_sampling --num_samples=200 --batch_size=64 --num_threads=1 --seed_schema=1
-run_bench bench_batched_sampling --num_samples=200 --batch_size=64 --num_threads=1 --seed_schema=2
+run_bench bench_batched_sampling $PIN
+run_bench bench_batched_sampling --num_samples=200 --batch_size=64 --num_threads=1
 run_bench bench_expr_compile $PIN
 run_bench bench_montecarlo_sweep $PIN
-# Columnar storage scale check: rows x worlds, serial and threaded, plus
-# the join kernels. --num_samples is the world count here; the row sweep
-# is built in.
-run_bench bench_columnar_worlds --num_samples=8 --batch_size=64 --num_threads=2 --seed_schema=1
-run_bench bench_columnar_worlds --num_samples=8 --batch_size=64 --num_threads=2 --seed_schema=2
+# Columnar join scale check: rows x worlds, serial and threaded.
+# --num_samples is the world count here; the row sweep is built in.
+run_bench bench_columnar_worlds --num_samples=8 --batch_size=64 --num_threads=2
 run_bench bench_session_server --num_samples=200 --num_threads=2 --num_sessions=4

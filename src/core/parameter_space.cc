@@ -120,12 +120,4 @@ std::vector<double> ParameterSpace::ValuationAt(std::size_t idx) const {
   return out;
 }
 
-std::vector<std::vector<double>> ParameterSpace::EnumerateAll() const {
-  std::vector<std::vector<double>> out;
-  const std::size_t n = NumPoints();
-  out.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) out.push_back(ValuationAt(i));
-  return out;
-}
-
 }  // namespace jigsaw

@@ -81,10 +81,6 @@ class ParameterSpace {
   /// fastest). Chain parameters receive their INITIAL VALUE.
   std::vector<double> ValuationAt(std::size_t idx) const;
 
-  /// Enumerates all valuations. For large spaces prefer ValuationAt with a
-  /// streaming loop; this materializes everything (tests, small sweeps).
-  std::vector<std::vector<double>> EnumerateAll() const;
-
  private:
   std::vector<ParameterDef> defs_;
 };

@@ -10,19 +10,17 @@
 #include <cstdint>
 
 #include "core/fingerprint_index.h"
-#include "random/draw_plane.h"
+#include "random/seed_vector.h"
 
 namespace jigsaw {
 
 class ThreadPool;
 
-/// Physical algorithm for the world-partitioned columnar equi-join
-/// (pdb/join.h). Both are bit-identical — values, output row order,
-/// errors — to the serial nested-loop join, so the knob only trades sort
-/// locality against hash build cost; it can never change a result.
+/// The world-partitioned columnar equi-join's kernel (pdb/join.h), the
+/// only one. The enum remains because RunConfig::join_algorithm and
+/// JoinWorlds's algorithm parameter still name it.
 enum class JoinAlgorithm : std::uint8_t {
   kSortMerge,  ///< per-world stable sort of row indices by key
-  kHash,       ///< per-world insertion-ordered hash build of the right side
 };
 
 struct RunConfig {
@@ -49,15 +47,6 @@ struct RunConfig {
   /// Seed of the global seed vector {sigma_k}.
   std::uint64_t master_seed = 0x5160534A00000001ULL;  // "JIGSAW"-ish tag
 
-  /// Versioned draw-sequence derivation (the determinism contract's
-  /// seed-schema gate). kV1 is the original seed-table derivation and
-  /// stays byte-exact across releases; kV2 derives draws counter-based
-  /// (draw planes, no per-sample setup) and therefore produces a
-  /// *different but equally deterministic* draw sequence. Everything
-  /// seeded by this config — runners, kernels, world caches, serve
-  /// snapshots — must agree on the schema.
-  SeedSchema seed_schema = SeedSchema::kV1;
-
   /// Estimator output shape.
   int histogram_bins = 20;
   bool keep_samples = false;
@@ -83,9 +72,11 @@ struct RunConfig {
   /// either way.
   ThreadPool* shared_pool = nullptr;
 
-  /// Algorithm for the columnar world-partitioned equi-join. Interchangeable
-  /// by contract: every algorithm produces bit-identical joined relations.
-  JoinAlgorithm join_algorithm = JoinAlgorithm::kSortMerge;
+  /// The draw derivation (random/seed_vector.h) and the join kernel
+  /// (pdb/join.h). Neither is a setting: each has one value, named here
+  /// only for callers that still pass it on.
+  static constexpr SeedSchema seed_schema = SeedSchema::kV1;
+  static constexpr JoinAlgorithm join_algorithm = JoinAlgorithm::kSortMerge;
 };
 
 }  // namespace jigsaw

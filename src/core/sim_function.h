@@ -56,8 +56,7 @@ class BlackBoxSimFunction : public SimFunction {
 
   double Sample(std::span<const double> params, std::size_t sample_id,
                 const SeedVector& seeds) const override {
-    // StreamFor dispatches on the seed schema; under v1 this is exactly
-    // the historical InvokeSeeded(model, params, sigma_k, call_site).
+    // Exactly InvokeSeeded(model, params, sigma_k, call_site).
     RandomStream rng = seeds.StreamFor(sample_id, call_site_);
     return model_->Eval(params, rng);
   }

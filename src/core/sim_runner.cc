@@ -13,7 +13,7 @@ SimulationRunner::SimulationRunner(const RunConfig& config,
                                    BasisStore* published_store)
     : config_(config),
       finder_(finder ? std::move(finder) : LinearMappingFinder::Make()),
-      seeds_(config.master_seed, config.num_samples, config.seed_schema),
+      seeds_(config.master_seed, config.num_samples),
       basis_store_(finder_, config.index_kind, config.tolerance,
                    config.quantum,
                    /*thread_safe=*/config.num_threads > 1),

@@ -46,7 +46,7 @@ InteractiveSession::InteractiveSession(SimFunctionPtr fn,
     : fn_(std::move(fn)),
       space_(std::move(space)),
       config_(config),
-      seeds_(config.run.master_seed, config.max_samples, config.run.seed_schema),
+      seeds_(config.run.master_seed, config.max_samples),
       heuristic_rng_(config.run.master_seed ^ 0x1A7EAC717E5A17ULL),
       finder_(LinearMappingFinder::Make()) {
   if (config_.run.num_threads > 1) {

@@ -23,7 +23,7 @@ void ForChunks(std::size_t begin, std::size_t end, std::size_t batch,
 }  // namespace
 
 NaiveChainRunner::NaiveChainRunner(const RunConfig& config)
-    : config_(config), seeds_(config.master_seed, config.num_samples, config.seed_schema) {}
+    : config_(config), seeds_(config.master_seed, config.num_samples) {}
 
 ChainResult NaiveChainRunner::Run(const MarkovProcess& process,
                                   std::int64_t target) {
@@ -46,7 +46,7 @@ MarkovJumpRunner::MarkovJumpRunner(const RunConfig& config,
                                    MappingFinderPtr finder)
     : config_(config),
       finder_(finder ? std::move(finder) : LinearMappingFinder::Make()),
-      seeds_(config.master_seed, config.num_samples, config.seed_schema) {}
+      seeds_(config.master_seed, config.num_samples) {}
 
 ChainResult MarkovJumpRunner::Run(const MarkovProcess& process,
                                   std::int64_t target) {

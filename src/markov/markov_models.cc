@@ -3,33 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "random/draw_plane.h"
-
 namespace jigsaw {
-
-namespace {
-
-/// Stack-buffer chunk for the v2 plane kernels (out may alias the state
-/// span, so the standard-normal plane lands in a scratch buffer first).
-constexpr std::size_t kPlaneChunk = 256;
-
-/// MarkovStepProcess::Demand with the standard-normal draw supplied.
-/// Expression-identical to Demand's `rng.Normal(mean, std::sqrt(var))`
-/// (= mean + std::sqrt(var) * Gaussian()), so the plane kernels stay
-/// bit-for-bit equal to their scalar twins.
-double DemandFromGaussian(const MarkovStepConfig& cfg, double week,
-                          double release, double g) {
-  double mean = cfg.demand_mean_rate * week;
-  double var = cfg.demand_var_rate * week;
-  if (week > release) {
-    const double dt = week - release;
-    mean += cfg.feature_mean_rate * dt;
-    var += cfg.feature_var_rate * dt;
-  }
-  return mean + std::sqrt(var) * g;
-}
-
-}  // namespace
 
 double MarkovStepProcess::Demand(double week, double release,
                                  RandomStream& rng) const {
@@ -69,26 +43,6 @@ void MarkovStepProcess::StepBatch(std::span<const double> prev_states,
                                   const SeedVector& seeds,
                                   std::span<double> out) const {
   const std::uint64_t salt = MarkovStepSalt(step);
-  if (seeds.schema() == SeedSchema::kV2) {
-    // v2 draw layout: one gaussian at draws 0-1 (the combined demand
-    // normal); the pull-in decision draws nothing.
-    const std::uint64_t key = seeds.draw_key(salt);
-    const double week = static_cast<double>(step);
-    double g[kPlaneChunk];
-    for (std::size_t base = 0; base < out.size(); base += kPlaneChunk) {
-      const std::size_t n = std::min(kPlaneChunk, out.size() - base);
-      GaussianPlane(std::span<double>(g, n), k_begin + base, key, 0);
-      for (std::size_t i = 0; i < n; ++i) {
-        const double prev = prev_states[base + i];
-        const double demand = DemandFromGaussian(cfg_, week, prev, g[i]);
-        out[base + i] = (demand > cfg_.demand_threshold &&
-                         week + cfg_.pull_in_lead_weeks < prev)
-                            ? week + cfg_.pull_in_lead_weeks
-                            : prev;
-      }
-    }
-    return;
-  }
   for (std::size_t i = 0; i < out.size(); ++i) {
     RandomStream rng = seeds.StreamFor(k_begin + i, salt);
     out[i] = Step(prev_states[i], step, rng);
@@ -101,26 +55,6 @@ void MarkovStepProcess::EstimateBatch(std::span<const double> anchor_states,
                                       const SeedVector& seeds,
                                       std::span<double> out) const {
   const std::uint64_t salt = MarkovStepSalt(step);
-  if (seeds.schema() == SeedSchema::kV2) {
-    // The default Estimate is one Step with the frozen state, so the
-    // plane kernel is StepBatch's with prev := anchor.
-    const std::uint64_t key = seeds.draw_key(salt);
-    const double week = static_cast<double>(step);
-    double g[kPlaneChunk];
-    for (std::size_t base = 0; base < out.size(); base += kPlaneChunk) {
-      const std::size_t n = std::min(kPlaneChunk, out.size() - base);
-      GaussianPlane(std::span<double>(g, n), k_begin + base, key, 0);
-      for (std::size_t i = 0; i < n; ++i) {
-        const double anchor = anchor_states[base + i];
-        const double demand = DemandFromGaussian(cfg_, week, anchor, g[i]);
-        out[base + i] = (demand > cfg_.demand_threshold &&
-                         week + cfg_.pull_in_lead_weeks < anchor)
-                            ? week + cfg_.pull_in_lead_weeks
-                            : anchor;
-      }
-    }
-    return;
-  }
   for (std::size_t i = 0; i < out.size(); ++i) {
     RandomStream rng = seeds.StreamFor(k_begin + i, salt);
     out[i] = Estimate(anchor_states[i], anchor_step, step, rng);
@@ -132,20 +66,6 @@ void MarkovStepProcess::OutputBatch(std::span<const double> states,
                                     const SeedVector& seeds,
                                     std::span<double> out) const {
   const std::uint64_t salt = MarkovOutputSalt(step);
-  if (seeds.schema() == SeedSchema::kV2) {
-    const std::uint64_t key = seeds.draw_key(salt);
-    const double week = static_cast<double>(step);
-    double g[kPlaneChunk];
-    for (std::size_t base = 0; base < out.size(); base += kPlaneChunk) {
-      const std::size_t n = std::min(kPlaneChunk, out.size() - base);
-      GaussianPlane(std::span<double>(g, n), k_begin + base, key, 0);
-      for (std::size_t i = 0; i < n; ++i) {
-        out[base + i] =
-            DemandFromGaussian(cfg_, week, states[base + i], g[i]);
-      }
-    }
-    return;
-  }
   for (std::size_t i = 0; i < out.size(); ++i) {
     RandomStream rng = seeds.StreamFor(k_begin + i, salt);
     out[i] = Output(states[i], step, rng);
@@ -172,21 +92,6 @@ void MarkovBranchProcess::StepBatch(std::span<const double> prev_states,
                                     const SeedVector& seeds,
                                     std::span<double> out) const {
   const std::uint64_t salt = MarkovStepSalt(step);
-  if (seeds.schema() == SeedSchema::kV2) {
-    // v2 draw layout: one uniform at draw 0 (the Bernoulli trial).
-    const std::uint64_t key = seeds.draw_key(salt);
-    double u[kPlaneChunk];
-    for (std::size_t base = 0; base < out.size(); base += kPlaneChunk) {
-      const std::size_t n = std::min(kPlaneChunk, out.size() - base);
-      DrawSpan(std::span<double>(u, n), k_begin + base, key, 0);
-      for (std::size_t i = 0; i < n; ++i) {
-        const double prev = prev_states[base + i];
-        out[base + i] =
-            u[i] < cfg_.branching ? prev + cfg_.state_jump : prev;
-      }
-    }
-    return;
-  }
   for (std::size_t i = 0; i < out.size(); ++i) {
     RandomStream rng = seeds.StreamFor(k_begin + i, salt);
     out[i] = Step(prev_states[i], step, rng);

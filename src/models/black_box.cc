@@ -10,7 +10,7 @@ void BlackBox::EvalBatch(std::span<const double> params, SeedSpan seeds,
                          std::span<double> out) const {
   JIGSAW_DCHECK(seeds.size() == out.size());
   for (std::size_t i = 0; i < out.size(); ++i) {
-    RandomStream rng = seeds.StreamAt(i, call_site);
+    RandomStream rng = StreamForSigma(seeds[i], call_site);
     out[i] = Eval(params, rng);
   }
 }

@@ -39,15 +39,11 @@ class BlackBox {
                       RandomStream& rng) const = 0;
 
   /// Draws `out.size()` samples, one per entry of `seeds`, into `out`.
-  /// Sample i must equal Eval(params, seeds.StreamAt(i, call_site))
+  /// Sample i must equal InvokeSeeded(*this, params, seeds[i], call_site)
   /// bit-for-bit — batching may hoist parameter-dependent work out of the
-  /// per-sample loop but never changes any draw. (Under seed-schema v1
-  /// that scalar twin is exactly the historical InvokeSeeded; under v2 it
-  /// is the counter-based stream, which native kernels reproduce with
-  /// draw planes.) The default loops over Eval, so scalar-only models
-  /// work unchanged; hot models override this with a native kernel (see
-  /// cloud_models.cc). A raw sigma span converts implicitly to a v1
-  /// SeedSpan, so pre-v2 call sites keep their shape.
+  /// per-sample loop but never changes any draw. The default loops over
+  /// Eval, so scalar-only models work unchanged; hot models override this
+  /// with a native kernel (see cloud_models.cc).
   virtual void EvalBatch(std::span<const double> params, SeedSpan seeds,
                          std::uint64_t call_site,
                          std::span<double> out) const;
@@ -60,7 +56,7 @@ using BlackBoxPtr = std::shared_ptr<const BlackBox>;
 /// so their streams stay independent.
 inline double InvokeSeeded(const BlackBox& f, std::span<const double> params,
                            std::uint64_t sigma, std::uint64_t call_site = 0) {
-  RandomStream rng(DeriveStreamSeed(sigma, call_site));
+  RandomStream rng = StreamForSigma(sigma, call_site);
   return f.Eval(params, rng);
 }
 

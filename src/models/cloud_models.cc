@@ -4,7 +4,6 @@
 #include <cmath>
 #include <vector>
 
-#include "random/draw_plane.h"
 #include "random/philox.h"
 #include "util/logging.h"
 
@@ -12,24 +11,10 @@ namespace jigsaw {
 
 namespace {
 
-/// The per-sample v1 stream used by every native batch kernel below.
-/// Batch kernels must reproduce the scalar Eval path bit-for-bit, so the
-/// stream derivation is identical — only the parameter-dependent
-/// arithmetic around the draws gets hoisted out of the sample loop.
-///
-/// Under seed-schema v2 each kernel instead takes the draw-plane fast
-/// path: no per-sample stream at all, whole planes of draw d filled with
-/// one Philox block per four lanes. Every plane transform is
-/// expression-identical to the RandomStream distribution it replaces, so
-/// the plane path is bit-identical to a per-lane CounterStream loop.
-inline RandomStream StreamForSigma(std::uint64_t sigma,
-                                   std::uint64_t call_site) {
-  return RandomStream(DeriveStreamSeed(sigma, call_site));
-}
-
-/// Stack scratch granularity for multi-plane kernels: planes are drawn
-/// chunk-wise so scratch stays in L1 regardless of batch size.
-constexpr std::size_t kPlaneChunk = 256;
+// Every native batch kernel below draws sample i from
+// StreamForSigma(seeds[i], call_site), the stream the scalar Eval path
+// gets, so it reproduces Eval bit-for-bit; only the parameter-dependent
+// arithmetic around the draws is hoisted out of the sample loop.
 
 /// Demand(current_week, feature_release): Algorithm 1 of the paper.
 ///
@@ -69,7 +54,7 @@ class DemandModel : public BlackBox {
 
   /// Native kernel: mean/stddev and the feature branch are functions of
   /// the parameter point only, so the sample loop reduces to one seeded
-  /// gaussian draw per seed (v1) or one gaussian plane (v2; draws 0-1).
+  /// gaussian draw per seed.
   void EvalBatch(std::span<const double> p, SeedSpan seeds,
                  std::uint64_t call_site, std::span<double> out) const override {
     JIGSAW_DCHECK(p.size() == 2);
@@ -83,13 +68,8 @@ class DemandModel : public BlackBox {
       var += cfg_.feature_var_rate * dt;
     }
     const double sd = std::sqrt(var);
-    if (seeds.schema() == SeedSchema::kV2) {
-      GaussianPlane(out, seeds.k_begin(), seeds.draw_key(call_site), 0);
-      for (double& x : out) x = mean + sd * x;
-      return;
-    }
     for (std::size_t i = 0; i < out.size(); ++i) {
-      RandomStream rng = StreamForSigma(seeds.sigma(i), call_site);
+      RandomStream rng = StreamForSigma(seeds[i], call_site);
       out[i] = rng.Normal(mean, sd);
     }
   }
@@ -133,8 +113,7 @@ class CapacityModel : public BlackBox {
   }
 
   /// Native kernel: the purchase deltas depend only on the parameter
-  /// point; each sample draws the two settle delays and compares. v2
-  /// draw layout: delay 1 at draw 0, delay 2 at draw 1.
+  /// point; each sample draws the two settle delays and compares.
   void EvalBatch(std::span<const double> p, SeedSpan seeds,
                  std::uint64_t call_site, std::span<double> out) const override {
     JIGSAW_DCHECK(p.size() == 3);
@@ -142,25 +121,8 @@ class CapacityModel : public BlackBox {
     const double delta1 = week - p[1];
     const double delta2 = week - p[2];
     const double lambda = 1.0 / cfg_.settle_weeks;
-    if (seeds.schema() == SeedSchema::kV2) {
-      const std::uint64_t key = seeds.draw_key(call_site);
-      double e1[kPlaneChunk], e2[kPlaneChunk];
-      for (std::size_t base = 0; base < out.size(); base += kPlaneChunk) {
-        const std::size_t n = std::min(kPlaneChunk, out.size() - base);
-        const std::size_t k0 = seeds.k_begin() + base;
-        ExponentialPlane({e1, n}, k0, key, 0, lambda);
-        ExponentialPlane({e2, n}, k0, key, 1, lambda);
-        for (std::size_t i = 0; i < n; ++i) {
-          double capacity = cfg_.base_capacity;
-          if (delta1 >= 0.0 && e1[i] <= delta1) capacity += cfg_.purchase_volume;
-          if (delta2 >= 0.0 && e2[i] <= delta2) capacity += cfg_.purchase_volume;
-          out[base + i] = capacity;
-        }
-      }
-      return;
-    }
     for (std::size_t i = 0; i < out.size(); ++i) {
-      RandomStream rng = StreamForSigma(seeds.sigma(i), call_site);
+      RandomStream rng = StreamForSigma(seeds[i], call_site);
       double capacity = cfg_.base_capacity;
       const double d1 = rng.Exponential(lambda);
       if (delta1 >= 0.0 && d1 <= delta1) capacity += cfg_.purchase_volume;
@@ -209,7 +171,6 @@ class OverloadModel : public BlackBox {
 
   /// Native kernel: demand mean/stddev and purchase deltas hoisted; each
   /// sample is one gaussian plus two exponential draws and a compare.
-  /// v2 draw layout: gaussian at draws 0-1, delays at draws 2 and 3.
   void EvalBatch(std::span<const double> p, SeedSpan seeds,
                  std::uint64_t call_site, std::span<double> out) const override {
     JIGSAW_DCHECK(p.size() == 3);
@@ -219,27 +180,8 @@ class OverloadModel : public BlackBox {
     const double delta1 = week - p[1];
     const double delta2 = week - p[2];
     const double lambda = 1.0 / cfg_.settle_weeks;
-    if (seeds.schema() == SeedSchema::kV2) {
-      const std::uint64_t key = seeds.draw_key(call_site);
-      double g[kPlaneChunk], e1[kPlaneChunk], e2[kPlaneChunk];
-      for (std::size_t base = 0; base < out.size(); base += kPlaneChunk) {
-        const std::size_t n = std::min(kPlaneChunk, out.size() - base);
-        const std::size_t k0 = seeds.k_begin() + base;
-        GaussianPlane({g, n}, k0, key, 0);
-        ExponentialPlane({e1, n}, k0, key, 2, lambda);
-        ExponentialPlane({e2, n}, k0, key, 3, lambda);
-        for (std::size_t i = 0; i < n; ++i) {
-          const double demand = mean + sd * g[i];
-          double capacity = cfg_.base_capacity;
-          if (delta1 >= 0.0 && e1[i] <= delta1) capacity += cfg_.purchase_volume;
-          if (delta2 >= 0.0 && e2[i] <= delta2) capacity += cfg_.purchase_volume;
-          out[base + i] = capacity < demand ? 1.0 : 0.0;
-        }
-      }
-      return;
-    }
     for (std::size_t i = 0; i < out.size(); ++i) {
-      RandomStream rng = StreamForSigma(seeds.sigma(i), call_site);
+      RandomStream rng = StreamForSigma(seeds[i], call_site);
       const double demand = rng.Normal(mean, sd);
       double capacity = cfg_.base_capacity;
       const double d1 = rng.Exponential(lambda);
@@ -310,42 +252,11 @@ class UserSelectionModel : public BlackBox {
     }
     const double spread = cfg_.user_demand_spread;
     const int depth = cfg_.user_sim_depth;
-    if (seeds.schema() == SeedSchema::kV2) {
-      // The scalar stream consumes two draws per (active-user ordinal,
-      // depth) pair in roster order, so the plane for pair (a, d) starts
-      // at draw index 2 * (a * depth + d).
-      const std::uint64_t key = seeds.draw_key(call_site);
-      double g[kPlaneChunk], peak[kPlaneChunk], total[kPlaneChunk];
-      for (std::size_t base_i = 0; base_i < out.size();
-           base_i += kPlaneChunk) {
-        const std::size_t n = std::min(kPlaneChunk, out.size() - base_i);
-        const std::size_t k0 = seeds.k_begin() + base_i;
-        std::fill(total, total + n, 0.0);
-        for (std::size_t a = 0; a < active_bases.size(); ++a) {
-          std::fill(peak, peak + n, 0.0);
-          for (int d = 0; d < depth; ++d) {
-            const std::uint64_t draw =
-                2 * (a * static_cast<std::uint64_t>(depth) +
-                     static_cast<std::uint64_t>(d));
-            GaussianPlane({g, n}, k0, key, draw);
-            for (std::size_t i = 0; i < n; ++i) {
-              peak[i] = std::max(peak[i], std::exp(0.0 + spread * g[i]));
-            }
-          }
-          const double user_base = active_bases[a];
-          for (std::size_t i = 0; i < n; ++i) {
-            total[i] += user_base * peak[i];
-          }
-        }
-        std::copy(total, total + n, out.begin() + base_i);
-      }
-      return;
-    }
-    // v1: one stream per sample, whose draws run user by user in roster
+    // One stream per sample, whose draws run user by user in roster
     // order; the kernel takes the whole roster's peaks in one call.
     std::vector<double> peaks(active_bases.size());
     for (std::size_t i = 0; i < out.size(); ++i) {
-      RandomStream rng = StreamForSigma(seeds.sigma(i), call_site);
+      RandomStream rng = StreamForSigma(seeds[i], call_site);
       rng.MaxLogNormal(spread, depth, peaks);
       double total = 0.0;
       for (std::size_t a = 0; a < active_bases.size(); ++a) {
@@ -395,7 +306,6 @@ class SynthBasisModel : public BlackBox {
 
   /// Native kernel: class angle (and its cos/sin) plus the affine scale
   /// are per-point; the loop is two gaussians and a fused mix per seed.
-  /// v2 draw layout: z1 at draws 0-1, z2 at draws 2-3.
   void EvalBatch(std::span<const double> p, SeedSpan seeds,
                  std::uint64_t call_site, std::span<double> out) const override {
     JIGSAW_DCHECK(p.size() == 1);
@@ -408,22 +318,8 @@ class SynthBasisModel : public BlackBox {
     const double sin_phi = std::sin(phi);
     const double scale = static_cast<double>(point + 1);
     const double offset = static_cast<double>(point);
-    if (seeds.schema() == SeedSchema::kV2) {
-      const std::uint64_t key = seeds.draw_key(call_site);
-      double z1[kPlaneChunk], z2[kPlaneChunk];
-      for (std::size_t base = 0; base < out.size(); base += kPlaneChunk) {
-        const std::size_t n = std::min(kPlaneChunk, out.size() - base);
-        const std::size_t k0 = seeds.k_begin() + base;
-        GaussianPlane({z1, n}, k0, key, 0);
-        GaussianPlane({z2, n}, k0, key, 2);
-        for (std::size_t i = 0; i < n; ++i) {
-          out[base + i] = scale * (z1[i] * cos_phi + z2[i] * sin_phi) + offset;
-        }
-      }
-      return;
-    }
     for (std::size_t i = 0; i < out.size(); ++i) {
-      RandomStream rng = StreamForSigma(seeds.sigma(i), call_site);
+      RandomStream rng = StreamForSigma(seeds[i], call_site);
       const double z1 = rng.Gaussian();
       const double z2 = rng.Gaussian();
       out[i] = scale * (z1 * cos_phi + z2 * sin_phi) + offset;
@@ -458,7 +354,6 @@ class SeasonalDemandModel : public BlackBox {
   }
 
   /// Native kernel: trend/seasonality and the noise stddev are per-point.
-  /// v2 draw layout: one gaussian at draws 0-1.
   void EvalBatch(std::span<const double> p, SeedSpan seeds,
                  std::uint64_t call_site, std::span<double> out) const override {
     JIGSAW_DCHECK(p.size() == 1);
@@ -466,15 +361,8 @@ class SeasonalDemandModel : public BlackBox {
     const double level = cfg_.demand_mean_rate * week *
                          (1.0 + 0.25 * std::sin(week * 2.0 * M_PI / 52.0));
     const double sd = std::sqrt(cfg_.demand_var_rate * (week + 1.0));
-    if (seeds.schema() == SeedSchema::kV2) {
-      GaussianPlane(out, seeds.k_begin(), seeds.draw_key(call_site), 0);
-      // Written as level + (0.0 + sd*g): the literal Normal(0.0, sd)
-      // expression, so the plane stays bit-identical to the scalar twin.
-      for (double& x : out) x = level + (0.0 + sd * x);
-      return;
-    }
     for (std::size_t i = 0; i < out.size(); ++i) {
-      RandomStream rng = StreamForSigma(seeds.sigma(i), call_site);
+      RandomStream rng = StreamForSigma(seeds[i], call_site);
       out[i] = level + rng.Normal(0.0, sd);
     }
   }
@@ -505,25 +393,15 @@ class OutageModel : public BlackBox {
     return static_cast<double>(rng.Poisson(rate)) * cfg_.failure_cores;
   }
 
-  /// Native kernel: the Poisson rate is per-point. Poisson consumes a
-  /// variable number of uniforms, so no draw plane exists; under v2 the
-  /// per-lane counter stream already skips all table/engine setup, which
-  /// is the bulk of the per-sample cost here.
+  /// Native kernel: the Poisson rate is per-point.
   void EvalBatch(std::span<const double> p, SeedSpan seeds,
                  std::uint64_t call_site, std::span<double> out) const override {
     JIGSAW_DCHECK(p.size() == 1);
     const double week = p[0];
     const double rate =
         cfg_.failure_rate * (cfg_.base_capacity / 100.0) * (1.0 + week / 52.0);
-    if (seeds.schema() == SeedSchema::kV2) {
-      for (std::size_t i = 0; i < out.size(); ++i) {
-        RandomStream rng = seeds.StreamAt(i, call_site);
-        out[i] = static_cast<double>(rng.Poisson(rate)) * cfg_.failure_cores;
-      }
-      return;
-    }
     for (std::size_t i = 0; i < out.size(); ++i) {
-      RandomStream rng = StreamForSigma(seeds.sigma(i), call_site);
+      RandomStream rng = StreamForSigma(seeds[i], call_site);
       out[i] = static_cast<double>(rng.Poisson(rate)) * cfg_.failure_cores;
     }
   }

@@ -78,9 +78,9 @@ BlackBoxPtr MakeOverloadModel(const CloudModelConfig& cfg = {});
 /// is what makes it the data-bound workload of Figure 7. Each active
 /// user's requirement is its base demand times the peak of
 /// `user_sim_depth` LogNormal(0, user_demand_spread) draws. `Eval` and
-/// the v1 `EvalBatch` take the peaks through RandomStream::MaxLogNormal,
-/// as the `users` VG table does, so both engines of Figure 7 pay the same
-/// per-draw cost; the v2 `EvalBatch` fills Gaussian draw planes.
+/// `EvalBatch` take the peaks through RandomStream::MaxLogNormal, as the
+/// `users` VG table does, so both engines of Figure 7 pay the same
+/// per-draw cost.
 BlackBoxPtr MakeUserSelectionModel(const CloudModelConfig& cfg = {});
 
 /// SynthBasis(point) — partitions its parameter domain into exactly

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "util/hash.h"
 #include "util/logging.h"
 
 namespace jigsaw::pdb {
@@ -712,10 +711,7 @@ Status BatchProgram::Exec(const Context& ctx, std::size_t n,
         if (ctx.seeds == nullptr) break;
         double* d = val(op.dst);
         std::uint8_t* dn = nul(op.dst);
-        const std::uint64_t site =
-            ctx.stream_salt == 0
-                ? op.call_site
-                : HashCombine(ctx.stream_salt, op.call_site);
+        const std::uint64_t site = CombineSite(op.call_site, ctx.stream_salt);
         bool lane_param_conflict = false;
         for (const LaneParam& lp : ctx.lane_params) {
           lane_param_conflict =

@@ -1,6 +1,5 @@
 #include "pdb/expr.h"
 
-#include "util/hash.h"
 #include "util/logging.h"
 #include "util/string_util.h"
 
@@ -255,11 +254,8 @@ class ModelCallExpr final : public Expr {
       }
       argv.push_back(v.AsDouble());
     }
-    const std::uint64_t site =
-        ctx.stream_salt == 0
-            ? call_site_
-            : HashCombine(ctx.stream_salt, call_site_);
-    RandomStream rng = ctx.seeds->StreamFor(ctx.sample_id, site);
+    RandomStream rng = ctx.seeds->StreamFor(
+        ctx.sample_id, CombineSite(call_site_, ctx.stream_salt));
     return Value(model_->Eval(argv, rng));
   }
 

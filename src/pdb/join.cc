@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <numeric>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 
 #include "pdb/monte_carlo.h"
@@ -82,80 +81,32 @@ void SortMergePairs(const ColumnChunk& lcol, std::size_t lf, std::size_t ll,
   }
 }
 
-/// Hash/index pair kernel: insertion-ordered build of the right side
-/// (each key's postings list keeps right-row-ascending order), probe
-/// left rows in order — canonical nested-loop order by construction.
-/// `norm` canonicalizes keys whose == classes span several bit patterns
-/// (doubles: -0.0 -> +0.0) so hashing agrees with key equality.
-template <typename Key, typename LKey, typename RKey, typename Usable,
-          typename Norm>
-void HashPairs(const ColumnChunk& lcol, std::size_t lf, std::size_t ll,
-               const ColumnChunk& rcol, std::size_t rf, std::size_t rl,
-               LKey lkey, RKey rkey, Usable usable, Norm norm,
-               std::vector<RowPair>* out) {
-  std::unordered_map<Key, std::vector<std::size_t>> build;
-  build.reserve(rl - rf);
-  for (std::size_t j = rf; j < rl; ++j) {
-    if (rcol.IsNull(j)) continue;
-    const auto k = rkey(j);
-    if (!usable(k)) continue;
-    build[norm(k)].push_back(j);
-  }
-  for (std::size_t i = lf; i < ll; ++i) {
-    if (lcol.IsNull(i)) continue;
-    const auto k = lkey(i);
-    if (!usable(k)) continue;
-    auto it = build.find(norm(k));
-    if (it == build.end()) continue;
-    for (std::size_t j : it->second) out->push_back({i, j});
-  }
-}
-
 /// Dispatches one world partition's key matching to the typed kernel.
 void MatchPairs(const ColumnChunk& lcol, std::size_t lf, std::size_t ll,
                 const ColumnChunk& rcol, std::size_t rf, std::size_t rl,
-                ValueType key_type, JoinAlgorithm algorithm,
-                std::vector<RowPair>* out) {
+                ValueType key_type, std::vector<RowPair>* out) {
   const auto any = [](auto) { return true; };
-  const auto id = [](auto k) { return k; };
   switch (key_type) {
     case ValueType::kInt: {
       auto lk = [&](std::size_t i) { return lcol.Ints()[i]; };
       auto rk = [&](std::size_t j) { return rcol.Ints()[j]; };
-      if (algorithm == JoinAlgorithm::kSortMerge) {
-        SortMergePairs(lcol, lf, ll, rcol, rf, rl, lk, rk, any, out);
-      } else {
-        HashPairs<std::int64_t>(lcol, lf, ll, rcol, rf, rl, lk, rk, any, id,
-                                out);
-      }
+      SortMergePairs(lcol, lf, ll, rcol, rf, rl, lk, rk, any, out);
       return;
     }
     case ValueType::kDouble: {
       auto lk = [&](std::size_t i) { return lcol.Doubles()[i]; };
       auto rk = [&](std::size_t j) { return rcol.Doubles()[j]; };
       // NaN keys match nothing under IEEE ==, and they would poison the
-      // sort ordering — both kernels drop them up front, which is
+      // sort ordering — the kernel drops them up front, which is
       // equivalent to the oracle's == test rejecting them pairwise.
       auto usable = [](double k) { return !std::isnan(k); };
-      // -0.0 == +0.0 must land in one hash bucket even though the bit
-      // patterns (and std::hash values) differ.
-      auto norm = [](double k) { return k == 0.0 ? 0.0 : k; };
-      if (algorithm == JoinAlgorithm::kSortMerge) {
-        SortMergePairs(lcol, lf, ll, rcol, rf, rl, lk, rk, usable, out);
-      } else {
-        HashPairs<double>(lcol, lf, ll, rcol, rf, rl, lk, rk, usable, norm,
-                          out);
-      }
+      SortMergePairs(lcol, lf, ll, rcol, rf, rl, lk, rk, usable, out);
       return;
     }
     case ValueType::kBool: {
       auto lk = [&](std::size_t i) { return lcol.Bools()[i] != 0; };
       auto rk = [&](std::size_t j) { return rcol.Bools()[j] != 0; };
-      if (algorithm == JoinAlgorithm::kSortMerge) {
-        SortMergePairs(lcol, lf, ll, rcol, rf, rl, lk, rk, any, out);
-      } else {
-        HashPairs<bool>(lcol, lf, ll, rcol, rf, rl, lk, rk, any, id, out);
-      }
+      SortMergePairs(lcol, lf, ll, rcol, rf, rl, lk, rk, any, out);
       return;
     }
     case ValueType::kString: {
@@ -167,12 +118,7 @@ void MatchPairs(const ColumnChunk& lcol, std::size_t lf, std::size_t ll,
       auto rk = [&](std::size_t j) {
         return std::string_view(rcol.Dictionary()[rcol.StringCodes()[j]]);
       };
-      if (algorithm == JoinAlgorithm::kSortMerge) {
-        SortMergePairs(lcol, lf, ll, rcol, rf, rl, lk, rk, any, out);
-      } else {
-        HashPairs<std::string_view>(lcol, lf, ll, rcol, rf, rl, lk, rk, any,
-                                    id, out);
-      }
+      SortMergePairs(lcol, lf, ll, rcol, rf, rl, lk, rk, any, out);
       return;
     }
     case ValueType::kNull:
@@ -270,13 +216,13 @@ Result<ResolvedJoin> ResolveJoin(const Schema& left, const Schema& right,
 Status JoinPartition(const ColumnarTable& left, std::size_t left_first,
                      std::size_t left_last, const ColumnarTable& right,
                      std::size_t right_first, std::size_t right_last,
-                     const ResolvedJoin& join, JoinAlgorithm algorithm,
+                     const ResolvedJoin& join,
                      std::span<const std::size_t> output_columns,
                      ColumnarTable* out) {
   std::vector<RowPair> pairs;
   MatchPairs(left.column(join.left_slot), left_first, left_last,
              right.column(join.right_slot), right_first, right_last,
-             join.key_type, algorithm, &pairs);
+             join.key_type, &pairs);
   const std::size_t num_left = left.num_columns();
   for (std::size_t c = 0; c < output_columns.size(); ++c) {
     const std::size_t slot = output_columns[c];
@@ -288,7 +234,7 @@ Status JoinPartition(const ColumnarTable& left, std::size_t left_first,
 }
 
 Status JoinWorlds(const WorldExtent& left, const WorldExtent& right,
-                  const ResolvedJoin& join, JoinAlgorithm algorithm,
+                  const ResolvedJoin& join, JoinAlgorithm /*algorithm*/,
                   WorldExtent* out) {
   if (left.world_begin != right.world_begin ||
       left.row_offsets.size() != right.row_offsets.size()) {
@@ -304,8 +250,7 @@ Status JoinWorlds(const WorldExtent& left, const WorldExtent& right,
     const auto [rf, rl] = right.WorldRows(k);
     out->row_offsets.push_back(out->data.num_rows());
     JIGSAW_RETURN_IF_ERROR(JoinPartition(left.data, lf, ll, right.data, rf,
-                                         rl, join, algorithm, every_column,
-                                         &out->data));
+                                         rl, join, every_column, &out->data));
   }
   return Status::OK();
 }
@@ -318,7 +263,7 @@ Result<std::map<std::string, OutputMetrics>> FoldJoinedVGColumns(
   // Both schemas (and therefore the joined schema) are world-invariant,
   // so the join and the requested columns resolve up front against the
   // full joined schema — a bad key or column fails before any
-  // realization, with identical text on every algorithm, and the first
+  // realization, with identical text on every path, and the first
   // unknown name or non-numeric column in request order reports.
   JIGSAW_ASSIGN_OR_RETURN(
       ResolvedJoin join, ResolveJoin(left->schema(), right->schema(), spec));
@@ -336,8 +281,7 @@ Result<std::map<std::string, OutputMetrics>> FoldJoinedVGColumns(
     slots.push_back(slot);
     gathered.push_back({name, type});
   }
-  // World w draws from seed w: a short vector would read past its end
-  // (v1) or silently run on a vector sized for fewer worlds (v2).
+  // World w draws from seed w: a short vector would read past its end.
   if (num_worlds > seeds.size()) {
     return Status::InvalidArgument(StrFormat(
         "fold over %zu worlds needs one seed per world; the seed vector "
@@ -369,8 +313,7 @@ Result<std::map<std::string, OutputMetrics>> FoldJoinedVGColumns(
       }
       cell->row_offsets.push_back(cell->data.num_rows());
       JIGSAW_RETURN_IF_ERROR(JoinPartition(*lt, 0, lt->num_rows(), *rt, 0,
-                                           rt->num_rows(), join,
-                                           config.join_algorithm, slots,
+                                           rt->num_rows(), join, slots,
                                            &cell->data));
       // The first world's match count sizes the rest of the chunk, so
       // the cell's columns grow once instead of by doubling.

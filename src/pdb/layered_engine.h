@@ -63,7 +63,7 @@ class LayeredEngine {
   explicit LayeredEngine(const RunConfig& config,
                          WorldCache* shared_cache = nullptr)
       : config_(config),
-        seeds_(config.master_seed, config.num_samples, config.seed_schema) {
+        seeds_(config.master_seed, config.num_samples) {
     if (config_.batch_size == 0) config_.batch_size = 1;
     cache_ = shared_cache != nullptr ? shared_cache : &owned_cache_;
     if (config_.num_threads > 1) {

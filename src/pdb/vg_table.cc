@@ -42,8 +42,7 @@ Status WorldExtent::AppendWorld(const VGTableFunction& fn,
 WorldCache::Key WorldCache::MakeKey(const VGTableFunction& fn,
                                     std::size_t sample_id,
                                     const SeedVector& seeds) {
-  return std::make_tuple(fn.name(), seeds.master_seed(),
-                         static_cast<std::uint8_t>(seeds.schema()), sample_id);
+  return std::make_tuple(fn.name(), seeds.master_seed(), sample_id);
 }
 
 Result<const ColumnarTable*> WorldCache::GetOrGenerateColumnar(

@@ -98,12 +98,11 @@ struct WorldExtent {
 /// generation runs outside the lock, and the first insert of a key wins
 /// (so generation_count stays deterministic — one generation per distinct
 /// world actually realized). The key includes the seed vector's master
-/// seed AND its seed schema, so sessions running under different seed
-/// namespaces — or different draw derivations — realize disjoint entries
-/// instead of silently reading each other's draws, while same-namespace
-/// same-schema sessions share realizations. Returned pointers stay valid
-/// for the cache's lifetime (entries own their tables behind stable
-/// unique_ptrs).
+/// seed, so sessions running under different seed namespaces realize
+/// disjoint entries instead of silently reading each other's draws,
+/// while same-namespace sessions share realizations. Returned pointers
+/// stay valid for the cache's lifetime (entries own their tables behind
+/// stable unique_ptrs).
 class WorldCache {
  public:
   /// Returns the cached columnar realization, generating it on first use.
@@ -125,8 +124,7 @@ class WorldCache {
   }
 
  private:
-  using Key =
-      std::tuple<std::string, std::uint64_t, std::uint8_t, std::size_t>;
+  using Key = std::tuple<std::string, std::uint64_t, std::size_t>;
 
   static Key MakeKey(const VGTableFunction& fn, std::size_t sample_id,
                      const SeedVector& seeds);

@@ -1,11 +1,12 @@
 #pragma once
 
 /// \file philox.h
-/// Philox-4x32-10 counter-based PRNG (Salmon et al., SC'11). Counter-based
-/// generation is ideal for Jigsaw's seed-derivation problem: the k'th
-/// sample of call-site c under seed sigma is a pure function
-/// philox(key=(sigma, c), counter=k) with no sequential state, so any
-/// (sample, call-site) cell can be generated independently and in parallel.
+/// Philox-4x32-10 counter-based PRNG (Salmon et al., SC'11), used as a
+/// keyed mixer: one block maps (sigma_k, call site) to the seed of that
+/// cell's stream (DeriveStreamSeed), and the cloud models derive their
+/// fixed user population from it. A block is a pure function of (counter,
+/// key) with no sequential state, so any (sample, call-site) cell is
+/// seeded independently and in parallel.
 
 #include <array>
 #include <cstdint>

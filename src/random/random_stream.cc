@@ -47,12 +47,6 @@ double MaxLogNormalRun(double sigma, const double* r, const double* u2,
 
 }  // namespace
 
-std::int64_t RandomStream::UniformInt(std::int64_t lo, std::int64_t hi) {
-  JIGSAW_DCHECK(hi >= lo);
-  const auto span = static_cast<std::uint64_t>(hi - lo) + 1;
-  return lo + static_cast<std::int64_t>(NextUint64() % span);
-}
-
 double RandomStream::Gaussian() {
   const double u1 = NextDouble();
   const double u2 = NextDouble();
@@ -120,50 +114,6 @@ std::int64_t RandomStream::Poisson(double mean) {
   }
   const double v = mean + std::sqrt(mean) * Gaussian() + 0.5;
   return v < 0.0 ? 0 : static_cast<std::int64_t>(v);
-}
-
-std::int64_t RandomStream::Geometric(double p) {
-  JIGSAW_DCHECK(p > 0.0 && p <= 1.0);
-  if (p >= 1.0) return 0;
-  double u = NextDouble();
-  if (u <= 0.0) u = 0x1.0p-53;
-  return static_cast<std::int64_t>(std::floor(std::log(u) / std::log1p(-p)));
-}
-
-std::size_t RandomStream::Discrete(const std::vector<double>& weights) {
-  JIGSAW_CHECK(!weights.empty());
-  double total = 0.0;
-  for (double w : weights) total += w;
-  JIGSAW_CHECK_MSG(total > 0.0, "discrete distribution with zero mass");
-  double target = NextDouble() * total;
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    target -= weights[i];
-    if (target < 0.0) return i;
-  }
-  return weights.size() - 1;
-}
-
-double RandomStream::Gamma(double shape, double scale) {
-  JIGSAW_DCHECK(shape > 0.0 && scale > 0.0);
-  if (shape < 1.0) {
-    // Boost: Gamma(k) = Gamma(k+1) * U^(1/k).
-    const double u = NextDouble();
-    return Gamma(shape + 1.0, scale) * std::pow(u, 1.0 / shape);
-  }
-  // Marsaglia-Tsang.
-  const double d = shape - 1.0 / 3.0;
-  const double c = 1.0 / std::sqrt(9.0 * d);
-  for (;;) {
-    double x = Gaussian();
-    double v = 1.0 + c * x;
-    if (v <= 0.0) continue;
-    v = v * v * v;
-    const double u = NextDouble();
-    if (u < 1.0 - 0.0331 * x * x * x * x) return d * v * scale;
-    if (std::log(u) < 0.5 * x * x + d * (1.0 - v + std::log(v))) {
-      return d * v * scale;
-    }
-  }
 }
 
 }  // namespace jigsaw

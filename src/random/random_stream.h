@@ -5,22 +5,14 @@
 /// functions. All distribution algorithms are implemented explicitly (no
 /// std::*_distribution) so that a given seed produces bit-identical sample
 /// sequences on every platform — the property fingerprints depend on.
-///
-/// A stream draws its uniforms from one of two sources, fixed at
-/// construction: a seeded Xoshiro256 engine (seed-schema v1) or a
-/// counter-based CounterStream (schema v2, see draw_plane.h). The
-/// distribution algorithms above the uniform layer are shared, so a v2
-/// plane kernel that replicates the uniform mapping reproduces the full
-/// distribution draw bit-for-bit.
+/// Every uniform comes from one seeded Xoshiro256 engine.
 
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <vector>
 
-#include "random/draw_plane.h"
 #include "random/xoshiro256.h"
 
 namespace jigsaw {
@@ -29,20 +21,11 @@ class RandomStream {
  public:
   explicit RandomStream(std::uint64_t seed) : engine_(seed) {}
 
-  /// Schema-v2 stream: all uniforms come from `counter`; the engine
-  /// member stays zero-state and untouched.
-  explicit RandomStream(const CounterStream& counter)
-      : counter_(counter), counter_based_(true) {}
-
   /// Uniform 64-bit word.
-  std::uint64_t NextUint64() {
-    return counter_based_ ? counter_.NextUint64() : engine_.Next();
-  }
+  std::uint64_t NextUint64() { return engine_.Next(); }
 
-  /// Uniform double in [0, 1): 53 bits of precision under schema v1,
-  /// 32 bits (one Philox word) under schema v2.
+  /// Uniform double in [0, 1) with 53 bits of precision.
   double NextDouble() {
-    if (counter_based_) return counter_.NextDouble();
     return static_cast<double>(engine_.Next() >> 11) * 0x1.0p-53;
   }
 
@@ -50,11 +33,6 @@ class RandomStream {
   double Uniform(double lo, double hi) {
     return lo + (hi - lo) * NextDouble();
   }
-
-  /// Uniform integer in [lo, hi] (inclusive); rejection-free Lemire-style
-  /// reduction is avoided in favor of a simple modulo — bias is negligible
-  /// for the small ranges used here and determinism is simpler to audit.
-  std::int64_t UniformInt(std::int64_t lo, std::int64_t hi);
 
   /// Standard normal via the trigonometric Box-Muller transform. Both
   /// variates are computed and one is discarded: the stream then advances
@@ -131,16 +109,6 @@ class RandomStream {
   /// workload models and fully deterministic).
   std::int64_t Poisson(double mean);
 
-  /// Geometric: number of failures before first success, p in (0,1].
-  std::int64_t Geometric(double p);
-
-  /// Samples an index proportionally to non-negative `weights`.
-  std::size_t Discrete(const std::vector<double>& weights);
-
-  /// Gamma(shape k, scale theta) via Marsaglia-Tsang squeeze (k >= 1) and
-  /// the boost trick for k < 1. Deterministic given the stream.
-  double Gamma(double shape, double scale);
-
   /// LogNormal with the given parameters of the underlying normal.
   double LogNormal(double mu, double sigma) {
     return std::exp(Normal(mu, sigma));
@@ -151,8 +119,6 @@ class RandomStream {
   static constexpr double kTwoPiSquared = 19.739208802178717237668981999752;
 
   Xoshiro256 engine_;
-  CounterStream counter_{0, 0};
-  bool counter_based_ = false;
 };
 
 }  // namespace jigsaw

@@ -8,144 +8,81 @@
 /// everywhere, correlated points produce deterministically mappable
 /// fingerprints.
 ///
-/// SeedVector is a schema-dispatching facade (see draw_plane.h):
-///
-///   v1 — materializes the SplitMix64-expanded seed table and derives one
-///        Xoshiro256 stream per (sample, call site) cell. Byte-exact with
-///        every pre-v2 run.
-///   v2 — no table at all: the vector is just (master seed, logical
-///        size), streams are counter-based, and batch kernels pull whole
-///        draw planes with one Philox block per four samples.
+/// One derivation serves every sample: sigma_k is the k'th output of
+/// SplitMix64(master), and sample k draws at black-box call site c from
+/// one Xoshiro256 stream seeded with DeriveStreamSeed(sigma_k, c).
 
 #include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
 
-#include "random/draw_plane.h"
 #include "random/philox.h"
 #include "random/random_stream.h"
 #include "random/splitmix64.h"
+#include "util/hash.h"
 #include "util/logging.h"
 
 namespace jigsaw {
 
-/// A schema-tagged view of samples [k_begin, k_begin + size) — the batch
-/// kernels' seed input. Under v1 it wraps the contiguous sigma span;
-/// under v2 it carries (master seed, k_begin) so kernels can derive draw
-/// planes directly. Implicitly constructible from a raw sigma span so
-/// v1-only call sites keep their existing shape.
-class SeedSpan {
- public:
-  /// v1 view over explicit sigmas (implicit on purpose).
-  SeedSpan(std::span<const std::uint64_t> sigmas)  // NOLINT
-      : schema_(SeedSchema::kV1), sigmas_(sigmas) {}
-
-  /// v2 view: samples [k_begin, k_begin + count) under `master_seed`.
-  SeedSpan(std::uint64_t master_seed, std::size_t k_begin, std::size_t count)
-      : schema_(SeedSchema::kV2),
-        master_(master_seed),
-        k_begin_(k_begin),
-        count_(count) {}
-
-  SeedSchema schema() const { return schema_; }
-
-  std::size_t size() const {
-    return schema_ == SeedSchema::kV1 ? sigmas_.size() : count_;
-  }
-
-  /// v1 only: the sample seed behind entry i.
-  std::uint64_t sigma(std::size_t i) const {
-    JIGSAW_DCHECK(schema_ == SeedSchema::kV1);
-    return sigmas_[i];
-  }
-
-  /// v2 only: the absolute sample index of entry 0, and the Philox key
-  /// for a call site (hoist out of per-sample loops).
-  std::size_t k_begin() const { return k_begin_; }
-  std::uint64_t draw_key(std::uint64_t call_site) const {
-    JIGSAW_DCHECK(schema_ == SeedSchema::kV2);
-    return DrawKey(master_, call_site);
-  }
-
-  /// The deterministic stream for entry i at `call_site` — the scalar
-  /// twin every batch kernel must reproduce bit-for-bit.
-  RandomStream StreamAt(std::size_t i, std::uint64_t call_site) const {
-    if (schema_ == SeedSchema::kV1) {
-      return RandomStream(DeriveStreamSeed(sigmas_[i], call_site));
-    }
-    return RandomStream(
-        CounterStream(DrawKey(master_, call_site), k_begin_ + i));
-  }
-
- private:
-  SeedSchema schema_;
-  std::span<const std::uint64_t> sigmas_;
-  std::uint64_t master_ = 0;
-  std::size_t k_begin_ = 0;
-  std::size_t count_ = 0;
+/// The draw derivation above, the only one. The enum remains because
+/// RunConfig::seed_schema and SeedVector's third constructor parameter
+/// still name it.
+enum class SeedSchema : std::uint8_t {
+  kV1 = 1,
 };
+
+/// The seeds of samples [k_begin, k_begin + size): entry i is
+/// sigma_{k_begin + i}. BlackBox::EvalBatch's seed input.
+using SeedSpan = std::span<const std::uint64_t>;
+
+/// The stream sample seed `sigma` draws from at `call_site` — the scalar
+/// twin every batch kernel must reproduce bit-for-bit.
+inline RandomStream StreamForSigma(std::uint64_t sigma,
+                                   std::uint64_t call_site) {
+  return RandomStream(DeriveStreamSeed(sigma, call_site));
+}
+
+/// The call site a model call draws from under a stream salt (a chain
+/// step's namespace): salt 0 means "no extra namespace". Both expression
+/// evaluators, interpreted and compiled, combine through this one
+/// function, so their draws cannot drift apart.
+inline std::uint64_t CombineSite(std::uint64_t call_site,
+                                 std::uint64_t stream_salt) {
+  return stream_salt == 0 ? call_site : HashCombine(stream_salt, call_site);
+}
 
 class SeedVector {
  public:
-  /// v1: expands `master_seed` into `count` sample seeds. v2: records the
-  /// logical size only — there is no table to expand.
+  /// Expands `master_seed` into `count` sample seeds.
   SeedVector(std::uint64_t master_seed, std::size_t count,
-             SeedSchema schema = SeedSchema::kV1)
-      : master_seed_(master_seed), schema_(schema), cont_(master_seed) {
-    if (schema_ == SeedSchema::kV1) {
-      seeds_.reserve(count);
-      for (std::size_t i = 0; i < count; ++i) seeds_.push_back(cont_.Next());
-    } else {
-      virtual_size_ = count;
-    }
+             SeedSchema /*schema*/ = SeedSchema::kV1)
+      : master_seed_(master_seed), cont_(master_seed) {
+    seeds_.reserve(count);
+    for (std::size_t i = 0; i < count; ++i) seeds_.push_back(cont_.Next());
   }
 
   std::uint64_t master_seed() const { return master_seed_; }
-  SeedSchema schema() const { return schema_; }
-  std::size_t size() const {
-    return schema_ == SeedSchema::kV1 ? seeds_.size() : virtual_size_;
-  }
+  std::size_t size() const { return seeds_.size(); }
 
-  /// v1 only: the k'th sample seed.
-  std::uint64_t seed(std::size_t k) const {
-    JIGSAW_DCHECK(schema_ == SeedSchema::kV1);
-    return seeds_[k];
-  }
+  /// The k'th sample seed.
+  std::uint64_t seed(std::size_t k) const { return seeds_[k]; }
 
-  /// v1 only: contiguous view of seeds [begin, begin + count).
-  /// Invalidated by EnsureSize (which may reallocate). The bounds check
-  /// is overflow-safe: `begin + count` could wrap for adversarial counts.
-  std::span<const std::uint64_t> seed_span(std::size_t begin,
-                                           std::size_t count) const {
-    JIGSAW_DCHECK(schema_ == SeedSchema::kV1);
+  /// Contiguous view of seeds [begin, begin + count) — what batch kernels
+  /// receive through BlackBox::EvalBatch. Invalidated by EnsureSize
+  /// (which may reallocate). The bounds check is overflow-safe:
+  /// `begin + count` could wrap for adversarial counts.
+  SeedSpan span(std::size_t begin, std::size_t count) const {
     JIGSAW_DCHECK(begin <= seeds_.size() &&
                   count <= seeds_.size() - begin);
-    return std::span<const std::uint64_t>(seeds_).subspan(begin, count);
-  }
-
-  /// Schema-dispatching view of samples [begin, begin + count) — what
-  /// batch kernels receive through BlackBox::EvalBatch.
-  SeedSpan span(std::size_t begin, std::size_t count) const {
-    JIGSAW_DCHECK(begin <= size() && count <= size() - begin);
-    if (schema_ == SeedSchema::kV1) {
-      return SeedSpan(
-          std::span<const std::uint64_t>(seeds_).subspan(begin, count));
-    }
-    return SeedSpan(master_seed_, begin, count);
+    return SeedSpan(seeds_).subspan(begin, count);
   }
 
   /// Extends the vector (interactive mode grows fingerprints lazily).
   /// Append-stable by contract: entry k is always the k'th output of
   /// SplitMix64(master) no matter how growth was chunked, so a vector
-  /// grown to n is element-identical to one constructed at n. (The
-  /// pre-v2 continuation reseeded from the current size, making grown
-  /// entries depend on the growth path.) Under v2 growth is free.
+  /// grown to n is element-identical to one constructed at n.
   void EnsureSize(std::size_t count) {
-    if (schema_ != SeedSchema::kV1) {
-      if (count > virtual_size_) virtual_size_ = count;
-      return;
-    }
     while (seeds_.size() < count) seeds_.push_back(cont_.Next());
   }
 
@@ -153,26 +90,13 @@ class SeedVector {
   /// `call_site`. The same (k, call_site) pair always yields the same
   /// stream regardless of evaluation order or thread scheduling.
   RandomStream StreamFor(std::size_t k, std::uint64_t call_site) const {
-    if (schema_ == SeedSchema::kV1) {
-      return RandomStream(DeriveStreamSeed(seeds_[k], call_site));
-    }
-    return RandomStream(
-        CounterStream(DrawKey(master_seed_, call_site), k));
-  }
-
-  /// v2 only: the Philox key shared by every sample at `call_site` —
-  /// batch kernels hoist this and pull draw planes against it.
-  std::uint64_t draw_key(std::uint64_t call_site) const {
-    JIGSAW_DCHECK(schema_ == SeedSchema::kV2);
-    return DrawKey(master_seed_, call_site);
+    return StreamForSigma(seeds_[k], call_site);
   }
 
  private:
   std::uint64_t master_seed_;
-  SeedSchema schema_;
-  std::vector<std::uint64_t> seeds_;     ///< v1 seed table
-  std::size_t virtual_size_ = 0;         ///< v2 logical size
-  SplitMix64 cont_;  ///< v1 continuation state (EnsureSize appends)
+  std::vector<std::uint64_t> seeds_;
+  SplitMix64 cont_;  ///< continuation state (EnsureSize appends)
 };
 
 }  // namespace jigsaw

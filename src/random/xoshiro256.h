@@ -21,11 +21,6 @@ class Xoshiro256 {
     for (auto& w : s_) w = sm.Next();
   }
 
-  /// Zero state, never to be stepped: RandomStream's counter-based mode
-  /// carries an engine member it doesn't use, and paying the four-word
-  /// SplitMix64 expansion there would defeat the point of schema v2.
-  Xoshiro256() : s_{} {}
-
   std::uint64_t Next() {
     const std::uint64_t result = Rotl(s_[1] * 5, 7) * 9;
     const std::uint64_t t = s_[1] << 17;

@@ -47,7 +47,6 @@ Result<std::shared_ptr<const ScriptSnapshot>> SessionServer::Publish(
   snapshot->name = name;
   snapshot->text = text;
   snapshot->world_cache = std::make_shared<pdb::WorldCache>();
-  snapshot->seed_schema = base_.seed_schema;
 
   if (options.warm_basis_store) {
     // Warm under the server namespace: sweep every scenario column once
@@ -86,17 +85,7 @@ Result<std::shared_ptr<const ScriptSnapshot>> SessionServer::Publish(
   return published;
 }
 
-Result<Session*> SessionServer::TryConnect(const SessionOptions& options) {
-  // Schema is a server-wide property: every published snapshot (warmed
-  // bases, cached worlds) is pinned to base_.seed_schema, so a session
-  // under another schema could never run one — reject at admission,
-  // the serving analogue of a bind error.
-  if (options.seed_schema && *options.seed_schema != base_.seed_schema) {
-    return Status::InvalidArgument(
-        "session seed schema does not match the server's published "
-        "schema; snapshots are pinned to the schema they were built "
-        "under");
-  }
+Session& SessionServer::Connect(const SessionOptions& options) {
   MutexLock lock(&mu_);
   const std::uint64_t id = next_session_id_++;
   RunConfig config = base_;
@@ -105,13 +94,7 @@ Result<Session*> SessionServer::TryConnect(const SessionOptions& options) {
   }
   sessions_.push_back(std::unique_ptr<Session>(
       new Session(this, id, std::move(config))));
-  return sessions_.back().get();
-}
-
-Session& SessionServer::Connect(const SessionOptions& options) {
-  Result<Session*> session = TryConnect(options);
-  JIGSAW_CHECK_MSG(session.ok(), session.status().message());
-  return *session.value();
+  return *sessions_.back();
 }
 
 std::shared_ptr<const Catalog> SessionServer::catalog() const {
@@ -135,15 +118,6 @@ Result<sql::ScriptOutcome> Session::Run(
   }
   // Keep the snapshot alive past any concurrent republish of the name.
   const std::shared_ptr<const ScriptSnapshot> snapshot = it->second;
-  // TryConnect already rejects mixed-schema sessions; re-check against
-  // the snapshot itself so a future republish-under-new-schema path can
-  // never silently mix draw derivations in one run.
-  if (snapshot->seed_schema != config_.seed_schema) {
-    return Status::InvalidArgument(
-        "snapshot '" + script_name +
-        "' was published under a different seed schema than this "
-        "session runs");
-  }
   sql::SnapshotResources shared;
   shared.world_cache = snapshot->world_cache.get();
   shared.basis_store = snapshot->basis_store.get();

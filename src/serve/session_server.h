@@ -45,7 +45,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -88,10 +87,6 @@ struct ScriptSnapshot {
   /// read-only by every run; probes from private session namespaces
   /// deterministically miss.
   std::shared_ptr<BasisStore> basis_store;
-  /// The seed schema everything in this snapshot was built under (warmed
-  /// bases, cached worlds). Pinned from the server's base config at
-  /// publish time; sessions must run it under the same schema.
-  SeedSchema seed_schema = SeedSchema::kV1;
 };
 
 using Catalog = std::map<std::string, std::shared_ptr<const ScriptSnapshot>>;
@@ -111,11 +106,6 @@ struct SessionOptions {
   /// shared-namespace session's), enabling WorldCache and warmed-basis
   /// sharing. Private namespaces (the default) guarantee disjoint draws.
   bool shared_namespace = false;
-  /// Requested seed schema for this session. Published snapshots are
-  /// pinned to the schema they were built under, so requesting anything
-  /// other than the server's base schema is a bind error (TryConnect);
-  /// leave unset to inherit the server's schema.
-  std::optional<SeedSchema> seed_schema;
 };
 
 class SessionServer;
@@ -182,16 +172,8 @@ class SessionServer {
       const PublishOptions& options = {}) JIGSAW_EXCLUDES(mu_);
 
   /// Admits a new client session. Thread-safe; the returned session is
-  /// valid for the server's lifetime. Fails (binding error) when the
-  /// options request a seed schema other than the server's — every
-  /// published snapshot is pinned to the base schema, so a mixed-schema
-  /// session could never run one.
-  Result<Session*> TryConnect(const SessionOptions& options = {})
-      JIGSAW_EXCLUDES(mu_);
-
-  /// Convenience wrapper for the common can't-fail case; CHECK-fails on
-  /// a schema mismatch (use TryConnect to handle it as a Status).
-  Session& Connect(const SessionOptions& options = {});
+  /// valid for the server's lifetime.
+  Session& Connect(const SessionOptions& options = {}) JIGSAW_EXCLUDES(mu_);
 
   /// Current catalog handle (copy-on-write: never mutated in place).
   std::shared_ptr<const Catalog> catalog() const JIGSAW_EXCLUDES(mu_);

@@ -231,7 +231,7 @@ Result<ScriptOutcome> ScriptRunner::RunBound(
     // The standalone statement is the one-point case of the sweep: OVER
     // @p pins the swept parameter to each point value on top of the base
     // valuation (overrides still fix the other parameters), and every
-    // point runs with the standalone statement's seed schema — point k's
+    // point runs with the standalone statement's seeds — point k's
     // draws are identical to a standalone MONTECARLO at that valuation,
     // and a one-point "sweep" keeps standalone error messages verbatim
     // (the sweep folds only name points past one).
@@ -265,8 +265,7 @@ Result<ScriptOutcome> ScriptRunner::RunBound(
               valuations));
       for (auto& r : results) per_point.push_back(std::move(r.columns));
     } else {
-      const SeedVector seeds(config_.master_seed, config_.num_samples,
-                             config_.seed_schema);
+      const SeedVector seeds(config_.master_seed, config_.num_samples);
       // A shared pool (session server) takes precedence over a private
       // one; either way chunk scheduling cannot perturb a draw.
       std::unique_ptr<ThreadPool> owned_pool;

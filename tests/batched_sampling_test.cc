@@ -56,13 +56,13 @@ void ExpectBitIdenticalMetrics(const OutputMetrics& a,
 
 TEST(SeedSpanTest, MatchesScalarAccess) {
   const SeedVector seeds(0x1234u, 100);
-  const auto span = seeds.seed_span(17, 41);
+  const auto span = seeds.span(17, 41);
   ASSERT_EQ(span.size(), 41u);
   for (std::size_t i = 0; i < span.size(); ++i) {
     EXPECT_EQ(span[i], seeds.seed(17 + i));
   }
-  EXPECT_EQ(seeds.seed_span(0, seeds.size()).size(), seeds.size());
-  EXPECT_TRUE(seeds.seed_span(100, 0).empty());
+  EXPECT_EQ(seeds.span(0, seeds.size()).size(), seeds.size());
+  EXPECT_TRUE(seeds.span(100, 0).empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -74,7 +74,7 @@ void ExpectBatchMatchesScalar(const BlackBox& model,
                               std::span<const double> params,
                               std::uint64_t call_site = 0) {
   const SeedVector seeds(0xfeedu, 93);
-  const auto sigmas = seeds.seed_span(0, seeds.size());
+  const auto sigmas = seeds.span(0, seeds.size());
   std::vector<double> scalar(seeds.size());
   for (std::size_t k = 0; k < seeds.size(); ++k) {
     scalar[k] = InvokeSeeded(model, params, seeds.seed(k), call_site);
@@ -298,6 +298,8 @@ TEST(BatchGridTest, MissSimulationMetricsBitIdenticalAcrossBatchSizes) {
 
 void ExpectChainRunsIdentical(const MarkovProcess& process,
                               std::int64_t target) {
+  test::ExpectChainHooksMatchInstanceHooks(process);
+
   RunConfig ref_cfg;
   ref_cfg.num_samples = 96;
   ref_cfg.fingerprint_size = 8;

@@ -3,9 +3,8 @@
 // the WorldCache, the layered engine's cached VG scan and SQL scripts
 // end to end — every surface bit-identical to its boxed or interpreted
 // reference (boxed_reference.h, UseInterpretedExpressions) over the
-// shared acceptance grid, under both seed schemas. The tuple-level
-// folds are pinned by join_test (FoldJoinedVGColumns) and pdb_test
-// (the row-program folds).
+// shared acceptance grid. The tuple-level folds are pinned by join_test
+// (FoldJoinedVGColumns) and pdb_test (the row-program folds).
 
 #include <gtest/gtest.h>
 
@@ -230,26 +229,22 @@ void ExpectColumnarMatchesBoxed(const VGTableFunction& fn,
 
 TEST(VGColumnarTest, GeneratorsRealizeBitIdenticalInBothRepresentations) {
   // Native columnar overrides must consume the stream exactly as the
-  // boxed Generate — same draws, bit-identical values — under both seed
-  // schemas.
-  for (SeedSchema schema : {SeedSchema::kV1, SeedSchema::kV2}) {
-    SCOPED_TRACE(static_cast<int>(schema));
-    SeedVector seeds(0x5EED0001ULL, 16, schema);
-    auto users = MakeUsersVGTable(40, 3.0, 25.0, 0.4, 4);
-    ExpectColumnarMatchesBoxed(*users, seeds, 6);
-    // The columnar users path runs the bounded max-of-LogNormals kernel
-    // in blocks of RandomStream::kMaxLogNormalBlock draws: depth 1, a
-    // depth no block holds, and a user count that leaves a partial block.
-    constexpr int kBlock = static_cast<int>(RandomStream::kMaxLogNormalBlock);
-    ExpectColumnarMatchesBoxed(*MakeUsersVGTable(40, 3.0, 25.0, 2.0, 1),
-                               seeds, 3);
-    ExpectColumnarMatchesBoxed(
-        *MakeUsersVGTable(3, 3.0, 25.0, 2.0, kBlock + 5), seeds, 3);
-    ExpectColumnarMatchesBoxed(
-        *MakeUsersVGTable(kBlock / 16 + 44, 3.0, 25.0, 2.0, 16), seeds, 3);
-    auto items = MakeScalingItemsVGTable(100);
-    ExpectColumnarMatchesBoxed(*items, seeds, 6);
-  }
+  // boxed Generate — same draws, bit-identical values.
+  SeedVector seeds(0x5EED0001ULL, 16);
+  auto users = MakeUsersVGTable(40, 3.0, 25.0, 0.4, 4);
+  ExpectColumnarMatchesBoxed(*users, seeds, 6);
+  // The columnar users path runs the bounded max-of-LogNormals kernel in
+  // blocks of RandomStream::kMaxLogNormalBlock draws: depth 1, a depth no
+  // block holds, and a user count that leaves a partial block.
+  constexpr int kBlock = static_cast<int>(RandomStream::kMaxLogNormalBlock);
+  ExpectColumnarMatchesBoxed(*MakeUsersVGTable(40, 3.0, 25.0, 2.0, 1), seeds,
+                             3);
+  ExpectColumnarMatchesBoxed(*MakeUsersVGTable(3, 3.0, 25.0, 2.0, kBlock + 5),
+                             seeds, 3);
+  ExpectColumnarMatchesBoxed(
+      *MakeUsersVGTable(kBlock / 16 + 44, 3.0, 25.0, 2.0, 16), seeds, 3);
+  auto items = MakeScalingItemsVGTable(100);
+  ExpectColumnarMatchesBoxed(*items, seeds, 6);
 }
 
 TEST(VGColumnarTest, WorldExtentShardsWorldsContiguously) {
@@ -397,27 +392,23 @@ TEST_F(ColumnarSqlTest, ScriptsMatchInterpretedTwinAcrossGrid) {
       "MONTECARLO OVER @w IN (10, 25) USING DIRECT;",
       "MONTECARLO OVER @w IN (10, 25) USING LAYERED;",
   };
-  for (SeedSchema schema : {SeedSchema::kV1, SeedSchema::kV2}) {
-    for (const auto& statement : statements) {
-      SCOPED_TRACE(statement + " schema=" +
-                   std::to_string(static_cast<int>(schema)));
-      const std::string script = scenario + statement;
-      RunConfig ref_cfg;
-      ref_cfg.num_samples = 60;
-      ref_cfg.seed_schema = schema;
-      auto reference = RunInterpreted(script, ref_cfg);
-      ASSERT_TRUE(reference.ok()) << reference.status().ToString();
-      const std::string expected = MetricLines(reference.value().Report());
-      test::ForEachGridPoint([&](std::size_t threads, std::size_t batch) {
-        RunConfig cfg = ref_cfg;
-        cfg.num_threads = threads;
-        cfg.batch_size = batch;
-        auto outcome = sql::ScriptRunner(&registry_, cfg).Run(script);
-        ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
-        EXPECT_TRUE(outcome.value().bound.program->compiled());
-        EXPECT_EQ(MetricLines(outcome.value().Report()), expected);
-      });
-    }
+  for (const auto& statement : statements) {
+    SCOPED_TRACE(statement);
+    const std::string script = scenario + statement;
+    RunConfig ref_cfg;
+    ref_cfg.num_samples = 60;
+    auto reference = RunInterpreted(script, ref_cfg);
+    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+    const std::string expected = MetricLines(reference.value().Report());
+    test::ForEachGridPoint([&](std::size_t threads, std::size_t batch) {
+      RunConfig cfg = ref_cfg;
+      cfg.num_threads = threads;
+      cfg.batch_size = batch;
+      auto outcome = sql::ScriptRunner(&registry_, cfg).Run(script);
+      ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+      EXPECT_TRUE(outcome.value().bound.program->compiled());
+      EXPECT_EQ(MetricLines(outcome.value().Report()), expected);
+    });
   }
 }
 

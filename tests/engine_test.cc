@@ -157,6 +157,20 @@ TEST(ModelTest, RegistryRegistersAllCloudModels) {
   EXPECT_FALSE(registry.Lookup("NoSuchModel").ok());
   EXPECT_EQ(RegisterCloudModels(&registry).code(),
             StatusCode::kAlreadyExists);
+
+  // Names come back in registration order, and RegisterOrReplace swaps a
+  // model in place under its case-insensitive name.
+  const std::vector<std::string> names = registry.ModelNames();
+  ASSERT_EQ(names.size(), 7u);
+  EXPECT_EQ(names.front(), "DemandModel");
+  EXPECT_EQ(names.back(), "OutageModel");
+  const auto replacement = std::make_shared<CallableBlackBox>(
+      "demandmodel", std::vector<std::string>{"week", "feature"},
+      [](std::span<const double>, RandomStream&) { return 1.0; });
+  registry.RegisterOrReplace(replacement);
+  EXPECT_EQ(registry.ModelNames().size(), names.size());
+  EXPECT_EQ(registry.ModelNames().front(), "demandmodel");
+  EXPECT_EQ(registry.Lookup("DemandModel").value(), replacement);
 }
 
 TEST(ModelTest, DemandGrowsLinearlyBeforeFeature) {

@@ -10,7 +10,14 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
 #include <cstddef>
+#include <cstdint>
+#include <span>
+#include <vector>
+
+#include "markov/markov_process.h"
+#include "random/seed_vector.h"
 
 namespace jigsaw::test {
 
@@ -70,6 +77,54 @@ void ForEachGridBatch(Fn&& fn) {
   for (std::size_t batch : GridBatchSizes()) {
     SCOPED_TRACE(::testing::Message() << "batch=" << batch);
     fn(batch);
+  }
+}
+
+/// A Markov process's batch hooks (StepBatch, EstimateBatch, OutputBatch)
+/// against its per-instance hooks, bit for bit, for spans of every grid
+/// batch size starting at instances 0, 3 and 5.
+inline void ExpectChainHooksMatchInstanceHooks(const MarkovProcess& process) {
+  SCOPED_TRACE(process.name());
+  const SeedVector seeds(0x5160534A00000001ULL, 80);
+  std::vector<double> states(seeds.size());
+  for (std::size_t i = 0; i < states.size(); ++i) {
+    states[i] = process.initial_state() + 0.5 * static_cast<double>(i % 7);
+  }
+  const auto expect_same_bits = [](const std::vector<double>& batched,
+                                   const std::vector<double>& scalar) {
+    for (std::size_t i = 0; i < batched.size(); ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(batched[i]),
+                std::bit_cast<std::uint64_t>(scalar[i]))
+          << "entry " << i;
+    }
+  };
+  for (std::size_t k_begin : {0u, 3u, 5u}) {
+    for (std::size_t n : GridBatchSizes()) {
+      SCOPED_TRACE(::testing::Message()
+                   << "k_begin=" << k_begin << " n=" << n);
+      const std::span<const double> in(states.data() + k_begin, n);
+      std::vector<double> batched(n), scalar(n);
+
+      process.StepBatch(in, /*step=*/9, k_begin, seeds, batched);
+      for (std::size_t i = 0; i < n; ++i) {
+        scalar[i] = process.StepForInstance(in[i], 9, k_begin + i, seeds);
+      }
+      expect_same_bits(batched, scalar);
+
+      process.EstimateBatch(in, /*anchor_step=*/4, /*step=*/9, k_begin,
+                            seeds, batched);
+      for (std::size_t i = 0; i < n; ++i) {
+        scalar[i] =
+            process.EstimateForInstance(in[i], 4, 9, k_begin + i, seeds);
+      }
+      expect_same_bits(batched, scalar);
+
+      process.OutputBatch(in, /*step=*/9, k_begin, seeds, batched);
+      for (std::size_t i = 0; i < n; ++i) {
+        scalar[i] = process.OutputForInstance(in[i], 9, k_begin + i, seeds);
+      }
+      expect_same_bits(batched, scalar);
+    }
   }
 }
 

@@ -1,6 +1,6 @@
 // Differential and property tests for the world-partitioned columnar
-// equi-join (pdb/join.h). The contract under test: sort-merge and hash
-// kernels, cached or not, at any thread count and any batch size, are
+// equi-join (pdb/join.h). The contract under test: the sort-merge
+// kernel, cached or not, at any thread count and any batch size, is
 // bit-identical to the serial boxed nested-loop oracle
 // (boxed_reference.h) — values, output row order, metrics, error text
 // AND error ordering.
@@ -304,9 +304,9 @@ TEST(JoinOracleTest, NullKeysNeverMatchNotEvenEachOther) {
 }
 
 // ---------------------------------------------------------------------------
-// JoinPartition: both span kernels, all four key types, bit-identical to
-// the oracle (SameContent compares bit patterns, so even a -0.0 gathered
-// where a +0.0 belongs would fail).
+// JoinPartition: all four key types, bit-identical to the oracle
+// (SameContent compares bit patterns, so even a -0.0 gathered where a
+// +0.0 belongs would fail).
 // ---------------------------------------------------------------------------
 
 // Every join.output slot in order: the projection of the whole join.
@@ -330,18 +330,12 @@ void ExpectPartitionMatchesOracle(const Table& left, const Table& right,
   auto rcol = ColumnarTable::FromTable(right);
   ASSERT_TRUE(lcol.ok());
   ASSERT_TRUE(rcol.ok());
-  for (JoinAlgorithm algorithm :
-       {JoinAlgorithm::kSortMerge, JoinAlgorithm::kHash}) {
-    SCOPED_TRACE(algorithm == JoinAlgorithm::kSortMerge ? "sort-merge"
-                                                        : "hash");
-    ColumnarTable out(join.value().output);
-    ASSERT_TRUE(JoinPartition(lcol.value(), 0, lcol.value().num_rows(),
-                              rcol.value(), 0, rcol.value().num_rows(),
-                              join.value(), algorithm,
-                              EveryColumn(join.value()), &out)
-                    .ok());
-    EXPECT_TRUE(out.SameContent(oracle_columnar.value()));
-  }
+  ColumnarTable out(join.value().output);
+  ASSERT_TRUE(JoinPartition(lcol.value(), 0, lcol.value().num_rows(),
+                            rcol.value(), 0, rcol.value().num_rows(),
+                            join.value(), EveryColumn(join.value()), &out)
+                  .ok());
+  EXPECT_TRUE(out.SameContent(oracle_columnar.value()));
 }
 
 TEST(JoinPartitionTest, IntKeysWithDuplicatesAndNulls) {
@@ -540,27 +534,21 @@ TEST(JoinPartitionTest, ProjectsRequestedColumnsInRequestOrder) {
   for (std::size_t slot : projection) {
     projected.push_back(join.value().output.column(slot));
   }
-  for (JoinAlgorithm algorithm :
-       {JoinAlgorithm::kSortMerge, JoinAlgorithm::kHash}) {
-    SCOPED_TRACE(algorithm == JoinAlgorithm::kSortMerge ? "sort-merge"
-                                                        : "hash");
-    ColumnarTable full(join.value().output);
-    ASSERT_TRUE(JoinPartition(lcol.value(), 0, lcol.value().num_rows(),
-                              rcol.value(), 0, rcol.value().num_rows(),
-                              join.value(), algorithm,
-                              EveryColumn(join.value()), &full)
-                    .ok());
-    ColumnarTable out{Schema(projected)};
-    ASSERT_TRUE(JoinPartition(lcol.value(), 0, lcol.value().num_rows(),
-                              rcol.value(), 0, rcol.value().num_rows(),
-                              join.value(), algorithm, projection, &out)
-                    .ok());
-    ASSERT_GT(full.num_rows(), 0u);
-    ASSERT_EQ(out.num_rows(), full.num_rows());
-    for (std::size_t c = 0; c < projection.size(); ++c) {
-      EXPECT_TRUE(out.column(c).SameContent(full.column(projection[c])))
-          << "projected column " << c;
-    }
+  ColumnarTable full(join.value().output);
+  ASSERT_TRUE(JoinPartition(lcol.value(), 0, lcol.value().num_rows(),
+                            rcol.value(), 0, rcol.value().num_rows(),
+                            join.value(), EveryColumn(join.value()), &full)
+                  .ok());
+  ColumnarTable out{Schema(projected)};
+  ASSERT_TRUE(JoinPartition(lcol.value(), 0, lcol.value().num_rows(),
+                            rcol.value(), 0, rcol.value().num_rows(),
+                            join.value(), projection, &out)
+                  .ok());
+  ASSERT_GT(full.num_rows(), 0u);
+  ASSERT_EQ(out.num_rows(), full.num_rows());
+  for (std::size_t c = 0; c < projection.size(); ++c) {
+    EXPECT_TRUE(out.column(c).SameContent(full.column(projection[c])))
+        << "projected column " << c;
   }
 }
 
@@ -605,49 +593,48 @@ TEST(JoinWorldsTest, PartitionsWorldsAtRowOffsets) {
     ASSERT_TRUE(lext.AppendWorld(*left, w, seeds).ok());
     ASSERT_TRUE(rext.AppendWorld(*right, w, seeds).ok());
   }
-  for (JoinAlgorithm algorithm :
-       {JoinAlgorithm::kSortMerge, JoinAlgorithm::kHash}) {
-    WorldExtent out;
-    ASSERT_TRUE(JoinWorlds(lext, rext, join.value(), algorithm, &out).ok());
-    EXPECT_EQ(out.world_begin, kFirstWorld);
-    ASSERT_EQ(out.row_offsets.size(), kWorlds);
+  WorldExtent out;
+  ASSERT_TRUE(JoinWorlds(lext, rext, join.value(), JoinAlgorithm::kSortMerge,
+                         &out)
+                  .ok());
+  EXPECT_EQ(out.world_begin, kFirstWorld);
+  ASSERT_EQ(out.row_offsets.size(), kWorlds);
 
-    // World k of the extent is world kFirstWorld + k: its rows start at
-    // its row offset, end where the next world's start, and are
-    // bit-identical to that world's oracle join.
-    std::size_t total = 0;
-    for (std::size_t k = 0; k < kWorlds; ++k) {
-      const std::size_t w = kFirstWorld + k;
-      auto lt = left->Generate(w, seeds);
-      auto rt = right->Generate(w, seeds);
-      ASSERT_TRUE(lt.ok());
-      ASSERT_TRUE(rt.ok());
-      auto oracle = NestedLoopJoinOracle(lt.value(), rt.value(), join.value());
-      ASSERT_TRUE(oracle.ok());
-      const auto [first, last] = out.WorldRows(k);
-      EXPECT_EQ(first, out.row_offsets[k]);
-      EXPECT_EQ(first, total) << "world " << w;
-      ASSERT_EQ(last - first, oracle.value().num_rows()) << "world " << w;
-      Row boxed;
-      for (std::size_t r = first; r < last; ++r) {
-        out.data.BoxRow(r, &boxed);
-        const Row& expect = oracle.value().row(r - first);
-        ASSERT_EQ(boxed.size(), expect.size());
-        for (std::size_t c = 0; c < expect.size(); ++c) {
-          EXPECT_TRUE(boxed[c] == expect[c])
-              << "world " << w << " row " << r - first << " col " << c;
-        }
+  // World k of the extent is world kFirstWorld + k: its rows start at
+  // its row offset, end where the next world's start, and are
+  // bit-identical to that world's oracle join.
+  std::size_t total = 0;
+  for (std::size_t k = 0; k < kWorlds; ++k) {
+    const std::size_t w = kFirstWorld + k;
+    auto lt = left->Generate(w, seeds);
+    auto rt = right->Generate(w, seeds);
+    ASSERT_TRUE(lt.ok());
+    ASSERT_TRUE(rt.ok());
+    auto oracle = NestedLoopJoinOracle(lt.value(), rt.value(), join.value());
+    ASSERT_TRUE(oracle.ok());
+    const auto [first, last] = out.WorldRows(k);
+    EXPECT_EQ(first, out.row_offsets[k]);
+    EXPECT_EQ(first, total) << "world " << w;
+    ASSERT_EQ(last - first, oracle.value().num_rows()) << "world " << w;
+    Row boxed;
+    for (std::size_t r = first; r < last; ++r) {
+      out.data.BoxRow(r, &boxed);
+      const Row& expect = oracle.value().row(r - first);
+      ASSERT_EQ(boxed.size(), expect.size());
+      for (std::size_t c = 0; c < expect.size(); ++c) {
+        EXPECT_TRUE(boxed[c] == expect[c])
+            << "world " << w << " row " << r - first << " col " << c;
       }
-      total += last - first;
     }
-    EXPECT_EQ(total, out.data.num_rows());
+    total += last - first;
   }
+  EXPECT_EQ(total, out.data.num_rows());
 }
 
 // ---------------------------------------------------------------------------
 // FoldJoinedVGColumns: the full differential grid. Reference = the serial
-// boxed nested-loop fold; every (algorithm, cache, threads, batch)
-// combination must reproduce its metrics bit-for-bit.
+// boxed nested-loop fold; every (cache, threads, batch) combination must
+// reproduce its metrics bit-for-bit.
 // ---------------------------------------------------------------------------
 
 class JoinFoldTest : public ::testing::Test {
@@ -658,8 +645,7 @@ class JoinFoldTest : public ::testing::Test {
       const VGTableFunctionPtr& left, const VGTableFunctionPtr& right,
       const JoinSpec& keys, const std::vector<std::string>& columns,
       const RunConfig& config, WorldCache* cache = nullptr) {
-    const SeedVector seeds(config.master_seed, config.num_samples,
-                           config.seed_schema);
+    const SeedVector seeds(config.master_seed, config.num_samples);
     std::unique_ptr<ThreadPool> pool;
     if (config.num_threads > 1) {
       pool = std::make_unique<ThreadPool>(config.num_threads);
@@ -679,35 +665,25 @@ class JoinFoldTest : public ::testing::Test {
   // Serial boxed nested-loop fold (boxed_reference.h).
   Result<std::map<std::string, OutputMetrics>> Reference(
       const VGTableFunctionPtr& left, const VGTableFunctionPtr& right,
-      const JoinSpec& keys, const std::vector<std::string>& columns,
-      SeedSchema schema = SeedSchema::kV1) {
-    RunConfig config = BaseConfig();
-    config.seed_schema = schema;
-    const SeedVector seeds(config.master_seed, kWorlds, schema);
+      const JoinSpec& keys, const std::vector<std::string>& columns) {
+    const RunConfig config = BaseConfig();
+    const SeedVector seeds(config.master_seed, kWorlds);
     return test::BoxedFoldJoinedVGColumns(*left, *right, keys, columns,
                                           kWorlds, seeds, config);
   }
 
-  /// Calls fn(config, cache) at every grid point x algorithm x {uncached,
-  /// cached}, a fresh cache per call.
+  /// Calls fn(config, cache) at every grid point x {uncached, cached}, a
+  /// fresh cache per call.
   template <typename Fn>
   void ForEachJoinPath(const RunConfig& base, Fn&& fn) {
     test::ForEachGridPoint([&](std::size_t threads, std::size_t batch) {
-      for (JoinAlgorithm algorithm :
-           {JoinAlgorithm::kSortMerge, JoinAlgorithm::kHash}) {
-        for (bool cached : {false, true}) {
-          SCOPED_TRACE(::testing::Message()
-                       << (algorithm == JoinAlgorithm::kSortMerge
-                               ? "sort-merge"
-                               : "hash")
-                       << (cached ? " cached" : ""));
-          RunConfig config = base;
-          config.join_algorithm = algorithm;
-          config.num_threads = threads;
-          config.batch_size = batch;
-          WorldCache cache;
-          fn(config, cached ? &cache : nullptr);
-        }
+      for (bool cached : {false, true}) {
+        SCOPED_TRACE(cached ? "cached" : "uncached");
+        RunConfig config = base;
+        config.num_threads = threads;
+        config.batch_size = batch;
+        WorldCache cache;
+        fn(config, cached ? &cache : nullptr);
       }
     });
   }
@@ -743,28 +719,23 @@ TEST_F(JoinFoldTest, StringKeysBitIdenticalAcrossFullGrid) {
                          {"lval", "rval"});
 }
 
-TEST_F(JoinFoldTest, UsersJoinItemsBothSeedSchemas) {
+TEST_F(JoinFoldTest, UsersJoinItems) {
   auto users = MakeUsersVGTable(40, 0.8, 5.0, 2.0);
   auto items = MakeScalingItemsVGTable(60);
   const JoinSpec keys{"user_id", "item_id"};
   const std::vector<std::string> columns = {"requirement", "demand", "cost"};
-  for (SeedSchema schema : {SeedSchema::kV1, SeedSchema::kV2}) {
-    SCOPED_TRACE(schema == SeedSchema::kV1 ? "seed schema v1"
-                                           : "seed schema v2");
-    auto reference = Reference(users, items, keys, columns, schema);
-    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
-    // The join keys overlap by construction (user ids live inside the
-    // item id range), so the differential is not vacuous.
-    ASSERT_GT(reference.value().at("requirement").count, 0);
+  auto reference = Reference(users, items, keys, columns);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  // The join keys overlap by construction (user ids live inside the
+  // item id range), so the differential is not vacuous.
+  ASSERT_GT(reference.value().at("requirement").count, 0);
 
-    RunConfig base = BaseConfig();
-    base.seed_schema = schema;
-    ForEachJoinPath(base, [&](const RunConfig& config, WorldCache* cache) {
-      auto got = Fold(users, items, keys, columns, config, cache);
-      ASSERT_TRUE(got.ok()) << got.status().ToString();
-      ExpectSameMetrics(reference.value(), got.value());
-    });
-  }
+  ForEachJoinPath(BaseConfig(), [&](const RunConfig& config,
+                                    WorldCache* cache) {
+    auto got = Fold(users, items, keys, columns, config, cache);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ExpectSameMetrics(reference.value(), got.value());
+  });
 }
 
 TEST_F(JoinFoldTest, AllNullKeysFoldZeroTuplesEverywhere) {
@@ -804,8 +775,9 @@ TEST_F(JoinFoldTest, WorldCacheSharesRealizationsAcrossRuns) {
   // One generation per (table, world), none for cache hits afterwards.
   EXPECT_EQ(cache.generation_count(), 2 * kWorlds);
 
-  // A rerun on the other kernel re-reads the same cache entries.
-  config.join_algorithm = JoinAlgorithm::kHash;
+  // A rerun with other chunking re-reads the same cache entries.
+  config.num_threads = 1;
+  config.batch_size = 64;
   auto rerun = Fold(left, right, keys, columns, config, &cache);
   ASSERT_TRUE(rerun.ok());
   ExpectSameMetrics(reference.value(), rerun.value());
@@ -942,30 +914,26 @@ TEST_F(JoinFoldTest, NullsOutsideTheFoldedMatchesDoNotFail) {
 
 TEST_F(JoinFoldTest, SeedVectorShorterThanWorldsIsInvalidArgument) {
   // 64 worlds over a 4-seed vector: rejected before either side is
-  // realized, under both seed schemas.
+  // realized.
   auto users = MakeUsersVGTable(8, 0.8, 5.0, 2.0);
   auto items = MakeScalingItemsVGTable(10);
   const std::vector<std::string> columns = {"requirement", "demand"};
-  for (SeedSchema schema : {SeedSchema::kV1, SeedSchema::kV2}) {
-    SCOPED_TRACE(static_cast<int>(schema));
-    const SeedVector seeds(7, 4, schema);
-    RunConfig base = BaseConfig();
-    base.seed_schema = schema;
-    ForEachJoinPath(base, [&](const RunConfig& config, WorldCache* cache) {
-      ThreadPool pool(config.num_threads);
-      auto got = FoldJoinedVGColumns(
-          users, items, {"user_id", "item_id"}, columns, 64, seeds, config,
-          config.num_threads > 1 ? &pool : nullptr, cache);
-      ASSERT_FALSE(got.ok());
-      EXPECT_EQ(got.status().code(), StatusCode::kInvalidArgument);
-      EXPECT_EQ(got.status().message(),
-                "fold over 64 worlds needs one seed per world; the seed "
-                "vector holds 4");
-      if (cache != nullptr) {
-        EXPECT_EQ(cache->generation_count(), 0u);
-      }
-    });
-  }
+  const SeedVector seeds(7, 4);
+  ForEachJoinPath(BaseConfig(), [&](const RunConfig& config,
+                                    WorldCache* cache) {
+    ThreadPool pool(config.num_threads);
+    auto got = FoldJoinedVGColumns(
+        users, items, {"user_id", "item_id"}, columns, 64, seeds, config,
+        config.num_threads > 1 ? &pool : nullptr, cache);
+    ASSERT_FALSE(got.ok());
+    EXPECT_EQ(got.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(got.status().message(),
+              "fold over 64 worlds needs one seed per world; the seed "
+              "vector holds 4");
+    if (cache != nullptr) {
+      EXPECT_EQ(cache->generation_count(), 0u);
+    }
+  });
 }
 
 // ---------------------------------------------------------------------------

@@ -836,7 +836,7 @@ Result<Table> RunPlanInWorld(const PlanFactory& make_plan,
 Result<std::map<std::string, OutputMetrics>> RunPlanWorlds(
     const RunConfig& cfg, const PlanFactory& make_plan,
     std::span<const double> params) {
-  const SeedVector seeds(cfg.master_seed, cfg.num_samples, cfg.seed_schema);
+  const SeedVector seeds(cfg.master_seed, cfg.num_samples);
   std::unique_ptr<ThreadPool> pool;
   if (cfg.num_threads > 1) {
     pool = std::make_unique<ThreadPool>(cfg.num_threads);
@@ -935,8 +935,7 @@ TEST(MonteCarloParallelTest, BitIdenticalAcrossThreadsAndBatches) {
   RunConfig base;
   base.num_samples = 200;
   base.keep_samples = true;
-  const SeedVector seeds(base.master_seed, base.num_samples,
-                         base.seed_schema);
+  const SeedVector seeds(base.master_seed, base.num_samples);
   const PlanNodePtr probe = factory().value();
   const std::vector<std::string> names = {"demand", "capacity"};
   auto reference = test::BoxedFoldWorlds(

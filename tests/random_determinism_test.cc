@@ -15,7 +15,6 @@
 #include <thread>
 #include <vector>
 
-#include "random/draw_plane.h"
 #include "random/philox.h"
 #include "random/random_stream.h"
 #include "random/seed_vector.h"
@@ -154,9 +153,9 @@ TEST(SeedVectorDeterminismTest, EnsureSizeIsAppendStable) {
 
 TEST(SeedVectorDeterminismTest, SeedSpanBoundsIncludeFullAndEmptyViews) {
   SeedVector seeds(kSeed, 16);
-  EXPECT_EQ(seeds.seed_span(0, 16).size(), 16u);
-  EXPECT_EQ(seeds.seed_span(16, 0).size(), 0u);
-  EXPECT_EQ(seeds.seed_span(15, 1).front(), seeds.seed(15));
+  EXPECT_EQ(seeds.span(0, 16).size(), 16u);
+  EXPECT_EQ(seeds.span(16, 0).size(), 0u);
+  EXPECT_EQ(seeds.span(15, 1).front(), seeds.seed(15));
 }
 
 // ---------------------------------------------------------------------------
@@ -202,115 +201,13 @@ TEST(SeedVectorDeterminismTest, ConcurrentDrawsMatchSerialDraws) {
 }
 
 // ---------------------------------------------------------------------------
-// Schema v2: counter streams and draw planes
-// ---------------------------------------------------------------------------
-
-TEST(CounterStreamTest, PureFunctionOfKeyAndSample) {
-  const std::uint64_t key = DrawKey(kSeed, 3);
-  CounterStream a(key, 17), b(key, 17);
-  for (int i = 0; i < 64; ++i) ASSERT_EQ(a.NextWord(), b.NextWord());
-  // Draining one sample's stream never perturbs a sibling's: there is no
-  // shared state at all, only (key, sample, draw index).
-  CounterStream drained(key, 16);
-  for (int i = 0; i < 1000; ++i) drained.NextWord();
-  CounterStream c(key, 17), d(key, 17);
-  for (int i = 0; i < 64; ++i) ASSERT_EQ(c.NextWord(), d.NextWord());
-}
-
-TEST(CounterStreamTest, DistinctCellsGetDistinctStreams) {
-  std::set<std::uint32_t> firsts;
-  for (std::size_t k = 0; k < 16; ++k) {
-    for (std::uint64_t site = 0; site < 4; ++site) {
-      firsts.insert(CounterStream(DrawKey(kSeed, site), k).NextWord());
-    }
-  }
-  EXPECT_EQ(firsts.size(), 64u);
-}
-
-TEST(CounterStreamTest, AdjacentLanesShareABlock) {
-  // Samples 4t..4t+3 at one draw index are the four words of a single
-  // Philox block — the fact the plane kernels amortize on.
-  const std::uint64_t key = DrawKey(kSeed, 0);
-  const Philox4x32::Counter block = Philox4x32::Block(
-      {2, 0, 0, 0}, {static_cast<std::uint32_t>(key),
-                     static_cast<std::uint32_t>(key >> 32)});
-  for (std::size_t lane = 0; lane < 4; ++lane) {
-    EXPECT_EQ(CounterStream(key, 8 + lane).NextWord(), block[lane]);
-  }
-}
-
-TEST(DrawPlaneTest, UniformPlaneMatchesCounterStreamEverywhere) {
-  const std::uint64_t key = DrawKey(kSeed, 11);
-  // Unaligned starts and sizes spanning partial head/tail groups.
-  for (std::size_t k_begin : {0u, 1u, 2u, 3u, 5u}) {
-    for (std::size_t n : {1u, 2u, 3u, 4u, 5u, 7u, 8u, 9u}) {
-      for (std::uint64_t draw : {0u, 1u, 6u}) {
-        std::vector<double> plane(n);
-        DrawSpan(plane, k_begin, key, draw);
-        for (std::size_t i = 0; i < n; ++i) {
-          CounterStream scalar(key, k_begin + i);
-          for (std::uint64_t d = 0; d < draw; ++d) scalar.NextWord();
-          ASSERT_EQ(plane[i], scalar.NextDouble())
-              << "k_begin=" << k_begin << " n=" << n << " i=" << i;
-        }
-      }
-    }
-  }
-}
-
-TEST(DrawPlaneTest, GaussianPlaneMatchesScalarStream) {
-  const std::uint64_t key = DrawKey(kSeed, 4);
-  for (std::size_t k_begin : {0u, 3u, 5u}) {
-    std::vector<double> plane(9);
-    GaussianPlane(plane, k_begin, key, /*draw_idx=*/2);
-    for (std::size_t i = 0; i < plane.size(); ++i) {
-      RandomStream scalar(CounterStream(key, k_begin + i));
-      scalar.NextDouble();  // draws 0-1 belong to an earlier plane
-      scalar.NextDouble();
-      std::uint64_t a, b;
-      const double want = scalar.Gaussian();
-      std::memcpy(&a, &plane[i], sizeof a);
-      std::memcpy(&b, &want, sizeof b);
-      ASSERT_EQ(a, b) << "lane " << i;
-    }
-  }
-}
-
-TEST(DrawPlaneTest, ExponentialPlaneMatchesScalarStream) {
-  const std::uint64_t key = DrawKey(kSeed, 9);
-  for (std::size_t k_begin : {0u, 1u, 2u}) {
-    std::vector<double> plane(7);
-    ExponentialPlane(plane, k_begin, key, /*draw_idx=*/0, /*lambda=*/2.5);
-    for (std::size_t i = 0; i < plane.size(); ++i) {
-      RandomStream scalar(CounterStream(key, k_begin + i));
-      std::uint64_t a, b;
-      const double want = scalar.Exponential(2.5);
-      std::memcpy(&a, &plane[i], sizeof a);
-      std::memcpy(&b, &want, sizeof b);
-      ASSERT_EQ(a, b) << "lane " << i;
-    }
-  }
-}
-
-TEST(DrawPlaneTest, SeedVectorStreamForMatchesCounterStream) {
-  const SeedVector seeds(kSeed, 32, SeedSchema::kV2);
-  for (std::size_t k : {0u, 1u, 7u, 31u}) {
-    RandomStream via_vector = seeds.StreamFor(k, 5);
-    CounterStream direct(DrawKey(kSeed, 5), k);
-    for (int i = 0; i < 16; ++i) {
-      ASSERT_EQ(via_vector.NextUint64(), direct.NextUint64());
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Frozen golden draws. These pin both schemas' exact derivations: any
-// change to either sequence is a seed-schema break and must ship as a
-// NEW schema version, never silently (the determinism contract's gate).
+// Frozen golden draws. These pin the exact derivation: any change to the
+// sequence is a break of the determinism contract, never to ship
+// silently.
 // ---------------------------------------------------------------------------
 
 TEST(GoldenDrawTest, SchemaV1FirstDrawsAreFrozen) {
-  const SeedVector seeds(kSeed, 8, SeedSchema::kV1);
+  const SeedVector seeds(kSeed, 8);
   const struct {
     std::uint64_t site;
     std::size_t k;
@@ -334,48 +231,6 @@ TEST(GoldenDrawTest, SchemaV1FirstDrawsAreFrozen) {
           << "v1 site=" << g.site << " k=" << g.k << " draw " << i;
     }
   }
-}
-
-TEST(GoldenDrawTest, SchemaV2FirstWordsAreFrozen) {
-  EXPECT_EQ(DrawKey(kSeed, 0), 0xDB948410E943DC1EULL);
-  EXPECT_EQ(DrawKey(kSeed, 7), 0xB7473CACC085B079ULL);
-  const struct {
-    std::uint64_t site;
-    std::size_t k;
-    std::uint32_t want[6];
-  } kGolden[] = {
-      {0, 0, {0x7B256599u, 0x23621476u, 0xF3BE0099u,
-              0x3AD36EFDu, 0x25007972u, 0xDEB4754Bu}},
-      {0, 1, {0x82E5AA82u, 0x794DD74Du, 0x304C4776u,
-              0xE637130Bu, 0x8F3934A0u, 0x0704EAD9u}},
-      {0, 5, {0x9DF8988Eu, 0x5EBECB51u, 0x9DA97DC3u,
-              0xB55D0DB1u, 0xB0D98228u, 0x0AB8C68Du}},
-      {7, 0, {0xA15A2F0Bu, 0x31FAB88Bu, 0xC103265Cu,
-              0x7523AFA0u, 0x36BADCB8u, 0x4F8A591Du}},
-      {7, 2, {0xFE74C1D3u, 0x565D5F8Au, 0x7002F8F6u,
-              0x0A87C437u, 0xB175AFEBu, 0x0E07BDE8u}},
-  };
-  for (const auto& g : kGolden) {
-    CounterStream c(DrawKey(kSeed, g.site), g.k);
-    for (int i = 0; i < 6; ++i) {
-      ASSERT_EQ(c.NextWord(), g.want[i])
-          << "v2 site=" << g.site << " k=" << g.k << " word " << i;
-    }
-  }
-}
-
-TEST(GoldenDrawTest, SchemasDivergeByConstruction) {
-  // Canary: if v1 and v2 ever agree on a draw the gate has collapsed
-  // (e.g. someone routed v2 through the v1 derivation "for compatibility").
-  const SeedVector v1(kSeed, 8, SeedSchema::kV1);
-  const SeedVector v2(kSeed, 8, SeedSchema::kV2);
-  int equal = 0;
-  for (std::size_t k = 0; k < 8; ++k) {
-    RandomStream a = v1.StreamFor(k, 0);
-    RandomStream b = v2.StreamFor(k, 0);
-    for (int i = 0; i < 8; ++i) equal += (a.NextUint64() == b.NextUint64());
-  }
-  EXPECT_EQ(equal, 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -408,40 +263,37 @@ TEST(MaxLogNormalTest, MatchesThePlainLoopBitForBit) {
                          2 * static_cast<int>(kBlock) + 3};
   std::size_t checked = 0, mismatched = 0;
   for (std::uint64_t seed : {0ULL, 1ULL, 7ULL, 29ULL, 12345ULL}) {
-    for (SeedSchema schema : {SeedSchema::kV1, SeedSchema::kV2}) {
-      const SeedVector seeds(seed, 1, schema);
-      for (double sigma : kSigmas) {
-        for (int depth : kDepths) {
-          // One slot, the slots one block holds, and one more, which
-          // straddles the block's edge.
-          const std::size_t per_block = std::max<std::size_t>(
-              1, kBlock / static_cast<std::size_t>(std::max(depth, 1)));
-          std::vector<std::size_t> slot_counts = {1, per_block + 1};
-          if (per_block > 1) slot_counts.push_back(per_block);
-          for (std::size_t slots : slot_counts) {
-            RandomStream kernel = seeds.StreamFor(0, 3);
-            RandomStream plain = seeds.StreamFor(0, 3);
-            std::vector<double> got(slots);
-            kernel.MaxLogNormal(sigma, depth, got);
-            const std::vector<double> want =
-                PlainMaxLogNormal(plain, sigma, depth, slots);
-            for (std::size_t i = 0; i < slots; ++i) {
-              ++checked;
-              if (std::bit_cast<std::uint64_t>(got[i]) !=
-                  std::bit_cast<std::uint64_t>(want[i])) {
-                if (++mismatched <= 5) {
-                  ADD_FAILURE() << "seed=" << seed << " schema="
-                                << static_cast<int>(schema)
-                                << " sigma=" << sigma << " depth=" << depth
-                                << " slots=" << slots << " slot " << i
-                                << ": got " << got[i] << " want " << want[i];
-                }
+    const SeedVector seeds(seed, 1);
+    for (double sigma : kSigmas) {
+      for (int depth : kDepths) {
+        // One slot, the slots one block holds, and one more, which
+        // straddles the block's edge.
+        const std::size_t per_block = std::max<std::size_t>(
+            1, kBlock / static_cast<std::size_t>(std::max(depth, 1)));
+        std::vector<std::size_t> slot_counts = {1, per_block + 1};
+        if (per_block > 1) slot_counts.push_back(per_block);
+        for (std::size_t slots : slot_counts) {
+          RandomStream kernel = seeds.StreamFor(0, 3);
+          RandomStream plain = seeds.StreamFor(0, 3);
+          std::vector<double> got(slots);
+          kernel.MaxLogNormal(sigma, depth, got);
+          const std::vector<double> want =
+              PlainMaxLogNormal(plain, sigma, depth, slots);
+          for (std::size_t i = 0; i < slots; ++i) {
+            ++checked;
+            if (std::bit_cast<std::uint64_t>(got[i]) !=
+                std::bit_cast<std::uint64_t>(want[i])) {
+              if (++mismatched <= 5) {
+                ADD_FAILURE() << "seed=" << seed
+                              << " sigma=" << sigma << " depth=" << depth
+                              << " slots=" << slots << " slot " << i
+                              << ": got " << got[i] << " want " << want[i];
               }
             }
-            ASSERT_EQ(kernel.NextUint64(), plain.NextUint64())
-                << "stream position: seed=" << seed << " sigma=" << sigma
-                << " depth=" << depth << " slots=" << slots;
           }
+          ASSERT_EQ(kernel.NextUint64(), plain.NextUint64())
+              << "stream position: seed=" << seed << " sigma=" << sigma
+              << " depth=" << depth << " slots=" << slots;
         }
       }
     }

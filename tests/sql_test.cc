@@ -614,8 +614,7 @@ class CompiledExprTest : public BinderTest {
       cols.push_back({name, pdb::ValueType::kDouble});
     }
     const pdb::Schema schema(std::move(cols));
-    const SeedVector seeds(cfg.master_seed, cfg.num_samples,
-                           cfg.seed_schema);
+    const SeedVector seeds(cfg.master_seed, cfg.num_samples);
     return test::BoxedFoldWorlds(
         schema, program.outer_names, cfg.num_samples, seeds, cfg,
         [&](std::size_t world) -> Result<pdb::Table> {
@@ -713,6 +712,16 @@ INTO results;
 
   BoundScript interpreted = bound.value();
   UseInterpretedExpressions(interpreted);
+
+  // Each path's batch hooks, which the chain runners call, match its
+  // per-instance hooks.
+  for (const BoundScript* path : {&bound.value(), &interpreted}) {
+    SCOPED_TRACE(testing::Message()
+                 << "compiled=" << path->program->compiled());
+    test::ExpectChainHooksMatchInstanceHooks(ScenarioChainProcess(
+        path->program, *path->chain, path->scenario.params.ValuationAt(0),
+        /*output_column=*/1));
+  }
 
   for (bool use_jump : {false, true}) {
     RunConfig ref_cfg;
@@ -1380,15 +1389,13 @@ MONTECARLO FROM users(20, 0.8, 5.0, 2.0) AS u JOIN items(30) AS i
     return jigsaw::StrFormat(kJoinScript, suffix.c_str());
   }
 
-  Result<ScriptOutcome> RunJoin(const std::string& text,
-                                JoinAlgorithm algorithm, std::size_t threads,
+  Result<ScriptOutcome> RunJoin(const std::string& text, std::size_t threads,
                                 std::size_t batch,
                                 std::size_t samples = 12) {
     RunConfig cfg;
     cfg.num_samples = samples;
     cfg.num_threads = threads;
     cfg.batch_size = batch;
-    cfg.join_algorithm = algorithm;
     ScriptRunner runner(&registry_, cfg);
     return runner.Run(text);
   }
@@ -1405,7 +1412,7 @@ MONTECARLO FROM users(20, 0.8, 5.0, 2.0) AS u JOIN items(30) AS i
       if (col.type != pdb::ValueType::kString) columns.push_back(col.name);
     }
     const RunConfig cfg;
-    const SeedVector seeds(cfg.master_seed, 12, cfg.seed_schema);
+    const SeedVector seeds(cfg.master_seed, 12);
     return test::BoxedFoldJoinedVGColumns(*join.left, *join.right, join.keys,
                                           columns, 12, seeds, cfg);
   }
@@ -1440,7 +1447,7 @@ MONTECARLO FROM users(20, 0.8, 5.0, 2.0) AS u JOIN items(30) AS i
 };
 
 TEST_F(JoinSqlTest, SummarizesEveryNumericJoinedColumn) {
-  auto outcome = RunJoin(Script(""), JoinAlgorithm::kSortMerge, 1, 64);
+  auto outcome = RunJoin(Script(""), 1, 64);
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
   const auto& mc = *outcome.value().montecarlo;
   EXPECT_EQ(mc.join, "users AS u JOIN items AS i ON u.user_id = i.item_id");
@@ -1458,25 +1465,20 @@ TEST_F(JoinSqlTest, SummarizesEveryNumericJoinedColumn) {
             std::string::npos);
 }
 
-TEST_F(JoinSqlTest, EnginesAndAlgorithmsBitIdenticalToBoxedAcrossGrid) {
+TEST_F(JoinSqlTest, EnginesBitIdenticalToBoxedAcrossGrid) {
   // Reference: the serial boxed nested-loop fold of the bound join.
   auto reference = BoxedReference(Script(""));
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
   ASSERT_EQ(reference.value().size(), 7u);
   test::ForEachGridPoint([&](std::size_t threads, std::size_t batch) {
     for (const char* engine : {"", " USING DIRECT", " USING LAYERED"}) {
-      for (JoinAlgorithm algorithm :
-           {JoinAlgorithm::kSortMerge, JoinAlgorithm::kHash}) {
-        SCOPED_TRACE(::testing::Message()
-                     << "engine=" << (engine[0] ? engine : " default")
-                     << (algorithm == JoinAlgorithm::kHash ? " hash"
-                                                           : " sort-merge"));
-        auto got = RunJoin(Script(engine), algorithm, threads, batch);
-        ASSERT_TRUE(got.ok()) << got.status().ToString();
-        EXPECT_EQ(got.value().montecarlo->layered,
-                  std::string(engine) == " USING LAYERED");
-        ExpectSameMetrics(reference.value(), got.value().montecarlo->columns);
-      }
+      SCOPED_TRACE(::testing::Message()
+                   << "engine=" << (engine[0] ? engine : " default"));
+      auto got = RunJoin(Script(engine), threads, batch);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_EQ(got.value().montecarlo->layered,
+                std::string(engine) == " USING LAYERED");
+      ExpectSameMetrics(reference.value(), got.value().montecarlo->columns);
     }
   });
 }
@@ -1489,8 +1491,8 @@ TEST_F(JoinSqlTest, SweepPointsBitIdenticalToStandalone) {
       Script(" OVER @w IN (1, 3, 5)");
   const std::string standalone_script =
       "DECLARE PARAMETER @w AS RANGE 0 TO 5 STEP BY 1;" + Script("");
-  auto standalone = RunJoin(standalone_script, JoinAlgorithm::kHash, 2, 7);
-  auto sweep = RunJoin(sweep_script, JoinAlgorithm::kHash, 2, 7);
+  auto standalone = RunJoin(standalone_script, 2, 7);
+  auto sweep = RunJoin(sweep_script, 2, 7);
   ASSERT_TRUE(standalone.ok()) << standalone.status().ToString();
   ASSERT_TRUE(sweep.ok()) << sweep.status().ToString();
   const auto& mc = *sweep.value().montecarlo;
@@ -1505,8 +1507,7 @@ TEST_F(JoinSqlTest, SweepPointsBitIdenticalToStandalone) {
 TEST_F(JoinSqlTest, FewerWorldsThanFingerprintSize) {
   // A MONTECARLO statement never samples fingerprints, so 8 worlds under
   // the default m = 10 run; OPTIMIZE does, and returns a typed error.
-  auto join = RunJoin(Script(""), JoinAlgorithm::kSortMerge, 2, 64,
-                      /*samples=*/8);
+  auto join = RunJoin(Script(""), 2, 64, /*samples=*/8);
   ASSERT_TRUE(join.ok()) << join.status().ToString();
   EXPECT_EQ(join.value().montecarlo->worlds, 8u);
   EXPECT_GT(join.value().montecarlo->columns.at("requirement").count, 0);

@@ -60,10 +60,10 @@ SALT_DECL = re.compile(
 BANNED = [
     # (rule-id, regex, message)
     ("rand", re.compile(r"\b(?:s)?rand\s*\("),
-     "rand()/srand() is nondeterministic across libcs; use RandomStream/"
-     "CounterStream seeded from the seed schema"),
+     "rand()/srand() is nondeterministic across libcs; draw from a "
+     "RandomStream (SeedVector::StreamFor)"),
     ("random-device", re.compile(r"std::random_device"),
-     "std::random_device draws entropy outside the seed schema"),
+     "std::random_device draws entropy outside the seed vector"),
     ("time", re.compile(r"\btime\s*\(\s*(?:nullptr|NULL|0)\s*\)"),
      "wall-clock time can never feed a deterministic result"),
     ("clock-now", re.compile(
