@@ -1,6 +1,8 @@
 #include "core/parameter_space.h"
 
 #include <cmath>
+#include <cstdint>
+#include <string>
 
 #include "util/logging.h"
 #include "util/string_util.h"
@@ -80,6 +82,15 @@ Status ParameterSpace::Add(ParameterDef def) {
       return Status::InvalidArgument("parameter '@" + def.name +
                                      "' has empty SET");
     }
+  }
+  // NumPoints() multiplies the cardinalities in size_t: a grid that
+  // overflows it would wrap (to 0 for three 2^26-value ranges).
+  const std::size_t card = def.cardinality();
+  if (card != 0 && NumPoints() > SIZE_MAX / card) {
+    return Status::InvalidArgument(
+        "parameter '@" + def.name + "' makes the parameter grid overflow: " +
+        std::to_string(NumPoints()) + " x " + std::to_string(card) +
+        " points");
   }
   defs_.push_back(std::move(def));
   return Status::OK();

@@ -8,13 +8,13 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 
 #include "core/fingerprint_index.h"
 #include "random/seed_vector.h"
+#include "util/thread_pool.h"
 
 namespace jigsaw {
-
-class ThreadPool;
 
 /// The world-partitioned columnar equi-join's kernel (pdb/join.h), the
 /// only one. The enum remains because RunConfig::join_algorithm and
@@ -78,5 +78,16 @@ struct RunConfig {
   static constexpr SeedSchema seed_schema = SeedSchema::kV1;
   static constexpr JoinAlgorithm join_algorithm = JoinAlgorithm::kSortMerge;
 };
+
+/// The pool a component handed `config` fans its work out on: none when
+/// num_threads <= 1; otherwise `shared_pool` when set, else a private
+/// ThreadPool(num_threads) that `*owned` keeps alive.
+inline ThreadPool* ResolvePool(const RunConfig& config,
+                               std::unique_ptr<ThreadPool>* owned) {
+  if (config.num_threads <= 1) return nullptr;
+  if (config.shared_pool != nullptr) return config.shared_pool;
+  *owned = std::make_unique<ThreadPool>(config.num_threads);
+  return owned->get();
+}
 
 }  // namespace jigsaw

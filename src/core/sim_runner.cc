@@ -21,14 +21,7 @@ SimulationRunner::SimulationRunner(const RunConfig& config,
   const Status valid = ValidateConfig(config_);
   JIGSAW_CHECK_MSG(valid.ok(), valid.message());
   if (config_.batch_size == 0) config_.batch_size = 1;
-  if (config_.num_threads > 1) {
-    if (config_.shared_pool != nullptr) {
-      pool_ = config_.shared_pool;
-    } else {
-      owned_pool_ = std::make_unique<ThreadPool>(config_.num_threads);
-      pool_ = owned_pool_.get();
-    }
-  }
+  pool_ = ResolvePool(config_, &owned_pool_);
 }
 
 Status SimulationRunner::ValidateConfig(const RunConfig& config) {

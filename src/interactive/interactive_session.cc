@@ -49,14 +49,7 @@ InteractiveSession::InteractiveSession(SimFunctionPtr fn,
       seeds_(config.run.master_seed, config.max_samples),
       heuristic_rng_(config.run.master_seed ^ 0x1A7EAC717E5A17ULL),
       finder_(LinearMappingFinder::Make()) {
-  if (config_.run.num_threads > 1) {
-    if (config_.run.shared_pool != nullptr) {
-      pool_ = config_.run.shared_pool;
-    } else {
-      owned_pool_ = std::make_unique<ThreadPool>(config_.run.num_threads);
-      pool_ = owned_pool_.get();
-    }
-  }
+  pool_ = ResolvePool(config_.run, &owned_pool_);
 }
 
 InteractiveSession::~InteractiveSession() = default;

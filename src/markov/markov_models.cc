@@ -38,40 +38,6 @@ double MarkovStepProcess::Output(double release, std::int64_t step,
   return Demand(static_cast<double>(step), release, rng);
 }
 
-void MarkovStepProcess::StepBatch(std::span<const double> prev_states,
-                                  std::int64_t step, std::size_t k_begin,
-                                  const SeedVector& seeds,
-                                  std::span<double> out) const {
-  const std::uint64_t salt = MarkovStepSalt(step);
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    RandomStream rng = seeds.StreamFor(k_begin + i, salt);
-    out[i] = Step(prev_states[i], step, rng);
-  }
-}
-
-void MarkovStepProcess::EstimateBatch(std::span<const double> anchor_states,
-                                      std::int64_t anchor_step,
-                                      std::int64_t step, std::size_t k_begin,
-                                      const SeedVector& seeds,
-                                      std::span<double> out) const {
-  const std::uint64_t salt = MarkovStepSalt(step);
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    RandomStream rng = seeds.StreamFor(k_begin + i, salt);
-    out[i] = Estimate(anchor_states[i], anchor_step, step, rng);
-  }
-}
-
-void MarkovStepProcess::OutputBatch(std::span<const double> states,
-                                    std::int64_t step, std::size_t k_begin,
-                                    const SeedVector& seeds,
-                                    std::span<double> out) const {
-  const std::uint64_t salt = MarkovOutputSalt(step);
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    RandomStream rng = seeds.StreamFor(k_begin + i, salt);
-    out[i] = Output(states[i], step, rng);
-  }
-}
-
 double MarkovBranchProcess::Step(double prev_state, std::int64_t /*step*/,
                                  RandomStream& rng) const {
   if (rng.Bernoulli(cfg_.branching)) {
@@ -85,17 +51,6 @@ double MarkovBranchProcess::Estimate(double anchor_state,
                                      std::int64_t /*step*/,
                                      RandomStream& /*rng*/) const {
   return anchor_state;
-}
-
-void MarkovBranchProcess::StepBatch(std::span<const double> prev_states,
-                                    std::int64_t step, std::size_t k_begin,
-                                    const SeedVector& seeds,
-                                    std::span<double> out) const {
-  const std::uint64_t salt = MarkovStepSalt(step);
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    RandomStream rng = seeds.StreamFor(k_begin + i, salt);
-    out[i] = Step(prev_states[i], step, rng);
-  }
 }
 
 void MarkovBranchProcess::EstimateBatch(std::span<const double> anchor_states,

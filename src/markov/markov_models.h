@@ -57,19 +57,6 @@ class MarkovStepProcess : public MarkovProcess {
   /// week as the feature date).
   double Demand(double week, double release, RandomStream& rng) const;
 
-  /// Native batch kernels: hoist the per-step stream salt (one hash per
-  /// batch instead of one per instance) around the scalar transition.
-  void StepBatch(std::span<const double> prev_states, std::int64_t step,
-                 std::size_t k_begin, const SeedVector& seeds,
-                 std::span<double> out) const override;
-  void EstimateBatch(std::span<const double> anchor_states,
-                     std::int64_t anchor_step, std::int64_t step,
-                     std::size_t k_begin, const SeedVector& seeds,
-                     std::span<double> out) const override;
-  void OutputBatch(std::span<const double> states, std::int64_t step,
-                   std::size_t k_begin, const SeedVector& seeds,
-                   std::span<double> out) const override;
-
  private:
   MarkovStepConfig cfg_;
 };
@@ -99,13 +86,9 @@ class MarkovBranchProcess : public MarkovProcess {
   double Estimate(double anchor_state, std::int64_t anchor_step,
                   std::int64_t step, RandomStream& rng) const override;
 
-  /// Native batch kernels. StepBatch hoists the salt; EstimateBatch is a
-  /// straight copy (the estimator draws nothing, so no streams are built
-  /// at all — the scalar path constructs one per instance just to ignore
-  /// it).
-  void StepBatch(std::span<const double> prev_states, std::int64_t step,
-                 std::size_t k_begin, const SeedVector& seeds,
-                 std::span<double> out) const override;
+  /// A straight copy: the estimator draws nothing, so no streams are
+  /// built at all (the default loop constructs one per instance just to
+  /// ignore it).
   void EstimateBatch(std::span<const double> anchor_states,
                      std::int64_t anchor_step, std::int64_t step,
                      std::size_t k_begin, const SeedVector& seeds,

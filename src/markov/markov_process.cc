@@ -22,31 +22,8 @@ double MarkovProcess::Step(double /*prev_state*/, std::int64_t /*step*/,
                            RandomStream& /*rng*/) const {
   JIGSAW_CHECK_MSG(false, "MarkovProcess '"
                               << name()
-                              << "' overrides neither Step nor "
-                                 "StepForInstance");
+                              << "' overrides neither Step nor StepBatch");
   return 0.0;
-}
-
-double MarkovProcess::StepForInstance(double prev_state, std::int64_t step,
-                                      std::size_t k,
-                                      const SeedVector& seeds) const {
-  RandomStream rng = seeds.StreamFor(k, MarkovStepSalt(step));
-  return Step(prev_state, step, rng);
-}
-
-double MarkovProcess::EstimateForInstance(double anchor_state,
-                                          std::int64_t anchor_step,
-                                          std::int64_t step, std::size_t k,
-                                          const SeedVector& seeds) const {
-  RandomStream rng = seeds.StreamFor(k, MarkovStepSalt(step));
-  return Estimate(anchor_state, anchor_step, step, rng);
-}
-
-double MarkovProcess::OutputForInstance(double state, std::int64_t step,
-                                        std::size_t k,
-                                        const SeedVector& seeds) const {
-  RandomStream rng = seeds.StreamFor(k, MarkovOutputSalt(step));
-  return Output(state, step, rng);
 }
 
 void MarkovProcess::StepBatch(std::span<const double> prev_states,
@@ -54,8 +31,10 @@ void MarkovProcess::StepBatch(std::span<const double> prev_states,
                               const SeedVector& seeds,
                               std::span<double> out) const {
   JIGSAW_DCHECK(prev_states.size() == out.size());
+  const std::uint64_t salt = MarkovStepSalt(step);
   for (std::size_t i = 0; i < out.size(); ++i) {
-    out[i] = StepForInstance(prev_states[i], step, k_begin + i, seeds);
+    RandomStream rng = seeds.StreamFor(k_begin + i, salt);
+    out[i] = Step(prev_states[i], step, rng);
   }
 }
 
@@ -64,9 +43,10 @@ void MarkovProcess::EstimateBatch(std::span<const double> anchor_states,
                                   std::size_t k_begin, const SeedVector& seeds,
                                   std::span<double> out) const {
   JIGSAW_DCHECK(anchor_states.size() == out.size());
+  const std::uint64_t salt = MarkovStepSalt(step);
   for (std::size_t i = 0; i < out.size(); ++i) {
-    out[i] = EstimateForInstance(anchor_states[i], anchor_step, step,
-                                 k_begin + i, seeds);
+    RandomStream rng = seeds.StreamFor(k_begin + i, salt);
+    out[i] = Estimate(anchor_states[i], anchor_step, step, rng);
   }
 }
 
@@ -75,8 +55,10 @@ void MarkovProcess::OutputBatch(std::span<const double> states,
                                 const SeedVector& seeds,
                                 std::span<double> out) const {
   JIGSAW_DCHECK(states.size() == out.size());
+  const std::uint64_t salt = MarkovOutputSalt(step);
   for (std::size_t i = 0; i < out.size(); ++i) {
-    out[i] = OutputForInstance(states[i], step, k_begin + i, seeds);
+    RandomStream rng = seeds.StreamFor(k_begin + i, salt);
+    out[i] = Output(states[i], step, rng);
   }
 }
 

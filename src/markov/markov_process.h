@@ -16,11 +16,11 @@
 /// and linearly mappable wherever the state drifted uniformly — which is
 /// exactly what the Markov-jump fingerprint test detects.
 ///
-/// Processes that need richer control over randomness (e.g. SQL-bound
-/// chain scenarios whose expressions derive one stream per black-box call
-/// site) override the *ForInstance hooks instead; the default hooks
-/// derive one stream per (instance, step) and delegate to the scalar
-/// virtuals.
+/// The chain runners call only the batch hooks. Their defaults derive one
+/// stream per (instance, step) and call the scalar virtuals; processes
+/// that derive their draws otherwise (e.g. SQL-bound chain scenarios,
+/// whose expressions take one stream per black-box call site) override
+/// the batch hooks instead.
 
 #include <cstdint>
 #include <memory>
@@ -51,7 +51,7 @@ class MarkovProcess {
   /// One transition of one instance. `step` is the absolute index of the
   /// state being produced (1-based: the first transition produces step 1).
   /// All randomness must come from `rng`. Subclasses must override either
-  /// this or StepForInstance (the default of which delegates here).
+  /// this or every batch hook (the defaults of which call it).
   virtual double Step(double prev_state, std::int64_t step,
                       RandomStream& rng) const;
 
@@ -77,32 +77,15 @@ class MarkovProcess {
     return state;
   }
 
-  // -- instance-level hooks (used by the chain runners) --------------------
-
-  /// Advances instance `k` one step under the global seed vector.
-  virtual double StepForInstance(double prev_state, std::int64_t step,
-                                 std::size_t k,
-                                 const SeedVector& seeds) const;
-
-  /// Estimator evaluation for instance `k` (same stream as the honest
-  /// step at `step`, per the seeded-comparison requirement).
-  virtual double EstimateForInstance(double anchor_state,
-                                     std::int64_t anchor_step,
-                                     std::int64_t step, std::size_t k,
-                                     const SeedVector& seeds) const;
-
-  /// Observable extraction for instance `k` at `step`.
-  virtual double OutputForInstance(double state, std::int64_t step,
-                                   std::size_t k,
-                                   const SeedVector& seeds) const;
-
-  // -- batch hooks (the chain runners' hot path) ---------------------------
+  // -- batch hooks (the chain runners' only entry points) ------------------
   //
-  // Entry i of each batch must equal the corresponding *ForInstance call
-  // for instance k_begin + i, bit-for-bit. Defaults loop over the scalar
-  // hooks; concrete processes override to hoist per-step work (salts,
-  // config loads) out of the instance loop. `out` may alias the input
-  // span: kernels read entry i before writing it.
+  // Entry i of each batch is instance k_begin + i. The defaults draw it
+  // from seeds.StreamFor(k_begin + i, MarkovStepSalt(step)) —
+  // MarkovOutputSalt(step) for OutputBatch — with the salt computed once
+  // per batch, and call the scalar Step, Estimate or Output; the
+  // estimator shares the honest step's stream (the seeded-comparison
+  // requirement). `out` may alias the input span: kernels read entry i
+  // before writing it.
 
   /// Advances instances [k_begin, k_begin + out.size()) one step.
   virtual void StepBatch(std::span<const double> prev_states,

@@ -42,8 +42,8 @@ class BlackBox {
   /// Sample i must equal InvokeSeeded(*this, params, seeds[i], call_site)
   /// bit-for-bit — batching may hoist parameter-dependent work out of the
   /// per-sample loop but never changes any draw. The default loops over
-  /// Eval, so scalar-only models work unchanged; hot models override this
-  /// with a native kernel (see cloud_models.cc).
+  /// Eval, so scalar-only models work unchanged; the cloud models derive
+  /// both from one Prepare/Draw pair (see cloud_models.cc).
   virtual void EvalBatch(std::span<const double> params, SeedSpan seeds,
                          std::uint64_t call_site,
                          std::span<double> out) const;

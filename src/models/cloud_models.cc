@@ -1,7 +1,9 @@
 #include "models/cloud_models.h"
 
-#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "random/philox.h"
@@ -11,29 +13,67 @@ namespace jigsaw {
 
 namespace {
 
-// Every native batch kernel below draws sample i from
-// StreamForSigma(seeds[i], call_site), the stream the scalar Eval path
-// gets, so it reproduces Eval bit-for-bit; only the parameter-dependent
-// arithmetic around the draws is hoisted out of the sample loop.
+/// Implements BlackBox from a model's two members: `Prepare(params)` does
+/// the work that depends only on the parameter point and returns it, and
+/// `Draw(point, rng)` makes one sample's draws. `Eval` is
+/// Draw(Prepare(params), rng); `EvalBatch` prepares once and draws sample
+/// i from StreamForSigma(seeds[i], call_site), the stream InvokeSeeded
+/// hands `Eval`, so the two paths agree bit for bit.
+template <typename Model>
+class PreparedModel final : public BlackBox {
+ public:
+  PreparedModel(std::string name, std::vector<std::string> param_names,
+                Model model)
+      : name_(std::move(name)),
+        param_names_(std::move(param_names)),
+        model_(std::move(model)) {}
+
+  const std::string& name() const override { return name_; }
+  const std::vector<std::string>& param_names() const override {
+    return param_names_;
+  }
+
+  double Eval(std::span<const double> p, RandomStream& rng) const override {
+    JIGSAW_DCHECK(p.size() == param_names_.size());
+    return model_.Draw(model_.Prepare(p), rng);
+  }
+
+  void EvalBatch(std::span<const double> p, SeedSpan seeds,
+                 std::uint64_t call_site, std::span<double> out) const override {
+    JIGSAW_DCHECK(p.size() == param_names_.size());
+    JIGSAW_DCHECK(seeds.size() == out.size());
+    const auto point = model_.Prepare(p);
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      RandomStream rng = StreamForSigma(seeds[i], call_site);
+      out[i] = model_.Draw(point, rng);
+    }
+  }
+
+ private:
+  std::string name_;
+  std::vector<std::string> param_names_;
+  Model model_;
+};
+
+template <typename Model>
+BlackBoxPtr MakePrepared(std::string name,
+                         std::vector<std::string> param_names, Model model) {
+  return std::make_shared<PreparedModel<Model>>(
+      std::move(name), std::move(param_names), std::move(model));
+}
 
 /// Demand(current_week, feature_release): Algorithm 1 of the paper.
 ///
 ///   demand  = Normal(mu = 1 * w,             sigma^2 = 0.1 * w)
 ///   if w > feature:
 ///     demand += Normal(mu = 0.2 * (w - f),   sigma^2 = 0.2 * (w - f))
-class DemandModel : public BlackBox {
- public:
-  explicit DemandModel(const CloudModelConfig& cfg)
-      : cfg_(cfg), name_("DemandModel"),
-        params_{"current_week", "feature_release"} {}
+struct Demand {
+  struct Point {
+    double mean;
+    double sd;
+  };
 
-  const std::string& name() const override { return name_; }
-  const std::vector<std::string>& param_names() const override {
-    return params_;
-  }
-
-  double Eval(std::span<const double> p, RandomStream& rng) const override {
-    JIGSAW_DCHECK(p.size() == 2);
+  Point Prepare(std::span<const double> p) const {
     const double week = p[0];
     const double feature = p[1];
     // The sum of the two independent normals of Algorithm 1 is sampled as
@@ -42,42 +82,21 @@ class DemandModel : public BlackBox {
     // mappable onto every other — the paper reports "only one basis
     // distribution for its entire ~5000 point parameter space", which
     // requires this draw structure. See DESIGN.md.
-    double mean = cfg_.demand_mean_rate * week;
-    double var = cfg_.demand_var_rate * week;
+    double mean = cfg.demand_mean_rate * week;
+    double var = cfg.demand_var_rate * week;
     if (week > feature) {
       const double dt = week - feature;
-      mean += cfg_.feature_mean_rate * dt;
-      var += cfg_.feature_var_rate * dt;
+      mean += cfg.feature_mean_rate * dt;
+      var += cfg.feature_var_rate * dt;
     }
-    return rng.Normal(mean, std::sqrt(var));
+    return {mean, std::sqrt(var)};
   }
 
-  /// Native kernel: mean/stddev and the feature branch are functions of
-  /// the parameter point only, so the sample loop reduces to one seeded
-  /// gaussian draw per seed.
-  void EvalBatch(std::span<const double> p, SeedSpan seeds,
-                 std::uint64_t call_site, std::span<double> out) const override {
-    JIGSAW_DCHECK(p.size() == 2);
-    const double week = p[0];
-    const double feature = p[1];
-    double mean = cfg_.demand_mean_rate * week;
-    double var = cfg_.demand_var_rate * week;
-    if (week > feature) {
-      const double dt = week - feature;
-      mean += cfg_.feature_mean_rate * dt;
-      var += cfg_.feature_var_rate * dt;
-    }
-    const double sd = std::sqrt(var);
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      RandomStream rng = StreamForSigma(seeds[i], call_site);
-      out[i] = rng.Normal(mean, sd);
-    }
+  double Draw(const Point& point, RandomStream& rng) const {
+    return rng.Normal(point.mean, point.sd);
   }
 
- private:
-  CloudModelConfig cfg_;
-  std::string name_;
-  std::vector<std::string> params_;
+  CloudModelConfig cfg;
 };
 
 /// Capacity(current_week, purchase1, purchase2): Figure 6 — "simulates a
@@ -89,53 +108,26 @@ class DemandModel : public BlackBox {
 /// depends only on the per-purchase deltas (w - p_i), which is what lets
 /// many parameter points share a basis distribution ("four weeks after one
 /// purchase" looks identical no matter when the purchase happened).
-class CapacityModel : public BlackBox {
- public:
-  explicit CapacityModel(const CloudModelConfig& cfg)
-      : cfg_(cfg), name_("CapacityModel"),
-        params_{"current_week", "purchase1", "purchase2"} {}
+struct Capacity {
+  struct Point {
+    double deltas[2];  ///< weeks since each purchase (negative: not yet)
+    double settle_rate;
+  };
 
-  const std::string& name() const override { return name_; }
-  const std::vector<std::string>& param_names() const override {
-    return params_;
+  Point Prepare(std::span<const double> p) const {
+    return {{p[0] - p[1], p[0] - p[2]}, 1.0 / cfg.settle_weeks};
   }
 
-  double Eval(std::span<const double> p, RandomStream& rng) const override {
-    JIGSAW_DCHECK(p.size() == 3);
-    const double week = p[0];
-    double capacity = cfg_.base_capacity;
-    for (std::size_t i = 1; i <= 2; ++i) {
-      const double delay = rng.Exponential(1.0 / cfg_.settle_weeks);
-      const double delta = week - p[i];
-      if (delta >= 0.0 && delay <= delta) capacity += cfg_.purchase_volume;
+  double Draw(const Point& point, RandomStream& rng) const {
+    double capacity = cfg.base_capacity;
+    for (const double delta : point.deltas) {
+      const double delay = rng.Exponential(point.settle_rate);
+      if (delta >= 0.0 && delay <= delta) capacity += cfg.purchase_volume;
     }
     return capacity;
   }
 
-  /// Native kernel: the purchase deltas depend only on the parameter
-  /// point; each sample draws the two settle delays and compares.
-  void EvalBatch(std::span<const double> p, SeedSpan seeds,
-                 std::uint64_t call_site, std::span<double> out) const override {
-    JIGSAW_DCHECK(p.size() == 3);
-    const double week = p[0];
-    const double delta1 = week - p[1];
-    const double delta2 = week - p[2];
-    const double lambda = 1.0 / cfg_.settle_weeks;
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      RandomStream rng = StreamForSigma(seeds[i], call_site);
-      double capacity = cfg_.base_capacity;
-      const double d1 = rng.Exponential(lambda);
-      if (delta1 >= 0.0 && d1 <= delta1) capacity += cfg_.purchase_volume;
-      const double d2 = rng.Exponential(lambda);
-      if (delta2 >= 0.0 && d2 <= delta2) capacity += cfg_.purchase_volume;
-      out[i] = capacity;
-    }
-  }
-
- private:
-  CloudModelConfig cfg_;
-  std::string name_;
-  std::vector<std::string> params_;
+  CloudModelConfig cfg;
 };
 
 /// Overload(current_week, purchase1, purchase2): Figure 6 — synthesized
@@ -144,58 +136,27 @@ class CapacityModel : public BlackBox {
 /// capacity. The boolean output discards the magnitudes, which is exactly
 /// why fingerprint remapping helps Overload far less than its parents
 /// (discussed with Figure 8 in the paper).
-class OverloadModel : public BlackBox {
- public:
-  explicit OverloadModel(const CloudModelConfig& cfg)
-      : cfg_(cfg), name_("OverloadModel"),
-        params_{"current_week", "purchase1", "purchase2"} {}
+struct Overload {
+  struct Point {
+    Demand::Point demand;
+    Capacity::Point capacity;
+  };
 
-  const std::string& name() const override { return name_; }
-  const std::vector<std::string>& param_names() const override {
-    return params_;
+  Point Prepare(std::span<const double> p) const {
+    // Demand under a feature release that never comes.
+    const double no_release[] = {p[0],
+                                 std::numeric_limits<double>::infinity()};
+    return {demand.Prepare(no_release), capacity.Prepare(p)};
   }
 
-  double Eval(std::span<const double> p, RandomStream& rng) const override {
-    JIGSAW_DCHECK(p.size() == 3);
-    const double week = p[0];
-    const double demand = rng.Normal(
-        cfg_.demand_mean_rate * week, std::sqrt(cfg_.demand_var_rate * week));
-    double capacity = cfg_.base_capacity;
-    for (std::size_t i = 1; i <= 2; ++i) {
-      const double delay = rng.Exponential(1.0 / cfg_.settle_weeks);
-      const double delta = week - p[i];
-      if (delta >= 0.0 && delay <= delta) capacity += cfg_.purchase_volume;
-    }
-    return capacity < demand ? 1.0 : 0.0;
+  double Draw(const Point& point, RandomStream& rng) const {
+    // Demand draws first: the draw order is part of the model's output.
+    const double load = demand.Draw(point.demand, rng);
+    return capacity.Draw(point.capacity, rng) < load ? 1.0 : 0.0;
   }
 
-  /// Native kernel: demand mean/stddev and purchase deltas hoisted; each
-  /// sample is one gaussian plus two exponential draws and a compare.
-  void EvalBatch(std::span<const double> p, SeedSpan seeds,
-                 std::uint64_t call_site, std::span<double> out) const override {
-    JIGSAW_DCHECK(p.size() == 3);
-    const double week = p[0];
-    const double mean = cfg_.demand_mean_rate * week;
-    const double sd = std::sqrt(cfg_.demand_var_rate * week);
-    const double delta1 = week - p[1];
-    const double delta2 = week - p[2];
-    const double lambda = 1.0 / cfg_.settle_weeks;
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      RandomStream rng = StreamForSigma(seeds[i], call_site);
-      const double demand = rng.Normal(mean, sd);
-      double capacity = cfg_.base_capacity;
-      const double d1 = rng.Exponential(lambda);
-      if (delta1 >= 0.0 && d1 <= delta1) capacity += cfg_.purchase_volume;
-      const double d2 = rng.Exponential(lambda);
-      if (delta2 >= 0.0 && d2 <= delta2) capacity += cfg_.purchase_volume;
-      out[i] = capacity < demand ? 1.0 : 0.0;
-    }
-  }
-
- private:
-  CloudModelConfig cfg_;
-  std::string name_;
-  std::vector<std::string> params_;
+  Demand demand;
+  Capacity capacity;
 };
 
 /// UserSelection(current_week): Figure 6 — "simulates the per-user
@@ -205,71 +166,36 @@ class OverloadModel : public BlackBox {
 /// same population. Each sample then draws one requirement multiplier per
 /// active user, the peak of user_sim_depth lognormal draws; cost is
 /// O(num_users), making this the data-bound workload of Figure 7.
-class UserSelectionModel : public BlackBox {
- public:
-  explicit UserSelectionModel(const CloudModelConfig& cfg)
-      : cfg_(cfg), name_("UserSelectionModel"), params_{"current_week"} {}
-
-  const std::string& name() const override { return name_; }
-  const std::vector<std::string>& param_names() const override {
-    return params_;
+struct UserSelection {
+  /// The active users' base demands in id order: the roster is a pure
+  /// function of the week, so a batch derives it once, not per sample.
+  std::vector<double> Prepare(std::span<const double> p) const {
+    const double week = p[0];
+    std::vector<double> active_bases;
+    active_bases.reserve(static_cast<std::size_t>(cfg.num_users));
+    for (int u = 0; u < cfg.num_users; ++u) {
+      double signup = 0.0, base = 0.0;
+      DeriveUserProfile(u, cfg.user_arrival_rate, cfg.user_base_demand,
+                        &signup, &base);
+      if (signup <= week) active_bases.push_back(base);
+    }
+    return active_bases;
   }
 
-  double Eval(std::span<const double> p, RandomStream& rng) const override {
-    JIGSAW_DCHECK(p.size() == 1);
-    const double week = p[0];
+  double Draw(const std::vector<double>& active_bases,
+              RandomStream& rng) const {
+    // The sample's draws run user by user in roster order; one kernel
+    // call takes the whole roster's peaks.
+    std::vector<double> peaks(active_bases.size());
+    rng.MaxLogNormal(cfg.user_demand_spread, cfg.user_sim_depth, peaks);
     double total = 0.0;
-    for (int u = 0; u < cfg_.num_users; ++u) {
-      double signup = 0.0, base = 0.0;
-      DeriveUserProfile(u, cfg_.user_arrival_rate, cfg_.user_base_demand,
-                        &signup, &base);
-      if (signup > week) continue;
-      double peak = 0.0;
-      rng.MaxLogNormal(cfg_.user_demand_spread, cfg_.user_sim_depth,
-                       {&peak, 1});
-      total += base * peak;
+    for (std::size_t a = 0; a < active_bases.size(); ++a) {
+      total += active_bases[a] * peaks[a];
     }
     return total;
   }
 
-  /// Native kernel: the active-user roster is data (a pure function of
-  /// the parameter point), so it is derived once per batch instead of
-  /// once per sample — the scalar path burns O(num_users) Philox blocks
-  /// per sample just to re-skip inactive users. Draw order is preserved:
-  /// the scalar loop skips a user *before* drawing, so the seeded draws
-  /// happen for active users in id order, exactly as replayed here.
-  void EvalBatch(std::span<const double> p, SeedSpan seeds,
-                 std::uint64_t call_site, std::span<double> out) const override {
-    JIGSAW_DCHECK(p.size() == 1);
-    const double week = p[0];
-    std::vector<double> active_bases;
-    active_bases.reserve(static_cast<std::size_t>(cfg_.num_users));
-    for (int u = 0; u < cfg_.num_users; ++u) {
-      double signup = 0.0, base = 0.0;
-      DeriveUserProfile(u, cfg_.user_arrival_rate, cfg_.user_base_demand,
-                        &signup, &base);
-      if (signup <= week) active_bases.push_back(base);
-    }
-    const double spread = cfg_.user_demand_spread;
-    const int depth = cfg_.user_sim_depth;
-    // One stream per sample, whose draws run user by user in roster
-    // order; the kernel takes the whole roster's peaks in one call.
-    std::vector<double> peaks(active_bases.size());
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      RandomStream rng = StreamForSigma(seeds[i], call_site);
-      rng.MaxLogNormal(spread, depth, peaks);
-      double total = 0.0;
-      for (std::size_t a = 0; a < active_bases.size(); ++a) {
-        total += active_bases[a] * peaks[a];
-      }
-      out[i] = total;
-    }
-  }
-
- private:
-  CloudModelConfig cfg_;
-  std::string name_;
-  std::vector<std::string> params_;
+  CloudModelConfig cfg;
 };
 
 /// SynthBasis(point): Figure 6 — "a synthetic black box based on Demand,
@@ -281,159 +207,104 @@ class UserSelectionModel : public BlackBox {
 /// in the same class relate by an exact linear map; across classes the
 /// mixtures are linearly independent of each other and of the constant
 /// vector, so no affine mapping exists (angles are distinct modulo pi).
-class SynthBasisModel : public BlackBox {
- public:
-  explicit SynthBasisModel(const CloudModelConfig& cfg)
-      : cfg_(cfg), name_("SynthBasisModel"), params_{"point"} {}
+struct SynthBasis {
+  /// The class angle's cosine and sine, and the point's affine map.
+  struct Point {
+    double cos_phi;
+    double sin_phi;
+    double scale;
+    double offset;
+  };
 
-  const std::string& name() const override { return name_; }
-  const std::vector<std::string>& param_names() const override {
-    return params_;
-  }
-
-  double Eval(std::span<const double> p, RandomStream& rng) const override {
-    JIGSAW_DCHECK(p.size() == 1);
+  Point Prepare(std::span<const double> p) const {
     const auto point = static_cast<std::int64_t>(p[0]);
     const int cls = static_cast<int>(
-        point % static_cast<std::int64_t>(cfg_.synth_num_basis));
+        point % static_cast<std::int64_t>(cfg.synth_num_basis));
     const double phi = M_PI * (cls + 0.5) /
-                       (static_cast<double>(cfg_.synth_num_basis) + 1.0);
+                       (static_cast<double>(cfg.synth_num_basis) + 1.0);
+    return {std::cos(phi), std::sin(phi), static_cast<double>(point + 1),
+            static_cast<double>(point)};
+  }
+
+  double Draw(const Point& point, RandomStream& rng) const {
     const double z1 = rng.Gaussian();
     const double z2 = rng.Gaussian();
-    const double z = z1 * std::cos(phi) + z2 * std::sin(phi);
-    return static_cast<double>(point + 1) * z + static_cast<double>(point);
+    return point.scale * (z1 * point.cos_phi + z2 * point.sin_phi) +
+           point.offset;
   }
 
-  /// Native kernel: class angle (and its cos/sin) plus the affine scale
-  /// are per-point; the loop is two gaussians and a fused mix per seed.
-  void EvalBatch(std::span<const double> p, SeedSpan seeds,
-                 std::uint64_t call_site, std::span<double> out) const override {
-    JIGSAW_DCHECK(p.size() == 1);
-    const auto point = static_cast<std::int64_t>(p[0]);
-    const int cls = static_cast<int>(
-        point % static_cast<std::int64_t>(cfg_.synth_num_basis));
-    const double phi = M_PI * (cls + 0.5) /
-                       (static_cast<double>(cfg_.synth_num_basis) + 1.0);
-    const double cos_phi = std::cos(phi);
-    const double sin_phi = std::sin(phi);
-    const double scale = static_cast<double>(point + 1);
-    const double offset = static_cast<double>(point);
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      RandomStream rng = StreamForSigma(seeds[i], call_site);
-      const double z1 = rng.Gaussian();
-      const double z2 = rng.Gaussian();
-      out[i] = scale * (z1 * cos_phi + z2 * sin_phi) + offset;
-    }
-  }
-
- private:
-  CloudModelConfig cfg_;
-  std::string name_;
-  std::vector<std::string> params_;
+  CloudModelConfig cfg;
 };
 
 /// SeasonalDemand(current_week): example-only model — long-term growth
 /// modulated by annual seasonality plus week-scaled gaussian noise.
-class SeasonalDemandModel : public BlackBox {
- public:
-  explicit SeasonalDemandModel(const CloudModelConfig& cfg)
-      : cfg_(cfg), name_("SeasonalDemandModel"), params_{"current_week"} {}
+struct SeasonalDemand {
+  struct Point {
+    double level;
+    double sd;
+  };
 
-  const std::string& name() const override { return name_; }
-  const std::vector<std::string>& param_names() const override {
-    return params_;
-  }
-
-  double Eval(std::span<const double> p, RandomStream& rng) const override {
-    JIGSAW_DCHECK(p.size() == 1);
+  Point Prepare(std::span<const double> p) const {
     const double week = p[0];
-    const double trend = cfg_.demand_mean_rate * week;
+    const double trend = cfg.demand_mean_rate * week;
     const double season = 1.0 + 0.25 * std::sin(week * 2.0 * M_PI / 52.0);
-    return trend * season +
-           rng.Normal(0.0, std::sqrt(cfg_.demand_var_rate * (week + 1.0)));
+    return {trend * season,
+            std::sqrt(cfg.demand_var_rate * (week + 1.0))};
   }
 
-  /// Native kernel: trend/seasonality and the noise stddev are per-point.
-  void EvalBatch(std::span<const double> p, SeedSpan seeds,
-                 std::uint64_t call_site, std::span<double> out) const override {
-    JIGSAW_DCHECK(p.size() == 1);
-    const double week = p[0];
-    const double level = cfg_.demand_mean_rate * week *
-                         (1.0 + 0.25 * std::sin(week * 2.0 * M_PI / 52.0));
-    const double sd = std::sqrt(cfg_.demand_var_rate * (week + 1.0));
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      RandomStream rng = StreamForSigma(seeds[i], call_site);
-      out[i] = level + rng.Normal(0.0, sd);
-    }
+  double Draw(const Point& point, RandomStream& rng) const {
+    return point.level + rng.Normal(0.0, point.sd);
   }
 
- private:
-  CloudModelConfig cfg_;
-  std::string name_;
-  std::vector<std::string> params_;
+  CloudModelConfig cfg;
 };
 
 /// Outage(current_week): example-only model — count of concurrently failed
 /// racks, Poisson with slowly increasing rate as the fleet ages.
-class OutageModel : public BlackBox {
- public:
-  explicit OutageModel(const CloudModelConfig& cfg)
-      : cfg_(cfg), name_("OutageModel"), params_{"current_week"} {}
-
-  const std::string& name() const override { return name_; }
-  const std::vector<std::string>& param_names() const override {
-    return params_;
-  }
-
-  double Eval(std::span<const double> p, RandomStream& rng) const override {
-    JIGSAW_DCHECK(p.size() == 1);
+struct Outage {
+  /// The week's Poisson rate.
+  double Prepare(std::span<const double> p) const {
     const double week = p[0];
-    const double rate =
-        cfg_.failure_rate * (cfg_.base_capacity / 100.0) * (1.0 + week / 52.0);
-    return static_cast<double>(rng.Poisson(rate)) * cfg_.failure_cores;
+    return cfg.failure_rate * (cfg.base_capacity / 100.0) *
+           (1.0 + week / 52.0);
   }
 
-  /// Native kernel: the Poisson rate is per-point.
-  void EvalBatch(std::span<const double> p, SeedSpan seeds,
-                 std::uint64_t call_site, std::span<double> out) const override {
-    JIGSAW_DCHECK(p.size() == 1);
-    const double week = p[0];
-    const double rate =
-        cfg_.failure_rate * (cfg_.base_capacity / 100.0) * (1.0 + week / 52.0);
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      RandomStream rng = StreamForSigma(seeds[i], call_site);
-      out[i] = static_cast<double>(rng.Poisson(rate)) * cfg_.failure_cores;
-    }
+  double Draw(double rate, RandomStream& rng) const {
+    return static_cast<double>(rng.Poisson(rate)) * cfg.failure_cores;
   }
 
- private:
-  CloudModelConfig cfg_;
-  std::string name_;
-  std::vector<std::string> params_;
+  CloudModelConfig cfg;
 };
 
 }  // namespace
 
 BlackBoxPtr MakeDemandModel(const CloudModelConfig& cfg) {
-  return std::make_shared<DemandModel>(cfg);
+  return MakePrepared("DemandModel", {"current_week", "feature_release"},
+                      Demand{cfg});
 }
 BlackBoxPtr MakeCapacityModel(const CloudModelConfig& cfg) {
-  return std::make_shared<CapacityModel>(cfg);
+  return MakePrepared("CapacityModel",
+                      {"current_week", "purchase1", "purchase2"},
+                      Capacity{cfg});
 }
 BlackBoxPtr MakeOverloadModel(const CloudModelConfig& cfg) {
-  return std::make_shared<OverloadModel>(cfg);
+  return MakePrepared("OverloadModel",
+                      {"current_week", "purchase1", "purchase2"},
+                      Overload{Demand{cfg}, Capacity{cfg}});
 }
 BlackBoxPtr MakeUserSelectionModel(const CloudModelConfig& cfg) {
-  return std::make_shared<UserSelectionModel>(cfg);
+  return MakePrepared("UserSelectionModel", {"current_week"},
+                      UserSelection{cfg});
 }
 BlackBoxPtr MakeSynthBasisModel(const CloudModelConfig& cfg) {
-  return std::make_shared<SynthBasisModel>(cfg);
+  return MakePrepared("SynthBasisModel", {"point"}, SynthBasis{cfg});
 }
 BlackBoxPtr MakeSeasonalDemandModel(const CloudModelConfig& cfg) {
-  return std::make_shared<SeasonalDemandModel>(cfg);
+  return MakePrepared("SeasonalDemandModel", {"current_week"},
+                      SeasonalDemand{cfg});
 }
 BlackBoxPtr MakeOutageModel(const CloudModelConfig& cfg) {
-  return std::make_shared<OutageModel>(cfg);
+  return MakePrepared("OutageModel", {"current_week"}, Outage{cfg});
 }
 
 void DeriveUserProfile(int user, double arrival_rate, double base_demand,

@@ -66,14 +66,7 @@ class LayeredEngine {
         seeds_(config.master_seed, config.num_samples) {
     if (config_.batch_size == 0) config_.batch_size = 1;
     cache_ = shared_cache != nullptr ? shared_cache : &owned_cache_;
-    if (config_.num_threads > 1) {
-      if (config_.shared_pool != nullptr) {
-        pool_ = config_.shared_pool;
-      } else {
-        owned_pool_ = std::make_unique<ThreadPool>(config_.num_threads);
-        pool_ = owned_pool_.get();
-      }
-    }
+    pool_ = ResolvePool(config_, &owned_pool_);
   }
 
   /// Builds the per-invocation plan for one (parameter valuation, world):

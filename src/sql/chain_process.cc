@@ -18,46 +18,6 @@ ScenarioChainProcess::ScenarioChainProcess(
   JIGSAW_CHECK(output_column_ < program_->outer_exprs.size());
 }
 
-double ScenarioChainProcess::EvalColumn(std::size_t column,
-                                        double chain_value,
-                                        std::int64_t step, std::size_t k,
-                                        const SeedVector& seeds,
-                                        std::uint64_t salt) const {
-  std::vector<double> params = base_valuation_;
-  params[chain_.driver_param_index] = static_cast<double>(step);
-  params[chain_.chain_param_index] = chain_value;
-  auto v = program_->EvalColumn(column, params, k, seeds, salt);
-  JIGSAW_CHECK_MSG(v.ok(), "chain scenario evaluation failed: "
-                               << v.status().ToString());
-  return v.value();
-}
-
-double ScenarioChainProcess::StepForInstance(double prev_state,
-                                             std::int64_t step,
-                                             std::size_t k,
-                                             const SeedVector& seeds) const {
-  return EvalColumn(chain_.source_column_index, prev_state, step, k, seeds,
-                    MarkovStepSalt(step));
-}
-
-double ScenarioChainProcess::EstimateForInstance(
-    double anchor_state, std::int64_t /*anchor_step*/, std::int64_t step,
-    std::size_t k, const SeedVector& seeds) const {
-  // The synthesized estimator: one transition with the chain input frozen
-  // at the anchor value, under the same per-step stream as honest
-  // stepping (Section 4.2).
-  return EvalColumn(chain_.source_column_index, anchor_state, step, k, seeds,
-                    MarkovStepSalt(step));
-}
-
-double ScenarioChainProcess::OutputForInstance(double state,
-                                               std::int64_t step,
-                                               std::size_t k,
-                                               const SeedVector& seeds) const {
-  return EvalColumn(output_column_, state, step, k, seeds,
-                    MarkovOutputSalt(step));
-}
-
 void ScenarioChainProcess::EvalColumnBatch(
     std::size_t column, std::span<const double> chain_states,
     std::int64_t step, std::size_t k_begin, const SeedVector& seeds,
@@ -85,8 +45,9 @@ void ScenarioChainProcess::EstimateBatch(
     std::span<const double> anchor_states, std::int64_t /*anchor_step*/,
     std::int64_t step, std::size_t k_begin, const SeedVector& seeds,
     std::span<double> out) const {
-  // Same per-step stream as honest stepping (Section 4.2), like the
-  // scalar EstimateForInstance.
+  // The synthesized estimator: one transition with the chain input frozen
+  // at the anchor value, under the same per-step stream as honest
+  // stepping (Section 4.2).
   EvalColumnBatch(chain_.source_column_index, anchor_states, step, k_begin,
                   seeds, MarkovStepSalt(step), out);
 }

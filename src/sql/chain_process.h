@@ -27,7 +27,7 @@ class ScenarioChainProcess final : public MarkovProcess {
  public:
   /// `base_valuation` fixes every parameter other than the driver and the
   /// chain parameter (use ParameterSpace::ValuationAt(0) or overrides).
-  /// `output_column` is the observable extracted by OutputForInstance.
+  /// `output_column` is the observable extracted by OutputBatch.
   ScenarioChainProcess(std::shared_ptr<const RowProgram> program,
                        BoundChain chain, std::vector<double> base_valuation,
                        std::size_t output_column);
@@ -35,21 +35,12 @@ class ScenarioChainProcess final : public MarkovProcess {
   const std::string& name() const override { return name_; }
   double initial_state() const override { return chain_.initial; }
 
-  double StepForInstance(double prev_state, std::int64_t step, std::size_t k,
-                         const SeedVector& seeds) const override;
-
-  double EstimateForInstance(double anchor_state, std::int64_t anchor_step,
-                             std::int64_t step, std::size_t k,
-                             const SeedVector& seeds) const override;
-
-  double OutputForInstance(double state, std::int64_t step, std::size_t k,
-                           const SeedVector& seeds) const override;
-
-  // Batch hooks: one RowProgram::EvalColumnSpan call per instance span,
-  // with the chain parameter fed per lane — a compiled BatchProgram run,
-  // or the interpreter's per-lane walk when the row program did not
-  // compile — bit-identical to the scalar *ForInstance hooks (which stay
-  // on the interpreter).
+  // The batch hooks are the chain runners' only entry points: one
+  // RowProgram::EvalColumnSpan call per instance span, with the chain
+  // parameter fed per lane — a compiled BatchProgram run, or the
+  // interpreter's per-lane walk when the row program did not compile —
+  // bit-identical to RowProgram::EvalColumn at each instance. The scalar
+  // Step/Estimate/Output are never reached.
 
   void StepBatch(std::span<const double> prev_states, std::int64_t step,
                  std::size_t k_begin, const SeedVector& seeds,
@@ -65,10 +56,6 @@ class ScenarioChainProcess final : public MarkovProcess {
                    std::span<double> out) const override;
 
  private:
-  double EvalColumn(std::size_t column, double chain_value,
-                    std::int64_t step, std::size_t k,
-                    const SeedVector& seeds, std::uint64_t salt) const;
-
   /// Span evaluation of `column` with per-lane chain states.
   void EvalColumnBatch(std::size_t column,
                        std::span<const double> chain_states,

@@ -266,17 +266,10 @@ Result<ScriptOutcome> ScriptRunner::RunBound(
       for (auto& r : results) per_point.push_back(std::move(r.columns));
     } else {
       const SeedVector seeds(config_.master_seed, config_.num_samples);
-      // A shared pool (session server) takes precedence over a private
-      // one; either way chunk scheduling cannot perturb a draw.
+      // Whichever pool ResolvePool picks (the session server's shared
+      // one or a private one), chunk scheduling cannot perturb a draw.
       std::unique_ptr<ThreadPool> owned_pool;
-      ThreadPool* pool = nullptr;
-      if (config_.num_threads > 1) {
-        pool = config_.shared_pool;
-        if (pool == nullptr) {
-          owned_pool = std::make_unique<ThreadPool>(config_.num_threads);
-          pool = owned_pool.get();
-        }
-      }
+      ThreadPool* const pool = ResolvePool(config_, &owned_pool);
       if (bound.montecarlo->join) {
         // FROM ... JOIN: fold the world-partitioned equi-join of the two
         // bound VG tables instead of the row program. The join consumes

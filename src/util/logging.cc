@@ -6,35 +6,6 @@
 namespace jigsaw {
 namespace internal {
 
-namespace {
-LogLevel g_min_level = LogLevel::kInfo;
-
-const char* LevelName(LogLevel level) {
-  switch (level) {
-    case LogLevel::kDebug:
-      return "DEBUG";
-    case LogLevel::kInfo:
-      return "INFO";
-    case LogLevel::kWarning:
-      return "WARN";
-    case LogLevel::kError:
-      return "ERROR";
-  }
-  return "?";
-}
-}  // namespace
-
-LogLevel MinLogLevel() { return g_min_level; }
-
-void SetMinLogLevel(LogLevel level) { g_min_level = level; }
-
-void LogMessage(LogLevel level, const char* file, int line,
-                const std::string& message) {
-  if (level < g_min_level) return;
-  std::fprintf(stderr, "[%s %s:%d] %s\n", LevelName(level), file, line,
-               message.c_str());
-}
-
 void CheckFailed(const char* file, int line, const char* expr,
                  const std::string& message) {
   std::fprintf(stderr, "[FATAL %s:%d] check failed: %s %s\n", file, line,

@@ -1,9 +1,9 @@
 #pragma once
 
 /// \file logging.h
-/// Minimal logging and invariant-checking macros. JIGSAW_CHECK is used for
-/// internal invariants (programming bugs) and aborts with file:line; user
-/// input errors flow through Status instead.
+/// Invariant-checking macros. JIGSAW_CHECK is used for internal invariants
+/// (programming bugs) and aborts with file:line; user input errors flow
+/// through Status instead.
 
 #include <sstream>
 #include <string>
@@ -11,47 +11,11 @@
 namespace jigsaw {
 namespace internal {
 
-enum class LogLevel { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3 };
-
-/// Returns the process-wide minimum level actually emitted.
-LogLevel MinLogLevel();
-
-/// Sets the process-wide minimum log level (not thread-safe; call at init).
-void SetMinLogLevel(LogLevel level);
-
-/// Emits one log line to stderr.
-void LogMessage(LogLevel level, const char* file, int line,
-                const std::string& message);
-
 [[noreturn]] void CheckFailed(const char* file, int line, const char* expr,
                               const std::string& message);
 
-/// Stream-style collector used by the macros below.
-class LogCapture {
- public:
-  LogCapture(LogLevel level, const char* file, int line)
-      : level_(level), file_(file), line_(line) {}
-  ~LogCapture() { LogMessage(level_, file_, line_, stream_.str()); }
-
-  template <typename T>
-  LogCapture& operator<<(const T& v) {
-    stream_ << v;
-    return *this;
-  }
-
- private:
-  LogLevel level_;
-  const char* file_;
-  int line_;
-  std::ostringstream stream_;
-};
-
 }  // namespace internal
 }  // namespace jigsaw
-
-#define JIGSAW_LOG(level)                                              \
-  ::jigsaw::internal::LogCapture(::jigsaw::internal::LogLevel::level,  \
-                                 __FILE__, __LINE__)
 
 #define JIGSAW_CHECK(expr)                                              \
   do {                                                                  \

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <vector>
 
 #include "core/fingerprint.h"
@@ -144,6 +145,131 @@ TEST(BatchKernelTest, DefaultEvalBatchLoopsScalar) {
       });
   const double params[] = {4.0};
   ExpectBatchMatchesScalar(model, params);
+}
+
+// ---------------------------------------------------------------------------
+// Frozen model outputs. BatchKernelTest compares each model's two paths
+// with each other; these pin what both must return, as bit patterns, so a
+// slip in a model's arithmetic or draw order fails even when its paths
+// still agree.
+// ---------------------------------------------------------------------------
+
+constexpr std::uint64_t kGoldenSeed = 0x5160534A00000001ULL;
+
+void ExpectFrozenBits(std::span<const double> got,
+                      const std::uint64_t (&want)[4], const char* path) {
+  ASSERT_EQ(got.size(), 4u);
+  for (std::size_t k = 0; k < 4; ++k) {
+    EXPECT_EQ(Bits(got[k]), want[k])
+        << path << " sample " << k << ": got 0x" << std::hex
+        << Bits(got[k]) << std::dec << " (" << got[k] << ")";
+  }
+}
+
+TEST(GoldenModelTest, CloudModelFirstSamplesAreFrozen) {
+  const SeedVector seeds(kGoldenSeed, 4);
+  const struct {
+    BlackBoxPtr model;
+    std::vector<double> params;
+    std::uint64_t want[4];
+  } kGolden[] = {
+      // Demand after and before the feature release.
+      {MakeDemandModel(), {30, 20},
+       {0x40406B5BE2938612ULL, 0x40416DE653C42CAFULL, 0x403CB35981BE71D9ULL,
+        0x403E47DDA4DAF2FBULL}},
+      {MakeDemandModel(), {10, 20},
+       {0x4024C00CAB1123C3ULL, 0x40268E8A9346A678ULL, 0x40210C85913F20E7ULL,
+        0x40227654FE0317CAULL}},
+      // Capacity and Overload: one purchase a week old (its delay decides
+      // it), the other not yet made; then the other way round.
+      {MakeCapacityModel(), {30, 29, 40},
+       {0x404D000000000000ULL, 0x4044000000000000ULL, 0x4044000000000000ULL,
+        0x4044000000000000ULL}},
+      {MakeCapacityModel(), {45, 50, 44},
+       {0x4044000000000000ULL, 0x404D000000000000ULL, 0x4044000000000000ULL,
+        0x404D000000000000ULL}},
+      {MakeOverloadModel(), {45, 44, 50},
+       {0x0000000000000000ULL, 0x3FF0000000000000ULL, 0x3FF0000000000000ULL,
+        0x0000000000000000ULL}},
+      {MakeOverloadModel(), {45, 50, 44},
+       {0x3FF0000000000000ULL, 0x0000000000000000ULL, 0x0000000000000000ULL,
+        0x0000000000000000ULL}},
+      {MakeUserSelectionModel(), {26},
+       {0x4065B9C25AB39E49ULL, 0x4065C9B051903895ULL, 0x4065A9245F001215ULL,
+        0x4065B36688B4E5C9ULL}},
+      {MakeUserSelectionModel(), {52},
+       {0x4065D64D835DBE91ULL, 0x4065DFA0C8330A69ULL, 0x4065C7B5CF9BA391ULL,
+        0x4065D4F1F178F687ULL}},
+      {MakeSynthBasisModel(), {3},
+       {0x4014EC1C12BEE864ULL, 0x3FFDA98873C5F3FAULL, 0xBFBE4059CD730CE0ULL,
+        0x40054A2CA06B9112ULL}},
+      {MakeSynthBasisModel(), {17},
+       {0x4033BCAFE822F7CCULL, 0xC02A1405483F7966ULL, 0x403FAFD4E88C8614ULL,
+        0x403E70B783D81F95ULL}},
+      {MakeSeasonalDemandModel(), {13},
+       {0x4030B19E35C0FCA6ULL, 0x4031C33B5B3DCCCDULL, 0x402D021B27D97F64ULL,
+        0x402EAE34AB7FDCA4ULL}},
+      {MakeSeasonalDemandModel(), {40},
+       {0x403ED519BEC17855ULL, 0x404054AB3EBA2238ULL, 0x403B15CD45D8188EULL,
+        0x403C841B57E6A436ULL}},
+      // Late weeks, whose Poisson rates (about 4 and 80) take each of
+      // RandomStream::Poisson's two methods.
+      {MakeOutageModel(), {26000},
+       {0x4008000000000000ULL, 0x4010000000000000ULL, 0x4018000000000000ULL,
+        0x3FF0000000000000ULL}},
+      {MakeOutageModel(), {520000},
+       {0x4054C00000000000ULL, 0x4056C00000000000ULL, 0x4050C00000000000ULL,
+        0x4052400000000000ULL}},
+  };
+  for (const auto& g : kGolden) {
+    SCOPED_TRACE(::testing::Message()
+                 << g.model->name() << " at " << g.params[0]);
+    std::vector<double> scalar(4), batched(4);
+    for (std::size_t k = 0; k < 4; ++k) {
+      scalar[k] = InvokeSeeded(*g.model, g.params, seeds.seed(k));
+    }
+    g.model->EvalBatch(g.params, seeds.span(0, 4), /*call_site=*/0, batched);
+    ExpectFrozenBits(scalar, g.want, "InvokeSeeded");
+    ExpectFrozenBits(batched, g.want, "EvalBatch");
+  }
+}
+
+TEST(GoldenModelTest, MarkovBatchHooksAreFrozen) {
+  // Instances 2..5 at step 27, where MarkovStep's demand straddles its
+  // pull-in threshold; a release already at or before week 31 stays put.
+  const SeedVector seeds(kGoldenSeed, 6);
+  const double states[] = {52.0, 52.0, 30.0, 20.0};
+  const MarkovStepProcess step_process;
+  MarkovBranchConfig branch_cfg;
+  branch_cfg.branching = 0.5;
+  const MarkovBranchProcess branch_process(branch_cfg);
+  std::vector<double> out(4);
+
+  step_process.StepBatch(states, 27, 2, seeds, out);
+  ExpectFrozenBits(out,
+                   {0x404A000000000000ULL, 0x403F000000000000ULL,
+                    0x403E000000000000ULL, 0x4034000000000000ULL},
+                   "MarkovStep StepBatch");
+  step_process.EstimateBatch(states, 20, 27, 2, seeds, out);
+  ExpectFrozenBits(out,
+                   {0x404A000000000000ULL, 0x403F000000000000ULL,
+                    0x403E000000000000ULL, 0x4034000000000000ULL},
+                   "MarkovStep EstimateBatch");
+  step_process.OutputBatch(states, 27, 2, seeds, out);
+  ExpectFrozenBits(out,
+                   {0x403CD715FC7FF016ULL, 0x403C7E73BC2256CFULL,
+                    0x403AD9FAF61795A1ULL, 0x403E18110E2A3944ULL},
+                   "MarkovStep OutputBatch");
+  branch_process.StepBatch(states, 27, 2, seeds, out);
+  ExpectFrozenBits(out,
+                   {0x404F000000000000ULL, 0x404F000000000000ULL,
+                    0x403E000000000000ULL, 0x403E000000000000ULL},
+                   "MarkovBranch StepBatch");
+  branch_process.OutputBatch(states, 27, 2, seeds, out);
+  ExpectFrozenBits(out,
+                   {0x404A000000000000ULL, 0x404A000000000000ULL,
+                    0x403E000000000000ULL, 0x4034000000000000ULL},
+                   "MarkovBranch OutputBatch");
 }
 
 // ---------------------------------------------------------------------------
@@ -296,9 +422,26 @@ TEST(BatchGridTest, MissSimulationMetricsBitIdenticalAcrossBatchSizes) {
 // Batched chain runners
 // ---------------------------------------------------------------------------
 
+/// The default batch hooks' contract spelled out per instance: the scalar
+/// Step, Estimate or Output on instance k's stream for the step, whose
+/// salt is MarkovOutputSalt for Output and MarkovStepSalt otherwise.
+double ScalarHook(const MarkovProcess& process, test::ChainHook hook,
+                  double state, std::int64_t anchor_step, std::int64_t step,
+                  std::size_t k, const SeedVector& seeds) {
+  if (hook == test::ChainHook::kOutput) {
+    RandomStream rng = seeds.StreamFor(k, MarkovOutputSalt(step));
+    return process.Output(state, step, rng);
+  }
+  RandomStream rng = seeds.StreamFor(k, MarkovStepSalt(step));
+  return hook == test::ChainHook::kStep
+             ? process.Step(state, step, rng)
+             : process.Estimate(state, anchor_step, step, rng);
+}
+
 void ExpectChainRunsIdentical(const MarkovProcess& process,
                               std::int64_t target) {
-  test::ExpectChainHooksMatchInstanceHooks(process);
+  test::ExpectChainHooksMatchOracle(
+      process, std::bind_front(ScalarHook, std::cref(process)));
 
   RunConfig ref_cfg;
   ref_cfg.num_samples = 96;

@@ -176,13 +176,18 @@ TEST(ChainOutputTest, OutputDrawsIndependentOfStepDraws) {
   // salts.
   MarkovStepProcess process((MarkovStepConfig()));
   SeedVector seeds(99, 4);
-  const double out1 = process.OutputForInstance(52.0, 10, 0, seeds);
-  const double out2 = process.OutputForInstance(52.0, 10, 0, seeds);
+  const double release[] = {52.0};
+  double out1 = 0.0, out2 = 0.0;
+  process.OutputBatch(release, 10, 0, seeds, {&out1, 1});
+  process.OutputBatch(release, 10, 0, seeds, {&out2, 1});
   EXPECT_EQ(out1, out2);  // deterministic
-  const double step = process.StepForInstance(52.0, 10, 0, seeds);
-  // Same (instance, step) but different purpose: with overwhelming
-  // probability the draws differ (distinct salts).
-  EXPECT_NE(out1, step);
+  // The observable is the week's demand drawn from the output stream; the
+  // same demand drawn from the step's stream differs with overwhelming
+  // probability (distinct salts).
+  RandomStream output_rng = seeds.StreamFor(0, MarkovOutputSalt(10));
+  EXPECT_EQ(out1, process.Demand(10.0, 52.0, output_rng));
+  RandomStream step_rng = seeds.StreamFor(0, MarkovStepSalt(10));
+  EXPECT_NE(out1, process.Demand(10.0, 52.0, step_rng));
 }
 
 // ---------------------------------------------------------------------------

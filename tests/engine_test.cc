@@ -80,6 +80,21 @@ TEST(ParameterSpaceTest, RejectsDuplicatesAndBadDomains) {
             StatusCode::kInvalidArgument);
   EXPECT_EQ(space.Add({"f", RangeDomain{0, 1e30, 1}}).code(),
             StatusCode::kInvalidArgument);
+  // Each 2^26-value range passes the span cap, but three of them make a
+  // 2^78-point grid, which NumPoints() would wrap to 0: the third
+  // declaration fails, naming itself, and the space keeps two.
+  ParameterSpace grid;
+  const RangeDomain wide{0, 67108863, 1};
+  ASSERT_TRUE(grid.Add({"a", wide}).ok());
+  ASSERT_TRUE(grid.Add({"b", wide}).ok());
+  const Status overflow = grid.Add({"c", wide});
+  EXPECT_EQ(overflow.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(overflow.message().find("'@c'"), std::string::npos)
+      << overflow.ToString();
+  EXPECT_EQ(grid.num_params(), 2u);
+  EXPECT_EQ(grid.NumPoints(), std::size_t{1} << 52);
+  // A CHAIN parameter adds no factor, so it still fits.
+  EXPECT_TRUE(grid.Add({"r", ChainDomain{"r", "a", 52.0}}).ok());
 }
 
 TEST(ParameterSpaceTest, DegenerateHighMagnitudeRangeTerminates) {

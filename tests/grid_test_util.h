@@ -13,6 +13,7 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -80,50 +81,50 @@ void ForEachGridBatch(Fn&& fn) {
   }
 }
 
+/// The Markov process batch hook an oracle value stands for.
+enum class ChainHook { kStep, kEstimate, kOutput };
+
+/// What a Markov process's batch hook must give instance `k`: StepBatch
+/// and OutputBatch from `state` at `step`; EstimateBatch from the anchor
+/// `state` frozen since `anchor_step`.
+using ChainHookOracle = std::function<double(
+    ChainHook hook, double state, std::int64_t anchor_step,
+    std::int64_t step, std::size_t k, const SeedVector& seeds)>;
+
 /// A Markov process's batch hooks (StepBatch, EstimateBatch, OutputBatch)
-/// against its per-instance hooks, bit for bit, for spans of every grid
-/// batch size starting at instances 0, 3 and 5.
-inline void ExpectChainHooksMatchInstanceHooks(const MarkovProcess& process) {
+/// against `oracle`, one instance at a time, bit for bit, for spans of
+/// every grid batch size starting at instances 0, 3 and 5.
+inline void ExpectChainHooksMatchOracle(const MarkovProcess& process,
+                                        const ChainHookOracle& oracle) {
   SCOPED_TRACE(process.name());
+  constexpr std::int64_t kAnchorStep = 4;
+  constexpr std::int64_t kStep = 9;
   const SeedVector seeds(0x5160534A00000001ULL, 80);
   std::vector<double> states(seeds.size());
   for (std::size_t i = 0; i < states.size(); ++i) {
     states[i] = process.initial_state() + 0.5 * static_cast<double>(i % 7);
   }
-  const auto expect_same_bits = [](const std::vector<double>& batched,
-                                   const std::vector<double>& scalar) {
-    for (std::size_t i = 0; i < batched.size(); ++i) {
-      ASSERT_EQ(std::bit_cast<std::uint64_t>(batched[i]),
-                std::bit_cast<std::uint64_t>(scalar[i]))
-          << "entry " << i;
-    }
-  };
   for (std::size_t k_begin : {0u, 3u, 5u}) {
     for (std::size_t n : GridBatchSizes()) {
       SCOPED_TRACE(::testing::Message()
                    << "k_begin=" << k_begin << " n=" << n);
       const std::span<const double> in(states.data() + k_begin, n);
-      std::vector<double> batched(n), scalar(n);
-
-      process.StepBatch(in, /*step=*/9, k_begin, seeds, batched);
-      for (std::size_t i = 0; i < n; ++i) {
-        scalar[i] = process.StepForInstance(in[i], 9, k_begin + i, seeds);
-      }
-      expect_same_bits(batched, scalar);
-
-      process.EstimateBatch(in, /*anchor_step=*/4, /*step=*/9, k_begin,
-                            seeds, batched);
-      for (std::size_t i = 0; i < n; ++i) {
-        scalar[i] =
-            process.EstimateForInstance(in[i], 4, 9, k_begin + i, seeds);
-      }
-      expect_same_bits(batched, scalar);
-
-      process.OutputBatch(in, /*step=*/9, k_begin, seeds, batched);
-      for (std::size_t i = 0; i < n; ++i) {
-        scalar[i] = process.OutputForInstance(in[i], 9, k_begin + i, seeds);
-      }
-      expect_same_bits(batched, scalar);
+      std::vector<double> batched(n);
+      const auto expect_oracle = [&](ChainHook hook) {
+        for (std::size_t i = 0; i < n; ++i) {
+          const double want =
+              oracle(hook, in[i], kAnchorStep, kStep, k_begin + i, seeds);
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(batched[i]),
+                    std::bit_cast<std::uint64_t>(want))
+              << "hook " << static_cast<int>(hook) << " entry " << i;
+        }
+      };
+      process.StepBatch(in, kStep, k_begin, seeds, batched);
+      expect_oracle(ChainHook::kStep);
+      process.EstimateBatch(in, kAnchorStep, kStep, k_begin, seeds, batched);
+      expect_oracle(ChainHook::kEstimate);
+      process.OutputBatch(in, kStep, k_begin, seeds, batched);
+      expect_oracle(ChainHook::kOutput);
     }
   }
 }

@@ -713,14 +713,32 @@ INTO results;
   BoundScript interpreted = bound.value();
   UseInterpretedExpressions(interpreted);
 
-  // Each path's batch hooks, which the chain runners call, match its
-  // per-instance hooks.
+  // Each path's batch hooks, which the chain runners call, match the
+  // interpreter's walk of the row program, one instance at a time, with
+  // the chain parameter set: the source column under the step salt, the
+  // output column (demand) under the output salt.
+  const BoundChain& chain = *interpreted.chain;
+  const std::vector<double> base = interpreted.scenario.params.ValuationAt(0);
+  const test::ChainHookOracle interpreter_walk =
+      [&](test::ChainHook hook, double state, std::int64_t /*anchor_step*/,
+          std::int64_t step, std::size_t k, const SeedVector& seeds) {
+        std::vector<double> params = base;
+        params[chain.driver_param_index] = static_cast<double>(step);
+        params[chain.chain_param_index] = state;
+        const bool output = hook == test::ChainHook::kOutput;
+        auto v = interpreted.program->EvalColumn(
+            output ? 1 : chain.source_column_index, params, k, seeds,
+            output ? MarkovOutputSalt(step) : MarkovStepSalt(step));
+        EXPECT_TRUE(v.ok()) << v.status().ToString();
+        return v.ok() ? v.value() : 0.0;
+      };
   for (const BoundScript* path : {&bound.value(), &interpreted}) {
     SCOPED_TRACE(testing::Message()
                  << "compiled=" << path->program->compiled());
-    test::ExpectChainHooksMatchInstanceHooks(ScenarioChainProcess(
-        path->program, *path->chain, path->scenario.params.ValuationAt(0),
-        /*output_column=*/1));
+    test::ExpectChainHooksMatchOracle(
+        ScenarioChainProcess(path->program, *path->chain, base,
+                             /*output_column=*/1),
+        interpreter_walk);
   }
 
   for (bool use_jump : {false, true}) {
