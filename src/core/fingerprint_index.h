@@ -31,6 +31,9 @@ using BasisId = std::uint32_t;
 
 enum class IndexKind { kArray, kNormalization, kSortedSid };
 
+/// Quantization grid for the index hash keys.
+inline constexpr double kIndexQuantum = 1e-6;
+
 const char* IndexKindName(IndexKind kind);
 
 class FingerprintIndex {

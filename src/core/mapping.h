@@ -22,6 +22,10 @@
 
 namespace jigsaw {
 
+/// Relative tolerance for validating candidate mappings: Algorithm 2's
+/// equality test, adapted to IEEE doubles.
+inline constexpr double kMappingTolerance = 1e-9;
+
 class MappingFunction {
  public:
   virtual ~MappingFunction() = default;

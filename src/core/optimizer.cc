@@ -8,26 +8,6 @@
 
 namespace jigsaw {
 
-const char* MetricSelectorName(MetricSelector m) {
-  switch (m) {
-    case MetricSelector::kExpect:
-      return "EXPECT";
-    case MetricSelector::kStdDev:
-      return "EXPECT_STDDEV";
-    case MetricSelector::kStdError:
-      return "STDERR";
-    case MetricSelector::kMin:
-      return "MIN";
-    case MetricSelector::kMax:
-      return "MAX";
-    case MetricSelector::kMedian:
-      return "MEDIAN";
-    case MetricSelector::kP95:
-      return "P95";
-  }
-  return "?";
-}
-
 double ExtractMetric(const OutputMetrics& metrics, MetricSelector selector) {
   switch (selector) {
     case MetricSelector::kExpect:

@@ -38,8 +38,6 @@ enum class MetricSelector {
   kP95,
 };
 
-const char* MetricSelectorName(MetricSelector m);
-
 /// Extracts the selected characteristic from finalized metrics.
 double ExtractMetric(const OutputMetrics& metrics, MetricSelector selector);
 

@@ -37,13 +37,6 @@ struct RunConfig {
   /// Index strategy over the basis fingerprints (Section 3.2).
   IndexKind index_kind = IndexKind::kNormalization;
 
-  /// Relative tolerance used when validating candidate mappings
-  /// (Algorithm 2's equality test, adapted to IEEE doubles).
-  double tolerance = 1e-9;
-
-  /// Quantization grid for index hash keys.
-  double quantum = 1e-6;
-
   /// Seed of the global seed vector {sigma_k}.
   std::uint64_t master_seed = 0x5160534A00000001ULL;  // "JIGSAW"-ish tag
 

@@ -9,15 +9,11 @@
 namespace jigsaw {
 
 SimulationRunner::SimulationRunner(const RunConfig& config,
-                                   MappingFinderPtr finder,
-                                   BasisStore* published_store)
+                                   MappingFinderPtr finder)
     : config_(config),
-      finder_(finder ? std::move(finder) : LinearMappingFinder::Make()),
       seeds_(config.master_seed, config.num_samples),
-      basis_store_(finder_, config.index_kind, config.tolerance,
-                   config.quantum,
-                   /*thread_safe=*/config.num_threads > 1),
-      published_store_(published_store) {
+      basis_store_(finder ? std::move(finder) : LinearMappingFinder::Make(),
+                   config.index_kind) {
   const Status valid = ValidateConfig(config_);
   JIGSAW_CHECK_MSG(valid.ok(), valid.message());
   if (config_.batch_size == 0) config_.batch_size = 1;
@@ -36,24 +32,6 @@ Status SimulationRunner::ValidateConfig(const RunConfig& config) {
         config.fingerprint_size));
   }
   return Status::OK();
-}
-
-std::optional<SimulationRunner::StoreMatch>
-SimulationRunner::FindPublishedOrPrivateMatch(const Fingerprint& probe) {
-  // The frozen published catalog is consulted first — its content never
-  // changes, so the lookup order (and therefore every reuse decision) is
-  // identical no matter how many concurrent runners share it. A probe
-  // from a different seed namespace deterministically misses and falls
-  // through to the private store.
-  if (published_store_ != nullptr) {
-    if (auto match = published_store_->FindMatch(probe)) {
-      return StoreMatch{std::move(*match), published_store_};
-    }
-  }
-  if (auto match = basis_store_.FindMatch(probe)) {
-    return StoreMatch{std::move(*match), &basis_store_};
-  }
-  return std::nullopt;
 }
 
 void SimulationRunner::SampleRangeSerial(const SimFunction& fn,
@@ -102,20 +80,20 @@ PointResult SimulationRunner::RunPoint(const SimFunction& fn,
     stats_.blackbox_invocations += m;
     estimator.AddSpan(fp.values());
 
-    if (auto sm = FindPublishedOrPrivateMatch(fp)) {
+    if (auto match = basis_store_.FindMatch(fp)) {
       // Reuse: map the basis metrics into this point's domain. The
       // Selector only ever compares mapped outputs across parameter
       // values; it never mixes their samples (Section 6.2's correctness
       // argument).
-      const auto& basis = sm->store->Get(sm->match.basis_id);
+      const auto& basis = basis_store_.Get(match->basis_id);
       auto mapped =
-          basis.metrics.MappedBy(*sm->match.mapping, config_.histogram_bins);
+          basis.metrics.MappedBy(*match->mapping, config_.histogram_bins);
       if (mapped.has_value()) {
         ++stats_.points_reused;
         result.metrics = std::move(*mapped);
         result.reused = true;
-        result.basis_id = sm->match.basis_id;
-        result.mapping = sm->match.mapping;
+        result.basis_id = match->basis_id;
+        result.mapping = std::move(match->mapping);
         return result;
       }
       // Mapping exists but metrics could not be transformed (exotic
@@ -214,7 +192,6 @@ std::vector<PointResult> SimulationRunner::RunSweepParallel(
     bool hit = false;
     BasisId basis_id = 0;
     MappingPtr mapping;
-    const BasisStore* store = nullptr;  ///< store the hit maps from
   };
   std::vector<Decision> decisions(n_points);
   std::vector<std::size_t> miss_points;
@@ -222,13 +199,12 @@ std::vector<PointResult> SimulationRunner::RunSweepParallel(
     ++stats_.points_evaluated;
     stats_.blackbox_invocations += m;
     Decision& d = decisions[i];
-    if (auto sm = FindPublishedOrPrivateMatch(fps[i])) {
-      if (CanMapMetrics(*sm->match.mapping, config_.keep_samples)) {
+    if (auto match = basis_store_.FindMatch(fps[i])) {
+      if (CanMapMetrics(*match->mapping, config_.keep_samples)) {
         ++stats_.points_reused;
         d.hit = true;
-        d.basis_id = sm->match.basis_id;
-        d.mapping = sm->match.mapping;
-        d.store = sm->store;
+        d.basis_id = match->basis_id;
+        d.mapping = std::move(match->mapping);
         continue;
       }
       // Mapping exists but metrics will not be transformable: the serial
@@ -238,7 +214,6 @@ std::vector<PointResult> SimulationRunner::RunSweepParallel(
     d.hit = false;
     d.basis_id = basis.id;
     d.mapping = IdentityMapping::Make();
-    d.store = &basis_store_;
     miss_points.push_back(i);
     stats_.blackbox_invocations += n - m;
   }
@@ -273,7 +248,7 @@ std::vector<PointResult> SimulationRunner::RunSweepParallel(
     out[i].basis_id = d.basis_id;
     out[i].mapping = d.mapping;
     if (d.hit) {
-      auto mapped = d.store->Get(d.basis_id)
+      auto mapped = basis_store_.Get(d.basis_id)
                         .metrics.MappedBy(*d.mapping, config_.histogram_bins);
       JIGSAW_CHECK_MSG(mapped.has_value(),
                        "CanMapMetrics accepted an unmappable basis");

@@ -52,22 +52,9 @@ struct PointResult {
 
 class SimulationRunner {
  public:
-  /// `published_store`, when non-null, is a frozen basis catalog shared
-  /// read-only with other runners (the session server publishes one per
-  /// script snapshot, warmed at publish time). RunPoint consults it
-  /// before the runner's private store; hits map the published metrics,
-  /// misses fall through to the normal private match/insert path. The
-  /// published store must be thread-safe, must never be inserted into
-  /// after publication, and must outlive the runner. Because its content
-  /// is frozen, consulting it is deterministic no matter how many
-  /// concurrent runners share it — and a probe whose draws come from a
-  /// different seed namespace simply never matches (fingerprints are
-  /// namespace-specific draws).
-  ///
   /// `config` must pass ValidateConfig; the constructor aborts otherwise.
   explicit SimulationRunner(const RunConfig& config,
-                            MappingFinderPtr finder = nullptr,
-                            BasisStore* published_store = nullptr);
+                            MappingFinderPtr finder = nullptr);
 
   /// The constructor's preconditions as a status, for callers whose
   /// config comes from a user: InvalidArgument unless
@@ -100,7 +87,6 @@ class SimulationRunner {
 
   const RunConfig& config() const { return config_; }
   const SeedVector& seeds() const { return seeds_; }
-  BasisStore& basis_store() { return basis_store_; }
   const BasisStore& basis_store() const { return basis_store_; }
   const RunnerStats& stats() const { return stats_; }
 
@@ -125,21 +111,9 @@ class SimulationRunner {
   std::vector<PointResult> RunSweepParallel(const SimFunction& fn,
                                             const ParameterSpace& space);
 
-  /// Consults the frozen published store (if any) before the private one.
-  /// Returns the match plus the store it came from, so the caller maps
-  /// metrics out of the right store.
-  struct StoreMatch {
-    BasisMatch match;
-    const BasisStore* store = nullptr;
-  };
-  std::optional<StoreMatch> FindPublishedOrPrivateMatch(
-      const Fingerprint& probe);
-
   RunConfig config_;
-  MappingFinderPtr finder_;
   SeedVector seeds_;
   BasisStore basis_store_;
-  BasisStore* published_store_ = nullptr;
   RunnerStats stats_;
   std::unique_ptr<ThreadPool> owned_pool_;
   ThreadPool* pool_ = nullptr;  ///< owned_pool_ or config_.shared_pool

@@ -8,18 +8,6 @@
 
 namespace jigsaw {
 
-const char* InteractiveTaskName(InteractiveTask task) {
-  switch (task) {
-    case InteractiveTask::kRefinement:
-      return "refinement";
-    case InteractiveTask::kValidation:
-      return "validation";
-    case InteractiveTask::kExploration:
-      return "exploration";
-  }
-  return "?";
-}
-
 /// One basis distribution shared by mapped points. Samples live in the
 /// basis domain; refinement inserts M^{-1}(value) for new ids.
 struct InteractiveSession::BasisRecord {
@@ -170,7 +158,7 @@ void InteractiveSession::FoldSample(PointState& state, std::size_t id,
   if (bit != state.basis->samples.end()) {
     // Validation: the duplicate sample extends the fingerprint.
     if (!ApproxEqual(state.mapping->Apply(bit->second), value,
-                     config_.run.tolerance)) {
+                     kMappingTolerance)) {
       // Mapping no longer valid: detach and rebind below.
       --state.basis->subscribers;
       state.basis = nullptr;
@@ -212,7 +200,7 @@ void InteractiveSession::BindPoint(std::size_t point_index) {
     }
     if (!complete) continue;
     MappingPtr m = finder_->Find(Fingerprint(basis_values), theta,
-                                 config_.run.tolerance);
+                                 kMappingTolerance);
     if (m != nullptr) {
       state.basis = basis;
       state.mapping = std::move(m);

@@ -55,8 +55,6 @@ struct InteractiveConfig {
 
 enum class InteractiveTask { kRefinement, kValidation, kExploration };
 
-const char* InteractiveTaskName(InteractiveTask task);
-
 struct DisplayEstimate {
   double mean = 0.0;
   double std_error = 0.0;

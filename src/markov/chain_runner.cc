@@ -108,7 +108,7 @@ ChainResult MarkovJumpRunner::Run(const MarkovProcess& process,
       ++stats.checkpoints;
       const Fingerprint est = estimator_fp(anchor + rel);
       const Fingerprint real(traj[static_cast<std::size_t>(rel - 1)]);
-      return finder_->Find(est, real, config_.tolerance);
+      return finder_->Find(est, real, kMappingTolerance);
     };
 
     const std::int64_t remaining = target - anchor;

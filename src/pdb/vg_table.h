@@ -118,10 +118,6 @@ class WorldCache {
     MutexLock lock(&mu_);
     return generations_;
   }
-  void Clear() JIGSAW_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    cache_.clear();
-  }
 
  private:
   using Key = std::tuple<std::string, std::uint64_t, std::size_t>;

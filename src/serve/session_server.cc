@@ -1,6 +1,5 @@
 #include "serve/session_server.h"
 
-#include "core/sim_runner.h"
 #include "random/splitmix64.h"
 
 namespace jigsaw::serve {
@@ -36,48 +35,18 @@ SessionServer::SessionServer(const ModelRegistry* registry,
 }
 
 Result<std::shared_ptr<const ScriptSnapshot>> SessionServer::Publish(
-    const std::string& name, const std::string& text,
-    const PublishOptions& options) {
+    const std::string& name, const std::string& text) {
   // Bind once, outside the lock — publishing must not stall Connect or
   // sibling publishes behind a parse.
   JIGSAW_ASSIGN_OR_RETURN(sql::BoundScript bound,
                           sql::ParseAndBind(text, *registry_));
 
-  auto snapshot = std::make_shared<ScriptSnapshot>();
-  snapshot->name = name;
-  snapshot->text = text;
-  snapshot->world_cache = std::make_shared<pdb::WorldCache>();
-
-  if (options.warm_basis_store) {
-    // Warm under the server namespace: sweep every scenario column once
-    // with a throwaway runner, then copy its bases — in insertion order,
-    // so ids and index content are reproducible — into a frozen
-    // thread-safe store. Warming happens before the snapshot is
-    // published, so no session can observe a half-warm store.
-    RunConfig warm_cfg = base_;
-    JIGSAW_RETURN_IF_ERROR(SimulationRunner::ValidateConfig(warm_cfg));
-    SimulationRunner warm(warm_cfg);
-    for (const auto& column : bound.scenario.columns) {
-      warm.RunSweep(*column.fn, bound.scenario.params);
-    }
-    auto finder = LinearMappingFinder::Make();
-    auto store = std::make_shared<BasisStore>(
-        finder, base_.index_kind, base_.tolerance, base_.quantum,
-        /*thread_safe=*/true);
-    const BasisStore& warmed = warm.basis_store();
-    for (BasisId id = 0; id < warmed.size(); ++id) {
-      const BasisDistribution& basis = warmed.Get(id);
-      store->Insert(Fingerprint(basis.fingerprint), basis.metrics);
-    }
-    snapshot->basis_store = std::move(store);
-  }
-
-  snapshot->bound =
-      std::make_shared<const sql::BoundScript>(std::move(bound));
+  auto published = std::make_shared<const ScriptSnapshot>(ScriptSnapshot{
+      name, text, std::make_shared<const sql::BoundScript>(std::move(bound)),
+      std::make_shared<pdb::WorldCache>()});
 
   // Copy-on-write swap: runs holding the previous catalog pointer keep
   // an unchanged view; new runs pick up the new snapshot.
-  std::shared_ptr<const ScriptSnapshot> published = std::move(snapshot);
   MutexLock lock(&mu_);
   auto next = std::make_shared<Catalog>(*catalog_);
   (*next)[name] = published;
@@ -85,13 +54,11 @@ Result<std::shared_ptr<const ScriptSnapshot>> SessionServer::Publish(
   return published;
 }
 
-Session& SessionServer::Connect(const SessionOptions& options) {
+Session& SessionServer::Connect() {
   MutexLock lock(&mu_);
   const std::uint64_t id = next_session_id_++;
   RunConfig config = base_;
-  if (!options.shared_namespace) {
-    config.master_seed = SessionSeed(base_.master_seed, id);
-  }
+  config.master_seed = SessionSeed(base_.master_seed, id);
   sessions_.push_back(std::unique_ptr<Session>(
       new Session(this, id, std::move(config))));
   return *sessions_.back();
@@ -118,12 +85,9 @@ Result<sql::ScriptOutcome> Session::Run(
   }
   // Keep the snapshot alive past any concurrent republish of the name.
   const std::shared_ptr<const ScriptSnapshot> snapshot = it->second;
-  sql::SnapshotResources shared;
-  shared.world_cache = snapshot->world_cache.get();
-  shared.basis_store = snapshot->basis_store.get();
   sql::ScriptRunner runner(server_->registry(), config_);
   return runner.RunBound(sql::BoundScript(*snapshot->bound), overrides,
-                         shared);
+                         snapshot->world_cache.get());
 }
 
 Result<sql::ScriptOutcome> Session::RunText(

@@ -9,30 +9,28 @@
 /// GUI sessions) is many-tenant: analysts connect, run MONTECARLO sweeps
 /// and what-if ticks against the same scenario, and expect both isolation
 /// (my draws are mine) and sharing (the expensive immutable artifacts —
-/// bound plans, compiled batch programs, world realizations, warmed basis
-/// catalogs — are built once, not per client).
+/// bound plans, compiled batch programs, world realizations — are built
+/// once, not per client).
 ///
 /// The contract, in determinism terms:
 ///
 ///  * Publish() parses and binds a script ONCE, building an immutable
-///    ScriptSnapshot: the bound plan (compiled where the binder could),
-///    a shared WorldCache, and optionally a warmed, frozen BasisStore.
-///    Snapshots hang off a copy-on-write catalog: publishing swaps the
-///    catalog pointer, so a Run() that already grabbed the old catalog
-///    keeps executing against unchanged state.
+///    ScriptSnapshot: the bound plan (compiled where the binder could)
+///    and a shared WorldCache. Snapshots hang off a copy-on-write
+///    catalog: publishing swaps the catalog pointer, so a Run() that
+///    already grabbed the old catalog keeps executing against unchanged
+///    state.
 ///  * Connect() admits a client session. Each session owns a seed
 ///    namespace — SessionSeed(master, id) — so its draws are disjoint
-///    from every sibling's by construction; a session that opts into the
-///    server namespace instead shares realizations and warmed bases with
-///    the publisher.
+///    from every sibling's by construction.
 ///  * Session::Run() executes a published snapshot. Every run is
 ///    bit-identical (values, draws, metrics, error text and ordering) to
 ///    a standalone serial ScriptRunner::Run of the same text under the
 ///    session's seed — no matter how many sibling sessions are running,
 ///    how the shared pool schedules their cells, or which sibling's error
-///    aborted mid-flight. Shared state is either immutable (snapshots,
-///    published bases) or memoization of pure functions (WorldCache), so
-///    concurrency cannot leak into results.
+///    aborted mid-flight. Shared state is either immutable (snapshots)
+///    or memoization of pure functions (WorldCache), and every run's
+///    basis store is its own, so concurrency cannot leak into results.
 ///
 /// Threading model: SessionServer (Publish/Connect/catalog) is
 /// thread-safe. A Session is owned by one client thread — calls on one
@@ -49,7 +47,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/basis_store.h"
 #include "core/run_config.h"
 #include "interactive/auto_prime.h"
 #include "interactive/interactive_session.h"
@@ -79,34 +76,12 @@ struct ScriptSnapshot {
   /// programs where the binder produced them, the interpreter elsewhere.
   std::shared_ptr<const sql::BoundScript> bound;
   /// Shared VG realizations (typed column chunks), keyed by (table, seed
-  /// namespace, world): same-namespace sessions amortize generation,
-  /// private-namespace sessions occupy disjoint keys.
+  /// namespace, world): a session's repeated runs amortize generation,
+  /// and each session's namespace occupies its own keys.
   std::shared_ptr<pdb::WorldCache> world_cache;
-  /// Frozen basis catalog warmed at publish time under the server
-  /// namespace (null unless PublishOptions::warm_basis_store). Consulted
-  /// read-only by every run; probes from private session namespaces
-  /// deterministically miss.
-  std::shared_ptr<BasisStore> basis_store;
 };
 
 using Catalog = std::map<std::string, std::shared_ptr<const ScriptSnapshot>>;
-
-struct PublishOptions {
-  /// Pre-run every scenario column's full sweep under the server
-  /// namespace at publish time and freeze the resulting basis catalog
-  /// into the snapshot. Server-namespace sessions then open with a warm
-  /// store (their standalone twin is a serial run handed the same frozen
-  /// store — mapped-basis estimates are part of the program, not noise).
-  bool warm_basis_store = false;
-};
-
-struct SessionOptions {
-  /// Run under the server's own seed namespace instead of a private
-  /// one: draws coincide with the publisher's (and with every other
-  /// shared-namespace session's), enabling WorldCache and warmed-basis
-  /// sharing. Private namespaces (the default) guarantee disjoint draws.
-  bool shared_namespace = false;
-};
 
 class SessionServer;
 
@@ -115,7 +90,7 @@ class Session {
  public:
   /// Runs a published snapshot by name. Bit-identical to a standalone
   /// serial ScriptRunner::Run of the snapshot's text under config()'s
-  /// seed (plus the snapshot's frozen basis store, when one was warmed).
+  /// seed.
   Result<sql::ScriptOutcome> Run(
       const std::string& script_name,
       const std::vector<std::pair<std::string, double>>& overrides = {});
@@ -168,12 +143,11 @@ class SessionServer {
   /// hold the catalog they started with). Thread-safe. Fails on parse or
   /// bind errors — nothing is published on failure.
   Result<std::shared_ptr<const ScriptSnapshot>> Publish(
-      const std::string& name, const std::string& text,
-      const PublishOptions& options = {}) JIGSAW_EXCLUDES(mu_);
+      const std::string& name, const std::string& text) JIGSAW_EXCLUDES(mu_);
 
-  /// Admits a new client session. Thread-safe; the returned session is
-  /// valid for the server's lifetime.
-  Session& Connect(const SessionOptions& options = {}) JIGSAW_EXCLUDES(mu_);
+  /// Admits a new client session under SessionSeed(master, id).
+  /// Thread-safe; the returned session is valid for the server's lifetime.
+  Session& Connect() JIGSAW_EXCLUDES(mu_);
 
   /// Current catalog handle (copy-on-write: never mutated in place).
   std::shared_ptr<const Catalog> catalog() const JIGSAW_EXCLUDES(mu_);

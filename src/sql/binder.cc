@@ -522,7 +522,13 @@ Result<BoundScript> Binder::Bind(const Script& script) {
       return Status::BindError("parameter '@" + d.param +
                                "' has no domain");
     }
-    JIGSAW_RETURN_IF_ERROR(bound.scenario.params.Add(std::move(def)));
+    // Add's own codes (InvalidArgument, AlreadyExists) serve direct
+    // callers; in a script, a bad declaration is a bind error like any
+    // other.
+    if (Status added = bound.scenario.params.Add(std::move(def));
+        !added.ok()) {
+      return Status::BindError(added.message());
+    }
   }
 
   // Pass 2: the scenario SELECT (exactly one top-level SELECT expected).

@@ -153,7 +153,7 @@ Result<ScriptOutcome> ScriptRunner::Run(
 Result<ScriptOutcome> ScriptRunner::RunBound(
     BoundScript bound,
     const std::vector<std::pair<std::string, double>>& overrides,
-    const SnapshotResources& shared) {
+    pdb::WorldCache* world_cache) {
   ScriptOutcome outcome;
   // Only OPTIMIZE and GRAPH sample through the fingerprint runner, so only
   // they need fingerprint_size <= num_samples; a MONTECARLO statement
@@ -161,7 +161,7 @@ Result<ScriptOutcome> ScriptRunner::RunBound(
   std::optional<SimulationRunner> runner;
   if (bound.optimize || bound.graph) {
     JIGSAW_RETURN_IF_ERROR(SimulationRunner::ValidateConfig(config_));
-    runner.emplace(config_, /*finder=*/nullptr, shared.basis_store);
+    runner.emplace(config_);
   }
 
   if (bound.optimize) {
@@ -255,7 +255,7 @@ Result<ScriptOutcome> ScriptRunner::RunBound(
       // and pool, one plan per world fanned out within each point, and
       // the WorldCache shared across points (and, when the snapshot
       // publishes one, across sessions).
-      pdb::LayeredEngine engine(config_, shared.world_cache);
+      pdb::LayeredEngine engine(config_, world_cache);
       JIGSAW_ASSIGN_OR_RETURN(
           auto results,
           engine.RunSweep(
@@ -294,8 +294,7 @@ Result<ScriptOutcome> ScriptRunner::RunBound(
         pdb::WorldCache local_cache;
         pdb::WorldCache* cache = nullptr;
         if (bound.montecarlo->layered) {
-          cache = shared.world_cache != nullptr ? shared.world_cache
-                                                : &local_cache;
+          cache = world_cache != nullptr ? world_cache : &local_cache;
         }
         auto folded = pdb::FoldJoinedVGColumns(
             join.left, join.right, join.keys, columns, config_.num_samples,

@@ -79,18 +79,6 @@ struct ScriptOutcome {
   std::string Report() const;
 };
 
-/// Frozen shared resources a published catalog snapshot hands to every
-/// run executed against it (see serve/session_server.h). Both pointers
-/// are optional and non-owning; when set they must be thread-safe and
-/// outlive the run. Neither changes a run's results — the world cache
-/// memoizes realizations that are pure functions of (table, seed
-/// namespace, world), and the basis store is frozen at publish time so
-/// probes against it are order-independent.
-struct SnapshotResources {
-  pdb::WorldCache* world_cache = nullptr;  ///< shared VG realizations
-  BasisStore* basis_store = nullptr;       ///< frozen published bases
-};
-
 class ScriptRunner {
  public:
   ScriptRunner(const ModelRegistry* registry, const RunConfig& config)
@@ -110,13 +98,17 @@ class ScriptRunner {
   /// pass a copy of the published plan; the copy is cheap — columns and
   /// programs are shared_ptrs) and runs as bound: a plan passed through
   /// UseInterpretedExpressions runs on the interpreter, the reference
-  /// twin tests and benches diff the compiled plan against. Results are
-  /// bit-identical to Run() on the same script text with the same
-  /// config, with or without `shared` resources.
+  /// twin tests and benches diff the compiled plan against.
+  ///
+  /// `world_cache`, when set, is a published snapshot's shared cache of
+  /// VG realizations (see serve/session_server.h): non-owning, it must
+  /// outlive the run. It memoizes realizations that are pure functions of
+  /// (table, seed namespace, world), so results are bit-identical to Run()
+  /// on the same script text with the same config, with or without it.
   Result<ScriptOutcome> RunBound(
       BoundScript bound,
       const std::vector<std::pair<std::string, double>>& overrides,
-      const SnapshotResources& shared = {});
+      pdb::WorldCache* world_cache = nullptr);
 
  private:
   const ModelRegistry* registry_;

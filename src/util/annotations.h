@@ -79,8 +79,6 @@
   JIGSAW_THREAD_ANNOTATION_(lock_returned(x))
 
 /// Opts a function out of the analysis. Use ONLY for contracts the
-/// analysis cannot see (e.g. BasisStore's thread_safe=false serial mode,
-/// where the caller guarantees no concurrency exists at all), and say why
-/// at the use site.
+/// analysis cannot see, and say why at the use site.
 #define JIGSAW_NO_THREAD_SAFETY_ANALYSIS \
   JIGSAW_THREAD_ANNOTATION_(no_thread_safety_analysis)

@@ -132,22 +132,4 @@ double Histogram::ApproxMean() const {
   return acc / static_cast<double>(total_);
 }
 
-std::string Histogram::ToAscii(int width) const {
-  std::int64_t peak = 1;
-  for (auto c : counts_) peak = std::max(peak, c);
-  std::string out;
-  for (int i = 0; i < num_bins(); ++i) {
-    const auto c = counts_[static_cast<std::size_t>(i)];
-    const int bar =
-        static_cast<int>(static_cast<double>(c) / static_cast<double>(peak) *
-                         width);
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "[%10.3f] ", bin_lo(i));
-    out += buf;
-    out.append(static_cast<std::size_t>(bar), '#');
-    out += '\n';
-  }
-  return out;
-}
-
 }  // namespace jigsaw

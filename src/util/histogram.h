@@ -7,7 +7,6 @@
 /// "easily applied to simple aggregate properties").
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace jigsaw {
@@ -49,9 +48,6 @@ class Histogram {
 
   /// Mean of bin midpoints weighted by counts.
   double ApproxMean() const;
-
-  /// Renders a short ASCII sparkline-style dump (used by examples).
-  std::string ToAscii(int width = 40) const;
 
   bool operator==(const Histogram& other) const {
     return lo_ == other.lo_ && hi_ == other.hi_ && total_ == other.total_ &&

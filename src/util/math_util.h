@@ -105,11 +105,6 @@ inline bool ApproxEqual(double a, double b, double rtol = 1e-9,
   return diff <= atol + rtol * scale;
 }
 
-/// Integer ceil division for non-negative values.
-inline std::int64_t CeilDiv(std::int64_t a, std::int64_t b) {
-  return (a + b - 1) / b;
-}
-
 /// Clamps x into [lo, hi].
 inline double Clamp(double x, double lo, double hi) {
   return x < lo ? lo : (x > hi ? hi : x);

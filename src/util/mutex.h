@@ -4,8 +4,8 @@
 /// Annotated mutex primitives: thin zero-overhead wrappers over
 /// std::mutex / std::condition_variable that carry the Clang thread-safety
 /// capability attributes of annotations.h. Every locked component in the
-/// tree (ThreadPool, BasisStore, pdb::WorldCache, serve::SessionServer)
-/// uses these instead of the raw std types so the guard relationships are
+/// tree (ThreadPool, pdb::WorldCache, serve::SessionServer) uses these
+/// instead of the raw std types so the guard relationships are
 /// machine-checked at compile time under Clang.
 ///
 /// Conventions:
@@ -36,7 +36,6 @@ class JIGSAW_CAPABILITY("mutex") Mutex {
 
   void Lock() JIGSAW_ACQUIRE() { raw_.lock(); }
   void Unlock() JIGSAW_RELEASE() { raw_.unlock(); }
-  bool TryLock() JIGSAW_TRY_ACQUIRE(true) { return raw_.try_lock(); }
 
  private:
   friend class CondVar;
@@ -51,30 +50,6 @@ class JIGSAW_SCOPED_CAPABILITY MutexLock {
 
   MutexLock(const MutexLock&) = delete;
   MutexLock& operator=(const MutexLock&) = delete;
-
- private:
-  Mutex* mu_;
-};
-
-/// Conditionally-locking scope (the absl::MutexLockMaybe shape): acquires
-/// `mu` only when `enabled`. Annotated as if it always acquires — the one
-/// caller of the disabled form (BasisStore with thread_safe=false) has a
-/// documented contract that no concurrency exists at all, so the
-/// capability is vacuously held; encoding that here keeps every method
-/// body fully analyzed instead of opted out via
-/// JIGSAW_NO_THREAD_SAFETY_ANALYSIS.
-class JIGSAW_SCOPED_CAPABILITY MutexLockMaybe {
- public:
-  MutexLockMaybe(Mutex* mu, bool enabled) JIGSAW_ACQUIRE(mu)
-      : mu_(enabled ? mu : nullptr) {
-    if (mu_ != nullptr) mu_->Lock();
-  }
-  ~MutexLockMaybe() JIGSAW_RELEASE() {
-    if (mu_ != nullptr) mu_->Unlock();
-  }
-
-  MutexLockMaybe(const MutexLockMaybe&) = delete;
-  MutexLockMaybe& operator=(const MutexLockMaybe&) = delete;
 
  private:
   Mutex* mu_;

@@ -5,7 +5,6 @@
 /// mode's latency budgeting.
 
 #include <chrono>
-#include <cstdint>
 
 namespace jigsaw {
 
@@ -13,16 +12,8 @@ class WallTimer {
  public:
   WallTimer() : start_(Clock::now()) {}
 
-  void Restart() { start_ = Clock::now(); }
-
   double ElapsedSeconds() const {
     return std::chrono::duration<double>(Clock::now() - start_).count();
-  }
-
-  std::int64_t ElapsedMicros() const {
-    return std::chrono::duration_cast<std::chrono::microseconds>(
-               Clock::now() - start_)
-        .count();
   }
 
  private:

@@ -97,6 +97,15 @@ void ExpectSameOutcome(const ScriptOutcome& a, const ScriptOutcome& b) {
   if (a.optimize) {
     EXPECT_EQ(a.optimize->ToString(), b.optimize->ToString());
   }
+  ASSERT_EQ(a.graph.has_value(), b.graph.has_value());
+  if (a.graph) {
+    ASSERT_EQ(a.graph->points.size(), b.graph->points.size());
+    for (std::size_t k = 0; k < a.graph->points.size(); ++k) {
+      SCOPED_TRACE(::testing::Message() << "graph point " << k);
+      EXPECT_EQ(a.graph->points[k].x, b.graph->points[k].x);
+      EXPECT_EQ(a.graph->points[k].y, b.graph->points[k].y);
+    }
+  }
   EXPECT_EQ(a.runner_stats.points_evaluated, b.runner_stats.points_evaluated);
   EXPECT_EQ(a.runner_stats.points_reused, b.runner_stats.points_reused);
   EXPECT_EQ(a.runner_stats.blackbox_invocations,
@@ -301,21 +310,6 @@ TEST_F(ServeSeedTest, PrivateNamespacesDrawDisjointWorlds) {
   // Different namespaces, different draws.
   EXPECT_NE(ra.value().montecarlo->columns.at("demand").samples,
             rb.value().montecarlo->columns.at("demand").samples);
-}
-
-TEST_F(ServeSeedTest, SharedNamespaceSessionsCoincideWithEachOther) {
-  SessionServer server(&registry_, BaseConfig(2));
-  ASSERT_TRUE(server.Publish("mc", kMonteCarloScript).ok());
-  SessionOptions shared;
-  shared.shared_namespace = true;
-  Session& a = server.Connect(shared);
-  Session& b = server.Connect(shared);
-  EXPECT_EQ(a.config().master_seed, server.base_config().master_seed);
-  auto ra = a.Run("mc");
-  auto rb = b.Run("mc");
-  ASSERT_TRUE(ra.ok());
-  ASSERT_TRUE(rb.ok());
-  ExpectSameOutcome(ra.value(), rb.value());
 }
 
 // ---------------------------------------------------------------------------
@@ -524,87 +518,36 @@ TEST_F(ServeCatalogTest, RepublishSwapsForNewRunsOnly) {
 }
 
 // ---------------------------------------------------------------------------
-// Published (frozen) basis stores.
+// Basis stores: GRAPH points run through the fingerprint runner, whose
+// basis store belongs to the one run.
 // ---------------------------------------------------------------------------
 
 using ServeBasisStoreTest = ServeTest;
 
-const std::string kOptimizeScript = std::string(kScenario) +
-                                    "MONTECARLO OVER @w;"
-                                    "GRAPH OVER @w EXPECT demand;";
+const std::string kGraphScript = std::string(kScenario) +
+                                 "MONTECARLO OVER @w;"
+                                 "GRAPH OVER @w EXPECT demand;";
 
-TEST_F(ServeBasisStoreTest, WarmStoreServesSharedNamespaceDeterministically) {
-  RunConfig base = BaseConfig(2);
-  SessionServer server(&registry_, base);
-  PublishOptions warm;
-  warm.warm_basis_store = true;
-  auto snapshot = server.Publish("g", kOptimizeScript, warm);
-  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
-  ASSERT_NE(snapshot.value()->basis_store, nullptr);
-  EXPECT_GT(snapshot.value()->basis_store->size(), 0u);
-
-  // Shared-namespace sessions probe the warm store with its own
-  // namespace's fingerprints: hits are deterministic, so concurrent
-  // clients agree with each other and with a serial run handed the same
-  // frozen store.
-  SessionOptions shared;
-  shared.shared_namespace = true;
-  Session& a = server.Connect(shared);
-  Session& b = server.Connect(shared);
+TEST_F(ServeBasisStoreTest, ConcurrentGraphSessionsMatchStandaloneTwins) {
+  SessionServer server(&registry_, BaseConfig(2));
+  ASSERT_TRUE(server.Publish("g", kGraphScript).ok());
+  Session& a = server.Connect();
+  Session& b = server.Connect();
   Result<ScriptOutcome> ra = Status::Internal("not run");
   Result<ScriptOutcome> rb = Status::Internal("not run");
   std::thread ta([&] { ra = a.Run("g"); });
   std::thread tb([&] { rb = b.Run("g"); });
   ta.join();
   tb.join();
-  ASSERT_TRUE(ra.ok()) << ra.status().ToString();
-  ASSERT_TRUE(rb.ok()) << rb.status().ToString();
-  ExpectSameOutcome(ra.value(), rb.value());
-  // The warm store actually served: every graph point's fingerprint was
-  // warmed at publish, so the session's own store stays smaller than a
-  // cold standalone run's.
-  auto cold = RunStandalone(a, kOptimizeScript);
-  ASSERT_TRUE(cold.ok());
-  EXPECT_LT(ra.value().basis_count, cold.value().basis_count);
-
-  // Serial oracle WITH the same frozen store: bit-identical.
-  ScriptRunner serial(&registry_, StandaloneTwinConfig(a));
-  sql::SnapshotResources res;
-  res.basis_store = snapshot.value()->basis_store.get();
-  auto twin = serial.RunBound(
-      sql::BoundScript(*snapshot.value()->bound), {}, res);
-  ASSERT_TRUE(twin.ok()) << twin.status().ToString();
-  ExpectSameOutcome(ra.value(), twin.value());
-}
-
-TEST_F(ServeBasisStoreTest, PrivateNamespacesMissTheWarmStoreDeterministically) {
-  // A private-namespace session's fingerprints are draws from a different
-  // seed namespace: probes against the publisher-warmed store miss, and
-  // the outcome is identical to a standalone run with no store at all.
-  SessionServer server(&registry_, BaseConfig(2));
-  PublishOptions warm;
-  warm.warm_basis_store = true;
-  ASSERT_TRUE(server.Publish("g", kOptimizeScript, warm).ok());
-  Session& session = server.Connect();
-  auto with_store = session.Run("g");
-  ASSERT_TRUE(with_store.ok()) << with_store.status().ToString();
-  auto without_store = RunStandalone(session, kOptimizeScript);
-  ASSERT_TRUE(without_store.ok());
-  ExpectSameOutcome(with_store.value(), without_store.value());
-}
-
-TEST_F(ServeBasisStoreTest, WarmPublishWithFewerWorldsThanFingerprintFails) {
-  // Warming samples fingerprints, so 8 worlds under m = 10 is a typed
-  // error at publish, and nothing is published.
-  RunConfig base = BaseConfig(2);
-  base.num_samples = 8;
-  SessionServer server(&registry_, base);
-  PublishOptions warm;
-  warm.warm_basis_store = true;
-  auto snapshot = server.Publish("g", kOptimizeScript, warm);
-  ASSERT_FALSE(snapshot.ok());
-  EXPECT_EQ(snapshot.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_TRUE(server.catalog()->empty());
+  for (auto [session, outcome] : {std::pair{&a, &ra}, std::pair{&b, &rb}}) {
+    SCOPED_TRACE(::testing::Message() << "session " << session->id());
+    ASSERT_TRUE(outcome->ok()) << outcome->status().ToString();
+    ASSERT_TRUE(outcome->value().graph.has_value());
+    EXPECT_GT(outcome->value().basis_count, 0u);
+    auto twin = RunStandalone(*session, kGraphScript);
+    ASSERT_TRUE(twin.ok()) << twin.status().ToString();
+    ExpectSameOutcome(outcome->value(), twin.value());
+  }
 }
 
 // ---------------------------------------------------------------------------

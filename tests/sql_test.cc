@@ -389,6 +389,44 @@ TEST_F(BinderTest, ErrorNoSelect) {
   EXPECT_NE(bound.status().message().find("no SELECT"), std::string::npos);
 }
 
+TEST_F(BinderTest, DeclareParameterRejectionsAreBindErrors) {
+  // Every ParameterSpace::Add rejection the parser lets through is a
+  // BindError in a script, like every other bind-time rejection, and
+  // names the parameter it rejects.
+  struct Case {
+    std::string declarations;
+    std::string param;   ///< the rejected parameter, as the error names it
+    std::string reason;  ///< a fragment of Add's message
+  };
+  const Case cases[] = {
+      {"DECLARE PARAMETER @w AS RANGE 0 TO 5 STEP BY 0;", "'@w'",
+       "non-positive STEP"},
+      {"DECLARE PARAMETER @w AS RANGE 5 TO 0;", "'@w'", "empty RANGE"},
+      {"DECLARE PARAMETER @w AS RANGE 0 TO 1e400;", "'@w'", "non-finite"},
+      {"DECLARE PARAMETER @w AS RANGE 0 TO 1e30;", "'@w'",
+       "spans more than"},
+      {"DECLARE PARAMETER @w AS RANGE 0 TO 5;"
+       "DECLARE PARAMETER @W AS SET (1, 2);",
+       "'@W'", "declared twice"},
+      {"DECLARE PARAMETER @a AS RANGE 0 TO 67108863;"
+       "DECLARE PARAMETER @b AS RANGE 0 TO 67108863;"
+       "DECLARE PARAMETER @c AS RANGE 0 TO 67108863;",
+       "'@c'", "overflow"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.declarations);
+    auto bound =
+        ParseAndBind(c.declarations + "SELECT 1 AS x INTO r;", registry_);
+    ASSERT_FALSE(bound.ok());
+    EXPECT_EQ(bound.status().code(), StatusCode::kBindError)
+        << bound.status().ToString();
+    EXPECT_NE(bound.status().message().find(c.param), std::string::npos)
+        << bound.status().ToString();
+    EXPECT_NE(bound.status().message().find(c.reason), std::string::npos)
+        << bound.status().ToString();
+  }
+}
+
 // ---------------------------------------------------------------------------
 // ScriptRunner end-to-end
 // ---------------------------------------------------------------------------

@@ -53,7 +53,7 @@ namespace {
 
 // The annotated primitives must behave exactly like the raw std types
 // they wrap: Mutex provides mutual exclusion, MutexLock scopes it,
-// CondVar::Wait releases/reacquires, MutexLockMaybe disengages cleanly.
+// CondVar::Wait releases/reacquires.
 TEST(AnnotatedMutexTest, MutexLockExcludesConcurrentCriticalSections) {
   Mutex mu;
   int counter = 0;  // guarded by mu by convention (local: not annotatable)
@@ -89,31 +89,6 @@ TEST(AnnotatedMutexTest, CondVarWaitReleasesAndReacquires) {
     EXPECT_TRUE(ready);
   }
   signaller.join();
-}
-
-TEST(AnnotatedMutexTest, MutexLockMaybeDisengagedLeavesMutexFree) {
-  Mutex mu;
-  {
-    MutexLockMaybe lock(&mu, /*enabled=*/false);
-    // Disengaged: the mutex must still be acquirable (no self-deadlock).
-    EXPECT_TRUE(mu.TryLock());
-    mu.Unlock();
-  }
-  {
-    MutexLockMaybe lock(&mu, /*enabled=*/true);
-    // try_lock from the owning thread is UB on std::mutex, so probe from
-    // a second thread: it must see the mutex held.
-    bool acquired = true;
-    std::thread probe([&mu, &acquired] {
-      acquired = mu.TryLock();
-      if (acquired) mu.Unlock();
-    });
-    probe.join();
-    EXPECT_FALSE(acquired);
-  }
-  // Engaged scope released on destruction.
-  EXPECT_TRUE(mu.TryLock());
-  mu.Unlock();
 }
 
 TEST(ThreadPoolTest, ZeroThreadsClampsToOne) {
