@@ -51,11 +51,10 @@ std::int64_t MarkovSteps() { return FullScale() ? 2500 : 600; }
 
 double RunSweep(const SimFunction& fn, const ParameterSpace& space,
                 bool use_fingerprints, std::size_t* bases,
-                std::uint64_t* invocations,
-                MappingFinderPtr finder = nullptr) {
+                std::uint64_t* invocations) {
   RunConfig cfg = PaperConfig();
   cfg.use_fingerprints = use_fingerprints;
-  SimulationRunner runner(cfg, std::move(finder));
+  SimulationRunner runner(cfg);
   WallTimer timer;
   runner.RunSweep(fn, space);
   const double secs = timer.ElapsedSeconds();
@@ -67,14 +66,12 @@ double RunSweep(const SimFunction& fn, const ParameterSpace& space,
 }
 
 void SweepBench(benchmark::State& state, const BlackBoxPtr& model,
-                const ParameterSpace& space, bool jigsaw,
-                MappingFinderPtr finder = nullptr) {
+                const ParameterSpace& space, bool jigsaw) {
   BlackBoxSimFunction fn(model);
   std::size_t bases = 0;
   std::uint64_t invocations = 0;
   for (auto _ : state) {
-    const double secs =
-        RunSweep(fn, space, jigsaw, &bases, &invocations, finder);
+    const double secs = RunSweep(fn, space, jigsaw, &bases, &invocations);
     state.SetIterationTime(secs);
   }
   state.counters["points"] = static_cast<double>(space.NumPoints());
@@ -111,14 +108,6 @@ void BM_Full_Overload(benchmark::State& state) {
 void BM_Jigsaw_Overload(benchmark::State& state) {
   SweepBench(state, MakeOverloadModel({}), OverloadSpace(), true);
 }
-// Paper-literal Algorithm 2 (no constant-fingerprint translation): the
-// all-zero / all-one risk regions can never be reused, which is the
-// regime in which the paper measured its ~2x Overload result.
-void BM_Jigsaw_OverloadStrictAlg2(benchmark::State& state) {
-  SweepBench(state, MakeOverloadModel({}), OverloadSpace(), true,
-             LinearMappingFinder::MakeStrict());
-}
-
 void BM_Full_MarkovStep(benchmark::State& state) {
   MarkovStepProcess process((MarkovStepConfig()));
   const RunConfig cfg = PaperConfig();
@@ -152,7 +141,6 @@ BENCHMARK(BM_Full_Capacity)->Unit(benchmark::kMillisecond)->UseManualTime()->Ite
 BENCHMARK(BM_Jigsaw_Capacity)->Unit(benchmark::kMillisecond)->UseManualTime()->Iterations(1);
 BENCHMARK(BM_Full_Overload)->Unit(benchmark::kMillisecond)->UseManualTime()->Iterations(1);
 BENCHMARK(BM_Jigsaw_Overload)->Unit(benchmark::kMillisecond)->UseManualTime()->Iterations(1);
-BENCHMARK(BM_Jigsaw_OverloadStrictAlg2)->Unit(benchmark::kMillisecond)->UseManualTime()->Iterations(1);
 BENCHMARK(BM_Full_MarkovStep)->Unit(benchmark::kMillisecond)->UseManualTime()->Iterations(1);
 BENCHMARK(BM_Jigsaw_MarkovStep)->Unit(benchmark::kMillisecond)->UseManualTime()->Iterations(1);
 

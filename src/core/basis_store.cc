@@ -11,12 +11,11 @@ std::optional<BasisMatch> BasisStore::FindMatch(const Fingerprint& probe) {
   index_->GetCandidates(probe, &candidate_buffer_);
   for (BasisId id : candidate_buffer_) {
     ++stats_.candidates_tested;
-    MappingPtr m =
-        finder_->Find(bases_[id].fingerprint, probe, kMappingTolerance);
-    if (m != nullptr) {
+    if (const auto m = FindLinearMapping(bases_[id].fingerprint, probe,
+                                         kMappingTolerance)) {
       ++stats_.hits;
       ++bases_[id].reuse_count;
-      return BasisMatch{id, std::move(m)};
+      return BasisMatch{id, *m};
     }
     ++stats_.false_positive_candidates;
   }

@@ -5,7 +5,7 @@
 /// 3.1, "Using Fingerprints"): tuples (theta_i, o_i) recording that the
 /// output metrics o_i were fully computed for a simulation whose
 /// fingerprint was theta_i. FindMatch implements lines 2-6 of Algorithm 3:
-/// prune with the index, then validate candidates with FindMapping.
+/// prune with the index, then validate candidates with FindLinearMapping.
 ///
 /// One store belongs to one SimulationRunner and has no lock. The
 /// parallel sweep touches it only from the caller's thread, between its
@@ -17,8 +17,6 @@
 #include <deque>
 #include <memory>
 #include <optional>
-#include <string>
-#include <utility>
 #include <vector>
 
 #include "core/fingerprint.h"
@@ -38,7 +36,7 @@ struct BasisDistribution {
 
 struct BasisMatch {
   BasisId basis_id;
-  MappingPtr mapping;  ///< maps basis domain -> probe domain
+  AffineMap mapping;  ///< maps basis domain -> probe domain
 };
 
 /// Counters used by the evaluation (basis counts in Figures 9-11, reuse
@@ -53,10 +51,8 @@ struct BasisStoreStats {
 
 class BasisStore {
  public:
-  BasisStore(MappingFinderPtr finder, IndexKind index_kind)
-      : finder_(std::move(finder)),
-        index_(MakeFingerprintIndex(index_kind, finder_, kMappingTolerance,
-                                    kIndexQuantum)) {}
+  explicit BasisStore(IndexKind index_kind)
+      : index_(MakeFingerprintIndex(index_kind)) {}
 
   /// Finds a basis whose fingerprint maps onto `probe` (basis -> probe
   /// direction, so basis metrics mapped by the result describe the probe).
@@ -75,10 +71,8 @@ class BasisStore {
   const BasisDistribution& Get(BasisId id) const { return bases_[id]; }
   std::size_t size() const { return bases_.size(); }
   const BasisStoreStats& stats() const { return stats_; }
-  const std::string& index_name() const { return index_->name(); }
 
  private:
-  MappingFinderPtr finder_;
   std::unique_ptr<FingerprintIndex> index_;
   /// Deque, not vector: Insert must not invalidate outstanding references.
   std::deque<BasisDistribution> bases_;

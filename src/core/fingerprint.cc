@@ -2,7 +2,6 @@
 
 #include "util/logging.h"
 #include "util/math_util.h"
-#include "util/string_util.h"
 
 namespace jigsaw {
 
@@ -14,16 +13,6 @@ Fingerprint::FirstTwoDistinct(double tol) const {
     if (!ApproxEqual(values_[i], first, tol)) return std::make_pair(0UL, i);
   }
   return std::nullopt;
-}
-
-std::string Fingerprint::ToString() const {
-  std::string out = "[";
-  for (std::size_t i = 0; i < values_.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += DoubleToString(values_[i]);
-  }
-  out += "]";
-  return out;
 }
 
 Fingerprint ComputeFingerprint(const SimFunction& fn,

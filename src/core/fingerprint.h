@@ -12,7 +12,6 @@
 
 #include <cstddef>
 #include <optional>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -32,9 +31,6 @@ class Fingerprint {
   double operator[](std::size_t i) const { return values_[i]; }
   const std::vector<double>& values() const { return values_; }
 
-  /// Appends one more entry (interactive mode grows fingerprints lazily).
-  void Append(double v) { values_.push_back(v); }
-
   /// Indices of the first two entries that differ by more than `tol`
   /// (relative), or nullopt if the fingerprint is constant. Used both by
   /// FindLinearMapping and by the normalization index.
@@ -43,8 +39,6 @@ class Fingerprint {
 
   /// True if every entry equals the first within tolerance.
   bool IsConstant(double tol) const { return !FirstTwoDistinct(tol); }
-
-  std::string ToString() const;
 
  private:
   std::vector<double> values_;

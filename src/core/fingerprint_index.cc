@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <unordered_map>
 
+#include "core/mapping.h"
 #include "util/hash.h"
 #include "util/logging.h"
 
@@ -40,16 +42,46 @@ std::vector<std::uint32_t> SortedSidKey(const Fingerprint& fp) {
   return sids;
 }
 
+std::vector<std::uint64_t> LinearNormalForm(const Fingerprint& fp) {
+  std::vector<std::uint64_t> key;
+  key.reserve(fp.size() + 1);
+
+  const auto distinct = fp.FirstTwoDistinct(kMappingTolerance);
+  if (!distinct) {
+    // All constant fingerprints share one bucket: every pair is mappable
+    // by translation.
+    key.push_back(0xC0115741'00000000ULL);  // "constant" tag
+    key.insert(key.end(), fp.size(), 0);
+    return key;
+  }
+
+  const auto [i0, i1] = *distinct;
+  const double a = fp[i0];
+  const double b = fp[i1];
+  key.push_back(0x401A'0000'0000'0000ULL ^ fp.size());
+  for (std::size_t i = 0; i < fp.size(); ++i) {
+    const double normalized = (fp[i] - a) / (b - a);
+    // Quantize for hashing. Candidates from a shared bucket are always
+    // re-validated by FindLinearMapping, so quantization can only cause
+    // (rare) extra bases, never incorrect reuse. Non-finite entries (a
+    // model returned NaN/Inf) get a sentinel: such fingerprints never
+    // map, but they must not poison the hash (llround on NaN is
+    // undefined).
+    const double scaled = normalized / kIndexQuantum;
+    const std::uint64_t q =
+        std::isfinite(scaled) && std::fabs(scaled) < 9.0e18
+            ? static_cast<std::uint64_t>(std::llround(scaled))
+            : 0x7FF0DEAD00000000ULL ^ i;
+    key.push_back(q);
+  }
+  return key;
+}
+
 namespace {
 
 /// Baseline: candidates = every basis, in insertion order.
 class ArrayIndex final : public FingerprintIndex {
  public:
-  const std::string& name() const override {
-    static const std::string kName = "Array";
-    return kName;
-  }
-
   void Insert(BasisId id, const Fingerprint&) override {
     ids_.push_back(id);
   }
@@ -59,54 +91,27 @@ class ArrayIndex final : public FingerprintIndex {
     *out = ids_;
   }
 
-  std::size_t size() const override { return ids_.size(); }
-
  private:
   std::vector<BasisId> ids_;
 };
 
-/// Hash of the mapping class's canonical normal form; one lookup returns
-/// exactly the bases whose normal form matches.
+/// Hash of the linear class's normal form; one lookup returns exactly the
+/// bases whose normal form matches.
 class NormalizationIndex final : public FingerprintIndex {
  public:
-  NormalizationIndex(MappingFinderPtr finder, double tol, double quantum)
-      : finder_(std::move(finder)), tol_(tol), quantum_(quantum) {
-    JIGSAW_CHECK_MSG(finder_->SupportsNormalization(),
-                     "mapping class '" << finder_->class_name()
-                                       << "' has no normal form");
-  }
-
-  const std::string& name() const override {
-    static const std::string kName = "Normalization";
-    return kName;
-  }
-
   void Insert(BasisId id, const Fingerprint& fp) override {
-    buckets_[KeyOf(fp)].push_back(id);
-    ++size_;
+    buckets_[HashWords(LinearNormalForm(fp))].push_back(id);
   }
 
   void GetCandidates(const Fingerprint& probe,
                      std::vector<BasisId>* out) const override {
     out->clear();
-    auto it = buckets_.find(KeyOf(probe));
+    auto it = buckets_.find(HashWords(LinearNormalForm(probe)));
     if (it != buckets_.end()) *out = it->second;
   }
 
-  std::size_t size() const override { return size_; }
-
  private:
-  std::uint64_t KeyOf(const Fingerprint& fp) const {
-    auto nf = finder_->NormalForm(fp, tol_, quantum_);
-    JIGSAW_CHECK(nf.has_value());
-    return HashWords(*nf);
-  }
-
-  MappingFinderPtr finder_;
-  double tol_;
-  double quantum_;
   std::unordered_map<std::uint64_t, std::vector<BasisId>> buckets_;
-  std::size_t size_ = 0;
 };
 
 /// Hash of the sorted sample-identifier permutation. Monotone increasing
@@ -115,14 +120,8 @@ class NormalizationIndex final : public FingerprintIndex {
 /// inverse", Section 3.2).
 class SortedSidIndex final : public FingerprintIndex {
  public:
-  const std::string& name() const override {
-    static const std::string kName = "SortedSID";
-    return kName;
-  }
-
   void Insert(BasisId id, const Fingerprint& fp) override {
     buckets_[HashIds(SortedSidKey(fp))].push_back(id);
-    ++size_;
   }
 
   void GetCandidates(const Fingerprint& probe,
@@ -138,23 +137,18 @@ class SortedSidIndex final : public FingerprintIndex {
     }
   }
 
-  std::size_t size() const override { return size_; }
-
  private:
   std::unordered_map<std::uint64_t, std::vector<BasisId>> buckets_;
-  std::size_t size_ = 0;
 };
 
 }  // namespace
 
-std::unique_ptr<FingerprintIndex> MakeFingerprintIndex(
-    IndexKind kind, MappingFinderPtr finder, double tol, double quantum) {
+std::unique_ptr<FingerprintIndex> MakeFingerprintIndex(IndexKind kind) {
   switch (kind) {
     case IndexKind::kArray:
       return std::make_unique<ArrayIndex>();
     case IndexKind::kNormalization:
-      return std::make_unique<NormalizationIndex>(std::move(finder), tol,
-                                                  quantum);
+      return std::make_unique<NormalizationIndex>();
     case IndexKind::kSortedSid:
       return std::make_unique<SortedSidIndex>();
   }

@@ -1,43 +1,21 @@
 #include "core/mapping.h"
 
-#include <cmath>
-
-#include "util/logging.h"
 #include "util/math_util.h"
-#include "util/string_util.h"
 
 namespace jigsaw {
 
-MappingPtr IdentityMapping::Make() {
-  static const MappingPtr kInstance = std::make_shared<IdentityMapping>();
-  return kInstance;
-}
-
-double LinearMapping::Invert(double y) const {
-  JIGSAW_CHECK_MSG(alpha_ != 0.0, "constant mapping is not invertible");
-  return (y - beta_) / alpha_;
-}
-
-std::string LinearMapping::ToString() const {
-  return StrFormat("M(x) = %.9g*x + %.9g", alpha_, beta_);
-}
-
-const std::string& LinearMappingFinder::class_name() const {
-  static const std::string kName = "linear";
-  return kName;
-}
-
-MappingPtr FindLinearMapping(const Fingerprint& theta1,
-                             const Fingerprint& theta2, double tol) {
-  if (theta1.size() != theta2.size() || theta1.empty()) return nullptr;
+std::optional<AffineMap> FindLinearMapping(const Fingerprint& theta1,
+                                           const Fingerprint& theta2,
+                                           double tol) {
+  if (theta1.size() != theta2.size() || theta1.empty()) return std::nullopt;
 
   const auto distinct = theta1.FirstTwoDistinct(tol);
   if (!distinct) {
     // theta1 is constant: a function can only map one input value to one
     // output value, so theta2 must be constant too. Use the translation
     // M(x) = x + (theta2[0] - theta1[0]).
-    if (!theta2.IsConstant(tol)) return nullptr;
-    return std::make_shared<LinearMapping>(1.0, theta2[0] - theta1[0]);
+    if (!theta2.IsConstant(tol)) return std::nullopt;
+    return AffineMap{1.0, theta2[0] - theta1[0]};
   }
 
   const auto [i0, i1] = *distinct;
@@ -49,69 +27,14 @@ MappingPtr FindLinearMapping(const Fingerprint& theta1,
   // relative tolerance in place of the paper's exact equality.
   for (std::size_t i = 0; i < theta1.size(); ++i) {
     if (!ApproxEqual(alpha * theta1[i] + beta, theta2[i], tol)) {
-      return nullptr;
+      return std::nullopt;
     }
   }
-  if (alpha == 1.0 && beta == 0.0) return IdentityMapping::Make();
-  return std::make_shared<LinearMapping>(alpha, beta);
-}
-
-MappingPtr LinearMappingFinder::Find(const Fingerprint& from,
-                                     const Fingerprint& to,
-                                     double tol) const {
-  if (!allow_constant_reuse_ && from.IsConstant(tol)) {
-    // Paper-literal Algorithm 2: alpha is indeterminate on constant
-    // fingerprints, so no mapping is ever found.
-    return nullptr;
-  }
-  return FindLinearMapping(from, to, tol);
-}
-
-std::optional<std::vector<std::uint64_t>> LinearMappingFinder::NormalForm(
-    const Fingerprint& fp, double tol, double quantum) const {
-  std::vector<std::uint64_t> key;
-  key.reserve(fp.size() + 1);
-
-  const auto distinct = fp.FirstTwoDistinct(tol);
-  if (!distinct) {
-    // All constant fingerprints share one bucket: every pair is mappable
-    // by translation.
-    key.push_back(0xC0115741'00000000ULL);  // "constant" tag
-    key.insert(key.end(), fp.size(), 0);
-    return key;
-  }
-
-  const auto [i0, i1] = *distinct;
-  const double a = fp[i0];
-  const double b = fp[i1];
-  key.push_back(0x401A'0000'0000'0000ULL ^ fp.size());
-  for (std::size_t i = 0; i < fp.size(); ++i) {
-    const double normalized = (fp[i] - a) / (b - a);
-    // Quantize for hashing. Candidates from a shared bucket are always
-    // re-validated by FindMapping, so quantization can only cause (rare)
-    // extra bases, never incorrect reuse. Non-finite entries (a model
-    // returned NaN/Inf) get a sentinel: such fingerprints never map, but
-    // they must not poison the hash (llround on NaN is undefined).
-    const double scaled = normalized / quantum;
-    const std::uint64_t q =
-        std::isfinite(scaled) && std::fabs(scaled) < 9.0e18
-            ? static_cast<std::uint64_t>(std::llround(scaled))
-            : 0x7FF0DEAD00000000ULL ^ i;
-    key.push_back(q);
-  }
-  return key;
-}
-
-MappingFinderPtr LinearMappingFinder::Make() {
-  static const MappingFinderPtr kInstance =
-      std::make_shared<LinearMappingFinder>();
-  return kInstance;
-}
-
-MappingFinderPtr LinearMappingFinder::MakeStrict() {
-  static const MappingFinderPtr kInstance =
-      std::make_shared<LinearMappingFinder>(/*allow_constant_reuse=*/false);
-  return kInstance;
+  // A fitted identity may carry beta == -0.0. Return the canonical
+  // AffineMap{} (beta +0.0) so that every identity fit maps values
+  // alike: 1 * -0.0 + 0.0 is +0.0, but 1 * -0.0 + -0.0 stays -0.0.
+  if (alpha == 1.0 && beta == 0.0) return AffineMap{};
+  return AffineMap{alpha, beta};
 }
 
 }  // namespace jigsaw

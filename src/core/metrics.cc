@@ -7,50 +7,30 @@
 
 namespace jigsaw {
 
-bool CanMapMetrics(const MappingFunction& m, bool has_samples) {
-  return m.AsAffine().has_value() || (m.Invertible() && has_samples);
-}
-
-std::optional<OutputMetrics> OutputMetrics::MappedBy(
-    const MappingFunction& m, int histogram_bins) const {
-  if (!CanMapMetrics(m, !samples.empty())) return std::nullopt;
-  if (auto affine = m.AsAffine()) {
-    const auto [alpha, beta] = *affine;
-    OutputMetrics out;
-    out.count = count;
-    out.mean = alpha * mean + beta;
-    out.stddev = std::fabs(alpha) * stddev;
-    out.std_error = std::fabs(alpha) * std_error;
-    const double a = alpha * min + beta;
-    const double b = alpha * max + beta;
-    out.min = std::min(a, b);
-    out.max = std::max(a, b);
-    const double q50 = alpha * p50 + beta;
-    const double q95 = alpha * p95 + beta;
-    out.p50 = q50;
-    out.p95 = alpha >= 0 ? q95 : q50;  // quantiles flip under alpha<0
-    if (alpha < 0) {
-      // p95 of the mapped distribution is the (1-0.95) quantile of the
-      // original; we only cached p50/p95, so approximate with what exists.
-      out.p95 = alpha * p50 + beta;
-      out.p50 = q50;
-    }
-    if (histogram) {
-      out.histogram = histogram->AffineTransformed(alpha, beta);
-    }
-    if (!samples.empty()) {
-      out.samples.reserve(samples.size());
-      for (double s : samples) out.samples.push_back(alpha * s + beta);
-    }
-    return out;
+OutputMetrics OutputMetrics::MappedBy(const AffineMap& m) const {
+  const auto [alpha, beta] = m;
+  OutputMetrics out;
+  out.count = count;
+  out.mean = alpha * mean + beta;
+  out.stddev = std::fabs(alpha) * stddev;
+  out.std_error = std::fabs(alpha) * std_error;
+  const double a = alpha * min + beta;
+  const double b = alpha * max + beta;
+  out.min = std::min(a, b);
+  out.max = std::max(a, b);
+  out.p50 = alpha * p50 + beta;
+  // Quantiles flip under alpha < 0: p95 of the mapped distribution is the
+  // (1-0.95) quantile of the original. Only p50/p95 are cached, so the
+  // mapped p50 stands in for it.
+  out.p95 = alpha >= 0 ? alpha * p95 + beta : out.p50;
+  if (histogram) {
+    out.histogram = histogram->AffineTransformed(alpha, beta);
   }
-  if (m.Invertible() && !samples.empty()) {
-    std::vector<double> mapped;
-    mapped.reserve(samples.size());
-    for (double s : samples) mapped.push_back(m.Apply(s));
-    return MetricsFromSamples(mapped, /*keep_samples=*/true, histogram_bins);
+  if (!samples.empty()) {
+    out.samples.reserve(samples.size());
+    for (double s : samples) out.samples.push_back(alpha * s + beta);
   }
-  return std::nullopt;
+  return out;
 }
 
 std::string OutputMetrics::ToString() const {

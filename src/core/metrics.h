@@ -34,22 +34,13 @@ struct OutputMetrics {
   /// by symbolic post-processing and some tests; costs memory).
   std::vector<double> samples;
 
-  /// Applies a mapping function to every derived value. Affine mappings
-  /// transform analytically (exactly); non-affine invertible mappings fall
-  /// back to element-wise transformation of retained samples. Returns
-  /// nullopt if neither path is possible.
-  std::optional<OutputMetrics> MappedBy(const MappingFunction& m,
-                                        int histogram_bins) const;
+  /// Applies a mapping to every derived value, analytically: moments,
+  /// extremes and quantiles map through M, the histogram's bin edges
+  /// transform and retained samples map element-wise.
+  OutputMetrics MappedBy(const AffineMap& m) const;
 
   std::string ToString() const;
 };
-
-/// True iff MappedBy(m, ...) would produce a value for metrics whose
-/// retained-sample vector is non-empty iff `has_samples`. The decision
-/// depends only on the mapping class and sample retention — never on the
-/// metric values — which lets the parallel sweep commit to a reuse
-/// decision before the basis metrics have been materialized.
-bool CanMapMetrics(const MappingFunction& m, bool has_samples);
 
 /// Streaming estimator used by both the naive path and the fingerprint
 /// path (fingerprint samples are the first m simulation rounds and feed

@@ -40,8 +40,7 @@ struct RunConfig {
   /// Seed of the global seed vector {sigma_k}.
   std::uint64_t master_seed = 0x5160534A00000001ULL;  // "JIGSAW"-ish tag
 
-  /// Estimator output shape.
-  int histogram_bins = 20;
+  /// Retain every sample in the output metrics (OutputMetrics::samples).
   bool keep_samples = false;
 
   /// Worker threads for sample evaluation (MCDB runs sampled worlds in
@@ -64,6 +63,10 @@ struct RunConfig {
   /// pool; scheduling never changes a draw, so results stay bit-identical
   /// either way.
   ThreadPool* shared_pool = nullptr;
+
+  /// Bins of every estimator's output histogram. Not a setting: nothing
+  /// ever chose another value.
+  static constexpr int histogram_bins = 20;
 
   /// The draw derivation (random/seed_vector.h) and the join kernel
   /// (pdb/join.h). Neither is a setting: each has one value, named here

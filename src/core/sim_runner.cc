@@ -8,12 +8,10 @@
 
 namespace jigsaw {
 
-SimulationRunner::SimulationRunner(const RunConfig& config,
-                                   MappingFinderPtr finder)
+SimulationRunner::SimulationRunner(const RunConfig& config)
     : config_(config),
       seeds_(config.master_seed, config.num_samples),
-      basis_store_(finder ? std::move(finder) : LinearMappingFinder::Make(),
-                   config.index_kind) {
+      basis_store_(config.index_kind) {
   const Status valid = ValidateConfig(config_);
   JIGSAW_CHECK_MSG(valid.ok(), valid.message());
   if (config_.batch_size == 0) config_.batch_size = 1;
@@ -85,20 +83,13 @@ PointResult SimulationRunner::RunPoint(const SimFunction& fn,
       // Selector only ever compares mapped outputs across parameter
       // values; it never mixes their samples (Section 6.2's correctness
       // argument).
-      const auto& basis = basis_store_.Get(match->basis_id);
-      auto mapped =
-          basis.metrics.MappedBy(*match->mapping, config_.histogram_bins);
-      if (mapped.has_value()) {
-        ++stats_.points_reused;
-        result.metrics = std::move(*mapped);
-        result.reused = true;
-        result.basis_id = match->basis_id;
-        result.mapping = std::move(match->mapping);
-        return result;
-      }
-      // Mapping exists but metrics could not be transformed (exotic
-      // mapping class without retained samples): fall through to full
-      // simulation.
+      ++stats_.points_reused;
+      result.metrics =
+          basis_store_.Get(match->basis_id).metrics.MappedBy(match->mapping);
+      result.reused = true;
+      result.basis_id = match->basis_id;
+      result.mapping = match->mapping;
+      return result;
     }
 
     // Miss: finish the remaining rounds and register a new basis. The
@@ -110,9 +101,7 @@ PointResult SimulationRunner::RunPoint(const SimFunction& fn,
     stats_.blackbox_invocations += n - m;
     result.metrics = estimator.Finalize();
     const auto& basis = basis_store_.Insert(std::move(fp), result.metrics);
-    result.reused = false;
     result.basis_id = basis.id;
-    result.mapping = IdentityMapping::Make();
     return result;
   }
 
@@ -122,8 +111,6 @@ PointResult SimulationRunner::RunPoint(const SimFunction& fn,
   estimator.AddSpan(scratch_);
   stats_.blackbox_invocations += n;
   result.metrics = estimator.Finalize();
-  result.reused = false;
-  result.mapping = IdentityMapping::Make();
   return result;
 }
 
@@ -162,8 +149,6 @@ std::vector<PointResult> SimulationRunner::RunSweepParallel(
       SampleRangeSerial(fn, valuations[i], 0, all);
       estimator.AddSpan(all);
       out[i].metrics = estimator.Finalize();
-      out[i].reused = false;
-      out[i].mapping = IdentityMapping::Make();
     });
     stats_.points_evaluated += n_points;
     stats_.blackbox_invocations += static_cast<std::uint64_t>(n_points) * n;
@@ -184,36 +169,21 @@ std::vector<PointResult> SimulationRunner::RunSweepParallel(
   // order — the exact order the serial sweep consults the store — so
   // reuse decisions, basis ids, reuse counts and store stats coincide
   // with the serial run. Misses register their fingerprint now (making
-  // it matchable by later points) with metrics deferred to phase 3.
-  // CanMapMetrics makes the hit/fall-through choice without needing the
-  // basis metrics: it depends only on the mapping class and on sample
-  // retention, which is uniform across the run (keep_samples).
-  struct Decision {
-    bool hit = false;
-    BasisId basis_id = 0;
-    MappingPtr mapping;
-  };
-  std::vector<Decision> decisions(n_points);
+  // it matchable by later points) with metrics deferred to phase 3. A
+  // match is always a hit: an affine map transforms any basis metrics,
+  // so the decision never needs them.
   std::vector<std::size_t> miss_points;
   for (std::size_t i = 0; i < n_points; ++i) {
     ++stats_.points_evaluated;
     stats_.blackbox_invocations += m;
-    Decision& d = decisions[i];
     if (auto match = basis_store_.FindMatch(fps[i])) {
-      if (CanMapMetrics(*match->mapping, config_.keep_samples)) {
-        ++stats_.points_reused;
-        d.hit = true;
-        d.basis_id = match->basis_id;
-        d.mapping = std::move(match->mapping);
-        continue;
-      }
-      // Mapping exists but metrics will not be transformable: the serial
-      // path falls through to full simulation and inserts a new basis.
+      ++stats_.points_reused;
+      out[i].reused = true;
+      out[i].basis_id = match->basis_id;
+      out[i].mapping = match->mapping;
+      continue;
     }
-    const auto& basis = basis_store_.Insert(Fingerprint(fps[i]), {});
-    d.hit = false;
-    d.basis_id = basis.id;
-    d.mapping = IdentityMapping::Make();
+    out[i].basis_id = basis_store_.Insert(Fingerprint(fps[i]), {}).id;
     miss_points.push_back(i);
     stats_.blackbox_invocations += n - m;
   }
@@ -235,24 +205,16 @@ std::vector<PointResult> SimulationRunner::RunSweepParallel(
   for (std::size_t j = 0; j < miss_points.size(); ++j) {
     const std::size_t i = miss_points[j];
     out[i].metrics = miss_metrics[j];
-    basis_store_.SetMetrics(decisions[i].basis_id,
-                            std::move(miss_metrics[j]));
+    basis_store_.SetMetrics(out[i].basis_id, std::move(miss_metrics[j]));
   }
 
-  // Phase 4: merge results in point-index order. Every basis a hit maps
-  // from was materialized either in a previous run or in phase 3 above;
-  // miss points already carry their metrics.
+  // Phase 4: map the hits' metrics in point-index order. Every basis a
+  // hit maps from was materialized either in a previous run or in phase
+  // 3 above; miss points already carry their metrics.
   for (std::size_t i = 0; i < n_points; ++i) {
-    const Decision& d = decisions[i];
-    out[i].reused = d.hit;
-    out[i].basis_id = d.basis_id;
-    out[i].mapping = d.mapping;
-    if (d.hit) {
-      auto mapped = basis_store_.Get(d.basis_id)
-                        .metrics.MappedBy(*d.mapping, config_.histogram_bins);
-      JIGSAW_CHECK_MSG(mapped.has_value(),
-                       "CanMapMetrics accepted an unmappable basis");
-      out[i].metrics = std::move(*mapped);
+    if (out[i].reused) {
+      out[i].metrics = basis_store_.Get(out[i].basis_id)
+                           .metrics.MappedBy(out[i].mapping);
     }
   }
   return out;

@@ -47,14 +47,13 @@ struct PointResult {
   OutputMetrics metrics;
   bool reused = false;          ///< true if served from a mapped basis
   BasisId basis_id = 0;         ///< basis that served (or was created)
-  MappingPtr mapping;           ///< mapping used (identity for new bases)
+  AffineMap mapping;            ///< mapping used (identity for new bases)
 };
 
 class SimulationRunner {
  public:
   /// `config` must pass ValidateConfig; the constructor aborts otherwise.
-  explicit SimulationRunner(const RunConfig& config,
-                            MappingFinderPtr finder = nullptr);
+  explicit SimulationRunner(const RunConfig& config);
 
   /// The constructor's preconditions as a status, for callers whose
   /// config comes from a user: InvalidArgument unless

@@ -16,21 +16,13 @@ SymbolicVar::SymbolicVar(BasisId basis_id,
 
 Result<SymbolicVar> SymbolicVar::FromPoint(const BasisStore& store,
                                            const PointResult& point) {
-  if (point.mapping == nullptr) {
-    return Status::InvalidArgument("point result carries no mapping");
-  }
-  const auto affine = point.mapping->AsAffine();
-  if (!affine) {
-    return Status::InvalidArgument(
-        "symbolic execution requires an affine mapping class");
-  }
   const BasisDistribution& basis = store.Get(point.basis_id);
   if (basis.metrics.samples.empty()) {
     return Status::InvalidArgument(
         "basis samples were not retained; set RunConfig.keep_samples");
   }
-  return SymbolicVar(point.basis_id, &basis.metrics.samples, affine->first,
-                     affine->second);
+  return SymbolicVar(point.basis_id, &basis.metrics.samples,
+                     point.mapping.alpha, point.mapping.beta);
 }
 
 Result<SymbolicVar> SymbolicVar::Combine(

@@ -32,8 +32,7 @@ namespace jigsaw {
 class SymbolicVar {
  public:
   /// Builds the symbolic view of a point result: the basis it was served
-  /// from plus the affine mapping. Requires (a) an affine mapping (always
-  /// true for the linear class) and (b) retained basis samples
+  /// from plus its mapping. Requires retained basis samples
   /// (RunConfig.keep_samples).
   static Result<SymbolicVar> FromPoint(const BasisStore& store,
                                        const PointResult& point);

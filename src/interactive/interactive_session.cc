@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "core/fingerprint.h"
+#include "core/mapping.h"
 #include "util/logging.h"
 #include "util/string_util.h"
 
@@ -24,8 +25,9 @@ struct InteractiveSession::PointState {
   std::vector<double> valuation;
   /// Own evaluations of this point (the progressively grown fingerprint).
   std::map<std::size_t, double> own;
+  /// Unbound while null; `mapping` is meaningful only when bound.
   std::shared_ptr<BasisRecord> basis;
-  MappingPtr mapping;  // basis -> point
+  AffineMap mapping;  // basis -> point
 };
 
 InteractiveSession::InteractiveSession(SimFunctionPtr fn,
@@ -35,8 +37,7 @@ InteractiveSession::InteractiveSession(SimFunctionPtr fn,
       space_(std::move(space)),
       config_(config),
       seeds_(config.run.master_seed, config.max_samples),
-      heuristic_rng_(config.run.master_seed ^ 0x1A7EAC717E5A17ULL),
-      finder_(LinearMappingFinder::Make()) {
+      heuristic_rng_(config.run.master_seed ^ 0x1A7EAC717E5A17ULL) {
   pool_ = ResolvePool(config_.run, &owned_pool_);
 }
 
@@ -153,22 +154,21 @@ void InteractiveSession::EvaluateBatch(std::size_t point_index,
 void InteractiveSession::FoldSample(PointState& state, std::size_t id,
                                     double value) {
   state.own[id] = value;
-  if (state.basis == nullptr || state.mapping == nullptr) return;
+  if (state.basis == nullptr) return;
   auto bit = state.basis->samples.find(id);
   if (bit != state.basis->samples.end()) {
     // Validation: the duplicate sample extends the fingerprint.
-    if (!ApproxEqual(state.mapping->Apply(bit->second), value,
+    if (!ApproxEqual(state.mapping.Apply(bit->second), value,
                      kMappingTolerance)) {
       // Mapping no longer valid: detach and rebind below.
       --state.basis->subscribers;
       state.basis = nullptr;
-      state.mapping = nullptr;
       ++stats_.rebinds;
     }
-  } else if (state.mapping->Invertible()) {
+  } else if (state.mapping.Invertible()) {
     // Refinement: map the fresh sample back into the basis domain so
     // every subscriber benefits (Algorithm 5 line 21).
-    state.basis->AddSample(id, state.mapping->Invert(value));
+    state.basis->AddSample(id, state.mapping.Invert(value));
   }
 }
 
@@ -199,11 +199,10 @@ void InteractiveSession::BindPoint(std::size_t point_index) {
       basis_values.push_back(it->second);
     }
     if (!complete) continue;
-    MappingPtr m = finder_->Find(Fingerprint(basis_values), theta,
-                                 kMappingTolerance);
-    if (m != nullptr) {
+    if (const auto m = FindLinearMapping(Fingerprint(basis_values), theta,
+                                         kMappingTolerance)) {
       state.basis = basis;
-      state.mapping = std::move(m);
+      state.mapping = *m;
       ++basis->subscribers;
       ++stats_.borrow_hits;
       return;
@@ -216,7 +215,7 @@ void InteractiveSession::BindPoint(std::size_t point_index) {
   basis->subscribers = 1;
   bases_.push_back(basis);
   state.basis = std::move(basis);
-  state.mapping = IdentityMapping::Make();
+  state.mapping = AffineMap{};
   ++stats_.basis_created;
 }
 
@@ -289,17 +288,14 @@ DisplayEstimate InteractiveSession::EstimateFor(
   auto it = points_.find(point_index);
   if (it == points_.end()) return out;
   const PointState& state = *it->second;
-  if (state.basis != nullptr && state.mapping != nullptr) {
-    const auto affine = state.mapping->AsAffine();
-    if (affine) {
-      const auto [alpha, beta] = *affine;
-      out.mean = alpha * state.basis->acc.mean() + beta;
-      out.std_error = std::fabs(alpha) * state.basis->acc.standard_error();
-      out.support = state.basis->acc.count();
-      out.borrowed = state.basis->subscribers > 1;
-      out.available = true;
-      return out;
-    }
+  if (state.basis != nullptr) {
+    const auto [alpha, beta] = state.mapping;
+    out.mean = alpha * state.basis->acc.mean() + beta;
+    out.std_error = std::fabs(alpha) * state.basis->acc.standard_error();
+    out.support = state.basis->acc.count();
+    out.borrowed = state.basis->subscribers > 1;
+    out.available = true;
+    return out;
   }
   if (!state.own.empty()) {
     WelfordAccumulator acc;

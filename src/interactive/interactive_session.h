@@ -25,7 +25,6 @@
 #include <optional>
 #include <vector>
 
-#include "core/mapping.h"
 #include "core/metrics.h"
 #include "core/parameter_space.h"
 #include "core/run_config.h"
@@ -141,7 +140,6 @@ class InteractiveSession {
   std::size_t focus_ = 0;
   std::map<std::size_t, std::unique_ptr<PointState>> points_;
   std::vector<std::shared_ptr<BasisRecord>> bases_;
-  MappingFinderPtr finder_;
   InteractiveStats stats_;
 };
 

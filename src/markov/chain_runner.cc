@@ -4,6 +4,7 @@
 #include <span>
 
 #include "core/fingerprint.h"
+#include "core/mapping.h"
 #include "util/logging.h"
 
 namespace jigsaw {
@@ -42,11 +43,8 @@ ChainResult NaiveChainRunner::Run(const MarkovProcess& process,
   return result;
 }
 
-MarkovJumpRunner::MarkovJumpRunner(const RunConfig& config,
-                                   MappingFinderPtr finder)
-    : config_(config),
-      finder_(finder ? std::move(finder) : LinearMappingFinder::Make()),
-      seeds_(config.master_seed, config.num_samples) {}
+MarkovJumpRunner::MarkovJumpRunner(const RunConfig& config)
+    : config_(config), seeds_(config.master_seed, config.num_samples) {}
 
 ChainResult MarkovJumpRunner::Run(const MarkovProcess& process,
                                   std::int64_t target) {
@@ -65,7 +63,7 @@ ChainResult MarkovJumpRunner::Run(const MarkovProcess& process,
 
   // Rebuilds instances [m, n) through the estimator (in place, batched)
   // and maps each prediction into the true chain's domain.
-  auto rebuild_tail = [&](std::int64_t abs_step, const MappingFunction& map) {
+  auto rebuild_tail = [&](std::int64_t abs_step, const AffineMap& map) {
     ForChunks(m, n, batch, [&](std::size_t k, std::size_t len) {
       const std::span<double> chunk(state.data() + k, len);
       process.EstimateBatch(chunk, anchor, abs_step, k, seeds_, chunk);
@@ -102,13 +100,13 @@ ChainResult MarkovJumpRunner::Run(const MarkovProcess& process,
     };
 
     // Does the estimator map onto the honest fingerprint at relative
-    // offset `rel`? Returns the mapping or nullptr.
-    auto mapping_at = [&](std::int64_t rel) -> MappingPtr {
+    // offset `rel`? Returns the mapping or nullopt.
+    auto mapping_at = [&](std::int64_t rel) {
       advance_fp_to(rel);
       ++stats.checkpoints;
       const Fingerprint est = estimator_fp(anchor + rel);
       const Fingerprint real(traj[static_cast<std::size_t>(rel - 1)]);
-      return finder_->Find(est, real, kMappingTolerance);
+      return FindLinearMapping(est, real, kMappingTolerance);
     };
 
     const std::int64_t remaining = target - anchor;
@@ -116,14 +114,13 @@ ChainResult MarkovJumpRunner::Run(const MarkovProcess& process,
     // Exponential ramp: double the checkpoint distance while the
     // estimator stays mappable (Algorithm 4 lines 3-9).
     std::int64_t last_valid = 0;
-    MappingPtr last_valid_mapping;
+    AffineMap last_valid_mapping;
     std::int64_t probe = 1;
     std::int64_t first_invalid = -1;
     while (probe < remaining) {
-      MappingPtr mapping = mapping_at(probe);
-      if (mapping != nullptr) {
+      if (const auto mapping = mapping_at(probe)) {
         last_valid = probe;
-        last_valid_mapping = std::move(mapping);
+        last_valid_mapping = *mapping;
         probe *= 2;
       } else {
         ++stats.mismatches;
@@ -135,8 +132,7 @@ ChainResult MarkovJumpRunner::Run(const MarkovProcess& process,
       // Ramp reached the target without a mismatch: validate the target
       // itself and finish with one mapped-estimator rebuild (Algorithm 4
       // lines 6-7).
-      MappingPtr mapping = mapping_at(remaining);
-      if (mapping != nullptr) {
+      if (const auto mapping = mapping_at(remaining)) {
         for (std::size_t k = 0; k < m; ++k) {
           state[k] = traj[static_cast<std::size_t>(remaining - 1)][k];
         }
@@ -154,10 +150,9 @@ ChainResult MarkovJumpRunner::Run(const MarkovProcess& process,
     std::int64_t hi = first_invalid;
     while (hi - lo > 1) {
       const std::int64_t mid = lo + (hi - lo) / 2;
-      MappingPtr mapping = mapping_at(mid);
-      if (mapping != nullptr) {
+      if (const auto mapping = mapping_at(mid)) {
         lo = mid;
-        last_valid_mapping = std::move(mapping);
+        last_valid_mapping = *mapping;
       } else {
         hi = mid;
       }
@@ -183,7 +178,7 @@ ChainResult MarkovJumpRunner::Run(const MarkovProcess& process,
       for (std::size_t k = 0; k < m; ++k) {
         state[k] = traj[static_cast<std::size_t>(lo - 1)][k];
       }
-      rebuild_tail(abs_step, *last_valid_mapping);
+      rebuild_tail(abs_step, last_valid_mapping);
       ++stats.full_rebuilds;
       anchor = abs_step;
     }

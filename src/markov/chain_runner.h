@@ -17,7 +17,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/mapping.h"
 #include "core/metrics.h"
 #include "core/run_config.h"
 #include "markov/markov_process.h"
@@ -57,8 +56,7 @@ class NaiveChainRunner {
 /// Algorithm 4 (MarkovJump).
 class MarkovJumpRunner {
  public:
-  explicit MarkovJumpRunner(const RunConfig& config,
-                            MappingFinderPtr finder = nullptr);
+  explicit MarkovJumpRunner(const RunConfig& config);
 
   ChainResult Run(const MarkovProcess& process, std::int64_t target);
 
@@ -66,7 +64,6 @@ class MarkovJumpRunner {
 
  private:
   RunConfig config_;
-  MappingFinderPtr finder_;
   SeedVector seeds_;
 };
 

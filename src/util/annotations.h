@@ -20,6 +20,8 @@
 ///
 /// Under GCC (the container toolchain) and MSVC every macro expands to
 /// nothing, so the annotations are zero-cost documentation off-Clang.
+/// Only the attributes the code uses are defined here; add another when
+/// its first use appears.
 
 #if defined(__clang__) && (!defined(SWIG))
 #define JIGSAW_THREAD_ANNOTATION_(x) __attribute__((x))
@@ -36,10 +38,6 @@
 
 /// Field `x` may only be read or written while the named mutex is held.
 #define JIGSAW_GUARDED_BY(x) JIGSAW_THREAD_ANNOTATION_(guarded_by(x))
-
-/// Pointer field: the *pointee* may only be dereferenced under the mutex
-/// (the pointer itself is unguarded).
-#define JIGSAW_PT_GUARDED_BY(x) JIGSAW_THREAD_ANNOTATION_(pt_guarded_by(x))
 
 /// The function may only be called while the listed capabilities are held
 /// by the caller (and they stay held — it neither acquires nor releases).
@@ -58,27 +56,3 @@
 /// The function releases a held capability.
 #define JIGSAW_RELEASE(...) \
   JIGSAW_THREAD_ANNOTATION_(release_capability(__VA_ARGS__))
-
-/// The function attempts the acquisition; `b` is the success return value.
-#define JIGSAW_TRY_ACQUIRE(...) \
-  JIGSAW_THREAD_ANNOTATION_(try_acquire_capability(__VA_ARGS__))
-
-/// Runtime assertion that the capability is held (AssertHeld patterns).
-#define JIGSAW_ASSERT_CAPABILITY(x) \
-  JIGSAW_THREAD_ANNOTATION_(assert_capability(x))
-
-/// Documents lock-ordering: this mutex must be acquired after/before the
-/// named ones, turning an ABBA inversion into a compile error.
-#define JIGSAW_ACQUIRED_AFTER(...) \
-  JIGSAW_THREAD_ANNOTATION_(acquired_after(__VA_ARGS__))
-#define JIGSAW_ACQUIRED_BEFORE(...) \
-  JIGSAW_THREAD_ANNOTATION_(acquired_before(__VA_ARGS__))
-
-/// The function returns a reference to the named capability.
-#define JIGSAW_RETURN_CAPABILITY(x) \
-  JIGSAW_THREAD_ANNOTATION_(lock_returned(x))
-
-/// Opts a function out of the analysis. Use ONLY for contracts the
-/// analysis cannot see, and say why at the use site.
-#define JIGSAW_NO_THREAD_SAFETY_ANALYSIS \
-  JIGSAW_THREAD_ANNOTATION_(no_thread_safety_analysis)

@@ -1,5 +1,5 @@
 // Tests for the fingerprint core: fingerprint computation, Algorithm 2
-// (FindLinearMapping), the mapping-class abstraction, the three index
+// (FindLinearMapping), the AffineMap value, the three index
 // strategies of Section 3.2 and the basis store (Algorithm 3).
 
 #include <gtest/gtest.h>
@@ -74,12 +74,10 @@ TEST(FingerprintTest, ComputeIsDeterministicAndUsesFirstSeeds) {
 TEST(LinearMappingTest, RecoversExactAffineMap) {
   const Fingerprint theta1 = FP({0.0, 1.2, 2.3, 1.3, 1.5});
   const Fingerprint theta2 = FP({0.1, 1.3, 2.4, 1.4, 1.6});
-  MappingPtr m = FindLinearMapping(theta1, theta2, kTol);
-  ASSERT_NE(m, nullptr);  // the paper's own example: M(x) = x + 0.1
-  auto affine = m->AsAffine();
-  ASSERT_TRUE(affine.has_value());
-  EXPECT_NEAR(affine->first, 1.0, 1e-12);
-  EXPECT_NEAR(affine->second, 0.1, 1e-12);
+  const auto m = FindLinearMapping(theta1, theta2, kTol);
+  ASSERT_TRUE(m.has_value());  // the paper's own example: M(x) = x + 0.1
+  EXPECT_NEAR(m->alpha, 1.0, 1e-12);
+  EXPECT_NEAR(m->beta, 0.1, 1e-12);
 }
 
 TEST(LinearMappingTest, PropertySweepRandomAffineMaps) {
@@ -96,8 +94,8 @@ TEST(LinearMappingTest, PropertySweepRandomAffineMaps) {
     const double beta = (u() - 0.5) * 40;
     std::vector<double> mapped;
     for (double x : base) mapped.push_back(alpha * x + beta);
-    MappingPtr m = FindLinearMapping(FP(base), FP(mapped), kTol);
-    ASSERT_NE(m, nullptr) << "trial " << trial;
+    const auto m = FindLinearMapping(FP(base), FP(mapped), kTol);
+    ASSERT_TRUE(m.has_value()) << "trial " << trial;
     for (double x : base) {
       EXPECT_NEAR(m->Apply(x), alpha * x + beta, 1e-6);
     }
@@ -112,64 +110,60 @@ TEST(LinearMappingTest, PropertySweepRandomAffineMaps) {
 TEST(LinearMappingTest, RejectsNonLinearRelation) {
   const Fingerprint theta1 = FP({1.0, 2.0, 3.0, 4.0});
   const Fingerprint theta2 = FP({1.0, 4.0, 9.0, 16.0});  // squares
-  EXPECT_EQ(FindLinearMapping(theta1, theta2, kTol), nullptr);
+  EXPECT_FALSE(FindLinearMapping(theta1, theta2, kTol).has_value());
 }
 
 TEST(LinearMappingTest, RejectsSizeMismatchAndEmpty) {
-  EXPECT_EQ(FindLinearMapping(FP({1, 2}), FP({1, 2, 3}), kTol), nullptr);
-  EXPECT_EQ(FindLinearMapping(FP({}), FP({}), kTol), nullptr);
+  EXPECT_FALSE(FindLinearMapping(FP({1, 2}), FP({1, 2, 3}), kTol));
+  EXPECT_FALSE(FindLinearMapping(FP({}), FP({}), kTol));
 }
 
 TEST(LinearMappingTest, ConstantToConstantIsTranslation) {
-  MappingPtr m = FindLinearMapping(FP({2, 2, 2}), FP({5, 5, 5}), kTol);
-  ASSERT_NE(m, nullptr);
+  const auto m = FindLinearMapping(FP({2, 2, 2}), FP({5, 5, 5}), kTol);
+  ASSERT_TRUE(m.has_value());
   EXPECT_DOUBLE_EQ(m->Apply(2.0), 5.0);
   EXPECT_DOUBLE_EQ(m->Apply(10.0), 13.0);  // translation by 3
 }
 
 TEST(LinearMappingTest, ConstantToVaryingHasNoMapping) {
-  EXPECT_EQ(FindLinearMapping(FP({2, 2, 2}), FP({1, 2, 3}), kTol), nullptr);
+  EXPECT_FALSE(FindLinearMapping(FP({2, 2, 2}), FP({1, 2, 3}), kTol));
 }
 
 TEST(LinearMappingTest, VaryingToConstantIsDegenerateAlphaZero) {
-  MappingPtr m = FindLinearMapping(FP({1, 2, 3}), FP({7, 7, 7}), kTol);
-  ASSERT_NE(m, nullptr);
+  const auto m = FindLinearMapping(FP({1, 2, 3}), FP({7, 7, 7}), kTol);
+  ASSERT_TRUE(m.has_value());
   EXPECT_FALSE(m->Invertible());
   EXPECT_DOUBLE_EQ(m->Apply(100.0), 7.0);
 }
 
 TEST(LinearMappingTest, IdentityIsCanonicalized) {
-  MappingPtr m = FindLinearMapping(FP({1, 2, 3}), FP({1, 2, 3}), kTol);
-  ASSERT_NE(m, nullptr);
+  const auto m = FindLinearMapping(FP({1, 2, 3}), FP({1, 2, 3}), kTol);
+  ASSERT_TRUE(m.has_value());
   EXPECT_TRUE(m->IsIdentity());
 }
 
 TEST(LinearMappingTest, NegativeAlphaSupported) {
-  MappingPtr m = FindLinearMapping(FP({0, 1, 2, 5}), FP({3, 1, -1, -7}), kTol);
-  ASSERT_NE(m, nullptr);
-  auto affine = m->AsAffine();
-  ASSERT_TRUE(affine);
-  EXPECT_NEAR(affine->first, -2.0, 1e-12);
-  EXPECT_NEAR(affine->second, 3.0, 1e-12);
+  const auto m =
+      FindLinearMapping(FP({0, 1, 2, 5}), FP({3, 1, -1, -7}), kTol);
+  ASSERT_TRUE(m.has_value());
+  EXPECT_NEAR(m->alpha, -2.0, 1e-12);
+  EXPECT_NEAR(m->beta, 3.0, 1e-12);
 }
 
 TEST(LinearMappingTest, ToleranceRejectsNearMisses) {
   const Fingerprint theta1 = FP({0.0, 1.0, 2.0, 3.0});
   const Fingerprint theta2 = FP({0.0, 1.0, 2.0, 3.01});
-  EXPECT_EQ(FindLinearMapping(theta1, theta2, kTol), nullptr);
+  EXPECT_FALSE(FindLinearMapping(theta1, theta2, kTol));
   // A looser tolerance accepts it.
-  EXPECT_NE(FindLinearMapping(theta1, theta2, 1e-2), nullptr);
+  EXPECT_TRUE(FindLinearMapping(theta1, theta2, 1e-2));
 }
 
-TEST(MappingTest, IdentitySingleton) {
-  EXPECT_TRUE(IdentityMapping::Make()->IsIdentity());
-  EXPECT_DOUBLE_EQ(IdentityMapping::Make()->Apply(3.5), 3.5);
-  EXPECT_DOUBLE_EQ(IdentityMapping::Make()->Invert(3.5), 3.5);
-}
-
-TEST(MappingTest, LinearToStringReadable) {
-  LinearMapping m(2.0, -1.0);
-  EXPECT_EQ(m.ToString(), "M(x) = 2*x + -1");
+TEST(MappingTest, DefaultMapIsIdentity) {
+  const AffineMap identity;
+  EXPECT_TRUE(identity.IsIdentity());
+  EXPECT_DOUBLE_EQ(identity.Apply(3.5), 3.5);
+  EXPECT_DOUBLE_EQ(identity.Invert(3.5), 3.5);
+  EXPECT_FALSE((AffineMap{2.0, -1.0}).IsIdentity());
 }
 
 // ---------------------------------------------------------------------------
@@ -177,7 +171,6 @@ TEST(MappingTest, LinearToStringReadable) {
 // ---------------------------------------------------------------------------
 
 TEST(NormalFormTest, InvariantUnderAffineMaps) {
-  auto finder = LinearMappingFinder::Make();
   SplitMix64 rng(31337);
   auto u = [&rng] {
     return static_cast<double>(rng.Next() >> 11) * 0x1.0p-53;
@@ -189,25 +182,19 @@ TEST(NormalFormTest, InvariantUnderAffineMaps) {
     const double beta = u() * 8 - 4;
     std::vector<double> mapped;
     for (double x : base) mapped.push_back(alpha * x + beta);
-    auto nf1 = finder->NormalForm(FP(base), kTol, 1e-6);
-    auto nf2 = finder->NormalForm(FP(mapped), kTol, 1e-6);
-    ASSERT_TRUE(nf1 && nf2);
-    EXPECT_EQ(*nf1, *nf2) << "trial " << trial << " alpha=" << alpha;
+    EXPECT_EQ(LinearNormalForm(FP(base)), LinearNormalForm(FP(mapped)))
+        << "trial " << trial << " alpha=" << alpha;
   }
 }
 
 TEST(NormalFormTest, DistinguishesUnrelatedFingerprints) {
-  auto finder = LinearMappingFinder::Make();
-  auto nf1 = finder->NormalForm(FP({0, 1, 2, 3}), kTol, 1e-6);
-  auto nf2 = finder->NormalForm(FP({0, 1, 4, 9}), kTol, 1e-6);
-  EXPECT_NE(*nf1, *nf2);
+  EXPECT_NE(LinearNormalForm(FP({0, 1, 2, 3})),
+            LinearNormalForm(FP({0, 1, 4, 9})));
 }
 
 TEST(NormalFormTest, AllConstantsShareABucket) {
-  auto finder = LinearMappingFinder::Make();
-  auto nf1 = finder->NormalForm(FP({3, 3, 3}), kTol, 1e-6);
-  auto nf2 = finder->NormalForm(FP({-8, -8, -8}), kTol, 1e-6);
-  EXPECT_EQ(*nf1, *nf2);
+  EXPECT_EQ(LinearNormalForm(FP({3, 3, 3})),
+            LinearNormalForm(FP({-8, -8, -8})));
 }
 
 TEST(SortedSidTest, InvariantUnderMonotoneIncreasingMaps) {
@@ -232,8 +219,7 @@ class IndexKindTest : public ::testing::TestWithParam<IndexKind> {};
 TEST_P(IndexKindTest, CandidatesAreSupersetOfTrueMatches) {
   // Property: for any probe, the candidate set must contain every basis
   // with a valid linear mapping (Array is the oracle by construction).
-  auto finder = LinearMappingFinder::Make();
-  auto index = MakeFingerprintIndex(GetParam(), finder, kTol, 1e-6);
+  auto index = MakeFingerprintIndex(GetParam());
 
   SplitMix64 rng(777);
   auto u = [&rng] {
@@ -260,7 +246,7 @@ TEST_P(IndexKindTest, CandidatesAreSupersetOfTrueMatches) {
   for (std::size_t probe = 0; probe < all.size(); ++probe) {
     index->GetCandidates(all[probe], &candidates);
     for (std::size_t b = 0; b < all.size(); ++b) {
-      if (finder->Find(all[b], all[probe], kTol) != nullptr) {
+      if (FindLinearMapping(all[b], all[probe], kTol)) {
         EXPECT_NE(std::find(candidates.begin(), candidates.end(),
                             static_cast<BasisId>(b)),
                   candidates.end())
@@ -280,9 +266,7 @@ INSTANTIATE_TEST_SUITE_P(AllIndexes, IndexKindTest,
                          });
 
 TEST(IndexTest, NormalizationPrunesUnrelatedShapes) {
-  auto finder = LinearMappingFinder::Make();
-  auto index =
-      MakeFingerprintIndex(IndexKind::kNormalization, finder, kTol, 1e-6);
+  auto index = MakeFingerprintIndex(IndexKind::kNormalization);
   index->Insert(0, FP({0, 1, 2, 3, 4}));
   index->Insert(1, FP({0, 1, 4, 9, 16}));
   index->Insert(2, FP({5, 7, 9, 11, 13}));  // affine image of basis 0
@@ -297,8 +281,7 @@ TEST(IndexTest, NormalizationPrunesUnrelatedShapes) {
 }
 
 TEST(IndexTest, ArrayReturnsEverything) {
-  auto finder = LinearMappingFinder::Make();
-  auto index = MakeFingerprintIndex(IndexKind::kArray, finder, kTol, 1e-6);
+  auto index = MakeFingerprintIndex(IndexKind::kArray);
   index->Insert(0, FP({1, 2}));
   index->Insert(1, FP({3, 4}));
   std::vector<BasisId> candidates;
@@ -310,15 +293,14 @@ TEST(IndexTest, SortedSidReturnsBasisForDecreasingMapProbe) {
   // A monotone *decreasing* map reverses the sorted-SID permutation; the
   // index must still return the basis by probing the reversed key
   // ("comparing both the SID sequence and its inverse", Section 3.2).
-  auto finder = LinearMappingFinder::Make();
-  auto index = MakeFingerprintIndex(IndexKind::kSortedSid, finder, kTol, 1e-6);
+  auto index = MakeFingerprintIndex(IndexKind::kSortedSid);
   const Fingerprint basis = FP({3.0, -1.0, 7.5, 0.2, 4.4});
   index->Insert(0, basis);
 
   std::vector<double> probe_vals;
   for (double x : basis.values()) probe_vals.push_back(-2.0 * x + 1.0);
   const Fingerprint probe = FP(probe_vals);
-  ASSERT_NE(finder->Find(basis, probe, kTol), nullptr)
+  ASSERT_TRUE(FindLinearMapping(basis, probe, kTol))
       << "precondition: the decreasing map is in the linear class";
 
   std::vector<BasisId> candidates;
@@ -332,7 +314,6 @@ TEST(IndexTest, DecreasingMapProbeParityAcrossIndexKinds) {
   // Array (trivially) and Normalization (alpha < 0 is in the linear
   // class's normal form) must agree with SortedSID on the decreasing-map
   // probe: all three return the basis as a candidate.
-  auto finder = LinearMappingFinder::Make();
   const Fingerprint basis = FP({3.0, -1.0, 7.5, 0.2, 4.4});
   std::vector<double> probe_vals;
   for (double x : basis.values()) probe_vals.push_back(-0.5 * x - 2.0);
@@ -340,7 +321,7 @@ TEST(IndexTest, DecreasingMapProbeParityAcrossIndexKinds) {
 
   for (IndexKind kind : {IndexKind::kArray, IndexKind::kNormalization,
                          IndexKind::kSortedSid}) {
-    auto index = MakeFingerprintIndex(kind, finder, kTol, 1e-6);
+    auto index = MakeFingerprintIndex(kind);
     index->Insert(0, basis);
     std::vector<BasisId> candidates;
     index->GetCandidates(probe, &candidates);
@@ -381,30 +362,26 @@ TEST(MetricsTest, MappedMetricsEqualRecomputedMetrics) {
     const double alpha = (trial % 3 == 0 ? -1 : 1) * (u() * 5 + 0.1);
     const double beta = u() * 20 - 10;
     OutputMetrics base = MetricsFromSamples(xs, true, 10);
-    LinearMapping mapping(alpha, beta);
-    auto mapped = base.MappedBy(mapping, 10);
-    ASSERT_TRUE(mapped.has_value());
+    const OutputMetrics mapped = base.MappedBy(AffineMap{alpha, beta});
 
     std::vector<double> ys;
     for (double x : xs) ys.push_back(alpha * x + beta);
     OutputMetrics direct = MetricsFromSamples(ys, true, 10);
 
-    EXPECT_NEAR(mapped->mean, direct.mean, 1e-9 * (1 + std::fabs(direct.mean)));
-    EXPECT_NEAR(mapped->stddev, direct.stddev,
-                1e-9 * (1 + direct.stddev));
-    EXPECT_NEAR(mapped->min, direct.min, 1e-9 * (1 + std::fabs(direct.min)));
-    EXPECT_NEAR(mapped->max, direct.max, 1e-9 * (1 + std::fabs(direct.max)));
-    EXPECT_EQ(mapped->count, direct.count);
+    EXPECT_NEAR(mapped.mean, direct.mean, 1e-9 * (1 + std::fabs(direct.mean)));
+    EXPECT_NEAR(mapped.stddev, direct.stddev, 1e-9 * (1 + direct.stddev));
+    EXPECT_NEAR(mapped.min, direct.min, 1e-9 * (1 + std::fabs(direct.min)));
+    EXPECT_NEAR(mapped.max, direct.max, 1e-9 * (1 + std::fabs(direct.max)));
+    EXPECT_EQ(mapped.count, direct.count);
   }
 }
 
 TEST(MetricsTest, MappedSamplesTransformElementwise) {
   OutputMetrics base = MetricsFromSamples({1, 2, 3}, true, 4);
-  auto mapped = base.MappedBy(LinearMapping(2.0, 1.0), 4);
-  ASSERT_TRUE(mapped.has_value());
-  ASSERT_EQ(mapped->samples.size(), 3u);
-  EXPECT_DOUBLE_EQ(mapped->samples[0], 3.0);
-  EXPECT_DOUBLE_EQ(mapped->samples[2], 7.0);
+  const OutputMetrics mapped = base.MappedBy(AffineMap{2.0, 1.0});
+  ASSERT_EQ(mapped.samples.size(), 3u);
+  EXPECT_DOUBLE_EQ(mapped.samples[0], 3.0);
+  EXPECT_DOUBLE_EQ(mapped.samples[2], 7.0);
 }
 
 TEST(MetricsTest, ExtractMetricQuantilesOnSingleSample) {
@@ -614,7 +591,7 @@ TEST(EstimatorFinalizeTest, BothFinalizesMatchTheCopyingFinalizeBitForBit) {
 // ---------------------------------------------------------------------------
 
 TEST(BasisStoreTest, MissThenHit) {
-  BasisStore store(LinearMappingFinder::Make(), IndexKind::kNormalization);
+  BasisStore store(IndexKind::kNormalization);
   const Fingerprint fp1 = FP({0, 1, 2, 3});
   EXPECT_FALSE(store.FindMatch(fp1).has_value());
   store.Insert(fp1, MetricsFromSamples({0, 1, 2, 3}, false, 4));
@@ -625,10 +602,8 @@ TEST(BasisStoreTest, MissThenHit) {
   auto match = store.FindMatch(fp2);
   ASSERT_TRUE(match.has_value());
   EXPECT_EQ(match->basis_id, 0u);
-  auto affine = match->mapping->AsAffine();
-  ASSERT_TRUE(affine);
-  EXPECT_NEAR(affine->first, 2.0, 1e-12);
-  EXPECT_NEAR(affine->second, 1.0, 1e-12);
+  EXPECT_NEAR(match->mapping.alpha, 2.0, 1e-12);
+  EXPECT_NEAR(match->mapping.beta, 1.0, 1e-12);
 
   const auto& stats = store.stats();
   EXPECT_EQ(stats.lookups, 2u);
@@ -638,7 +613,7 @@ TEST(BasisStoreTest, MissThenHit) {
 }
 
 TEST(BasisStoreTest, UnrelatedShapesCreateSeparateBases) {
-  BasisStore store(LinearMappingFinder::Make(), IndexKind::kSortedSid);
+  BasisStore store(IndexKind::kSortedSid);
   store.Insert(FP({0, 1, 2, 3}), {});
   store.Insert(FP({0, 1, 4, 9}), {});
   EXPECT_EQ(store.size(), 2u);

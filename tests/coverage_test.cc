@@ -235,17 +235,14 @@ TEST(PointResultTest, ReusedPointRecordsMappingAndBasis) {
   SimulationRunner runner(cfg);
   const auto first = runner.RunPoint(fn, std::vector<double>{5.0, 52.0});
   EXPECT_FALSE(first.reused);
-  ASSERT_NE(first.mapping, nullptr);
-  EXPECT_TRUE(first.mapping->IsIdentity());
+  EXPECT_TRUE(first.mapping.IsIdentity());
 
   const auto second = runner.RunPoint(fn, std::vector<double>{20.0, 52.0});
   ASSERT_TRUE(second.reused);
   EXPECT_EQ(second.basis_id, first.basis_id);
-  const auto affine = second.mapping->AsAffine();
-  ASSERT_TRUE(affine.has_value());
   // Mapping week 5 (sd = sqrt(0.5)) to week 20 (sd = 2): alpha = 2.
-  EXPECT_NEAR(affine->first, std::sqrt(0.1 * 20.0) / std::sqrt(0.1 * 5.0),
-              1e-9);
+  EXPECT_NEAR(second.mapping.alpha,
+              std::sqrt(0.1 * 20.0) / std::sqrt(0.1 * 5.0), 1e-9);
   EXPECT_EQ(runner.basis_store().Get(first.basis_id).reuse_count, 1u);
 }
 

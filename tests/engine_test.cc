@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -13,7 +14,10 @@
 #include "core/optimizer.h"
 #include "core/parameter_space.h"
 #include "core/sim_runner.h"
+#include "markov/chain_runner.h"
+#include "markov/markov_models.h"
 #include "models/cloud_models.h"
+#include "util/hash.h"
 
 namespace jigsaw {
 namespace {
@@ -292,8 +296,8 @@ TEST(ModelTest, SynthBasisSameClassIsLinearlyMappable) {
   Fingerprint fp3 = ComputeFingerprint(fn, std::vector<double>{3.0}, seeds, 10);
   Fingerprint fp7 = ComputeFingerprint(fn, std::vector<double>{7.0}, seeds, 10);
   Fingerprint fp6 = ComputeFingerprint(fn, std::vector<double>{6.0}, seeds, 10);
-  EXPECT_NE(FindLinearMapping(fp3, fp7, 1e-9), nullptr);
-  EXPECT_EQ(FindLinearMapping(fp3, fp6, 1e-9), nullptr);
+  EXPECT_TRUE(FindLinearMapping(fp3, fp7, 1e-9));
+  EXPECT_FALSE(FindLinearMapping(fp3, fp6, 1e-9));
 }
 
 // ---------------------------------------------------------------------------
@@ -476,8 +480,8 @@ void ExpectSweepsIdentical(const RunConfig& base_cfg, const SimFunction& fn,
                    << threads << " threads, point " << i);
       EXPECT_EQ(got[i].reused, expected[i].reused);
       EXPECT_EQ(got[i].basis_id, expected[i].basis_id);
-      ASSERT_NE(got[i].mapping, nullptr);
-      EXPECT_EQ(got[i].mapping->ToString(), expected[i].mapping->ToString());
+      EXPECT_EQ(Bits(got[i].mapping.alpha), Bits(expected[i].mapping.alpha));
+      EXPECT_EQ(Bits(got[i].mapping.beta), Bits(expected[i].mapping.beta));
       ExpectBitIdenticalMetrics(got[i].metrics, expected[i].metrics);
     }
 
@@ -564,6 +568,224 @@ TEST(SweepDeterminismTest, NaiveSweepBitIdenticalAcrossThreadCounts) {
   ASSERT_TRUE(space.Add({"week", RangeDomain{1, 30, 1}}).ok());
   ASSERT_TRUE(space.Add({"feature", SetDomain{{52.0}}}).ok());
   ExpectSweepsIdentical(cfg, fn, space);
+}
+
+// ---------------------------------------------------------------------------
+// Golden sweep: the fingerprint core's results, frozen as bit patterns —
+// reuse decisions, mappings and mapped metrics of RunPoint, MappedBy's
+// negative- and zero-slope arithmetic, and Markov-jump runs. Anything
+// that changes one of these literals changes results and must say so.
+// ---------------------------------------------------------------------------
+
+/// count, then the bits of mean, stddev, std_error, min, max, p50 and p95.
+using MetricBits = std::array<std::uint64_t, 8>;
+
+MetricBits BitsOf(const OutputMetrics& m) {
+  return {static_cast<std::uint64_t>(m.count), Bits(m.mean), Bits(m.stddev),
+          Bits(m.std_error), Bits(m.min), Bits(m.max), Bits(m.p50),
+          Bits(m.p95)};
+}
+
+TEST(GoldenSweepTest, RunPointReuseShapesAreFrozen) {
+  // One runner per model, fed its points in order. Together they cover a
+  // new basis, identity reuses (a repeated point; a constant fingerprint;
+  // a two-valued one), translation reuses (alpha = 1, beta != 0) and
+  // scaling reuses (alpha != 1).
+  struct Point {
+    std::vector<double> params;
+    bool reused;
+    BasisId basis_id;
+    std::uint64_t alpha;
+    std::uint64_t beta;
+    MetricBits metrics;
+  };
+  const struct {
+    BlackBoxPtr model;
+    std::vector<Point> points;
+  } kGolden[] = {
+      // Demand: a new basis, a scaling reuse (alpha = sqrt 2), the first
+      // point again (identity) and a scaling reuse (alpha = sqrt 8).
+      {MakeDemandModel(),
+       {{{5, 52}, false, 0, 0x3FF0000000000000ULL, 0x0000000000000000ULL,
+         {200ULL, 0x40142F6CE01479A7ULL, 0x3FE73D44BB7C877DULL,
+          0x3FAA5BB8295AEAEEULL, 0x4008DEF13C6D1968ULL,
+          0x401D014456484D78ULL, 0x401425333FF201B0ULL, 0x4018D633217FB26CULL}},
+        {{10, 52}, true, 0, 0x3FF6A09E667F3BE5ULL, 0x40076E73FFC1EA44ULL,
+         {200ULL, 0x40242188E52FF404ULL, 0x3FF06EC4A1821B40ULL,
+          0x3FB2A35BAE87BCA8ULL, 0x401D4D55AC0AB6BEULL,
+          0x402A5E11E41A6080ULL, 0x40241A4DF45A4E32ULL, 0x40276B8A17C9BCB0ULL}},
+        {{5, 52}, true, 0, 0x3FF0000000000000ULL, 0x0000000000000000ULL,
+         {200ULL, 0x40142F6CE01479A7ULL, 0x3FE73D44BB7C877DULL,
+          0x3FAA5BB8295AEAEEULL, 0x4008DEF13C6D1968ULL,
+          0x401D014456484D78ULL, 0x401425333FF201B0ULL, 0x4018D633217FB26CULL}},
+        {{40, 52}, true, 0, 0x4006A09E667F3BCDULL, 0x4039DB9CFFF07AA0ULL,
+         {200ULL, 0x404410C47297FA02ULL, 0x40006EC4A1821B2EULL,
+          0x3FC2A35BAE87BC94ULL, 0x404153556B02ADB2ULL,
+          0x40472F08F20D303CULL, 0x40440D26FA2D2718ULL,
+          0x4045B5C50BE4DE56ULL}}}},
+      // Capacity: a constant basis and its identity reuse, a new two-valued
+      // basis, and translations of the constant basis by 18 and 36 cores.
+      {MakeCapacityModel(),
+       {{{1, 20, 40}, false, 0, 0x3FF0000000000000ULL, 0x0000000000000000ULL,
+         {200ULL, 0x4044000000000000ULL, 0x0000000000000000ULL,
+          0x0000000000000000ULL, 0x4044000000000000ULL,
+          0x4044000000000000ULL, 0x4044000000000000ULL, 0x4044000000000000ULL}},
+        {{4, 20, 40}, true, 0, 0x3FF0000000000000ULL, 0x0000000000000000ULL,
+         {200ULL, 0x4044000000000000ULL, 0x0000000000000000ULL,
+          0x0000000000000000ULL, 0x4044000000000000ULL,
+          0x4044000000000000ULL, 0x4044000000000000ULL, 0x4044000000000000ULL}},
+        {{22, 20, 40}, false, 1, 0x3FF0000000000000ULL, 0x0000000000000000ULL,
+         {200ULL, 0x4049FC28F5C28F58ULL, 0x4020FDDD37EE9CD4ULL,
+          0x3FE345A8B9EE836EULL, 0x4044000000000000ULL,
+          0x404D000000000000ULL, 0x404D000000000000ULL, 0x404D000000000000ULL}},
+        {{25, 20, 40}, true, 0, 0x3FF0000000000000ULL, 0x4032000000000000ULL,
+         {200ULL, 0x404D000000000000ULL, 0x0000000000000000ULL,
+          0x0000000000000000ULL, 0x404D000000000000ULL,
+          0x404D000000000000ULL, 0x404D000000000000ULL, 0x404D000000000000ULL}},
+        {{49, 20, 40}, true, 0, 0x3FF0000000000000ULL, 0x4042000000000000ULL,
+         {200ULL, 0x4053000000000000ULL, 0x0000000000000000ULL,
+          0x0000000000000000ULL, 0x4053000000000000ULL,
+          0x4053000000000000ULL, 0x4053000000000000ULL,
+          0x4053000000000000ULL}}}},
+      // Overload: a constant-zero basis and its identity reuse, a new
+      // two-valued basis, the all-ones translation of the constant basis,
+      // and an identity reuse of the two-valued basis.
+      {MakeOverloadModel(),
+       {{{1, 20, 40}, false, 0, 0x3FF0000000000000ULL, 0x0000000000000000ULL,
+         {200ULL, 0x0000000000000000ULL, 0x0000000000000000ULL,
+          0x0000000000000000ULL, 0x0000000000000000ULL,
+          0x0000000000000000ULL, 0x0000000000000000ULL, 0x0000000000000000ULL}},
+        {{30, 52, 52}, true, 0, 0x3FF0000000000000ULL, 0x0000000000000000ULL,
+         {200ULL, 0x0000000000000000ULL, 0x0000000000000000ULL,
+          0x0000000000000000ULL, 0x0000000000000000ULL,
+          0x0000000000000000ULL, 0x0000000000000000ULL, 0x0000000000000000ULL}},
+        {{38, 52, 52}, false, 1, 0x3FF0000000000000ULL, 0x0000000000000000ULL,
+         {200ULL, 0x3FC28F5C28F5C28BULL, 0x3FD688D1F3D7B5AEULL,
+          0x3F998F0D95672A2DULL, 0x0000000000000000ULL,
+          0x3FF0000000000000ULL, 0x0000000000000000ULL, 0x3FF0000000000000ULL}},
+        {{44, 52, 52}, true, 0, 0x3FF0000000000000ULL, 0x3FF0000000000000ULL,
+         {200ULL, 0x3FF0000000000000ULL, 0x0000000000000000ULL,
+          0x0000000000000000ULL, 0x3FF0000000000000ULL,
+          0x3FF0000000000000ULL, 0x3FF0000000000000ULL, 0x3FF0000000000000ULL}},
+        {{56, 52, 52}, true, 1, 0x3FF0000000000000ULL, 0x0000000000000000ULL,
+         {200ULL, 0x3FC28F5C28F5C28BULL, 0x3FD688D1F3D7B5AEULL,
+          0x3F998F0D95672A2DULL, 0x0000000000000000ULL,
+          0x3FF0000000000000ULL, 0x0000000000000000ULL,
+          0x3FF0000000000000ULL}}}},
+  };
+  RunConfig cfg = SmallConfig(200, 10);
+  cfg.master_seed = 1;
+  for (const auto& g : kGolden) {
+    BlackBoxSimFunction fn(g.model);
+    SimulationRunner runner(cfg);
+    for (const Point& p : g.points) {
+      SCOPED_TRACE(::testing::Message()
+                   << g.model->name() << " at week " << p.params[0]);
+      const PointResult r = runner.RunPoint(fn, p.params);
+      const auto [alpha, beta] = r.mapping;
+      EXPECT_EQ(r.reused, p.reused);
+      EXPECT_EQ(r.basis_id, p.basis_id);
+      EXPECT_EQ(Bits(alpha), p.alpha);
+      EXPECT_EQ(Bits(beta), p.beta);
+      EXPECT_EQ(BitsOf(r.metrics), p.metrics);
+    }
+  }
+}
+
+TEST(GoldenSweepTest, MappedByNegativeAndZeroSlopeAreFrozen) {
+  const OutputMetrics base = MetricsFromSamples(
+      {3.5, -1.25, 4.0, 0.5, -5.0, 9.75, 2.0, 6.5, -0.0, 5.25, 7.0, 1.5},
+      /*keep_samples=*/true, /*histogram_bins=*/4);
+  const struct {
+    double alpha;
+    double beta;
+    MetricBits metrics;
+    std::array<std::uint64_t, 2> histogram_range;
+    std::array<std::int64_t, 4> histogram_counts;
+    std::uint64_t samples_digest;
+  } kGolden[] = {
+      // alpha < 0: p95 is the mapped p50, today's rule, which does not
+      // map the 5% quantile of the basis (see the MappedBy FOUND line in
+      // CHANGES.md).
+      {-2.0, 1.0,
+       {12ULL, 0xC012800000000000ULL, 0x401F01B861E3843DULL,
+        0x4002B2A01AADF9CEULL, 0xC032800000000000ULL, 0x4026000000000000ULL,
+        0xC012000000000000ULL, 0xC012000000000000ULL},
+       {0xC032800000000000ULL, 0x4026000000000000ULL},
+       {3, 3, 5, 1},
+       0xB03306D7E1AD2765ULL},
+      {0.0, 3.0,
+       {12ULL, 0x4008000000000000ULL, 0x0000000000000000ULL,
+        0x0000000000000000ULL, 0x4008000000000000ULL, 0x4008000000000000ULL,
+        0x4008000000000000ULL, 0x4008000000000000ULL},
+       {0x4004000000000000ULL, 0x400C000000000000ULL},
+       {0, 0, 12, 0},
+       0x1DB325CBDA60C4A5ULL},
+  };
+  for (const auto& g : kGolden) {
+    SCOPED_TRACE(::testing::Message() << "alpha " << g.alpha);
+    const OutputMetrics mapped = base.MappedBy(AffineMap{g.alpha, g.beta});
+    EXPECT_EQ(BitsOf(mapped), g.metrics);
+    ASSERT_TRUE(mapped.histogram.has_value());
+    const Histogram& h = *mapped.histogram;
+    EXPECT_EQ(Bits(h.lo()), g.histogram_range[0]);
+    EXPECT_EQ(Bits(h.hi()), g.histogram_range[1]);
+    ASSERT_EQ(h.num_bins(), 4);
+    for (int b = 0; b < 4; ++b) {
+      EXPECT_EQ(h.bin_count(b), g.histogram_counts[b]) << "bin " << b;
+    }
+    EXPECT_EQ(h.dropped_count(), 0);
+    EXPECT_EQ(Fnv1a64(mapped.samples.data(),
+                      mapped.samples.size() * sizeof(double)),
+              g.samples_digest);
+  }
+}
+
+TEST(GoldenSweepTest, IdentityFitHasPositiveZeroBeta) {
+  // alpha = 1 and beta = -0.0 - 1 * 0 = -0.0: the fit canonicalizes to
+  // the identity, whose beta is +0.0, so MappedBy keeps a -0.0 mean's
+  // sign.
+  const auto m =
+      FindLinearMapping(Fingerprint({0.0, 1.0, 2.0}),
+                        Fingerprint({-0.0, 1.0, 2.0}), kMappingTolerance);
+  ASSERT_TRUE(m.has_value());
+  const auto [alpha, beta] = *m;
+  EXPECT_EQ(alpha, 1.0);
+  EXPECT_EQ(beta, 0.0);
+  EXPECT_FALSE(std::signbit(beta));
+}
+
+TEST(GoldenSweepTest, MarkovJumpRunsAreFrozen) {
+  RunConfig cfg = SmallConfig(200, 10);
+  cfg.master_seed = 1;
+  const MarkovStepProcess step_process;
+  MarkovBranchConfig branch_cfg;
+  branch_cfg.branching = 0.02;
+  const MarkovBranchProcess branch_process(branch_cfg);
+  const struct {
+    const MarkovProcess* process;
+    std::int64_t target;
+    std::uint64_t states_digest;
+    ChainRunStats stats;
+  } kGolden[] = {
+      {&step_process, 52, 0xB00D1F9962275F25ULL,
+       {660, 1400, 26, 5, 6}},
+      {&branch_process, 300, 0x4ACC8EB509723D0DULL,
+       {14890, 11610, 287, 101, 46}},
+  };
+  for (const auto& g : kGolden) {
+    SCOPED_TRACE(g.process->name());
+    MarkovJumpRunner runner(cfg);
+    const ChainResult r = runner.Run(*g.process, g.target);
+    EXPECT_EQ(Fnv1a64(r.final_states.data(),
+                      r.final_states.size() * sizeof(double)),
+              g.states_digest);
+    EXPECT_EQ(r.stats.step_invocations, g.stats.step_invocations);
+    EXPECT_EQ(r.stats.estimator_invocations, g.stats.estimator_invocations);
+    EXPECT_EQ(r.stats.checkpoints, g.stats.checkpoints);
+    EXPECT_EQ(r.stats.mismatches, g.stats.mismatches);
+    EXPECT_EQ(r.stats.full_rebuilds, g.stats.full_rebuilds);
+  }
 }
 
 // ---------------------------------------------------------------------------

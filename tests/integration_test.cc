@@ -119,7 +119,7 @@ TEST(IntegrationTest, CapacitySweepSharesBasesAcrossPurchaseDeltas) {
       runner.RunPoint(fn, std::vector<double>{24.0, 20.0, 64.0});
   EXPECT_TRUE(r2.reused);
   EXPECT_EQ(r2.basis_id, r1.basis_id);
-  EXPECT_TRUE(r2.mapping->IsIdentity());
+  EXPECT_TRUE(r2.mapping.IsIdentity());
 }
 
 TEST(IntegrationTest, SeedReuseDoesNotBiasComparisons) {

@@ -76,20 +76,17 @@ TEST_P(ToleranceTest, PerturbationAcceptedIffWithinTolerance) {
   for (double x : base) mapped.push_back(2.0 * x + 1.0);
 
   // Clean map: always found.
-  EXPECT_NE(FindLinearMapping(Fingerprint(base), Fingerprint(mapped), tol),
-            nullptr);
+  EXPECT_TRUE(FindLinearMapping(Fingerprint(base), Fingerprint(mapped), tol));
 
   // Perturb one non-pivot entry by 10x the tolerance: must be rejected.
   std::vector<double> bad = mapped;
   bad[4] *= 1.0 + 20.0 * tol;
-  EXPECT_EQ(FindLinearMapping(Fingerprint(base), Fingerprint(bad), tol),
-            nullptr);
+  EXPECT_FALSE(FindLinearMapping(Fingerprint(base), Fingerprint(bad), tol));
 
   // Perturb well inside tolerance: must still be accepted.
   std::vector<double> ok = mapped;
   ok[4] *= 1.0 + 0.01 * tol;
-  EXPECT_NE(FindLinearMapping(Fingerprint(base), Fingerprint(ok), tol),
-            nullptr);
+  EXPECT_TRUE(FindLinearMapping(Fingerprint(base), Fingerprint(ok), tol));
 }
 
 INSTANTIATE_TEST_SUITE_P(Tolerances, ToleranceTest,
