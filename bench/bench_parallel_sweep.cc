@@ -1,16 +1,23 @@
 // Parallel-sweep scaling: RunSweep fanned out across parameter points on
 // the worker pool vs the serial sweep, for both the naive baseline and
-// the fingerprint-accelerated path.
+// the fingerprint-accelerated path; plus the naive sweep's points as a
+// RunPoint loop, the shape OPTIMIZE and GRAPH run, which reaches only
+// RunPoint's within-point fan-out.
 //
 // Shape to reproduce: near-linear scaling for the naive sweep (points are
 // embarrassingly parallel) and solid scaling for the fingerprint sweep's
 // miss phase, while every thread count reports identical checksums — the
 // "checksum" counter folds all output metrics bitwise, so any scheduling
-// nondeterminism shows up as differing counter values between rows.
+// nondeterminism shows up as differing counter values between rows. The
+// binary exits non-zero when any row's checksum differs from the 1-thread
+// row of its mode (naive or fingerprint; the RunPoint loop is naive).
 
 #include "bench_common.h"
 
+#include <cstdio>
 #include <cstring>
+#include <map>
+#include <vector>
 
 #include "core/sim_runner.h"
 #include "models/cloud_models.h"
@@ -50,7 +57,14 @@ double MetricsChecksum(const std::vector<PointResult>& results) {
   return static_cast<double>(h >> 12);
 }
 
-void SweepBench(benchmark::State& state, bool use_fingerprints) {
+/// Each mode's 1-thread checksum (keyed by use_fingerprints), and whether
+/// any row has differed from its mode's. Arg(1) runs first in every
+/// family, so the reference exists before the rows it checks.
+std::map<bool, double> reference_checksums;
+bool checksum_mismatch = false;
+
+void SweepBench(benchmark::State& state, const char* name,
+                bool use_fingerprints, bool point_loop) {
   const auto model = MakeDemandModel({});
   BlackBoxSimFunction fn(model);
   const ParameterSpace space = SweepSpace();
@@ -65,7 +79,15 @@ void SweepBench(benchmark::State& state, bool use_fingerprints) {
   for (auto _ : state) {
     SimulationRunner runner(cfg);
     WallTimer timer;
-    const auto results = runner.RunSweep(fn, space);
+    std::vector<PointResult> results;
+    if (point_loop) {
+      results.reserve(space.NumPoints());
+      for (std::size_t i = 0; i < space.NumPoints(); ++i) {
+        results.push_back(runner.RunPoint(fn, space.ValuationAt(i)));
+      }
+    } else {
+      results = runner.RunSweep(fn, space);
+    }
     state.SetIterationTime(timer.ElapsedSeconds());
     checksum = MetricsChecksum(results);
     reused = runner.stats().points_reused;
@@ -74,10 +96,26 @@ void SweepBench(benchmark::State& state, bool use_fingerprints) {
   state.counters["points"] = static_cast<double>(space.NumPoints());
   state.counters["reused"] = static_cast<double>(reused);
   state.counters["checksum"] = checksum;
+  if (threads == 1) reference_checksums.try_emplace(use_fingerprints, checksum);
+  const auto ref = reference_checksums.find(use_fingerprints);
+  if (ref != reference_checksums.end() && ref->second != checksum) {
+    std::fprintf(stderr,
+                 "checksum mismatch: %s/%zu reads %.17g, the 1-thread row "
+                 "of its mode %.17g\n",
+                 name, threads, checksum, ref->second);
+    checksum_mismatch = true;
+  }
 }
 
-void BM_NaiveSweep(benchmark::State& state) { SweepBench(state, false); }
-void BM_JigsawSweep(benchmark::State& state) { SweepBench(state, true); }
+void BM_NaiveSweep(benchmark::State& state) {
+  SweepBench(state, "BM_NaiveSweep", false, false);
+}
+void BM_JigsawSweep(benchmark::State& state) {
+  SweepBench(state, "BM_JigsawSweep", true, false);
+}
+void BM_NaivePointLoop(benchmark::State& state) {
+  SweepBench(state, "BM_NaivePointLoop", false, true);
+}
 
 BENCHMARK(BM_NaiveSweep)
     ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
@@ -85,7 +123,16 @@ BENCHMARK(BM_NaiveSweep)
 BENCHMARK(BM_JigsawSweep)
     ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond)->UseManualTime()->Iterations(1);
+BENCHMARK(BM_NaivePointLoop)
+    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
+    ->Unit(benchmark::kMillisecond)->UseManualTime()->Iterations(1);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return checksum_mismatch ? 1 : 0;
+}

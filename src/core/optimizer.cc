@@ -180,8 +180,7 @@ Result<OptimizeResult> Optimizer::Run(const Scenario& scenario,
   Selector selector(spec.objectives, spec.group_params);
 
   const std::size_t num_groups = split.group_space.NumPoints();
-  const std::size_t num_sweep = std::max<std::size_t>(
-      split.sweep_space.NumPoints(), 1);
+  const std::size_t num_sweep = split.sweep_space.NumPoints();
 
   std::vector<double> full(scenario.params.num_params(), 0.0);
   for (std::size_t g = 0; g < num_groups; ++g) {
@@ -196,9 +195,7 @@ Result<OptimizeResult> Optimizer::Run(const Scenario& scenario,
     }
 
     for (std::size_t s = 0; s < num_sweep; ++s) {
-      const auto sweep_val = split.sweep_space.NumPoints() > 0
-                                 ? split.sweep_space.ValuationAt(s)
-                                 : std::vector<double>{};
+      const auto sweep_val = split.sweep_space.ValuationAt(s);
       for (std::size_t i = 0; i < split.group_idx.size(); ++i) {
         full[split.group_idx[i]] = group_val[i];
       }

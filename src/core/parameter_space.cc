@@ -1,13 +1,22 @@
 #include "core/parameter_space.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <ranges>
 #include <string>
 
 #include "util/logging.h"
 #include "util/string_util.h"
 
 namespace jigsaw {
+
+namespace {
+
+/// ParameterSpace::Add's cap on one declared domain.
+constexpr std::size_t kMaxDeclaredValues = 100000000;
+
+}  // namespace
 
 std::size_t ParameterDef::cardinality() const {
   if (const auto* range = std::get_if<RangeDomain>(&domain)) {
@@ -16,9 +25,9 @@ std::size_t ParameterDef::cardinality() const {
     const double eps = range->step * 1e-9;
     const double span = (range->hi + eps - range->lo) / range->step;
     if (!std::isfinite(span) || span < 0.0) return 0;  // empty/degenerate
-    // ParameterSpace::Add and the MONTECARLO OVER binder bound the span
-    // with clean errors; a directly-constructed def violating it is a
-    // programming bug (the cast below is UB past SIZE_MAX).
+    // Validate bounds the span with a clean error; a def that skipped it
+    // and violates it is a programming bug (the cast below is UB past
+    // SIZE_MAX).
     JIGSAW_CHECK_MSG(span < 1e15, "RANGE spans too many values");
     return static_cast<std::size_t>(span) + 1;
   }
@@ -48,41 +57,52 @@ std::vector<double> ParameterDef::Values() const {
   return out;
 }
 
+Status ParameterDef::Validate(std::size_t max_values) const {
+  const std::string who = "parameter '@" + name + "'";
+  const std::string cap = std::to_string(max_values);
+  if (const auto* range = std::get_if<RangeDomain>(&domain)) {
+    if (range->step <= 0.0) {
+      return Status::InvalidArgument(who + " has non-positive STEP");
+    }
+    if (range->hi < range->lo) {
+      return Status::InvalidArgument(who + " has empty RANGE");
+    }
+    if (!std::isfinite(range->lo) || !std::isfinite(range->hi) ||
+        !std::isfinite(range->step)) {
+      return Status::InvalidArgument(who + " has non-finite RANGE bounds");
+    }
+    // The span test comes first: it keeps cardinality()'s count below
+    // its own abort bound.
+    if ((range->hi - range->lo) / range->step >=
+            static_cast<double>(max_values) ||
+        cardinality() > max_values) {
+      return Status::InvalidArgument(who + " RANGE spans more than " + cap +
+                                     " values");
+    }
+  }
+  if (const auto* set = std::get_if<SetDomain>(&domain)) {
+    if (set->values.empty()) {
+      return Status::InvalidArgument(who + " has empty SET");
+    }
+    for (double v : set->values) {
+      if (!std::isfinite(v)) {
+        return Status::InvalidArgument(who + " has a non-finite SET value");
+      }
+    }
+    if (set->values.size() > max_values) {
+      return Status::InvalidArgument(who + " SET holds more than " + cap +
+                                     " values");
+    }
+  }
+  return Status::OK();
+}
+
 Status ParameterSpace::Add(ParameterDef def) {
   if (IndexOf(def.name)) {
     return Status::AlreadyExists("parameter '@" + def.name +
                                  "' declared twice");
   }
-  if (const auto* range = std::get_if<RangeDomain>(&def.domain)) {
-    if (range->step <= 0.0) {
-      return Status::InvalidArgument("parameter '@" + def.name +
-                                     "' has non-positive STEP");
-    }
-    if (range->hi < range->lo) {
-      return Status::InvalidArgument("parameter '@" + def.name +
-                                     "' has empty RANGE");
-    }
-    // Bound the grid: Values() enumerates the whole range into a vector,
-    // so a non-finite bound or an absurd span must fail here with a clean
-    // error rather than abort (or overflow a size_t) when it is counted
-    // or enumerated.
-    if (!std::isfinite(range->lo) || !std::isfinite(range->hi) ||
-        !std::isfinite(range->step)) {
-      return Status::InvalidArgument("parameter '@" + def.name +
-                                     "' has non-finite RANGE bounds");
-    }
-    if ((range->hi - range->lo) / range->step >= 1e8) {
-      return Status::InvalidArgument("parameter '@" + def.name +
-                                     "' RANGE spans more than 100000000 "
-                                     "values");
-    }
-  }
-  if (const auto* set = std::get_if<SetDomain>(&def.domain)) {
-    if (set->values.empty()) {
-      return Status::InvalidArgument("parameter '@" + def.name +
-                                     "' has empty SET");
-    }
-  }
+  JIGSAW_RETURN_IF_ERROR(def.Validate(kMaxDeclaredValues));
   // NumPoints() multiplies the cardinalities in size_t: a grid that
   // overflows it would wrap (to 0 for three 2^26-value ranges).
   const std::size_t card = def.cardinality();
@@ -129,6 +149,39 @@ std::vector<double> ParameterSpace::ValuationAt(std::size_t idx) const {
   }
   JIGSAW_CHECK_MSG(remaining == 0, "valuation index out of range");
   return out;
+}
+
+Result<std::size_t> ParameterSpace::PointIndexOf(
+    std::span<const double> valuation) const {
+  JIGSAW_CHECK_MSG(valuation.size() == defs_.size(),
+                   "valuation has the wrong arity");
+  std::size_t idx = 0;
+  for (std::size_t i = 0; i < defs_.size(); ++i) {
+    const ParameterDef& d = defs_[i];
+    if (d.is_chain()) continue;
+    const double v = valuation[i];
+    const std::size_t card = d.cardinality();
+    std::size_t pos = card;
+    if (const auto* set = std::get_if<SetDomain>(&d.domain)) {
+      pos = static_cast<std::size_t>(
+          std::find(set->values.begin(), set->values.end(), v) -
+          set->values.begin());
+    } else {
+      // ValueAt is non-decreasing in i, so the first i with
+      // ValueAt(i) >= v is the first match when v is there at all.
+      const auto indices = std::views::iota(std::size_t{0}, card);
+      const auto it = std::ranges::partition_point(
+          indices, [&](std::size_t j) { return d.ValueAt(j) < v; });
+      if (it != indices.end() && d.ValueAt(*it) == v) pos = *it;
+    }
+    if (pos == card) {
+      return Status::InvalidArgument("parameter '@" + d.name +
+                                     "' has no value " + DoubleToString(v) +
+                                     " in its declared domain");
+    }
+    idx = idx * card + pos;
+  }
+  return idx;
 }
 
 }  // namespace jigsaw

@@ -9,10 +9,16 @@
 /// domains; "this brute force approach is necessary to guarantee that the
 /// optimization converges to the global maximum for an arbitrary
 /// black-box" (Section 2.3).
+///
+/// Every decision about a domain lives here: its rules (Validate), its
+/// values (ValueAt, cardinality), the enumeration (ValuationAt) and the
+/// enumeration's inverse (PointIndexOf). DECLARE and MONTECARLO OVER
+/// both check their domains through Validate.
 
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <variant>
 #include <vector>
@@ -59,11 +65,20 @@ struct ParameterDef {
   /// Values()[i] without building the domain: lo + i*step for a RANGE,
   /// the i'th listed value for a SET. `i` must be below cardinality().
   double ValueAt(std::size_t i) const;
+
+  /// The rules every declared or swept domain obeys: a RANGE has a
+  /// positive STEP, lo <= hi and finite bounds; a SET is non-empty and
+  /// every value is finite; and neither holds more than `max_values`
+  /// values. A CHAIN domain passes. InvalidArgument names the parameter.
+  Status Validate(std::size_t max_values) const;
 };
 
 /// An ordered collection of parameters plus cartesian-product enumeration.
 class ParameterSpace {
  public:
+  /// Appends `def` after checking its name is new, its domain passes
+  /// Validate with a cap of 100,000,000 values and the grid still fits a
+  /// size_t.
   Status Add(ParameterDef def);
 
   std::size_t num_params() const { return defs_.size(); }
@@ -80,6 +95,14 @@ class ParameterSpace {
   /// The idx'th valuation in row-major order (last parameter varies
   /// fastest). Chain parameters receive their INITIAL VALUE.
   std::vector<double> ValuationAt(std::size_t idx) const;
+
+  /// The inverse of ValuationAt: the point index whose valuation equals
+  /// `valuation` in every non-chain parameter (chain entries are not
+  /// compared). Values compare exactly, and a value listed twice maps to
+  /// its first index. No domain is built: a RANGE is binary-searched
+  /// (ValueAt is non-decreasing in i), a SET scanned. InvalidArgument
+  /// names the first parameter whose value is not in its domain.
+  Result<std::size_t> PointIndexOf(std::span<const double> valuation) const;
 
  private:
   std::vector<ParameterDef> defs_;

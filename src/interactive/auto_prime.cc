@@ -7,42 +7,6 @@
 
 namespace jigsaw {
 
-namespace {
-
-/// Maps a full valuation back to its row-major enumeration index (last
-/// parameter varies fastest, matching ParameterSpace::ValuationAt).
-/// Values are compared exactly: on-grid sweep points are the domain's own
-/// doubles (the binder materializes OVER-less sweeps from Values()), so
-/// equality is the right test and anything off-grid is a caller error.
-/// Chain parameters contribute a factor of 1 and their value is not
-/// checked (they are not enumerated; ValuationAt pins them to INITIAL).
-Result<std::size_t> EnumIndexOf(const ParameterSpace& space,
-                                const std::vector<double>& valuation) {
-  std::size_t idx = 0;
-  for (std::size_t i = 0; i < space.num_params(); ++i) {
-    const ParameterDef& def = space.def(i);
-    if (def.is_chain()) continue;
-    const auto values = def.Values();
-    std::size_t pos = values.size();
-    for (std::size_t v = 0; v < values.size(); ++v) {
-      if (values[v] == valuation[i]) {
-        pos = v;
-        break;
-      }
-    }
-    if (pos == values.size()) {
-      return Status::InvalidArgument(StrFormat(
-          "sweep valuation pins @%s to %s, which is not in its declared "
-          "domain; off-grid points have no session point to prime",
-          def.name.c_str(), DoubleToString(valuation[i]).c_str()));
-    }
-    idx = idx * values.size() + pos;
-  }
-  return idx;
-}
-
-}  // namespace
-
 Result<std::unique_ptr<InteractiveSession>> MakeSessionFromOutcome(
     const sql::ScriptOutcome& outcome, const std::string& column,
     const InteractiveConfig& config) {
@@ -75,8 +39,7 @@ Result<std::unique_ptr<InteractiveSession>> MakeSessionFromOutcome(
     primes.reserve(mc.points.size());
     for (const sql::MonteCarloPoint& point : mc.points) {
       valuation[*mc.sweep_param_index] = point.value;
-      JIGSAW_ASSIGN_OR_RETURN(std::size_t idx,
-                              EnumIndexOf(space, valuation));
+      JIGSAW_ASSIGN_OR_RETURN(std::size_t idx, space.PointIndexOf(valuation));
       auto it = point.columns.find(column);
       if (it == point.columns.end()) {
         return Status::InvalidArgument(
@@ -86,7 +49,7 @@ Result<std::unique_ptr<InteractiveSession>> MakeSessionFromOutcome(
     }
   } else {
     JIGSAW_ASSIGN_OR_RETURN(std::size_t idx,
-                            EnumIndexOf(space, mc.base_valuation));
+                            space.PointIndexOf(mc.base_valuation));
     auto it = mc.columns.find(column);
     if (it == mc.columns.end()) {
       return Status::InvalidArgument(

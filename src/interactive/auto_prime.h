@@ -33,7 +33,8 @@ namespace jigsaw {
 /// MONTECARLO result, when `column` is absent from the scenario or the
 /// result, when a sweep point's valuation is not on the declared
 /// parameter grid (explicit OVER IN lists may sweep off-grid values,
-/// which have no enumeration index to prime), or — from PrimeFromSweep —
+/// which have no enumeration index to prime; ParameterSpace::PointIndexOf
+/// names the parameter), or — from PrimeFromSweep —
 /// when the sweep retained no samples or more than config.max_samples.
 /// All points are validated before any priming, so a failed call never
 /// returns a half-primed session.

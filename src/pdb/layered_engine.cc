@@ -91,17 +91,6 @@ Result<LayeredPointResult> LayeredEngine::RunPoint(
 }
 
 Result<std::vector<LayeredPointResult>> LayeredEngine::RunSweep(
-    const PlanFactory& make_plan, const ParameterSpace& space) {
-  std::vector<std::vector<double>> valuations;
-  const std::size_t n = space.NumPoints();
-  valuations.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    valuations.push_back(space.ValuationAt(i));
-  }
-  return RunSweep(make_plan, valuations);
-}
-
-Result<std::vector<LayeredPointResult>> LayeredEngine::RunSweep(
     const PlanFactory& make_plan,
     std::span<const std::vector<double>> valuations) {
   std::vector<LayeredPointResult> out;

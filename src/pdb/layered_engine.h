@@ -29,11 +29,11 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "core/metrics.h"
-#include "core/parameter_space.h"
 #include "core/run_config.h"
 #include "pdb/operators.h"
 #include "pdb/vg_table.h"
@@ -81,10 +81,6 @@ class LayeredEngine {
   /// queries. The plan must yield exactly one row.
   Result<LayeredPointResult> RunPoint(const PlanFactory& make_plan,
                                       std::span<const double> params);
-
-  /// Full sweep over a parameter space; results in enumeration order.
-  Result<std::vector<LayeredPointResult>> RunSweep(
-      const PlanFactory& make_plan, const ParameterSpace& space);
 
   /// Sweep over explicit valuations (MONTECARLO OVER @p): one RunPoint
   /// per entry, in index order — points stay serial (the prototype

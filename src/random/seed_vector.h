@@ -55,11 +55,15 @@ inline std::uint64_t CombineSite(std::uint64_t call_site,
 class SeedVector {
  public:
   /// Expands `master_seed` into `count` sample seeds.
+  /// Entry k is the k'th output of SplitMix64(master) whatever `count`
+  /// is, so vectors of any two sizes agree on their common prefix: a
+  /// sweep's world ids are an interactive session's sample ids.
   SeedVector(std::uint64_t master_seed, std::size_t count,
              SeedSchema /*schema*/ = SeedSchema::kV1)
-      : master_seed_(master_seed), cont_(master_seed) {
+      : master_seed_(master_seed) {
+    SplitMix64 gen(master_seed);
     seeds_.reserve(count);
-    for (std::size_t i = 0; i < count; ++i) seeds_.push_back(cont_.Next());
+    for (std::size_t i = 0; i < count; ++i) seeds_.push_back(gen.Next());
   }
 
   std::uint64_t master_seed() const { return master_seed_; }
@@ -69,21 +73,12 @@ class SeedVector {
   std::uint64_t seed(std::size_t k) const { return seeds_[k]; }
 
   /// Contiguous view of seeds [begin, begin + count) — what batch kernels
-  /// receive through BlackBox::EvalBatch. Invalidated by EnsureSize
-  /// (which may reallocate). The bounds check is overflow-safe:
-  /// `begin + count` could wrap for adversarial counts.
+  /// receive through BlackBox::EvalBatch. The bounds check is
+  /// overflow-safe: `begin + count` could wrap for adversarial counts.
   SeedSpan span(std::size_t begin, std::size_t count) const {
     JIGSAW_DCHECK(begin <= seeds_.size() &&
                   count <= seeds_.size() - begin);
     return SeedSpan(seeds_).subspan(begin, count);
-  }
-
-  /// Extends the vector (interactive mode grows fingerprints lazily).
-  /// Append-stable by contract: entry k is always the k'th output of
-  /// SplitMix64(master) no matter how growth was chunked, so a vector
-  /// grown to n is element-identical to one constructed at n.
-  void EnsureSize(std::size_t count) {
-    while (seeds_.size() < count) seeds_.push_back(cont_.Next());
   }
 
   /// Builds the deterministic stream for sample k at black-box call site
@@ -96,7 +91,6 @@ class SeedVector {
  private:
   std::uint64_t master_seed_;
   std::vector<std::uint64_t> seeds_;
-  SplitMix64 cont_;  ///< continuation state (EnsureSize appends)
 };
 
 }  // namespace jigsaw

@@ -24,6 +24,8 @@
 #include <utility>
 #include <vector>
 
+#include "core/parameter_space.h"
+
 namespace jigsaw::sql {
 
 // ---------------------------------------------------------------------------
@@ -64,16 +66,6 @@ struct AstExpr {
 // Statements
 // ---------------------------------------------------------------------------
 
-struct RangeSpecAst {
-  double lo = 0.0;
-  double hi = 0.0;
-  double step = 1.0;
-};
-
-struct SetSpecAst {
-  std::vector<double> values;
-};
-
 struct ChainSpecAst {
   std::string column;        ///< result column chained back
   std::string driver_param;  ///< @driver
@@ -81,10 +73,12 @@ struct ChainSpecAst {
   double initial = 0.0;
 };
 
+/// RANGE and SET parse straight into the core domains they declare; the
+/// binder checks them through ParameterDef::Validate.
 struct DeclareStmt {
   std::string param;
-  std::optional<RangeSpecAst> range;
-  std::optional<SetSpecAst> set;
+  std::optional<RangeDomain> range;
+  std::optional<SetDomain> set;
   std::optional<ChainSpecAst> chain;
 };
 
@@ -132,13 +126,14 @@ struct GraphStmt {
 };
 
 /// OVER clause of a MONTECARLO statement: the swept parameter plus its
-/// point list. Exactly one of `values` / `range` is set when an IN
-/// clause was written; with neither, the sweep covers the parameter's
-/// declared domain.
+/// point list, parsed by the same rules as DECLARE's SET and RANGE.
+/// Exactly one of `values` / `range` is set when an IN clause was
+/// written; with neither, the sweep covers the parameter's declared
+/// domain.
 struct MonteCarloSweepAst {
   std::string param;
-  std::optional<SetSpecAst> values;   ///< IN (v1, v2, ...)
-  std::optional<RangeSpecAst> range;  ///< IN lo TO hi [STEP BY s]
+  std::optional<SetDomain> values;   ///< IN (v1, v2, ...)
+  std::optional<RangeDomain> range;  ///< IN lo TO hi [STEP BY s]
 };
 
 /// One side of a MONTECARLO FROM ... JOIN clause: a VG (uncertain) table

@@ -351,11 +351,11 @@ class ColumnSimFunction final : public SimFunction {
 
 }  // namespace
 
-Result<double> RowProgram::EvalColumn(std::size_t j,
-                                      std::span<const double> params,
-                                      std::size_t sample_id,
-                                      const SeedVector& seeds,
-                                      std::uint64_t stream_salt) const {
+Status RowProgram::Walk(std::size_t last, bool check_all,
+                        std::span<const double> params,
+                        std::size_t sample_id, const SeedVector& seeds,
+                        std::uint64_t stream_salt,
+                        std::vector<Value>& aliases) const {
   EvalContext ctx;
   ctx.params = params;
   ctx.sample_id = sample_id;
@@ -376,57 +376,40 @@ Result<double> RowProgram::EvalColumn(std::size_t j,
     ctx.row = &inner_row;
   }
 
-  std::vector<Value> aliases;
-  aliases.reserve(j + 1);
+  aliases.reserve(last + 1);
   ctx.aliases = &aliases;
-  for (std::size_t i = 0; i <= j; ++i) {
+  for (std::size_t i = 0; i <= last; ++i) {
     JIGSAW_ASSIGN_OR_RETURN(Value v, outer_exprs[i]->Eval(ctx));
     aliases.push_back(std::move(v));
+    if ((check_all || i == last) && !aliases[i].IsNumeric()) {
+      return Status::ExecutionError("column '" + outer_names[i] +
+                                    "' is not numeric");
+    }
   }
-  if (!aliases[j].IsNumeric()) {
-    return Status::ExecutionError("column '" + outer_names[j] +
-                                  "' is not numeric");
-  }
+  return Status::OK();
+}
+
+Result<double> RowProgram::EvalColumn(std::size_t j,
+                                      std::span<const double> params,
+                                      std::size_t sample_id,
+                                      const SeedVector& seeds,
+                                      std::uint64_t stream_salt) const {
+  std::vector<Value> aliases;
+  JIGSAW_RETURN_IF_ERROR(Walk(j, /*check_all=*/false, params, sample_id,
+                              seeds, stream_salt, aliases));
   return aliases[j].AsDouble();
 }
 
 Result<std::vector<double>> RowProgram::EvalAllColumns(
     std::span<const double> params, std::size_t sample_id,
     const SeedVector& seeds, std::uint64_t stream_salt) const {
-  EvalContext ctx;
-  ctx.params = params;
-  ctx.sample_id = sample_id;
-  ctx.seeds = &seeds;
-  ctx.stream_salt = stream_salt;
-
-  pdb::Row inner_row;
-  if (!inner_exprs.empty()) {
-    std::vector<Value> inner_aliases;
-    inner_aliases.reserve(inner_exprs.size());
-    EvalContext inner_ctx = ctx;
-    inner_ctx.aliases = &inner_aliases;
-    for (const auto& e : inner_exprs) {
-      JIGSAW_ASSIGN_OR_RETURN(Value v, e->Eval(inner_ctx));
-      inner_aliases.push_back(std::move(v));
-    }
-    inner_row = std::move(inner_aliases);
-    ctx.row = &inner_row;
-  }
-
   std::vector<Value> aliases;
-  aliases.reserve(outer_exprs.size());
-  ctx.aliases = &aliases;
+  JIGSAW_RETURN_IF_ERROR(Walk(outer_exprs.size() - 1, /*check_all=*/true,
+                              params, sample_id, seeds, stream_salt,
+                              aliases));
   std::vector<double> out;
-  out.reserve(outer_exprs.size());
-  for (std::size_t i = 0; i < outer_exprs.size(); ++i) {
-    JIGSAW_ASSIGN_OR_RETURN(Value v, outer_exprs[i]->Eval(ctx));
-    aliases.push_back(std::move(v));
-    if (!aliases[i].IsNumeric()) {
-      return Status::ExecutionError("column '" + outer_names[i] +
-                                    "' is not numeric");
-    }
-    out.push_back(aliases[i].AsDouble());
-  }
+  out.reserve(aliases.size());
+  for (const Value& v : aliases) out.push_back(v.AsDouble());
   return out;
 }
 
@@ -511,9 +494,9 @@ Result<BoundScript> Binder::Bind(const Script& script) {
     ParameterDef def;
     def.name = d.param;
     if (d.range) {
-      def.domain = RangeDomain{d.range->lo, d.range->hi, d.range->step};
+      def.domain = *d.range;
     } else if (d.set) {
-      def.domain = SetDomain{d.set->values};
+      def.domain = *d.set;
     } else if (d.chain) {
       def.domain = ChainDomain{d.chain->column, d.chain->driver_param,
                                d.chain->initial};
@@ -597,10 +580,8 @@ Result<BoundScript> Binder::Bind(const Script& script) {
   // division by zero on the initial valuation) at bind time.
   {
     SeedVector probe_seeds(0xB1FD0000DEADBEEFULL, 2);
-    const auto valuation = bound.scenario.params.NumPoints() > 0
-                               ? bound.scenario.params.ValuationAt(0)
-                               : std::vector<double>{};
-    auto probe = program->EvalAllColumns(valuation, 0, probe_seeds);
+    auto probe = program->EvalAllColumns(
+        bound.scenario.params.ValuationAt(0), 0, probe_seeds);
     if (!probe.ok()) {
       return Status::BindError("scenario probe evaluation failed: " +
                                probe.status().message());
@@ -710,12 +691,13 @@ Result<BoundScript> Binder::Bind(const Script& script) {
   }
 
   // Pass 5: MONTECARLO. The statement runs the already-compiled row
-  // program; a CHAIN scenario is fine (the chain parameter is frozen at
-  // its anchor value, the same convention the synthesized estimator
-  // uses). An OVER clause resolves its parameter and materializes the
-  // sweep points here so execution never sees an unbound, empty,
+  // program; a CHAIN scenario is fine (the chain parameter holds its
+  // INITIAL VALUE, as at ValuationAt(0)). An OVER clause resolves its
+  // parameter and checks the swept domain here — an IN list or range, or
+  // else the declared domain — by the rules DECLARE applies, under the
+  // sweep's smaller cap, so execution never sees an unbound, empty,
   // non-finite or absurdly large sweep.
-  constexpr double kMaxSweepPoints = 1e6;
+  constexpr std::size_t kMaxSweepPoints = 999999;
   for (const auto& stmt : script.statements) {
     if (!stmt.montecarlo) continue;
     if (bound.montecarlo) {
@@ -729,75 +711,25 @@ Result<BoundScript> Binder::Bind(const Script& script) {
     }
     if (stmt.montecarlo->over) {
       const MonteCarloSweepAst& over = *stmt.montecarlo->over;
-      MonteCarloSweepSpec sweep;
       auto pidx = bound.scenario.params.IndexOf(over.param);
       if (!pidx) {
         return Status::BindError(
             "MONTECARLO OVER references undeclared '@" + over.param + "'");
       }
-      sweep.param_index = *pidx;
-      sweep.param_name = bound.scenario.params.def(*pidx).name;
+      ParameterDef swept = bound.scenario.params.def(*pidx);
       if (over.values) {
-        sweep.points = over.values->values;
+        swept.domain = *over.values;
       } else if (over.range) {
-        if (over.range->step <= 0.0) {
-          return Status::BindError("MONTECARLO OVER '@" + over.param +
-                                   "' has non-positive STEP");
-        }
-        // Unlike DECLARE, this range never passes ParameterSpace::Add, so
-        // guard the expansion here: a non-finite bound would spin the
-        // materialization loop forever, and a huge span would OOM the
-        // binder before execution ever starts.
-        if (!std::isfinite(over.range->lo) ||
-            !std::isfinite(over.range->hi) ||
-            !std::isfinite(over.range->step)) {
-          return Status::BindError("MONTECARLO OVER '@" + over.param +
-                                   "' range bounds must be finite");
-        }
-        if ((over.range->hi - over.range->lo) / over.range->step >=
-            kMaxSweepPoints) {
-          return Status::BindError("MONTECARLO OVER '@" + over.param +
-                                   "' sweeps more than 1000000 points");
-        }
-        ParameterDef expand;
-        expand.domain =
-            RangeDomain{over.range->lo, over.range->hi, over.range->step};
-        sweep.points = expand.Values();
-      } else {
-        // Bare OVER @p: sweep the parameter's declared domain (empty for
-        // CHAIN parameters, which have no enumerable domain). A RANGE
-        // domain's cap is checked against its span first — DECLARE
-        // accepts ranges far larger than a sweep may use, and the clean
-        // BindError must come before Values() materializes them.
-        const ParameterDef& def = bound.scenario.params.def(*pidx);
-        if (const auto* range = std::get_if<RangeDomain>(&def.domain)) {
-          if ((range->hi - range->lo) / range->step >= kMaxSweepPoints) {
-            return Status::BindError("MONTECARLO OVER '@" + over.param +
-                                     "' sweeps more than 1000000 points");
-          }
-        }
-        sweep.points = def.Values();
-      }
-      if (sweep.points.empty()) {
+        swept.domain = *over.range;
+      } else if (swept.is_chain()) {
         return Status::BindError("MONTECARLO OVER '@" + over.param +
-                                 "' sweeps an empty point list");
+                                 "' names a CHAIN parameter, which has no "
+                                 "domain to sweep");
       }
-      // Uniform across all three forms — the range pre-checks above only
-      // guard the expansion itself. A bare OVER of a huge declared
-      // domain must hit the same cap, and an overflowed IN-list literal
-      // or non-finite declared SET value must not reach execution as
-      // @p = inf.
-      if (sweep.points.size() >= kMaxSweepPoints) {
-        return Status::BindError("MONTECARLO OVER '@" + over.param +
-                                 "' sweeps more than 1000000 points");
+      if (Status valid = swept.Validate(kMaxSweepPoints); !valid.ok()) {
+        return Status::BindError("MONTECARLO OVER: " + valid.message());
       }
-      for (double v : sweep.points) {
-        if (!std::isfinite(v)) {
-          return Status::BindError("MONTECARLO OVER '@" + over.param +
-                                   "' has a non-finite point value");
-        }
-      }
-      spec.over = std::move(sweep);
+      spec.over = MonteCarloSweepSpec{*pidx, swept.name, swept.Values()};
     }
     bound.montecarlo = std::move(spec);
   }

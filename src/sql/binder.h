@@ -87,6 +87,16 @@ struct RowProgram {
                             const SeedVector& seeds,
                             std::uint64_t stream_salt,
                             std::span<double* const> out) const;
+
+ private:
+  /// The interpreter walk behind EvalColumn and EvalAllColumns: the inner
+  /// expressions, then outer columns [0, last] appended to `aliases`.
+  /// With check_all every column must be numeric, else only `last` — the
+  /// split BatchProgram::Exec makes for RunAll and RunColumn.
+  Status Walk(std::size_t last, bool check_all,
+              std::span<const double> params, std::size_t sample_id,
+              const SeedVector& seeds, std::uint64_t stream_salt,
+              std::vector<pdb::Value>& aliases) const;
 };
 
 /// Bound OVER clause of a MONTECARLO statement: the swept parameter

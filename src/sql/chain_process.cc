@@ -81,10 +81,9 @@ Result<OutputMetrics> RunChainScenario(const BoundScript& bound,
                             "'");
   }
 
-  const auto base = bound.scenario.params.NumPoints() > 0
-                        ? bound.scenario.params.ValuationAt(0)
-                        : std::vector<double>{};
-  ScenarioChainProcess process(bound.program, *bound.chain, base, out_idx);
+  ScenarioChainProcess process(bound.program, *bound.chain,
+                               bound.scenario.params.ValuationAt(0),
+                               out_idx);
 
   ChainResult result;
   if (use_jump) {

@@ -98,8 +98,12 @@ class Parser {
     return Status::OK();
   }
 
+  bool PeekSymbol(const std::string& sym) const {
+    return Peek().kind == TokenKind::kSymbol && Peek().text == sym;
+  }
+
   bool AcceptSymbol(const std::string& sym) {
-    if (Peek().kind == TokenKind::kSymbol && Peek().text == sym) {
+    if (PeekSymbol(sym)) {
       Advance();
       return true;
     }
@@ -138,6 +142,31 @@ class Parser {
     }
     const double v = Advance().number;
     return neg ? -v : v;
+  }
+
+  /// lo TO hi [STEP BY s] — DECLARE's RANGE and OVER's IN range.
+  Result<RangeDomain> ParseRange() {
+    RangeDomain range;
+    JIGSAW_ASSIGN_OR_RETURN(range.lo, ExpectNumber());
+    JIGSAW_RETURN_IF_ERROR(ExpectKeyword("TO"));
+    JIGSAW_ASSIGN_OR_RETURN(range.hi, ExpectNumber());
+    if (AcceptKeyword("STEP")) {
+      JIGSAW_RETURN_IF_ERROR(ExpectKeyword("BY"));
+      JIGSAW_ASSIGN_OR_RETURN(range.step, ExpectNumber());
+    }
+    return range;
+  }
+
+  /// (v1, v2, ...) — DECLARE's SET and OVER's IN list; never empty.
+  Result<SetDomain> ParseValueList() {
+    JIGSAW_RETURN_IF_ERROR(ExpectSymbol("("));
+    SetDomain set;
+    do {
+      JIGSAW_ASSIGN_OR_RETURN(double v, ExpectNumber());
+      set.values.push_back(v);
+    } while (AcceptSymbol(","));
+    JIGSAW_RETURN_IF_ERROR(ExpectSymbol(")"));
+    return set;
   }
 
   Status Error(const std::string& message) const {
@@ -185,26 +214,11 @@ class Parser {
     JIGSAW_RETURN_IF_ERROR(ExpectKeyword("AS"));
 
     if (AcceptKeyword("RANGE")) {
-      RangeSpecAst range;
-      JIGSAW_ASSIGN_OR_RETURN(range.lo, ExpectNumber());
-      JIGSAW_RETURN_IF_ERROR(ExpectKeyword("TO"));
-      JIGSAW_ASSIGN_OR_RETURN(range.hi, ExpectNumber());
-      if (AcceptKeyword("STEP")) {
-        JIGSAW_RETURN_IF_ERROR(ExpectKeyword("BY"));
-        JIGSAW_ASSIGN_OR_RETURN(range.step, ExpectNumber());
-      }
-      decl.range = range;
+      JIGSAW_ASSIGN_OR_RETURN(decl.range, ParseRange());
       return decl;
     }
     if (AcceptKeyword("SET")) {
-      JIGSAW_RETURN_IF_ERROR(ExpectSymbol("("));
-      SetSpecAst set;
-      do {
-        JIGSAW_ASSIGN_OR_RETURN(double v, ExpectNumber());
-        set.values.push_back(v);
-      } while (AcceptSymbol(","));
-      JIGSAW_RETURN_IF_ERROR(ExpectSymbol(")"));
-      decl.set = std::move(set);
+      JIGSAW_ASSIGN_OR_RETURN(decl.set, ParseValueList());
       return decl;
     }
     if (AcceptKeyword("CHAIN")) {
@@ -418,24 +432,10 @@ class Parser {
       MonteCarloSweepAst over;
       JIGSAW_ASSIGN_OR_RETURN(over.param, ExpectParam());
       if (AcceptKeyword("IN")) {
-        if (AcceptSymbol("(")) {
-          SetSpecAst set;
-          do {
-            JIGSAW_ASSIGN_OR_RETURN(double v, ExpectNumber());
-            set.values.push_back(v);
-          } while (AcceptSymbol(","));
-          JIGSAW_RETURN_IF_ERROR(ExpectSymbol(")"));
-          over.values = std::move(set);
+        if (PeekSymbol("(")) {
+          JIGSAW_ASSIGN_OR_RETURN(over.values, ParseValueList());
         } else {
-          RangeSpecAst range;
-          JIGSAW_ASSIGN_OR_RETURN(range.lo, ExpectNumber());
-          JIGSAW_RETURN_IF_ERROR(ExpectKeyword("TO"));
-          JIGSAW_ASSIGN_OR_RETURN(range.hi, ExpectNumber());
-          if (AcceptKeyword("STEP")) {
-            JIGSAW_RETURN_IF_ERROR(ExpectKeyword("BY"));
-            JIGSAW_ASSIGN_OR_RETURN(range.step, ExpectNumber());
-          }
-          over.range = range;
+          JIGSAW_ASSIGN_OR_RETURN(over.range, ParseRange());
         }
       }
       mc.over = std::move(over);

@@ -38,16 +38,14 @@ pdb::PlanNodePtr MakeRowProgramScan(
                                 std::move(fill));
 }
 
-/// Fixes every parameter: overrides first, then the first value of its
-/// domain (the same convention the GRAPH sweep uses for non-x params).
+/// Fixes every parameter: overrides first, then its value at
+/// ValuationAt(0) — the first value of its domain, or a CHAIN
+/// parameter's INITIAL VALUE (the same convention the GRAPH sweep uses
+/// for non-x params).
 Result<std::vector<double>> BaseValuation(
     const ParameterSpace& params,
     const std::vector<std::pair<std::string, double>>& overrides) {
-  std::vector<double> valuation(params.num_params(), 0.0);
-  for (std::size_t i = 0; i < params.num_params(); ++i) {
-    const ParameterDef& def = params.def(i);
-    valuation[i] = def.cardinality() == 0 ? 0.0 : def.ValueAt(0);
-  }
+  std::vector<double> valuation = params.ValuationAt(0);
   for (const auto& [name, value] : overrides) {
     auto idx = params.IndexOf(name);
     if (!idx) {

@@ -85,8 +85,9 @@ class ScriptRunner {
       : registry_(registry), config_(config) {}
 
   /// Runs a full script. `overrides` pins specific parameters (by name)
-  /// when sweeping a GRAPH's x-axis; unspecified parameters default to
-  /// the first value of their domain.
+  /// for GRAPH and MONTECARLO; unspecified parameters take their value at
+  /// ParameterSpace::ValuationAt(0): the first value of their domain, or
+  /// a CHAIN parameter's INITIAL VALUE.
   Result<ScriptOutcome> Run(const std::string& text);
   Result<ScriptOutcome> Run(const std::string& text,
                             const std::vector<std::pair<std::string, double>>&

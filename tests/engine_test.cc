@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cmath>
@@ -84,6 +85,15 @@ TEST(ParameterSpaceTest, RejectsDuplicatesAndBadDomains) {
             StatusCode::kInvalidArgument);
   EXPECT_EQ(space.Add({"f", RangeDomain{0, 1e30, 1}}).code(),
             StatusCode::kInvalidArgument);
+  // The cap counts values: a last grid point hi reaches only within the
+  // 1e-9 * step tolerance is one of them.
+  EXPECT_TRUE((ParameterDef{"g", RangeDomain{0, 2, 1}}).Validate(3).ok());
+  const ParameterDef tolerant{"g", RangeDomain{0, 3 - 1e-12, 1}};
+  EXPECT_EQ(tolerant.cardinality(), 4u);
+  EXPECT_EQ(tolerant.Validate(3).code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE((ParameterDef{"h", SetDomain{{1, 2, 3}}}).Validate(3).ok());
+  EXPECT_EQ((ParameterDef{"h", SetDomain{{1, 2, 3}}}).Validate(2).code(),
+            StatusCode::kInvalidArgument);
   // Each 2^26-value range passes the span cap, but three of them make a
   // 2^78-point grid, which NumPoints() would wrap to 0: the third
   // declaration fails, naming itself, and the space keeps two.
@@ -110,31 +120,46 @@ TEST(ParameterSpaceTest, DegenerateHighMagnitudeRangeTerminates) {
 
 TEST(ParameterSpaceTest, ValueAtAndCardinalityMatchValues) {
   // cardinality() counts and ValueAt(i) indexes a domain without building
-  // it; both must agree with the materialized Values() bit for bit.
+  // it; both must agree with the materialized Values() bit for bit. The
+  // inverse, PointIndexOf, maps each value to its first index in
+  // Values(), also without building the domain.
   const std::vector<ParameterDef> defs = {
       {"tenth", RangeDomain{0.0, 1.0, 0.1}},
       // hi sits 1e-10 below the grid point 2.0, inside the 1e-9 * step
       // tolerance, so 2.0 is still the last value.
       {"tolerant", RangeDomain{0.0, 2.0 - 1e-10, 0.5}},
-      // lo + step rounds back to lo at this magnitude.
+      // lo + step rounds back to lo at this magnitude, so adjacent
+      // values collide.
       {"huge", RangeDomain{1e16, 1e16 + 4, 1}},
       {"set", SetDomain{{12, 36, 44}}},
       {"chain", ChainDomain{"c", "w", 52.0}},
+      {"repeated", SetDomain{{36, 12, 36, 44, 12}}},
   };
   for (const ParameterDef& def : defs) {
     SCOPED_TRACE(def.name);
     const std::vector<double> values = def.Values();
     EXPECT_EQ(def.cardinality(), values.size());
+    ParameterSpace space;
+    ASSERT_TRUE(space.Add(def).ok());
     for (std::size_t i = 0; i < values.size(); ++i) {
       EXPECT_EQ(std::bit_cast<std::uint64_t>(def.ValueAt(i)),
                 std::bit_cast<std::uint64_t>(values[i]))
           << "i=" << i;
+      const std::size_t first = static_cast<std::size_t>(
+          std::find(values.begin(), values.end(), values[i]) -
+          values.begin());
+      const std::vector<double> valuation = {values[i]};
+      auto index = space.PointIndexOf(valuation);
+      ASSERT_TRUE(index.ok()) << index.status().ToString();
+      EXPECT_EQ(index.value(), first) << "i=" << i;
     }
   }
   EXPECT_EQ(defs[0].cardinality(), 11u);
   EXPECT_EQ(defs[1].cardinality(), 5u);
   EXPECT_EQ(defs[1].ValueAt(4), 2.0);
   EXPECT_EQ(defs[2].cardinality(), 5u);
+  // The collisions the inverse must resolve to a first index.
+  EXPECT_EQ(defs[2].ValueAt(1), defs[2].ValueAt(0));
   EXPECT_EQ(defs[3].ValueAt(2), 44.0);
   EXPECT_EQ(defs[4].cardinality(), 0u);  // CHAIN: not enumerated
 }
@@ -152,6 +177,18 @@ TEST(ParameterSpaceTest, LargeRangeCountsAndIndexesWithoutMaterializing) {
             (std::vector<double>{12345, 52}));
   EXPECT_EQ(space.ValuationAt(2u * 99999991u - 1),
             (std::vector<double>{99999990, 52}));
+  // The inverse finds each index without building the domain either.
+  for (const std::size_t idx : {std::size_t{0}, std::size_t{2 * 12345 + 1},
+                                std::size_t{2u * 99999991u - 1}}) {
+    auto back = space.PointIndexOf(space.ValuationAt(idx));
+    ASSERT_TRUE(back.ok()) << back.status().ToString();
+    EXPECT_EQ(back.value(), idx);
+  }
+  const std::vector<double> off_grid = {12345.5, 52};
+  const auto off = space.PointIndexOf(off_grid);
+  EXPECT_EQ(off.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(off.status().message().find("'@w'"), std::string::npos)
+      << off.status().ToString();
 }
 
 TEST(ParameterSpaceTest, IndexOfIsCaseInsensitive) {

@@ -10,6 +10,7 @@
 
 #include "core/optimizer.h"
 #include "core/sim_runner.h"
+#include "interactive/auto_prime.h"
 #include "interactive/interactive_session.h"
 #include "models/cloud_models.h"
 #include "sql/chain_process.h"
@@ -227,6 +228,35 @@ MONTECARLO OVER @w;
   session.Run(50);
   EXPECT_EQ(session.stats().rebinds, 0u);
   EXPECT_GE(session.EstimateFor(2).support, 80);
+}
+
+TEST(IntegrationTest, MakeSessionFromOutcomeRejectsOffGridSweepPoint) {
+  // An explicit OVER list may sweep values off the declared grid; such a
+  // point has no session point to prime, so the whole call fails, naming
+  // the parameter, and no session is returned.
+  ModelRegistry registry;
+  ASSERT_TRUE(RegisterCloudModels(&registry).ok());
+  const char* kScript = R"(
+DECLARE PARAMETER @w AS RANGE 10 TO 30 STEP BY 10;
+SELECT DemandModel(@w, 52) AS demand INTO r;
+MONTECARLO OVER @w IN (10, 15);
+)";
+  RunConfig cfg;
+  cfg.num_samples = 40;
+  cfg.keep_samples = true;
+  sql::ScriptRunner runner(&registry, cfg);
+  auto outcome = runner.Run(kScript);
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+
+  InteractiveConfig icfg;
+  icfg.run = cfg;
+  auto session = MakeSessionFromOutcome(outcome.value(), "demand", icfg);
+  ASSERT_FALSE(session.ok());
+  EXPECT_EQ(session.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(session.status().message().find("'@w'"), std::string::npos)
+      << session.status().ToString();
+  EXPECT_NE(session.status().message().find("15"), std::string::npos)
+      << session.status().ToString();
 }
 
 }  // namespace

@@ -1326,9 +1326,9 @@ TEST(LayeredEngineTest, WorldCacheAmortizesAcrossPoints) {
         {}, {}, std::move(aggs));
   };
 
-  ParameterSpace space;
-  ASSERT_TRUE(space.Add({"week", RangeDomain{10, 19, 1}}).ok());
-  auto results = layered.RunSweep(factory, space);
+  std::vector<std::vector<double>> weeks;
+  for (double week = 10; week <= 19; ++week) weeks.push_back({week});
+  auto results = layered.RunSweep(factory, weeks);
   ASSERT_TRUE(results.ok()) << results.status().ToString();
   ASSERT_EQ(results.value().size(), 10u);
   // 10 points x 20 worlds = 200 queries, but only 20 world generations.

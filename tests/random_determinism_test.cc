@@ -126,31 +126,6 @@ TEST(SeedVectorDeterminismTest, DistinctCellsGetDistinctStreams) {
   EXPECT_EQ(firsts.size(), 64u);  // no collisions across (k, site) cells
 }
 
-TEST(SeedVectorDeterminismTest, EnsureSizeDoesNotDisturbExistingSeeds) {
-  SeedVector seeds(kSeed, 16);
-  std::vector<std::uint64_t> before;
-  for (std::size_t k = 0; k < 16; ++k) before.push_back(seeds.seed(k));
-  seeds.EnsureSize(64);
-  EXPECT_EQ(seeds.size(), 64u);
-  for (std::size_t k = 0; k < 16; ++k) ASSERT_EQ(seeds.seed(k), before[k]);
-}
-
-TEST(SeedVectorDeterminismTest, EnsureSizeIsAppendStable) {
-  // Entry k is always the k'th SplitMix64(master) output, no matter how
-  // growth was chunked: a vector grown 4 -> 9 -> 64 is element-identical
-  // to one constructed at 64 (interactive mode depends on this when it
-  // lazily extends fingerprints).
-  SeedVector grown(kSeed, 4);
-  grown.EnsureSize(9);
-  grown.EnsureSize(9);   // idempotent
-  grown.EnsureSize(64);
-  const SeedVector fresh(kSeed, 64);
-  ASSERT_EQ(grown.size(), fresh.size());
-  for (std::size_t k = 0; k < 64; ++k) {
-    ASSERT_EQ(grown.seed(k), fresh.seed(k)) << "entry " << k;
-  }
-}
-
 TEST(SeedVectorDeterminismTest, SeedSpanBoundsIncludeFullAndEmptyViews) {
   SeedVector seeds(kSeed, 16);
   EXPECT_EQ(seeds.span(0, 16).size(), 16u);

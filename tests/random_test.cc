@@ -175,6 +175,19 @@ TEST(SeedVectorTest, DeterministicExpansion) {
   SeedVector a(555, 100), b(555, 100);
   ASSERT_EQ(a.size(), 100u);
   for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a.seed(i), b.seed(i));
+  // Entry k does not depend on the vector's size: vectors built at 4, 9
+  // and 64 agree on their common prefix. That is why a sweep's world ids
+  // are an interactive session's sample ids.
+  const SeedVector s4(555, 4), s9(555, 9), s64(555, 64);
+  for (std::size_t k = 0; k < s64.size(); ++k) {
+    EXPECT_EQ(s64.seed(k), a.seed(k)) << "entry " << k;
+    if (k < s9.size()) {
+      EXPECT_EQ(s9.seed(k), a.seed(k)) << "entry " << k;
+    }
+    if (k < s4.size()) {
+      EXPECT_EQ(s4.seed(k), a.seed(k)) << "entry " << k;
+    }
+  }
 }
 
 TEST(SeedVectorTest, DistinctSeedsWithinVector) {
@@ -182,15 +195,6 @@ TEST(SeedVectorTest, DistinctSeedsWithinVector) {
   for (std::size_t i = 1; i < sv.size(); ++i) {
     EXPECT_NE(sv.seed(i), sv.seed(0));
   }
-}
-
-TEST(SeedVectorTest, EnsureSizePreservesPrefix) {
-  SeedVector sv(888, 10);
-  std::vector<std::uint64_t> prefix;
-  for (std::size_t i = 0; i < 10; ++i) prefix.push_back(sv.seed(i));
-  sv.EnsureSize(50);
-  ASSERT_EQ(sv.size(), 50u);
-  for (std::size_t i = 0; i < 10; ++i) EXPECT_EQ(sv.seed(i), prefix[i]);
 }
 
 TEST(SeedVectorTest, StreamForIsReproducibleAndSiteSeparated) {

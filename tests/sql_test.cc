@@ -405,6 +405,8 @@ TEST_F(BinderTest, DeclareParameterRejectionsAreBindErrors) {
       {"DECLARE PARAMETER @w AS RANGE 0 TO 1e400;", "'@w'", "non-finite"},
       {"DECLARE PARAMETER @w AS RANGE 0 TO 1e30;", "'@w'",
        "spans more than"},
+      {"DECLARE PARAMETER @w AS SET (1, 1e400);", "'@w'",
+       "non-finite SET value"},
       {"DECLARE PARAMETER @w AS RANGE 0 TO 5;"
        "DECLARE PARAMETER @W AS SET (1, 2);",
        "'@W'", "declared twice"},
@@ -1134,8 +1136,8 @@ TEST_F(MonteCarloSweepTest, BindErrors) {
       "MONTECARLO OVER @w IN 30 TO 10;",
       registry_);
   ASSERT_FALSE(empty.ok());
-  EXPECT_NE(empty.status().message().find("empty point list"),
-            std::string::npos);
+  EXPECT_EQ(empty.status().code(), StatusCode::kBindError);
+  EXPECT_NE(empty.status().message().find("empty RANGE"), std::string::npos);
 
   auto chain = ParseAndBind(
       "DECLARE PARAMETER @w AS RANGE 0 TO 9 STEP BY 1;"
@@ -1144,7 +1146,8 @@ TEST_F(MonteCarloSweepTest, BindErrors) {
       "MONTECARLO OVER @r;",
       registry_);
   ASSERT_FALSE(chain.ok());
-  EXPECT_NE(chain.status().message().find("empty point list"),
+  EXPECT_EQ(chain.status().code(), StatusCode::kBindError);
+  EXPECT_NE(chain.status().message().find("names a CHAIN parameter"),
             std::string::npos);
 
   auto bad_step = ParseAndBind(
@@ -1165,7 +1168,7 @@ TEST_F(MonteCarloSweepTest, BindErrors) {
       "MONTECARLO OVER @w IN 0 TO 1e400;",
       registry_);
   ASSERT_FALSE(inf.ok());
-  EXPECT_NE(inf.status().message().find("must be finite"),
+  EXPECT_NE(inf.status().message().find("non-finite RANGE bounds"),
             std::string::npos);
 
   auto huge = ParseAndBind(
@@ -1174,8 +1177,24 @@ TEST_F(MonteCarloSweepTest, BindErrors) {
       "MONTECARLO OVER @w IN 0 TO 1e18;",
       registry_);
   ASSERT_FALSE(huge.ok());
-  EXPECT_NE(huge.status().message().find("more than 1000000 points"),
+  EXPECT_NE(huge.status().message().find("spans more than 999999 values"),
             std::string::npos);
+
+  // The cap is 999,999 points: one more is a bind error.
+  auto at_cap = ParseAndBind(
+      "DECLARE PARAMETER @w AS RANGE 0 TO 5 STEP BY 1;"
+      "SELECT DemandModel(@w, 52) AS d INTO r;"
+      "MONTECARLO OVER @w IN 1 TO 999999;",
+      registry_);
+  ASSERT_TRUE(at_cap.ok()) << at_cap.status().ToString();
+  EXPECT_EQ(at_cap.value().montecarlo->over->points.size(), 999999u);
+  auto past_cap = ParseAndBind(
+      "DECLARE PARAMETER @w AS RANGE 0 TO 5 STEP BY 1;"
+      "SELECT DemandModel(@w, 52) AS d INTO r;"
+      "MONTECARLO OVER @w IN 1 TO 1000000;",
+      registry_);
+  ASSERT_FALSE(past_cap.ok());
+  EXPECT_EQ(past_cap.status().code(), StatusCode::kBindError);
 
   // A degenerate range where lo + step rounds back to lo must terminate
   // (index-stepped expansion) and bind to the single point.
@@ -1197,7 +1216,7 @@ TEST_F(MonteCarloSweepTest, BindErrors) {
       "MONTECARLO OVER @w IN (1, 1e400);",
       registry_);
   ASSERT_FALSE(inf_list.ok());
-  EXPECT_NE(inf_list.status().message().find("non-finite point value"),
+  EXPECT_NE(inf_list.status().message().find("non-finite SET value"),
             std::string::npos);
 
   // The point cap applies to the bare OVER form too: a large declared
@@ -1208,8 +1227,56 @@ TEST_F(MonteCarloSweepTest, BindErrors) {
       "MONTECARLO OVER @w;",
       registry_);
   ASSERT_FALSE(bare_huge.ok());
-  EXPECT_NE(bare_huge.status().message().find("more than 1000000 points"),
-            std::string::npos);
+  EXPECT_NE(
+      bare_huge.status().message().find("spans more than 999999 values"),
+      std::string::npos);
+}
+
+TEST_F(MonteCarloSweepTest, ChainParameterHoldsItsInitialValue) {
+  // MONTECARLO over the Figure 5 scenario reads @release_week at its
+  // INITIAL VALUE, as the bind probe and RunChainScenario do: every draw
+  // matches the same scenario with @release_week declared as SET (52),
+  // standalone and at every point of an OVER @current_week sweep.
+  const std::string select =
+      "SELECT CASE WHEN demand > 26 AND @current_week + 4 < @release_week"
+      "            THEN @current_week + 4 ELSE @release_week END"
+      "         AS release_week, demand "
+      "FROM (SELECT DemandModel(@current_week, @release_week) AS demand) "
+      "INTO results;";
+  const std::string week =
+      "DECLARE PARAMETER @current_week AS RANGE 0 TO 52 STEP BY 1;";
+  const std::string chain =
+      week +
+      "DECLARE PARAMETER @release_week AS CHAIN release_week"
+      "  FROM @current_week : @current_week - 1 INITIAL VALUE 52;" +
+      select;
+  const std::string pinned =
+      week + "DECLARE PARAMETER @release_week AS SET (52);" + select;
+
+  for (const std::string statement :
+       {"MONTECARLO;", "MONTECARLO OVER @current_week IN (0, 20, 40);"}) {
+    SCOPED_TRACE(statement);
+    auto got = RunSweepScript(chain + statement, true, 2, 7, 200);
+    auto want = RunSweepScript(pinned + statement, true, 2, 7, 200);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    const MonteCarloOutcome& mc = *got.value().montecarlo;
+    EXPECT_EQ(mc.base_valuation, (std::vector<double>{0, 52}));
+    if (mc.points.empty()) {
+      EXPECT_EQ(mc.columns.at("release_week").max, 52.0);
+      ExpectSameMetricsAndDraws(want.value().montecarlo->columns,
+                                mc.columns);
+      continue;
+    }
+    ASSERT_EQ(mc.points.size(), 3u);
+    for (std::size_t k = 0; k < mc.points.size(); ++k) {
+      SCOPED_TRACE(testing::Message() << "point " << k);
+      EXPECT_GE(mc.points[k].columns.at("release_week").min,
+                mc.points[k].value + 4);
+      ExpectSameMetricsAndDraws(want.value().montecarlo->points[k].columns,
+                                mc.points[k].columns);
+    }
+  }
 }
 
 TEST_F(MonteCarloSweepTest, PointErrorNamesPointIdenticallySerialParallel) {
