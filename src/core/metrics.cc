@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "util/string_util.h"
 
@@ -41,6 +42,41 @@ std::string OutputMetrics::ToString() const {
       p95);
 }
 
+namespace {
+
+/// True when `xs` holds both +0.0 and -0.0: the only finite doubles that
+/// compare equal but differ in bits.
+bool HoldsBothZeroSigns(std::span<const double> xs) {
+  bool seen[2] = {false, false};
+  for (double x : xs) {
+    if (x == 0.0) seen[std::signbit(x) ? 1 : 0] = true;
+  }
+  return seen[0] && seen[1];
+}
+
+}  // namespace
+
+void Estimator::AddRepeated(std::span<const double> xs,
+                            std::int64_t copies) {
+  if (copies > 1 && !xs.empty() && count() == 0 && !HoldsBothZeroSigns(xs)) {
+    for (std::int64_t k = 0; k < copies; ++k) acc_.AddSpan(xs);
+    all_.assign(xs.begin(), xs.end());
+    copies_ = copies;
+    return;
+  }
+  for (std::int64_t k = 0; k < copies; ++k) AddSpan(xs);
+}
+
+void Estimator::Expand() {
+  const std::size_t n = all_.size();
+  all_.resize(n * static_cast<std::size_t>(copies_));
+  for (auto copy = all_.begin() + static_cast<std::ptrdiff_t>(n);
+       copy != all_.end(); copy += static_cast<std::ptrdiff_t>(n)) {
+    std::copy_n(all_.begin(), n, copy);
+  }
+  copies_ = 1;
+}
+
 OutputMetrics Estimator::Finalize() const& {
   return Estimator(*this).Finalize();
 }
@@ -56,18 +92,38 @@ OutputMetrics Estimator::Finalize() && {
   if (!all_.empty()) {
     // The histogram (which drops non-finite values itself) and the kept
     // samples read the values in fold order before selection permutes
-    // them. Quantiles are taken over the finite mass: NaNs break
-    // selection's strict weak ordering. erase_if keeps the survivors in
-    // order, and QuantileSelect returns the same bits a full sort would;
-    // at millions of folded tuples the O(n log n) sort, not the fold,
-    // used to dominate finalization.
-    out.histogram = Histogram::FromSamples(all_, histogram_bins_);
-    if (keep_samples_) out.samples = all_;
-    std::erase_if(all_, [](double x) { return !std::isfinite(x); });
-    if (!all_.empty()) {
-      out.p50 = QuantileSelect(all_, 0.50);
-      out.p95 = QuantileSelect(all_, 0.95);
+    // them. Welford's extremes are the histogram's range whenever both
+    // are finite: like Histogram::FiniteRange they start from the first
+    // finite value, skip NaN and move only on a strict comparison, so
+    // they agree to the zero sign; otherwise an infinity took one, and
+    // the range is rescanned over the finite values. Every retained value
+    // stands for copies_ folded ones, so each bins copies_ times.
+    const auto [lo, hi] = std::isfinite(out.min) && std::isfinite(out.max)
+                              ? std::pair(out.min, out.max)
+                              : Histogram::FiniteRange(all_);
+    Histogram histogram(lo, hi, histogram_bins_);
+    histogram.AddSpan(all_, copies_);
+    if (keep_samples_) {
+      out.samples.reserve(all_.size() * static_cast<std::size_t>(copies_));
+      for (std::int64_t k = 0; k < copies_; ++k) {
+        out.samples.insert(out.samples.end(), all_.begin(), all_.end());
+      }
     }
+    // Quantiles are taken over the finite mass: NaNs break selection's
+    // strict weak ordering, and the histogram counted every non-finite
+    // value it dropped. erase_if keeps the survivors in order, and
+    // QuantileSelect returns the same bits a full sort of all the copies
+    // would; at millions of folded tuples the O(n log n) sort, not the
+    // fold, used to dominate finalization.
+    if (histogram.dropped_count() != 0) {
+      std::erase_if(all_, [](double x) { return !std::isfinite(x); });
+    }
+    if (!all_.empty()) {
+      const auto copies = static_cast<std::size_t>(copies_);
+      out.p50 = QuantileSelect(all_, 0.50, copies);
+      out.p95 = QuantileSelect(all_, 0.95, copies);
+    }
+    out.histogram = std::move(histogram);
   }
   return out;
 }

@@ -53,6 +53,7 @@ class Estimator {
       : keep_samples_(keep_samples), histogram_bins_(histogram_bins) {}
 
   void Add(double x) {
+    if (copies_ != 1) Expand();
     acc_.Add(x);
     all_.push_back(x);
   }
@@ -60,9 +61,20 @@ class Estimator {
   /// Folds a whole batch in index order (same result, bit-for-bit, as
   /// adding each element individually).
   void AddSpan(std::span<const double> xs) {
+    if (copies_ != 1) Expand();
     acc_.AddSpan(xs);
     all_.insert(all_.end(), xs.begin(), xs.end());
   }
+
+  /// Folds `copies` concatenated copies of `xs`: bit-identical to calling
+  /// AddSpan(xs) `copies` times, Finalize included. Welford consumes every
+  /// copy, but when `xs` is the estimator's first fold the buffer keeps
+  /// one copy, and Finalize reads the histogram, quantiles and kept
+  /// samples of all of them from it — a world-invariant column folds its
+  /// one base, not every world's copy of it. A base holding zeros of both
+  /// signs is retained in full instead (see QuantileSelect), as is any
+  /// later fold.
+  void AddRepeated(std::span<const double> xs, std::int64_t copies);
 
   std::int64_t count() const { return acc_.count(); }
 
@@ -79,12 +91,17 @@ class Estimator {
   OutputMetrics Finalize() &&;
 
  private:
+  /// Writes out the copies all_ stands for, so it holds every value.
+  void Expand();
+
   WelfordAccumulator acc_;
   bool keep_samples_;
   int histogram_bins_;
   // Kept internally for quantiles/histogram; copied into the result only
-  // when keep_samples_ is set.
+  // when keep_samples_ is set. The folded values are `copies_`
+  // concatenated copies of it (1 unless AddRepeated kept one base).
   std::vector<double> all_;
+  std::int64_t copies_ = 1;
 };
 
 /// Convenience: metrics of a sample vector.

@@ -50,7 +50,10 @@ class ColumnChunk {
   std::size_t size() const { return size_; }
   std::size_t null_count() const { return null_count_; }
   bool IsNull(std::size_t i) const {
-    return null_count_ != 0 && (null_words_[i >> 6] >> (i & 63) & 1) != 0;
+    // The bitmap ends at the word of the last NULL: later rows are not
+    // NULL.
+    return null_count_ != 0 && (i >> 6) < null_words_.size() &&
+           (null_words_[i >> 6] >> (i & 63) & 1) != 0;
   }
 
   void Reserve(std::size_t n);

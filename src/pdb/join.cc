@@ -128,12 +128,40 @@ void MatchPairs(const ColumnChunk& lcol, std::size_t lf, std::size_t ll,
 
 /// Gathers one source column's values at the pair rows into `*dst` —
 /// typed appends straight from the chunk spans, no boxing. `from_left`
-/// selects which pair coordinate indexes this column's side.
+/// selects which pair coordinate indexes this column's side. A NULL-free
+/// numeric source fills one appended span by index.
 void GatherColumn(const ColumnChunk& src, std::span<const RowPair> pairs,
                   bool from_left, ColumnChunk* dst) {
   auto row_of = [&](const RowPair& p) {
     return from_left ? p.first : p.second;
   };
+  auto fill = [&](auto values, auto out) {
+    if (from_left) {
+      for (std::size_t k = 0; k < pairs.size(); ++k) {
+        out[k] = values[pairs[k].first];
+      }
+    } else {
+      for (std::size_t k = 0; k < pairs.size(); ++k) {
+        out[k] = values[pairs[k].second];
+      }
+    }
+  };
+  if (src.null_count() == 0) {
+    switch (src.type()) {
+      case ValueType::kDouble:
+        fill(src.Doubles(), dst->AppendDoubleSpan(pairs.size()));
+        return;
+      case ValueType::kInt:
+        fill(src.Ints(), dst->AppendIntSpan(pairs.size()));
+        return;
+      case ValueType::kBool:
+        fill(src.Bools(), dst->AppendBoolSpan(pairs.size()));
+        return;
+      case ValueType::kString:
+      case ValueType::kNull:
+        break;
+    }
+  }
   switch (src.type()) {
     case ValueType::kDouble:
       for (const RowPair& p : pairs) {
@@ -181,6 +209,23 @@ void GatherColumn(const ColumnChunk& src, std::span<const RowPair> pairs,
   }
 }
 
+/// Appends the join.output columns listed in `output_columns` of each
+/// matched pair, in pair order, to `*out`'s columns, then commits the
+/// rows.
+Status GatherPairs(const ColumnarTable& left, const ColumnarTable& right,
+                   std::span<const RowPair> pairs,
+                   std::span<const std::size_t> output_columns,
+                   ColumnarTable* out) {
+  const std::size_t num_left = left.num_columns();
+  for (std::size_t c = 0; c < output_columns.size(); ++c) {
+    const std::size_t slot = output_columns[c];
+    const bool from_left = slot < num_left;
+    GatherColumn(from_left ? left.column(slot) : right.column(slot - num_left),
+                 pairs, from_left, &out->column(c));
+  }
+  return out->CommitAppendedRows();
+}
+
 }  // namespace
 
 Result<ResolvedJoin> ResolveJoin(const Schema& left, const Schema& right,
@@ -223,14 +268,7 @@ Status JoinPartition(const ColumnarTable& left, std::size_t left_first,
   MatchPairs(left.column(join.left_slot), left_first, left_last,
              right.column(join.right_slot), right_first, right_last,
              join.key_type, &pairs);
-  const std::size_t num_left = left.num_columns();
-  for (std::size_t c = 0; c < output_columns.size(); ++c) {
-    const std::size_t slot = output_columns[c];
-    const bool from_left = slot < num_left;
-    GatherColumn(from_left ? left.column(slot) : right.column(slot - num_left),
-                 pairs, from_left, &out->column(c));
-  }
-  return out->CommitAppendedRows();
+  return GatherPairs(left, right, pairs, output_columns, out);
 }
 
 Status JoinWorlds(const WorldExtent& left, const WorldExtent& right,
@@ -267,9 +305,25 @@ Result<std::map<std::string, OutputMetrics>> FoldJoinedVGColumns(
   // unknown name or non-numeric column in request order reports.
   JIGSAW_ASSIGN_OR_RETURN(
       ResolvedJoin join, ResolveJoin(left->schema(), right->schema(), spec));
-  // Only the requested columns are ever gathered: cell column s is
-  // join.output column slots[s], under its requested name.
-  std::vector<std::size_t> slots;
+  // Certainty: when both keys are certain, every world matches the same
+  // pairs, so a requested column whose source is certain too gathers the
+  // same values in every world. Such columns are staged once per cell
+  // and fold as one base per point; the others are gathered per world.
+  const std::size_t num_left = left->schema().num_columns();
+  const auto is_certain = [&](std::size_t slot) {
+    const bool from_left = slot < num_left;
+    const std::span<const std::size_t> declared =
+        from_left ? left->CertainColumns() : right->CertainColumns();
+    return std::find(declared.begin(), declared.end(),
+                     from_left ? slot : slot - num_left) != declared.end();
+  };
+  const bool keys_certain =
+      is_certain(join.left_slot) && is_certain(num_left + join.right_slot);
+  // Only the requested columns are ever gathered, under their requested
+  // names: the certain ones (request indices `certain`, join.output slots
+  // `certain_slots`) once per cell, the others (`per_world_slots`) per
+  // world.
+  std::vector<std::size_t> per_world_slots, certain_slots, certain;
   std::vector<Column> gathered;
   for (const std::string& name : column_names) {
     JIGSAW_ASSIGN_OR_RETURN(const std::size_t slot, join.output.IndexOf(name));
@@ -278,7 +332,12 @@ Result<std::map<std::string, OutputMetrics>> FoldJoinedVGColumns(
         type != ValueType::kBool) {
       return Status::ExecutionError("column '" + name + "' is not numeric");
     }
-    slots.push_back(slot);
+    if (keys_certain && is_certain(slot)) {
+      certain.push_back(gathered.size());
+      certain_slots.push_back(slot);
+    } else {
+      per_world_slots.push_back(slot);
+    }
     gathered.push_back({name, type});
   }
   // World w draws from seed w: a short vector would read past its end.
@@ -294,9 +353,12 @@ Result<std::map<std::string, OutputMetrics>> FoldJoinedVGColumns(
   // tuples' requested columns reach the cell, so neither whole-chunk
   // inputs nor the full joined relation ever exist. Left realizes before
   // right in each world, so a generator failure surfaces in the serial
-  // order.
+  // order. With certain keys the cell's first world matches for all of
+  // them and stages the certain columns.
   auto fill = [&](std::size_t, std::size_t begin, std::size_t end,
                   WorldExtent* cell) -> Status {
+    std::vector<RowPair> pairs;
+    std::size_t left_rows = 0, right_rows = 0;
     for (std::size_t w = begin; w < end; ++w) {
       ColumnarTable left_world, right_world;
       const ColumnarTable* lt = &left_world;
@@ -311,10 +373,29 @@ Result<std::map<std::string, OutputMetrics>> FoldJoinedVGColumns(
         JIGSAW_ASSIGN_OR_RETURN(right_world,
                                 right->GenerateColumnar(w, seeds));
       }
+      if (w == begin || !keys_certain) {
+        pairs.clear();
+        MatchPairs(lt->column(join.left_slot), 0, lt->num_rows(),
+                   rt->column(join.right_slot), 0, rt->num_rows(),
+                   join.key_type, &pairs);
+        left_rows = lt->num_rows();
+        right_rows = rt->num_rows();
+      } else if (lt->num_rows() != left_rows || rt->num_rows() != right_rows) {
+        // A table with certain columns realizes one row count in every
+        // world; the pairs index rows, so a generator that broke that
+        // promise must not be read through them.
+        return Status::Internal(StrFormat(
+            "tables with certain join keys realized %zu x %zu rows in world "
+            "%zu but %zu x %zu in world %zu",
+            left_rows, right_rows, begin, lt->num_rows(), rt->num_rows(), w));
+      }
+      if (w == begin) {
+        JIGSAW_RETURN_IF_ERROR(
+            GatherPairs(*lt, *rt, pairs, certain_slots, &cell->certain));
+      }
       cell->row_offsets.push_back(cell->data.num_rows());
-      JIGSAW_RETURN_IF_ERROR(JoinPartition(*lt, 0, lt->num_rows(), *rt, 0,
-                                           rt->num_rows(), join, slots,
-                                           &cell->data));
+      JIGSAW_RETURN_IF_ERROR(
+          GatherPairs(*lt, *rt, pairs, per_world_slots, &cell->data));
       // The first world's match count sizes the rest of the chunk, so
       // the cell's columns grow once instead of by doubling.
       if (w == begin) cell->data.Reserve(cell->data.num_rows() * (end - w));
@@ -322,8 +403,8 @@ Result<std::map<std::string, OutputMetrics>> FoldJoinedVGColumns(
     return Status::OK();
   };
   JIGSAW_ASSIGN_OR_RETURN(
-      auto points, FoldWorldCells(Schema(std::move(gathered)), 1, num_worlds,
-                                  config, pool, fill));
+      auto points, FoldWorldCells(Schema(std::move(gathered)), certain, 1,
+                                  num_worlds, config, pool, fill));
   return std::move(points[0]);
 }
 

@@ -28,8 +28,14 @@
 /// the cell-grid fold the row-program folds run too: each world-chunk
 /// cell runs its worlds through a one-world-at-a-time pipeline (realize
 /// both sides, match, gather only the folded columns), then each folded
-/// column folds and finalizes as its own pool task, kDouble columns
-/// through Estimator::AddSpan zero-copy.
+/// column folds and finalizes as its own pool task. A kDouble column's
+/// chunk span goes to Estimator::AddSpan as is, which copies it into the
+/// estimator's retained buffer (the quantiles and histogram read it).
+/// U-relations store certain attributes once, and so does the fold: when
+/// both keys are certain (VGTableFunction::CertainColumns), every world
+/// matches the same pairs, so a cell matches once, and a requested
+/// column whose source is certain too is gathered once per cell and
+/// folds as that one base, repeated once per world.
 
 #include <cstddef>
 #include <map>
@@ -116,10 +122,15 @@ Status JoinWorlds(const WorldExtent& left, const WorldExtent& right,
 /// left, realize right (so generator errors surface in the serial
 /// order), match, and append only the requested columns of the matched
 /// tuples to the cell — so each task holds one world of input at a time
-/// and the unrequested joined columns are never built. Each requested column then folds and finalizes as
-/// its own pool task, in world order. A NULL in a folded column of a
-/// matched tuple surfaces the world-major loop's error: lowest failing
-/// world first (a generator failure in a later world never masks it),
+/// and the unrequested joined columns are never built. When both keys
+/// are certain, the cell matches its first world's keys for all of its
+/// worlds and gathers the requested certain columns once, from that
+/// world; a later world with another row count is an Internal error (its
+/// table broke its certainty declaration). Each requested column then
+/// folds and finalizes as its own pool task, in world order. A NULL in a
+/// folded column of a matched tuple surfaces the world-major loop's
+/// error: lowest failing world first (a generator failure in a later
+/// world never masks it; a certain column's NULL is in the first world),
 /// then lowest requested column. Metrics, error text and error ordering
 /// are bit-identical to a serial boxed fold over the nested-loop join;
 /// zero worlds yield a zero-count summary per column.

@@ -1,6 +1,7 @@
 #include "pdb/monte_carlo.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <numeric>
 #include <utility>
 #include <vector>
@@ -14,7 +15,7 @@ std::size_t g_fold_staged_budget_override = 0;
 
 Status FoldChunkColumn(const ColumnChunk& col, std::size_t first,
                        std::size_t last, const std::string& name,
-                       Estimator* est) {
+                       Estimator* est, std::int64_t copies) {
   if (col.null_count() != 0) {
     for (std::size_t r = first; r < last; ++r) {
       if (col.IsNull(r)) {
@@ -24,18 +25,20 @@ Status FoldChunkColumn(const ColumnChunk& col, std::size_t first,
   }
   // Int and bool values widen through one bounded block, refilled in
   // row order, so a whole-cell fold never allocates a cell-sized copy.
+  // Repeated rows widen in one block: each copy repeats all of them.
   auto add_widened = [&](auto widen) {
     constexpr std::size_t kBlock = 4096;
-    std::vector<double> block(std::min(kBlock, last - first));
+    std::vector<double> block(
+        copies == 1 ? std::min(kBlock, last - first) : last - first);
     for (std::size_t r = first; r < last; r += block.size()) {
       const std::size_t n = std::min(block.size(), last - r);
       for (std::size_t i = 0; i < n; ++i) block[i] = widen(r + i);
-      est->AddSpan(std::span<const double>(block.data(), n));
+      est->AddRepeated(std::span<const double>(block.data(), n), copies);
     }
   };
   switch (col.type()) {
     case ValueType::kDouble:
-      est->AddSpan(col.Doubles().subspan(first, last - first));
+      est->AddRepeated(col.Doubles().subspan(first, last - first), copies);
       return Status::OK();
     case ValueType::kInt:
       add_widened(
@@ -93,8 +96,9 @@ Status NameSweepPoint(std::size_t point, Status status) {
 }
 
 Result<std::vector<std::map<std::string, OutputMetrics>>> FoldWorldCells(
-    const Schema& columns, std::size_t num_points, std::size_t num_worlds,
-    const RunConfig& config, ThreadPool* pool, const WorldCellFn& fill) {
+    const Schema& columns, std::span<const std::size_t> certain,
+    std::size_t num_points, std::size_t num_worlds, const RunConfig& config,
+    ThreadPool* pool, const WorldCellFn& fill) {
   // A one-point fold IS the standalone statement: its error must stay
   // byte-identical, so the coordinate prefix only appears when there is
   // more than one point to disambiguate.
@@ -103,6 +107,19 @@ Result<std::vector<std::map<std::string, OutputMetrics>>> FoldWorldCells(
                           : status;
   };
   const std::size_t width = columns.num_columns();
+  // Output column s is column source[s] of each cell's `data` or, when
+  // certain, of its `certain` table.
+  std::vector<bool> is_certain(width, false);
+  for (std::size_t s : certain) is_certain[s] = true;
+  std::vector<std::size_t> source(width);
+  std::vector<Column> per_world_columns, certain_columns;
+  for (std::size_t s = 0; s < width; ++s) {
+    auto& side = is_certain[s] ? certain_columns : per_world_columns;
+    source[s] = side.size();
+    side.push_back(columns.column(s));
+  }
+  const Schema per_world_schema(std::move(per_world_columns));
+  const Schema certain_schema(std::move(certain_columns));
   const std::size_t batch = std::max<std::size_t>(1, config.batch_size);
   const std::size_t num_chunks = (num_worlds + batch - 1) / batch;
   struct Cell {
@@ -153,7 +170,8 @@ Result<std::vector<std::map<std::string, OutputMetrics>>> FoldWorldCells(
       Cell& cell = cells[c];
       const std::size_t begin = (c % num_chunks) * batch;
       cell.extent.world_begin = begin;
-      cell.extent.data = ColumnarTable(columns);
+      cell.extent.data = ColumnarTable(per_world_schema);
+      cell.extent.certain = ColumnarTable(certain_schema);
       cell.status = fill(first + c / num_chunks, begin,
                          std::min(begin + batch, num_worlds), &cell.extent);
     };
@@ -187,17 +205,41 @@ Result<std::vector<std::map<std::string, OutputMetrics>>> FoldWorldCells(
           cells.data() + begin,
           std::min(begin + num_chunks, failed + 1) - begin);
       const std::size_t s = f % width;
-      std::size_t rows = 0;
-      for (const Cell& cell : point_cells) rows += cell.extent.data.num_rows();
+      const std::string& name = columns.column(s).name;
       Estimator est(config.keep_samples, config.histogram_bins);
-      est.Reserve(rows);
-      for (const Cell& cell : point_cells) {
-        Status st = FoldCellColumn(cell.extent, s, columns.column(s).name,
-                                   &est, &folds[f].failed_world);
-        if (!st.ok()) {
-          folds[f].status = std::move(st);
-          return;
+      Status st = Status::OK();
+      if (is_certain[s]) {
+        // Every completed world of the point holds the rows of the first
+        // cell that completed one: they fold once per world, and a NULL
+        // among them fails at that cell's first world.
+        const WorldExtent* base = nullptr;
+        std::int64_t worlds = 0;
+        for (const Cell& cell : point_cells) {
+          if (cell.extent.row_offsets.empty()) continue;
+          if (base == nullptr) base = &cell.extent;
+          worlds += static_cast<std::int64_t>(cell.extent.row_offsets.size());
         }
+        if (base != nullptr) {
+          folds[f].failed_world = base->world_begin;
+          st = internal::FoldChunkColumn(base->certain.column(source[s]), 0,
+                                         base->certain.num_rows(), name, &est,
+                                         worlds);
+        }
+      } else {
+        std::size_t rows = 0;
+        for (const Cell& cell : point_cells) {
+          rows += cell.extent.data.num_rows();
+        }
+        est.Reserve(rows);
+        for (const Cell& cell : point_cells) {
+          st = FoldCellColumn(cell.extent, source[s], name, &est,
+                              &folds[f].failed_world);
+          if (!st.ok()) break;
+        }
+      }
+      if (!st.ok()) {
+        folds[f].status = std::move(st);
+        return;
       }
       folds[f].metrics = std::move(est).Finalize();
     };
@@ -262,8 +304,8 @@ FoldPointWorldSpans(std::span<const std::string> column_names,
               std::size_t{0});
     return cell->data.CommitAppendedRows();
   };
-  return FoldWorldCells(Schema(std::move(columns)), num_points, num_worlds,
-                        config, pool, fill);
+  return FoldWorldCells(Schema(std::move(columns)), {}, num_points,
+                        num_worlds, config, pool, fill);
 }
 
 Result<std::map<std::string, OutputMetrics>> FoldWorlds(

@@ -23,6 +23,7 @@
 /// both in world order — bit-identical to the serial fold at every
 /// (threads, batch_size) combination.
 
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <span>
@@ -48,7 +49,10 @@ Status NameSweepPoint(std::size_t point, Status status);
 /// Fills one cell of FoldWorldCells's grid: appends worlds [begin, end)
 /// of sweep point `point` to `*cell`, in world order, recording each
 /// world's first row in `cell->row_offsets`. `cell->data` arrives empty
-/// with the fold's column schema and `cell->world_begin` is `begin`.
+/// with the fold's per-world columns, `cell->certain` with its certain
+/// ones, and `cell->world_begin` is `begin`. The certain rows are staged
+/// once, by the time the first world is recorded, and every recorded
+/// world holds them.
 /// Cells are filled concurrently from pool tasks, each into its own
 /// extent, so the callable must be thread-safe. On error the returned
 /// status must be the one the lowest failing world of the cell would
@@ -63,8 +67,14 @@ using WorldCellFn = std::function<Status(
 /// num_points x num_worlds grid, one (point, batch_size world chunk)
 /// cell per `fill` call, each into a WorldExtent it alone writes (the
 /// shard-ownership rule). Output column s, named `columns.column(s).name`,
-/// folds column s of every cell of a point in world order into one
+/// folds that column of every cell of a point in world order into one
 /// Estimator reserved for exactly the point's rows, finalized in place.
+/// The columns whose indices `certain` lists are world-invariant: a
+/// cell's `certain` table holds them (in column order) once for all of
+/// its worlds, its `data` holds the others, and each folds as one cell's
+/// rows repeated once per completed world of the point
+/// (Estimator::AddRepeated), with the same bits as folding every world's
+/// copy.
 /// With a non-null `pool` the cells run as one ThreadPool::ParallelFor,
 /// then the (point, column) folds as another; without one the same loops
 /// run on the caller, the cells stopping at the first failure. Point k's
@@ -77,14 +87,16 @@ using WorldCellFn = std::function<Status(
 /// whatever the schedule: in the lowest failing point, the lowest world
 /// that fails, either in `fill` or by holding a NULL in a folded column
 /// (a world's `fill` error comes before its NULLs; NULLs in one world go
-/// to the lowest column, never the earliest row). It is prefixed with
+/// to the lowest column, never the earliest row; a NULL in a certain
+/// column is in the point's first completed world). It is prefixed with
 /// "sweep point k" only when there is more than one point, so a
 /// one-point fold keeps the standalone statement's raw error byte for
 /// byte. `columns` must be numeric (double, int or bool); zero worlds
 /// yield a zero-count summary per column.
 Result<std::vector<std::map<std::string, OutputMetrics>>> FoldWorldCells(
-    const Schema& columns, std::size_t num_points, std::size_t num_worlds,
-    const RunConfig& config, ThreadPool* pool, const WorldCellFn& fill);
+    const Schema& columns, std::span<const std::size_t> certain,
+    std::size_t num_points, std::size_t num_worlds, const RunConfig& config,
+    ThreadPool* pool, const WorldCellFn& fill);
 
 /// Per-point world evaluator: fills `columns[slot][i]` with output
 /// column `slot` of world `world_begin + i` evaluated at sweep point
@@ -132,12 +144,14 @@ namespace internal {
 /// Folds rows [first, last) of one realized column into *est — the
 /// tuple-level fold kernel FoldWorldCells runs on every cell column, so
 /// every fold reports byte-identical "column 'X' is not numeric" errors.
-/// kDouble is the zero-copy AddSpan fast path; int/bool widen through a
+/// kDouble reads the chunk's span directly; int/bool widen through a
 /// bounded block of doubles, never a range-sized copy; a null anywhere is
-/// non-numeric, as in the boxed Table::NumericColumn walk.
+/// non-numeric, as in the boxed Table::NumericColumn walk. With `copies`
+/// other than 1 the rows fold as that many concatenated copies
+/// (Estimator::AddRepeated); an int/bool range then widens whole.
 Status FoldChunkColumn(const ColumnChunk& col, std::size_t first,
                        std::size_t last, const std::string& name,
-                       Estimator* est);
+                       Estimator* est, std::int64_t copies = 1);
 
 /// Test hook: when nonzero, overrides the staged-bytes budget that
 /// bounds how many sweep points FoldWorldCells keeps in flight, forcing

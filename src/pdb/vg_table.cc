@@ -88,6 +88,10 @@ class UsersVGTable final : public VGTableFunction {
 
   const std::string& name() const override { return name_; }
   const Schema& schema() const override { return schema_; }
+  std::span<const std::size_t> CertainColumns() const override {
+    static constexpr std::size_t kCertain[] = {0, 1};  // user_id, signup_week
+    return kCertain;
+  }
 
   Result<Table> Generate(std::size_t sample_id,
                          const SeedVector& seeds) const override {
@@ -203,6 +207,11 @@ class ScalingItemsVGTable final : public VGTableFunction {
 
   const std::string& name() const override { return name_; }
   const Schema& schema() const override { return schema_; }
+  std::span<const std::size_t> CertainColumns() const override {
+    // item_id, in_stock, region
+    static constexpr std::size_t kCertain[] = {0, 3, 4};
+    return kCertain;
+  }
 
   Result<Table> Generate(std::size_t sample_id,
                          const SeedVector& seeds) const override {

@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -59,6 +60,16 @@ class VGTableFunction {
   /// Convenience: one realization as a fresh ColumnarTable.
   Result<ColumnarTable> GenerateColumnar(std::size_t sample_id,
                                          const SeedVector& seeds) const;
+
+  /// The certain (world-invariant) columns, as ascending schema slots:
+  /// each holds the same values and NULLs in every world, and a table
+  /// that names any realizes the same row count in every world. This is
+  /// U-relations' split of certain from uncertain attributes ("Fast and
+  /// Simple Relational Processing of Uncertain Data"): work that reads
+  /// only certain columns may run once, on any one world, for all of
+  /// them. Realization does not change; every world still writes these
+  /// columns. By default a table names none.
+  virtual std::span<const std::size_t> CertainColumns() const { return {}; }
 };
 
 using VGTableFunctionPtr = std::shared_ptr<const VGTableFunction>;
@@ -72,11 +83,13 @@ using VGTableFunctionPtr = std::shared_ptr<const VGTableFunction>;
 /// synchronization and no cross-task writes. The worlds are contiguous,
 /// so their offsets are the whole world annotation: `row_offsets[k]` is
 /// the first row of world `world_begin + k`, with `data.num_rows()`
-/// closing the last.
+/// closing the last. A fold whose columns include certain ones stages
+/// those once, in `certain`: every world of the extent holds its rows.
 struct WorldExtent {
   std::size_t world_begin = 0;
   ColumnarTable data;
   std::vector<std::size_t> row_offsets;
+  ColumnarTable certain;
 
   /// Realizes world `sample_id` at the end of `data` (initializing the
   /// schema from `fn` on first use) and records its first row.
@@ -144,7 +157,8 @@ class WorldCache {
 /// peaks through RandomStream::MaxLogNormal, which calls cos and exp only
 /// for the draws that can win, bit-identical to `Generate`'s draw loop;
 /// the world-invariant population (16 B per user) is derived once per
-/// table, on its first realization, never at construction.
+/// table, on its first realization, never at construction. `user_id`
+/// and `signup_week` are its certain columns.
 VGTableFunctionPtr MakeUsersVGTable(int num_users, double arrival_rate,
                                     double base_demand, double spread,
                                     int sim_depth = 16);
@@ -155,7 +169,8 @@ VGTableFunctionPtr MakeUsersVGTable(int num_users, double arrival_rate,
 ///    region STRING)
 /// `demand` and `cost` are per-world draws (two draws per row, so storage
 /// cost — not the generator — dominates at scale); `item_id`, `in_stock`
-/// and the four-value `region` dictionary are deterministic attributes.
+/// and the four-value `region` dictionary are deterministic attributes,
+/// its certain columns.
 VGTableFunctionPtr MakeScalingItemsVGTable(std::size_t num_rows,
                                            double demand_mu = 1.0,
                                            double demand_sigma = 0.5,

@@ -38,8 +38,16 @@ int Histogram::BinOf(double x) const {
 
 Histogram Histogram::FromSamples(const std::vector<double>& samples,
                                  int num_bins) {
+  const auto [lo, hi] = FiniteRange(samples);
+  Histogram h(lo, hi, num_bins);
+  h.AddSpan(samples);
+  return h;
+}
+
+std::pair<double, double> Histogram::FiniteRange(
+    std::span<const double> samples) {
   // Range over the finite samples only: a single NaN/inf must not poison
-  // every bin boundary (non-finite samples are dropped by Add below).
+  // every bin boundary (non-finite samples are dropped by Add).
   double lo = 0.0, hi = 1.0;
   bool seen_finite = false;
   for (double s : samples) {
@@ -48,20 +56,22 @@ Histogram Histogram::FromSamples(const std::vector<double>& samples,
     hi = seen_finite ? std::max(hi, s) : s;
     seen_finite = true;
   }
-  Histogram h(lo, hi, num_bins);
-  for (double s : samples) h.Add(s);
-  return h;
+  return {lo, hi};
 }
 
-void Histogram::Add(double x) {
+void Histogram::Add(double x, std::int64_t copies) {
   if (!std::isfinite(x)) {
     // floor() of NaN/±inf is non-finite and casting it to int is UB; a
     // non-finite observation has no bin, so count it as dropped instead.
-    ++dropped_;
+    dropped_ += copies;
     return;
   }
-  ++counts_[static_cast<std::size_t>(BinOf(x))];
-  ++total_;
+  counts_[static_cast<std::size_t>(BinOf(x))] += copies;
+  total_ += copies;
+}
+
+void Histogram::AddSpan(std::span<const double> xs, std::int64_t copies) {
+  for (double x : xs) Add(x, copies);
 }
 
 Histogram Histogram::AffineTransformed(double alpha, double beta) const {

@@ -7,6 +7,8 @@
 /// "easily applied to simple aggregate properties").
 
 #include <cstdint>
+#include <span>
+#include <utility>
 #include <vector>
 
 namespace jigsaw {
@@ -21,9 +23,18 @@ class Histogram {
   static Histogram FromSamples(const std::vector<double>& samples,
                                int num_bins);
 
-  /// Bins a finite observation. Non-finite observations (NaN, ±inf) have
-  /// no bin; they are skipped and tallied in dropped_count().
-  void Add(double x);
+  /// [min, max] of the finite samples, the range FromSamples bins over;
+  /// [0, 1] when no sample is finite.
+  static std::pair<double, double> FiniteRange(
+      std::span<const double> samples);
+
+  /// Bins a finite observation `copies` times: the counts of that many
+  /// repeats of it. Non-finite observations (NaN, ±inf) have no bin; they
+  /// are skipped and tallied in dropped_count().
+  void Add(double x, std::int64_t copies = 1);
+
+  /// Add(x, copies) for each x of `xs`, in order.
+  void AddSpan(std::span<const double> xs, std::int64_t copies = 1);
 
   /// Applies M(x) = alpha*x + beta to the bin boundaries. A negative alpha
   /// reverses bin order. Counts are preserved exactly, which is the key

@@ -28,9 +28,13 @@ class WelfordAccumulator {
 
   /// Adds a whole span in index order. Exactly equivalent to calling
   /// Add element-wise (bit-for-bit), but keeps the update loop tight for
-  /// the batched sampling path.
+  /// the batched sampling path: it updates a local copy, whose fields
+  /// the compiler can hold in registers, where it must otherwise store
+  /// them every step in case `xs` aliases them.
   void AddSpan(std::span<const double> xs) {
-    for (double x : xs) Add(x);
+    WelfordAccumulator local = *this;
+    for (double x : xs) local.Add(x);
+    *this = local;
   }
 
   /// Merges another accumulator (parallel reduction; Chan et al.).
@@ -94,7 +98,14 @@ double Quantile(std::vector<double> values, double q);
 /// O(n log n) sort — order statistics are unique multiset values, so the
 /// interpolated result carries the exact same bits. Partially reorders
 /// `values`; elements must be totally ordered (no NaNs).
-double QuantileSelect(std::vector<double>& values, double q);
+///
+/// With `copies` > 1 it is the q-quantile of `copies` concatenated copies
+/// of `values`, selected in `values` alone: rank r of the copies' order
+/// is rank r / copies of `values`. Equal doubles then carry equal bits
+/// unless they are zeros of both signs, so `values` must not hold both
+/// +0.0 and -0.0 (selection over the copies could return either).
+double QuantileSelect(std::vector<double>& values, double q,
+                      std::size_t copies = 1);
 
 /// True if |a-b| <= atol + rtol*max(|a|,|b|). The fingerprint-matching
 /// tolerance test used throughout the core.

@@ -131,6 +131,23 @@ TEST(ColumnChunkTest, BoolAndCodeSpansMatchPerRowAppends) {
   EXPECT_EQ(bulk_strs.BoxValue(4), Value(std::string("green")));
 }
 
+TEST(ColumnChunkTest, RowsPastTheLastNullAreNotNull) {
+  // The null bitmap ends at the word of the last NULL; the rows appended
+  // after it, by value or by span, read as present.
+  ColumnChunk col(ValueType::kDouble);
+  col.AppendNull();
+  for (int i = 0; i < 130; ++i) col.AppendDouble(i);
+  auto span = col.AppendDoubleSpan(70);
+  for (std::size_t i = 0; i < span.size(); ++i) span[i] = -1.0;
+  ASSERT_EQ(col.size(), 201u);
+  EXPECT_EQ(col.null_count(), 1u);
+  EXPECT_TRUE(col.IsNull(0));
+  for (std::size_t i = 1; i < col.size(); ++i) {
+    ASSERT_FALSE(col.IsNull(i)) << "row " << i;
+  }
+  EXPECT_TRUE(col.BoxValue(200) == Value(-1.0));
+}
+
 TEST(ColumnarTableTest, RowRoundTripIsExact) {
   Table boxed(MakeMixedSchema());
   ASSERT_TRUE(boxed
@@ -272,6 +289,93 @@ TEST(VGColumnarTest, WorldExtentShardsWorldsContiguously) {
   for (std::size_t r = 0; r < 10; ++r) EXPECT_EQ(world3[r], solo[r]);
 }
 
+// ---------------------------------------------------------------------------
+// Certain columns: what users and items declare world-invariant must be,
+// in both representations, or a fold that reads one world's copy for all
+// of them would fold the wrong values.
+// ---------------------------------------------------------------------------
+
+std::uint64_t DoubleBits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+// Column `slot` of `got` holds exactly column `slot` of `want`: NULLs,
+// value bits and decoded strings.
+void ExpectSameColumnBits(const ColumnarTable& want, const ColumnarTable& got,
+                          std::size_t slot) {
+  ASSERT_EQ(want.num_rows(), got.num_rows());
+  const ColumnChunk& a = want.column(slot);
+  const ColumnChunk& b = got.column(slot);
+  ASSERT_EQ(a.type(), b.type());
+  for (std::size_t r = 0; r < want.num_rows(); ++r) {
+    ASSERT_EQ(a.IsNull(r), b.IsNull(r)) << "row " << r;
+    if (a.IsNull(r)) continue;
+    switch (a.type()) {
+      case ValueType::kDouble:
+        ASSERT_EQ(DoubleBits(a.Doubles()[r]), DoubleBits(b.Doubles()[r]))
+            << "row " << r;
+        break;
+      case ValueType::kInt:
+        ASSERT_EQ(a.Ints()[r], b.Ints()[r]) << "row " << r;
+        break;
+      case ValueType::kBool:
+        ASSERT_EQ(a.Bools()[r], b.Bools()[r]) << "row " << r;
+        break;
+      case ValueType::kString:
+        ASSERT_EQ(a.Dictionary()[a.StringCodes()[r]],
+                  b.Dictionary()[b.StringCodes()[r]])
+            << "row " << r;
+        break;
+      case ValueType::kNull:
+        break;
+    }
+  }
+}
+
+TEST(VGCertainColumnsTest, DeclaredColumnsEqualWorldZeroInEveryWorld) {
+  constexpr std::size_t kWorlds = 32;
+  struct Case {
+    VGTableFunctionPtr table;
+    std::vector<std::size_t> declared;
+    std::size_t uncertain;  ///< a DOUBLE column drawn per world
+  };
+  const std::vector<Case> cases = {
+      {MakeUsersVGTable(300, 0.8, 5.0, 2.0), {0, 1}, 2},
+      {MakeScalingItemsVGTable(300), {0, 3, 4}, 1}};
+  for (std::uint64_t master : {0x5EED0005ULL, 7ULL}) {
+    const SeedVector seeds(master, kWorlds);
+    for (const auto& [table, declared, uncertain] : cases) {
+      SCOPED_TRACE(::testing::Message()
+                   << table->name() << " seed " << master);
+      const auto certain = table->CertainColumns();
+      ASSERT_EQ(std::vector<std::size_t>(certain.begin(), certain.end()),
+                declared);
+      auto columnar0 = table->GenerateColumnar(0, seeds);
+      auto boxed0 = table->Generate(0, seeds);
+      ASSERT_TRUE(columnar0.ok() && boxed0.ok());
+      auto boxed0_columnar = ColumnarTable::FromTable(boxed0.value());
+      ASSERT_TRUE(boxed0_columnar.ok());
+      for (std::size_t w = 1; w < kWorlds; ++w) {
+        SCOPED_TRACE(::testing::Message() << "world " << w);
+        auto columnar = table->GenerateColumnar(w, seeds);
+        auto boxed = table->Generate(w, seeds);
+        ASSERT_TRUE(columnar.ok() && boxed.ok());
+        auto boxed_columnar = ColumnarTable::FromTable(boxed.value());
+        ASSERT_TRUE(boxed_columnar.ok());
+        for (std::size_t slot : declared) {
+          SCOPED_TRACE(table->schema().column(slot).name);
+          ExpectSameColumnBits(columnar0.value(), columnar.value(), slot);
+          ExpectSameColumnBits(boxed0_columnar.value(),
+                               boxed_columnar.value(), slot);
+        }
+      }
+      // The worlds differ where nothing is declared, so the comparison
+      // above would see a moving column.
+      auto columnar1 = table->GenerateColumnar(1, seeds);
+      ASSERT_TRUE(columnar1.ok());
+      EXPECT_NE(DoubleBits(columnar0.value().column(uncertain).Doubles()[0]),
+                DoubleBits(columnar1.value().column(uncertain).Doubles()[0]));
+    }
+  }
+}
 
 // ---------------------------------------------------------------------------
 // WorldCache: one columnar realization per (table, namespace, world)

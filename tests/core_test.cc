@@ -587,6 +587,96 @@ TEST(EstimatorFinalizeTest, BothFinalizesMatchTheCopyingFinalizeBitForBit) {
 }
 
 // ---------------------------------------------------------------------------
+// Estimator::AddRepeated — a world-invariant column folds one base span W
+// times. Against an Estimator over W concatenated copies of the base,
+// every field must match bit for bit, histogram and kept samples
+// included, whether the estimator kept one base or (for zeros of both
+// signs) every copy.
+// ---------------------------------------------------------------------------
+
+// A base of `n` values of one kind, drawn from `seed`.
+std::vector<double> RepeatedBase(const std::string& kind, std::size_t n,
+                                 std::uint64_t seed) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  SplitMix64 rng(seed);
+  // Quarter steps over [-5, 5): duplicates, with 0.0 the only zero.
+  std::vector<double> xs(n);
+  for (double& x : xs) x = static_cast<double>(rng.Next() % 40) * 0.25 - 5.0;
+  if (n == 0) return xs;
+  if (kind == "negative zeros") {
+    for (double& x : xs) {
+      if (x == 0.0) x = -0.0;
+    }
+    xs[n / 2] = -0.0;
+  } else if (kind == "both zero signs") {
+    xs.front() = 0.0;
+    xs.back() = -0.0;
+  } else if (kind == "NaN") {
+    xs[n / 3] = nan;
+  } else if (kind == "infinities") {
+    xs.front() = inf;
+    xs[n / 2] = -inf;
+  } else if (kind == "no finite value") {
+    for (std::size_t i = 0; i < n; ++i) {
+      xs[i] = i % 3 == 0 ? nan : i % 3 == 1 ? inf : -inf;
+    }
+  }
+  return xs;
+}
+
+TEST(EstimatorRepeatedTest, RepeatedBaseMatchesConcatenatedCopiesBitForBit) {
+  const std::vector<std::string> kinds = {
+      "duplicates", "negative zeros", "both zero signs",
+      "NaN",        "infinities",     "no finite value"};
+  for (bool keep_samples : {false, true}) {
+    for (const std::string& kind : kinds) {
+      for (std::size_t n : {0u, 1u, 2u, 3u, 7u, 8192u}) {
+        const std::vector<double> base = RepeatedBase(kind, n, 31 + n);
+        for (std::int64_t copies : {0, 1, 2, 64, 128}) {
+          SCOPED_TRACE(::testing::Message()
+                       << kind << ", n=" << n << ", W=" << copies
+                       << (keep_samples ? ", samples kept" : ""));
+          Estimator concatenated(keep_samples, /*histogram_bins=*/10);
+          for (std::int64_t k = 0; k < copies; ++k) {
+            concatenated.AddSpan(base);
+          }
+          Estimator repeated(keep_samples, /*histogram_bins=*/10);
+          repeated.AddRepeated(base, copies);
+          EXPECT_EQ(repeated.count(), concatenated.count());
+          const OutputMetrics expected = std::move(concatenated).Finalize();
+          // The const finalize leaves the base as it was.
+          ExpectBitIdenticalMetrics(expected, repeated.Finalize());
+          ExpectBitIdenticalMetrics(expected, std::move(repeated).Finalize());
+        }
+      }
+    }
+  }
+}
+
+TEST(EstimatorRepeatedTest, LaterFoldsWriteTheCopiesOut) {
+  // An AddSpan, Add or second AddRepeated after a kept base folds after
+  // all of its copies, as if every copy had been added.
+  const std::vector<double> base = RepeatedBase("duplicates", 7, 5);
+  const std::vector<double> tail = {9.5, -1.25, 0.0};
+  for (bool keep_samples : {false, true}) {
+    SCOPED_TRACE(keep_samples ? "samples kept" : "no samples");
+    Estimator concatenated(keep_samples, /*histogram_bins=*/10);
+    for (int k = 0; k < 3; ++k) concatenated.AddSpan(base);
+    concatenated.AddSpan(tail);
+    concatenated.Add(2.5);
+    for (int k = 0; k < 2; ++k) concatenated.AddSpan(base);
+    Estimator repeated(keep_samples, /*histogram_bins=*/10);
+    repeated.AddRepeated(base, 3);
+    repeated.AddSpan(tail);
+    repeated.Add(2.5);
+    repeated.AddRepeated(base, 2);
+    ExpectBitIdenticalMetrics(std::move(concatenated).Finalize(),
+                              std::move(repeated).Finalize());
+  }
+}
+
+// ---------------------------------------------------------------------------
 // BasisStore (Algorithm 3)
 // ---------------------------------------------------------------------------
 

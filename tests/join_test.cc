@@ -11,6 +11,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <map>
 #include <memory>
@@ -184,6 +185,13 @@ VGTableFunctionPtr MakePlainRight(std::string name) {
       });
 }
 
+std::uint64_t Bits(double x) {
+  std::uint64_t u;
+  std::memcpy(&u, &x, sizeof u);
+  return u;
+}
+
+// Bit for bit: every statistic, the histogram and the kept samples.
 void ExpectSameMetrics(const std::map<std::string, OutputMetrics>& expected,
                        const std::map<std::string, OutputMetrics>& actual) {
   ASSERT_EQ(expected.size(), actual.size());
@@ -191,14 +199,108 @@ void ExpectSameMetrics(const std::map<std::string, OutputMetrics>& expected,
     ASSERT_TRUE(actual.count(name)) << name;
     const auto& a = actual.at(name);
     EXPECT_EQ(m.count, a.count) << name;
-    EXPECT_EQ(m.mean, a.mean) << name;
-    EXPECT_EQ(m.stddev, a.stddev) << name;
-    EXPECT_EQ(m.std_error, a.std_error) << name;
-    EXPECT_EQ(m.p50, a.p50) << name;
-    EXPECT_EQ(m.p95, a.p95) << name;
-    EXPECT_EQ(m.min, a.min) << name;
-    EXPECT_EQ(m.max, a.max) << name;
+    EXPECT_EQ(Bits(m.mean), Bits(a.mean)) << name;
+    EXPECT_EQ(Bits(m.stddev), Bits(a.stddev)) << name;
+    EXPECT_EQ(Bits(m.std_error), Bits(a.std_error)) << name;
+    EXPECT_EQ(Bits(m.p50), Bits(a.p50)) << name;
+    EXPECT_EQ(Bits(m.p95), Bits(a.p95)) << name;
+    EXPECT_EQ(Bits(m.min), Bits(a.min)) << name;
+    EXPECT_EQ(Bits(m.max), Bits(a.max)) << name;
+    ASSERT_EQ(m.histogram.has_value(), a.histogram.has_value()) << name;
+    if (m.histogram) {
+      EXPECT_TRUE(*m.histogram == *a.histogram) << name;
+      EXPECT_EQ(Bits(m.histogram->lo()), Bits(a.histogram->lo())) << name;
+      EXPECT_EQ(Bits(m.histogram->hi()), Bits(a.histogram->hi())) << name;
+    }
+    ASSERT_EQ(m.samples.size(), a.samples.size()) << name;
+    for (std::size_t k = 0; k < m.samples.size(); ++k) {
+      ASSERT_EQ(Bits(m.samples[k]), Bits(a.samples[k]))
+          << name << " sample " << k;
+    }
   }
+}
+
+// Tables that declare certain columns (VGTableFunction::CertainColumns).
+// Left: a certain INT key `k` (duplicates, one NULL), certain DOUBLE
+// columns `c` (duplicates, NaN, +inf, and a NULL only on the NULL-key
+// row, which never matches), `z` (zeros of both signs) and `nz` (-0.0
+// only), a certain BOOL `flag`, and an uncertain DOUBLE `u`.
+VGTableFunctionPtr MakeCertainLeft() {
+  Schema schema({{"k", ValueType::kInt},
+                 {"c", ValueType::kDouble},
+                 {"z", ValueType::kDouble},
+                 {"nz", ValueType::kDouble},
+                 {"flag", ValueType::kBool},
+                 {"u", ValueType::kDouble}});
+  return std::make_shared<KeyedVGTable>(
+      "certain_left", schema,
+      [](std::size_t w, Table* out) -> Status {
+        const double inf = std::numeric_limits<double>::infinity();
+        const double nan = std::numeric_limits<double>::quiet_NaN();
+        for (std::size_t i = 0; i < 9; ++i) {
+          const bool null_key = i == 4;
+          Value c = null_key ? Value::Null()
+                    : i == 2 ? D(nan)
+                    : i == 6 ? D(inf)
+                             : D(0.5 * static_cast<double>(i % 3));
+          JIGSAW_RETURN_IF_ERROR(out->AddRow(
+              {null_key ? Value::Null() : I(static_cast<std::int64_t>(i % 4)),
+               std::move(c), D(i % 2 == 0 ? 0.0 : -0.0),
+               D(i % 3 == 0 ? -0.0 : static_cast<double>(i)), B(i % 3 == 1),
+               D(static_cast<double>(w) * 1.5 - static_cast<double>(i))}));
+        }
+        return Status::OK();
+      },
+      std::vector<std::size_t>{0, 1, 2, 3, 4});
+}
+
+// Right: a certain INT key `k2` with duplicates, a certain INT `rc` and an
+// uncertain DOUBLE `rv`; the generator fails in every world from
+// `fails_from` on.
+VGTableFunctionPtr MakeCertainRight(std::size_t fails_from = 1000) {
+  Schema schema({{"k2", ValueType::kInt},
+                 {"rc", ValueType::kInt},
+                 {"rv", ValueType::kDouble}});
+  return std::make_shared<KeyedVGTable>(
+      "certain_right", schema,
+      [fails_from](std::size_t w, Table* out) -> Status {
+        if (w >= fails_from) {
+          return Status::ExecutionError(StrFormat(
+              "VG generator 'certain_right' failed in world %zu", w));
+        }
+        for (std::size_t i = 0; i < 7; ++i) {
+          JIGSAW_RETURN_IF_ERROR(out->AddRow(
+              {I(static_cast<std::int64_t>(i % 3)),
+               I(static_cast<std::int64_t>(10 * i)),
+               D(static_cast<double>(w * w) - 0.25 * static_cast<double>(i))}));
+        }
+        return Status::OK();
+      },
+      std::vector<std::size_t>{0, 1});
+}
+
+// The certain-NULL table of the error tests: certain key `k` and
+// certain `c`, whose row 1 is NULL in every world; uncertain `u`, whose
+// row 2 is NULL from world `u_null_from` on. Every row matches the
+// certain right side.
+VGTableFunctionPtr MakeCertainNullLeft(std::size_t u_null_from) {
+  Schema schema({{"k", ValueType::kInt},
+                 {"c", ValueType::kDouble},
+                 {"u", ValueType::kDouble}});
+  return std::make_shared<KeyedVGTable>(
+      "certain_null_left", schema,
+      [u_null_from](std::size_t w, Table* out) -> Status {
+        for (std::size_t i = 0; i < 4; ++i) {
+          JIGSAW_RETURN_IF_ERROR(out->AddRow(
+              {I(static_cast<std::int64_t>(i % 3)),
+               i == 1 ? Value::Null() : D(static_cast<double>(i)),
+               i == 2 && w >= u_null_from
+                   ? Value::Null()
+                   : D(static_cast<double>(10 * w + i))}));
+        }
+        return Status::OK();
+      },
+      std::vector<std::size_t>{0, 1});
 }
 
 // ---------------------------------------------------------------------------
@@ -655,21 +757,22 @@ class JoinFoldTest : public ::testing::Test {
                                cache);
   }
 
-  RunConfig BaseConfig() const {
+  static RunConfig BaseConfig() {
     RunConfig config;
     config.num_samples = kWorlds;
     config.master_seed = 0xA11CE;
     return config;
   }
 
-  // Serial boxed nested-loop fold (boxed_reference.h).
+  // Serial boxed nested-loop fold (boxed_reference.h) over
+  // config.num_samples worlds.
   Result<std::map<std::string, OutputMetrics>> Reference(
       const VGTableFunctionPtr& left, const VGTableFunctionPtr& right,
-      const JoinSpec& keys, const std::vector<std::string>& columns) {
-    const RunConfig config = BaseConfig();
-    const SeedVector seeds(config.master_seed, kWorlds);
+      const JoinSpec& keys, const std::vector<std::string>& columns,
+      const RunConfig& config = BaseConfig()) {
+    const SeedVector seeds(config.master_seed, config.num_samples);
     return test::BoxedFoldJoinedVGColumns(*left, *right, keys, columns,
-                                          kWorlds, seeds, config);
+                                          config.num_samples, seeds, config);
   }
 
   /// Calls fn(config, cache) at every grid point x {uncached, cached}, a
@@ -691,10 +794,11 @@ class JoinFoldTest : public ::testing::Test {
   void ExpectGridBitIdentical(const VGTableFunctionPtr& left,
                               const VGTableFunctionPtr& right,
                               const JoinSpec& keys,
-                              const std::vector<std::string>& columns) {
-    auto reference = Reference(left, right, keys, columns);
+                              const std::vector<std::string>& columns,
+                              const RunConfig& base = BaseConfig()) {
+    auto reference = Reference(left, right, keys, columns, base);
     ASSERT_TRUE(reference.ok()) << reference.status().ToString();
-    ForEachJoinPath(BaseConfig(),
+    ForEachJoinPath(base,
                     [&](const RunConfig& config, WorldCache* cache) {
                       auto got = Fold(left, right, keys, columns, config,
                                       cache);
@@ -723,19 +827,53 @@ TEST_F(JoinFoldTest, UsersJoinItems) {
   auto users = MakeUsersVGTable(40, 0.8, 5.0, 2.0);
   auto items = MakeScalingItemsVGTable(60);
   const JoinSpec keys{"user_id", "item_id"};
-  const std::vector<std::string> columns = {"requirement", "demand", "cost"};
-  auto reference = Reference(users, items, keys, columns);
-  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
-  // The join keys overlap by construction (user ids live inside the
-  // item id range), so the differential is not vacuous.
-  ASSERT_GT(reference.value().at("requirement").count, 0);
+  // Every numeric column, as the MONTECARLO statement folds them. Both
+  // keys are certain, so user_id, signup_week, item_id and in_stock fold
+  // as one base per point; requirement, demand and cost per world.
+  const std::vector<std::string> columns = {
+      "user_id", "signup_week", "requirement", "item_id",
+      "demand",  "cost",        "in_stock"};
+  for (bool keep_samples : {false, true}) {
+    SCOPED_TRACE(keep_samples ? "samples kept" : "no samples");
+    RunConfig base = BaseConfig();
+    base.keep_samples = keep_samples;
+    auto reference = Reference(users, items, keys, columns, base);
+    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+    // The join keys overlap by construction (user ids live inside the
+    // item id range), so the differential is not vacuous.
+    ASSERT_GT(reference.value().at("requirement").count, 0);
 
-  ForEachJoinPath(BaseConfig(), [&](const RunConfig& config,
-                                    WorldCache* cache) {
-    auto got = Fold(users, items, keys, columns, config, cache);
-    ASSERT_TRUE(got.ok()) << got.status().ToString();
-    ExpectSameMetrics(reference.value(), got.value());
-  });
+    ForEachJoinPath(base, [&](const RunConfig& config, WorldCache* cache) {
+      auto got = Fold(users, items, keys, columns, config, cache);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      ExpectSameMetrics(reference.value(), got.value());
+    });
+  }
+}
+
+TEST_F(JoinFoldTest, CertainColumnsFoldOnceBitIdenticalAcrossGrid) {
+  // Both keys are certain: c, z, nz, flag, k, k2 and rc fold as one base
+  // per point, u and rv per world. The bases hold duplicates, NaN, +inf,
+  // zeros of both signs (which fold every copy) and -0.0 alone, and the
+  // NULL key's row, whose `c` is NULL, never matches.
+  const std::vector<std::string> columns = {"c",  "z", "nz", "flag", "u",
+                                            "rv", "k", "rc", "k2"};
+  for (bool keep_samples : {false, true}) {
+    SCOPED_TRACE(keep_samples ? "samples kept" : "no samples");
+    RunConfig base = BaseConfig();
+    base.keep_samples = keep_samples;
+    auto reference = Reference(MakeCertainLeft(), MakeCertainRight(),
+                               {"k", "k2"}, columns, base);
+    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+    EXPECT_GT(reference.value().at("c").count,
+              static_cast<std::int64_t>(8 * kWorlds));
+    ExpectGridBitIdentical(MakeCertainLeft(), MakeCertainRight(),
+                           {"k", "k2"}, columns, base);
+  }
+  // Keys that are not both certain keep the per-world path: the right
+  // side declares nothing, so `c` and `z` are gathered in every world.
+  ExpectGridBitIdentical(MakeCertainLeft(), MakeIntRight(), {"k", "k2"},
+                         {"c", "z", "rval"});
 }
 
 TEST_F(JoinFoldTest, AllNullKeysFoldZeroTuplesEverywhere) {
@@ -1065,6 +1203,76 @@ TEST_F(JoinErrorTest, NullsAndGeneratorFailuresSurfaceInWorldOrder) {
   ExpectSameErrorEverywhere(test::MakeNullingTable(3, never),
                             right_failing_from(3), {"k", "k2"}, {"a", "b"},
                             "VG generator 'flaky_right' failed in world 3");
+}
+
+TEST_F(JoinErrorTest, CertainColumnNullAgainstWorldZeroUncertainNull) {
+  // `c` (certain) holds a NULL in every world and `u` (uncertain) from
+  // world 0: both fail in world 0, so the lower requested column reports.
+  ExpectSameErrorEverywhere(MakeCertainNullLeft(0), MakeCertainRight(),
+                            {"k", "k2"}, {"u", "c"},
+                            "column 'u' is not numeric");
+  ExpectSameErrorEverywhere(MakeCertainNullLeft(0), MakeCertainRight(),
+                            {"k", "k2"}, {"c", "u"},
+                            "column 'c' is not numeric");
+  // With `u` NULL only from world 5, `c`'s world-0 NULL comes first.
+  ExpectSameErrorEverywhere(MakeCertainNullLeft(5), MakeCertainRight(),
+                            {"k", "k2"}, {"u", "c"},
+                            "column 'c' is not numeric");
+}
+
+TEST_F(JoinErrorTest, CertainColumnNullBeatsLaterGeneratorFailure) {
+  ExpectSameErrorEverywhere(MakeCertainNullLeft(kWorlds + 1),
+                            MakeCertainRight(3), {"k", "k2"}, {"u", "c"},
+                            "column 'c' is not numeric");
+}
+
+TEST_F(JoinErrorTest, GeneratorFailureAtWorldZeroBeatsCertainColumnNull) {
+  // No world completes, so the certain NULL is never folded.
+  ExpectSameErrorEverywhere(MakeCertainNullLeft(kWorlds + 1),
+                            MakeCertainRight(0), {"k", "k2"}, {"u", "c"},
+                            "VG generator 'certain_right' failed in world 0");
+}
+
+TEST_F(JoinErrorTest, CertainColumnNullOverZeroWorldsFoldsZeroCounts) {
+  RunConfig base = BaseConfig();
+  base.num_samples = 0;
+  const std::vector<std::string> columns = {"u", "c", "rv"};
+  auto reference = Reference(MakeCertainNullLeft(0), MakeCertainRight(),
+                             {"k", "k2"}, columns, base);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  for (const std::string& name : columns) {
+    EXPECT_EQ(reference.value().at(name).count, 0) << name;
+  }
+  ExpectGridBitIdentical(MakeCertainNullLeft(0), MakeCertainRight(),
+                         {"k", "k2"}, columns, base);
+}
+
+TEST_F(JoinErrorTest, CertainKeysWhoseRowCountMovesAreAnInternalError) {
+  // A table that declares its key certain but realizes another row count
+  // in a later world breaks the declaration. The pairs matched in a
+  // cell's first world index rows, so the later world of the same cell
+  // is refused rather than read through them.
+  Schema schema({{"k", ValueType::kInt}, {"v", ValueType::kDouble}});
+  auto shrinking = std::make_shared<KeyedVGTable>(
+      "shrinking", schema,
+      [](std::size_t w, Table* out) -> Status {
+        for (std::size_t i = 0; i + w < 6; ++i) {
+          JIGSAW_RETURN_IF_ERROR(
+              out->AddRow({I(static_cast<std::int64_t>(i % 3)),
+                           D(static_cast<double>(i))}));
+        }
+        return Status::OK();
+      },
+      std::vector<std::size_t>{0});
+  RunConfig config = BaseConfig();
+  config.batch_size = 64;
+  auto got = Fold(shrinking, MakeCertainRight(), {"k", "k2"}, {"v", "rv"},
+                  config);
+  ASSERT_FALSE(got.ok());
+  EXPECT_EQ(got.status().code(), StatusCode::kInternal);
+  EXPECT_EQ(got.status().message(),
+            "tables with certain join keys realized 6 x 7 rows in world 0 "
+            "but 5 x 7 in world 1");
 }
 
 TEST_F(JoinErrorTest, NonNumericAndUnknownFoldColumnsFailUpFront) {

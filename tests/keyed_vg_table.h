@@ -10,8 +10,10 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "pdb/table.h"
 #include "pdb/value.h"
@@ -21,16 +23,24 @@
 
 namespace jigsaw::test {
 
+/// `certain` lists the slots the table declares world-invariant
+/// (VGTableFunction::CertainColumns); `fill` must then write the same
+/// values and NULLs, and the same row count, in every world it realizes.
 class KeyedVGTable final : public pdb::VGTableFunction {
  public:
   using FillFn = std::function<Status(std::size_t world, pdb::Table* out)>;
-  KeyedVGTable(std::string name, pdb::Schema schema, FillFn fill)
+  KeyedVGTable(std::string name, pdb::Schema schema, FillFn fill,
+               std::vector<std::size_t> certain = {})
       : name_(std::move(name)),
         schema_(std::move(schema)),
-        fill_(std::move(fill)) {}
+        fill_(std::move(fill)),
+        certain_(std::move(certain)) {}
 
   const std::string& name() const override { return name_; }
   const pdb::Schema& schema() const override { return schema_; }
+  std::span<const std::size_t> CertainColumns() const override {
+    return certain_;
+  }
   Result<pdb::Table> Generate(std::size_t sample_id,
                               const SeedVector& /*seeds*/) const override {
     pdb::Table t(schema_);
@@ -42,6 +52,7 @@ class KeyedVGTable final : public pdb::VGTableFunction {
   std::string name_;
   pdb::Schema schema_;
   FillFn fill_;
+  std::vector<std::size_t> certain_;
 };
 
 /// Key `k` (INT, 0..2) and two non-key DOUBLE columns `a` and `b`, four
