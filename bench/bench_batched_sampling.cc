@@ -17,9 +17,18 @@
 // elimination.
 //
 // Every row is emitted as a JSON-lines record on stdout (BENCH_*.json
-// trajectories); a human summary goes to stderr. The binary exits
-// non-zero if any checksum pair disagrees — it doubles as a bit-identity
-// smoke test in CI.
+// trajectories); a human summary goes to stderr. A row repeats its timed
+// work until the repetitions cover at least 50 ms and reports the median
+// repetition (one pass of most rows takes under a millisecond). The
+// binary exits non-zero if any checksum pair disagrees, or a repetition's
+// checksum differs from the first — it doubles as a bit-identity smoke
+// test in CI.
+//
+// A "max_lognormal" phase times RandomStream::MaxLogNormal against the
+// plain draw loop it must reproduce (peak = max(peak, LogNormal(0, s)),
+// `depth` times per slot) over 8192 slots at s in {0.3, 2} and depth in
+// {1, 2, 4, 16, 64}, reports ns per draw, and exits non-zero if any peak
+// or the stream's next word differs between the two.
 //
 // Flags: --num_samples=N --batch_size=N --num_threads=N (bench_common.h).
 // With --num_threads > 1 each workload additionally runs a "threaded"
@@ -46,6 +55,7 @@
 #include "pdb/expr.h"
 #include "pdb/monte_carlo.h"
 #include "pdb/operators.h"
+#include "random/random_stream.h"
 #include "random/seed_vector.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
@@ -101,7 +111,32 @@ struct RunResult {
   double elapsed_s = 0.0;
   std::uint64_t samples = 0;
   std::uint64_t checksum = 0;
+  bool repeatable = true;  // every repetition folded the same checksum
 };
+
+/// Runs `run` until its repetitions' timed work covers at least 50 ms and
+/// returns the first repetition's counts with the median repetition's
+/// time.
+template <typename Run>
+RunResult Repeat(const Run& run) {
+  constexpr double kMinTimedSeconds = 0.05;
+  RunResult first = run();
+  std::vector<double> times = {first.elapsed_s};
+  double total = first.elapsed_s;
+  while (total < kMinTimedSeconds) {
+    const RunResult again = run();
+    first.repeatable = first.repeatable && again.repeatable &&
+                       again.checksum == first.checksum &&
+                       again.samples == first.samples;
+    times.push_back(again.elapsed_s);
+    total += again.elapsed_s;
+  }
+  std::sort(times.begin(), times.end());
+  const std::size_t n = times.size();
+  first.elapsed_s =
+      n % 2 == 1 ? times[n / 2] : 0.5 * (times[n / 2 - 1] + times[n / 2]);
+  return first;
+}
 
 /// Evaluates samples [0, samples_per_point) of `points` parameter points
 /// through SampleBatch chunks of `batch`, folding a checksum.
@@ -210,6 +245,51 @@ RunResult DriveWorlds(std::size_t worlds, std::size_t threads,
   return r;
 }
 
+/// One pass of the max_lognormal phase: `slots` peaks of `depth`
+/// LogNormal(0, sigma) draws each, through RandomStream::MaxLogNormal or
+/// the plain loop it must reproduce, from the same stream. Leaves the
+/// peaks and the stream's next word for the caller to compare.
+RunResult DrivePeaks(bool kernel, double sigma, int depth,
+                     std::vector<double>& peaks, std::uint64_t& next_word) {
+  RandomStream rng(RunConfig{}.master_seed);
+  RunResult r;
+  WallTimer timer;
+  if (kernel) {
+    rng.MaxLogNormal(sigma, depth, peaks);
+  } else {
+    for (double& peak : peaks) {
+      peak = 0.0;
+      for (int d = 0; d < depth; ++d) {
+        peak = std::max(peak, rng.LogNormal(0.0, sigma));
+      }
+    }
+  }
+  r.elapsed_s = timer.ElapsedSeconds();
+  r.samples = static_cast<std::uint64_t>(peaks.size()) *
+              static_cast<std::uint64_t>(depth);
+  Checksum sum;
+  sum.Fold(peaks);
+  r.checksum = sum.value();
+  next_word = rng.NextUint64();
+  return r;
+}
+
+void EmitPeakRow(const char* mode, double sigma, int depth,
+                 std::size_t slots, const RunResult& r) {
+  JsonLineBuilder row;
+  row.Str("bench", "max_lognormal")
+      .Str("mode", mode)
+      .Num("sigma", sigma)
+      .Num("depth", depth)
+      .Num("slots", static_cast<double>(slots))
+      .Num("elapsed_s", r.elapsed_s)
+      .Num("ns_per_draw",
+           r.samples > 0 ? 1e9 * r.elapsed_s / static_cast<double>(r.samples)
+                         : 0.0)
+      .Num("checksum", static_cast<double>(r.checksum >> 12));
+  EmitJsonLine(std::cout, row);
+}
+
 void EmitRow(const std::string& bench, const std::string& model,
              const std::string& mode, const BenchFlags& flags,
              std::size_t points, std::size_t samples_per_point,
@@ -296,12 +376,14 @@ int main(int argc, char** argv) {
         {"full_sim", sim_points, flags.num_samples},
     };
     for (const Phase& phase : phases) {
-      const RunResult scalar = Drive(scalar_fn, w, seeds, phase.points,
-                                     phase.samples_per_point,
-                                     /*batch=*/1);
-      const RunResult batched = Drive(*w.fn, w, seeds, phase.points,
-                                      phase.samples_per_point,
-                                      flags.batch_size);
+      const RunResult scalar = Repeat([&] {
+        return Drive(scalar_fn, w, seeds, phase.points,
+                     phase.samples_per_point, /*batch=*/1);
+      });
+      const RunResult batched = Repeat([&] {
+        return Drive(*w.fn, w, seeds, phase.points, phase.samples_per_point,
+                     flags.batch_size);
+      });
       EmitRow(phase.name, w.model, "scalar", flags, phase.points,
               phase.samples_per_point, scalar);
       EmitRow(phase.name, w.model, "batched", flags, phase.points,
@@ -309,18 +391,21 @@ int main(int argc, char** argv) {
       const double speedup =
           batched.elapsed_s > 0.0 ? scalar.elapsed_s / batched.elapsed_s
                                   : 0.0;
-      bool same = scalar.checksum == batched.checksum;
+      bool same = scalar.checksum == batched.checksum && scalar.repeatable &&
+                  batched.repeatable;
       checksums_ok = checksums_ok && same;
       std::fprintf(stderr, "%-22s %-12s speedup %5.2fx  checksums %s\n",
                    w.model.c_str(), phase.name, speedup,
                    same ? "match" : "MISMATCH");
       if (pool != nullptr) {
-        const RunResult threaded =
-            DriveThreaded(*w.fn, w, seeds, phase.points,
-                          phase.samples_per_point, flags.batch_size, *pool);
+        const RunResult threaded = Repeat([&] {
+          return DriveThreaded(*w.fn, w, seeds, phase.points,
+                               phase.samples_per_point, flags.batch_size,
+                               *pool);
+        });
         EmitRow(phase.name, w.model, "threaded", flags, phase.points,
                 phase.samples_per_point, threaded);
-        same = scalar.checksum == threaded.checksum;
+        same = scalar.checksum == threaded.checksum && threaded.repeatable;
         checksums_ok = checksums_ok && same;
         std::fprintf(stderr,
                      "%-22s %-12s threaded (%zu workers)  checksums %s\n",
@@ -334,11 +419,12 @@ int main(int argc, char** argv) {
   // same worlds must agree bitwise on every column summary.
   {
     const std::size_t worlds = flags.num_samples;
-    const RunResult serial = DriveWorlds(worlds, /*threads=*/1,
-                                         /*batch=*/1);
-    const RunResult parallel =
-        DriveWorlds(worlds, std::max<std::size_t>(1, flags.num_threads),
-                    flags.batch_size);
+    const RunResult serial =
+        Repeat([&] { return DriveWorlds(worlds, /*threads=*/1, /*batch=*/1); });
+    const RunResult parallel = Repeat([&] {
+      return DriveWorlds(worlds, std::max<std::size_t>(1, flags.num_threads),
+                         flags.batch_size);
+    });
     // The baseline row must carry the config it actually ran with.
     BenchFlags serial_flags = flags;
     serial_flags.num_threads = 1;
@@ -346,8 +432,9 @@ int main(int argc, char** argv) {
     EmitRow("worlds", "DemandModel", "serial", serial_flags, 1, worlds,
             serial);
     EmitRow("worlds", "DemandModel", "parallel", flags, 1, worlds, parallel);
-    const bool same =
-        serial.checksum == parallel.checksum && serial.samples == worlds;
+    const bool same = serial.checksum == parallel.checksum &&
+                      serial.samples == worlds && serial.repeatable &&
+                      parallel.repeatable;
     checksums_ok = checksums_ok && same;
     std::fprintf(stderr, "%-22s %-12s speedup %5.2fx  checksums %s\n",
                  "FoldWorlds", "worlds",
@@ -355,6 +442,38 @@ int main(int argc, char** argv) {
                      ? serial.elapsed_s / parallel.elapsed_s
                      : 0.0,
                  same ? "match" : "MISMATCH");
+  }
+
+  // The bounded max-of-LogNormals kernel against the plain loop: same
+  // peaks, bit for bit, and the same stream position afterwards.
+  {
+    constexpr std::size_t kSlots = 8192;
+    for (double sigma : {0.3, 2.0}) {
+      for (int depth : {1, 2, 4, 16, 64}) {
+        std::vector<double> kernel_peaks(kSlots), plain_peaks(kSlots);
+        std::uint64_t kernel_next = 0, plain_next = 0;
+        const RunResult kernel = Repeat([&] {
+          return DrivePeaks(true, sigma, depth, kernel_peaks, kernel_next);
+        });
+        const RunResult plain = Repeat([&] {
+          return DrivePeaks(false, sigma, depth, plain_peaks, plain_next);
+        });
+        EmitPeakRow("kernel", sigma, depth, kSlots, kernel);
+        EmitPeakRow("plain", sigma, depth, kSlots, plain);
+        const bool same =
+            kernel.repeatable && plain.repeatable &&
+            kernel_next == plain_next &&
+            std::memcmp(kernel_peaks.data(), plain_peaks.data(),
+                        kSlots * sizeof(double)) == 0;
+        checksums_ok = checksums_ok && same;
+        std::fprintf(stderr,
+                     "MaxLogNormal sigma=%-4g depth=%-3d %6.2f ns/draw "
+                     "(plain %6.2f)  peaks %s\n",
+                     sigma, depth, 1e9 * kernel.elapsed_s / kernel.samples,
+                     1e9 * plain.elapsed_s / plain.samples,
+                     same ? "match" : "MISMATCH");
+      }
+    }
   }
 
   if (!checksums_ok) {

@@ -4,8 +4,18 @@
 # trajectory (ROADMAP: "record the JSONL trajectory in-repo").
 #
 # Each record wraps the bench's own stdout JSONL rows:
-#   {"commit":..., "bench":..., "args":..., "ok":0|1, "elapsed_s":...,
-#    "rows":[<the bench's JSON-lines rows>]}
+#   {"commit":..., "dirty":..., "src_sha256":..., "bench":..., "args":...,
+#    "ok":0|1, "elapsed_s":..., "rows":[<the bench's JSON-lines rows>]}
+#
+# The stamp describes the source tree the build directory was configured
+# from (CMAKE_HOME_DIRECTORY in its CMakeCache.txt), which need not be
+# this checkout: pass a parent commit's build directory to record the
+# parent's rows beside the change's. `commit` is that tree's HEAD,
+# `dirty` whether `git status --porcelain` lists anything there (null
+# without git), and `src_sha256` the SHA-256 over each file of its src/
+# in sorted path order, path then bytes, so rows recorded before a
+# commit still name the sources they measured. The lint and tidy rows
+# run in that tree too.
 #
 # Sample counts are pinned (200 samples, batch 64, 2 threads) so rows are
 # comparable across commits. Checksummed benches exit non-zero on a serial/parallel divergence, and
@@ -15,9 +25,24 @@
 
 set -u
 cd "$(dirname "$0")/.."
-BUILD="${1:-build}"
-OUT="BENCH_TRAJECTORY.jsonl"
-COMMIT="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
+OUT="$PWD/BENCH_TRAJECTORY.jsonl"
+BUILD="$(cd "${1:-build}" && pwd)" || exit 2
+SRC="$(sed -n 's/^CMAKE_HOME_DIRECTORY:INTERNAL=//p' "$BUILD/CMakeCache.txt")"
+if [ -z "$SRC" ] || ! cd "$SRC"; then
+  echo "error: $BUILD has no configured source tree" >&2
+  exit 2
+fi
+COMMIT="$(git rev-parse HEAD 2>/dev/null || echo unknown)"
+if STATUS="$(git status --porcelain 2>/dev/null)"; then
+  DIRTY=$([ -n "$STATUS" ] && echo true || echo false)
+else
+  DIRTY=null
+fi
+SRC_SHA256="$(find src -type f | LC_ALL=C sort |
+  while IFS= read -r f; do printf '%s' "$f"; cat "$f"; done |
+  sha256sum | cut -d' ' -f1)"
+STAMP="$(printf '"commit":"%s","dirty":%s,"src_sha256":"%s"' \
+  "$COMMIT" "$DIRTY" "$SRC_SHA256")"
 
 run_bench() {
   local bench="$1"
@@ -36,8 +61,8 @@ run_bench() {
   # The bench rows are one JSON object per line; join them into an array.
   local joined
   joined="$(printf '%s' "$rows" | paste -sd, -)"
-  printf '{"commit":"%s","bench":"%s","args":"%s","ok":%s,"elapsed_s":%s,"rows":[%s]}\n' \
-    "$COMMIT" "$bench" "$*" "$ok" "$elapsed" "$joined" >> "$OUT"
+  printf '{%s,"bench":"%s","args":"%s","ok":%s,"elapsed_s":%s,"rows":[%s]}\n' \
+    "$STAMP" "$bench" "$*" "$ok" "$elapsed" "$joined" >> "$OUT"
   echo "recorded: $bench $* (ok=$ok, ${elapsed}s)" >&2
 }
 
@@ -58,8 +83,8 @@ run_tool() {
   ok=$([ "$rc" -eq 0 ] && echo 1 || echo 0)
   skipped=$([ "$rc" -eq 3 ] && echo 1 || echo 0)
   elapsed=$(awk -v a="$start" -v b="$end" 'BEGIN { printf "%.3f", b - a }')
-  printf '{"commit":"%s","tool":"%s","args":"%s","ok":%s,"skipped":%s,"elapsed_s":%s}\n' \
-    "$COMMIT" "$name" "$*" "$ok" "$skipped" "$elapsed" >> "$OUT"
+  printf '{%s,"tool":"%s","args":"%s","ok":%s,"skipped":%s,"elapsed_s":%s}\n' \
+    "$STAMP" "$name" "$*" "$ok" "$skipped" "$elapsed" >> "$OUT"
   echo "recorded: tool $name (ok=$ok, skipped=$skipped, ${elapsed}s)" >&2
 }
 

@@ -80,7 +80,8 @@ BlackBoxPtr MakeOverloadModel(const CloudModelConfig& cfg = {});
 /// `user_sim_depth` LogNormal(0, user_demand_spread) draws. `Eval` and
 /// `EvalBatch` take the peaks through RandomStream::MaxLogNormal, as the
 /// `users` VG table does, so both engines of Figure 7 pay the same
-/// per-draw cost.
+/// per-draw cost: libm only on the draws that can win (about 6% at the
+/// default depth 16), the plain draw loop below depth 3.
 BlackBoxPtr MakeUserSelectionModel(const CloudModelConfig& cfg = {});
 
 /// SynthBasis(point) — partitions its parameter domain into exactly

@@ -154,8 +154,9 @@ class WorldCache {
 /// world (the peak of `sim_depth` intra-week LogNormal(0, spread) usage
 /// draws, times the user's base demand) and the other attributes are
 /// deterministic population data. The columnar realization takes the
-/// peaks through RandomStream::MaxLogNormal, which calls cos and exp only
-/// for the draws that can win, bit-identical to `Generate`'s draw loop;
+/// peaks through RandomStream::MaxLogNormal, which calls log, sqrt, cos
+/// and exp only for the draws that can win (about 6% at depth 16),
+/// bit-identical to `Generate`'s draw loop;
 /// the world-invariant population (16 B per user) is derived once per
 /// table, on its first realization, never at construction. `user_id`
 /// and `signup_week` are its certain columns.

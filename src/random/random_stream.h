@@ -7,7 +7,6 @@
 /// sequences on every platform — the property fingerprints depend on.
 /// Every uniform comes from one seeded Xoshiro256 engine.
 
-#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -51,31 +50,26 @@ class RandomStream {
   }
   static double BoxMullerCos(double u2) { return std::cos(kTwoPi * u2); }
 
-  /// Bounds on the exponent x = 0.0 + sigma * radius * BoxMullerCos(u2)
-  /// that LogNormal(0, sigma) passes to exp, known before cos runs:
-  /// |x| <= upper = |sigma| * radius, and x >= lower, the cos t >=
-  /// 1 - t^2/2 bound |sigma| * radius * (1 - 2 pi^2 delta^2) minus a
-  /// margin of 1e-9 * (1 + upper). delta is the distance of u2 from 0 on
-  /// the unit circle, or from 1/2 when sigma < 0 (where -cos peaks). The
-  /// margin dwarfs every rounding error of x and of the bound, so a draw
-  /// whose upper is below another draw's lower has the smaller exponent,
-  /// by about 1e-9 or more. A NaN or infinite sigma can make lower NaN.
-  struct ExponentBounds {
-    double lower;
-    double upper;
+  /// Bounds MaxLogNormal prunes with, computed without libm: each holds
+  /// lo <= value <= hi up to rounding far inside MaxLogNormal's margins.
+  struct Bounds {
+    double lo;
+    double hi;
   };
-  static ExponentBounds LogNormalExponentBounds(double sigma, double radius,
-                                                double u2) {
-    const double upper = std::fabs(sigma) * radius;
-    const double off = std::fabs(u2 - (sigma < 0.0 ? 0.5 : 0.0));
-    const double delta = std::min(off, 1.0 - off);
-    const double cos_floor = 1.0 - kTwoPiSquared * (delta * delta);
-    return {upper * cos_floor - 1e-9 * (1.0 + upper), upper};
-  }
+  /// BoxMullerRadius(u1)^2 = -2 ln u1, for u1 = 0 (read as 2^-53) or in
+  /// [2^-53, 1), from u1's exponent and top 8 mantissa bits.
+  static Bounds SquareRadiusBounds(double u1);
+  /// BoxMullerCos(u2), negated when `negative`, for u2 in [0, 1).
+  static Bounds CosBounds(bool negative, double u2);
 
-  /// Draws per block of the MaxLogNormal kernel; its scratch is three
-  /// blocks of doubles (96 KiB) on the caller's stack.
-  static constexpr std::size_t kMaxLogNormalBlock = 4096;
+  /// Most draws MaxLogNormal holds at once: a slot deeper than a block
+  /// folds its draws one block at a time. Its scratch is four blocks of
+  /// doubles and one of 32-bit indices (36 KiB) on the caller's stack.
+  static constexpr std::size_t kMaxLogNormalBlock = 1024;
+  /// Shallowest depth at which MaxLogNormal bounds its draws: below it
+  /// the bounds cost more than the libm calls they save, and each slot
+  /// runs the plain loop.
+  static constexpr int kMaxLogNormalMinBoundedDepth = 3;
 
   /// Fills each peaks[i], slot after slot, with the max of `depth`
   /// LogNormal(0, sigma) draws. Slot i is bit-identical to
@@ -83,14 +77,24 @@ class RandomStream {
   ///   for (int d = 0; d < depth; ++d)
   ///     peak = std::max(peak, LogNormal(0.0, sigma));
   /// and the stream ends where that loop leaves it, having consumed the
-  /// same uniforms. Only the draws that can win pay for cos and exp: a
-  /// block's radii come first, cos runs only where a draw's upper bound
-  /// reaches the slot's best lower bound (LogNormalExponentBounds), and
-  /// exp only on exponents within 1e-9 * (1 + |best|) of the slot's best
+  /// same uniforms. Only the draws that can win pay for log, sqrt, cos
+  /// and exp. Each draw's exponent x = sigma * radius * cos lies between
+  /// bounds built without libm: radius^2 = -2 ln u1 from u1's exponent
+  /// and top 8 mantissa bits (a 257-entry log1p table), cos(2 pi delta)
+  /// between 1 - t^2/2 and min(1 - t^2/2 + t^4/24, 1 - 8 delta^2), with
+  /// t = 2 pi delta and delta u2's distance from 0 on the unit circle (from
+  /// 1/2 when sigma < 0). A slot's floor is its best lower bound less
+  /// 1e-7 of itself and 1e-9; only draws whose upper bound reaches the
+  /// floor take the exact BoxMullerRadius(u1) * BoxMullerCos(u2), and only
+  /// exponents within 1e-9 * (1 + |best|) of the slot's best take exp
   /// while that best is above -700 (so its exp is a normal number). The
-  /// margins are far wider than any libm cos or exp error, so no
-  /// monotonicity is assumed; the evaluation order does not matter
-  /// because exp never returns -0 and std::max(peak, NaN) keeps peak.
+  /// margins are far wider than any table, rounding or libm error, so a
+  /// skipped draw's exp is strictly below a kept one's and no
+  /// monotonicity of exp is assumed; the evaluation order does not
+  /// matter because exp never returns -0 and std::max(peak, NaN) keeps
+  /// peak. A slot whose floor is <= 0 keeps every draw; depths below
+  /// kMaxLogNormalMinBoundedDepth and |sigma| outside [1e-150, 1e150]
+  /// (or NaN) run the plain loop.
   void MaxLogNormal(double sigma, int depth, std::span<double> peaks);
 
   /// Normal with the given mean/stddev.
@@ -116,7 +120,6 @@ class RandomStream {
 
  private:
   static constexpr double kTwoPi = 6.283185307179586476925286766559;
-  static constexpr double kTwoPiSquared = 19.739208802178717237668981999752;
 
   Xoshiro256 engine_;
 };

@@ -250,9 +250,9 @@ TEST(VGColumnarTest, GeneratorsRealizeBitIdenticalInBothRepresentations) {
   SeedVector seeds(0x5EED0001ULL, 16);
   auto users = MakeUsersVGTable(40, 3.0, 25.0, 0.4, 4);
   ExpectColumnarMatchesBoxed(*users, seeds, 6);
-  // The columnar users path runs the bounded max-of-LogNormals kernel in
-  // blocks of RandomStream::kMaxLogNormalBlock draws: depth 1, a depth no
-  // block holds, and a user count that leaves a partial block.
+  // The columnar users path runs the bounded max-of-LogNormals kernel:
+  // depth 1 (its plain loop), a depth deeper than one block of
+  // RandomStream::kMaxLogNormalBlock draws, and the default depth 16.
   constexpr int kBlock = static_cast<int>(RandomStream::kMaxLogNormalBlock);
   ExpectColumnarMatchesBoxed(*MakeUsersVGTable(40, 3.0, 25.0, 2.0, 1), seeds,
                              3);

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
@@ -227,27 +228,44 @@ std::vector<double> PlainMaxLogNormal(RandomStream& rng, double sigma,
   return peaks;
 }
 
+/// The floor MaxLogNormal certifies for one slot, from the same bounds:
+/// it prunes against it only when it is > 0. Consumes the slot's draws.
+double SlotFloor(RandomStream& rng, double sigma, int depth) {
+  double best = 0.0;
+  for (int d = 0; d < depth; ++d) {
+    const double u1 = rng.NextDouble();
+    const double u2 = rng.NextDouble();
+    const RandomStream::Bounds r2 = RandomStream::SquareRadiusBounds(u1);
+    const RandomStream::Bounds c = RandomStream::CosBounds(sigma < 0.0, u2);
+    best = std::max(best, r2.lo * (c.lo * std::fabs(c.lo)));
+  }
+  return std::fabs(sigma) * std::sqrt(best) * (1.0 - 1e-7) - 1e-9;
+}
+
 TEST(MaxLogNormalTest, MatchesThePlainLoopBitForBit) {
   constexpr std::size_t kBlock = RandomStream::kMaxLogNormalBlock;
+  constexpr int kBounded = RandomStream::kMaxLogNormalMinBoundedDepth;
   constexpr double kInf = std::numeric_limits<double>::infinity();
-  const double kSigmas[] = {0.0,  -0.0,  5e-324, 1e-300, 0.3,  2.0,  -2.0,
-                            30.0, 400.0, 1e300,  -1e300, kInf, -kInf,
-                            std::numeric_limits<double>::quiet_NaN()};
-  // Depth 0 draws nothing; the last depth spans three blocks.
-  const int kDepths[] = {0, 1, 2, 3, 7, 16, 64,
-                         2 * static_cast<int>(kBlock) + 3};
-  std::size_t checked = 0, mismatched = 0;
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  // 0.3 is UserSelection's default spread. +-1e-10 keep every draw (their
+  // floors are <= 0); 1e-150 and 1e150 are the edges of the bounded path.
+  const double kSigmas[] = {0.0,    -0.0,  5e-324, 1e-300, 1e-150, 1e-10,
+                            -1e-10, 0.3,   -0.3,   0.8,    2.0,    -2.0,
+                            5.0,    30.0,  400.0,  1e150,  1e300,  -1e300,
+                            kInf,   -kInf, kNaN};
+  // Depth 0 draws nothing; the plain loop runs below kBounded and the
+  // bounds from it on; the last depth spans three blocks.
+  const int kDepths[] = {0, 1,  kBounded - 1, kBounded, 4,
+                         7, 8, 16, 64, 2 * static_cast<int>(kBlock) + 3};
+  std::size_t checked = 0, mismatched = 0, zero_floors = 0;
   for (std::uint64_t seed : {0ULL, 1ULL, 7ULL, 29ULL, 12345ULL}) {
     const SeedVector seeds(seed, 1);
     for (double sigma : kSigmas) {
       for (int depth : kDepths) {
-        // One slot, the slots one block holds, and one more, which
-        // straddles the block's edge.
-        const std::size_t per_block = std::max<std::size_t>(
-            1, kBlock / static_cast<std::size_t>(std::max(depth, 1)));
-        std::vector<std::size_t> slot_counts = {1, per_block + 1};
-        if (per_block > 1) slot_counts.push_back(per_block);
-        for (std::size_t slots : slot_counts) {
+        // One slot, and about two blocks of draws.
+        const std::size_t many = std::max<std::size_t>(
+            2, 2 * kBlock / static_cast<std::size_t>(std::max(depth, 1)));
+        for (std::size_t slots : {std::size_t{1}, many}) {
           RandomStream kernel = seeds.StreamFor(0, 3);
           RandomStream plain = seeds.StreamFor(0, 3);
           std::vector<double> got(slots);
@@ -269,35 +287,59 @@ TEST(MaxLogNormalTest, MatchesThePlainLoopBitForBit) {
           ASSERT_EQ(kernel.NextUint64(), plain.NextUint64())
               << "stream position: seed=" << seed << " sigma=" << sigma
               << " depth=" << depth << " slots=" << slots;
+          // Count the slots of an ordinary sigma whose floor is <= 0, so
+          // the keep-every-draw path provably ran outside +-1e-10 too.
+          if (std::fabs(sigma) >= 0.3 && std::fabs(sigma) <= 5.0 &&
+              depth >= kBounded && depth <= 8) {
+            RandomStream replay = seeds.StreamFor(0, 3);
+            for (std::size_t i = 0; i < slots; ++i) {
+              zero_floors += SlotFloor(replay, sigma, depth) <= 0.0;
+            }
+          }
         }
       }
     }
   }
   EXPECT_EQ(mismatched, 0u) << "of " << checked << " peaks";
+  EXPECT_GT(zero_floors, 0u);
 }
 
-TEST(MaxLogNormalBoundTest, BoundsBracketTheExactExponent) {
-  // The exponent LogNormal(0, sigma) hands to exp lies within the bounds
-  // the kernel prunes with, at the extremes of both uniforms: the
-  // smallest and largest radius, and u2 at cos's peak, trough and zeros.
-  const double kU1[] = {0x1.0p-53, 0.5, 1.0 - 0x1.0p-53};
-  const double kU2[] = {0.0, 0.25, 0.5, 0.75, 1.0 - 0x1.0p-53};
-  for (double sigma :
-       {0.3, -0.3, 2.0, -2.0, 30.0, -30.0, 400.0, -400.0, 1e300, -1e300}) {
-    for (double u1 : kU1) {
-      for (double u2 : kU2) {
-        const double radius = RandomStream::BoxMullerRadius(u1);
-        const double exponent =
-            0.0 + sigma * (radius * RandomStream::BoxMullerCos(u2));
-        const RandomStream::ExponentBounds b =
-            RandomStream::LogNormalExponentBounds(sigma, radius, u2);
-        EXPECT_LE(b.lower, exponent)
-            << "sigma=" << sigma << " u1=" << u1 << " u2=" << u2;
-        EXPECT_LE(exponent, b.upper)
-            << "sigma=" << sigma << " u1=" << u1 << " u2=" << u2;
-        EXPECT_LE(-exponent, b.upper)
-            << "sigma=" << sigma << " u1=" << u1 << " u2=" << u2;
-      }
+TEST(MaxLogNormalBoundTest, BoundsBracketTheBoxMullerFactors) {
+  // Tolerances far inside the kernel's margins (1e-7 of the floor, and
+  // 1e-9): the bounds hold up to rounding, not up to a loose fudge.
+  constexpr double kTol = 1e-12;
+  // The radius, at every table-bucket edge (1 + j/256) 2^-e, the largest
+  // double below it, and the extremes; u1 = 0 reads as 2^-53.
+  std::vector<double> u1s = {0.0, 0x1.0p-53, 0.5, 1.0 - 0x1.0p-53};
+  for (int e = 1; e <= 53; ++e) {
+    for (int j = 0; j < 256; ++j) {
+      const double edge = std::ldexp(1.0 + j / 256.0, -e);
+      u1s.push_back(edge);
+      if (edge > 0x1.0p-53) u1s.push_back(std::nextafter(edge, 0.0));
+    }
+  }
+  for (double u1 : u1s) {
+    const double radius = RandomStream::BoxMullerRadius(u1);
+    const RandomStream::Bounds b = RandomStream::SquareRadiusBounds(u1);
+    EXPECT_LE(b.lo * (1.0 - kTol), radius * radius) << "u1=" << u1;
+    EXPECT_LE(radius * radius, b.hi * (1.0 + kTol)) << "u1=" << u1;
+    EXPECT_LE(0.0, b.lo) << "u1=" << u1;
+  }
+  // The cos, signed like sigma, on a dense grid of u2: every multiple of
+  // 2^-16 (0, 1/4, 1/2 and 3/4 among them), the doubles next to the
+  // quarters, and the largest u2.
+  std::vector<double> u2s = {1.0 - 0x1.0p-53};
+  for (int i = 0; i < (1 << 16); ++i) u2s.push_back(std::ldexp(i, -16));
+  for (double q : {0.25, 0.5, 0.75}) {
+    u2s.push_back(std::nextafter(q, 0.0));
+    u2s.push_back(std::nextafter(q, 1.0));
+  }
+  for (bool negative : {false, true}) {
+    for (double u2 : u2s) {
+      const double c = RandomStream::BoxMullerCos(u2) * (negative ? -1.0 : 1.0);
+      const RandomStream::Bounds b = RandomStream::CosBounds(negative, u2);
+      EXPECT_LE(b.lo - kTol, c) << "negative=" << negative << " u2=" << u2;
+      EXPECT_LE(c, b.hi + kTol) << "negative=" << negative << " u2=" << u2;
     }
   }
 }
