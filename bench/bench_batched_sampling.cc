@@ -32,10 +32,9 @@
 //
 // Flags: --num_samples=N --batch_size=N --num_threads=N (bench_common.h).
 // With --num_threads > 1 each workload additionally runs a "threaded"
-// mode that fans SampleBatch chunks out on a ThreadPool (the SampleRange
-// fan-out), and a "worlds" phase drives pdb::FoldWorlds' possible-worlds
-// chunk fan-out serial-vs-parallel — so one bench covers both chunked
-// parallel paths, each checked bitwise against its serial twin.
+// mode that fans SampleBatch chunks out on a ThreadPool, and a "worlds"
+// phase drives pdb::FoldWorlds' possible-worlds chunk fan-out
+// serial-vs-parallel, each checked bitwise against its serial twin.
 // Point-sweep thread scaling remains bench_parallel_sweep's job.
 
 #include "bench_common.h"
@@ -163,9 +162,10 @@ RunResult Drive(const SimFunction& fn, const Workload& w,
 }
 
 /// Threaded twin of Drive: the per-point sample range fans out across
-/// `pool` in batch-sized chunks written to disjoint subspans — exactly
-/// SampleRange's chunk schedule — and the checksum folds each point's
-/// buffer after the barrier, so it must match the scalar run bitwise.
+/// `pool` in batch-sized chunks written to disjoint subspans —
+/// SampleRange's chunks, run in parallel — and the checksum folds each
+/// point's buffer after the barrier, so it must match the scalar run
+/// bitwise.
 RunResult DriveThreaded(const SimFunction& fn, const Workload& w,
                         const SeedVector& seeds, std::size_t points,
                         std::size_t samples_per_point, std::size_t batch,

@@ -1,8 +1,7 @@
-// Parallel-sweep scaling: RunSweep fanned out across parameter points on
-// the worker pool vs the serial sweep, for both the naive baseline and
-// the fingerprint-accelerated path; plus the naive sweep's points as a
-// RunPoint loop, the shape OPTIMIZE and GRAPH run, which reaches only
-// RunPoint's within-point fan-out.
+// Parallel-sweep scaling: RunSweep's point pipeline across thread
+// counts, for both the naive baseline and the fingerprint-accelerated
+// path. Every runner caller (RunPoint, RunSweep and the Optimizer's
+// request batches) runs this one pipeline.
 //
 // Shape to reproduce: near-linear scaling for the naive sweep (points are
 // embarrassingly parallel) and solid scaling for the fingerprint sweep's
@@ -10,7 +9,7 @@
 // "checksum" counter folds all output metrics bitwise, so any scheduling
 // nondeterminism shows up as differing counter values between rows. The
 // binary exits non-zero when any row's checksum differs from the 1-thread
-// row of its mode (naive or fingerprint; the RunPoint loop is naive).
+// row of its mode (naive or fingerprint).
 
 #include "bench_common.h"
 
@@ -64,7 +63,7 @@ std::map<bool, double> reference_checksums;
 bool checksum_mismatch = false;
 
 void SweepBench(benchmark::State& state, const char* name,
-                bool use_fingerprints, bool point_loop) {
+                bool use_fingerprints) {
   const auto model = MakeDemandModel({});
   BlackBoxSimFunction fn(model);
   const ParameterSpace space = SweepSpace();
@@ -79,15 +78,7 @@ void SweepBench(benchmark::State& state, const char* name,
   for (auto _ : state) {
     SimulationRunner runner(cfg);
     WallTimer timer;
-    std::vector<PointResult> results;
-    if (point_loop) {
-      results.reserve(space.NumPoints());
-      for (std::size_t i = 0; i < space.NumPoints(); ++i) {
-        results.push_back(runner.RunPoint(fn, space.ValuationAt(i)));
-      }
-    } else {
-      results = runner.RunSweep(fn, space);
-    }
+    const std::vector<PointResult> results = runner.RunSweep(fn, space);
     state.SetIterationTime(timer.ElapsedSeconds());
     checksum = MetricsChecksum(results);
     reused = runner.stats().points_reused;
@@ -108,22 +99,16 @@ void SweepBench(benchmark::State& state, const char* name,
 }
 
 void BM_NaiveSweep(benchmark::State& state) {
-  SweepBench(state, "BM_NaiveSweep", false, false);
+  SweepBench(state, "BM_NaiveSweep", false);
 }
 void BM_JigsawSweep(benchmark::State& state) {
-  SweepBench(state, "BM_JigsawSweep", true, false);
-}
-void BM_NaivePointLoop(benchmark::State& state) {
-  SweepBench(state, "BM_NaivePointLoop", false, true);
+  SweepBench(state, "BM_JigsawSweep", true);
 }
 
 BENCHMARK(BM_NaiveSweep)
     ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond)->UseManualTime()->Iterations(1);
 BENCHMARK(BM_JigsawSweep)
-    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond)->UseManualTime()->Iterations(1);
-BENCHMARK(BM_NaivePointLoop)
     ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond)->UseManualTime()->Iterations(1);
 

@@ -8,10 +8,11 @@
 /// prune with the index, then validate candidates with FindLinearMapping.
 ///
 /// One store belongs to one SimulationRunner and has no lock. The
-/// parallel sweep touches it only from the caller's thread, between its
-/// pool phases, and relies on the deferred-metrics protocol: Insert
-/// registers a fingerprint (making it matchable) before its expensive
-/// full simulation has produced metrics, which SetMetrics fills in later.
+/// runner's point pipeline (RunPoints) touches it only from the caller's
+/// thread, between its pool phases, and relies on the deferred-metrics
+/// protocol: Insert registers a fingerprint (making it matchable) before
+/// its expensive full simulation has produced metrics, which SetMetrics
+/// fills in later.
 
 #include <cstdint>
 #include <deque>

@@ -181,41 +181,55 @@ Result<OptimizeResult> Optimizer::Run(const Scenario& scenario,
 
   const std::size_t num_groups = split.group_space.NumPoints();
   const std::size_t num_sweep = split.sweep_space.NumPoints();
+  const std::size_t num_params = scenario.params.num_params();
+  const std::size_t num_constraints = spec.constraints.size();
+  // Sweep points per RunPoints call: a point's requests never split, and
+  // a window holds at most kRequestWindow of them unless one point does.
+  const std::size_t window = std::max<std::size_t>(
+      1, kRequestWindow / std::max<std::size_t>(1, num_constraints));
 
-  std::vector<double> full(scenario.params.num_params(), 0.0);
+  std::vector<double> valuations;  // one full valuation per window point
+  std::vector<PointRequest> requests;
   for (std::size_t g = 0; g < num_groups; ++g) {
     const auto group_val = split.group_space.ValuationAt(g);
     GroupEvaluation eval;
     eval.group_valuation = group_val;
-    eval.constraint_lhs.assign(spec.constraints.size(), 0.0);
+    eval.constraint_lhs.assign(num_constraints, 0.0);
 
-    std::vector<double> acc(spec.constraints.size());
+    std::vector<double> acc(num_constraints);
     for (std::size_t c = 0; c < acc.size(); ++c) {
       acc[c] = FoldInit(spec.constraints[c].agg);
     }
 
-    for (std::size_t s = 0; s < num_sweep; ++s) {
-      const auto sweep_val = split.sweep_space.ValuationAt(s);
-      for (std::size_t i = 0; i < split.group_idx.size(); ++i) {
-        full[split.group_idx[i]] = group_val[i];
+    for (std::size_t first = 0; first < num_sweep; first += window) {
+      const std::size_t last = std::min(first + window, num_sweep);
+      valuations.resize((last - first) * num_params);
+      requests.clear();
+      for (std::size_t s = first; s < last; ++s) {
+        const auto sweep_val = split.sweep_space.ValuationAt(s);
+        double* full = valuations.data() + (s - first) * num_params;
+        for (std::size_t i = 0; i < split.group_idx.size(); ++i) {
+          full[split.group_idx[i]] = group_val[i];
+        }
+        for (std::size_t i = 0; i < split.sweep_idx.size(); ++i) {
+          full[split.sweep_idx[i]] = sweep_val[i];
+        }
+        for (const ScenarioColumn* column : constraint_columns) {
+          requests.push_back({column->fn.get(), {full, num_params}});
+        }
       }
-      for (std::size_t i = 0; i < split.sweep_idx.size(); ++i) {
-        full[split.sweep_idx[i]] = sweep_val[i];
-      }
-      // Evaluate each referenced column once per full valuation; the
-      // runner's basis store makes repeats cheap.
-      for (std::size_t c = 0; c < spec.constraints.size(); ++c) {
-        const PointResult point =
-            runner_->RunPoint(*constraint_columns[c]->fn, full);
-        ++result.points_simulated;
+      const std::vector<PointResult> points = runner_->RunPoints(requests);
+      for (std::size_t r = 0; r < points.size(); ++r) {
+        const std::size_t c = r % num_constraints;
         const double metric =
-            ExtractMetric(point.metrics, spec.constraints[c].metric);
+            ExtractMetric(points[r].metrics, spec.constraints[c].metric);
         acc[c] = FoldStep(spec.constraints[c].agg, acc[c], metric);
       }
+      result.points_simulated += points.size();
     }
 
     eval.feasible = true;
-    for (std::size_t c = 0; c < spec.constraints.size(); ++c) {
+    for (std::size_t c = 0; c < num_constraints; ++c) {
       double lhs = acc[c];
       if (spec.constraints[c].agg == SweepAgg::kAvg) {
         lhs /= static_cast<double>(num_sweep);

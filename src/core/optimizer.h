@@ -15,6 +15,7 @@
 /// sweep; feasible groups are then ranked by the lexicographic FOR
 /// objective and the Selector picks the winner.
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -64,8 +65,7 @@ struct ObjectiveTerm {
 };
 
 struct OptimizeSpec {
-  std::vector<std::string> select_params;  ///< reported columns
-  std::vector<std::string> group_params;   ///< decision variables
+  std::vector<std::string> group_params;  ///< decision variables
   std::vector<MetricConstraint> constraints;
   std::vector<ObjectiveTerm> objectives;
 };
@@ -108,12 +108,21 @@ class Selector {
 
 class Optimizer {
  public:
+  /// The most requests one RunPoints call carries (unless one sweep
+  /// point has more constraints). A group's (sweep point, constraint)
+  /// requests go to the runner in windows of whole sweep points, so a
+  /// huge sweep holds one window of results at a time; Figure 1's
+  /// 53-week groups fit in one window each.
+  static constexpr std::size_t kRequestWindow = 4096;
+
   explicit Optimizer(SimulationRunner* runner) : runner_(runner) {}
 
   /// Exhaustively explores the group space ("brute force ... necessary to
   /// guarantee the optimization converges to the global maximum for an
   /// arbitrary black-box", Section 2.3). Fingerprint reuse inside the
-  /// runner is what makes this affordable.
+  /// runner is what makes this affordable. Each group's requests reach
+  /// the runner in the order its fold reads them, sweep point major and
+  /// constraint minor, which is the order the runner's basis store sees.
   Result<OptimizeResult> Run(const Scenario& scenario,
                              const OptimizeSpec& spec);
 

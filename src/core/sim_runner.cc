@@ -32,10 +32,10 @@ Status SimulationRunner::ValidateConfig(const RunConfig& config) {
   return Status::OK();
 }
 
-void SimulationRunner::SampleRangeSerial(const SimFunction& fn,
-                                         std::span<const double> params,
-                                         std::size_t begin,
-                                         std::span<double> out) {
+void SimulationRunner::SampleRange(const SimFunction& fn,
+                                   std::span<const double> params,
+                                   std::size_t begin,
+                                   std::span<double> out) const {
   const std::size_t batch = config_.batch_size;
   for (std::size_t i = 0; i < out.size(); i += batch) {
     const std::size_t len = std::min(batch, out.size() - i);
@@ -43,138 +43,60 @@ void SimulationRunner::SampleRangeSerial(const SimFunction& fn,
   }
 }
 
-void SimulationRunner::SampleRange(const SimFunction& fn,
-                                   std::span<const double> params,
-                                   std::size_t begin, std::span<double> out) {
-  const std::size_t batch = config_.batch_size;
-  const std::size_t chunks = (out.size() + batch - 1) / batch;
-  if (pool_ == nullptr || chunks < 2 ||
-      out.size() < 2 * config_.num_threads) {
-    SampleRangeSerial(fn, params, begin, out);
+void SimulationRunner::ForEach(
+    std::size_t count, const std::function<void(std::size_t)>& body) const {
+  if (pool_ != nullptr && count > 1) {
+    pool_->ParallelFor(count, body);
     return;
   }
-  // Samples are independent given their seeds; any chunk schedule
-  // produces the same values, and the caller folds them in index order.
-  pool_->ParallelFor(chunks, [&](std::size_t c) {
-    const std::size_t i = c * batch;
-    const std::size_t len = std::min(batch, out.size() - i);
-    fn.SampleBatch(params, begin + i, seeds_, out.subspan(i, len));
-  });
+  for (std::size_t i = 0; i < count; ++i) body(i);
 }
 
-PointResult SimulationRunner::RunPoint(const SimFunction& fn,
-                                       std::span<const double> params) {
-  ++stats_.points_evaluated;
+std::vector<PointResult> SimulationRunner::RunPoints(
+    std::span<const PointRequest> requests) {
   const std::size_t n = config_.num_samples;
   const std::size_t m =
       config_.use_fingerprints ? config_.fingerprint_size : 0;
+  std::vector<PointResult> out(requests.size());
+  stats_.points_evaluated += requests.size();
 
-  PointResult result;
-  Estimator estimator(config_.keep_samples, config_.histogram_bins);
-
-  if (config_.use_fingerprints) {
-    // The fingerprint is the first m rounds of this point's simulation.
-    Fingerprint fp = ComputeFingerprint(fn, params, seeds_, m);
-    stats_.blackbox_invocations += m;
-    estimator.AddSpan(fp.values());
-
-    if (auto match = basis_store_.FindMatch(fp)) {
-      // Reuse: map the basis metrics into this point's domain. The
-      // Selector only ever compares mapped outputs across parameter
-      // values; it never mixes their samples (Section 6.2's correctness
-      // argument).
-      ++stats_.points_reused;
-      result.metrics =
-          basis_store_.Get(match->basis_id).metrics.MappedBy(match->mapping);
-      result.reused = true;
-      result.basis_id = match->basis_id;
-      result.mapping = match->mapping;
-      return result;
-    }
-
-    // Miss: finish the remaining rounds and register a new basis. The
-    // scratch buffer is reused across points — the batched path never
-    // reallocates on the hot loop.
-    scratch_.resize(n - m);
-    SampleRange(fn, params, m, scratch_);
-    estimator.AddSpan(scratch_);
-    stats_.blackbox_invocations += n - m;
-    result.metrics = estimator.Finalize();
-    const auto& basis = basis_store_.Insert(std::move(fp), result.metrics);
-    result.basis_id = basis.id;
-    return result;
-  }
-
-  // Naive baseline: generate everything.
-  scratch_.resize(n);
-  SampleRange(fn, params, 0, scratch_);
-  estimator.AddSpan(scratch_);
-  stats_.blackbox_invocations += n;
-  result.metrics = estimator.Finalize();
-  return result;
-}
-
-std::vector<PointResult> SimulationRunner::RunSweepSerial(
-    const SimFunction& fn, const ParameterSpace& space) {
-  std::vector<PointResult> out;
-  const std::size_t n = space.NumPoints();
-  out.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto valuation = space.ValuationAt(i);
-    out.push_back(RunPoint(fn, valuation));
-  }
-  return out;
-}
-
-std::vector<PointResult> SimulationRunner::RunSweepParallel(
-    const SimFunction& fn, const ParameterSpace& space) {
-  const std::size_t n_points = space.NumPoints();
-  const std::size_t n = config_.num_samples;
-  std::vector<PointResult> out(n_points);
-
-  std::vector<std::vector<double>> valuations(n_points);
-  for (std::size_t i = 0; i < n_points; ++i) {
-    valuations[i] = space.ValuationAt(i);
-  }
+  // A point's full simulation: its samples [m, n), folded after `head`
+  // (its fingerprint, or nothing) in index order. Each thread reuses one
+  // sample buffer across the points it simulates.
+  auto simulate = [&](const PointRequest& request,
+                      std::span<const double> head) {
+    thread_local std::vector<double> tail;
+    tail.resize(n - m);
+    SampleRange(*request.fn, request.params, m, tail);
+    Estimator estimator(config_.keep_samples, config_.histogram_bins);
+    estimator.AddSpan(head);
+    estimator.AddSpan(tail);
+    return std::move(estimator).Finalize();
+  };
 
   if (!config_.use_fingerprints) {
-    // Naive baseline: every point is independent, so the whole sweep is
-    // embarrassingly parallel. Per-point sample folds stay in index
-    // order, so metrics match the serial sweep bitwise. Each worker
-    // reuses one thread-local sample buffer across all its points.
-    pool_->ParallelFor(n_points, [&](std::size_t i) {
-      thread_local std::vector<double> all;
-      all.resize(n);
-      Estimator estimator(config_.keep_samples, config_.histogram_bins);
-      SampleRangeSerial(fn, valuations[i], 0, all);
-      estimator.AddSpan(all);
-      out[i].metrics = estimator.Finalize();
+    // Naive baseline: every point is an independent full simulation.
+    ForEach(requests.size(), [&](std::size_t i) {
+      out[i].metrics = simulate(requests[i], {});
     });
-    stats_.points_evaluated += n_points;
-    stats_.blackbox_invocations += static_cast<std::uint64_t>(n_points) * n;
+    stats_.blackbox_invocations += requests.size() * n;
     return out;
   }
 
-  const std::size_t m = config_.fingerprint_size;
-
-  // Phase 1: fingerprints of every point, in parallel. Fingerprint
-  // samples are pure functions of (params, sigma_k), so the schedule
-  // cannot perturb them.
-  std::vector<Fingerprint> fps(n_points);
-  pool_->ParallelFor(n_points, [&](std::size_t i) {
-    fps[i] = ComputeFingerprint(fn, valuations[i], seeds_, m);
+  // Phase 1: every request's fingerprint, the first m rounds of its
+  // simulation.
+  std::vector<Fingerprint> fps(requests.size());
+  ForEach(requests.size(), [&](std::size_t i) {
+    fps[i] = ComputeFingerprint(*requests[i].fn, requests[i].params, seeds_,
+                                m);
   });
 
-  // Phase 2: replay the match/miss decisions serially in point-index
-  // order — the exact order the serial sweep consults the store — so
-  // reuse decisions, basis ids, reuse counts and store stats coincide
-  // with the serial run. Misses register their fingerprint now (making
-  // it matchable by later points) with metrics deferred to phase 3. A
-  // match is always a hit: an affine map transforms any basis metrics,
-  // so the decision never needs them.
-  std::vector<std::size_t> miss_points;
-  for (std::size_t i = 0; i < n_points; ++i) {
-    ++stats_.points_evaluated;
+  // Phase 2: the match/miss decisions, serially in request order. A miss
+  // registers its fingerprint now, making it matchable by later requests,
+  // and its metrics in phase 3. A match is always a hit: an affine map
+  // transforms any basis' metrics, so the decision never needs them.
+  std::vector<std::size_t> misses;
+  for (std::size_t i = 0; i < requests.size(); ++i) {
     stats_.blackbox_invocations += m;
     if (auto match = basis_store_.FindMatch(fps[i])) {
       ++stats_.points_reused;
@@ -184,51 +106,45 @@ std::vector<PointResult> SimulationRunner::RunSweepParallel(
       continue;
     }
     out[i].basis_id = basis_store_.Insert(Fingerprint(fps[i]), {}).id;
-    miss_points.push_back(i);
+    misses.push_back(i);
     stats_.blackbox_invocations += n - m;
   }
 
-  // Phase 3: full simulation of every miss point, in parallel across
-  // points. Each task folds fingerprint-then-tail samples in index
-  // order, matching the serial estimator exactly.
-  std::vector<OutputMetrics> miss_metrics(miss_points.size());
-  pool_->ParallelFor(miss_points.size(), [&](std::size_t j) {
-    const std::size_t i = miss_points[j];
-    thread_local std::vector<double> tail;
-    tail.resize(n - m);
-    Estimator estimator(config_.keep_samples, config_.histogram_bins);
-    estimator.AddSpan(fps[i].values());
-    SampleRangeSerial(fn, valuations[i], m, tail);
-    estimator.AddSpan(tail);
-    miss_metrics[j] = estimator.Finalize();
+  // Phase 3: the misses' full simulations.
+  ForEach(misses.size(), [&](std::size_t j) {
+    const std::size_t i = misses[j];
+    out[i].metrics = simulate(requests[i], fps[i].values());
   });
-  for (std::size_t j = 0; j < miss_points.size(); ++j) {
-    const std::size_t i = miss_points[j];
-    out[i].metrics = miss_metrics[j];
-    basis_store_.SetMetrics(out[i].basis_id, std::move(miss_metrics[j]));
+  for (std::size_t i : misses) {
+    basis_store_.SetMetrics(out[i].basis_id, out[i].metrics);
   }
 
-  // Phase 4: map the hits' metrics in point-index order. Every basis a
-  // hit maps from was materialized either in a previous run or in phase
-  // 3 above; miss points already carry their metrics.
-  for (std::size_t i = 0; i < n_points; ++i) {
-    if (out[i].reused) {
-      out[i].metrics = basis_store_.Get(out[i].basis_id)
-                           .metrics.MappedBy(out[i].mapping);
+  // Phase 4: the hits map their basis' metrics. Reuse never mixes samples
+  // across parameter values: the Selector only compares mapped outputs
+  // (Section 6.2's correctness argument).
+  for (PointResult& r : out) {
+    if (r.reused) {
+      r.metrics = basis_store_.Get(r.basis_id).metrics.MappedBy(r.mapping);
     }
   }
   return out;
 }
 
+PointResult SimulationRunner::RunPoint(const SimFunction& fn,
+                                       std::span<const double> params) {
+  const PointRequest request{&fn, params};
+  return std::move(RunPoints({&request, 1}).front());
+}
+
 std::vector<PointResult> SimulationRunner::RunSweep(
     const SimFunction& fn, const ParameterSpace& space) {
-  // Few points can't keep the pool busy across points; the serial sweep
-  // parallelizes *within* each point instead (SampleRange), which uses
-  // the workers better there. Both paths produce identical output.
-  if (pool_ == nullptr || space.NumPoints() < config_.num_threads) {
-    return RunSweepSerial(fn, space);
+  std::vector<std::vector<double>> valuations(space.NumPoints());
+  std::vector<PointRequest> requests(valuations.size());
+  for (std::size_t i = 0; i < valuations.size(); ++i) {
+    valuations[i] = space.ValuationAt(i);
+    requests[i] = {&fn, valuations[i]};
   }
-  return RunSweepParallel(fn, space);
+  return RunPoints(requests);
 }
 
 }  // namespace jigsaw

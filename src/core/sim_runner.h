@@ -14,11 +14,14 @@
 /// With use_fingerprints=false it degrades to the naive generate-
 /// everything baseline the paper compares against.
 ///
-/// When num_threads > 1, RunSweep fans the sweep out across parameter
-/// points on the worker pool while staying bit-identical to the serial
-/// sweep (see RunSweep below for the phase protocol).
+/// One driver, RunPoints, runs these steps for a batch of points as a
+/// phase pipeline (see RunPoints below); RunPoint is a one-point batch
+/// and RunSweep a batch of every point of a space. With num_threads > 1
+/// the pipeline's sampling phases fan the batch's points out on the
+/// worker pool, and the results stay bit-identical at every thread count.
 
 #include <cstddef>
+#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -50,6 +53,13 @@ struct PointResult {
   AffineMap mapping;            ///< mapping used (identity for new bases)
 };
 
+/// One point for RunPoints to evaluate: `fn` at the valuation `params`.
+/// Both are borrowed and must outlive the call.
+struct PointRequest {
+  const SimFunction* fn = nullptr;
+  std::span<const double> params;
+};
+
 class SimulationRunner {
  public:
   /// `config` must pass ValidateConfig; the constructor aborts otherwise.
@@ -60,27 +70,31 @@ class SimulationRunner {
   /// 2 <= fingerprint_size <= num_samples.
   static Status ValidateConfig(const RunConfig& config);
 
-  /// Evaluates one parameter point of `fn` (Algorithm 3 + estimator).
+  /// Evaluates a batch of points and returns their results in request
+  /// order, as a phase pipeline that is bit-identical at every thread
+  /// count to evaluating the requests one at a time, in order:
+  ///
+  ///   1. the fingerprints of every request evaluate (each sample is a
+  ///      pure function of its seed, so scheduling cannot perturb it);
+  ///   2. the match/miss decisions run serially in request order against
+  ///      the basis store, so reuse decisions, basis ids and store stats
+  ///      are the one-at-a-time run's; a miss registers its fingerprint at
+  ///      once (metrics deferred), so a later request may match it;
+  ///   3. the misses' remaining n-m samples evaluate, each miss folding
+  ///      its fingerprint, then its tail, in index order;
+  ///   4. the hits map their basis' metrics.
+  ///
+  /// With use_fingerprints=false every request is one independent full
+  /// simulation. Phases 1 and 3 (and the naive simulations) run on the
+  /// pool when there is one, and in a plain loop otherwise.
+  std::vector<PointResult> RunPoints(std::span<const PointRequest> requests);
+
+  /// Evaluates one parameter point of `fn`: a one-request RunPoints.
   PointResult RunPoint(const SimFunction& fn,
                        std::span<const double> params);
 
-  /// Sweeps an entire parameter space; returns metrics per valuation in
-  /// row-major enumeration order.
-  ///
-  /// With num_threads > 1 the sweep runs as a deterministic phase
-  /// pipeline that is bit-identical to the serial sweep at any thread
-  /// count:
-  ///
-  ///   1. fingerprints of all points evaluate in parallel (each sample is
-  ///      a pure function of its seed, so scheduling cannot perturb it);
-  ///   2. match/miss decisions replay serially in point-index order
-  ///      against the basis store — exactly the order the serial sweep
-  ///      uses, so reuse decisions, basis ids and store stats coincide;
-  ///      misses insert their fingerprint immediately (metrics deferred);
-  ///   3. the expensive full simulations of all miss points fan out
-  ///      across the pool, folding samples in index order per point;
-  ///   4. results merge in point-index order: misses publish their
-  ///      metrics, hits map their basis' now-materialized metrics.
+  /// Sweeps an entire parameter space: a RunPoints over every valuation,
+  /// returned in row-major enumeration order.
   std::vector<PointResult> RunSweep(const SimFunction& fn,
                                     const ParameterSpace& space);
 
@@ -91,24 +105,16 @@ class SimulationRunner {
 
  private:
   /// Evaluates samples [begin, begin + out.size()) of `fn` into `out`,
-  /// driving SampleBatch over batch_size chunks and fanning the chunks
-  /// out across the pool when configured. Chunk boundaries never change
-  /// a draw (sample k always comes from seed sigma_k), so output is
-  /// bit-identical at every batch size and thread count.
+  /// driving SampleBatch over batch_size chunks. Chunk boundaries never
+  /// change a draw (sample k always comes from seed sigma_k), so output
+  /// is bit-identical at every batch size.
   void SampleRange(const SimFunction& fn, std::span<const double> params,
-                   std::size_t begin, std::span<double> out);
+                   std::size_t begin, std::span<double> out) const;
 
-  /// Serial SampleRange. Used inside pool tasks, where nesting a
-  /// ParallelFor would deadlock (a worker blocked in WaitIdle still
-  /// counts as in-flight).
-  void SampleRangeSerial(const SimFunction& fn,
-                         std::span<const double> params, std::size_t begin,
-                         std::span<double> out);
-
-  std::vector<PointResult> RunSweepSerial(const SimFunction& fn,
-                                          const ParameterSpace& space);
-  std::vector<PointResult> RunSweepParallel(const SimFunction& fn,
-                                            const ParameterSpace& space);
+  /// Runs body(i) for every i in [0, count): on the pool when there is
+  /// one and count > 1, in a plain loop otherwise.
+  void ForEach(std::size_t count,
+               const std::function<void(std::size_t)>& body) const;
 
   RunConfig config_;
   SeedVector seeds_;
@@ -116,9 +122,6 @@ class SimulationRunner {
   RunnerStats stats_;
   std::unique_ptr<ThreadPool> owned_pool_;
   ThreadPool* pool_ = nullptr;  ///< owned_pool_ or config_.shared_pool
-  /// Reusable sample buffer for the serial per-point path (the parallel
-  /// sweep uses per-worker thread-local buffers instead).
-  std::vector<double> scratch_;
 };
 
 }  // namespace jigsaw

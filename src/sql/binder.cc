@@ -1,5 +1,6 @@
 #include "sql/binder.h"
 
+#include <algorithm>
 #include <climits>
 #include <cmath>
 
@@ -660,13 +661,26 @@ Result<BoundScript> Binder::Bind(const Script& script) {
                                "' but the scenario writes INTO '" +
                                bound.scenario.into_table + "'");
     }
+    const ParameterSpace& params = bound.scenario.params;
+    for (const auto& p : o.select_params) {
+      if (!params.IndexOf(p)) {
+        return Status::BindError("OPTIMIZE SELECT references undeclared '@" +
+                                 p + "'");
+      }
+    }
     OptimizeSpec spec;
-    spec.select_params = o.select_params;
+    std::vector<std::size_t> group_idx;
     for (const auto& g : o.group_by) {
-      if (!bound.scenario.params.IndexOf(g)) {
+      const auto idx = params.IndexOf(g);
+      if (!idx) {
         return Status::BindError("GROUP BY references undeclared '" + g +
                                  "'");
       }
+      if (std::find(group_idx.begin(), group_idx.end(), *idx) !=
+          group_idx.end()) {
+        return Status::BindError("GROUP BY lists '@" + g + "' twice");
+      }
+      group_idx.push_back(*idx);
       spec.group_params.push_back(g);
     }
     for (const auto& c : o.constraints) {
@@ -681,9 +695,15 @@ Result<BoundScript> Binder::Bind(const Script& script) {
       spec.constraints.push_back(std::move(mc));
     }
     for (const auto& obj : o.objectives) {
-      if (!bound.scenario.params.IndexOf(obj.param)) {
+      const auto idx = params.IndexOf(obj.param);
+      if (!idx) {
         return Status::BindError("FOR references undeclared '@" +
                                  obj.param + "'");
+      }
+      if (std::find(group_idx.begin(), group_idx.end(), *idx) ==
+          group_idx.end()) {
+        return Status::BindError("FOR parameter '@" + obj.param +
+                                 "' is not a GROUP BY parameter");
       }
       spec.objectives.push_back(ObjectiveTerm{obj.param, obj.maximize});
     }

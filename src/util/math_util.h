@@ -37,11 +37,6 @@ class WelfordAccumulator {
     *this = local;
   }
 
-  /// Merges another accumulator (parallel reduction; Chan et al.).
-  /// Numerically stable but not bit-identical to sequential Add order —
-  /// use for statistics where last-bit determinism is not required.
-  void Merge(const WelfordAccumulator& other);
-
   std::int64_t count() const { return count_; }
   double mean() const { return count_ > 0 ? mean_ : 0.0; }
   /// Population variance (divide by n).
@@ -68,22 +63,6 @@ class WelfordAccumulator {
   double m2_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
-};
-
-/// Kahan compensated summation.
-class KahanSum {
- public:
-  void Add(double x) {
-    const double y = x - compensation_;
-    const double t = sum_ + y;
-    compensation_ = (t - sum_) - y;
-    sum_ = t;
-  }
-  double sum() const { return sum_; }
-
- private:
-  double sum_ = 0.0;
-  double compensation_ = 0.0;
 };
 
 /// Returns the q-quantile (q in [0,1]) of `sorted` using linear

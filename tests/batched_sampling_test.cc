@@ -19,6 +19,7 @@
 #include "markov/chain_runner.h"
 #include "markov/markov_models.h"
 #include "models/cloud_models.h"
+#include "point_loop_reference.h"
 #include "random/seed_vector.h"
 
 namespace jigsaw {
@@ -38,18 +39,7 @@ void ExpectBitIdenticalVectors(const std::vector<double>& a,
   }
 }
 
-void ExpectBitIdenticalMetrics(const OutputMetrics& a,
-                               const OutputMetrics& b) {
-  EXPECT_EQ(a.count, b.count);
-  EXPECT_EQ(Bits(a.mean), Bits(b.mean));
-  EXPECT_EQ(Bits(a.stddev), Bits(b.stddev));
-  EXPECT_EQ(Bits(a.std_error), Bits(b.std_error));
-  EXPECT_EQ(Bits(a.min), Bits(b.min));
-  EXPECT_EQ(Bits(a.max), Bits(b.max));
-  EXPECT_EQ(Bits(a.p50), Bits(b.p50));
-  EXPECT_EQ(Bits(a.p95), Bits(b.p95));
-  ExpectBitIdenticalVectors(a.samples, b.samples);
-}
+using test::ExpectBitIdenticalMetrics;
 
 // ---------------------------------------------------------------------------
 // SeedVector span access
@@ -318,7 +308,8 @@ TEST(FingerprintTest, BatchedComputeMatchesScalarLoop) {
 
 // ---------------------------------------------------------------------------
 // End-to-end bit-identity: fingerprints, miss simulation and RunSweep at
-// batch sizes {1, 7, 64} × num_threads {1, 2, 8} — the acceptance grid.
+// batch sizes {1, 7, 64} × num_threads {1, 2, 8} — the acceptance grid —
+// against the one-point-at-a-time loop of tests/point_loop_reference.h.
 // ---------------------------------------------------------------------------
 
 RunConfig GridConfig(std::size_t n, std::size_t m) {
@@ -330,10 +321,7 @@ RunConfig GridConfig(std::size_t n, std::size_t m) {
 
 void ExpectGridIdentical(const RunConfig& base_cfg, const SimFunction& fn,
                          const ParameterSpace& space) {
-  RunConfig ref_cfg = base_cfg;
-  ref_cfg.num_threads = 1;
-  ref_cfg.batch_size = 1;  // pure scalar reference
-  SimulationRunner reference(ref_cfg);
+  test::PointLoopReference reference(base_cfg);
   const auto expected = reference.RunSweep(fn, space);
 
   test::ForEachGridPoint([&](std::size_t threads, std::size_t batch) {
@@ -342,19 +330,7 @@ void ExpectGridIdentical(const RunConfig& base_cfg, const SimFunction& fn,
     cfg.num_threads = threads;
     SimulationRunner runner(cfg);
     const auto got = runner.RunSweep(fn, space);
-
-    ASSERT_EQ(got.size(), expected.size());
-    for (std::size_t i = 0; i < got.size(); ++i) {
-      SCOPED_TRACE(::testing::Message() << "point " << i);
-      EXPECT_EQ(got[i].reused, expected[i].reused);
-      EXPECT_EQ(got[i].basis_id, expected[i].basis_id);
-      ExpectBitIdenticalMetrics(got[i].metrics, expected[i].metrics);
-    }
-    EXPECT_EQ(runner.stats().points_reused,
-              reference.stats().points_reused);
-    EXPECT_EQ(runner.stats().blackbox_invocations,
-              reference.stats().blackbox_invocations);
-    EXPECT_EQ(runner.basis_store().size(), reference.basis_store().size());
+    test::ExpectMatchesPointLoop(got, runner, expected, reference);
   });
 }
 

@@ -449,29 +449,6 @@ TEST(MetricsTest, AddSpanMatchesElementwiseAddBitForBit) {
   }
 }
 
-TEST(MetricsTest, WelfordMergeMatchesSequentialStatistics) {
-  // Chan et al. pairwise merge is the parallel-reduction half of the
-  // streaming accumulator: not bit-identical to sequential order, but
-  // must agree to tight relative tolerance.
-  std::vector<double> xs(512);
-  SplitMix64 rng(99);
-  for (auto& x : xs) {
-    x = static_cast<double>(rng.Next() >> 11) * 0x1.0p-53 * 10.0;
-  }
-  WelfordAccumulator seq;
-  seq.AddSpan(xs);
-  WelfordAccumulator left, right;
-  left.AddSpan(std::span<const double>(xs.data(), 200));
-  right.AddSpan(std::span<const double>(xs.data() + 200, xs.size() - 200));
-  left.Merge(right);
-  EXPECT_EQ(left.count(), seq.count());
-  EXPECT_NEAR(left.mean(), seq.mean(), 1e-12 * std::fabs(seq.mean()) + 1e-15);
-  EXPECT_NEAR(left.variance(), seq.variance(),
-              1e-10 * seq.variance() + 1e-15);
-  EXPECT_DOUBLE_EQ(left.min(), seq.min());
-  EXPECT_DOUBLE_EQ(left.max(), seq.max());
-}
-
 // ---------------------------------------------------------------------------
 // Estimator::Finalize — the consuming overload the columnar folds run
 // selects quantiles in place, and the const one consumes a copy. Both must

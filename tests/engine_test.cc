@@ -15,9 +15,11 @@
 #include "core/optimizer.h"
 #include "core/parameter_space.h"
 #include "core/sim_runner.h"
+#include "grid_test_util.h"
 #include "markov/chain_runner.h"
 #include "markov/markov_models.h"
 #include "models/cloud_models.h"
+#include "point_loop_reference.h"
 #include "util/hash.h"
 
 namespace jigsaw {
@@ -466,10 +468,11 @@ TEST(SimRunnerTest, KeepSamplesRetainsMappedSamples) {
 }
 
 // ---------------------------------------------------------------------------
-// Parallel sweep determinism: RunSweep must be bit-identical at any
-// thread count — identical OutputMetrics, identical reuse decisions,
-// identical RunnerStats — because the phase pipeline replays the serial
-// decision order and every sample is a pure function of its seed.
+// Sweep determinism: RunSweep must be bit-identical at every thread count
+// to the one-point-at-a-time Algorithm 3 loop (tests/point_loop_reference.h)
+// — identical OutputMetrics, reuse decisions, mappings, RunnerStats and
+// store stats — because the phase pipeline replays the loop's decision
+// order and every sample is a pure function of its seed.
 // ---------------------------------------------------------------------------
 
 std::uint64_t Bits(double x) {
@@ -478,69 +481,18 @@ std::uint64_t Bits(double x) {
   return u;
 }
 
-void ExpectBitIdenticalMetrics(const OutputMetrics& a,
-                               const OutputMetrics& b) {
-  EXPECT_EQ(a.count, b.count);
-  EXPECT_EQ(Bits(a.mean), Bits(b.mean));
-  EXPECT_EQ(Bits(a.stddev), Bits(b.stddev));
-  EXPECT_EQ(Bits(a.std_error), Bits(b.std_error));
-  EXPECT_EQ(Bits(a.min), Bits(b.min));
-  EXPECT_EQ(Bits(a.max), Bits(b.max));
-  EXPECT_EQ(Bits(a.p50), Bits(b.p50));
-  EXPECT_EQ(Bits(a.p95), Bits(b.p95));
-  ASSERT_EQ(a.histogram.has_value(), b.histogram.has_value());
-  if (a.histogram) {
-    EXPECT_TRUE(*a.histogram == *b.histogram);
-  }
-  ASSERT_EQ(a.samples.size(), b.samples.size());
-  for (std::size_t i = 0; i < a.samples.size(); ++i) {
-    ASSERT_EQ(Bits(a.samples[i]), Bits(b.samples[i])) << "sample " << i;
-  }
-}
-
 void ExpectSweepsIdentical(const RunConfig& base_cfg, const SimFunction& fn,
                            const ParameterSpace& space) {
-  RunConfig serial_cfg = base_cfg;
-  serial_cfg.num_threads = 1;
-  SimulationRunner serial(serial_cfg);
-  const auto expected = serial.RunSweep(fn, space);
+  test::PointLoopReference reference(base_cfg);
+  const auto expected = reference.RunSweep(fn, space);
 
-  for (std::size_t threads : {2u, 8u}) {
+  for (std::size_t threads : test::GridThreadCounts()) {
+    SCOPED_TRACE(::testing::Message() << threads << " threads");
     RunConfig cfg = base_cfg;
     cfg.num_threads = threads;
     SimulationRunner runner(cfg);
     const auto got = runner.RunSweep(fn, space);
-
-    ASSERT_EQ(got.size(), expected.size()) << threads << " threads";
-    for (std::size_t i = 0; i < got.size(); ++i) {
-      SCOPED_TRACE(::testing::Message()
-                   << threads << " threads, point " << i);
-      EXPECT_EQ(got[i].reused, expected[i].reused);
-      EXPECT_EQ(got[i].basis_id, expected[i].basis_id);
-      EXPECT_EQ(Bits(got[i].mapping.alpha), Bits(expected[i].mapping.alpha));
-      EXPECT_EQ(Bits(got[i].mapping.beta), Bits(expected[i].mapping.beta));
-      ExpectBitIdenticalMetrics(got[i].metrics, expected[i].metrics);
-    }
-
-    EXPECT_EQ(runner.stats().points_evaluated,
-              serial.stats().points_evaluated);
-    EXPECT_EQ(runner.stats().points_reused, serial.stats().points_reused);
-    EXPECT_EQ(runner.stats().blackbox_invocations,
-              serial.stats().blackbox_invocations);
-
-    const auto& ss = serial.basis_store().stats();
-    const auto& ps = runner.basis_store().stats();
-    EXPECT_EQ(runner.basis_store().size(), serial.basis_store().size());
-    EXPECT_EQ(ps.lookups, ss.lookups);
-    EXPECT_EQ(ps.hits, ss.hits);
-    EXPECT_EQ(ps.misses, ss.misses);
-    EXPECT_EQ(ps.candidates_tested, ss.candidates_tested);
-    EXPECT_EQ(ps.false_positive_candidates, ss.false_positive_candidates);
-    for (std::size_t b = 0; b < runner.basis_store().size(); ++b) {
-      EXPECT_EQ(runner.basis_store().Get(static_cast<BasisId>(b)).reuse_count,
-                serial.basis_store().Get(static_cast<BasisId>(b)).reuse_count)
-          << "basis " << b;
-    }
+    test::ExpectMatchesPointLoop(got, runner, expected, reference);
   }
 }
 

@@ -4,8 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
+#include <cstdint>
+#include <fstream>
 #include <map>
+#include <ostream>
 #include <span>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -429,6 +435,54 @@ TEST_F(BinderTest, DeclareParameterRejectionsAreBindErrors) {
   }
 }
 
+TEST_F(BinderTest, OptimizeForParameterMustBeGrouped) {
+  // @w is declared but swept, not grouped: the Selector ranks groups by
+  // their FOR parameters, so it has no @w to rank by.
+  auto bound = ParseAndBind(
+      "DECLARE PARAMETER @w AS RANGE 0 TO 4 STEP BY 1;"
+      "DECLARE PARAMETER @p AS SET (1, 2);"
+      "SELECT DemandModel(@w, @p) AS d INTO results;"
+      "OPTIMIZE SELECT @p FROM results GROUP BY p FOR MAX @w;",
+      registry_);
+  ASSERT_FALSE(bound.ok());
+  EXPECT_EQ(bound.status().code(), StatusCode::kBindError)
+      << bound.status().ToString();
+  EXPECT_NE(bound.status().message().find("'@w'"), std::string::npos)
+      << bound.status().ToString();
+  EXPECT_NE(bound.status().message().find("not a GROUP BY parameter"),
+            std::string::npos)
+      << bound.status().ToString();
+}
+
+TEST_F(BinderTest, OptimizeGroupByParameterListedTwice) {
+  auto bound = ParseAndBind(
+      "DECLARE PARAMETER @w AS RANGE 0 TO 4 STEP BY 1;"
+      "DECLARE PARAMETER @p AS SET (1, 2);"
+      "SELECT DemandModel(@w, @p) AS d INTO results;"
+      "OPTIMIZE SELECT @p FROM results GROUP BY p, P FOR MAX @p;",
+      registry_);
+  ASSERT_FALSE(bound.ok());
+  EXPECT_EQ(bound.status().code(), StatusCode::kBindError)
+      << bound.status().ToString();
+  EXPECT_NE(bound.status().message().find("'@P' twice"), std::string::npos)
+      << bound.status().ToString();
+}
+
+TEST_F(BinderTest, OptimizeSelectParameterMustBeDeclared) {
+  auto bound = ParseAndBind(
+      "DECLARE PARAMETER @w AS RANGE 0 TO 4 STEP BY 1;"
+      "DECLARE PARAMETER @p AS SET (1, 2);"
+      "SELECT DemandModel(@w, @p) AS d INTO results;"
+      "OPTIMIZE SELECT @p, @nosuch FROM results GROUP BY p FOR MAX @p;",
+      registry_);
+  ASSERT_FALSE(bound.ok());
+  EXPECT_EQ(bound.status().code(), StatusCode::kBindError)
+      << bound.status().ToString();
+  EXPECT_NE(bound.status().message().find("undeclared '@nosuch'"),
+            std::string::npos)
+      << bound.status().ToString();
+}
+
 // ---------------------------------------------------------------------------
 // ScriptRunner end-to-end
 // ---------------------------------------------------------------------------
@@ -485,6 +539,195 @@ TEST_F(BinderTest, ScriptRunnerRejectsOverrideOfUnknownParam) {
   cfg.num_samples = 50;
   ScriptRunner runner(&registry_, cfg);
   EXPECT_FALSE(runner.Run(kGraph, {{"ghost", 1.0}}).ok());
+}
+
+// ---------------------------------------------------------------------------
+// OPTIMIZE on the grid: at every (threads, batch) point, what an OPTIMIZE
+// decides and what it costs, against values recorded from the Optimizer's
+// per-point loop (one RunPoint per sweep point and constraint), which
+// preceded its request batches.
+// ---------------------------------------------------------------------------
+
+/// The found flag, the bits of the best valuation and of each group's
+/// constraint left-hand sides (group major), each group's feasibility
+/// ('1' or '0'), RunnerStats {evaluated, reused, invocations}, the basis
+/// count and BasisStoreStats {lookups, hits, misses, candidates tested,
+/// false positives}.
+struct OptimizeSummary {
+  bool found = false;
+  std::vector<std::uint64_t> best_valuation;
+  std::vector<std::uint64_t> constraint_lhs;
+  std::string feasible;
+  std::array<std::uint64_t, 3> runner_stats{};
+  std::uint64_t bases = 0;
+  std::array<std::uint64_t, 5> store_stats{};
+
+  bool operator==(const OptimizeSummary&) const = default;
+};
+
+/// Prints a summary as the initializer that records it.
+void PrintTo(const OptimizeSummary& s, std::ostream* os) {
+  const auto list = [os](const auto& xs, bool hex) {
+    *os << "{";
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+      if (i > 0) *os << ", ";
+      if (hex) {
+        *os << "0x" << std::hex << std::uppercase << xs[i] << std::dec
+            << "ULL";
+      } else {
+        *os << xs[i];
+      }
+    }
+    *os << "}";
+  };
+  *os << "{" << (s.found ? "true" : "false") << ",\n ";
+  list(s.best_valuation, true);
+  *os << ",\n ";
+  list(s.constraint_lhs, true);
+  *os << ",\n \"" << s.feasible << "\",\n ";
+  list(s.runner_stats, false);
+  *os << ", " << s.bases << ", ";
+  list(s.store_stats, false);
+  *os << "}";
+}
+
+OptimizeSummary Summarize(const OptimizeResult& result,
+                          const SimulationRunner& runner) {
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  OptimizeSummary s;
+  s.found = result.found;
+  for (double v : result.best_valuation) s.best_valuation.push_back(bits(v));
+  for (const GroupEvaluation& g : result.groups) {
+    for (double lhs : g.constraint_lhs) s.constraint_lhs.push_back(bits(lhs));
+    s.feasible += g.feasible ? '1' : '0';
+  }
+  const RunnerStats& rs = runner.stats();
+  s.runner_stats = {rs.points_evaluated, rs.points_reused,
+                    rs.blackbox_invocations};
+  s.bases = runner.basis_store().size();
+  const BasisStoreStats& bs = runner.basis_store().stats();
+  s.store_stats = {bs.lookups, bs.hits, bs.misses, bs.candidates_tested,
+                   bs.false_positive_candidates};
+  return s;
+}
+
+class OptimizerGridTest : public BinderTest {
+ protected:
+  /// Binds `script` and runs its OPTIMIZE (n = 200, m = 10, seed 1) at
+  /// every grid point, expecting `want` at each.
+  void ExpectGrid(const std::string& script, bool use_fingerprints,
+                  const OptimizeSummary& want) {
+    auto bound = ParseAndBind(script, registry_);
+    ASSERT_TRUE(bound.ok()) << bound.status().ToString();
+    const BoundScript& b = bound.value();
+    ASSERT_TRUE(b.optimize.has_value());
+    test::ForEachGridPoint([&](std::size_t threads, std::size_t batch) {
+      RunConfig cfg;
+      cfg.num_samples = 200;
+      cfg.fingerprint_size = 10;
+      cfg.master_seed = 1;
+      cfg.use_fingerprints = use_fingerprints;
+      cfg.num_threads = threads;
+      cfg.batch_size = batch;
+      SimulationRunner runner(cfg);
+      auto result = Optimizer(&runner).Run(b.scenario, *b.optimize);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      EXPECT_EQ(Summarize(result.value(), runner), want);
+    });
+  }
+
+  static std::string CorpusScript(const std::string& name) {
+    std::ifstream in(std::string(JIGSAW_SQL_CORPUS_DIR) + "/" + name);
+    std::ostringstream text;
+    text << in.rdbuf();
+    return text.str();
+  }
+};
+
+// Figure 1 at test scale: 18 groups of 13 weeks, one constraint. No week
+// up to 24 overloads, so every group's left-hand side is 0 and the stats
+// and the basis store carry the rest.
+TEST_F(OptimizerGridTest, Figure1SmallNaive) {
+  const std::string script = CorpusScript("figure1_small.sql");
+  ASSERT_FALSE(script.empty());
+  ExpectGrid(script, /*use_fingerprints=*/false,
+             {true,
+              {0x4028000000000000ULL, 0x4030000000000000ULL,
+               0x4030000000000000ULL},
+              std::vector<std::uint64_t>(18, 0x0ULL),
+              "111111111111111111",
+              {234, 0, 46800},
+              0,
+              {0, 0, 0, 0, 0}});
+}
+
+TEST_F(OptimizerGridTest, Figure1SmallFingerprints) {
+  const std::string script = CorpusScript("figure1_small.sql");
+  ASSERT_FALSE(script.empty());
+  ExpectGrid(script, /*use_fingerprints=*/true,
+             {true,
+              {0x4028000000000000ULL, 0x4030000000000000ULL,
+               0x4030000000000000ULL},
+              std::vector<std::uint64_t>(18, 0x0ULL),
+              "111111111111111111",
+              {234, 233, 2530},
+              1,
+              {234, 233, 1, 233, 0}});
+}
+
+// Two constraints read demand, so each sweep point's second demand
+// request repeats its first: when the first misses, the second maps a
+// basis whose metrics the same batch has yet to compute.
+TEST_F(OptimizerGridTest, TwoConstraintsOnOneColumn) {
+  ExpectGrid(R"(
+DECLARE PARAMETER @week AS RANGE 0 TO 40 STEP BY 4;
+DECLARE PARAMETER @purchase AS SET (8, 20, 32);
+SELECT DemandModel(@week, @purchase) AS demand,
+       CapacityModel(@week, @purchase, 36) AS capacity
+INTO results;
+OPTIMIZE SELECT @purchase FROM results
+WHERE MAX(EXPECT demand) < 45 AND AVG(P95 demand) < 25
+  AND AVG(EXPECT capacity) > 46
+GROUP BY purchase
+FOR MAX @purchase
+)",
+             /*use_fingerprints=*/true,
+             {true,
+              {0x4034000000000000ULL},
+              {0x40474E956919A044ULL, 0x4039C8C65ECB428CULL,
+               0x404B40D0860D0860ULL, 0x404618045C833CA2ULL,
+               0x4037AA8D20FD4EF1ULL, 0x4048CC736EC736ECULL,
+               0x4044E0E4E360A20EULL, 0x4036753D43207543ULL,
+               0x4046581657816578ULL},
+              "010",
+              {99, 96, 1560},
+              3,
+              {99, 96, 3, 96, 0}});
+}
+
+// Each group's sweep is one request longer than the Optimizer's request
+// window, so it runs as two batches. Capacity stays one constant basis
+// until the purchases land, so each group's last week is a new basis that
+// only the second batch reaches.
+TEST_F(OptimizerGridTest, SweepOneRequestLongerThanAWindow) {
+  static_assert(Optimizer::kRequestWindow + 1 == 4097);
+  ExpectGrid(R"(
+DECLARE PARAMETER @week AS RANGE 0 TO 4096 STEP BY 1;
+DECLARE PARAMETER @p1 AS SET (4094, 4095);
+SELECT CapacityModel(@week, @p1, 4095) AS capacity INTO results;
+OPTIMIZE SELECT @p1 FROM results
+WHERE SUM(EXPECT capacity) > 163900
+GROUP BY p1
+FOR MIN @p1
+)",
+             /*use_fingerprints=*/true,
+             {true,
+              {0x40AFFC0000000000ULL},
+              {0x410402031EB851EBULL, 0x410401AB47AE147BULL},
+              "10",
+              {8194, 8190, 82700},
+              4,
+              {8194, 8190, 4, 8190, 0}});
 }
 
 // ---------------------------------------------------------------------------

@@ -108,42 +108,6 @@ TEST(WelfordTest, MatchesClosedForm) {
   EXPECT_DOUBLE_EQ(acc.max(), 5.0);
 }
 
-TEST(WelfordTest, MergeEqualsSequential) {
-  WelfordAccumulator a, b, whole;
-  for (int i = 0; i < 50; ++i) {
-    const double x = std::sin(i * 0.7) * 10 + i * 0.1;
-    (i < 20 ? a : b).Add(x);
-    whole.Add(x);
-  }
-  a.Merge(b);
-  EXPECT_EQ(a.count(), whole.count());
-  EXPECT_NEAR(a.mean(), whole.mean(), 1e-12);
-  EXPECT_NEAR(a.variance(), whole.variance(), 1e-12);
-  EXPECT_DOUBLE_EQ(a.min(), whole.min());
-  EXPECT_DOUBLE_EQ(a.max(), whole.max());
-}
-
-TEST(WelfordTest, MergeWithEmptySides) {
-  WelfordAccumulator a, empty;
-  a.Add(1.0);
-  a.Add(3.0);
-  a.Merge(empty);
-  EXPECT_EQ(a.count(), 2);
-  EXPECT_DOUBLE_EQ(a.mean(), 2.0);
-  WelfordAccumulator target;
-  target.Merge(a);
-  EXPECT_EQ(target.count(), 2);
-  EXPECT_DOUBLE_EQ(target.mean(), 2.0);
-}
-
-TEST(KahanTest, CompensatesSmallTerms) {
-  KahanSum sum;
-  sum.Add(1e16);
-  for (int i = 0; i < 10000; ++i) sum.Add(1.0);
-  sum.Add(-1e16);
-  EXPECT_DOUBLE_EQ(sum.sum(), 10000.0);
-}
-
 TEST(QuantileTest, InterpolatesBetweenRanks) {
   std::vector<double> xs = {1, 2, 3, 4};
   EXPECT_DOUBLE_EQ(Quantile(xs, 0.0), 1.0);
