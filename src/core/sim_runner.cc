@@ -10,11 +10,13 @@ namespace jigsaw {
 
 SimulationRunner::SimulationRunner(const RunConfig& config)
     : config_(config),
+      draw_memo_(config.fingerprint_size),
       seeds_(config.master_seed, config.num_samples),
       basis_store_(config.index_kind) {
   const Status valid = ValidateConfig(config_);
   JIGSAW_CHECK_MSG(valid.ok(), valid.message());
   if (config_.batch_size == 0) config_.batch_size = 1;
+  if (config_.use_fingerprints) seeds_.set_draw_memo(&draw_memo_);
   pool_ = ResolvePool(config_, &owned_pool_);
 }
 
@@ -84,12 +86,14 @@ std::vector<PointResult> SimulationRunner::RunPoints(
   }
 
   // Phase 1: every request's fingerprint, the first m rounds of its
-  // simulation.
+  // simulation. Model calls read the draw memo and stage its misses,
+  // which join it now, between pool phases.
   std::vector<Fingerprint> fps(requests.size());
   ForEach(requests.size(), [&](std::size_t i) {
     fps[i] = ComputeFingerprint(*requests[i].fn, requests[i].params, seeds_,
                                 m);
   });
+  draw_memo_.Commit();
 
   // Phase 2: the match/miss decisions, serially in request order. A miss
   // registers its fingerprint now, making it matchable by later requests,

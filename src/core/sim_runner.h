@@ -5,7 +5,9 @@
 /// (FindMatch) embedded in the simulation loop of Figure 3. For each
 /// parameter point the runner:
 ///
-///   1. evaluates the first m seeded samples (the fingerprint);
+///   1. evaluates the first m seeded samples (the fingerprint), copying a
+///      model call's draws from the runner's DrawMemo when an earlier
+///      point with the same draw key made them;
 ///   2. asks the BasisStore for a mappable basis distribution;
 ///   3. on a hit, returns M_est(basis.metrics) — no further sampling;
 ///   4. on a miss, completes the remaining n-m samples, registers the new
@@ -19,6 +21,8 @@
 /// and RunSweep a batch of every point of a space. With num_threads > 1
 /// the pipeline's sampling phases fan the batch's points out on the
 /// worker pool, and the results stay bit-identical at every thread count.
+/// The fingerprints' memo misses are staged during step 1 and committed
+/// after it, on the calling thread.
 
 #include <cstddef>
 #include <functional>
@@ -33,6 +37,7 @@
 #include "core/parameter_space.h"
 #include "core/run_config.h"
 #include "core/sim_function.h"
+#include "random/draw_memo.h"
 #include "random/seed_vector.h"
 #include "util/status.h"
 
@@ -75,7 +80,8 @@ class SimulationRunner {
   /// count to evaluating the requests one at a time, in order:
   ///
   ///   1. the fingerprints of every request evaluate (each sample is a
-  ///      pure function of its seed, so scheduling cannot perturb it);
+  ///      pure function of its seed, so scheduling cannot perturb it),
+  ///      reading the draw memo, whose staged misses are then committed;
   ///   2. the match/miss decisions run serially in request order against
   ///      the basis store, so reuse decisions, basis ids and store stats
   ///      are the one-at-a-time run's; a miss registers its fingerprint at
@@ -102,6 +108,9 @@ class SimulationRunner {
   const SeedVector& seeds() const { return seeds_; }
   const BasisStore& basis_store() const { return basis_store_; }
   const RunnerStats& stats() const { return stats_; }
+  /// The memo of fingerprint draws that seeds() carries to the batch
+  /// kernels (random/draw_memo.h). A naive run attaches none.
+  const DrawMemo& draw_memo() const { return draw_memo_; }
 
  private:
   /// Evaluates samples [begin, begin + out.size()) of `fn` into `out`,
@@ -117,6 +126,7 @@ class SimulationRunner {
                const std::function<void(std::size_t)>& body) const;
 
   RunConfig config_;
+  DrawMemo draw_memo_;
   SeedVector seeds_;
   BasisStore basis_store_;
   RunnerStats stats_;

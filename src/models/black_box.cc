@@ -1,5 +1,7 @@
 #include "models/black_box.h"
 
+#include <bit>
+
 #include "util/logging.h"
 #include "util/string_util.h"
 
@@ -13,6 +15,11 @@ void BlackBox::EvalBatch(std::span<const double> params, SeedSpan seeds,
     RandomStream rng = StreamForSigma(seeds[i], call_site);
     out[i] = Eval(params, rng);
   }
+}
+
+void BlackBox::AppendDrawKey(std::span<const double> params,
+                             std::vector<std::uint64_t>* key) const {
+  for (const double p : params) key->push_back(std::bit_cast<std::uint64_t>(p));
 }
 
 Status ModelRegistry::Register(BlackBoxPtr model) {

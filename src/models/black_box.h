@@ -47,6 +47,16 @@ class BlackBox {
   virtual void EvalBatch(std::span<const double> params, SeedSpan seeds,
                          std::uint64_t call_site,
                          std::span<double> out) const;
+
+  /// Appends the words that alone decide this model's draws at `params`:
+  /// two valuations that append the same words get the same EvalBatch
+  /// bits from every seed span and call site. A SimulationRunner's
+  /// DrawMemo keys fingerprint draws by them. The default appends the
+  /// bits of `params`, which Section 3.1's contract makes exact for every
+  /// black box; the cloud models append their prepared point when it is
+  /// made only of doubles (see cloud_models.cc).
+  virtual void AppendDrawKey(std::span<const double> params,
+                             std::vector<std::uint64_t>* key) const;
 };
 
 using BlackBoxPtr = std::shared_ptr<const BlackBox>;

@@ -1,8 +1,10 @@
 #include "models/cloud_models.h"
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -13,15 +15,45 @@ namespace jigsaw {
 
 namespace {
 
+template <typename T, std::size_t... I>
+constexpr bool InitializedByDoubles(std::index_sequence<I...>) {
+  return requires { T{(static_cast<void>(I), std::declval<double>())...}; };
+}
+
+/// True when T is made only of doubles: a double, or a trivially copyable
+/// aggregate that exactly sizeof(T) / sizeof(double) doubles initialize
+/// without narrowing. A member of another type either narrows or leaves an
+/// initializer over, and so does padding, so T's bytes are all value bits.
+template <typename T>
+constexpr bool kMadeOfDoubles =
+    std::is_trivially_copyable_v<T> &&
+    (std::is_same_v<T, double> || std::is_aggregate_v<T>) &&
+    sizeof(T) % sizeof(double) == 0 &&
+    InitializedByDoubles<T>(std::make_index_sequence<sizeof(T) /
+                                                     sizeof(double)>{});
+
+struct PaddedPoint {
+  double value;
+  int flag;
+};
+static_assert(!kMadeOfDoubles<PaddedPoint> && !kMadeOfDoubles<float> &&
+              !kMadeOfDoubles<std::vector<double>>);
+
 /// Implements BlackBox from a model's two members: `Prepare(params)` does
 /// the work that depends only on the parameter point and returns it, and
 /// `Draw(point, rng)` makes one sample's draws. `Eval` is
 /// Draw(Prepare(params), rng); `EvalBatch` prepares once and draws sample
 /// i from StreamForSigma(seeds[i], call_site), the stream InvokeSeeded
-/// hands `Eval`, so the two paths agree bit for bit.
+/// hands `Eval`, so the two paths agree bit for bit. `Draw` reads only
+/// the point and the model's own config, so a point made only of doubles
+/// is the model's draw key; any other point (UserSelection's roster) is
+/// never built to make a key, and the params are the key.
 template <typename Model>
 class PreparedModel final : public BlackBox {
  public:
+  using Point = decltype(std::declval<const Model&>().Prepare(
+      std::span<const double>()));
+
   PreparedModel(std::string name, std::vector<std::string> param_names,
                 Model model)
       : name_(std::move(name)),
@@ -46,6 +78,18 @@ class PreparedModel final : public BlackBox {
     for (std::size_t i = 0; i < out.size(); ++i) {
       RandomStream rng = StreamForSigma(seeds[i], call_site);
       out[i] = model_.Draw(point, rng);
+    }
+  }
+
+  void AppendDrawKey(std::span<const double> p,
+                     std::vector<std::uint64_t>* key) const override {
+    if constexpr (kMadeOfDoubles<Point>) {
+      const Point point = model_.Prepare(p);
+      const std::size_t at = key->size();
+      key->resize(at + sizeof(Point) / sizeof(std::uint64_t));
+      std::memcpy(key->data() + at, &point, sizeof(Point));
+    } else {
+      BlackBox::AppendDrawKey(p, key);
     }
   }
 
@@ -275,6 +319,13 @@ struct Outage {
 
   CloudModelConfig cfg;
 };
+
+static_assert(kMadeOfDoubles<Demand::Point> &&
+              kMadeOfDoubles<Capacity::Point> &&
+              kMadeOfDoubles<Overload::Point> &&
+              kMadeOfDoubles<SynthBasis::Point> &&
+              kMadeOfDoubles<SeasonalDemand::Point> &&
+              kMadeOfDoubles<double>);
 
 }  // namespace
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "random/draw_memo.h"
 #include "util/logging.h"
 
 namespace jigsaw::pdb {
@@ -723,12 +724,26 @@ Status BatchProgram::Exec(const Context& ctx, std::size_t n,
             !lane_param_conflict) {
           // Arguments are identical across lanes: one EvalBatch over the
           // whole seed span (bit-identical to per-lane InvokeSeeded by
-          // the EvalBatch contract).
+          // the EvalBatch contract). A fingerprint's draws, samples
+          // [0, m) of a runner's seeds, come from the runner's memo when
+          // an earlier point drew them.
           s.argv.clear();
           for (std::uint32_t arg : op.args) s.argv.push_back(val(arg)[0]);
-          op.model->EvalBatch(s.argv,
-                              ctx.seeds->span(ctx.sample_begin, n),
-                              site, std::span<double>(d, n));
+          const std::span<double> lanes(d, n);
+          DrawMemo* memo = ctx.seeds->draw_memo();
+          if (memo != nullptr && ctx.sample_begin == 0 &&
+              n == memo->fingerprint_size()) {
+            s.draw_key.clear();
+            op.model->AppendDrawKey(s.argv, &s.draw_key);
+            if (!memo->Lookup(op.model.get(), site, s.draw_key, lanes)) {
+              op.model->EvalBatch(s.argv, ctx.seeds->span(0, n), site, lanes);
+              memo->Stage(op.model, site, s.draw_key, lanes);
+            }
+          } else {
+            op.model->EvalBatch(s.argv,
+                                ctx.seeds->span(ctx.sample_begin, n), site,
+                                lanes);
+          }
           std::fill(dn, dn + n, std::uint8_t{0});
         } else {
           for_active([&](std::size_t l) {

@@ -15,7 +15,8 @@
 ///  * model calls dispatch through BlackBox::EvalBatch when their
 ///    arguments are lane-uniform, and otherwise re-derive the exact
 ///    per-sample (seed, call_site, stream_salt) stream the interpreter
-///    would have used.
+///    would have used. A lane-uniform call over a fingerprint (samples
+///    [0, m) of seeds that carry a DrawMemo) reads the memo first.
 ///
 /// The compiled program is **bit-identical** to the Expr::Eval walk: the
 /// same doubles, the same draws, and — on failure — the same
@@ -104,6 +105,7 @@ class BatchScratch {
   std::vector<std::uint8_t> masks;   ///< num_masks x n
   std::vector<std::uint32_t> err;    ///< per lane: first erroring op index
   std::vector<double> argv;          ///< model-call argument gather
+  std::vector<std::uint64_t> draw_key;  ///< model-call draw key
   bool any_error = false;
 };
 

@@ -11,6 +11,10 @@
 /// One derivation serves every sample: sigma_k is the k'th output of
 /// SplitMix64(master), and sample k draws at black-box call site c from
 /// one Xoshiro256 stream seeded with DeriveStreamSeed(sigma_k, c).
+///
+/// A SimulationRunner's seed vector also carries the runner's DrawMemo
+/// (random/draw_memo.h) to the batch kernels. A copy draws the same seeds
+/// but carries no memo, so only the runner's own kernels read it.
 
 #include <cstddef>
 #include <cstdint>
@@ -24,6 +28,8 @@
 #include "util/logging.h"
 
 namespace jigsaw {
+
+class DrawMemo;
 
 /// The draw derivation above, the only one. The enum remains because
 /// RunConfig::seed_schema and SeedVector's third constructor parameter
@@ -66,6 +72,17 @@ class SeedVector {
     for (std::size_t i = 0; i < count; ++i) seeds_.push_back(gen.Next());
   }
 
+  /// A copy, and a vector assigned from one, carries no memo: a memo's
+  /// entries belong to the runner that filled them.
+  SeedVector(const SeedVector& other)
+      : master_seed_(other.master_seed_), seeds_(other.seeds_) {}
+  SeedVector& operator=(const SeedVector& other) {
+    master_seed_ = other.master_seed_;
+    seeds_ = other.seeds_;
+    draw_memo_ = nullptr;
+    return *this;
+  }
+
   std::uint64_t master_seed() const { return master_seed_; }
   std::size_t size() const { return seeds_.size(); }
 
@@ -88,9 +105,15 @@ class SeedVector {
     return StreamForSigma(seeds_[k], call_site);
   }
 
+  /// The memo of this vector's fingerprint draws, or null. Non-owning:
+  /// the runner that attaches it owns it.
+  DrawMemo* draw_memo() const { return draw_memo_; }
+  void set_draw_memo(DrawMemo* memo) { draw_memo_ = memo; }
+
  private:
   std::uint64_t master_seed_;
   std::vector<std::uint64_t> seeds_;
+  DrawMemo* draw_memo_ = nullptr;
 };
 
 }  // namespace jigsaw

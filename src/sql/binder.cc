@@ -662,12 +662,6 @@ Result<BoundScript> Binder::Bind(const Script& script) {
                                bound.scenario.into_table + "'");
     }
     const ParameterSpace& params = bound.scenario.params;
-    for (const auto& p : o.select_params) {
-      if (!params.IndexOf(p)) {
-        return Status::BindError("OPTIMIZE SELECT references undeclared '@" +
-                                 p + "'");
-      }
-    }
     OptimizeSpec spec;
     std::vector<std::size_t> group_idx;
     for (const auto& g : o.group_by) {
@@ -682,6 +676,20 @@ Result<BoundScript> Binder::Bind(const Script& script) {
       }
       group_idx.push_back(*idx);
       spec.group_params.push_back(g);
+    }
+    // The result reports one valuation of the grouped parameters, so a
+    // SELECTed parameter must be one of them.
+    for (const auto& p : o.select_params) {
+      const auto idx = params.IndexOf(p);
+      if (!idx) {
+        return Status::BindError("OPTIMIZE SELECT references undeclared '@" +
+                                 p + "'");
+      }
+      if (std::find(group_idx.begin(), group_idx.end(), *idx) ==
+          group_idx.end()) {
+        return Status::BindError("OPTIMIZE SELECT parameter '@" + p +
+                                 "' is not a GROUP BY parameter");
+      }
     }
     for (const auto& c : o.constraints) {
       MetricConstraint mc;

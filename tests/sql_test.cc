@@ -9,15 +9,21 @@
 #include <cstdint>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <ostream>
+#include <set>
 #include <span>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "boxed_reference.h"
+#include "core/fingerprint.h"
 #include "grid_test_util.h"
 #include "models/cloud_models.h"
+#include "pdb/layered_engine.h"
+#include "point_loop_reference.h"
+#include "random/draw_memo.h"
 #include "sql/binder.h"
 #include "sql/chain_process.h"
 #include "sql/lexer.h"
@@ -483,6 +489,23 @@ TEST_F(BinderTest, OptimizeSelectParameterMustBeDeclared) {
       << bound.status().ToString();
 }
 
+TEST_F(BinderTest, OptimizeSelectParameterMustBeGrouped) {
+  auto bound = ParseAndBind(
+      "DECLARE PARAMETER @w AS RANGE 0 TO 4 STEP BY 1;"
+      "DECLARE PARAMETER @p AS SET (1, 2);"
+      "SELECT DemandModel(@w, @p) AS demand INTO results;"
+      "OPTIMIZE SELECT @w FROM results WHERE MAX(EXPECT demand) < 100 "
+      "GROUP BY p FOR MAX @p;",
+      registry_);
+  ASSERT_FALSE(bound.ok());
+  EXPECT_EQ(bound.status().code(), StatusCode::kBindError)
+      << bound.status().ToString();
+  EXPECT_NE(bound.status().message().find(
+                "'@w' is not a GROUP BY parameter"),
+            std::string::npos)
+      << bound.status().ToString();
+}
+
 // ---------------------------------------------------------------------------
 // ScriptRunner end-to-end
 // ---------------------------------------------------------------------------
@@ -728,6 +751,348 @@ FOR MIN @p1
               {8194, 8190, 82700},
               4,
               {8194, 8190, 4, 8190, 0}});
+}
+
+// ---------------------------------------------------------------------------
+// Draw memo: a runner draws each (model, site, draw key)'s fingerprint once
+// ---------------------------------------------------------------------------
+
+class DrawMemoTest : public OptimizerGridTest {
+ protected:
+  static std::uint64_t Bits(double x) {
+    return std::bit_cast<std::uint64_t>(x);
+  }
+
+  static std::vector<std::uint64_t> BitsOf(std::span<const double> p) {
+    std::vector<std::uint64_t> bits;
+    for (double x : p) bits.push_back(Bits(x));
+    return bits;
+  }
+
+  static std::vector<std::uint64_t> DrawKey(const BlackBox& model,
+                                            std::span<const double> p) {
+    std::vector<std::uint64_t> key;
+    model.AppendDrawKey(p, &key);
+    return key;
+  }
+
+  static RunConfig Config(std::size_t n, std::size_t batch) {
+    RunConfig cfg;
+    cfg.num_samples = n;
+    cfg.fingerprint_size = 10;
+    cfg.master_seed = 1;
+    cfg.batch_size = batch;
+    return cfg;
+  }
+
+  static BoundScript Bind(const std::string& script,
+                          const ModelRegistry& registry) {
+    auto bound = ParseAndBind(script, registry);
+    EXPECT_TRUE(bound.ok()) << bound.status().ToString();
+    return bound.ok() ? std::move(bound).value() : BoundScript{};
+  }
+
+  BlackBoxPtr Model(const std::string& name) const {
+    return registry_.Lookup(name).value();
+  }
+
+  /// The memo holds `model`'s m draws at `p` and `site`, and they are
+  /// EvalBatch's over the runner's seeds [0, m), bit for bit.
+  static void ExpectEntry(const SimulationRunner& runner,
+                          const BlackBoxPtr& model, std::uint64_t site,
+                          std::span<const double> p) {
+    const std::size_t m = runner.config().fingerprint_size;
+    std::vector<double> stored(m), drawn(m);
+    ASSERT_TRUE(runner.draw_memo().Lookup(model.get(), site,
+                                          DrawKey(*model, p), stored))
+        << model->name() << " at site " << site;
+    model->EvalBatch(p, runner.seeds().span(0, m), site, drawn);
+    for (std::size_t k = 0; k < m; ++k) {
+      EXPECT_EQ(Bits(stored[k]), Bits(drawn[k])) << "draw " << k;
+    }
+  }
+
+  /// `fn`'s fingerprint at `p`, drawn without a memo.
+  static std::vector<std::uint64_t> PlainFingerprint(
+      const SimFunction& fn, std::span<const double> p,
+      const RunConfig& cfg) {
+    const SeedVector seeds(cfg.master_seed, cfg.num_samples);
+    return BitsOf(
+        ComputeFingerprint(fn, p, seeds, cfg.fingerprint_size).values());
+  }
+};
+
+TEST_F(DrawMemoTest, StagedEntriesJoinAtCommitOnceEach) {
+  DrawMemo memo(3);
+  auto model = std::make_shared<int>(0);
+  const std::weak_ptr<int> alive = model;
+  const std::uint64_t key[] = {7, 9};
+  const double draws[] = {1.5, -0.0, 2.25};
+  std::vector<double> out(3);
+  memo.Stage(model, 4, key, draws);
+  memo.Stage(model, 4, key, draws);
+  memo.Stage(model, 5, key, draws);
+  EXPECT_FALSE(memo.Lookup(model.get(), 4, key, out));
+  memo.Commit();
+  EXPECT_EQ(memo.size(), 2u);
+  EXPECT_EQ(memo.bytes(), 2 * (3 + 2 + 3) * sizeof(std::uint64_t));
+  ASSERT_TRUE(memo.Lookup(model.get(), 4, key, out));
+  EXPECT_EQ(BitsOf(out), BitsOf(draws));
+  EXPECT_TRUE(memo.Lookup(model.get(), 5, key, out));
+  EXPECT_FALSE(memo.Lookup(model.get(), 6, key, out));
+  EXPECT_FALSE(memo.Lookup(model.get(), 4, std::span(key, 1), out));
+  // An entry pins its model: no other model can take its address.
+  model.reset();
+  EXPECT_FALSE(alive.expired());
+}
+
+TEST_F(DrawMemoTest, EntriesEqualEvalBatchBitForBit) {
+  const BoundScript b = Bind(R"(
+DECLARE PARAMETER @w AS RANGE 0 TO 12 STEP BY 1;
+DECLARE PARAMETER @f AS SET (4, 8);
+DECLARE PARAMETER @p AS SET (0, 4);
+SELECT DemandModel(@w, @f) AS demand,
+       CapacityModel(@w, @p, 6) AS capacity
+INTO results;
+)",
+                             registry_);
+  ASSERT_EQ(b.scenario.columns.size(), 2u);
+  // The capacity column runs both calls; sites number them in text order.
+  const SimFunction& capacity = *b.scenario.columns[1].fn;
+  const BlackBoxPtr demand_model = Model("DemandModel");
+  const BlackBoxPtr capacity_model = Model("CapacityModel");
+  test::ForEachGridPoint([&](std::size_t threads, std::size_t batch) {
+    RunConfig cfg = Config(40, batch);
+    cfg.num_threads = threads;
+    SimulationRunner runner(cfg);
+    runner.RunSweep(capacity, b.scenario.params);
+    std::set<std::pair<std::uint64_t, std::vector<std::uint64_t>>> keys;
+    for (std::size_t i = 0; i < b.scenario.params.NumPoints(); ++i) {
+      const std::vector<double> v = b.scenario.params.ValuationAt(i);
+      const double demand_args[] = {v[0], v[1]};
+      const double capacity_args[] = {v[0], v[2], 6.0};
+      ExpectEntry(runner, demand_model, 1, demand_args);
+      ExpectEntry(runner, capacity_model, 2, capacity_args);
+      keys.emplace(1, DrawKey(*demand_model, demand_args));
+      keys.emplace(2, DrawKey(*capacity_model, capacity_args));
+    }
+    EXPECT_EQ(runner.draw_memo().size(), keys.size());
+  });
+}
+
+// Capacity's point is (w - p1, w - p2), and Demand's ignores a release at
+// or after the week, so such points share one entry and one fingerprint.
+TEST_F(DrawMemoTest, PreparedPointsShareEntries) {
+  const RunConfig cfg = Config(50, 64);
+  {
+    const BoundScript b = Bind(R"(
+DECLARE PARAMETER @w AS RANGE 0 TO 20 STEP BY 1;
+DECLARE PARAMETER @p1 AS RANGE 0 TO 20 STEP BY 1;
+DECLARE PARAMETER @p2 AS RANGE 0 TO 20 STEP BY 1;
+SELECT CapacityModel(@w, @p1, @p2) AS capacity INTO results;
+)",
+                               registry_);
+    const SimFunction& fn = *b.scenario.columns[0].fn;
+    const double a[] = {10, 3, 7};
+    const double c[] = {14, 7, 11};
+    EXPECT_EQ(DrawKey(*Model("CapacityModel"), a),
+              DrawKey(*Model("CapacityModel"), c));
+    SimulationRunner runner(cfg);
+    const PointRequest requests[] = {{&fn, a}, {&fn, c}};
+    const std::vector<PointResult> results = runner.RunPoints(requests);
+    EXPECT_EQ(runner.draw_memo().size(), 1u);
+    EXPECT_TRUE(results[1].reused);
+    EXPECT_EQ(PlainFingerprint(fn, a, cfg), PlainFingerprint(fn, c, cfg));
+  }
+  {
+    const BoundScript b = Bind(R"(
+DECLARE PARAMETER @w AS RANGE 0 TO 20 STEP BY 1;
+DECLARE PARAMETER @f AS RANGE 0 TO 60 STEP BY 1;
+SELECT DemandModel(@w, @f) AS demand INTO results;
+)",
+                               registry_);
+    const SimFunction& fn = *b.scenario.columns[0].fn;
+    const double at[] = {10, 10};
+    const double soon[] = {10, 12};
+    const double late[] = {10, 40};
+    const double before[] = {10, 8};
+    SimulationRunner runner(cfg);
+    const PointRequest requests[] = {{&fn, at}, {&fn, soon}, {&fn, late}};
+    runner.RunPoints(requests);
+    EXPECT_EQ(runner.draw_memo().size(), 1u);
+    EXPECT_EQ(PlainFingerprint(fn, at, cfg), PlainFingerprint(fn, late, cfg));
+    EXPECT_EQ(PlainFingerprint(fn, soon, cfg),
+              PlainFingerprint(fn, late, cfg));
+    // A release before the week prepares another point.
+    runner.RunPoint(fn, before);
+    EXPECT_EQ(runner.draw_memo().size(), 2u);
+    EXPECT_NE(PlainFingerprint(fn, before, cfg),
+              PlainFingerprint(fn, late, cfg));
+  }
+}
+
+TEST_F(DrawMemoTest, UnpreparedModelsKeyByTheirParams) {
+  CloudModelConfig small;
+  small.num_users = 40;
+  const BlackBoxPtr users = MakeUserSelectionModel(small);
+  const BlackBoxPtr noise = std::make_shared<CallableBlackBox>(
+      "Noise", std::vector<std::string>{"a", "b"},
+      [](std::span<const double> p, RandomStream& rng) {
+        return p[0] + p[1] * rng.Gaussian();
+      });
+  // The roster is not made of doubles, so UserSelection's key is its
+  // params: Prepare never runs to make it.
+  const double week[] = {7.0};
+  const double ab[] = {1.5, -0.0};
+  EXPECT_EQ(DrawKey(*users, week), BitsOf(week));
+  EXPECT_EQ(DrawKey(*noise, ab), BitsOf(ab));
+
+  ModelRegistry registry;
+  ASSERT_TRUE(registry.Register(users).ok());
+  ASSERT_TRUE(registry.Register(noise).ok());
+  const BoundScript b = Bind(R"(
+DECLARE PARAMETER @w AS RANGE 0 TO 8 STEP BY 2;
+SELECT UserSelectionModel(@w) AS load, Noise(@w, 2) AS x INTO results;
+)",
+                             registry);
+  SimulationRunner runner(Config(30, 7));
+  runner.RunSweep(*b.scenario.columns[1].fn, b.scenario.params);
+  for (std::size_t i = 0; i < b.scenario.params.NumPoints(); ++i) {
+    const double week = b.scenario.params.ValuationAt(i)[0];
+    const double user_args[] = {week};
+    const double noise_args[] = {week, 2.0};
+    ExpectEntry(runner, users, 1, user_args);
+    ExpectEntry(runner, noise, 2, noise_args);
+  }
+  EXPECT_EQ(runner.draw_memo().size(), 10u);
+}
+
+// Only a fingerprint (samples [0, m) of a runner's own seeds) reads or
+// fills the memo.
+TEST_F(DrawMemoTest, TailsNaiveRunsMonteCarloAndChainsInsertNothing) {
+  const std::string scenario = R"(
+DECLARE PARAMETER @w AS RANGE 1 TO 5 STEP BY 1;
+SELECT DemandModel(@w, 52) AS demand INTO results;
+)";
+  const BoundScript b = Bind(scenario, registry_);
+  const SimFunction& demand = *b.scenario.columns[0].fn;
+  // batch_size = m: every tail chunk is m samples long too.
+  RunConfig cfg = Config(30, 10);
+  for (const bool fingerprints : {true, false}) {
+    SCOPED_TRACE(fingerprints ? "fingerprints" : "naive");
+    cfg.use_fingerprints = fingerprints;
+    SimulationRunner runner(cfg);
+    test::PointLoopReference reference(cfg);
+    const auto got = runner.RunSweep(demand, b.scenario.params);
+    const auto want = reference.RunSweep(demand, b.scenario.params);
+    test::ExpectMatchesPointLoop(got, runner, want, reference);
+    EXPECT_EQ(runner.draw_memo().size(), fingerprints ? 5u : 0u);
+    EXPECT_EQ(runner.seeds().draw_memo() != nullptr, fingerprints);
+  }
+
+  // MONTECARLO and chains draw from seed vectors of their own, and a copy
+  // of a runner's seeds carries no memo.
+  cfg.use_fingerprints = true;
+  SimulationRunner runner(cfg);
+  runner.RunSweep(demand, b.scenario.params);
+  const SeedVector copy = runner.seeds();
+  SeedVector assigned(cfg.master_seed, 1);
+  assigned = runner.seeds();
+  EXPECT_EQ(copy.draw_memo(), nullptr);
+  EXPECT_EQ(assigned.draw_memo(), nullptr);
+  EXPECT_EQ(pdb::LayeredEngine(cfg).seeds().draw_memo(), nullptr);
+  EXPECT_EQ(NaiveChainRunner(cfg).seeds().draw_memo(), nullptr);
+  EXPECT_EQ(MarkovJumpRunner(cfg).seeds().draw_memo(), nullptr);
+  ScriptRunner script_runner(&registry_, cfg);
+  ASSERT_TRUE(script_runner.Run(scenario + "MONTECARLO;").ok());
+  const BoundScript chain = Bind(R"(
+DECLARE PARAMETER @current_week AS RANGE 0 TO 52 STEP BY 1;
+DECLARE PARAMETER @release_week AS CHAIN release_week
+  FROM @current_week : @current_week - 1 INITIAL VALUE 52;
+SELECT CASE WHEN demand > 26 AND @current_week + 4 < @release_week
+            THEN @current_week + 4 ELSE @release_week END AS release_week,
+       demand
+FROM (SELECT DemandModel(@current_week, @release_week) AS demand)
+INTO results;
+)",
+                                 registry_);
+  for (const bool jump : {false, true}) {
+    ASSERT_TRUE(RunChainScenario(chain, "demand", 12, cfg, jump).ok());
+  }
+  EXPECT_EQ(runner.draw_memo().size(), 5u);
+}
+
+// Two scripts bound against registries whose CapacityModel differs only
+// in what Draw reads from its config: the same names, sites and draw keys,
+// but other model objects. One runner runs them in turn, the first
+// script's models gone before the second's are made.
+TEST_F(DrawMemoTest, OneRunnerKeepsTwoScriptsDrawsApart) {
+  const std::string script = R"(
+DECLARE PARAMETER @w AS RANGE 0 TO 12 STEP BY 1;
+DECLARE PARAMETER @p AS SET (2, 6);
+SELECT CapacityModel(@w, @p, @p) AS capacity INTO results;
+)";
+  const RunConfig cfg = Config(40, 64);
+  SimulationRunner runner(cfg);
+  std::size_t first_entries = 0;
+  {
+    ModelRegistry first;
+    ASSERT_TRUE(RegisterCloudModels(&first).ok());
+    const BoundScript b = Bind(script, first);
+    runner.RunSweep(*b.scenario.columns[0].fn, b.scenario.params);
+    first_entries = runner.draw_memo().size();
+    ASSERT_GT(first_entries, 0u);
+  }
+  CloudModelConfig bigger;
+  bigger.base_capacity = 100.0;
+  ModelRegistry second;
+  ASSERT_TRUE(RegisterCloudModels(&second, bigger).ok());
+  const BoundScript b = Bind(script, second);
+  const SimFunction& fn = *b.scenario.columns[0].fn;
+  runner.RunSweep(fn, b.scenario.params);
+  EXPECT_EQ(runner.draw_memo().size(), 2 * first_entries);
+  const std::size_t m = cfg.fingerprint_size;
+  for (std::size_t i = 0; i < b.scenario.params.NumPoints(); ++i) {
+    const std::vector<double> v = b.scenario.params.ValuationAt(i);
+    SCOPED_TRACE(::testing::Message() << "point " << i);
+    EXPECT_EQ(BitsOf(ComputeFingerprint(fn, v, runner.seeds(), m).values()),
+              PlainFingerprint(fn, v, cfg));
+  }
+}
+
+TEST_F(DrawMemoTest, BudgetBoundsTheMemoAndNoResult) {
+  struct BudgetOverride {
+    explicit BudgetOverride(std::size_t bytes) {
+      internal::g_draw_memo_budget_override = bytes;
+    }
+    ~BudgetOverride() { internal::g_draw_memo_budget_override = 0; }
+  };
+  const BoundScript b = Bind(CorpusScript("figure1_small.sql"), registry_);
+  ASSERT_TRUE(b.optimize.has_value());
+  test::ForEachGridPoint([&](std::size_t threads, std::size_t batch) {
+    RunConfig cfg = Config(200, batch);
+    cfg.num_threads = threads;
+    SimulationRunner unbounded(cfg);
+    auto want = Optimizer(&unbounded).Run(b.scenario, *b.optimize);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    const std::size_t full = unbounded.draw_memo().size();
+    for (const std::size_t budget : {std::size_t{1}, std::size_t{1024}}) {
+      SCOPED_TRACE(::testing::Message() << "budget " << budget);
+      const BudgetOverride override_budget(budget);
+      SimulationRunner bounded(cfg);
+      auto got = Optimizer(&bounded).Run(b.scenario, *b.optimize);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_EQ(Summarize(got.value(), bounded),
+                Summarize(want.value(), unbounded));
+      const std::size_t size = bounded.draw_memo().size();
+      EXPECT_LE(bounded.draw_memo().bytes(), budget);
+      EXPECT_LT(size, full);
+      EXPECT_EQ(size > 0, budget > 1);
+      // A full memo stays as it is.
+      ASSERT_TRUE(Optimizer(&bounded).Run(b.scenario, *b.optimize).ok());
+      EXPECT_EQ(bounded.draw_memo().size(), size);
+    }
+  });
 }
 
 // ---------------------------------------------------------------------------
