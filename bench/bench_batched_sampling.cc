@@ -30,6 +30,15 @@
 // {1, 2, 4, 16, 64}, reports ns per draw, and exits non-zero if any peak
 // or the stream's next word differs between the two.
 //
+// A "finalize" phase times one column's Estimator fold and Finalize the
+// way FoldWorldCells runs it, over 64-value parts: "copied" reserves the
+// buffer and copies each part in (AddSpan), "borrowed" reads the parts
+// where they lie (AddBorrowed). It runs n in {1000, the radix select's
+// cutoff, 1048576} over four kinds of values (MaxLogNormal(2, 16) peaks,
+// uniform, two-valued, one-valued), reports ns per value, and exits
+// non-zero if the two modes' metrics differ in any field, histogram
+// included.
+//
 // Flags: --num_samples=N --batch_size=N --num_threads=N (bench_common.h).
 // With --num_threads > 1 each workload additionally runs a "threaded"
 // mode that fans SampleBatch chunks out on a ThreadPool, and a "worlds"
@@ -46,9 +55,12 @@
 #include <iostream>
 #include <map>
 #include <memory>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "core/fingerprint.h"
+#include "core/metrics.h"
 #include "core/sim_function.h"
 #include "models/cloud_models.h"
 #include "pdb/expr.h"
@@ -56,6 +68,8 @@
 #include "pdb/operators.h"
 #include "random/random_stream.h"
 #include "random/seed_vector.h"
+#include "util/histogram.h"
+#include "util/math_util.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
 
@@ -191,17 +205,32 @@ RunResult DriveThreaded(const SimFunction& fn, const Workload& w,
   return r;
 }
 
+/// Folds every field of `m` into `sum`: the moments, extremes and
+/// quantiles, the histogram's range, bin counts and dropped count, and
+/// the kept samples.
+void FoldMetrics(const OutputMetrics& m, Checksum& sum) {
+  const double fields[] = {static_cast<double>(m.count), m.mean, m.stddev,
+                           m.std_error, m.min,           m.max,  m.p50,
+                           m.p95};
+  sum.Fold(fields);
+  if (m.histogram) {
+    const Histogram& h = *m.histogram;
+    std::vector<double> histogram = {h.lo(), h.hi(),
+                                     static_cast<double>(h.dropped_count())};
+    for (int i = 0; i < h.num_bins(); ++i) {
+      histogram.push_back(static_cast<double>(h.bin_count(i)));
+    }
+    sum.Fold(histogram);
+  }
+  sum.Fold(m.samples);
+}
+
 /// Order-sensitive bitwise fold over a Monte Carlo result's per-column
 /// summaries (columns iterate in name order; map is sorted).
 std::uint64_t MetricsChecksum(
     const std::map<std::string, OutputMetrics>& columns) {
   Checksum sum;
-  for (const auto& [name, m] : columns) {
-    const double fields[] = {static_cast<double>(m.count), m.mean, m.stddev,
-                             m.std_error, m.min,           m.max,  m.p50,
-                             m.p95};
-    sum.Fold(fields);
-  }
+  for (const auto& [name, m] : columns) FoldMetrics(m, sum);
   return sum.value();
 }
 
@@ -272,6 +301,60 @@ RunResult DrivePeaks(bool kernel, double sigma, int depth,
   r.checksum = sum.value();
   next_word = rng.NextUint64();
   return r;
+}
+
+/// `n` values of one kind for the finalize phase.
+std::vector<double> FinalizeValues(const std::string& kind, std::size_t n) {
+  std::vector<double> xs(n);
+  RandomStream rng(RunConfig{}.master_seed);
+  if (kind == "lognormal_peaks") {
+    rng.MaxLogNormal(2.0, 16, xs);
+  } else if (kind == "uniform") {
+    for (double& x : xs) x = rng.Uniform(0.8, 1.2);
+  } else if (kind == "two_valued") {
+    for (double& x : xs) x = (rng.NextUint64() & 1) != 0 ? 1.0 : 0.0;
+  } else {
+    std::fill(xs.begin(), xs.end(), 2.5);
+  }
+  return xs;
+}
+
+/// One pass of the finalize phase: folds `xs` from 64-value parts into
+/// a fresh Estimator, copied or borrowed, and finalizes it.
+RunResult DriveFinalize(bool borrowed, std::span<const double> xs) {
+  constexpr std::size_t kPart = 64;
+  RunResult r;
+  WallTimer timer;
+  Estimator est;
+  if (!borrowed) est.Reserve(xs.size());
+  for (std::size_t i = 0; i < xs.size(); i += kPart) {
+    const auto part = xs.subspan(i, std::min(kPart, xs.size() - i));
+    if (borrowed) {
+      est.AddBorrowed(part);
+    } else {
+      est.AddSpan(part);
+    }
+  }
+  const OutputMetrics m = std::move(est).Finalize();
+  r.elapsed_s = timer.ElapsedSeconds();
+  r.samples = xs.size();
+  Checksum sum;
+  FoldMetrics(m, sum);
+  r.checksum = sum.value();
+  return r;
+}
+
+void EmitFinalizeRow(const char* mode, const std::string& kind,
+                     std::size_t n, const RunResult& r) {
+  JsonLineBuilder row;
+  row.Str("bench", "finalize")
+      .Str("mode", mode)
+      .Str("values", kind)
+      .Num("n", static_cast<double>(n))
+      .Num("elapsed_s", r.elapsed_s)
+      .Num("ns_per_value", 1e9 * r.elapsed_s / static_cast<double>(n))
+      .Num("checksum", static_cast<double>(r.checksum >> 12));
+  EmitJsonLine(std::cout, row);
 }
 
 void EmitPeakRow(const char* mode, double sigma, int depth,
@@ -473,6 +556,29 @@ int main(int argc, char** argv) {
                      1e9 * plain.elapsed_s / plain.samples,
                      same ? "match" : "MISMATCH");
       }
+    }
+  }
+
+  // One column's fold and Finalize, its values copied or borrowed: the
+  // same metrics, bit for bit, on either side of the radix cutoff.
+  for (const std::size_t n :
+       {std::size_t{1000}, kRadixSelectMinValues, std::size_t{1} << 20}) {
+    for (const std::string kind :
+         {"lognormal_peaks", "uniform", "two_valued", "one_valued"}) {
+      const std::vector<double> xs = FinalizeValues(kind, n);
+      const RunResult copied = Repeat([&] { return DriveFinalize(false, xs); });
+      const RunResult borrowed =
+          Repeat([&] { return DriveFinalize(true, xs); });
+      EmitFinalizeRow("copied", kind, n, copied);
+      EmitFinalizeRow("borrowed", kind, n, borrowed);
+      const bool same = copied.repeatable && borrowed.repeatable &&
+                        copied.checksum == borrowed.checksum;
+      checksums_ok = checksums_ok && same;
+      std::fprintf(stderr,
+                   "Finalize n=%-8zu %-16s %8.2f ns/value copied, %8.2f "
+                   "borrowed  metrics %s\n",
+                   n, kind.c_str(), 1e9 * copied.elapsed_s / n,
+                   1e9 * borrowed.elapsed_s / n, same ? "match" : "MISMATCH");
     }
   }
 

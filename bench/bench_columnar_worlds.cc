@@ -42,6 +42,9 @@ using bench::JsonLineBuilder;
 /// Order-sensitive bitwise fold (FNV-1a over the raw doubles).
 class Checksum {
  public:
+  /// Folds the moments, extremes and quantiles, then the histogram's
+  /// range, bin counts and dropped count, so a serial/threaded binning
+  /// divergence shows too.
   void FoldMetrics(const OutputMetrics& m) {
     const double fields[] = {static_cast<double>(m.count),
                              m.mean,
@@ -51,10 +54,14 @@ class Checksum {
                              m.max,
                              m.p50,
                              m.p95};
-    for (double x : fields) {
-      std::uint64_t u;
-      std::memcpy(&u, &x, sizeof u);
-      h_ = (h_ ^ u) * 0x100000001b3ULL;
+    for (double x : fields) Fold(x);
+    if (m.histogram) {
+      Fold(m.histogram->lo());
+      Fold(m.histogram->hi());
+      for (int i = 0; i < m.histogram->num_bins(); ++i) {
+        Fold(static_cast<double>(m.histogram->bin_count(i)));
+      }
+      Fold(static_cast<double>(m.histogram->dropped_count()));
     }
   }
   void FoldColumns(const std::map<std::string, OutputMetrics>& columns) {
@@ -63,6 +70,12 @@ class Checksum {
   std::uint64_t value() const { return h_; }
 
  private:
+  void Fold(double x) {
+    std::uint64_t u;
+    std::memcpy(&u, &x, sizeof u);
+    h_ = (h_ ^ u) * 0x100000001b3ULL;
+  }
+
   std::uint64_t h_ = 0xcbf29ce484222325ULL;
 };
 

@@ -58,6 +58,7 @@ bool HoldsBothZeroSigns(std::span<const double> xs) {
 
 void Estimator::AddRepeated(std::span<const double> xs,
                             std::int64_t copies) {
+  JIGSAW_CHECK_MSG(borrowed_.empty(), kCopyAfterBorrow);
   if (copies > 1 && !xs.empty() && count() == 0 && !HoldsBothZeroSigns(xs)) {
     for (std::int64_t k = 0; k < copies; ++k) acc_.AddSpan(xs);
     all_.assign(xs.begin(), xs.end());
@@ -77,11 +78,13 @@ void Estimator::Expand() {
   copies_ = 1;
 }
 
-OutputMetrics Estimator::Finalize() const& {
-  return Estimator(*this).Finalize();
-}
+OutputMetrics Estimator::Finalize() const& { return Summarize(nullptr); }
 
 OutputMetrics Estimator::Finalize() && {
+  return Summarize(borrowed_.empty() ? &all_ : nullptr);
+}
+
+OutputMetrics Estimator::Summarize(std::vector<double>* reorderable) const {
   OutputMetrics out;
   out.count = acc_.count();
   out.mean = acc_.mean();
@@ -89,39 +92,52 @@ OutputMetrics Estimator::Finalize() && {
   out.std_error = acc_.standard_error();
   out.min = acc_.count() ? acc_.min() : 0.0;
   out.max = acc_.count() ? acc_.max() : 0.0;
-  if (!all_.empty()) {
+  // The folded values are `copies_` copies of these parts, in order.
+  const std::span<const double> own(all_);
+  const std::span<const std::span<const double>> parts =
+      borrowed_.empty() ? std::span(&own, 1) : std::span(borrowed_);
+  if (out.count != 0) {
     // The histogram (which drops non-finite values itself) and the kept
-    // samples read the values in fold order before selection permutes
-    // them. Welford's extremes are the histogram's range whenever both
-    // are finite: like Histogram::FiniteRange they start from the first
-    // finite value, skip NaN and move only on a strict comparison, so
-    // they agree to the zero sign; otherwise an infinity took one, and
-    // the range is rescanned over the finite values. Every retained value
-    // stands for copies_ folded ones, so each bins copies_ times.
+    // samples read the values in fold order. Welford's extremes are the
+    // histogram's range whenever both are finite: like
+    // Histogram::FiniteRange they start from the first finite value, skip
+    // NaN and move only on a strict comparison, so they agree to the zero
+    // sign; otherwise an infinity took one, and the range is rescanned
+    // over the finite values. Every value of the parts stands for copies_
+    // folded ones, so each bins copies_ times.
     const auto [lo, hi] = std::isfinite(out.min) && std::isfinite(out.max)
                               ? std::pair(out.min, out.max)
-                              : Histogram::FiniteRange(all_);
+                              : Histogram::FiniteRange(parts);
     Histogram histogram(lo, hi, histogram_bins_);
-    histogram.AddSpan(all_, copies_);
+    std::size_t size = 0;
+    for (const std::span<const double> part : parts) {
+      histogram.AddSpan(part, copies_);
+      size += part.size();
+    }
     if (keep_samples_) {
-      out.samples.reserve(all_.size() * static_cast<std::size_t>(copies_));
+      out.samples.reserve(size * static_cast<std::size_t>(copies_));
       for (std::int64_t k = 0; k < copies_; ++k) {
-        out.samples.insert(out.samples.end(), all_.begin(), all_.end());
+        for (const std::span<const double> part : parts) {
+          out.samples.insert(out.samples.end(), part.begin(), part.end());
+        }
       }
     }
     // Quantiles are taken over the finite mass: NaNs break selection's
-    // strict weak ordering, and the histogram counted every non-finite
-    // value it dropped. erase_if keeps the survivors in order, and
-    // QuantileSelect returns the same bits a full sort of all the copies
-    // would; at millions of folded tuples the O(n log n) sort, not the
-    // fold, used to dominate finalization.
-    if (histogram.dropped_count() != 0) {
-      std::erase_if(all_, [](double x) { return !std::isfinite(x); });
-    }
-    if (!all_.empty()) {
-      const auto copies = static_cast<std::size_t>(copies_);
-      out.p50 = QuantileSelect(all_, 0.50, copies);
-      out.p95 = QuantileSelect(all_, 0.95, copies);
+    // strict weak ordering, and the histogram counted every finite value
+    // copies_ times. SelectQuantiles returns the bits QuantileSelect, and
+    // so a full sort of all the copies, would; at millions of folded
+    // tuples it reads the parts where they lie, so a borrowed column is
+    // never copied.
+    const auto finite =
+        static_cast<std::size_t>(histogram.total_count() / copies_);
+    if (finite != 0) {
+      constexpr double kQuantiles[] = {0.50, 0.95};
+      double quantiles[2];
+      SelectQuantiles({parts, static_cast<std::size_t>(copies_), finite, lo,
+                       hi},
+                      kQuantiles, quantiles, reorderable);
+      out.p50 = quantiles[0];
+      out.p95 = quantiles[1];
     }
     out.histogram = std::move(histogram);
   }
@@ -132,7 +148,7 @@ OutputMetrics MetricsFromSamples(const std::vector<double>& samples,
                                  bool keep_samples, int histogram_bins) {
   Estimator est(keep_samples, histogram_bins);
   est.AddSpan(samples);
-  return est.Finalize();
+  return std::move(est).Finalize();
 }
 
 }  // namespace jigsaw

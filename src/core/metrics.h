@@ -16,6 +16,7 @@
 
 #include "core/mapping.h"
 #include "util/histogram.h"
+#include "util/logging.h"
 #include "util/math_util.h"
 
 namespace jigsaw {
@@ -47,12 +48,17 @@ struct OutputMetrics {
 /// the same accumulator). Moments stream through a Welford accumulator;
 /// whole sample batches fold via AddSpan, which is bit-identical to
 /// element-wise Add — the batched engine's correctness contract.
+///
+/// Finalize needs every value for the histogram and the exact quantiles.
+/// An estimator either copies them into its own buffer (Add, AddSpan,
+/// AddRepeated) or borrows the caller's spans (AddBorrowed), never both.
 class Estimator {
  public:
   explicit Estimator(bool keep_samples = false, int histogram_bins = 20)
       : keep_samples_(keep_samples), histogram_bins_(histogram_bins) {}
 
   void Add(double x) {
+    JIGSAW_CHECK_MSG(borrowed_.empty(), kCopyAfterBorrow);
     if (copies_ != 1) Expand();
     acc_.Add(x);
     all_.push_back(x);
@@ -61,9 +67,20 @@ class Estimator {
   /// Folds a whole batch in index order (same result, bit-for-bit, as
   /// adding each element individually).
   void AddSpan(std::span<const double> xs) {
+    JIGSAW_CHECK_MSG(borrowed_.empty(), kCopyAfterBorrow);
     if (copies_ != 1) Expand();
     acc_.AddSpan(xs);
     all_.insert(all_.end(), xs.begin(), xs.end());
+  }
+
+  /// AddSpan without the copy: Welford folds `xs` now, and Finalize reads
+  /// it where it lies, with the same bits as had it been copied. The
+  /// caller keeps `xs` alive and unchanged until the last Finalize.
+  void AddBorrowed(std::span<const double> xs) {
+    JIGSAW_CHECK_MSG(all_.empty(),
+                     "an Estimator that copies values cannot borrow spans");
+    acc_.AddSpan(xs);
+    if (!xs.empty()) borrowed_.push_back(xs);
   }
 
   /// Folds `copies` concatenated copies of `xs`: bit-identical to calling
@@ -83,16 +100,25 @@ class Estimator {
   /// growing it by doubling.
   void Reserve(std::size_t n) { all_.reserve(n); }
 
-  /// Finalizes metrics over everything added so far. The consuming
-  /// overload selects the quantiles in place in the retained buffer; the
-  /// const one runs it on a copy of the estimator. Both give the same
-  /// bits.
+  /// Finalizes metrics over everything added so far, reading the values
+  /// as parts: the estimator's own buffer or its borrowed spans. Both
+  /// overloads give the same bits and change no value they read, except
+  /// that where SelectQuantiles falls back to QuantileSelect the
+  /// consuming one selects in place in its own buffer, and the const one
+  /// in a copy of the finite values.
   OutputMetrics Finalize() const&;
   OutputMetrics Finalize() &&;
 
  private:
+  static constexpr const char* kCopyAfterBorrow =
+      "an Estimator that borrows spans cannot copy values too";
+
   /// Writes out the copies all_ stands for, so it holds every value.
   void Expand();
+
+  /// Finalize's one body. `reorderable` is all_ when the caller consumes
+  /// the estimator and it owns its values, else null.
+  OutputMetrics Summarize(std::vector<double>* reorderable) const;
 
   WelfordAccumulator acc_;
   bool keep_samples_;
@@ -102,6 +128,8 @@ class Estimator {
   // concatenated copies of it (1 unless AddRepeated kept one base).
   std::vector<double> all_;
   std::int64_t copies_ = 1;
+  // The spans AddBorrowed folded, in fold order, when all_ holds nothing.
+  std::vector<std::span<const double>> borrowed_;
 };
 
 /// Convenience: metrics of a sample vector.

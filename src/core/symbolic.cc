@@ -1,5 +1,7 @@
 #include "core/symbolic.h"
 
+#include <utility>
+
 #include "util/logging.h"
 
 namespace jigsaw {
@@ -64,7 +66,7 @@ OutputMetrics SymbolicVar::Metrics(bool keep_samples,
                                    int histogram_bins) const {
   Estimator est(keep_samples, histogram_bins);
   for (std::size_t k = 0; k < samples_->size(); ++k) est.Add(SampleAt(k));
-  return est.Finalize();
+  return std::move(est).Finalize();
 }
 
 Result<double> SymbolicVar::ProbGreater(const SymbolicVar& other) const {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <span>
+#include <utility>
 
 #include "core/fingerprint.h"
 #include "core/mapping.h"
@@ -202,7 +203,7 @@ OutputMetrics ChainOutputMetrics(const MarkovProcess& process,
                   target, k, seeds, chunk);
               est.AddSpan(chunk);
             });
-  return est.Finalize();
+  return std::move(est).Finalize();
 }
 
 }  // namespace jigsaw

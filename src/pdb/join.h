@@ -28,9 +28,10 @@
 /// the cell-grid fold the row-program folds run too: each world-chunk
 /// cell runs its worlds through a one-world-at-a-time pipeline (realize
 /// both sides, match, gather only the folded columns), then each folded
-/// column folds and finalizes as its own pool task. A kDouble column's
-/// chunk span goes to Estimator::AddSpan as is, which copies it into the
-/// estimator's retained buffer (the quantiles and histogram read it).
+/// column folds and finalizes as its own pool task. A NULL-free kDouble
+/// column is finalized where the cells gathered it: the estimator
+/// borrows each cell's span (Estimator::AddBorrowed), and the quantiles
+/// and histogram read it there.
 /// U-relations store certain attributes once, and so does the fold: when
 /// both keys are certain (VGTableFunction::CertainColumns), every world
 /// matches the same pairs, so a cell matches once, and a requested

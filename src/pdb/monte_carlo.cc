@@ -225,6 +225,22 @@ Result<std::vector<std::map<std::string, OutputMetrics>>> FoldWorldCells(
                                          base->certain.num_rows(), name, &est,
                                          worlds);
         }
+      } else if (std::all_of(point_cells.begin(), point_cells.end(),
+                             [&](const Cell& cell) {
+                               const ColumnChunk& col =
+                                   cell.extent.data.column(source[s]);
+                               return col.type() == ValueType::kDouble &&
+                                      col.null_count() == 0;
+                             })) {
+        // A NULL-free double column finalizes where its cells staged it:
+        // the estimator borrows each cell's rows. The cells live until
+        // the window's folds end, and no cell is written once their
+        // ParallelFor has returned. (A failed cell's chunk may hold
+        // values past its committed rows.)
+        for (const Cell& cell : point_cells) {
+          est.AddBorrowed(cell.extent.data.column(source[s]).Doubles().first(
+              cell.extent.data.num_rows()));
+        }
       } else {
         std::size_t rows = 0;
         for (const Cell& cell : point_cells) {

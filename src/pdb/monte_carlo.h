@@ -68,7 +68,10 @@ using WorldCellFn = std::function<Status(
 /// cell per `fill` call, each into a WorldExtent it alone writes (the
 /// shard-ownership rule). Output column s, named `columns.column(s).name`,
 /// folds that column of every cell of a point in world order into one
-/// Estimator reserved for exactly the point's rows, finalized in place.
+/// Estimator, finalized where its values lie: a column whose cells are
+/// all NULL-free doubles is borrowed from them (Estimator::AddBorrowed),
+/// and any other is copied into an estimator buffer reserved for exactly
+/// the point's rows.
 /// The columns whose indices `certain` lists are world-invariant: a
 /// cell's `certain` table holds them (in column order) once for all of
 /// its worlds, its `data` holds the others, and each folds as one cell's

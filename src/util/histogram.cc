@@ -38,23 +38,26 @@ int Histogram::BinOf(double x) const {
 
 Histogram Histogram::FromSamples(const std::vector<double>& samples,
                                  int num_bins) {
-  const auto [lo, hi] = FiniteRange(samples);
+  const std::span<const double> all(samples);
+  const auto [lo, hi] = FiniteRange(std::span(&all, 1));
   Histogram h(lo, hi, num_bins);
   h.AddSpan(samples);
   return h;
 }
 
 std::pair<double, double> Histogram::FiniteRange(
-    std::span<const double> samples) {
+    std::span<const std::span<const double>> parts) {
   // Range over the finite samples only: a single NaN/inf must not poison
   // every bin boundary (non-finite samples are dropped by Add).
   double lo = 0.0, hi = 1.0;
   bool seen_finite = false;
-  for (double s : samples) {
-    if (!std::isfinite(s)) continue;
-    lo = seen_finite ? std::min(lo, s) : s;
-    hi = seen_finite ? std::max(hi, s) : s;
-    seen_finite = true;
+  for (const std::span<const double> part : parts) {
+    for (double s : part) {
+      if (!std::isfinite(s)) continue;
+      lo = seen_finite ? std::min(lo, s) : s;
+      hi = seen_finite ? std::max(hi, s) : s;
+      seen_finite = true;
+    }
   }
   return {lo, hi};
 }

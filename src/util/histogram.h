@@ -23,10 +23,10 @@ class Histogram {
   static Histogram FromSamples(const std::vector<double>& samples,
                                int num_bins);
 
-  /// [min, max] of the finite samples, the range FromSamples bins over;
-  /// [0, 1] when no sample is finite.
+  /// [min, max] of the finite samples that `parts` hold in order, the
+  /// range FromSamples bins over; [0, 1] when no sample is finite.
   static std::pair<double, double> FiniteRange(
-      std::span<const double> samples);
+      std::span<const std::span<const double>> parts);
 
   /// Bins a finite observation `copies` times: the counts of that many
   /// repeats of it. Non-finite observations (NaN, ±inf) have no bin; they

@@ -86,6 +86,41 @@ double Quantile(std::vector<double> values, double q);
 double QuantileSelect(std::vector<double>& values, double q,
                       std::size_t copies = 1);
 
+/// The fewest finite values SelectQuantiles hands to its radix select.
+/// Below it QuantileSelect runs: over a few thousand values, which fit in
+/// cache, its nth_element costs no more than the radix select's two
+/// passes, and above it nth_element slows per value while the passes do
+/// not (bench_batched_sampling's finalize rows). 1,000-world folds fall
+/// below it; a 1,048,576-tuple join column lies far above it.
+inline constexpr std::size_t kRadixSelectMinValues = std::size_t{1} << 13;
+
+/// A sequence of doubles held as consecutive parts, read in order and
+/// repeated `copies` times, of which quantiles are taken over the finite
+/// values: what Estimator::Finalize selects p50 and p95 from.
+struct FiniteParts {
+  std::span<const std::span<const double>> parts;
+  std::size_t copies = 1;
+  std::size_t count = 0;  ///< finite values in one copy of `parts`
+  double lo = 0.0;        ///< the least of them (either zero for a zero)
+  double hi = 0.0;        ///< the greatest of them (either zero for a zero)
+};
+
+/// Sets out[i] to the qs[i]-quantile of `values`' finite values, for
+/// each i: bit-identical, down to which zero it returns, to calling
+/// QuantileSelect(finite, qs[i], values.copies) for each i in turn on
+/// one vector `finite` of them in order. `values.count` must be at
+/// least 1.
+///
+/// From kRadixSelectMinValues finite values on, a two-pass radix select
+/// reads the parts without changing them. Below that, or when the values
+/// hold zeros of both signs (QuantileSelect's nth_element picks which
+/// zero), QuantileSelect runs: in `*in_place` when it is non-null, which
+/// must then be the one part and may be reordered and lose its
+/// non-finite values, and otherwise in a copy of the finite values.
+void SelectQuantiles(const FiniteParts& values, std::span<const double> qs,
+                     std::span<double> out,
+                     std::vector<double>* in_place = nullptr);
+
 /// True if |a-b| <= atol + rtol*max(|a|,|b|). The fingerprint-matching
 /// tolerance test used throughout the core.
 inline bool ApproxEqual(double a, double b, double rtol = 1e-9,

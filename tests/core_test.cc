@@ -23,6 +23,7 @@
 #include "core/optimizer.h"
 #include "core/sim_function.h"
 #include "models/cloud_models.h"
+#include "random/random_stream.h"
 #include "random/splitmix64.h"
 #include "util/math_util.h"
 
@@ -450,9 +451,11 @@ TEST(MetricsTest, AddSpanMatchesElementwiseAddBitForBit) {
 }
 
 // ---------------------------------------------------------------------------
-// Estimator::Finalize — the consuming overload the columnar folds run
-// selects quantiles in place, and the const one consumes a copy. Both must
-// match, to the last bit, the copying finalize they replaced.
+// Estimator::Finalize — over the estimator's own buffer or spans it
+// borrowed (AddBorrowed, the columnar folds' double columns), through the
+// consuming overload or the const one, and on either side of the radix
+// select's cutoff. Each must match, to the last bit, the copying finalize
+// they replaced.
 // ---------------------------------------------------------------------------
 
 std::uint64_t DoubleBits(double x) {
@@ -514,6 +517,67 @@ OutputMetrics ReferenceFinalize(const std::vector<double>& xs,
   return out;
 }
 
+// `n` values of one kind, past the radix select's cutoff at the sizes
+// the test uses; the kinds stress its keys, buckets and fallback.
+std::vector<double> LargeFinalizeInput(const std::string& kind,
+                                       std::size_t n) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  SplitMix64 rng(n + kind.size());
+  auto uniform = [&rng] {
+    return static_cast<double>(rng.Next() >> 11) * 0x1.0p-53;
+  };
+  std::vector<double> xs(n);
+  if (kind == "MaxLogNormal peaks" || kind == "NaN and infinities") {
+    // The users table's requirement column: heavy-tailed, one binade
+    // holding few of the values.
+    RandomStream(n).MaxLogNormal(2.0, 16, xs);
+    if (kind == "NaN and infinities") {
+      for (std::size_t i = 0; i < n; i += 97) {
+        xs[i] = i % 3 == 0 ? nan : i % 3 == 1 ? inf : -inf;
+      }
+    }
+  } else if (kind == "one distinct value") {
+    std::fill(xs.begin(), xs.end(), 2.5);
+  } else if (kind == "two distinct values") {
+    // Alternating, starting with a zero: at an even n, p50's lower rank
+    // is the last zero and its upper rank the first one, so the select
+    // must step past the zeros' bucket exactly there.
+    for (std::size_t i = 0; i < n; ++i) xs[i] = i % 2 == 0 ? 0.0 : 1.0;
+  } else if (kind == "subnormals") {
+    // Both signs, a few thousand ulps apart, straddling zero's keys.
+    for (double& x : xs) {
+      const double ulps = static_cast<double>(1 + rng.Next() % (1u << 20));
+      x = (rng.Next() % 2 == 0 ? 1.0 : -1.0) * ulps *
+          std::numeric_limits<double>::denorm_min();
+    }
+  } else if (kind == "all negative") {
+    for (double& x : xs) x = -std::exp(8.0 * uniform());
+  } else if (kind == "both zero signs") {
+    for (double& x : xs) {
+      x = static_cast<double>(rng.Next() % 40) * 0.25 - 5.0;
+      if (x == 0.0 && rng.Next() % 2 == 0) x = -0.0;
+    }
+  }
+  return xs;
+}
+
+// `xs` as consecutive spans of uneven lengths: part k is one longer than
+// part k - 1, and the last takes the rest.
+std::vector<std::span<const double>> UnevenParts(std::span<const double> xs,
+                                                 std::size_t num_parts) {
+  std::vector<std::span<const double>> parts;
+  for (std::size_t k = 0, begin = 0; k < num_parts; ++k) {
+    const std::size_t len =
+        k + 1 == num_parts
+            ? xs.size() - begin
+            : std::min(xs.size() - begin, xs.size() / (2 * num_parts) + k);
+    parts.push_back(xs.subspan(begin, len));
+    begin += len;
+  }
+  return parts;
+}
+
 TEST(EstimatorFinalizeTest, BothFinalizesMatchTheCopyingFinalizeBitForBit) {
   const double inf = std::numeric_limits<double>::infinity();
   const double nan = std::numeric_limits<double>::quiet_NaN();
@@ -532,7 +596,7 @@ TEST(EstimatorFinalizeTest, BothFinalizesMatchTheCopyingFinalizeBitForBit) {
     for (const auto& [i, v] : edits) xs[i] = v;
     return xs;
   };
-  const std::vector<std::pair<std::string, std::vector<double>>> inputs = {
+  std::vector<std::pair<std::string, std::vector<double>>> inputs = {
       {"empty", {}},
       {"single value", {4.25}},
       {"single negative zero", {-0.0}},
@@ -543,6 +607,17 @@ TEST(EstimatorFinalizeTest, BothFinalizesMatchTheCopyingFinalizeBitForBit) {
       {"NaN and both infinities", with({{1, nan}, {2, inf}, {3, -inf}})},
       {"no finite value", {nan, inf, -inf, nan}},
   };
+  // Past the cutoff, where Finalize radix-selects unless zeros of both
+  // signs send it back to QuantileSelect. The size is even, so p50
+  // interpolates between its two ranks.
+  for (const char* kind :
+       {"MaxLogNormal peaks", "one distinct value", "two distinct values",
+        "subnormals", "all negative", "NaN and infinities",
+        "both zero signs"}) {
+    inputs.emplace_back(
+        std::string(kind) + ", past the cutoff",
+        LargeFinalizeInput(kind, 3 * kRadixSelectMinValues + 6));
+  }
   for (bool keep_samples : {false, true}) {
     for (const auto& [label, xs] : inputs) {
       SCOPED_TRACE(::testing::Message()
@@ -559,6 +634,16 @@ TEST(EstimatorFinalizeTest, BothFinalizesMatchTheCopyingFinalizeBitForBit) {
       // The const finalize leaves the estimator as it was.
       ExpectBitIdenticalMetrics(expected, copied.Finalize());
       ExpectBitIdenticalMetrics(expected, std::move(consumed).Finalize());
+      // Borrowed in 1, 2 and 17 uneven parts, read where they lie.
+      for (std::size_t num_parts : {1u, 2u, 17u}) {
+        SCOPED_TRACE(::testing::Message() << num_parts << " borrowed parts");
+        Estimator borrowed(keep_samples, /*histogram_bins=*/10);
+        for (std::span<const double> part : UnevenParts(xs, num_parts)) {
+          borrowed.AddBorrowed(part);
+        }
+        ExpectBitIdenticalMetrics(expected, borrowed.Finalize());
+        ExpectBitIdenticalMetrics(expected, std::move(borrowed).Finalize());
+      }
     }
   }
 }
@@ -608,7 +693,9 @@ TEST(EstimatorRepeatedTest, RepeatedBaseMatchesConcatenatedCopiesBitForBit) {
       "NaN",        "infinities",     "no finite value"};
   for (bool keep_samples : {false, true}) {
     for (const std::string& kind : kinds) {
-      for (std::size_t n : {0u, 1u, 2u, 3u, 7u, 8192u}) {
+      for (std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{2},
+                            std::size_t{3}, std::size_t{7}, std::size_t{8192},
+                            kRadixSelectMinValues + 3}) {
         const std::vector<double> base = RepeatedBase(kind, n, 31 + n);
         for (std::int64_t copies : {0, 1, 2, 64, 128}) {
           SCOPED_TRACE(::testing::Message()

@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "util/hash.h"
@@ -129,18 +132,59 @@ TEST(QuantileTest, SelectMatchesSortBitForBit) {
     state = state * 6364136223846793005ULL + 1442695040888963407ULL;
     return static_cast<double>(state >> 40) / 1048576.0;
   };
-  for (std::size_t n : {1u, 2u, 3u, 17u, 100u, 101u, 1000u}) {
-    std::vector<double> values;
-    values.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      // Quantize so duplicates occur often.
-      values.push_back(std::floor(next() * 16.0) / 4.0);
-    }
-    for (double q : {0.0, 0.25, 0.5, 0.75, 0.95, 1.0}) {
-      std::vector<double> scratch = values;
-      const double by_select = QuantileSelect(scratch, q);
-      const double by_sort = Quantile(values, q);
-      EXPECT_EQ(by_select, by_sort) << "n=" << n << " q=" << q;
+  constexpr std::size_t kCutoff = kRadixSelectMinValues;
+  const double qs[] = {0.0, 0.25, 0.5, 0.75, 0.95, 1.0};
+  for (std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{3},
+                        std::size_t{17}, std::size_t{100}, std::size_t{101},
+                        std::size_t{1000}, kCutoff - 1, kCutoff,
+                        3 * kCutoff + 7}) {
+    // Quantized values, so duplicates occur often; values of both signs
+    // spread over a few binades, with +0.0 the only zero; and the
+    // integers 0..n-1 permuted, whose ranks meet the radix select's
+    // bucket edges at powers of two (the median rank of n = 8192).
+    for (int family : {0, 1, 2}) {
+      std::vector<double> values;
+      values.reserve(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        values.push_back(family == 0   ? std::floor(next() * 16.0) / 4.0
+                         : family == 1 ? next() * 8.0 - 4.0
+                                       : static_cast<double>(i * 7919 % n));
+      }
+      for (double q : qs) {
+        std::vector<double> scratch = values;
+        const double by_select = QuantileSelect(scratch, q);
+        const double by_sort = Quantile(values, q);
+        EXPECT_EQ(by_select, by_sort) << "n=" << n << " q=" << q;
+      }
+      // SelectQuantiles reads the values as consecutive parts of uneven
+      // lengths (part k one longer than part k-1, the last taking the
+      // rest), radix-selecting from the cutoff on, and over `copies`
+      // repeats of them.
+      const auto [lo, hi] = std::minmax_element(values.begin(), values.end());
+      for (std::size_t num_parts : {1u, 2u, 17u}) {
+        std::vector<std::span<const double>> parts;
+        for (std::size_t k = 0, begin = 0; k < num_parts; ++k) {
+          const std::size_t len =
+              k + 1 == num_parts
+                  ? n - begin
+                  : std::min(n - begin, n / (2 * num_parts) + k);
+          parts.push_back(std::span(values).subspan(begin, len));
+          begin += len;
+        }
+        for (std::size_t copies : {1u, 3u}) {
+          std::vector<double> repeated;
+          for (std::size_t c = 0; c < copies; ++c) {
+            repeated.insert(repeated.end(), values.begin(), values.end());
+          }
+          double by_parts[std::size(qs)];
+          SelectQuantiles({parts, copies, n, *lo, *hi}, qs, by_parts);
+          for (std::size_t i = 0; i < std::size(qs); ++i) {
+            EXPECT_EQ(by_parts[i], Quantile(repeated, qs[i]))
+                << "n=" << n << " q=" << qs[i] << " parts=" << num_parts
+                << " copies=" << copies;
+          }
+        }
+      }
     }
   }
 }
