@@ -39,6 +39,12 @@
 // non-zero if the two modes' metrics differ in any field, histogram
 // included.
 //
+// A "stream_seeds" phase times DeriveStreamSeeds, the batch kernels'
+// one-pass derivation of a span's per-sample stream seeds, against the
+// scalar DeriveStreamSeed loop it must reproduce, over 64-sample spans
+// (the default batch) at 1024 call sites, reports ns per seed, and exits
+// non-zero if any word differs.
+//
 // Flags: --num_samples=N --batch_size=N --num_threads=N (bench_common.h).
 // With --num_threads > 1 each workload additionally runs a "threaded"
 // mode that fans SampleBatch chunks out on a ThreadPool, and a "worlds"
@@ -66,6 +72,7 @@
 #include "pdb/expr.h"
 #include "pdb/monte_carlo.h"
 #include "pdb/operators.h"
+#include "random/philox.h"
 #include "random/random_stream.h"
 #include "random/seed_vector.h"
 #include "util/histogram.h"
@@ -303,6 +310,32 @@ RunResult DrivePeaks(bool kernel, double sigma, int depth,
   return r;
 }
 
+/// One pass of the stream_seeds phase: the stream seeds of `sigmas` at
+/// `sites` call sites, derived in one pass per span or one DeriveStreamSeed
+/// call per sample, into `out` (sites x sigmas.size() words).
+RunResult DriveStreamSeeds(bool batch, SeedSpan sigmas, std::size_t sites,
+                           std::vector<std::uint64_t>& out) {
+  const std::size_t n = sigmas.size();
+  RunResult r;
+  WallTimer timer;
+  for (std::size_t site = 0; site < sites; ++site) {
+    const std::span<std::uint64_t> words(out.data() + site * n, n);
+    if (batch) {
+      DeriveStreamSeeds(sigmas, site, words);
+    } else {
+      for (std::size_t i = 0; i < n; ++i) {
+        words[i] = DeriveStreamSeed(sigmas[i], site);
+      }
+    }
+  }
+  r.elapsed_s = timer.ElapsedSeconds();
+  r.samples = static_cast<std::uint64_t>(sites * n);
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const std::uint64_t w : out) h = (h ^ w) * 0x100000001b3ULL;
+  r.checksum = h;
+  return r;
+}
+
 /// `n` values of one kind for the finalize phase.
 std::vector<double> FinalizeValues(const std::string& kind, std::size_t n) {
   std::vector<double> xs(n);
@@ -353,6 +386,20 @@ void EmitFinalizeRow(const char* mode, const std::string& kind,
       .Num("n", static_cast<double>(n))
       .Num("elapsed_s", r.elapsed_s)
       .Num("ns_per_value", 1e9 * r.elapsed_s / static_cast<double>(n))
+      .Num("checksum", static_cast<double>(r.checksum >> 12));
+  EmitJsonLine(std::cout, row);
+}
+
+void EmitStreamSeedRow(const char* mode, std::size_t n, std::size_t sites,
+                       const RunResult& r) {
+  JsonLineBuilder row;
+  row.Str("bench", "stream_seeds")
+      .Str("mode", mode)
+      .Num("n", static_cast<double>(n))
+      .Num("sites", static_cast<double>(sites))
+      .Num("elapsed_s", r.elapsed_s)
+      .Num("ns_per_seed",
+           1e9 * r.elapsed_s / static_cast<double>(r.samples))
       .Num("checksum", static_cast<double>(r.checksum >> 12));
   EmitJsonLine(std::cout, row);
 }
@@ -557,6 +604,34 @@ int main(int argc, char** argv) {
                      same ? "match" : "MISMATCH");
       }
     }
+  }
+
+  // A span's stream seeds in one pass against one scalar derivation per
+  // sample: the same words, every one.
+  {
+    constexpr std::size_t kSpan = 64;
+    constexpr std::size_t kSites = 1024;
+    const SeedVector span_seeds(RunConfig{}.master_seed, kSpan);
+    const SeedSpan sigmas = span_seeds.span(0, kSpan);
+    std::vector<std::uint64_t> batch_words(kSpan * kSites);
+    std::vector<std::uint64_t> scalar_words(kSpan * kSites);
+    const RunResult batch = Repeat([&] {
+      return DriveStreamSeeds(true, sigmas, kSites, batch_words);
+    });
+    const RunResult scalar = Repeat([&] {
+      return DriveStreamSeeds(false, sigmas, kSites, scalar_words);
+    });
+    EmitStreamSeedRow("batch", kSpan, kSites, batch);
+    EmitStreamSeedRow("scalar", kSpan, kSites, scalar);
+    const bool same = batch.repeatable && scalar.repeatable &&
+                      batch_words == scalar_words;
+    checksums_ok = checksums_ok && same;
+    std::fprintf(stderr,
+                 "DeriveStreamSeeds n=%zu %6.2f ns/seed (scalar %6.2f)  "
+                 "words %s\n",
+                 kSpan, 1e9 * batch.elapsed_s / batch.samples,
+                 1e9 * scalar.elapsed_s / scalar.samples,
+                 same ? "match" : "MISMATCH");
   }
 
   // One column's fold and Finalize, its values copied or borrowed: the

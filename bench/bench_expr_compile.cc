@@ -18,7 +18,12 @@
 //                 where each cell walks the interpreter world at a time
 //                 or runs one BatchProgram over the chunk; threaded when
 //                 --num_threads > 1;
-//   chain       — RunChainScenario to a fixed target step.
+//   chain       — RunChainScenario to a fixed target step;
+//   chain_jump  — the path perfbench's chain_fig5 times: both Figure 5
+//                 columns (release_week, demand) to week 52 on the
+//                 Markov-jump runner, under 64 master seeds in turn
+//                 (the jump runner's cost follows each seed's estimator
+//                 mismatches).
 //
 // The interpreted side of every pair is the bound plan passed through
 // UseInterpretedExpressions before it runs. Every row is a JSON-lines
@@ -207,6 +212,41 @@ RunResult DriveChain(const sql::BoundScript& bound, const BenchFlags& flags,
   return r;
 }
 
+/// Both Figure 5 columns to week 52 on the Markov-jump runner, once per
+/// master seed of `seeds`; `samples` counts instance-steps.
+RunResult DriveChainJump(const sql::BoundScript& bound,
+                         const BenchFlags& flags, bool compiled,
+                         std::size_t seeds) {
+  constexpr std::int64_t kTargetWeek = 52;
+  sql::BoundScript plan = bound;
+  if (!compiled) sql::UseInterpretedExpressions(plan);
+  RunResult r;
+  Checksum sum;
+  WallTimer timer;
+  for (std::size_t variant = 0; variant < seeds; ++variant) {
+    RunConfig cfg;
+    cfg.num_samples = flags.num_samples;
+    cfg.batch_size = flags.batch_size;
+    cfg.master_seed = RunConfig{}.master_seed + variant;
+    for (const char* column : {"release_week", "demand"}) {
+      auto metrics =
+          sql::RunChainScenario(plan, column, kTargetWeek, cfg, true);
+      if (!metrics.ok()) {
+        std::fprintf(stderr, "chain jump run failed: %s\n",
+                     metrics.status().ToString().c_str());
+        r.ok = false;
+        return r;
+      }
+      FoldMetrics(sum, metrics.value());
+      r.samples +=
+          flags.num_samples * static_cast<std::uint64_t>(kTargetWeek);
+    }
+  }
+  r.elapsed_s = timer.ElapsedSeconds();
+  r.checksum = sum.value();
+  return r;
+}
+
 void EmitRow(const std::string& phase, const std::string& scenario,
              const std::string& mode, const BenchFlags& flags,
              const RunResult& r) {
@@ -309,6 +349,16 @@ int main(int argc, char** argv) {
     EmitRow("chain", "figure5", "interpreted", flags, slow);
     EmitRow("chain", "figure5", "compiled", flags, fast);
     checksums_ok = Compare("chain", "figure5", slow, fast) && checksums_ok;
+
+    constexpr std::size_t kJumpSeeds = 64;
+    const RunResult jump_slow = DriveChainJump(
+        bound.value(), flags, /*compiled=*/false, kJumpSeeds);
+    const RunResult jump_fast = DriveChainJump(
+        bound.value(), flags, /*compiled=*/true, kJumpSeeds);
+    EmitRow("chain_jump", "figure5", "interpreted", flags, jump_slow);
+    EmitRow("chain_jump", "figure5", "compiled", flags, jump_fast);
+    checksums_ok = Compare("chain_jump", "figure5", jump_slow, jump_fast) &&
+                   checksums_ok;
   }
 
   if (!checksums_ok) {

@@ -3,9 +3,13 @@
 # BENCH_TRAJECTORY.jsonl at the repo root — the in-repo performance
 # trajectory (ROADMAP: "record the JSONL trajectory in-repo").
 #
-# Each record wraps the bench's own stdout JSONL rows:
+# Each record wraps the bench's own stdout JSONL rows from one run:
 #   {"commit":..., "dirty":..., "src_sha256":..., "bench":..., "args":...,
-#    "ok":0|1, "elapsed_s":..., "rows":[<the bench's JSON-lines rows>]}
+#    "run":1.., "runs":..., "ok":0|1, "elapsed_s":...,
+#    "rows":[<the bench's JSON-lines rows>]}
+# Every bench runs `runs` times (default 5), round-robin over the benches,
+# and each run is its own record with its 1-based index: one run cannot
+# resolve a per-row change, the spread of several can.
 #
 # The stamp describes the source tree the build directory was configured
 # from (CMAKE_HOME_DIRECTORY in its CMakeCache.txt), which need not be
@@ -21,12 +25,20 @@
 # comparable across commits. Checksummed benches exit non-zero on a serial/parallel divergence, and
 # that failure is recorded (ok:0) rather than swallowed.
 #
-# Usage: bench/run_trajectory.sh [build-dir]   (default: build)
+# Usage: bench/run_trajectory.sh [build-dir] [runs]
+#        (defaults: build, 5)
 
 set -u
 cd "$(dirname "$0")/.."
 OUT="$PWD/BENCH_TRAJECTORY.jsonl"
 BUILD="$(cd "${1:-build}" && pwd)" || exit 2
+RUNS="${2:-5}"
+case "$RUNS" in
+  '' | *[!0-9]* | 0)
+    echo "error: runs must be a positive integer, got '$RUNS'" >&2
+    exit 2
+    ;;
+esac
 SRC="$(sed -n 's/^CMAKE_HOME_DIRECTORY:INTERNAL=//p' "$BUILD/CMakeCache.txt")"
 if [ -z "$SRC" ] || ! cd "$SRC"; then
   echo "error: $BUILD has no configured source tree" >&2
@@ -45,8 +57,8 @@ STAMP="$(printf '"commit":"%s","dirty":%s,"src_sha256":"%s"' \
   "$COMMIT" "$DIRTY" "$SRC_SHA256")"
 
 run_bench() {
-  local bench="$1"
-  shift
+  local run="$1" bench="$2"
+  shift 2
   local bin="$BUILD/bench/$bench"
   if [ ! -x "$bin" ]; then
     echo "skip: $bin not built" >&2
@@ -61,9 +73,9 @@ run_bench() {
   # The bench rows are one JSON object per line; join them into an array.
   local joined
   joined="$(printf '%s' "$rows" | paste -sd, -)"
-  printf '{%s,"bench":"%s","args":"%s","ok":%s,"elapsed_s":%s,"rows":[%s]}\n' \
-    "$STAMP" "$bench" "$*" "$ok" "$elapsed" "$joined" >> "$OUT"
-  echo "recorded: $bench $* (ok=$ok, ${elapsed}s)" >&2
+  printf '{%s,"bench":"%s","args":"%s","run":%s,"runs":%s,"ok":%s,"elapsed_s":%s,"rows":[%s]}\n' \
+    "$STAMP" "$bench" "$*" "$run" "$RUNS" "$ok" "$elapsed" "$joined" >> "$OUT"
+  echo "recorded: $bench $* run $run/$RUNS (ok=$ok, ${elapsed}s)" >&2
 }
 
 # Static-analysis tooling wall time rides along in the same trajectory:
@@ -93,11 +105,13 @@ PIN="--num_samples=200 --batch_size=64 --num_threads=2"
 run_tool lint_determinism python3 tools/lint_determinism.py --root .
 run_tool clang_tidy bash tools/run_clang_tidy.sh "$BUILD"
 
-run_bench bench_batched_sampling $PIN
-run_bench bench_batched_sampling --num_samples=200 --batch_size=64 --num_threads=1
-run_bench bench_expr_compile $PIN
-run_bench bench_montecarlo_sweep $PIN
-# Columnar join scale check: rows x worlds, serial and threaded.
-# --num_samples is the world count here; the row sweep is built in.
-run_bench bench_columnar_worlds --num_samples=8 --batch_size=64 --num_threads=2
-run_bench bench_session_server --num_samples=200 --num_threads=2 --num_sessions=4
+for run in $(seq 1 "$RUNS"); do
+  run_bench "$run" bench_batched_sampling $PIN
+  run_bench "$run" bench_batched_sampling --num_samples=200 --batch_size=64 --num_threads=1
+  run_bench "$run" bench_expr_compile $PIN
+  run_bench "$run" bench_montecarlo_sweep $PIN
+  # Columnar join scale check: rows x worlds, serial and threaded.
+  # --num_samples is the world count here; the row sweep is built in.
+  run_bench "$run" bench_columnar_worlds --num_samples=8 --batch_size=64 --num_threads=2
+  run_bench "$run" bench_session_server --num_samples=200 --num_threads=2 --num_sessions=4
+done

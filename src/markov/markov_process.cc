@@ -32,10 +32,10 @@ void MarkovProcess::StepBatch(std::span<const double> prev_states,
                               std::span<double> out) const {
   JIGSAW_DCHECK(prev_states.size() == out.size());
   const std::uint64_t salt = MarkovStepSalt(step);
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    RandomStream rng = seeds.StreamFor(k_begin + i, salt);
-    out[i] = Step(prev_states[i], step, rng);
-  }
+  DrawEachSample(seeds.span(k_begin, out.size()), salt,
+                 [&](std::size_t i, RandomStream& rng) {
+                   out[i] = Step(prev_states[i], step, rng);
+                 });
 }
 
 void MarkovProcess::EstimateBatch(std::span<const double> anchor_states,
@@ -44,10 +44,10 @@ void MarkovProcess::EstimateBatch(std::span<const double> anchor_states,
                                   std::span<double> out) const {
   JIGSAW_DCHECK(anchor_states.size() == out.size());
   const std::uint64_t salt = MarkovStepSalt(step);
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    RandomStream rng = seeds.StreamFor(k_begin + i, salt);
-    out[i] = Estimate(anchor_states[i], anchor_step, step, rng);
-  }
+  DrawEachSample(seeds.span(k_begin, out.size()), salt,
+                 [&](std::size_t i, RandomStream& rng) {
+                   out[i] = Estimate(anchor_states[i], anchor_step, step, rng);
+                 });
 }
 
 void MarkovProcess::OutputBatch(std::span<const double> states,
@@ -56,10 +56,10 @@ void MarkovProcess::OutputBatch(std::span<const double> states,
                                 std::span<double> out) const {
   JIGSAW_DCHECK(states.size() == out.size());
   const std::uint64_t salt = MarkovOutputSalt(step);
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    RandomStream rng = seeds.StreamFor(k_begin + i, salt);
-    out[i] = Output(states[i], step, rng);
-  }
+  DrawEachSample(seeds.span(k_begin, out.size()), salt,
+                 [&](std::size_t i, RandomStream& rng) {
+                   out[i] = Output(states[i], step, rng);
+                 });
 }
 
 }  // namespace jigsaw

@@ -82,7 +82,8 @@ class MarkovProcess {
   // Entry i of each batch is instance k_begin + i. The defaults draw it
   // from seeds.StreamFor(k_begin + i, MarkovStepSalt(step)) —
   // MarkovOutputSalt(step) for OutputBatch — with the salt computed once
-  // per batch, and call the scalar Step, Estimate or Output; the
+  // per batch and the span's stream seeds derived in one pass
+  // (DrawEachSample), and call the scalar Step, Estimate or Output; the
   // estimator shares the honest step's stream (the seeded-comparison
   // requirement). `out` may alias the input span: kernels read entry i
   // before writing it.

@@ -11,10 +11,9 @@ void BlackBox::EvalBatch(std::span<const double> params, SeedSpan seeds,
                          std::uint64_t call_site,
                          std::span<double> out) const {
   JIGSAW_DCHECK(seeds.size() == out.size());
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    RandomStream rng = StreamForSigma(seeds[i], call_site);
+  DrawEachSample(seeds, call_site, [&](std::size_t i, RandomStream& rng) {
     out[i] = Eval(params, rng);
-  }
+  });
 }
 
 void BlackBox::AppendDrawKey(std::span<const double> params,

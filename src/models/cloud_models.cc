@@ -43,11 +43,12 @@ static_assert(!kMadeOfDoubles<PaddedPoint> && !kMadeOfDoubles<float> &&
 /// the work that depends only on the parameter point and returns it, and
 /// `Draw(point, rng)` makes one sample's draws. `Eval` is
 /// Draw(Prepare(params), rng); `EvalBatch` prepares once and draws sample
-/// i from StreamForSigma(seeds[i], call_site), the stream InvokeSeeded
-/// hands `Eval`, so the two paths agree bit for bit. `Draw` reads only
-/// the point and the model's own config, so a point made only of doubles
-/// is the model's draw key; any other point (UserSelection's roster) is
-/// never built to make a key, and the params are the key.
+/// i from StreamForSigma(seeds[i], call_site) through DrawEachSample, the
+/// stream InvokeSeeded hands `Eval`, so the two paths agree bit for bit.
+/// `Draw` reads only the point and the model's own config, so a point made
+/// only of doubles is the model's draw key; any other point
+/// (UserSelection's roster) is never built to make a key, and the params
+/// are the key.
 template <typename Model>
 class PreparedModel final : public BlackBox {
  public:
@@ -75,10 +76,9 @@ class PreparedModel final : public BlackBox {
     JIGSAW_DCHECK(p.size() == param_names_.size());
     JIGSAW_DCHECK(seeds.size() == out.size());
     const auto point = model_.Prepare(p);
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      RandomStream rng = StreamForSigma(seeds[i], call_site);
+    DrawEachSample(seeds, call_site, [&](std::size_t i, RandomStream& rng) {
       out[i] = model_.Draw(point, rng);
-    }
+    });
   }
 
   void AppendDrawKey(std::span<const double> p,

@@ -1,6 +1,7 @@
 #include "pdb/batch_program.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "random/draw_memo.h"
 #include "util/logging.h"
@@ -447,6 +448,68 @@ Result<BatchProgramPtr> CompileBatchProgram(
 // Execution
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/// `keep ? v : old`, bit for bit, without a branch: a lane a pure op may
+/// not touch keeps its old bits.
+inline double Blend(std::uint8_t keep, double v, double old) {
+  const std::uint64_t m = 0 - static_cast<std::uint64_t>(keep);
+  return std::bit_cast<double>((std::bit_cast<std::uint64_t>(v) & m) |
+                               (std::bit_cast<std::uint64_t>(old) & ~m));
+}
+inline std::uint8_t Blend(std::uint8_t keep, std::uint8_t v,
+                          std::uint8_t old) {
+  return static_cast<std::uint8_t>(old ^ ((old ^ v) & (0 - keep)));
+}
+
+/// A pure op's write: every lane's value(l) and null(l) are computed, and
+/// where `live` is 0 (a lane outside the op's mask, or one that already
+/// failed) the register keeps its old value and null flag. A null `live`
+/// means every lane is live. The loop does not branch per lane, and it
+/// writes a lane's value and null flag in one pass: at Figure 1's 10
+/// lanes, a second loop's setup costs more than the lanes.
+template <typename ValueFn, typename NullFn>
+void WriteLanes(std::size_t n, const std::uint8_t* live, double* d,
+                std::uint8_t* dn, ValueFn value, NullFn null) {
+  if (live == nullptr) {
+    for (std::size_t l = 0; l < n; ++l) {
+      d[l] = value(l);
+      dn[l] = null(l);
+    }
+    return;
+  }
+  for (std::size_t l = 0; l < n; ++l) {
+    d[l] = Blend(live[l], value(l), d[l]);
+    dn[l] = Blend(live[l], null(l), dn[l]);
+  }
+}
+
+/// Which of the orderings (less, equal, greater) a comparison accepts.
+struct CmpAccepts {
+  bool less;
+  bool equal;
+  bool greater;
+};
+
+CmpAccepts AcceptsOf(BatchOpCode code) {
+  switch (code) {
+    case BatchOpCode::kCmpLt:
+      return {true, false, false};
+    case BatchOpCode::kCmpLe:
+      return {true, true, false};
+    case BatchOpCode::kCmpGt:
+      return {false, false, true};
+    case BatchOpCode::kCmpGe:
+      return {false, true, true};
+    case BatchOpCode::kCmpEq:
+      return {false, true, false};
+    default:
+      return {true, false, true};  // kCmpNe
+  }
+}
+
+}  // namespace
+
 Status BatchProgram::Exec(const Context& ctx, std::size_t n,
                           std::size_t end_op, bool run_all_checks,
                           BatchScratch& s) const {
@@ -454,6 +517,8 @@ Status BatchProgram::Exec(const Context& ctx, std::size_t n,
   s.values.resize(static_cast<std::size_t>(num_regs_) * n);
   s.nulls.resize(static_cast<std::size_t>(num_regs_) * n);
   s.masks.resize(static_cast<std::size_t>(num_masks_) * n);
+  s.mask_lanes.resize(num_masks_);
+  s.live.resize(n);
   s.err.assign(n, kNoError);
   s.any_error = false;
 
@@ -468,19 +533,34 @@ Status BatchProgram::Exec(const Context& ctx, std::size_t n,
       continue;  // intermediate column: EvalColumn never checks it
     }
 
-    // Runs `body(lane)` for every lane the op may touch: masked-out and
-    // already-errored lanes are skipped, matching the interpreter (it
-    // never reaches this op for those samples). The mask-free, error-free
-    // common case is a branchless span loop.
-    auto for_active = [&](auto&& body) {
-      if (op.mask == kBatchNoMask && !s.any_error) {
+    // The lanes the op may touch, one 0/1 byte each, or null when that is
+    // every lane: masked-out and already-failed lanes are not live, as
+    // the interpreter never reaches this op for those samples. An op
+    // whose mask holds no lane does nothing, and one whose mask holds
+    // every lane runs as if unmasked.
+    const std::uint8_t* live = nullptr;
+    if (op.mask != kBatchNoMask) {
+      const std::uint32_t lanes = s.mask_lanes[op.mask];
+      if (lanes == 0) continue;
+      if (lanes != n) live = msk(op.mask);
+    }
+    if (s.any_error) {
+      std::uint8_t* folded = s.live.data();
+      for (std::size_t l = 0; l < n; ++l) {
+        folded[l] = static_cast<std::uint8_t>(
+            (live == nullptr ? 1 : live[l]) & (s.err[l] == kNoError));
+      }
+      live = folded;
+    }
+    // Runs `body(lane)` for every live lane: the ops that can raise or
+    // draw, which must never do so on a lane that is not live.
+    auto for_live = [&](auto&& body) {
+      if (live == nullptr) {
         for (std::size_t l = 0; l < n; ++l) body(l);
         return;
       }
-      const std::uint8_t* m =
-          op.mask == kBatchNoMask ? nullptr : msk(op.mask);
       for (std::size_t l = 0; l < n; ++l) {
-        if (s.err[l] == kNoError && (m == nullptr || m[l] != 0)) body(l);
+        if (live[l] != 0) body(l);
       }
     };
     auto raise = [&](std::size_t lane) {
@@ -492,45 +572,39 @@ Status BatchProgram::Exec(const Context& ctx, std::size_t n,
 
     switch (op.code) {
       case BatchOpCode::kLoadConst: {
-        double* d = val(op.dst);
-        std::uint8_t* dn = nul(op.dst);
-        for_active([&](std::size_t l) {
-          d[l] = op.imm;
-          dn[l] = 0;
-        });
+        const double v = op.imm;
+        WriteLanes(
+            n, live, val(op.dst), nul(op.dst),
+            [v](std::size_t) { return v; },
+            [](std::size_t) { return std::uint8_t{0}; });
         break;
       }
       case BatchOpCode::kLoadNull: {
-        double* d = val(op.dst);
-        std::uint8_t* dn = nul(op.dst);
-        for_active([&](std::size_t l) {
-          d[l] = 0.0;
-          dn[l] = 1;
-        });
+        WriteLanes(
+            n, live, val(op.dst), nul(op.dst),
+            [](std::size_t) { return 0.0; },
+            [](std::size_t) { return std::uint8_t{1}; });
         break;
       }
       case BatchOpCode::kLoadParam: {
-        double* d = val(op.dst);
-        std::uint8_t* dn = nul(op.dst);
         const LaneParam* lane_override = nullptr;
         for (const LaneParam& lp : ctx.lane_params) {
           if (lp.param_index == op.a) lane_override = &lp;
         }
+        const auto not_null = [](std::size_t) { return std::uint8_t{0}; };
         if (lane_override != nullptr) {
           JIGSAW_DCHECK(lane_override->values.size() >= n);
           const double* src = lane_override->values.data();
-          for_active([&](std::size_t l) {
-            d[l] = src[l];
-            dn[l] = 0;
-          });
+          WriteLanes(
+              n, live, val(op.dst), nul(op.dst),
+              [src](std::size_t l) { return src[l]; }, not_null);
         } else if (op.a >= ctx.params.size()) {
-          for_active([&](std::size_t l) { raise(l); });
+          for_live([&](std::size_t l) { raise(l); });
         } else {
           const double v = ctx.params[op.a];
-          for_active([&](std::size_t l) {
-            d[l] = v;
-            dn[l] = 0;
-          });
+          WriteLanes(
+              n, live, val(op.dst), nul(op.dst),
+              [v](std::size_t) { return v; }, not_null);
         }
         break;
       }
@@ -541,15 +615,24 @@ Status BatchProgram::Exec(const Context& ctx, std::size_t n,
         const double* y = val(op.b);
         const std::uint8_t* xn = nul(op.a);
         const std::uint8_t* yn = nul(op.b);
+        const auto null = [xn, yn](std::size_t l) {
+          return static_cast<std::uint8_t>(xn[l] | yn[l]);
+        };
         double* d = val(op.dst);
         std::uint8_t* dn = nul(op.dst);
-        const BatchOpCode c = op.code;
-        for_active([&](std::size_t l) {
-          dn[l] = xn[l] | yn[l];
-          d[l] = c == BatchOpCode::kAdd   ? x[l] + y[l]
-                 : c == BatchOpCode::kSub ? x[l] - y[l]
-                                          : x[l] * y[l];
-        });
+        if (op.code == BatchOpCode::kAdd) {
+          WriteLanes(
+              n, live, d, dn, [x, y](std::size_t l) { return x[l] + y[l]; },
+              null);
+        } else if (op.code == BatchOpCode::kSub) {
+          WriteLanes(
+              n, live, d, dn, [x, y](std::size_t l) { return x[l] - y[l]; },
+              null);
+        } else {
+          WriteLanes(
+              n, live, d, dn, [x, y](std::size_t l) { return x[l] * y[l]; },
+              null);
+        }
         break;
       }
       case BatchOpCode::kDiv: {
@@ -559,7 +642,7 @@ Status BatchProgram::Exec(const Context& ctx, std::size_t n,
         const std::uint8_t* yn = nul(op.b);
         double* d = val(op.dst);
         std::uint8_t* dn = nul(op.dst);
-        for_active([&](std::size_t l) {
+        for_live([&](std::size_t l) {
           if (xn[l] | yn[l]) {
             dn[l] = 1;
             d[l] = 0.0;
@@ -582,88 +665,67 @@ Status BatchProgram::Exec(const Context& ctx, std::size_t n,
         const double* y = val(op.b);
         const std::uint8_t* xn = nul(op.a);
         const std::uint8_t* yn = nul(op.b);
-        double* d = val(op.dst);
-        std::uint8_t* dn = nul(op.dst);
-        const BatchOpCode c = op.code;
-        for_active([&](std::size_t l) {
-          dn[l] = xn[l] | yn[l];
-          // Value::Compare's ordering exactly (NaN compares equal).
-          const int cmp = x[l] < y[l] ? -1 : (x[l] > y[l] ? 1 : 0);
-          bool r = false;
-          switch (c) {
-            case BatchOpCode::kCmpLt:
-              r = cmp < 0;
-              break;
-            case BatchOpCode::kCmpLe:
-              r = cmp <= 0;
-              break;
-            case BatchOpCode::kCmpGt:
-              r = cmp > 0;
-              break;
-            case BatchOpCode::kCmpGe:
-              r = cmp >= 0;
-              break;
-            case BatchOpCode::kCmpEq:
-              r = cmp == 0;
-              break;
-            default:
-              r = cmp != 0;
-              break;
-          }
-          d[l] = r ? 1.0 : 0.0;
-        });
+        // Value::Compare's ordering exactly: NaN compares equal.
+        const CmpAccepts accepts = AcceptsOf(op.code);
+        WriteLanes(
+            n, live, val(op.dst), nul(op.dst),
+            [x, y, accepts](std::size_t l) {
+              const bool less = x[l] < y[l];
+              const bool greater = x[l] > y[l];
+              return static_cast<double>((less & accepts.less) |
+                                         (greater & accepts.greater) |
+                                         (!(less | greater) & accepts.equal));
+            },
+            [xn, yn](std::size_t l) {
+              return static_cast<std::uint8_t>(xn[l] | yn[l]);
+            });
         break;
       }
       case BatchOpCode::kNot: {
         const double* x = val(op.a);
         const std::uint8_t* xn = nul(op.a);
-        double* d = val(op.dst);
-        std::uint8_t* dn = nul(op.dst);
-        for_active([&](std::size_t l) {
-          dn[l] = xn[l];
-          d[l] = x[l] == 0.0 ? 1.0 : 0.0;
-        });
+        WriteLanes(
+            n, live, val(op.dst), nul(op.dst),
+            [x](std::size_t l) { return static_cast<double>(x[l] == 0.0); },
+            [xn](std::size_t l) { return xn[l]; });
         break;
       }
       case BatchOpCode::kBoolCast: {
         const double* x = val(op.a);
         const std::uint8_t* xn = nul(op.a);
-        double* d = val(op.dst);
-        std::uint8_t* dn = nul(op.dst);
-        for_active([&](std::size_t l) {
-          dn[l] = xn[l];
-          d[l] = x[l] != 0.0 ? 1.0 : 0.0;
-        });
+        WriteLanes(
+            n, live, val(op.dst), nul(op.dst),
+            [x](std::size_t l) { return static_cast<double>(x[l] != 0.0); },
+            [xn](std::size_t l) { return xn[l]; });
         break;
       }
       case BatchOpCode::kCopy: {
         const double* x = val(op.a);
         const std::uint8_t* xn = nul(op.a);
-        double* d = val(op.dst);
-        std::uint8_t* dn = nul(op.dst);
-        for_active([&](std::size_t l) {
-          dn[l] = xn[l];
-          d[l] = x[l];
-        });
+        WriteLanes(
+            n, live, val(op.dst), nul(op.dst),
+            [x](std::size_t l) { return x[l]; },
+            [xn](std::size_t l) { return xn[l]; });
         break;
       }
       case BatchOpCode::kLogicSeed: {
+        const double v = op.imm;
         const std::uint8_t* xn = nul(op.a);
-        double* d = val(op.dst);
-        std::uint8_t* dn = nul(op.dst);
-        for_active([&](std::size_t l) {
-          dn[l] = xn[l];
-          d[l] = op.imm;
-        });
+        WriteLanes(
+            n, live, val(op.dst), nul(op.dst),
+            [v](std::size_t) { return v; },
+            [xn](std::size_t l) { return xn[l]; });
         break;
       }
       case BatchOpCode::kMaskCopy: {
         std::uint8_t* d = msk(op.dst);
         if (op.a == kBatchNoMask) {
           std::fill(d, d + n, std::uint8_t{1});
+          s.mask_lanes[op.dst] = static_cast<std::uint32_t>(n);
         } else {
           const std::uint8_t* src = msk(op.a);
           std::copy(src, src + n, d);
+          s.mask_lanes[op.dst] = s.mask_lanes[op.a];
         }
         break;
       }
@@ -675,40 +737,49 @@ Status BatchProgram::Exec(const Context& ctx, std::size_t n,
         const double* x = val(op.b);
         const std::uint8_t* xn = nul(op.b);
         const bool want = op.code == BatchOpCode::kMaskWhereTrue;
+        std::uint32_t lanes = 0;
         for (std::size_t l = 0; l < n; ++l) {
-          const bool live = parent == nullptr || parent[l] != 0;
-          d[l] = (live && xn[l] == 0 && (x[l] != 0.0) == want) ? 1 : 0;
+          d[l] = static_cast<std::uint8_t>(
+              (parent == nullptr ? 1 : parent[l]) & (xn[l] == 0) &
+              ((x[l] != 0.0) == want));
+          lanes += d[l];
         }
+        s.mask_lanes[op.dst] = lanes;
         break;
       }
       case BatchOpCode::kMaskAndNot: {
         std::uint8_t* d = msk(op.dst);
         const std::uint8_t* a = op.a == kBatchNoMask ? nullptr : msk(op.a);
         const std::uint8_t* b = msk(op.b);
+        std::uint32_t lanes = 0;
         for (std::size_t l = 0; l < n; ++l) {
-          d[l] = ((a == nullptr || a[l] != 0) && b[l] == 0) ? 1 : 0;
+          d[l] = static_cast<std::uint8_t>((a == nullptr ? 1 : a[l]) &
+                                           (b[l] == 0));
+          lanes += d[l];
         }
+        s.mask_lanes[op.dst] = lanes;
         break;
       }
       case BatchOpCode::kCheckSeeds: {
         // Lanes that reach a stochastic call without seeds fail exactly
         // like the interpreter; masked-out lanes stay clean.
         if (ctx.seeds == nullptr) {
-          for_active([&](std::size_t l) { raise(l); });
+          for_live([&](std::size_t l) { raise(l); });
         }
         break;
       }
-      case BatchOpCode::kCheckArgNumeric: {
+      case BatchOpCode::kCheckArgNumeric:
+      case BatchOpCode::kCheckNumeric: {
         const std::uint8_t* xn = nul(op.a);
-        for_active([&](std::size_t l) {
+        for_live([&](std::size_t l) {
           if (xn[l] != 0) raise(l);
         });
         break;
       }
       case BatchOpCode::kModelCall: {
         // The preceding kCheckSeeds errored every lane that could reach
-        // this op without seeds, so no active lane dereferences them;
-        // the guard only covers the degenerate everything-masked case.
+        // this op without seeds, so no live lane dereferences them; the
+        // guard only covers the degenerate everything-masked case.
         if (ctx.seeds == nullptr) break;
         double* d = val(op.dst);
         std::uint8_t* dn = nul(op.dst);
@@ -720,15 +791,16 @@ Status BatchProgram::Exec(const Context& ctx, std::size_t n,
               std::binary_search(op.arg_params.begin(), op.arg_params.end(),
                                  lp.param_index);
         }
-        if (op.mask == kBatchNoMask && !s.any_error && op.uniform_args &&
-            !lane_param_conflict) {
+        s.argv.resize(op.args.size());
+        if (live == nullptr && op.uniform_args && !lane_param_conflict) {
           // Arguments are identical across lanes: one EvalBatch over the
           // whole seed span (bit-identical to per-lane InvokeSeeded by
           // the EvalBatch contract). A fingerprint's draws, samples
           // [0, m) of a runner's seeds, come from the runner's memo when
           // an earlier point drew them.
-          s.argv.clear();
-          for (std::uint32_t arg : op.args) s.argv.push_back(val(arg)[0]);
+          for (std::size_t a = 0; a < op.args.size(); ++a) {
+            s.argv[a] = val(op.args[a])[0];
+          }
           const std::span<double> lanes(d, n);
           DrawMemo* memo = ctx.seeds->draw_memo();
           if (memo != nullptr && ctx.sample_begin == 0 &&
@@ -746,22 +818,21 @@ Status BatchProgram::Exec(const Context& ctx, std::size_t n,
           }
           std::fill(dn, dn + n, std::uint8_t{0});
         } else {
-          for_active([&](std::size_t l) {
-            s.argv.clear();
-            for (std::uint32_t arg : op.args) s.argv.push_back(val(arg)[l]);
-            RandomStream rng =
-                ctx.seeds->StreamFor(ctx.sample_begin + l, site);
+          // Each live lane draws from its own sample's stream: the span's
+          // stream seeds come first, in one pass, then each lane gathers
+          // its arguments and draws.
+          s.stream_seeds.resize(n);
+          DeriveStreamSeeds(ctx.seeds->span(ctx.sample_begin, n), site,
+                            s.stream_seeds);
+          for_live([&](std::size_t l) {
+            for (std::size_t a = 0; a < op.args.size(); ++a) {
+              s.argv[a] = val(op.args[a])[l];
+            }
+            RandomStream rng(s.stream_seeds[l]);
             d[l] = op.model->Eval(s.argv, rng);
             dn[l] = 0;
           });
         }
-        break;
-      }
-      case BatchOpCode::kCheckNumeric: {
-        const std::uint8_t* xn = nul(op.a);
-        for_active([&](std::size_t l) {
-          if (xn[l] != 0) raise(l);
-        });
         break;
       }
     }

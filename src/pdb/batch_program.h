@@ -10,8 +10,9 @@
 ///    (or per-lane) register loads;
 ///  * binary arithmetic and comparisons become span kernels;
 ///  * AND / OR / CASE compile to mask registers so the interpreter's
-///    short-circuit rules hold per lane (untaken operands are neither
-///    evaluated nor allowed to raise);
+///    short-circuit rules hold per lane: a pure op computes every lane
+///    and keeps the old bits where its mask is clear, and no untaken
+///    operand raises or draws;
 ///  * model calls dispatch through BlackBox::EvalBatch when their
 ///    arguments are lane-uniform, and otherwise re-derive the exact
 ///    per-sample (seed, call_site, stream_salt) stream the interpreter
@@ -103,8 +104,11 @@ class BatchScratch {
   std::vector<double> values;        ///< num_regs x n
   std::vector<std::uint8_t> nulls;   ///< num_regs x n
   std::vector<std::uint8_t> masks;   ///< num_masks x n
+  std::vector<std::uint32_t> mask_lanes;  ///< per mask: lanes it holds
+  std::vector<std::uint8_t> live;    ///< per lane: op may touch it (0/1)
   std::vector<std::uint32_t> err;    ///< per lane: first erroring op index
   std::vector<double> argv;          ///< model-call argument gather
+  std::vector<std::uint64_t> stream_seeds;  ///< per lane: model-call stream
   std::vector<std::uint64_t> draw_key;  ///< model-call draw key
   bool any_error = false;
 };

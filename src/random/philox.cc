@@ -1,8 +1,13 @@
 #include "random/philox.h"
 
+#include "util/logging.h"
+
 namespace jigsaw {
 
 namespace {
+
+constexpr std::uint64_t kStreamSeedKey = 0x6a09e667f3bcc908ULL;
+
 inline std::uint32_t MulHi(std::uint32_t a, std::uint32_t b) {
   return static_cast<std::uint32_t>(
       (static_cast<std::uint64_t>(a) * b) >> 32);
@@ -10,6 +15,15 @@ inline std::uint32_t MulHi(std::uint32_t a, std::uint32_t b) {
 inline std::uint32_t MulLo(std::uint32_t a, std::uint32_t b) {
   return a * b;
 }
+
+/// DeriveStreamSeed's body, inline here so that DeriveStreamSeeds runs
+/// its blocks back to back with no call between them.
+inline std::uint64_t StreamSeed(std::uint64_t sigma, std::uint64_t call_site) {
+  std::uint64_t a = 0, b = 0;
+  Philox4x32::Block64(sigma, call_site, kStreamSeedKey, &a, &b);
+  return a ^ (b * 0x9e3779b97f4a7c15ULL);
+}
+
 }  // namespace
 
 Philox4x32::Counter Philox4x32::Block(Counter ctr, Key key) {
@@ -45,10 +59,16 @@ void Philox4x32::Block64(std::uint64_t counter_lo, std::uint64_t counter_hi,
 }
 
 std::uint64_t DeriveStreamSeed(std::uint64_t sigma, std::uint64_t call_site) {
-  std::uint64_t a = 0, b = 0;
-  Philox4x32::Block64(sigma, call_site, /*key=*/0x6a09e667f3bcc908ULL, &a,
-                      &b);
-  return a ^ (b * 0x9e3779b97f4a7c15ULL);
+  return StreamSeed(sigma, call_site);
+}
+
+void DeriveStreamSeeds(std::span<const std::uint64_t> sigmas,
+                       std::uint64_t call_site,
+                       std::span<std::uint64_t> out) {
+  JIGSAW_DCHECK(sigmas.size() == out.size());
+  for (std::size_t i = 0; i < sigmas.size(); ++i) {
+    out[i] = StreamSeed(sigmas[i], call_site);
+  }
 }
 
 }  // namespace jigsaw

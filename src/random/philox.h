@@ -10,6 +10,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 
 namespace jigsaw {
 
@@ -39,5 +40,12 @@ class Philox4x32 {
 /// Section 3.1 requires: "all sources of randomness within F(P, sigma) are
 /// replaced by invocations of a pseudorandom generator seeded by sigma".
 std::uint64_t DeriveStreamSeed(std::uint64_t sigma, std::uint64_t call_site);
+
+/// DeriveStreamSeed over a span of sample seeds: out[i] =
+/// DeriveStreamSeed(sigmas[i], call_site), word for word. The batch
+/// kernels derive a span's stream seeds through it before drawing, so the
+/// samples' blocks run back to back, not each behind its sample's draws.
+void DeriveStreamSeeds(std::span<const std::uint64_t> sigmas,
+                       std::uint64_t call_site, std::span<std::uint64_t> out);
 
 }  // namespace jigsaw

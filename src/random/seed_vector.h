@@ -16,6 +16,7 @@
 /// (random/draw_memo.h) to the batch kernels. A copy draws the same seeds
 /// but carries no memo, so only the runner's own kernels read it.
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -47,6 +48,29 @@ using SeedSpan = std::span<const std::uint64_t>;
 inline RandomStream StreamForSigma(std::uint64_t sigma,
                                    std::uint64_t call_site) {
   return RandomStream(DeriveStreamSeed(sigma, call_site));
+}
+
+/// How many samples' stream seeds DrawEachSample derives at a time.
+inline constexpr std::size_t kStreamSeedChunk = 64;
+
+/// The batch kernels' draw loop: calls draw(i, rng) for each sample i of
+/// `seeds` in order, where rng is StreamForSigma(seeds[i], call_site). It
+/// derives the stream seeds of up to kStreamSeedChunk samples at a time
+/// through DeriveStreamSeeds, then seeds each sample's stream from its
+/// word and draws.
+template <typename Draw>
+void DrawEachSample(SeedSpan seeds, std::uint64_t call_site, Draw&& draw) {
+  std::uint64_t stream_seeds[kStreamSeedChunk];
+  for (std::size_t begin = 0; begin < seeds.size();
+       begin += kStreamSeedChunk) {
+    const std::size_t len = std::min(kStreamSeedChunk, seeds.size() - begin);
+    DeriveStreamSeeds(seeds.subspan(begin, len), call_site,
+                      std::span<std::uint64_t>(stream_seeds, len));
+    for (std::size_t i = 0; i < len; ++i) {
+      RandomStream rng(stream_seeds[i]);
+      draw(begin + i, rng);
+    }
+  }
 }
 
 /// The call site a model call draws from under a stream salt (a chain

@@ -1,6 +1,7 @@
 #include "util/histogram.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 
@@ -30,10 +31,16 @@ int Histogram::BinOf(double x) const {
     // halves so that every intermediate value stays finite.
     q = (x / 2 - lo_ / 2) / (hi_ / 2 - lo_ / 2) * num_bins();
   }
-  // Clamp in double before the cast: out-of-range observations land in
-  // the edge bins, and a NaN quotient (q > 0 is false) in bin 0.
-  return q > 0 ? static_cast<int>(std::min(std::floor(q), num_bins() - 1.0))
-               : 0;
+  // Clamp in double before the cast, with selects rather than a branch
+  // (values on the low edge, mixed at random with others, would
+  // mispredict one): out-of-range observations land in the edge bins, and
+  // a NaN quotient in bin 0. The low clamp is a mask, as GCC turns
+  // std::max(0.0, q) into a jump: q > 0 keeps q's bits, and anything else
+  // (-0, negative, NaN) becomes +0. The clamped quotient is non-negative,
+  // so the truncating cast is its floor.
+  const std::uint64_t positive = 0 - static_cast<std::uint64_t>(q > 0);
+  q = std::bit_cast<double>(std::bit_cast<std::uint64_t>(q) & positive);
+  return static_cast<int>(std::min(q, num_bins() - 1.0));
 }
 
 Histogram Histogram::FromSamples(const std::vector<double>& samples,

@@ -137,6 +137,53 @@ TEST(BatchKernelTest, DefaultEvalBatchLoopsScalar) {
   ExpectBatchMatchesScalar(model, params);
 }
 
+TEST(BatchKernelTest, EveryModelMatchesInvokeSeededAcrossStreamSeedChunks) {
+  // EvalBatch derives its stream seeds kStreamSeedChunk samples at a
+  // time: spans just under, at and over one chunk, and over two, must
+  // still draw each sample from its own InvokeSeeded stream.
+  CloudModelConfig users_cfg;
+  users_cfg.num_users = 20;
+  users_cfg.user_sim_depth = 3;
+  const CallableBlackBox scalar_only(
+      "mix", {"x"}, [](std::span<const double> p, RandomStream& rng) {
+        return rng.Normal(p[0], 1.0) + rng.Exponential(0.5);
+      });
+  const std::vector<std::pair<BlackBoxPtr, std::vector<double>>> models = {
+      {MakeDemandModel({}), {30.0, 20.0}},
+      {MakeCapacityModel({}), {30.0, 10.0, 40.0}},
+      {MakeOverloadModel({}), {45.0, 20.0, 30.0}},
+      {MakeUserSelectionModel(users_cfg), {26.0}},
+      {MakeSynthBasisModel({}), {17.0}},
+      {MakeSeasonalDemandModel({}), {13.0}},
+      {MakeOutageModel({}), {26.0}},
+  };
+  const SeedVector seeds(0xfeedu, 140);
+  const auto check = [&](const BlackBox& model,
+                         std::span<const double> params) {
+    SCOPED_TRACE(model.name());
+    for (const std::uint64_t site :
+         {std::uint64_t{0}, CombineSite(5, MarkovStepSalt(9))}) {
+      for (const std::size_t n : {1u, 63u, 64u, 65u, 130u}) {
+        for (const std::size_t begin : {0u, 5u}) {
+          SCOPED_TRACE(testing::Message() << "site " << site << " n " << n
+                                          << " begin " << begin);
+          std::vector<double> batched(n);
+          model.EvalBatch(params, seeds.span(begin, n), site, batched);
+          for (std::size_t i = 0; i < n; ++i) {
+            ASSERT_EQ(Bits(batched[i]),
+                      Bits(InvokeSeeded(model, params, seeds.seed(begin + i),
+                                        site)))
+                << "sample " << i;
+          }
+        }
+      }
+    }
+  };
+  for (const auto& [model, params] : models) check(*model, params);
+  const double mix_params[] = {4.0};
+  check(scalar_only, mix_params);
+}
+
 // ---------------------------------------------------------------------------
 // Frozen model outputs. BatchKernelTest compares each model's two paths
 // with each other; these pin what both must return, as bit patterns, so a

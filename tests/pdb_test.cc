@@ -5,10 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <functional>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include <span>
@@ -383,11 +386,16 @@ TEST(BatchProgramTest, BitIdenticalToInterpreterAcrossBatchGrid) {
   ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
   const BatchProgram& program = *compiled.value();
 
-  const std::size_t kSamples = 64;
+  // Spans one lane either side of the default 64, and past two of them,
+  // beside the grid's sizes.
+  const std::size_t kSamples = 200;
   SeedVector seeds(0xFEED, kSamples);
   const std::vector<double> params = {2.5};
+  std::vector<std::size_t> batches(test::GridBatchSizes().begin(),
+                                   test::GridBatchSizes().end());
+  batches.insert(batches.end(), {63, 65, 130});
   for (std::uint64_t salt : {std::uint64_t{0}, std::uint64_t{77}}) {
-    for (std::size_t batch : test::GridBatchSizes()) {
+    for (std::size_t batch : batches) {
       SCOPED_TRACE(testing::Message() << "salt=" << salt
                                       << " batch=" << batch);
       for (std::size_t j = 0; j < outer.size(); ++j) {
@@ -415,6 +423,125 @@ TEST(BatchProgramTest, BitIdenticalToInterpreterAcrossBatchGrid) {
       }
     }
   }
+}
+
+TEST(BatchProgramTest, ChainShapedProgramMatchesInterpreterUnderMasks) {
+  // The Figure 5 CHAIN's shape: a model call fed by the chain state, a
+  // per-lane parameter, and CASE WHEN ... AND ... over its draw, so each
+  // lane's draw decides which masked ops reach it. Beside it, a division
+  // by zero on exactly the lanes that skip its branch (which must not
+  // raise) and a NULL model argument on lanes that take theirs (which
+  // must raise the interpreter's error, lowest lane first).
+  auto model = std::make_shared<CallableBlackBox>(
+      "F", std::vector<std::string>{"a", "b"},
+      [](std::span<const double> p, RandomStream& rng) {
+        return 0.1 * p[0] + 0.1 * p[1] + 10.0 * rng.NextDouble();
+      });
+  const auto w = [] { return MakeParamRef(0, "w"); };
+  const auto state = [] { return MakeParamRef(1, "s"); };
+  const auto lit = [](double v) { return MakeLiteral(Value(v)); };
+  const auto draw = [] { return MakeColumnRef(0, "d"); };
+  std::vector<ExprPtr> inner = {
+      MakeModelCall(model, {w(), state()}, /*call_site=*/1)};
+  std::vector<ExprPtr> outer = {
+      // CASE WHEN d > 5 AND @w + 1 < @s THEN @w + 1 ELSE @s END
+      MakeCase({{MakeBinary(BinaryOp::kAnd,
+                            MakeBinary(BinaryOp::kGt, draw(), lit(5.0)),
+                            MakeBinary(BinaryOp::kLt,
+                                       MakeBinary(BinaryOp::kAdd, w(),
+                                                  lit(1.0)),
+                                       state())),
+                 MakeBinary(BinaryOp::kAdd, w(), lit(1.0))}},
+               state()),
+      // CASE WHEN @s <> 0 THEN 10 / @s ELSE d END
+      MakeCase({{MakeBinary(BinaryOp::kNe, state(), lit(0.0)),
+                 MakeBinary(BinaryOp::kDiv, lit(10.0), state())}},
+               draw()),
+      // CASE WHEN d > 5 THEN F(CASE WHEN @s < 4 THEN @s END, @w) ELSE d END
+      MakeCase(
+          {{MakeBinary(BinaryOp::kGt, draw(), lit(5.0)),
+            MakeModelCall(
+                model,
+                {MakeCase({{MakeBinary(BinaryOp::kLt, state(), lit(4.0)),
+                            state()}},
+                          nullptr),
+                 w()},
+                /*call_site=*/2)}},
+          draw())};
+  std::vector<std::string> names = {"next", "guarded", "null_arg"};
+  auto compiled = CompileBatchProgram(inner, outer, names);
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  const BatchProgram& program = *compiled.value();
+
+  // Chain states: 9 (takes the AND's branch when the draw allows, and
+  // feeds a NULL argument where the draw takes its branch) on every
+  // 37th lane from 5, 0 (the division's untaken lanes) on other
+  // multiples of 5, negative otherwise.
+  const std::size_t kSamples = 200;
+  std::vector<double> states(kSamples);
+  for (std::size_t k = 0; k < kSamples; ++k) {
+    states[k] = k % 37 == 5  ? 9.0
+                : k % 5 == 0 ? 0.0
+                             : -static_cast<double>(k % 3) - 0.5;
+  }
+  const SeedVector seeds(0xC4A1, kSamples);
+  const double w_value = 2.0;
+  std::vector<std::size_t> batches(test::GridBatchSizes().begin(),
+                                   test::GridBatchSizes().end());
+  batches.insert(batches.end(), {63, 65, 130});
+  std::size_t failed_spans = 0, clean_spans = 0;
+  for (const std::uint64_t salt : {std::uint64_t{0}, std::uint64_t{0x5A17}}) {
+    for (const std::size_t batch : batches) {
+      for (std::size_t j = 0; j < outer.size(); ++j) {
+        SCOPED_TRACE(testing::Message() << "salt=" << salt << " batch="
+                                        << batch << " column=" << j);
+        BatchScratch scratch;
+        for (std::size_t begin = 0; begin < kSamples; begin += batch) {
+          const std::size_t n = std::min(batch, kSamples - begin);
+          const BatchProgram::LaneParam lane_param{
+              1, std::span<const double>(states.data() + begin, n)};
+          BatchProgram::Context ctx;
+          const std::vector<double> params = {w_value, 0.0};
+          ctx.params = params;
+          ctx.lane_params =
+              std::span<const BatchProgram::LaneParam>(&lane_param, 1);
+          ctx.sample_begin = begin;
+          ctx.seeds = &seeds;
+          ctx.stream_salt = salt;
+          std::vector<double> got(n);
+          const Status s = program.RunColumn(j, ctx, n, got, scratch);
+          // The interpreter, one sample at a time, with the lane's state.
+          std::optional<Status> first_error;
+          for (std::size_t i = 0; i < n && !first_error; ++i) {
+            const std::vector<double> sample_params = {w_value,
+                                                       states[begin + i]};
+            auto ref = RefEvalColumn(inner, outer, names, j, sample_params,
+                                     begin + i, seeds, salt);
+            if (!ref.ok()) {
+              first_error = ref.status();
+            } else if (s.ok()) {
+              ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+                        std::bit_cast<std::uint64_t>(ref.value()))
+                  << "sample " << begin + i;
+            }
+          }
+          if (first_error) {
+            ++failed_spans;
+            ASSERT_FALSE(s.ok()) << "span at " << begin;
+            EXPECT_EQ(s.message(), first_error->message())
+                << "span at " << begin;
+          } else {
+            ++clean_spans;
+            ASSERT_TRUE(s.ok()) << "span at " << begin << ": "
+                                << s.ToString();
+          }
+        }
+      }
+    }
+  }
+  // Both outcomes occurred, so neither side of the diff went untested.
+  EXPECT_GT(failed_spans, 0u);
+  EXPECT_GT(clean_spans, 0u);
 }
 
 TEST(BatchProgramTest, DivisionByZeroReportsLowestLaneError) {

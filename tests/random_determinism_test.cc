@@ -11,8 +11,10 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <set>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -72,6 +74,69 @@ TEST(PhiloxTest, DeriveStreamSeedIsStableAndCallSiteSensitive) {
   EXPECT_EQ(s, DeriveStreamSeed(kSeed, 7));
   EXPECT_NE(s, DeriveStreamSeed(kSeed, 8));
   EXPECT_NE(s, DeriveStreamSeed(kSeed + 1, 7));
+}
+
+TEST(PhiloxTest, DeriveStreamSeedsEqualsScalarDerivationAtEveryLength) {
+  // The batch kernels derive a span's stream seeds in one pass; every
+  // word must be the scalar derivation's, at every span length through
+  // two 64-sample chunks, at raw call sites and at sites salted as the
+  // expression evaluators and the Markov hooks salt them. The words
+  // either side of the output span must stay untouched.
+  const SeedVector seeds(kSeed, 140);
+  const std::uint64_t raw_sites[] = {0, 1, 7, 0x8000000000000000ULL,
+                                     ~std::uint64_t{0}};
+  std::vector<std::uint64_t> sites(std::begin(raw_sites),
+                                   std::end(raw_sites));
+  for (const std::uint64_t salt :
+       {std::uint64_t{0x5A17}, std::uint64_t{1}, ~std::uint64_t{0}}) {
+    for (const std::uint64_t site : raw_sites) {
+      sites.push_back(CombineSite(site, salt));
+    }
+  }
+  constexpr std::uint64_t kGuard = 0xDEADBEEFDEADBEEFULL;
+  for (const std::uint64_t site : sites) {
+    for (std::size_t len = 0; len <= 130; ++len) {
+      for (const std::size_t begin : {std::size_t{0}, std::size_t{9}}) {
+        const SeedSpan sigmas = seeds.span(begin, len);
+        std::vector<std::uint64_t> out(len + 2, kGuard);
+        DeriveStreamSeeds(sigmas, site,
+                          std::span<std::uint64_t>(out.data() + 1, len));
+        ASSERT_EQ(out.front(), kGuard) << "site " << site << " len " << len;
+        ASSERT_EQ(out.back(), kGuard) << "site " << site << " len " << len;
+        for (std::size_t i = 0; i < len; ++i) {
+          ASSERT_EQ(out[i + 1], DeriveStreamSeed(sigmas[i], site))
+              << "site " << site << " len " << len << " begin " << begin
+              << " sample " << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(PhiloxTest, DrawEachSampleDrawsEachSampleFromItsScalarStream) {
+  // The draw loop the batch kernels share: sample i's stream is
+  // StreamForSigma(seeds[i], site), samples run in order, and spans
+  // longer than one chunk of stream seeds cross it cleanly.
+  const SeedVector seeds(kSeed, 140);
+  for (const std::size_t len : {std::size_t{0}, std::size_t{1},
+                                kStreamSeedChunk - 1, kStreamSeedChunk,
+                                kStreamSeedChunk + 1, std::size_t{130}}) {
+    std::vector<std::size_t> order;
+    std::vector<std::uint64_t> words(len);
+    DrawEachSample(seeds.span(3, len), 11,
+                   [&](std::size_t i, RandomStream& rng) {
+                     order.push_back(i);
+                     rng.NextUint64();
+                     words[i] = rng.NextUint64();
+                   });
+    ASSERT_EQ(order.size(), len);
+    for (std::size_t i = 0; i < len; ++i) {
+      EXPECT_EQ(order[i], i);
+      RandomStream want = StreamForSigma(seeds.seed(3 + i), 11);
+      want.NextUint64();
+      EXPECT_EQ(words[i], want.NextUint64()) << "len " << len << " i " << i;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

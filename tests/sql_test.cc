@@ -1398,7 +1398,11 @@ INTO results;
                                       use_jump, &ref_stats);
     ASSERT_TRUE(reference.ok()) << reference.status().ToString();
 
-    for (std::size_t batch : test::GridBatchSizes()) {
+    // Beside the grid's sizes, spans one lane past 64 and past two 64s.
+    std::vector<std::size_t> batches(test::GridBatchSizes().begin(),
+                                     test::GridBatchSizes().end());
+    batches.insert(batches.end(), {65, 130});
+    for (std::size_t batch : batches) {
       SCOPED_TRACE(testing::Message()
                    << "jump=" << use_jump << " batch=" << batch);
       RunConfig cfg = ref_cfg;

@@ -343,6 +343,117 @@ TEST(HistogramTest, RangeWiderThanDblMaxBinsEverySample) {
   EXPECT_TRUE(std::isfinite(one.bin_hi(0)));
 }
 
+/// The bin counts Histogram(lo, hi, num_bins) held when its bin formula
+/// branched on the quotient (`q > 0 ? min(floor(q), num_bins - 1) : 0`):
+/// the reference the branch-free clamp must reproduce.
+struct BranchingCounts {
+  std::vector<std::int64_t> counts;
+  std::int64_t total = 0;
+  std::int64_t dropped = 0;
+};
+
+BranchingCounts BranchingFormulaCounts(double lo, double hi, int num_bins,
+                                       std::span<const double> xs) {
+  if (hi <= lo) hi = lo + 1.0;
+  double width = (hi - lo) / num_bins;
+  if (!std::isfinite(width)) {
+    width = std::min(hi / num_bins - lo / num_bins,
+                     std::numeric_limits<double>::max());
+  }
+  BranchingCounts out;
+  out.counts.assign(static_cast<std::size_t>(num_bins), 0);
+  for (const double x : xs) {
+    if (!std::isfinite(x)) {
+      ++out.dropped;
+      continue;
+    }
+    double q = (x - lo) / width;
+    if (!std::isfinite(q)) q = (x / 2 - lo / 2) / (hi / 2 - lo / 2) * num_bins;
+    const int bin =
+        q > 0 ? static_cast<int>(std::min(std::floor(q), num_bins - 1.0)) : 0;
+    ++out.counts[static_cast<std::size_t>(bin)];
+    ++out.total;
+  }
+  return out;
+}
+
+TEST(HistogramTest, BranchFreeBinsMatchTheBranchingFormula) {
+  constexpr double kMax = std::numeric_limits<double>::max();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kTiny = std::numeric_limits<double>::denorm_min();
+  constexpr double kMinNormal = std::numeric_limits<double>::min();
+  // Values that hit every clamp: both zeros, NaN and the infinities
+  // (dropped), subnormals, out-of-range values of either sign and the
+  // extremes.
+  const std::vector<double> common = {0.0,   -0.0,        kNaN,  kInf,
+                                      -kInf, kTiny,       -kTiny, kMinNormal,
+                                      -kMinNormal / 2, 1e-310, kMax, -kMax,
+                                      1e308, -1e308,      -5.0,  15.0};
+  struct Case {
+    double lo, hi;
+    int bins;
+  };
+  const Case cases[] = {
+      {0.0, 1.0, 20},       // two-valued columns' range
+      {0.0, 0.5, 20},       //
+      {-3.0, -1.0, 5},      // all negative
+      {0.0, 8 * kTiny, 4},  // subnormal-wide bins
+      {-1e308, 1e308, 4},   // wider than DBL_MAX
+      {-kMax, kMax, 1},     // wider than DBL_MAX, one bin
+      {-kMax, kMax, 7},     //
+      {1e300, 1e300, 4},    // degenerate: zero width, NaN quotient at lo
+      {5.0, 5.0, 3},        // degenerate: widened to unit width
+  };
+  std::uint64_t lcg = 0x4B15;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(testing::Message() << "[" << c.lo << ", " << c.hi << "] x "
+                                    << c.bins);
+    std::vector<double> xs = common;
+    // The range's ends, every bin edge and its neighbours on each side.
+    const Histogram probe(c.lo, c.hi, c.bins);
+    for (int i = 0; i <= c.bins; ++i) {
+      const double edge = i == c.bins ? probe.bin_hi(c.bins - 1)
+                                      : probe.bin_lo(i);
+      xs.push_back(edge);
+      xs.push_back(std::nextafter(edge, -kInf));
+      xs.push_back(std::nextafter(edge, kInf));
+    }
+    xs.push_back(c.lo);
+    xs.push_back(c.hi);
+    // Random mixes of the low edge with 1 and with 0.5, the few-valued
+    // columns whose finalize the branch mispredicted.
+    for (int i = 0; i < 512; ++i) {
+      lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
+      xs.push_back((lcg >> 62 & 1) != 0 ? c.lo : 1.0);
+      xs.push_back((lcg >> 63) != 0 ? 0.0 : 0.5);
+    }
+    Histogram h(c.lo, c.hi, c.bins);
+    h.AddSpan(xs);
+    const BranchingCounts want =
+        BranchingFormulaCounts(c.lo, c.hi, c.bins, xs);
+    EXPECT_EQ(h.total_count(), want.total);
+    EXPECT_EQ(h.dropped_count(), want.dropped);
+    for (int i = 0; i < c.bins; ++i) {
+      EXPECT_EQ(h.bin_count(i), want.counts[static_cast<std::size_t>(i)])
+          << "bin " << i;
+    }
+  }
+  // A collapsed transform bins its point through the same formula; at
+  // 1e300 the unit-wide range has zero width and the quotient is NaN.
+  Histogram h = Histogram::FromSamples({1.0, 2.0, 3.0}, 4);
+  for (const double beta : {0.0, -0.0, 1e300, -1e300, kTiny}) {
+    const Histogram t = h.AffineTransformed(0.0, beta);
+    const double point[] = {beta, beta, beta};
+    const BranchingCounts want =
+        BranchingFormulaCounts(beta - 0.5, beta + 0.5, 4, point);
+    for (int i = 0; i < 4; ++i) {
+      EXPECT_EQ(t.bin_count(i), want.counts[static_cast<std::size_t>(i)])
+          << "beta " << beta << " bin " << i;
+    }
+  }
+}
+
 TEST(HistogramTest, AffineTransformZeroAlphaCollapsesToPointMass) {
   // Regression: alpha == 0 used to keep the old bin layout over a
   // silently unit-widened [beta, beta] range. The mapped distribution is
